@@ -49,8 +49,9 @@ trust-smoke: build
 	dune exec bin/oasisctl.exe -- audit verify scenarios/hospital.scn --tamper 1234
 
 # Randomised fault schedules (partitions, crash/restart, revocation)
-# against the DESIGN.md §11 safety properties, including the fail-open
-# test-of-the-test. Also part of `dune runtest` via the fault/chaos suites.
+# against the DESIGN.md §11 safety properties, plus a vacuity guard that
+# some schedule reaches fail-closed degradation after a revocation. Also
+# part of `dune runtest` via the fault/chaos suites.
 chaos: build
 	dune exec test/test_main.exe -- test chaos
 
@@ -58,14 +59,16 @@ chaos: build
 # a score across the hysteresis-banded gate while the registrar crashes
 # mid-issuance and the gate crash/restarts through its durable decision-log
 # chain. CHAOS_QUICK=1 trims seeds/steps but keeps every assertion,
-# including both ablations (δ=0 flaps more; fail-open admits tampering).
+# including the δ=0 ablation (flaps more) and the tamper drill (every
+# tampered chain is refused).
 chaos-trust: build
 	CHAOS_QUICK=1 dune exec test/test_main.exe -- test chaos-trust
 
 # The full gate: build everything, run the test suite, lint and
 # reachability-analyze the shipped policies, smoke the trace pipeline, run
 # the chaos harness and the analyzer/engine cross-check fuzzer, and smoke
-# the bench harness (single cheap iteration; proves the JSON emitters run).
+# the bench harness (single cheap iteration; proves the JSON emitters run
+# and writes under _build/bench-smoke/, never over the committed BENCH_*.json).
 check: build test lint analyze trace-smoke trust-smoke chaos chaos-trust fuzz
 	dune exec bench/main.exe -- E9 E11 E12 E13 E15 E16 E17 --smoke
 

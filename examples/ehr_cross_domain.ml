@@ -22,6 +22,7 @@ module Env = Oasis_policy.Env
 module Term = Oasis_policy.Term
 module Value = Oasis_util.Value
 module Network = Oasis_sim.Network
+module Dlog = Oasis_trust.Decision_log
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 
@@ -209,17 +210,15 @@ let () =
 
   banner "Audit (Sect. 3: the original requester is recorded)";
   List.iter
-    (fun (e : Service.audit_entry) ->
-      Printf.printf "  [national] %s(%s) by %s\n" e.Service.action
-        (String.concat ", " (List.map Value.to_string e.Service.args))
-        (Oasis_util.Ident.to_string e.Service.principal))
-    (Service.audit_log records);
-  List.iter
-    (fun (e : Service.audit_entry) ->
-      Printf.printf "  [hospital-ehr] %s(%s) by %s\n" e.Service.action
-        (String.concat ", " (List.map Value.to_string e.Service.args))
-        (Oasis_util.Ident.to_string e.Service.principal))
-    (Service.audit_log ehr_service);
+    (fun (label, svc) ->
+      List.iter
+        (fun (r : Dlog.record) ->
+          if r.decision = Dlog.Grant then
+            Printf.printf "  [%s] %s(%s) by %s\n" label r.action
+              (String.concat ", " (List.map Value.to_string r.args))
+              (Oasis_util.Ident.to_string r.principal))
+        (Dlog.records (Service.decision_log svc)))
+    [ ("national", records); ("hospital-ehr", ehr_service) ];
 
   banner "Patient exception: the patient excludes Dr Carol";
   Env.assert_fact (Domain.env hospital) "excluded"

@@ -37,11 +37,7 @@ type config = {
   retry : Backoff.policy;
   suspect_grace : float;
   reconcile_batch : int;
-  fail_open : bool;
-  index_env_watches : bool;
-  strict_install : bool;
   offline_verify : bool;
-  fail_open_chain : bool;
 }
 
 let default_config =
@@ -55,22 +51,8 @@ let default_config =
     retry = Backoff.fixed 3;
     suspect_grace = 0.0;
     reconcile_batch = 8;
-    fail_open = false;
-    index_env_watches = true;
-    strict_install = true;
     offline_verify = true;
-    (* Restart refuses to build on a durable decision-log chain that fails
-       verification; [true] is the ablation that resumes blindly. *)
-    fail_open_chain = false;
   }
-
-type audit_entry = {
-  at : float;
-  principal : Ident.t;
-  action : string;
-  args : Value.t list;
-  creds_used : Ident.t list;
-}
 
 (* Watch state for one remote credential supporting an active role or a
    cached validation verdict. *)
@@ -191,7 +173,6 @@ type t = {
   cache_watched : watch Ident.Tbl.t;  (* remote cert id -> invalidation watch *)
   st : counters;
   mutable dlog : Dlog.t; (* replaced by the durable-resume on restart *)
-  mutable audit : audit_entry list;
   mutable crashed : bool;
   (* Reconciliation scheduler: at most [config.reconcile_batch] suspect
      roles re-validate concurrently; the rest queue. *)
@@ -317,7 +298,7 @@ let index_env_watch t issued (name, _args) =
   in
   Ident.Tbl.replace watchers issued.rmc.Rmc.id issued
 
-let unindex_env_watches t issued =
+let unindex_env t issued =
   List.iter
     (fun (name, _args) ->
       let base = Env.base_name name in
@@ -383,6 +364,23 @@ let cancel_suspect t issued =
       | None -> ());
       issued.suspect <- None
 
+let drop_dep_watch t dep =
+  match dep.dep_watch with
+  | Some w ->
+      dep.dep_watch <- None;
+      drop_watch t w
+  | None -> ()
+
+(* Tears down a role's in-memory monitoring — emitter, dependency watches,
+   env timers, suspect timer — on deactivation and on crash alike. *)
+let stop_monitoring t issued =
+  (match issued.beats with Some e -> Heartbeat.stop_emitter e | None -> ());
+  issued.beats <- None;
+  cancel_suspect t issued;
+  List.iter (drop_dep_watch t) issued.deps;
+  List.iter (drop_watch t) issued.watches;
+  issued.watches <- []
+
 (* The decision-log chain is mirrored into the world's durable store under
    this key: the header once at creation, then one export line per
    appended record (incremental — the write cost per decision is that
@@ -447,20 +445,8 @@ let deactivate_rmc t (issued : issued_rmc) ~reason ~cascade =
         ~creds:[ issued.rmc.Rmc.id ]
         ~env_facts:(List.map render_env_fact issued.env_watch)
         ();
-      (match issued.beats with Some e -> Heartbeat.stop_emitter e | None -> ());
-      issued.beats <- None;
-      cancel_suspect t issued;
-      List.iter
-        (fun dep ->
-          match dep.dep_watch with
-          | Some w ->
-              dep.dep_watch <- None;
-              drop_watch t w
-          | None -> ())
-        issued.deps;
-      List.iter (drop_watch t) issued.watches;
-      issued.watches <- [];
-      unindex_env_watches t issued;
+      stop_monitoring t issued;
+      unindex_env t issued;
       issued.env_watch <- [];
       unindex_deps t issued;
       announce_invalidation t record reason
@@ -511,11 +497,7 @@ let rec watch_dep t issued dep =
       | `Silence ->
           (* The monitor is dead after a miss; retire the handle so
              reinstatement knows to rebuild it. *)
-          (match dep.dep_watch with
-          | Some w ->
-              dep.dep_watch <- None;
-              drop_watch t w
-          | None -> ());
+          drop_dep_watch t dep;
           note_silence t issued dep)
   in
   dep.dep_watch <- Some watch
@@ -551,17 +533,9 @@ and enter_suspect t issued ~why =
              match issued.suspect with
              | Some s' when s' == s && Cr.is_valid issued.record ->
                  issued.suspect <- None;
-                 if t.config.fail_open then
-                   (* Deliberately broken ablation (the chaos harness's "test
-                      of the test"): on grace expiry the role is optimistically
-                      kept active, violating the paper's membership contract. *)
-                   trace_role t "svc.fail_open" issued []
-                 else begin
-                   trace_role t "svc.degrade" issued [ ("why", why) ];
-                   deactivate_rmc t issued ~cascade:true
-                     ~reason:
-                       (Printf.sprintf "fail-closed degradation: %s unresolved within grace" why)
-                 end
+                 trace_role t "svc.degrade" issued [ ("why", why) ];
+                 deactivate_rmc t issued ~cascade:true
+                   ~reason:(Printf.sprintf "fail-closed degradation: %s unresolved within grace" why)
              | Some _ | None -> ()));
     enqueue_reconcile t issued
   end
@@ -668,6 +642,20 @@ let note_unreachable t issuer =
                 ~why:(Printf.sprintf "issuer %s unreachable" (Ident.to_string issuer)))
           watchers
 
+(* Every credential check, remote or offline, reports its verdict the same
+   way. *)
+let trace_verdict t ~cert_id source ok =
+  if Obs.tracing t.obs then
+    Obs.event t.obs "svc.validate"
+      ~labels:
+        [
+          ("service", t.sname);
+          ("cert", Ident.to_string cert_id);
+          ("source", source);
+          ("ok", if ok then "true" else "false");
+        ];
+  ok
+
 (* Remote validation with optional caching (Sect. 4, experiment E3).
 
    Positive verdicts are cached with an invalidation watch on the issuer's
@@ -677,18 +665,7 @@ let note_unreachable t issuer =
    the callback again. A plain [false] wire verdict is never cached — RMC
    validity depends on the presented session key, not the cert id alone. *)
 let validate_remote t ~make_request ~cert_id ~issuer =
-  let trace_verdict source ok =
-    if Obs.tracing t.obs then
-      Obs.event t.obs "svc.validate"
-        ~labels:
-          [
-            ("service", t.sname);
-            ("cert", Ident.to_string cert_id);
-            ("source", source);
-            ("ok", if ok then "true" else "false");
-          ];
-    ok
-  in
+  let trace_verdict = trace_verdict t ~cert_id in
   let cached = if t.config.cache_remote_validation then Vcache.lookup t.cache cert_id else None in
   match cached with
   | Some Vcache.Valid -> trace_verdict "cache" true
@@ -780,21 +757,10 @@ let validate_presented t ~src ~session_key (creds : Protocol.credentials) =
   in
   let offline_verdict ~issuer cert_id verify =
     Obs.Counter.inc t.st.offline_validations;
-    let ok =
-      Vcache.lookup t.cache cert_id <> Some Vcache.Invalid
+    trace_verdict t ~cert_id "offline"
+      (Vcache.lookup t.cache cert_id <> Some Vcache.Invalid
       && (not (revoked_on_channel ~issuer ~cert_id))
-      && verify ()
-    in
-    if Obs.tracing t.obs then
-      Obs.event t.obs "svc.validate"
-        ~labels:
-          [
-            ("service", t.sname);
-            ("cert", Ident.to_string cert_id);
-            ("source", "offline");
-            ("ok", if ok then "true" else "false");
-          ];
-    ok
+      && verify ())
   in
   let rmc_ok (rmc : Rmc.t) =
     if Ident.equal rmc.issuer t.sid then verify_own_rmc t ~principal_key:session_key rmc
@@ -823,22 +789,14 @@ let validate_presented t ~src ~session_key (creds : Protocol.credentials) =
           appointment certificates (Sect. 4.1). *)
        || challenge_key t ~dst:src ~key:appt.holder)
   in
-  let keep_rmcs =
-    List.filter
-      (fun rmc ->
-        let ok = rmc_ok rmc in
+  let keep valid =
+    List.filter (fun c ->
+        let ok = valid c in
         if not ok then Obs.Counter.inc t.st.validation_failures;
         ok)
-      creds.rmcs
   in
-  let keep_appts =
-    List.filter
-      (fun appt ->
-        let ok = appt_ok appt in
-        if not ok then Obs.Counter.inc t.st.validation_failures;
-        ok)
-      creds.appointments
-  in
+  let keep_rmcs = keep rmc_ok creds.rmcs in
+  let keep_appts = keep appt_ok creds.appointments in
   let rmc_creds =
     List.map
       (fun (rmc : Rmc.t) ->
@@ -1045,12 +1003,10 @@ let monitor_membership t (issued : issued_rmc) (proof : Solve.proof) =
    predicate was touched by a fact change (assert or retract: negated
    conditions are falsified by assertions).
 
-   The indexed path consults the reverse index, so the cost of a fact
-   change is proportional to the RMCs actually watching the changed
-   predicate. The legacy path (config.index_env_watches = false) re-scans
-   every issued RMC — kept only as the benchmark ablation baseline.
-   [env_rechecks] counts RMCs examined per change in both modes, which is
-   what the scale tests and the E9 benchmark assert on. *)
+   The listener consults the reverse index, so the cost of a fact change
+   is proportional to the RMCs actually watching the changed predicate.
+   [env_rechecks] counts RMCs examined per change, which is what the scale
+   tests and the E9 benchmark assert on. *)
 let recheck_env_watches t issued changed_name =
   Obs.Counter.inc t.st.env_rechecks;
   if Obs.tracing t.obs then
@@ -1072,37 +1028,24 @@ let recheck_env_watches t issued changed_name =
           ~reason:(Printf.sprintf "constraint %s no longer holds" name))
     issued.env_watch
 
-let trace_env_change t changed_name =
-  if Obs.tracing t.obs then
-    Obs.event t.obs "env.change" ~labels:[ ("service", t.sname); ("pred", changed_name) ]
-
 let install_env_listener t =
   (* A crashed node reacts to nothing: changes missed while down are caught
      by the restart re-check (anti-entropy), not by live listeners. *)
-  if t.config.index_env_watches then
-    Env.on_change t.env (fun changed_name _args _change ->
-        if not t.crashed then begin
-          trace_env_change t changed_name;
-          match Hashtbl.find_opt t.env_index changed_name with
-          | None -> ()
-          | Some watchers ->
-              (* Snapshot first: a failed re-check deactivates the RMC, which
-                 removes it from the very table being traversed. *)
-              let snapshot = Ident.Tbl.fold (fun _ issued acc -> issued :: acc) watchers [] in
-              List.iter
-                (fun issued ->
-                  if Cr.is_valid issued.record then recheck_env_watches t issued changed_name)
-                snapshot
-        end)
-  else
-    Env.on_change t.env (fun changed_name _args _change ->
-        if not t.crashed then begin
-          trace_env_change t changed_name;
-          Ident.Tbl.iter
-            (fun _ issued ->
-              if Cr.is_valid issued.record then recheck_env_watches t issued changed_name)
-            t.rmcs
-        end)
+  Env.on_change t.env (fun changed_name _args _change ->
+      if not t.crashed then begin
+        if Obs.tracing t.obs then
+          Obs.event t.obs "env.change" ~labels:[ ("service", t.sname); ("pred", changed_name) ];
+        match Hashtbl.find_opt t.env_index changed_name with
+        | None -> ()
+        | Some watchers ->
+            (* Snapshot first: a failed re-check deactivates the RMC, which
+               removes it from the very table being traversed. *)
+            let snapshot = Ident.Tbl.fold (fun _ issued acc -> issued :: acc) watchers [] in
+            List.iter
+              (fun issued ->
+                if Cr.is_valid issued.record then recheck_env_watches t issued changed_name)
+              snapshot
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Crash and restart (DESIGN.md §11)                                  *)
@@ -1115,22 +1058,7 @@ let install_env_listener t =
    from. *)
 let crash_node t =
   t.crashed <- true;
-  Ident.Tbl.iter
-    (fun _ issued ->
-      (match issued.beats with Some e -> Heartbeat.stop_emitter e | None -> ());
-      issued.beats <- None;
-      List.iter
-        (fun dep ->
-          match dep.dep_watch with
-          | Some w ->
-              dep.dep_watch <- None;
-              drop_watch t w
-          | None -> ())
-        issued.deps;
-      List.iter (drop_watch t) issued.watches;
-      issued.watches <- [];
-      cancel_suspect t issued)
-    t.rmcs;
+  Ident.Tbl.iter (fun _ issued -> stop_monitoring t issued) t.rmcs;
   Ident.Tbl.iter
     (fun _ ia ->
       (match ia.appt_beats with Some e -> Heartbeat.stop_emitter e | None -> ());
@@ -1149,28 +1077,24 @@ exception Chain_tampered of { service : string; seq : int; why : string }
 (* Resume the decision-log chain from its durable mirror: re-verify every
    line and continue appending from the verified head. Verification
    failure means the "disk" was tampered with (or truncated mid-line)
-   while the node was down; a fail-closed service refuses to restart on it
-   — building new decisions onto a forged prefix would launder the
-   forgery. The [fail_open_chain] ablation keeps the in-memory chain and
-   skips verification, which is exactly how tampering goes unnoticed
-   (demonstrated in bench E17). *)
+   while the node was down; the service refuses to restart on it —
+   building new decisions onto a forged prefix would launder the
+   forgery. *)
 let resume_chain t =
-  if not t.config.fail_open_chain then
-    match Durable.get (World.durable t.world) (chain_key t) with
-    | None -> () (* never wrote anything durable: nothing to resume *)
-    | Some blob -> (
-        let outcome label =
-          Obs.Counter.inc
-            (Obs.counter t.obs "audit.chain"
-               ~labels:[ ("service", t.sname); ("outcome", label) ])
-        in
-        match Dlog.resume ~service:t.sid blob with
-        | Ok dlog ->
-            outcome "resumed";
-            t.dlog <- dlog
-        | Error (seq, why) ->
-            outcome "tampered";
-            raise (Chain_tampered { service = t.sname; seq; why }))
+  match Durable.get (World.durable t.world) (chain_key t) with
+  | None -> () (* never wrote anything durable: nothing to resume *)
+  | Some blob -> (
+      let outcome label =
+        Obs.Counter.inc
+          (Obs.counter t.obs "audit.chain" ~labels:[ ("service", t.sname); ("outcome", label) ])
+      in
+      match Dlog.resume ~service:t.sid blob with
+      | Ok dlog ->
+          outcome "resumed";
+          t.dlog <- dlog
+      | Error (seq, why) ->
+          outcome "tampered";
+          raise (Chain_tampered { service = t.sname; seq; why }))
 
 (* Restart rebuilds the active-security machinery from durable records:
    emitters resume for valid certificates, env constraints are re-checked
@@ -1229,12 +1153,14 @@ let restart_node t =
 (* Request handling                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let record_audit t ?issued ~principal ~action ~args ~support ~rule () =
-  let creds_used = support_creds support in
-  t.audit <- { at = World.now t.world; principal; action; args; creds_used } :: t.audit;
-  (* A grant that mints a certificate leads with it, then the supporting
-     credentials — [oasisctl audit why --cert] finds either. *)
-  let creds = match issued with Some id -> id :: creds_used | None -> creds_used in
+(* Sect. 3 asks that "the identity of the original requester" be recorded
+   for audit: every grant enters the decision chain with its principal,
+   action, arguments and supporting credentials. A grant that mints a
+   certificate leads with it, then the supporting credentials — [oasisctl
+   audit why --cert] finds either. *)
+let record_grant t ?issued ~principal ~action ~args ~support ~rule () =
+  let creds = support_creds support in
+  let creds = match issued with Some id -> id :: creds | None -> creds in
   log_decision t ~decision:Dlog.Grant ~principal ~action ~args ~rule ~creds
     ~env_facts:(support_env_facts support) ()
 
@@ -1341,7 +1267,7 @@ let handle_activate t ~src ~principal ~session_key ~role ~requested ~creds =
             in
             Ident.Tbl.replace t.rmcs cert_id issued;
             monitor_membership t issued proof;
-            record_audit t ~issued:cert_id ~principal ~action:("activate:" ^ role)
+            record_grant t ~issued:cert_id ~principal ~action:("activate:" ^ role)
               ~args:proof.role_args ~support:proof.support
               ~rule:(Parser.print_statement (Parser.Activation proof.rule))
               ();
@@ -1406,7 +1332,7 @@ let handle_invoke t ~src ~principal ~session_key ~privilege ~args ~creds =
             record_denial t ~principal ~action:("invoke:" ^ privilege) ~reason:"no proof";
             Protocol.Denied Protocol.No_proof
         | Ok (Some (rule, _subst, support)) ->
-            record_audit t ~principal ~action:privilege ~args ~support
+            record_grant t ~principal ~action:privilege ~args ~support
               ~rule:(Parser.print_statement (Parser.Authorization rule))
               ();
             Obs.Counter.inc t.st.invocations_granted;
@@ -1474,7 +1400,7 @@ let handle_appoint t ~src ~principal ~session_key ~kind ~args ~holder ~holder_ke
                   (Engine.schedule_at (World.engine t.world) ~at (fun () ->
                        ignore (revoke_appt t ia ~reason:"expired")))
             | Some _ | None -> ());
-            record_audit t ~issued:cert_id ~principal ~action:("appoint:" ^ kind) ~args ~support
+            record_grant t ~issued:cert_id ~principal ~action:("appoint:" ^ kind) ~args ~support
               ~rule:(Parser.print_statement (Parser.Appointer rule))
               ();
             Obs.Counter.inc t.st.appointments_granted;
@@ -1535,17 +1461,15 @@ let handle_rpc t ~src msg =
 exception Policy_rejected of Lint.finding list
 
 let install_policy t statements =
-  if t.config.strict_install then begin
-    (* Lint the batch as a single open world: cross-service references and
-       world-level resolution are a deployment concern (oasisctl lint);
-       what must never reach the rule tables are the findings that can
-       only ever fail at request time (Lint.install_blocking). *)
-    let blocking =
-      Lint.check ~closed:false [ Lint.of_statements ~name:t.sname statements ]
-      |> List.filter Lint.install_blocking
-    in
-    if blocking <> [] then raise (Policy_rejected blocking)
-  end;
+  (* Lint the batch as a single open world: cross-service references and
+     world-level resolution are a deployment concern (oasisctl lint); what
+     must never reach the rule tables are the findings that can only ever
+     fail at request time (Lint.install_blocking). *)
+  let blocking =
+    Lint.check ~closed:false [ Lint.of_statements ~name:t.sname statements ]
+    |> List.filter Lint.install_blocking
+  in
+  if blocking <> [] then raise (Policy_rejected blocking);
   List.iter
     (function
       | Parser.Activation rule -> add_activation_rule t rule
@@ -1620,7 +1544,6 @@ let create world ~name ?(config = default_config) ?env ~policy () =
           flaps_suppressed = Obs.counter obs "trust.flaps_suppressed" ~labels;
         };
       dlog = Dlog.create ~service:sid;
-      audit = [];
       crashed = false;
       recon_running = 0;
       recon_queue = Queue.create ();
@@ -1744,7 +1667,6 @@ let roles_defined t = Hashtbl.fold (fun role _ acc -> role :: acc) t.activations
 let privileges_defined t =
   Hashtbl.fold (fun privilege _ acc -> privilege :: acc) t.authorizations [] |> List.sort compare
 
-let audit_log t = t.audit
 let decision_log t = t.dlog
 
 let stats t =

@@ -45,25 +45,6 @@ type config = {
       (** at most this many suspect roles re-validate against their issuers
           concurrently after a heal or restart; the rest queue. Bounds the
           post-heal re-validation storm (experiment E12); default 8 *)
-  fail_open : bool;
-      (** deliberately broken ablation for the chaos harness's
-          test-of-the-test: on grace expiry the suspect role is kept active
-          instead of deactivated, violating the paper's membership
-          contract. Never enable outside that experiment; default off *)
-  index_env_watches : bool;
-      (** serve fact-change notifications from the reverse index (predicate
-          base name → watching RMCs), so a change touches only the RMCs
-          that actually watch the changed predicate; default on. Off falls
-          back to re-scanning every issued RMC per change — kept solely as
-          the baseline for the E9 benchmark ablation. *)
-  strict_install : bool;
-      (** statically lint policies before installing them and refuse
-          ({!Policy_rejected}) any with error findings that could only ever
-          fail at request time — unbound head parameters, non-ground
-          negation, arity mismatches ({!Oasis_policy.Lint.install_blocking});
-          default on. Off preserves the historical behaviour where such
-          rules install silently and every matching request is answered
-          [Bad_request]. *)
   offline_verify : bool;
       (** issue Schnorr-signed credentials under a key certified by the
           world's domain root, and verify presented credentials from
@@ -76,21 +57,18 @@ type config = {
           revocations witnessed over a watch poison the validation cache so
           re-presenting a known-dead certificate is refused locally. Off
           restores the historical HMAC + callback-per-check behaviour. *)
-  fail_open_chain : bool;
-      (** deliberately broken ablation for the durable decision-log chain:
-          on restart, skip verifying the durable export and keep the
-          in-memory chain, so tampering with the "disk" while the node is
-          down goes unnoticed (demonstrated in bench E17). Default off —
-          restart re-verifies the whole durable chain and refuses to
-          resume ({!Chain_tampered}) on any mismatch. *)
 }
 
 val default_config : config
 
 exception Policy_rejected of Oasis_policy.Lint.finding list
-(** Raised by {!install_policy} (and hence {!create}) under
-    [strict_install] when the policy contains install-blocking lint
-    errors; the findings carry positions within the policy text. *)
+(** Raised by {!install_policy} (and hence {!create}) when the policy
+    contains install-blocking lint errors — unbound head parameters,
+    non-ground negation, arity mismatches
+    ({!Oasis_policy.Lint.install_blocking}); the findings carry positions
+    within the policy text. Rules added one at a time with
+    {!add_activation_rule} / {!add_authorization_rule} bypass the gate, and
+    any request they match is answered [Bad_request]. *)
 
 val create :
   World.t ->
@@ -103,9 +81,8 @@ val create :
 (** Creates the service, registers it on the network and in the world's
     name registry, and installs the parsed policy. Raises [Failure] on a
     policy syntax error and {!Policy_rejected} on install-blocking lint
-    errors (unless [config.strict_install] is off). The [env] defaults to
-    a fresh environment private
-    to this service; pass a shared one to model services reading one
+    errors. The [env] defaults to a fresh environment private to this
+    service; pass a shared one to model services reading one
     domain database. *)
 
 val id : t -> Oasis_util.Ident.t
@@ -116,8 +93,7 @@ val world : t -> World.t
 (** {1 Policy administration} *)
 
 val install_policy : t -> Oasis_policy.Parser.statement list -> unit
-(** Installs a batch of parsed statements. Under [strict_install] the batch
-    is first linted as a single open world (cross-service references are
+(** Installs a batch of parsed statements. The batch is first linted as a single open world (cross-service references are
     left to [oasisctl lint]) and rejected wholesale — no partial install —
     if any finding is {!Oasis_policy.Lint.install_blocking}. *)
 
@@ -179,7 +155,7 @@ val crash : t -> unit
     dependency lists — survives for {!restart} to rebuild from. *)
 
 exception Chain_tampered of { service : string; seq : int; why : string }
-(** Raised by {!restart} (fail-closed, the default) when the durable
+(** Raised by {!restart} when the durable
     export of the decision-log chain does not verify — the "disk" was
     tampered with or truncated while the node was down. The service stays
     crashed: building new decisions onto a forged prefix would launder the
@@ -189,7 +165,7 @@ val restart : t -> unit
 (** Rebuilds subscriptions, monitors and emitters from the durable
     credential records. The durable decision-log chain is re-verified and
     resumed first — on any mismatch the service refuses to come back
-    ({!Chain_tampered}) unless the [fail_open_chain] ablation is set.
+    ({!Chain_tampered}).
     Environmental constraints are re-checked on the spot
     (changes missed while down deactivate now); roles resting on remote
     credentials become {e suspect} and are re-validated by anti-entropy
@@ -234,24 +210,18 @@ val issuer_watcher_count : t -> Oasis_util.Ident.t -> int
 val roles_defined : t -> string list
 val privileges_defined : t -> string list
 
-(** An audit record of a granted request; Sect. 3 requires "the identity of
-    the original requester ... recorded for audit". *)
-type audit_entry = {
-  at : float;
-  principal : Oasis_util.Ident.t;
-  action : string;  (** privilege name, or ["activate:role"] / ["appoint:kind"] *)
-  args : Oasis_util.Value.t list;
-  creds_used : Oasis_util.Ident.t list;  (** certificate ids supporting the proof *)
-}
-
-val audit_log : t -> audit_entry list
-(** Newest first. *)
-
 val decision_log : t -> Oasis_trust.Decision_log.t
 (** The hash-chained decision log (DESIGN.md §15): every grant, deny,
     revoke, suspect and reconcile decision this service has taken, with
     the rule that fired, the credentials and env facts it rested on, and
-    the obs trace seq it correlates with. Surfaced by [oasisctl audit]. *)
+    the obs trace seq it correlates with. Surfaced by [oasisctl audit].
+
+    It is also the audit record Sect. 3 asks for ("the identity of the
+    original requester ... recorded for audit"): each [Grant] carries the
+    principal, the action (privilege name, ["activate:role"] or
+    ["appoint:kind"]), its arguments, and the certificate ids supporting
+    the proof — led by the minted certificate for activations and
+    appointments. *)
 
 type stats = {
   activations_granted : int;
@@ -271,8 +241,7 @@ type stats = {
   cascade_deactivations : int;  (** revocations triggered by monitoring, not administration *)
   env_rechecks : int;
       (** RMCs whose membership constraints were re-examined because a fact
-          changed; with indexing on this counts only watchers of the changed
-          predicate *)
+          changed — only the watchers of the changed predicate *)
   suspects : int;  (** roles that entered suspect state ([svc.suspect{service=..}]) *)
   reconciled_reinstated : int;
       (** suspect roles reconciliation re-validated and kept active *)

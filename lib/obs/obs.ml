@@ -165,9 +165,9 @@ let span t ?(labels = []) name f =
     t.next_span <- t.next_span + 1;
     let id = t.next_span in
     emit t ~phase:Begin ~span:id ~labels name;
-    let t0 = Sys.time () in
+    let t0 = Monotonic_clock.now () in
     let finish extra =
-      let wall_ms = (Sys.time () -. t0) *. 1000.0 in
+      let wall_ms = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e6 in
       emit t ~phase:End ~span:id
         ~labels:(labels @ (("wall_ms", Printf.sprintf "%.3f" wall_ms) :: extra))
         name

@@ -131,8 +131,8 @@ val last_seq : t -> int
 
 val span : t -> ?labels:label list -> string -> (unit -> 'a) -> 'a
 (** Runs the thunk between a [Begin] and an [End] event sharing a fresh
-    span id; the [End] carries a ["wall_ms"] label with the wall-clock
-    duration. Without sinks the thunk runs with no other work. An exception
+    span id; the [End] carries a ["wall_ms"] label with the elapsed
+    wall-clock duration (monotonic clock, not CPU time). Without sinks the thunk runs with no other work. An exception
     still emits the [End] (labelled ["error"]) and re-raises. *)
 
 val memory_sink : unit -> sink * (unit -> event list)

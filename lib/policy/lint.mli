@@ -114,8 +114,8 @@ val check : ?closed:bool -> ?max_cascade_depth:int -> service list -> finding li
     bounds the depth above which L203 is reported. *)
 
 val install_blocking : finding -> bool
-(** Whether a finding should block [Service.install_policy] under
-    [strict_install]: error-severity findings whose truth does not depend
+(** Whether a finding should block [Service.install_policy]:
+    error-severity findings whose truth does not depend
     on other services' policies (L001, L003, L101) — exactly the class
     that can only ever fail at request time. Cross-service resolution
     (L10x) is a world property, enforced by [oasisctl lint] /

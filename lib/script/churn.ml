@@ -6,8 +6,8 @@
    gate), registrar crashes mid-issuance (half-filed audit certificates),
    partitions isolating the trust owner, and gate crash/restart cycles
    (durable decision-log resume). Shared by test/test_chaos_trust.ml and
-   the E17 bench so the invariants and the ablations run the exact same
-   schedules. *)
+   the E17 bench so the invariants, the δ=0 ablation and the tamper drill
+   run the exact same schedules. *)
 
 module World = Oasis_core.World
 module Service = Oasis_core.Service
@@ -33,7 +33,6 @@ type config = {
   band : float;  (* hysteresis δ; 0.0 is the flappy ablation *)
   decay_rate : float;  (* λ in exp(-λ·age); 0.0 disables decay *)
   decay_tick : float;  (* periodic re-assessment period *)
-  fail_open_chain : bool;  (* ablation: skip durable-chain verification *)
   tamper : bool;  (* corrupt the durable export mid-run *)
 }
 
@@ -44,7 +43,6 @@ let default_config =
     band = 0.1;
     decay_rate = 0.05;
     decay_tick = 0.5;
-    fail_open_chain = false;
     tamper = false;
   }
 
@@ -95,7 +93,6 @@ let build (cfg : config) =
   let world = World.create ~seed:cfg.seed () in
   let civ = Civ.create world ~name:"civ" () in
   if cfg.decay_rate > 0.0 then World.set_trust_decay world ~rate:cfg.decay_rate ~tick:cfg.decay_tick;
-  let config = { Service.default_config with fail_open_chain = cfg.fail_open_chain } in
   let policy =
     Printf.sprintf
       "initial customer(u) <- *appt:account(u)@civ ;\n\
@@ -104,7 +101,7 @@ let build (cfg : config) =
       theta
       (if cfg.band > 0.0 then Printf.sprintf " ~ %g" cfg.band else "")
   in
-  let gate = Service.create world ~name:"gate" ~config ~policy () in
+  let gate = Service.create world ~name:"gate" ~policy () in
   let subject = Principal.create world ~name:"subject" in
   let peer = Principal.create world ~name:"peer" in
   let appt =
@@ -209,8 +206,7 @@ let restart_gate c =
   match Service.restart c.gate with
   | () ->
       c.gate_restarts <- c.gate_restarts + 1;
-      if c.tampered && not c.cfg.fail_open_chain then
-        violation c "chain: tampered durable log admitted on fail-closed restart";
+      if c.tampered then violation c "chain: tampered durable log admitted on restart";
       if not c.tampered then begin
         match Dlog.verify (Service.decision_log c.gate) with
         | Ok _ -> ()

@@ -7,10 +7,11 @@
     (half-issuance), partitions isolating the trust owner, gate
     crash/restart cycles (durable decision-log resume), and quiet decay
     stretches. Invariant violations are collected, not asserted, so the
-    ablations ([band = 0.0], [fail_open_chain], [tamper]) can count them:
-    the test suite ({!test_chaos_trust}) asserts zero on the real
-    configuration and nonzero detection on the broken ones, and bench E17
-    reports the same numbers.
+    flappy ablation ([band = 0.0]) and the tamper drill ([tamper]) can count
+    them: the test suite ({!test_chaos_trust}) asserts zero violations on
+    the real configuration, more flaps without the band, and that every
+    tampered chain is refused on restart; bench E17 reports the same
+    numbers.
 
     Invariants checked per seed:
     - {b gate}: no [trusted] role stays active while the subject's score
@@ -31,13 +32,12 @@ type config = {
   band : float;  (** hysteresis δ; [0.0] is the flappy ablation *)
   decay_rate : float;  (** λ in [exp (-λ·age)]; [0.0] disables decay *)
   decay_tick : float;  (** periodic re-assessment period (virtual s) *)
-  fail_open_chain : bool;  (** ablation: resume without verifying *)
   tamper : bool;  (** corrupt the durable chain export mid-run *)
 }
 
 val default_config : config
-(** Seed 1, 30 steps, δ = 0.1, λ = 0.02 with a 0.5 s tick, fail-closed,
-    no tampering. *)
+(** Seed 1, 30 steps, δ = 0.1, λ = 0.05 with a 0.5 s tick, no
+    tampering. *)
 
 type summary = {
   seed : int;

@@ -18,6 +18,8 @@ module Service = Oasis_core.Service
 module Principal = Oasis_core.Principal
 module Protocol = Oasis_core.Protocol
 module Rule = Oasis_policy.Rule
+module Parser = Oasis_policy.Parser
+module Dlog = Oasis_trust.Decision_log
 module Term = Oasis_policy.Term
 module Env = Oasis_policy.Env
 module Value = Oasis_util.Value
@@ -101,3 +103,22 @@ let denial_testable =
   Alcotest.testable
     (fun ppf d -> Protocol.pp_denial ppf d)
     (fun a b -> Protocol.denial_to_string a = Protocol.denial_to_string b)
+
+(* The Grant records of a service's decision log, oldest first — the audit
+   trail of Sect. 3: principal, action, arguments, supporting credentials. *)
+let grants svc =
+  List.filter
+    (fun (r : Dlog.record) -> r.decision = Dlog.Grant)
+    (Dlog.records (Service.decision_log svc))
+
+(* Adds rules one statement at a time with [Service.add_activation_rule] /
+   [add_authorization_rule], which bypass the install lint gate: how a test
+   reaches the runtime [Bad_request] containment for a deliberately broken
+   rule. *)
+let add_unlinted svc text =
+  List.iter
+    (function
+      | Parser.Activation rule -> Service.add_activation_rule svc rule
+      | Parser.Authorization rule -> Service.add_authorization_rule svc rule
+      | Parser.Appointer _ -> invalid_arg "add_unlinted: appointer statement")
+    (Parser.parse_exn text)

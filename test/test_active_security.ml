@@ -62,18 +62,11 @@ let test_env_assertion_falsifies_negation () =
 let test_monitored_negation_deactivates () =
   (* A policy where the exclusion IS membership-monitored. The negation is
      only ground when the caller pins [u], which the lint gate (L003)
-     conservatively rejects — turned off here to test that runtime path. *)
+     conservatively rejects — so the rule is added past the gate to test
+     that runtime path. *)
   let world = World.create ~seed:5 () in
-  let svc =
-    Service.create world ~name:"svc"
-      ~config:{ Service.default_config with strict_install = false }
-      ~policy:
-        {|
-          initial base <- env:eq(1, 1);
-          sensitive(u) <- base, *env:!banned(u);
-        |}
-      ()
-  in
+  let svc = Service.create world ~name:"svc" ~policy:"initial base <- env:eq(1, 1);" () in
+  add_unlinted svc "sensitive(u) <- base, *env:!banned(u);";
   Env.declare_fact (Service.env svc) "banned";
   let p = Principal.create world ~name:"p" in
   let session =

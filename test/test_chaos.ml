@@ -10,9 +10,9 @@
      S2  convergence: once every fault heals, all suspect roles resolve
          (reinstated or revoked) within the grace period.
 
-   The same schedules run against the deliberately broken [fail_open]
-   ablation, which must violate S1 on some seed — proving the harness can
-   actually catch the bug it exists to catch. *)
+   A vacuity guard checks that some schedule reaches the transition S1
+   guards: a revoked credential whose invalidation cannot be delivered, so
+   only fail-closed degradation deactivates the dependent role. *)
 
 module World = Oasis_core.World
 module Service = Oasis_core.Service
@@ -21,6 +21,8 @@ module Protocol = Oasis_core.Protocol
 module Fault = Oasis_sim.Fault
 module Backoff = Oasis_util.Backoff
 module Rng = Oasis_util.Rng
+module Ident = Oasis_util.Ident
+module Dlog = Oasis_trust.Decision_log
 
 let period = 0.5
 let deadline = 1.5
@@ -31,11 +33,10 @@ let grace = 2.0
    latency and retry jitter. *)
 let bound = deadline +. grace +. 1.0
 
-let chaos_config ~fail_open =
+let chaos_config =
   {
     Service.default_config with
     suspect_grace = grace;
-    fail_open;
     retry = { Backoff.default with base = 0.02; cap = 0.2; max_attempts = 4 };
   }
 
@@ -43,23 +44,24 @@ type chaos = {
   world : World.t;
   issuer : Service.t;
   relying : Service.t;
-  base_id : Oasis_util.Ident.t;
-  derived_id : Oasis_util.Ident.t;
+  base_id : Ident.t;
+  derived_id : Ident.t;
   mutable partitioned : bool;
   mutable revoked_at : float option;
   mutable relying_up_since : float;
   mutable probes : int;
+  mutable degraded_after_revoke : bool;
 }
 
 let ok = function
   | Ok v -> v
   | Error d -> Alcotest.failf "chaos setup denied: %s" (Protocol.denial_to_string d)
 
-let build ~fail_open seed =
+let build seed =
   let world = World.create ~seed ~monitoring:(World.Heartbeats { period; deadline }) () in
   let issuer = Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" () in
   let relying =
-    Service.create world ~name:"relying" ~config:(chaos_config ~fail_open)
+    Service.create world ~name:"relying" ~config:chaos_config
       ~policy:"derived <- *base@issuer;" ()
   in
   let p = Principal.create world ~name:"p" in
@@ -80,6 +82,7 @@ let build ~fail_open seed =
     revoked_at = None;
     relying_up_since = 0.0;
     probes = 0;
+    degraded_after_revoke = false;
   }
 
 (* S1, checkable at any instant the relying service is up. *)
@@ -90,6 +93,23 @@ let stale_grant c =
       World.now c.world -. stable_since > bound
       && Service.is_valid_certificate c.relying c.derived_id
   | _ -> false
+
+(* Whether fail-closed degradation deactivated [derived] after [base] was
+   revoked, read from the relying service's decision log. Polled after every
+   step: a restart keeps only the verified bytes of the pre-crash chain, not
+   its typed records. *)
+let note_degradation c =
+  match c.revoked_at with
+  | None -> ()
+  | Some t_rev ->
+      if
+        List.exists
+          (fun (r : Dlog.record) ->
+            r.decision = Dlog.Revoke && r.at >= t_rev
+            && List.exists (Ident.equal c.derived_id) r.creds
+            && String.starts_with ~prefix:"fail-closed degradation" r.rule)
+          (Dlog.records (Service.decision_log c.relying))
+      then c.degraded_after_revoke <- true
 
 let probe c rng =
   let q = Principal.create c.world ~name:(Printf.sprintf "probe%d" c.probes) in
@@ -145,16 +165,17 @@ let finish c =
   end;
   World.run_until c.world (World.now c.world +. bound +. 1.0)
 
-(* Runs one seed; returns the violation (if any) instead of asserting, so
-   the fail-open ablation can count violations across seeds. *)
-let run_schedule ~fail_open seed =
-  let c = build ~fail_open seed in
+(* Runs one seed; returns the final state and the violation (if any)
+   instead of asserting, so the vacuity guard can count across seeds. *)
+let run_schedule seed =
+  let c = build seed in
   let rng = Rng.create ((seed * 2654435761) lxor 0x9e3779b9) in
   let steps = 25 + Rng.int rng 15 in
   let violation = ref None in
   for _ = 1 to steps do
     if !violation = None then begin
       step c rng;
+      note_degradation c;
       if stale_grant c then
         violation :=
           Some
@@ -166,10 +187,11 @@ let run_schedule ~fail_open seed =
   | Some _ -> ()
   | None ->
       finish c;
+      note_degradation c;
       if stale_grant c then violation := Some "S1: stale grant after final heal";
       if Service.suspect_count c.relying + Service.suspect_count c.issuer > 0 then
         violation := Some "S2: unresolved suspects after heal + grace");
-  !violation
+  (c, !violation)
 
 let n_seeds = 60
 
@@ -178,25 +200,26 @@ let test_chaos_fail_closed () =
     (QCheck.Test.make ~count:n_seeds ~name:"chaos schedules keep S1+S2"
        QCheck.(int_range 1 100_000)
        (fun seed ->
-         match run_schedule ~fail_open:false seed with
+         match snd (run_schedule seed) with
          | None -> true
          | Some v -> QCheck.Test.fail_reportf "seed %d: %s" seed v))
 
-let test_chaos_fail_open_detected () =
-  (* Test of the test: the same harness must catch the fail-open bug. *)
-  let violations = ref 0 in
-  for seed = 1 to n_seeds do
-    match run_schedule ~fail_open:true seed with
-    | Some _ -> incr violations
-    | None -> ()
-  done;
+let test_chaos_degradation_exercised () =
+  (* Vacuity guard: S1 is only worth checking if some schedule revokes
+     [base] where the invalidation cannot reach the relying service, so
+     that fail-closed degradation is what deactivates [derived]. *)
+  let hits =
+    List.init n_seeds (fun i -> i + 1)
+    |> List.filter (fun seed -> (fst (run_schedule seed)).degraded_after_revoke)
+    |> List.length
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "fail-open violates safety (%d/%d seeds)" !violations n_seeds)
-    true (!violations > 0)
+    (Printf.sprintf "degradation deactivates a revoked dependency (%d/%d seeds)" hits n_seeds)
+    true (hits > 0)
 
 let test_chaos_deterministic () =
   let trace seed =
-    let c = build ~fail_open:false seed in
+    let c = build seed in
     let rng = Rng.create ((seed * 2654435761) lxor 0x9e3779b9) in
     for _ = 1 to 20 do
       step c rng
@@ -233,6 +256,7 @@ let suite =
   ( "chaos",
     [
       Alcotest.test_case "fault schedules keep safety (qcheck)" `Slow test_chaos_fail_closed;
-      Alcotest.test_case "fail-open ablation is caught" `Slow test_chaos_fail_open_detected;
+      Alcotest.test_case "fail-closed degradation is exercised" `Slow
+        test_chaos_degradation_exercised;
       Alcotest.test_case "chaos runs are deterministic" `Quick test_chaos_deterministic;
     ] )

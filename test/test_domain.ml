@@ -166,12 +166,10 @@ let test_sla_accept_role_clause () =
      appointment) as prerequisite, with callback validation and monitoring. *)
   let world = World.create ~seed:34 () in
   (* [staff]'s head parameter is pinned by the request and validated by
-     nothing — the lint gate (L001) refuses that, so it is off here. *)
-  let a =
-    Service.create world ~name:"a"
-      ~config:{ Service.default_config with strict_install = false }
-      ~policy:"initial staff(u) <- env:eq(1, 1);" ()
-  in
+     nothing — the lint gate (L001) refuses that, so the rule is added past
+     the gate. *)
+  let a = Service.create world ~name:"a" ~policy:"" () in
+  Fixtures.add_unlinted a "initial staff(u) <- env:eq(1, 1);";
   let b = Service.create world ~name:"b" ~policy:"initial noop <- env:eq(1, 2);" () in
   ignore
     (Sla.establish world ~name:"a-b" ~between:a ~and_:b
@@ -305,14 +303,14 @@ let test_anonymous_invocation () =
       | Ok _ -> ()
       | Error d -> Alcotest.failf "test denied: %s" (Protocol.denial_to_string d));
   (* The clinic's audit trail knows only the alias. *)
-  let log = Service.audit_log clinic in
+  let log = Fixtures.grants clinic in
   Alcotest.(check bool) "audit has entries" true (List.length log >= 2);
   List.iter
-    (fun entry ->
+    (fun (entry : Fixtures.Dlog.record) ->
       Alcotest.(check bool) "no real identity in audit" false
-        (Oasis_util.Ident.equal entry.Service.principal (Principal.id member));
+        (Oasis_util.Ident.equal entry.principal (Principal.id member));
       Alcotest.(check string) "alias is pseudonymous" "anon"
-        (Oasis_util.Ident.tag entry.Service.principal))
+        (Oasis_util.Ident.tag entry.principal))
     log
 
 let test_anonymous_expiry_enforced () =

@@ -125,20 +125,6 @@ let test_grace_expiry_fail_closed () =
   Alcotest.(check int) "no reconciliation outcome" 0
     (stats.Service.reconciled_reinstated + stats.Service.reconciled_revoked)
 
-let test_fail_open_keeps_stale_grant () =
-  (* The deliberate ablation bug: with [fail_open] the grace expiry keeps
-     the unverifiable role active. The chaos harness's test-of-the-test
-     relies on this being observably wrong. *)
-  let config = { fault_config with Service.fail_open = true } in
-  let world, issuer, relying = build ~config () in
-  let _, _, base, derived = establish world issuer relying in
-  cut world issuer relying;
-  ignore (Service.revoke_certificate issuer base.Oasis_cert.Rmc.id ~reason:"gone");
-  provoke world issuer relying;
-  World.run_until world (World.now world +. config.Service.suspect_grace +. 1.0);
-  Alcotest.(check bool) "fail-open keeps the revoked grant" true
-    (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id)
-
 let test_crash_restart_reinstates () =
   let world, issuer, relying = build () in
   let _, _, _, derived = establish world issuer relying in
@@ -268,8 +254,6 @@ let suite =
         test_missed_revocation_reconciled;
       Alcotest.test_case "grace expiry degrades fail-closed" `Quick
         test_grace_expiry_fail_closed;
-      Alcotest.test_case "fail-open ablation keeps stale grant" `Quick
-        test_fail_open_keeps_stale_grant;
       Alcotest.test_case "crash/restart reinstates" `Quick test_crash_restart_reinstates;
       Alcotest.test_case "crash misses revocation" `Quick test_crash_misses_revocation;
       Alcotest.test_case "heartbeat silence under partition" `Quick

@@ -11,8 +11,9 @@
      I2  role dependency: mid active => base active; top active => mid
          active (per service, per principal);
      I3  an active top role implies its environmental flag still holds;
-     I4  bookkeeping: activations granted = audited activations; active
-         roles never exceed grants;
+     I4  bookkeeping: activations + invocations + appointments granted =
+         Grant records in the decision log; active roles never exceed
+         activation grants;
      I5  determinism: the same seed produces the identical trace summary. *)
 
 module World = Oasis_core.World
@@ -46,7 +47,8 @@ type fixture = {
 (* Service i's policy:
      base_i(u) <- *appt:kind_{i mod K}(u)@authority ;
      mid_i(u)  <- *base_i(u) ;
-     top_i(u)  <- *mid_i(u), *env:flag(u) ;  *)
+     top_i(u)  <- *mid_i(u), *env:flag(u) ;
+     priv use_i(u) <- base_i(u) ;  *)
 let build seed =
   let world = World.create ~seed () in
   let civ = Civ.create world ~name:"authority" () in
@@ -59,10 +61,11 @@ let build seed =
               initial base%d(u) <- *appt:%s(u)@authority ;
               mid%d(u) <- *base%d(u) ;
               top%d(u) <- *mid%d(u), *env:flag(u) ;
+              priv use%d(u) <- base%d(u) ;
             |}
             i
             kinds.(i mod n_kinds)
-            i i i i
+            i i i i i i
         in
         let svc = Service.create world ~name:(Printf.sprintf "svc%d" i) ~policy () in
         Env.declare_fact (Service.env svc) "flag";
@@ -105,18 +108,21 @@ let random_action f rng =
       Principal.grant_appointment p appt;
       f.grants <- f.grants + 1
   | 2 | 3 | 4 | 5 ->
-      (* try to activate a random role at a random service *)
+      (* try to activate a random role, or invoke the privilege, at a
+         random service *)
       let si = Rng.int rng n_services in
-      let role =
-        match Rng.int rng 3 with
-        | 0 -> Printf.sprintf "base%d" si
-        | 1 -> Printf.sprintf "mid%d" si
-        | _ -> Printf.sprintf "top%d" si
-      in
+      let svc = f.services.(si) and session = session_for f pi in
       f.attempts <- f.attempts + 1;
       World.run_proc f.world (fun () ->
-          match Principal.activate p (session_for f pi) f.services.(si) ~role () with
-          | Ok _ | Error _ -> ())
+          let role prefix = Printf.sprintf "%s%d" prefix si in
+          match Rng.int rng 4 with
+          | 0 -> ignore (Principal.activate p session svc ~role:(role "base") ())
+          | 1 -> ignore (Principal.activate p session svc ~role:(role "mid") ())
+          | 2 -> ignore (Principal.activate p session svc ~role:(role "top") ())
+          | _ ->
+              ignore
+                (Principal.invoke p session svc ~privilege:(role "use")
+                   ~args:[ Value.Id (Principal.id p) ]))
   | 6 ->
       (* revoke one of the principal's appointment certificates *)
       (match Principal.appointments p with
@@ -198,16 +204,13 @@ let check_invariants f =
       active;
     (* I4: bookkeeping *)
     let st = Service.stats f.services.(si) in
-    let audited_activations =
-      List.length
-        (List.filter
-           (fun (e : Service.audit_entry) ->
-             String.length e.Service.action >= 9 && String.sub e.Service.action 0 9 = "activate:")
-           (Service.audit_log f.services.(si)))
+    let granted =
+      st.Service.activations_granted + st.Service.invocations_granted
+      + st.Service.appointments_granted
     in
-    if st.Service.activations_granted <> audited_activations then
-      Alcotest.failf "I4 violated at svc%d: %d granted vs %d audited" si
-        st.Service.activations_granted audited_activations;
+    let logged = List.length (Fixtures.grants f.services.(si)) in
+    if granted <> logged then
+      Alcotest.failf "I4 violated at svc%d: %d granted vs %d Grant records" si granted logged;
     if List.length (Service.active_roles f.services.(si)) > st.Service.activations_granted then
       Alcotest.fail "I4 violated: more active roles than grants"
   done

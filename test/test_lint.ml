@@ -161,7 +161,7 @@ let test_locations () =
 
 (* ---------------- install gate ---------------- *)
 
-let test_strict_install_rejects () =
+let test_install_gate_rejects () =
   let world = World.create ~seed:1 () in
   (match
      Service.create world ~name:"bad" ~policy:"initial broken(u) <- env:eq(1, 1);" ()
@@ -177,14 +177,13 @@ let test_strict_install_rejects () =
       ~policy:"initial r(u) <- appt:badge(u)@civ;\nappoint other(u) <- r(_a);" ()
   in
   ignore ok;
-  (* The same rejected policy installs with the gate off — the runtime
-     containment path (test_world, test_regressions) stays reachable. *)
-  let lax =
-    Service.create world ~name:"lax"
-      ~config:{ Service.default_config with strict_install = false }
-      ~policy:"initial broken(u) <- env:eq(1, 1);" ()
-  in
-  ignore lax
+  (* The gate guards policy installation only: the same rule added on its
+     own is accepted, so the runtime containment path (test_world,
+     test_regressions) stays reachable. *)
+  let lax = Service.create world ~name:"lax" ~policy:"" () in
+  Fixtures.add_unlinted lax "initial broken(u) <- env:eq(1, 1);";
+  Alcotest.(check (list string)) "rule installed past the gate" [ "broken" ]
+    (Service.roles_defined lax)
 
 let test_install_blocking_classification () =
   let blocking f = Lint.install_blocking f in
@@ -356,7 +355,7 @@ let suite =
       Alcotest.test_case "L202 unmonitored appointment" `Quick test_unmonitored_appointment;
       Alcotest.test_case "L203 cascade depth" `Quick test_cascade_depth;
       Alcotest.test_case "finding locations" `Quick test_locations;
-      Alcotest.test_case "strict install gate" `Quick test_strict_install_rejects;
+      Alcotest.test_case "strict install gate" `Quick test_install_gate_rejects;
       Alcotest.test_case "install-blocking classification" `Quick test_install_blocking_classification;
       Alcotest.test_case "waivers" `Quick test_waivers;
       Alcotest.test_case "json report" `Quick test_json;

@@ -83,6 +83,19 @@ let test_span_pairs () =
       Alcotest.(check bool) "end reports wall_ms" true (List.mem_assoc "wall_ms" e.Obs.labels)
   | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs)
 
+(* [wall_ms] is elapsed wall-clock time, not CPU time: a span that sleeps
+   reports the sleep. *)
+let test_span_wall_clock () =
+  let sink, captured = Obs.memory_sink () in
+  let obs = Obs.create () in
+  Obs.attach obs sink;
+  Obs.span obs "nap" (fun () -> Unix.sleepf 0.02);
+  match List.rev (captured ()) with
+  | e :: _ ->
+      let wall_ms = float_of_string (List.assoc "wall_ms" e.Obs.labels) in
+      Alcotest.(check bool) (Printf.sprintf "wall_ms %.3f >= 15" wall_ms) true (wall_ms >= 15.0)
+  | [] -> Alcotest.fail "no events"
+
 let test_span_exception_still_ends () =
   let sink, captured = Obs.memory_sink () in
   let obs = Obs.create () in
@@ -159,6 +172,7 @@ let suite =
       Alcotest.test_case "histogram aggregates" `Quick test_histogram_aggregates_and_expansion;
       Alcotest.test_case "sink ordering" `Quick test_sink_ordering;
       Alcotest.test_case "span pairs" `Quick test_span_pairs;
+      Alcotest.test_case "span wall_ms is wall-clock" `Quick test_span_wall_clock;
       Alcotest.test_case "span ends on exception" `Quick test_span_exception_still_ends;
       Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
       Alcotest.test_case "jsonl rejects malformed" `Quick test_jsonl_rejects_malformed;

@@ -173,7 +173,7 @@ let test_appointer_needs_no_privilege () =
       | Ok _ -> Alcotest.fail "administrator became a doctor"
       | Error d -> Alcotest.failf "unexpected: %s" (Protocol.denial_to_string d))
 
-let test_audit_log () =
+let test_grants_audited () =
   let t = make () in
   let session = alice_treating t ~patient:7 in
   ignore
@@ -181,16 +181,20 @@ let test_audit_log () =
          ok
            (Principal.invoke t.alice session t.hospital ~privilege:"read_record"
               ~args:[ Value.Id (Principal.id t.alice); Value.Int 7 ])));
-  let log = Service.audit_log t.hospital in
-  let entry = List.hd log in
-  Alcotest.(check string) "latest action" "read_record" entry.Service.action;
+  let log = grants t.hospital in
+  let entry = List.nth log (List.length log - 1) in
+  Alcotest.(check string) "latest action" "read_record" entry.action;
   Alcotest.(check bool) "principal recorded" true
-    (Oasis_util.Ident.equal entry.Service.principal (Principal.id t.alice));
-  Alcotest.(check bool) "supporting certificate recorded" true
-    (entry.Service.creds_used <> []);
-  (* Activations are audited too. *)
-  Alcotest.(check bool) "activation audited" true
-    (List.exists (fun e -> e.Service.action = "activate:treating_doctor") log)
+    (Oasis_util.Ident.equal entry.principal (Principal.id t.alice));
+  Alcotest.(check bool) "supporting certificate recorded" true (entry.creds <> []);
+  (* Activations are audited too, led by the minted certificate. *)
+  let cert_id, _, _ = List.hd (Service.active_roles_named t.hospital "treating_doctor") in
+  Alcotest.(check bool) "activation audited, minted certificate first" true
+    (List.exists
+       (fun (r : Dlog.record) ->
+         r.action = "activate:treating_doctor"
+         && match r.creds with c :: _ -> Oasis_util.Ident.equal c cert_id | [] -> false)
+       log)
 
 let test_stats_counters () =
   let t = make () in
@@ -281,7 +285,7 @@ let suite =
       Alcotest.test_case "invocation denials" `Quick test_invocation_denials;
       Alcotest.test_case "appointment policy" `Quick test_appointment_policy_enforced;
       Alcotest.test_case "appointer lacks privilege" `Quick test_appointer_needs_no_privilege;
-      Alcotest.test_case "audit log" `Quick test_audit_log;
+      Alcotest.test_case "audit log" `Quick test_grants_audited;
       Alcotest.test_case "stats" `Quick test_stats_counters;
       Alcotest.test_case "introspection" `Quick test_active_roles_and_introspection;
       Alcotest.test_case "rule disjunction" `Quick test_multiple_rules_disjunction;

@@ -79,22 +79,17 @@ let test_multiple_sessions_per_principal () =
 let test_policy_errors_contained () =
   (* A rule with an unbound head parameter, or an unknown predicate, is a
      configuration bug: the service must refuse with Bad_request and stay
-     alive — never crash the node. The strict-install lint gate would
-     refuse this policy outright, so it is turned off here to exercise the
+     alive — never crash the node. The install lint gate would refuse
+     these rules outright, so they are added past it to exercise the
      runtime containment path. *)
   let world = World.create () in
-  let svc =
-    Service.create world ~name:"svc"
-      ~config:{ Service.default_config with strict_install = false }
-      ~policy:
-        {|
-          initial broken_head(u) <- env:eq(1, 1);
-          initial broken_env <- env:no_such_predicate(1);
-          initial fine <- env:eq(1, 1);
-          priv broken_priv(u) <- fine, env:also_missing(u);
-        |}
-      ()
-  in
+  let svc = Service.create world ~name:"svc" ~policy:"initial fine <- env:eq(1, 1);" () in
+  Fixtures.add_unlinted svc
+    {|
+      initial broken_head(u) <- env:eq(1, 1);
+      initial broken_env <- env:no_such_predicate(1);
+      priv broken_priv(u) <- fine, env:also_missing(u);
+    |};
   let p = Principal.create world ~name:"p" in
   World.run_proc world (fun () ->
       let s = Principal.start_session p in
@@ -370,40 +365,27 @@ let test_mid_issuance_crash_heals () =
   Alcotest.(check bool) "certificate still validates" true (Civ.validate_audit civ cert)
 
 (* Tampering with the durable decision-log export between crash and
-   restart: the fail-closed default refuses resume with a distinct error
-   and stays down; the fail-open ablation admits the forged chain. *)
+   restart: restart refuses to resume with a distinct error and the
+   service stays down. *)
 let test_chain_tamper_fail_closed () =
-  let run_one ~fail_open =
-    let world = World.create () in
-    let svc =
-      Service.create world ~name:"svc"
-        ~config:{ Service.default_config with fail_open_chain = fail_open }
-        ~policy:"initial r <- env:eq(1, 1);" ()
-    in
-    let p = Principal.create world ~name:"p" in
-    World.run_proc world (fun () ->
-        let s = Principal.start_session p in
-        match Principal.activate p s svc ~role:"r" () with
-        | Ok _ -> ()
-        | Error d -> Alcotest.failf "activate: %s" (Protocol.denial_to_string d));
-    Alcotest.(check bool) "chain nonempty" true (Dlog.length (Service.decision_log svc) > 0);
-    Service.crash svc;
-    let key = "dlog:" ^ Ident.to_string (Service.id svc) in
-    Alcotest.(check bool) "durable blob corrupted" true
-      (Durable.corrupt (World.durable world) key ~byte:60);
-    svc
-  in
-  let svc = run_one ~fail_open:false in
+  let world = World.create () in
+  let svc = Service.create world ~name:"svc" ~policy:"initial r <- env:eq(1, 1);" () in
+  let p = Principal.create world ~name:"p" in
+  World.run_proc world (fun () ->
+      let s = Principal.start_session p in
+      match Principal.activate p s svc ~role:"r" () with
+      | Ok _ -> ()
+      | Error d -> Alcotest.failf "activate: %s" (Protocol.denial_to_string d));
+  Alcotest.(check bool) "chain nonempty" true (Dlog.length (Service.decision_log svc) > 0);
+  Service.crash svc;
+  let key = "dlog:" ^ Ident.to_string (Service.id svc) in
+  Alcotest.(check bool) "durable blob corrupted" true
+    (Durable.corrupt (World.durable world) key ~byte:60);
   (match Service.restart svc with
   | () -> Alcotest.fail "tampered chain must refuse resume"
   | exception Service.Chain_tampered { service; _ } ->
       Alcotest.(check string) "refusal names the service" "svc" service);
-  Alcotest.(check bool) "stays crashed (rolled back)" true (Service.is_crashed svc);
-  let ablation = run_one ~fail_open:true in
-  (match Service.restart ablation with
-  | () -> ()
-  | exception Service.Chain_tampered _ -> Alcotest.fail "fail-open ablation must admit");
-  Alcotest.(check bool) "ablation resumed" false (Service.is_crashed ablation)
+  Alcotest.(check bool) "stays crashed (rolled back)" true (Service.is_crashed svc)
 
 let suite =
   ( "world",
