@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint analyze fuzz trace-smoke trust-smoke chaos chaos-trust check bench bench-scale bench-trust doc clean examples
+.PHONY: all build test lint analyze fuzz trace-smoke trust-smoke chaos chaos-trust check bench bench-scale bench-trust perf-ab doc clean examples
 
 all: build
 
@@ -89,6 +89,35 @@ bench-scale:
 # so the bench-% pattern must not catch this one.)
 bench-trust:
 	dune exec bench/main.exe -- E16
+
+# A/B run of the repository benchmark (perf/README.md), e.g.
+#   make perf-ab BASE=HEAD~1 W=revoke N=10
+# Builds perf.exe for revision BASE from a `git archive` export under
+# _build/perf-ab/base and for the working tree here, runs N seed pairs
+# (seeds 1..N, at BENCHMARK.json's 10-second run length) with -o, alternating
+# which side runs first, then compares the two result directories against
+# BENCHMARK.json's bounds with compare.exe (exit 1 on a regression).
+BASE ?= HEAD~1
+W ?= revoke
+N ?= 10
+AB := _build/perf-ab
+
+perf-ab:
+	rm -rf $(AB)
+	mkdir -p $(AB)/base $(AB)/runs/base $(AB)/runs/head
+	git archive --format=tar $(BASE) | tar -x -C $(AB)/base
+	cd $(AB)/base && DUNE_CACHE=disabled dune build --root . --display quiet ./perf/perf.exe
+	DUNE_CACHE=disabled dune build --display quiet ./perf/perf.exe ./perf/compare.exe
+	for i in $$(seq 1 $(N)); do \
+	  if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = base ]; then exe=$(AB)/base/_build/default/perf/perf.exe; \
+	    else exe=_build/default/perf/perf.exe; fi; \
+	    $$exe --workload $(W) --seed $$i --seconds 10 --trace 0 \
+	      -o $(AB)/runs/$$side/$(W)-$$i.json > /dev/null || exit 1; \
+	  done; \
+	done
+	_build/default/perf/compare.exe $(AB)/runs/base $(AB)/runs/head
 
 # A subset, e.g. `make bench-E3 bench-E5`.
 bench-%:

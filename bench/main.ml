@@ -708,7 +708,7 @@ let e8 () =
     [ true; false ]
 
 (* ------------------------------------------------------------------ *)
-(* E9 — env churn: fact-change propagation cost via the reverse index   *)
+(* E9 — env churn: fact-change propagation cost via the tuple index     *)
 (* ------------------------------------------------------------------ *)
 
 (* `--smoke` shrinks every experiment that honours it to a single cheap
@@ -740,66 +740,65 @@ let write_result file emit =
   Fun.protect ~finally:(fun () -> close_out out) (fun () -> emit out);
   Printf.printf "\n  results written to %s\n" path
 
-(* The active-security hot path: every fact change used to re-scan the
-   watch lists of every RMC the service had ever issued. The reverse index
-   (predicate base name -> watching RMCs) makes the cost proportional to
-   the watchers of the changed predicate. This experiment drives N services
-   sharing one environment database, M active roles in total of which a
-   small fixed set watches the "hot" predicate, and K flips (assert +
-   retract) per measured predicate; it records the number of RMC membership
-   re-checks and the CPU time into BENCH_active_security.json. *)
+(* The active-security hot path: every fact change must confront the
+   membership conditions resting on it. The reverse index (predicate ->
+   fact tuple -> watching RMCs) makes the cost of a change the watchers of
+   the changed ground tuple, whatever else watches its predicate. This
+   experiment drives N services sharing one
+   environment database and M active roles in total, all watching the
+   predicate "hot": a fixed set watches the shared tuple hot(0), the rest
+   one tuple each. It flips sentinel tuples (assert + retract of a tuple
+   nobody watches) on "hot" and on the unwatched "idle", then flips the
+   watched tuple hot(0) (retract, which collapses its watchers, and
+   re-assert), re-activating the watchers between flips outside the timed
+   region. It records the RMC membership re-checks and the CPU time into
+   BENCH_active_security.json. *)
 let e9 () =
-  header "E9 Active security: env-churn fact-change propagation (reverse index)";
+  header "E9 Active security: env-churn fact-change propagation (tuple index)";
   let smoke = !smoke_mode in
   let services_n = 4 in
   let hot_watchers = if smoke then 2 else 8 in
   let flips = if smoke then 1 else 2000 in
+  let watched_flips = if smoke then 1 else 200 in
   let sizes = if smoke then [ 16 ] else [ 100; 400; 1600 ] in
-  let churn_policy =
-    {|
-      initial hotrole(u) <- *env:hot(u);
-      initial coldrole(u) <- *env:cold(u);
-    |}
-  in
+  let churn_policy = "initial hotrole(u) <- *env:hot(u);" in
+  let shared = [ Value.Int 0 ] in
   let run_config ~total =
     let world = World.create ~seed:9 () in
     let env = Env.create (Oasis_sim.Engine.clock (World.engine world)) in
     Env.declare_fact env "hot";
-    Env.declare_fact env "cold";
     Env.declare_fact env "idle";
     let services =
       Array.init services_n (fun i ->
           Service.create world ~name:(Printf.sprintf "churn%d" i) ~env ~policy:churn_policy ())
     in
     let p = Principal.create world ~name:"p" in
-    World.run_proc world (fun () ->
-        let session = Principal.start_session p in
-        for i = 0 to total - 1 do
-          let svc = services.(i mod services_n) in
-          let role, pred = if i < hot_watchers then ("hotrole", "hot") else ("coldrole", "cold") in
-          Env.assert_fact env pred [ Value.Int i ];
-          ignore (ok (Principal.activate p session svc ~role ~args:[ Some (Value.Int i) ] ()))
-        done);
-    let active =
+    let new_session () = World.run_proc world (fun () -> Principal.start_session p) in
+    (* Watcher [i] watches hot(0) when it is one of the shared tuple's
+       watchers, hot(i) otherwise. *)
+    let activate session i =
+      let svc = services.(i mod services_n) in
+      let arg = if i < hot_watchers then Value.Int 0 else Value.Int i in
+      Env.assert_fact env "hot" [ arg ];
+      World.run_proc world (fun () ->
+          ignore (ok (Principal.activate p session svc ~role:"hotrole" ~args:[ Some arg ] ())))
+    in
+    let session = new_session () in
+    for i = 0 to total - 1 do
+      activate session i
+    done;
+    let active () =
       Array.fold_left (fun acc s -> acc + List.length (Service.active_roles s)) 0 services
     in
-    assert (active = total);
-    (* Flip a sentinel tuple that matches no watcher's ground constraint:
-       every change notification pays the propagation cost but deactivates
-       nothing, so the same population is re-measured across predicates. *)
-    let measure pred =
-      Array.iter Service.reset_stats services;
-      let t0 = Sys.time () in
-      for _ = 1 to flips do
-        Env.assert_fact env pred [ Value.Int (-1) ];
-        Env.retract_fact env pred [ Value.Int (-1) ]
-      done;
-      let seconds = Sys.time () -. t0 in
-      (* The reported row comes from the shared Obs registry; the legacy
-         [Service.stats] view is the same counter, so the two must agree
-         exactly — any drift means a module bypassed the registry. *)
-      let obs = World.obs world in
-      let rechecks = ref 0 in
+    let count f = Array.fold_left (fun acc s -> acc + f s) 0 services in
+    assert (active () = total);
+    assert (count (fun s -> Service.env_watcher_count s "hot") = total);
+    (* The reported counts come from the shared Obs registry; the legacy
+       [Service.stats] view is the same counter, so the two must agree
+       exactly — any drift means a module bypassed the registry. *)
+    let obs = World.obs world in
+    let rechecks () =
+      let sum = ref 0 in
       Array.iteri
         (fun i s ->
           let key = Printf.sprintf "service.env_rechecks{service=churn%d}" i in
@@ -809,35 +808,70 @@ let e9 () =
             | None -> failwith ("E9: metric missing from registry: " ^ key)
           in
           assert (from_registry = (Service.stats s).Service.env_rechecks);
-          rechecks := !rechecks + from_registry)
+          sum := !sum + from_registry)
         services;
-      (!rechecks, seconds)
+      !sum
     in
-    let idle_rechecks, idle_s = measure "idle" in
-    let hot_rechecks, hot_s = measure "hot" in
-    assert (Array.fold_left (fun acc s -> acc + List.length (Service.active_roles s)) 0 services
-            = total);
-    (* The claim, enforced: untouched predicates cost nothing, and the hot
-       predicate costs exactly its watchers per change. *)
+    (* A sentinel tuple matches no watcher's ground constraint: every change
+       notification reaches the services but deactivates nothing, so the
+       same population is re-measured across predicates. *)
+    let measure_sentinel pred =
+      Array.iter Service.reset_stats services;
+      let t0 = Sys.time () in
+      for _ = 1 to flips do
+        Env.assert_fact env pred [ Value.Int (-1) ];
+        Env.retract_fact env pred [ Value.Int (-1) ]
+      done;
+      let seconds = Sys.time () -. t0 in
+      (rechecks (), seconds)
+    in
+    let idle_rechecks, idle_s = measure_sentinel "idle" in
+    let sentinel_rechecks, sentinel_s = measure_sentinel "hot" in
+    assert (active () = total);
+    (* The watched tuple: the retraction re-checks and collapses exactly its
+       watchers, the re-assertion finds nobody watching. *)
+    Array.iter Service.reset_stats services;
+    let watched_s = ref 0.0 in
+    for _ = 1 to watched_flips do
+      assert (count (fun s -> Service.env_watcher_count_tuple s "hot" shared) = hot_watchers);
+      let t0 = Sys.time () in
+      Env.retract_fact env "hot" shared;
+      Env.assert_fact env "hot" shared;
+      watched_s := !watched_s +. (Sys.time () -. t0);
+      assert (active () = total - hot_watchers);
+      (* A fresh session keeps the re-activations' wallets small. *)
+      let session = new_session () in
+      for i = 0 to hot_watchers - 1 do
+        activate session i
+      done
+    done;
+    let watched_rechecks = rechecks () in
+    (* The claim, enforced: a change costs the watchers of its tuple, so
+       sentinels cost nothing even on a predicate all M roles watch. *)
     assert (idle_rechecks = 0);
-    assert (hot_rechecks = 2 * flips * hot_watchers);
-    (idle_rechecks, idle_s, hot_rechecks, hot_s)
+    assert (sentinel_rechecks = 0);
+    assert (watched_rechecks = watched_flips * hot_watchers);
+    (idle_rechecks, idle_s, sentinel_rechecks, sentinel_s, watched_rechecks, !watched_s)
   in
   Printf.printf
-    "  %d services share one env; %d watchers of 'hot'; %d flips per predicate\n\n"
-    services_n hot_watchers flips;
-  Printf.printf "  %6s | %14s | %10s | %14s | %10s\n" "roles" "idle rechecks" "idle s"
-    "hot rechecks" "hot s";
+    "  %d services share one env; every role watches 'hot', %d of them hot(0);\n\
+    \  %d sentinel flips per predicate, %d flips of hot(0)\n\n"
+    services_n hot_watchers flips watched_flips;
+  Printf.printf "  %6s | %10s | %8s | %14s | %8s | %13s | %9s\n" "roles" "idle rechk" "idle s"
+    "hot sentinel" "hot s" "hot(0) rechk" "hot(0) s";
   let rows =
     List.map
       (fun total ->
-        let idle_rechecks, idle_s, hot_rechecks, hot_s = run_config ~total in
-        Printf.printf "  %6d | %14d | %10.4f | %14d | %10.4f\n" total idle_rechecks idle_s
-          hot_rechecks hot_s;
+        let idle_rechecks, idle_s, sentinel_rechecks, sentinel_s, watched_rechecks, watched_s =
+          run_config ~total
+        in
+        Printf.printf "  %6d | %10d | %8.4f | %14d | %8.4f | %13d | %9.4f\n" total idle_rechecks
+          idle_s sentinel_rechecks sentinel_s watched_rechecks watched_s;
         Printf.sprintf
-          "    { \"total_active_rmcs\": %d, \"idle_rechecks\": %d,\n\
-          \      \"idle_seconds\": %.6f, \"hot_rechecks\": %d, \"hot_seconds\": %.6f }"
-          total idle_rechecks idle_s hot_rechecks hot_s)
+          "    { \"total_active_rmcs\": %d, \"idle_rechecks\": %d, \"idle_seconds\": %.6f,\n\
+          \      \"hot_sentinel_rechecks\": %d, \"hot_sentinel_seconds\": %.6f,\n\
+          \      \"watched_tuple_rechecks\": %d, \"watched_tuple_seconds\": %.6f }"
+          total idle_rechecks idle_s sentinel_rechecks sentinel_s watched_rechecks watched_s)
       sizes
   in
   write_result "BENCH_active_security.json" (fun out ->
@@ -845,11 +879,11 @@ let e9 () =
       "{\n\
       \  \"benchmark\": \"env_churn_active_security\",\n\
       \  \"generated_by\": \"dune exec bench/main.exe -- E9%s\",\n\
-      \  \"params\": { \"services\": %d, \"hot_watchers\": %d, \"flips\": %d, \"smoke\": %b },\n\
-      \  \"claim\": \"fact-change propagation cost scales with watchers of the changed predicate, not with total active RMCs\",\n\
+      \  \"params\": { \"services\": %d, \"hot_watchers\": %d, \"flips\": %d, \"watched_flips\": %d, \"smoke\": %b },\n\
+      \  \"claim\": \"fact-change propagation cost is the watchers of the changed ground tuple, not the watchers of its predicate nor the total active RMCs\",\n\
       \  \"rows\": [\n%s\n  ]\n}\n"
       (if smoke then " --smoke" else "")
-      services_n hot_watchers flips smoke
+      services_n hot_watchers flips watched_flips smoke
       (String.concat ",\n" rows))
 
 (* ------------------------------------------------------------------ *)
@@ -858,8 +892,9 @@ let e9 () =
 
 (* One service with a monitored env watch; a principal holds the role.
    The measured loop flips a sentinel tuple of the watched predicate so
-   every flip pays the env-change propagation (and, when a sink is
-   attached, event emission) without deactivating anything; the final
+   every flip pays the env-change notification and index lookup (and, when
+   a sink is attached, event emission) without re-checking or deactivating
+   anything; the final
    retraction of the real fact drives the Fig. 5 path env.change ->
    svc.recheck -> svc.revoke, which must appear in the trace in causal
    (seq) order. Results go to BENCH_trace.json. *)

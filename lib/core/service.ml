@@ -93,6 +93,15 @@ type issued_rmc = {
   mutable reconciling : bool;  (* queued or running in the reconciler *)
 }
 
+(* Ground fact tuples hash structurally and compare as the env's fact store
+   compares them. *)
+module Tuple_tbl = Hashtbl.Make (struct
+  type t = Value.t list
+
+  let equal = List.equal Value.equal
+  let hash = Hashtbl.hash
+end)
+
 type issued_appt = {
   appt : Appointment.t;
   appt_record : Cr.t;
@@ -162,8 +171,9 @@ type t = {
   operations : (string, principal:Ident.t -> Value.t list -> Value.t option) Hashtbl.t;
   crs : Cr.store;
   rmcs : issued_rmc Ident.Tbl.t;
-  env_index : (string, issued_rmc Ident.Tbl.t) Hashtbl.t;
-      (* predicate base name -> issued RMCs whose membership rule watches it *)
+  env_index : (string, issued_rmc Ident.Map.t Tuple_tbl.t) Hashtbl.t;
+      (* predicate base name -> fact tuple -> issued RMCs whose membership
+         rule watches that ground instance *)
   watchers_by_issuer : issued_rmc Ident.Tbl.t Ident.Tbl.t;
       (* remote issuer -> issued RMCs holding a dependency on that issuer;
          an issuer-unreachable sweep touches only its watchers, never the
@@ -280,33 +290,55 @@ let drop_watch t = function
       | None -> ())
 
 (* ------------------------------------------------------------------ *)
-(* The env reverse index (predicate base name -> watching RMCs)       *)
+(* The env reverse index (predicate -> fact tuple -> watching RMCs)  *)
 (* ------------------------------------------------------------------ *)
 
-(* A fact change must touch only the RMCs whose membership rule mentions
-   the changed predicate, not every RMC the service ever issued; the index
-   is maintained on issue and deactivation. *)
-let index_env_watch t issued (name, _args) =
+(* A fact change must touch only the RMCs whose membership rule watches the
+   changed ground fact, not every RMC the service ever issued nor every
+   watcher of the predicate; the index is maintained on issue and
+   deactivation. A leading '!' is stripped, so a negated watch shares the
+   bucket of its fact.
+
+   A computed predicate announces a change with [Env.poke], whose args are
+   always [[]], and one poke may move the truth of several tuples (the
+   trust assessor discounts registrars, shifting subjects other than the
+   one notified). So every watch of a computed predicate is keyed [[]],
+   the one bucket a poke looks up. Whether a watched name is a fact
+   predicate never changes: the env neither forgets a fact predicate nor
+   lets a computed one take its name. *)
+let env_index_key t base args = if Env.fact_predicate t.env base then args else []
+
+let index_env_watch t issued (name, args) =
   let base = Env.base_name name in
-  let watchers =
+  let tuples =
     match Hashtbl.find_opt t.env_index base with
-    | Some w -> w
+    | Some tuples -> tuples
     | None ->
-        let w = Ident.Tbl.create 8 in
-        Hashtbl.replace t.env_index base w;
-        w
+        let tuples = Tuple_tbl.create 8 in
+        Hashtbl.replace t.env_index base tuples;
+        tuples
   in
-  Ident.Tbl.replace watchers issued.rmc.Rmc.id issued
+  let key = env_index_key t base args in
+  let bucket = Option.value (Tuple_tbl.find_opt tuples key) ~default:Ident.Map.empty in
+  Tuple_tbl.replace tuples key (Ident.Map.add issued.rmc.Rmc.id issued bucket)
 
 let unindex_env t issued =
   List.iter
-    (fun (name, _args) ->
+    (fun (name, args) ->
       let base = Env.base_name name in
       match Hashtbl.find_opt t.env_index base with
       | None -> ()
-      | Some watchers ->
-          Ident.Tbl.remove watchers issued.rmc.Rmc.id;
-          if Ident.Tbl.length watchers = 0 then Hashtbl.remove t.env_index base)
+      | Some tuples -> (
+          let key = env_index_key t base args in
+          match Tuple_tbl.find_opt tuples key with
+          | None -> ()
+          | Some bucket ->
+              let bucket = Ident.Map.remove issued.rmc.Rmc.id bucket in
+              if Ident.Map.is_empty bucket then begin
+                Tuple_tbl.remove tuples key;
+                if Tuple_tbl.length tuples = 0 then Hashtbl.remove t.env_index base
+              end
+              else Tuple_tbl.replace tuples key bucket))
     issued.env_watch
 
 (* ------------------------------------------------------------------ *)
@@ -999,52 +1031,58 @@ let monitor_membership t (issued : issued_rmc) (proof : Solve.proof) =
           arm_env_timer t issued (name, args))
     proof.support
 
-(* One env listener per service re-checks membership constraints whose
-   predicate was touched by a fact change (assert or retract: negated
-   conditions are falsified by assertions).
+(* One env listener per service re-checks membership constraints touched
+   by a change (assert or retract: negated conditions are falsified by
+   assertions).
 
-   The listener consults the reverse index, so the cost of a fact change
-   is proportional to the RMCs actually watching the changed predicate.
-   [env_rechecks] counts RMCs examined per change, which is what the scale
-   tests and the E9 benchmark assert on. *)
-let recheck_env_watches t issued changed_name =
-  Obs.Counter.inc t.st.env_rechecks;
-  if Obs.tracing t.obs then
-    Obs.event t.obs "svc.recheck"
-      ~labels:
-        [
-          ("service", t.sname);
-          ("cert", Ident.to_string issued.rmc.Rmc.id);
-          ("pred", changed_name);
-        ];
-  List.iter
-    (fun (name, args) ->
-      if
-        String.equal (Env.base_name name) changed_name
-        && Cr.is_valid issued.record
-        && not (env_watch_holds t (name, args))
-      then
-        deactivate_rmc t issued ~cascade:true
-          ~reason:(Printf.sprintf "constraint %s no longer holds" name))
-    issued.env_watch
+   The listener consults the reverse index. A fact change costs the RMCs
+   watching exactly the changed tuple; a poke of a computed predicate
+   costs every watcher of that predicate. [env_rechecks] counts RMCs
+   examined per change, which is what the scale tests and the E9 benchmark
+   assert on. A re-check examines every watch the RMC holds on the changed
+   predicate; an RMC an earlier re-check of the same change deactivated is
+   skipped. *)
+let recheck_env_watches t changed_name issued =
+  if Cr.is_valid issued.record then begin
+    Obs.Counter.inc t.st.env_rechecks;
+    if Obs.tracing t.obs then
+      Obs.event t.obs "svc.recheck"
+        ~labels:
+          [
+            ("service", t.sname);
+            ("cert", Ident.to_string issued.rmc.Rmc.id);
+            ("pred", changed_name);
+          ];
+    List.iter
+      (fun (name, args) ->
+        if
+          String.equal (Env.base_name name) changed_name
+          && Cr.is_valid issued.record
+          && not (env_watch_holds t (name, args))
+        then
+          deactivate_rmc t issued ~cascade:true
+            ~reason:(Printf.sprintf "constraint %s no longer holds" name))
+      issued.env_watch
+  end
 
 let install_env_listener t =
   (* A crashed node reacts to nothing: changes missed while down are caught
      by the restart re-check (anti-entropy), not by live listeners. *)
-  Env.on_change t.env (fun changed_name _args _change ->
+  Env.on_change t.env (fun changed_name args _change ->
       if not t.crashed then begin
         if Obs.tracing t.obs then
           Obs.event t.obs "env.change" ~labels:[ ("service", t.sname); ("pred", changed_name) ];
+        (* A poke names no tuple and finds the [[]] bucket of every watch
+           on its computed predicate (see [env_index_key]). The bucket is
+           immutable: deactivations replace it in the table, never under
+           this traversal. *)
         match Hashtbl.find_opt t.env_index changed_name with
         | None -> ()
-        | Some watchers ->
-            (* Snapshot first: a failed re-check deactivates the RMC, which
-               removes it from the very table being traversed. *)
-            let snapshot = Ident.Tbl.fold (fun _ issued acc -> issued :: acc) watchers [] in
-            List.iter
-              (fun issued ->
-                if Cr.is_valid issued.record then recheck_env_watches t issued changed_name)
-              snapshot
+        | Some tuples -> (
+            match Tuple_tbl.find_opt tuples args with
+            | Some bucket ->
+                Ident.Map.iter (fun _ issued -> recheck_env_watches t changed_name issued) bucket
+            | None -> ())
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -1654,8 +1692,22 @@ let suspect_count t = List.length (suspect_roles t)
 
 let env_watcher_count t predicate =
   match Hashtbl.find_opt t.env_index (Env.base_name predicate) with
-  | Some watchers -> Ident.Tbl.length watchers
   | None -> 0
+  | Some tuples ->
+      (* An RMC watching several tuples of the predicate counts once. *)
+      Tuple_tbl.fold
+        (fun _ bucket acc -> Ident.Map.fold (fun id _ acc -> Ident.Set.add id acc) bucket acc)
+        tuples Ident.Set.empty
+      |> Ident.Set.cardinal
+
+let env_watcher_count_tuple t predicate args =
+  let base = Env.base_name predicate in
+  match Hashtbl.find_opt t.env_index base with
+  | None -> 0
+  | Some tuples -> (
+      match Tuple_tbl.find_opt tuples (env_index_key t base args) with
+      | Some bucket -> Ident.Map.cardinal bucket
+      | None -> 0)
 
 let issuer_watcher_count t issuer =
   match Ident.Tbl.find_opt t.watchers_by_issuer issuer with

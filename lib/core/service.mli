@@ -197,9 +197,17 @@ val active_roles_named :
     records of that role, not a scan of everything ever issued. *)
 
 val env_watcher_count : t -> string -> int
-(** How many currently active RMCs watch the given environmental predicate
-    (membership-marked constraints only), read from the reverse index the
-    fact-change hot path uses. A leading ['!'] is ignored. *)
+(** How many distinct currently active RMCs watch the given environmental
+    predicate (membership-marked constraints only), read from the reverse
+    index the fact-change hot path uses. An RMC watching several tuples of
+    the predicate counts once. A leading ['!'] is ignored. *)
+
+val env_watcher_count_tuple : t -> string -> Oasis_util.Value.t list -> int
+(** How many currently active RMCs a change of the given ground instance
+    re-checks: the RMCs watching exactly that tuple of a fact predicate, or
+    every watcher of a computed predicate (its {!Oasis_policy.Env.poke}
+    names no tuple). A leading ['!'] is ignored, so a negated watch counts
+    under its fact. *)
 
 val issuer_watcher_count : t -> Oasis_util.Ident.t -> int
 (** How many issued RMCs currently hold a dependency on a credential of the

@@ -3,7 +3,8 @@
    - cancelled heartbeat watches release their engine timer
    - decommission releases cache-invalidation subscriptions and the cache
    - rule installation keeps insertion order (first-installed rule wins)
-   - fact-change cost follows the reverse index, not the RMC population
+   - fact-change cost follows the tuple index, not the RMC population or
+     the other tuples of the changed predicate
    and for the observability-era network/broker fixes:
    - a raising RPC handler fails the round trip instead of stranding it
    - remove_node purges the node's link overrides in both directions
@@ -133,27 +134,196 @@ let test_rule_order_preserved () =
     (List.mem [ Value.Int 1 ] args_granted);
   Alcotest.(check int) "both activations granted" 2 (List.length args_granted)
 
-(* One fact change must re-examine only the RMCs watching that predicate.
-   The hospital world holds 5 active RMCs but only treating_doctor watches
-   env:assigned; changes to an unwatched predicate must cost nothing. *)
+(* One fact change must re-examine only the RMCs watching that ground
+   tuple. The hospital world holds 5 active RMCs but only treating_doctor
+   watches env:assigned, and only the tuple it was granted on; changes to
+   an unwatched predicate or to another tuple of the watched one must cost
+   nothing. *)
 let test_fact_change_cost_indexed () =
   let t = make () in
   let _session = alice_treating t ~patient:7 in
   let env = Service.env t.hospital in
+  let alice = Value.Id (Principal.id t.alice) in
   Env.declare_fact env "unrelated";
   Alcotest.(check int) "one watcher of assigned" 1
     (Service.env_watcher_count t.hospital "assigned");
+  Alcotest.(check int) "one watcher of the granted tuple" 1
+    (Service.env_watcher_count_tuple t.hospital "assigned" [ alice; Value.Int 7 ]);
   Alcotest.(check int) "excluded is unmarked, unwatched" 0
     (Service.env_watcher_count t.hospital "excluded");
   Service.reset_stats t.hospital;
   Env.assert_fact env "unrelated" [ Value.Int 1 ];
   Alcotest.(check int) "unwatched change re-checks nothing" 0
     (Service.stats t.hospital).Service.env_rechecks;
-  Env.assert_fact env "assigned" [ Value.Id (Principal.id t.alice); Value.Int 999 ];
-  Alcotest.(check int) "watched change re-checks exactly the watcher" 1
+  Env.assert_fact env "assigned" [ alice; Value.Int 999 ];
+  Alcotest.(check int) "sentinel tuple re-checks nothing" 0
     (Service.stats t.hospital).Service.env_rechecks;
   Alcotest.(check int) "role survived the sentinel change" 1
-    (List.length (Service.active_roles_named t.hospital "treating_doctor"))
+    (List.length (Service.active_roles_named t.hospital "treating_doctor"));
+  Env.retract_fact env "assigned" [ alice; Value.Int 7 ];
+  World.settle t.world;
+  Alcotest.(check int) "watched tuple re-checks exactly its watcher" 1
+    (Service.stats t.hospital).Service.env_rechecks;
+  Alcotest.(check int) "role collapsed with its fact" 0
+    (List.length (Service.active_roles_named t.hospital "treating_doctor"));
+  Alcotest.(check int) "index emptied" 0 (Service.env_watcher_count t.hospital "assigned")
+
+let activate_pinned world p session svc role args =
+  World.run_proc world (fun () ->
+      Principal.activate p session svc ~role ~args:(List.map Option.some args) ())
+
+(* Two RMCs watching one tuple are both re-checked by its change; a negated
+   watch shares the bucket of its fact, so asserting exactly that tuple
+   revokes the role and nothing else. *)
+let test_shared_tuple_and_negated_watch () =
+  let world = World.create ~seed:3 () in
+  let svc =
+    Service.create world ~name:"ward"
+      ~policy:
+        {|
+          initial observe(d, p) <- *env:assigned(d, p);
+          initial consult(d, p) <- *env:assigned(d, p), *env:!excluded(d, p);
+        |}
+      ()
+  in
+  let env = Service.env svc in
+  Env.declare_fact env "excluded";
+  let tuple p = [ Value.Int 1; Value.Int p ] in
+  Env.assert_fact env "assigned" (tuple 2);
+  Env.assert_fact env "assigned" (tuple 3);
+  let doc = Principal.create world ~name:"doc" in
+  let session = World.run_proc world (fun () -> Principal.start_session doc) in
+  List.iter
+    (fun (role, p) -> ignore (ok (activate_pinned world doc session svc role (tuple p))))
+    [ ("observe", 2); ("consult", 2); ("consult", 3) ];
+  let rechecks () = (Service.stats svc).Service.env_rechecks in
+  let active role = List.length (Service.active_roles_named svc role) in
+  Alcotest.(check int) "two watchers of assigned(1, 2)" 2
+    (Service.env_watcher_count_tuple svc "assigned" (tuple 2));
+  Alcotest.(check int) "one negated watcher of excluded(1, 3)" 1
+    (Service.env_watcher_count_tuple svc "!excluded" (tuple 3));
+  Alcotest.(check int) "three distinct watchers of assigned" 3
+    (Service.env_watcher_count svc "assigned");
+  Service.reset_stats svc;
+  Env.assert_fact env "excluded" (tuple 999);
+  Alcotest.(check int) "sentinel exclusion re-checks nothing" 0 (rechecks ());
+  Env.assert_fact env "excluded" (tuple 3);
+  World.settle world;
+  Alcotest.(check int) "exclusion re-checks its one watcher" 1 (rechecks ());
+  Alcotest.(check int) "excluded consult revoked" 1 (active "consult");
+  Alcotest.(check int) "observe untouched" 1 (active "observe");
+  Service.reset_stats svc;
+  Env.retract_fact env "assigned" (tuple 2);
+  World.settle world;
+  Alcotest.(check int) "shared tuple re-checks both watchers" 2 (rechecks ());
+  Alcotest.(check int) "consult gone" 0 (active "consult");
+  Alcotest.(check int) "observe gone" 0 (active "observe");
+  Alcotest.(check int) "index emptied" 0 (Service.env_watcher_count svc "assigned")
+
+(* Overlapping, negated and multi-tuple watches: [solo] and [guarded] watch
+   the same [a] tuple, [guarded] also watches [!b], and [pair] watches two
+   tuples of [a] (one tuple twice when x = y). *)
+let overlap_policy =
+  {|
+    initial solo(x, y) <- *env:a(x, y);
+    initial guarded(x, y) <- *env:a(x, y), *env:!b(x);
+    initial pair(x, y) <- *env:a(x, y), *env:a(y, x);
+  |}
+
+let overlap_watches role args =
+  match (role, args) with
+  | "solo", [ x; y ] -> [ ("a", [ x; y ]) ]
+  | "guarded", [ x; y ] -> [ ("a", [ x; y ]); ("!b", [ x ]) ]
+  | "pair", [ x; y ] -> [ ("a", [ x; y ]); ("a", [ y; x ]) ]
+  | _ -> Alcotest.failf "unexpected role %s" role
+
+(* Random fact-change schedules over a small tuple space: after every
+   change, no still-valid RMC holds an env watch that [Env.check_hold]
+   rejects, and the active set equals the schedule's prediction, the
+   grants whose conditions held at every change since. *)
+let test_tuple_index_keeps_only_holding_roles () =
+  let granted = ref 0 and revoked = ref 0 in
+  for seed = 1 to 20 do
+    let world = World.create ~seed () in
+    let svc = Service.create world ~name:"overlap" ~policy:overlap_policy () in
+    let env = Service.env svc in
+    Env.declare_fact env "a";
+    Env.declare_fact env "b";
+    let p = Principal.create world ~name:"p" in
+    let session = World.run_proc world (fun () -> Principal.start_session p) in
+    let rng = Rng.create seed in
+    let v () = Value.Int (Rng.int rng 3) in
+    let holds role args =
+      List.for_all (fun (name, tuple) -> Env.check_hold env name tuple) (overlap_watches role args)
+    in
+    let expected = ref [] in
+    for step = 1 to 80 do
+      (match Rng.int rng 6 with
+      | 0 -> Env.assert_fact env "a" [ v (); v () ]
+      | 1 -> Env.retract_fact env "a" [ v (); v () ]
+      | 2 -> Env.assert_fact env "b" [ v () ]
+      | 3 -> Env.retract_fact env "b" [ v () ]
+      | _ -> (
+          let role = Rng.pick rng [ "solo"; "guarded"; "pair" ] in
+          let args = [ v (); v () ] in
+          match activate_pinned world p session svc role args with
+          | Ok rmc ->
+              incr granted;
+              expected := (rmc.Oasis_cert.Rmc.id, role, args) :: !expected
+          | Error _ ->
+              if holds role args then
+                Alcotest.failf "seed %d step %d: %s denied though its conditions hold" seed step
+                  role));
+      World.settle world;
+      let still = List.filter (fun (_, role, args) -> holds role args) !expected in
+      revoked := !revoked + List.length !expected - List.length still;
+      expected := still;
+      let active = Service.active_roles svc in
+      List.iter
+        (fun (id, role, args, _) ->
+          if not (holds role args) then
+            Alcotest.failf "seed %d step %d: %s still valid on a failing watch" seed step
+              (Ident.to_string id))
+        active;
+      let ids l = List.sort Ident.compare l in
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d step %d: active set" seed step)
+        (List.map Ident.to_string (ids (List.map (fun (id, _, _) -> id) !expected)))
+        (List.map Ident.to_string (ids (List.map (fun (id, _, _, _) -> id) active)));
+      Alcotest.(check int) "every active role counts once under a" (List.length active)
+        (Service.env_watcher_count svc "a")
+    done
+  done;
+  (* Not vacuous: the schedules grant roles and revoke them through every
+     kind of watch. *)
+  Alcotest.(check bool) (Printf.sprintf "%d grants, %d revocations" !granted !revoked) true
+    (!granted > 100 && !revoked > 40)
+
+(* A computed predicate's poke names no tuple, and the trust assessor moves
+   scores of subjects other than the one notified, so one [trust_score]
+   poke must still re-check every [trust_score] watcher. *)
+let test_poke_rechecks_every_watcher () =
+  let world = World.create ~seed:5 () in
+  let svc =
+    Service.create world ~name:"gate"
+      ~policy:"initial member(u) <- *env:listed(u), *env:trust_score(u) >= 0.4 ;" ()
+  in
+  let env = Service.env svc in
+  List.iter
+    (fun name ->
+      let p = Principal.create world ~name in
+      Env.assert_fact env "listed" [ Value.Id (Principal.id p) ];
+      World.run_proc world (fun () ->
+          let session = Principal.start_session p in
+          ignore (ok (Principal.activate p session svc ~role:"member" ()))))
+    [ "p1"; "p2"; "p3" ];
+  Alcotest.(check int) "three trust_score watchers" 3
+    (Service.env_watcher_count svc "trust_score");
+  Service.reset_stats svc;
+  Env.poke env "trust_score";
+  Alcotest.(check int) "one poke re-checks all three" 3 (Service.stats svc).Service.env_rechecks;
+  Alcotest.(check int) "scores unchanged, roles kept" 3
+    (List.length (Service.active_roles_named svc "member"))
 
 let counting_handler received =
   { Network.on_oneway = (fun ~src:_ _ -> incr received); on_rpc = (fun ~src:_ m -> m) }
@@ -276,6 +446,11 @@ let suite =
         test_decommission_releases_cache_watches;
       Alcotest.test_case "rule order preserved" `Quick test_rule_order_preserved;
       Alcotest.test_case "fact-change cost, indexed" `Quick test_fact_change_cost_indexed;
+      Alcotest.test_case "shared tuple and negated watch" `Quick
+        test_shared_tuple_and_negated_watch;
+      Alcotest.test_case "tuple index keeps only holding roles" `Quick
+        test_tuple_index_keeps_only_holding_roles;
+      Alcotest.test_case "poke re-checks every watcher" `Quick test_poke_rechecks_every_watcher;
       Alcotest.test_case "rpc handler error fails fast" `Quick test_rpc_handler_error_fails_fast;
       Alcotest.test_case "remove_node purges links" `Quick test_remove_node_purges_links;
       Alcotest.test_case "drop causes sum to legacy total" `Quick
