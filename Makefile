@@ -92,15 +92,18 @@ bench-trust:
 
 # A/B run of the repository benchmark (perf/README.md), e.g.
 #   make perf-ab BASE=HEAD~1 W=revoke N=10
+#   make perf-ab BASE=HEAD~1 W=all N=3
 # Builds perf.exe for revision BASE from a `git archive` export under
 # _build/perf-ab/base and for the working tree here, runs N seed pairs
-# (seeds 1..N, at BENCHMARK.json's 10-second run length) with -o, alternating
-# which side runs first, then compares the two result directories against
-# BENCHMARK.json's bounds with compare.exe (exit 1 on a regression).
+# (seeds 1..N, at BENCHMARK.json's 10-second run length) of workload W, or
+# of all four workloads with W=all, with -o, alternating which side runs
+# first, then compares the two result directories against BENCHMARK.json's
+# bounds with one compare.exe call (exit 1 on a regression).
 BASE ?= HEAD~1
 W ?= revoke
 N ?= 10
 AB := _build/perf-ab
+AB_WORKLOADS := $(if $(filter all,$(W)),grant revoke metropolis scale,$(W))
 
 perf-ab:
 	rm -rf $(AB)
@@ -110,11 +113,13 @@ perf-ab:
 	DUNE_CACHE=disabled dune build --display quiet ./perf/perf.exe ./perf/compare.exe
 	for i in $$(seq 1 $(N)); do \
 	  if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
-	  for side in $$order; do \
-	    if [ $$side = base ]; then exe=$(AB)/base/_build/default/perf/perf.exe; \
-	    else exe=_build/default/perf/perf.exe; fi; \
-	    $$exe --workload $(W) --seed $$i --seconds 10 --trace 0 \
-	      -o $(AB)/runs/$$side/$(W)-$$i.json > /dev/null || exit 1; \
+	  for w in $(AB_WORKLOADS); do \
+	    for side in $$order; do \
+	      if [ $$side = base ]; then exe=$(AB)/base/_build/default/perf/perf.exe; \
+	      else exe=_build/default/perf/perf.exe; fi; \
+	      $$exe --workload $$w --seed $$i --seconds 10 --trace 0 \
+	        -o $(AB)/runs/$$side/$$w-$$i.json > /dev/null || exit 1; \
+	    done; \
 	  done; \
 	done
 	_build/default/perf/compare.exe $(AB)/runs/base $(AB)/runs/head

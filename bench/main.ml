@@ -41,6 +41,9 @@ module Codec = Oasis_cert.Codec
 module Secret = Oasis_crypto.Secret
 module Sha256 = Oasis_crypto.Sha256
 module Hmac = Oasis_crypto.Hmac
+module Modp = Oasis_crypto.Modp
+module Schnorr = Oasis_crypto.Schnorr
+module Signed = Oasis_cert.Signed
 module Fault = Oasis_sim.Fault
 module Backoff = Oasis_util.Backoff
 module Ident = Oasis_util.Ident
@@ -389,6 +392,24 @@ let e4 () =
   in
   let encoded = Codec.rmc_to_string rmc in
   let payload = String.make 1024 'x' in
+  (* The offline (Schnorr) path: a domain root, one enrolled issuer, and an
+     RMC it signed; plus a decision log taking grants as Service logs them. *)
+  let rng = Rng.create 4 in
+  let authority = Signed.create_authority rng in
+  let keypair = Signed.generate_keypair authority in
+  let chain =
+    Signed.enrol authority ~subject:issuer ~subject_pk:keypair.Schnorr.public ~key_epoch:0 ~now:0.0
+  in
+  let address = Signed.address authority in
+  let signed_rmc =
+    Signed.issue_rmc ~keypair ~rng ~principal_key:"key" ~id:(Ident.make "cert" 3) ~issuer
+      ~role:"treating_doctor" ~args ~issued_at:1.0
+  in
+  let signing_bytes = Rmc.signing_bytes ~principal_key:"key" signed_rmc in
+  let sg = Schnorr.sign ~secret:keypair.Schnorr.secret rng signing_bytes in
+  let base = Modp.random rng and exponent = Modp.random rng in
+  let log = ref (Dlog.create ~service:issuer) in
+  let doctor = Ident.make "principal" 1 in
   let open Bechamel in
   bechamel_table
     [
@@ -414,6 +435,28 @@ let e4 () =
         (Staged.stage (fun () -> ignore (Hmac.mac ~key:"k" payload)));
       Test.make ~name:"SHA-256 (1 KiB)"
         (Staged.stage (fun () -> ignore (Sha256.digest_string payload)));
+      Test.make ~name:"Modp.pow (61-bit exponent)"
+        (Staged.stage (fun () -> ignore (Modp.pow base exponent)));
+      Test.make ~name:"Schnorr sign"
+        (Staged.stage (fun () ->
+             ignore (Schnorr.sign ~secret:keypair.Schnorr.secret rng signing_bytes)));
+      Test.make ~name:"Schnorr verify"
+        (Staged.stage (fun () ->
+             ignore (Schnorr.verify ~public:keypair.Schnorr.public signing_bytes sg)));
+      Test.make ~name:"Signed.verify_rmc (chain + signature)"
+        (Staged.stage (fun () ->
+             ignore (Signed.verify_rmc ~address ~chain ~principal_key:"key" signed_rmc)));
+      Test.make ~name:"decision-log append + export line"
+        (Staged.stage (fun () ->
+             (* A fresh log now and then keeps the retained chain small. *)
+             if Dlog.length !log >= 4096 then log := Dlog.create ~service:issuer;
+             ignore
+               (Dlog.export_line
+                  (Dlog.append !log ~at:1.0 ~decision:Dlog.Grant ~principal:doctor
+                     ~action:"treating_doctor" ~args
+                     ~rule:"treating_doctor(d, p) <- doctor(d), env:assigned(d, p)"
+                     ~creds:[ Ident.make "cert" 3; Ident.make "cert" 2 ]
+                     ~env_facts:[ "assigned(principal#1, 42)" ] ()))));
     ];
   Printf.printf "\n  certificate size vs parameter count (wire bytes)\n";
   Printf.printf "  %8s | %10s | %12s\n" "params" "RMC" "appointment";
@@ -1370,15 +1413,6 @@ let proc_status_kb field =
    crypto dominating. Results go to BENCH_scale.json. *)
 let e15 () =
   header "E15 Scale: throughput, cascade latency and memory, 10^3 to 10^6";
-  (* At a ~0.5 GB live set the default major-GC pacing (space_overhead 120)
-     dominates: measured on this workload it costs 2x in throughput and
-     spends half the run in the kernel remapping pages. Trading ~5% RSS for
-     slack is the right call at this scale; see EXPERIMENTS.md E15. The
-     prior settings come back however E15 ends, so the experiments after
-     it in the same process run under the defaults. *)
-  let saved_gc = Gc.get () in
-  Gc.set { saved_gc with Gc.space_overhead = 200 };
-  Fun.protect ~finally:(fun () -> Gc.set saved_gc) @@ fun () ->
   let smoke = !smoke_mode in
   let counts = if smoke then [ 64; 256 ] else [ 1_000; 5_000; 20_000; 100_000 ] in
   let cascade_samples = if smoke then 4 else 32 in
@@ -1529,15 +1563,18 @@ let e15 () =
     (total, ops, heap, pending)
   in
 
-  Printf.printf "  full stack, heartbeats %.0fs; cascade over %d sampled revocations\n\n"
+  (* The churn times the engine alone, so it runs before the world rows:
+     after them its rate would follow the size of the major heap they
+     leave behind (a bigger heap means less major-GC work per allocated
+     word), not the cost of the timer core. *)
+  let churn_total, churn_ops, churn_heap, churn_pending =
+    timer_churn (if smoke then 10_000 else 1_000_000)
+  in
+  Printf.printf "\n  full stack, heartbeats %.0fs; cascade over %d sampled revocations\n\n"
     heartbeat_period cascade_samples;
   Printf.printf "  %7s | %11s | %11s | %17s | %9s | %s\n" "N" "activation" "sustained"
     "cascade wall/virt" "rss" "heap/pending, storm";
   let rows = List.map session_row counts in
-  Printf.printf "\n";
-  let churn_total, churn_ops, churn_heap, churn_pending =
-    timer_churn (if smoke then 10_000 else 1_000_000)
-  in
   write_result "BENCH_scale.json" (fun out ->
     Printf.fprintf out
       "{\n\

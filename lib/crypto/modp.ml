@@ -2,48 +2,57 @@ let p = 0x1FFFFFFFFFFFFFFFL (* 2^61 - 1 *)
 
 let generator = 3L
 
-(* Reduces x in [0, 2^63) modulo the Mersenne prime using 2^61 ≡ 1 (mod p). *)
-let reduce x =
-  let r = Int64.add (Int64.logand x p) (Int64.shift_right_logical x 61) in
-  if r >= p then Int64.sub r p else r
+(* The arithmetic runs on native ints: every canonical element is below
+   2^61 and every intermediate below 2^62, so it fits the 63-bit int
+   without boxing. int64 appears only at the API boundary. *)
+let () = assert (Sys.int_size >= 63)
+
+let pn = Int64.to_int p
+
+(* Reduces x in [0, 2^62) modulo the Mersenne prime using 2^61 ≡ 1 (mod p). *)
+let[@inline] reduce x =
+  let r = (x land pn) + (x lsr 61) in
+  if r >= pn then r - pn else r
 
 let of_int64 x =
   let x = Int64.rem x p in
   if x < 0L then Int64.add x p else x
 
-let add a b = reduce (Int64.add a b)
+(* Canonical operands pass through; anything else is first reduced. *)
+let[@inline] to_field x = Int64.to_int (if x >= 0L && x < p then x else of_int64 x)
 
-let sub a b = reduce (Int64.add a (Int64.sub p b))
+let add a b = Int64.of_int (reduce (to_field a + to_field b))
+
+let sub a b = Int64.of_int (reduce (to_field a + (pn - to_field b)))
 
 (* Full 61x61 -> 122-bit product reduced mod p. Operands are split into
-   31-bit halves so every intermediate fits in a signed int64:
+   31-bit halves so every intermediate fits in a 63-bit int:
      a*b = a1*b1*2^62 + (a1*b0 + a0*b1)*2^31 + a0*b0
    and 2^62 ≡ 2, mid*2^31 = m1*2^61 + m0*2^31 ≡ m1 + m0*2^31 (mod p). *)
-let mul a b =
-  let mask31 = 0x7FFFFFFFL in
-  let a1 = Int64.shift_right_logical a 31 and a0 = Int64.logand a mask31 in
-  let b1 = Int64.shift_right_logical b 31 and b0 = Int64.logand b mask31 in
-  let hi = reduce (Int64.mul a1 b1) in
+let mul_int a b =
+  let a1 = a lsr 31 and a0 = a land 0x7FFFFFFF in
+  let b1 = b lsr 31 and b0 = b land 0x7FFFFFFF in
+  let hi = reduce (a1 * b1) in
   (* a1*b1 < 2^60 *)
-  let mid = Int64.add (Int64.mul a1 b0) (Int64.mul a0 b1) in
+  let mid = (a1 * b0) + (a0 * b1) in
   (* < 2^62 *)
-  let m1 = Int64.shift_right_logical mid 30 in
-  let m0 = Int64.logand mid 0x3FFFFFFFL in
-  (* mid*2^31 = m1*2^61 + m0*2^31 ≡ m1 + m0*2^31 *)
-  let mid_red = reduce (Int64.add m1 (Int64.shift_left m0 31)) in
-  let lo = reduce (Int64.mul a0 b0) in
-  (* < 2^62 *)
-  reduce (Int64.add (reduce (Int64.add (reduce (Int64.shift_left hi 1)) mid_red)) lo)
+  let m1 = mid lsr 30 and m0 = mid land 0x3FFFFFFF in
+  let mid_red = reduce (m1 + (m0 lsl 31)) in
+  let lo = reduce (a0 * b0) in
+  (* a0*b0 < 2^62 *)
+  reduce (reduce (reduce (hi lsl 1) + mid_red) + lo)
+
+let mul a b = Int64.of_int (mul_int (to_field a) (to_field b))
 
 let pow base e =
   if e < 0L then invalid_arg "Modp.pow: negative exponent";
-  let rec go acc base e =
-    if e = 0L then acc
-    else
-      let acc = if Int64.logand e 1L = 1L then mul acc base else acc in
-      go acc (mul base base) (Int64.shift_right_logical e 1)
-  in
-  go 1L (of_int64 base) e
+  let acc = ref 1 and base = ref (to_field base) and e = ref e in
+  while !e <> 0L do
+    if Int64.logand !e 1L = 1L then acc := mul_int !acc !base;
+    base := mul_int !base !base;
+    e := Int64.shift_right_logical !e 1
+  done;
+  Int64.of_int !acc
 
 let inv a =
   let a = of_int64 a in

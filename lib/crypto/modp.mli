@@ -13,11 +13,19 @@ val p : int64
 val generator : int64
 (** A fixed multiplicative generator used for key generation. *)
 
+(** The arithmetic runs on native ints (every intermediate stays below
+    2^62, so none is boxed); [int64] is only the interface type.
+    Operands are canonical elements, in [\[0, p)] — what {!of_int64},
+    {!random} and every function here return. A non-canonical operand is
+    first reduced by {!of_int64}, so results are always canonical. *)
+
 val add : int64 -> int64 -> int64
 val sub : int64 -> int64 -> int64
 val mul : int64 -> int64 -> int64
+
 val pow : int64 -> int64 -> int64
-(** [pow base e] with [e >= 0]. *)
+(** [pow base e] with [e >= 0], by square-and-multiply over the bits of
+    [e]; raises [Invalid_argument] on a negative exponent. *)
 
 val inv : int64 -> int64
 (** Multiplicative inverse by Fermat; raises [Invalid_argument] on 0. *)

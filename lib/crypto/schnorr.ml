@@ -3,31 +3,32 @@
    Exponent arithmetic is modulo the group exponent n = p - 1 (Fermat:
    g^(k mod (p-1)) = g^k for any g in the field, whatever ord(g)), so the
    scheme is sound even though full <g>-membership of keys is not checked.
-   Products x*e overflow int64, hence the double-and-add [mulmod]. *)
+   Products x*e overflow the 63-bit int, hence the double-and-add [mulmod]. *)
 
 type signature = { e : int64; s : int64 }
 
 type keypair = { public : int64; secret : int64 }
 
-(* n = p - 1 = 2^61 - 2: the exponent group order. *)
-let n = Int64.sub Modp.p 1L
+(* n = p - 1 = 2^61 - 2: the exponent group order. Scalars are native
+   ints below n < 2^61, so a + b < 2^62 never wraps the 63-bit int. *)
+let n = Int64.to_int Modp.p - 1
+let n64 = Int64.of_int n
 
-(* Both operands < n < 2^61, so a + b < 2^62 never wraps int64. *)
 let addm a b =
-  let sum = Int64.add a b in
-  if sum >= n then Int64.sub sum n else sum
+  let sum = a + b in
+  if sum >= n then sum - n else sum
 
 let mulmod a b =
-  let acc = ref 0L and a = ref (Int64.rem a n) and b = ref (Int64.rem b n) in
-  while !b > 0L do
-    if Int64.logand !b 1L = 1L then acc := addm !acc !a;
+  let acc = ref 0 and a = ref (a mod n) and b = ref (b mod n) in
+  while !b > 0 do
+    if !b land 1 = 1 then acc := addm !acc !a;
     a := addm !a !a;
-    b := Int64.shift_right_logical !b 1
+    b := !b lsr 1
   done;
   !acc
 
 (* k - x*e mod n, with k <= n and xe < n. *)
-let subm a b = if a >= b then Int64.sub a b else Int64.sub (Int64.add a n) b
+let subm a b = if a >= b then a - b else a + n - b
 
 let rec generate rng =
   let x = Modp.random rng in
@@ -39,28 +40,28 @@ let int64_be v =
   Bytes.set_int64_be b 0 v;
   Bytes.to_string b
 
-(* First 8 digest bytes (sign bit cleared) reduced mod n. *)
-let hash_to_scalar msg =
-  let d = Sha256.to_raw_string (Sha256.digest_string msg) in
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code d.[i]))
-  done;
-  Int64.rem (Int64.logand !v Int64.max_int) n
-
-let challenge r msg = hash_to_scalar ("oasis-schnorr\x00" ^ int64_be r ^ msg)
+(* H("oasis-schnorr\x00" || r || msg): its first 8 bytes (sign bit
+   cleared) reduced mod n. *)
+let challenge r msg =
+  let ctx = Sha256.init () in
+  Sha256.feed_string ctx "oasis-schnorr\x00";
+  Sha256.feed_string ctx (int64_be r);
+  Sha256.feed_string ctx msg;
+  let d = Sha256.to_raw_string (Sha256.finalize ctx) in
+  Int64.rem (Int64.logand (String.get_int64_be d 0) Int64.max_int) n64
 
 let sign ~secret rng msg =
   let k = Modp.random rng in
   let r = Modp.pow Modp.generator k in
   let e = challenge r msg in
-  { e; s = subm (Int64.rem k n) (mulmod secret e) }
+  let s = subm (Int64.to_int k mod n) (mulmod (Int64.to_int secret) (Int64.to_int e)) in
+  { e; s = Int64.of_int s }
 
 (* e and s are public once the signature is on the wire, so the int64
    comparison needs no masking; the verifier recomputes only from public
    data. *)
 let verify ~public msg { e; s } =
-  e >= 0L && e < n && s >= 0L && s < n
+  e >= 0L && e < n64 && s >= 0L && s < n64
   && Elgamal.valid_public public
   &&
   let r' = Modp.mul (Modp.pow Modp.generator s) (Modp.pow public e) in
@@ -84,14 +85,7 @@ let to_digest { e; s } =
 
 let of_digest d =
   let raw = Sha256.to_raw_string d in
-  let scalar off =
-    let v = ref 0L in
-    for i = off to off + 7 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code raw.[i]))
-    done;
-    !v
-  in
-  let e = scalar 0 and s = scalar 8 in
-  if String.equal (String.sub raw 16 16) zero_pad && e >= 0L && e < n && s >= 0L && s < n then
+  let e = String.get_int64_be raw 0 and s = String.get_int64_be raw 8 in
+  if String.equal (String.sub raw 16 16) zero_pad && e >= 0L && e < n64 && s >= 0L && s < n64 then
     Some { e; s }
   else None

@@ -1,9 +1,15 @@
 (** SHA-256 (FIPS 180-4), implemented from scratch.
 
     No cryptographic package is available in the build environment, so the
-    hash underlying certificate signatures (Fig. 4) is provided here. The
-    implementation is the straightforward 32-bit reference algorithm —
-    adequate for a reproduction; not hardened against side channels. *)
+    hash underlying certificate signatures (Fig. 4) and the decision-log
+    chain is provided here. The 32-bit words are native ints masked to 32
+    bits (the module refuses to initialise on a build with ints narrower
+    than 63 bits), whole 64-byte blocks are compressed straight from the
+    caller's string, and nothing is allocated per block: a digest costs
+    its context, the padding block and the 32 output bytes. The message
+    schedule is one module-level array reused by every call, so hashing is
+    single-domain, as the whole reproduction is. Not hardened against side
+    channels. *)
 
 type digest
 (** A 32-byte digest. *)
@@ -25,7 +31,7 @@ val to_raw_string : digest -> string
 (** The 32 raw bytes. *)
 
 val to_hex : digest -> string
-(** Lowercase hexadecimal, 64 characters. *)
+(** Lowercase hexadecimal, 64 characters ({!Oasis_util.Hex.encode}). *)
 
 val of_raw_string : string -> digest option
 (** Re-wraps 32 raw bytes (e.g. parsed off the wire); [None] on wrong size. *)

@@ -2,6 +2,7 @@ module Ident = Oasis_util.Ident
 module Value = Oasis_util.Value
 module Wire = Oasis_cert.Wire
 module Sha256 = Oasis_crypto.Sha256
+module Hex = Oasis_util.Hex
 
 type decision = Grant | Deny | Revoke | Suspect | Reconcile
 
@@ -70,7 +71,11 @@ let payload r =
       Wire.Fint r.trace_seq;
     ]
 
-let chain_hash ~prev body = Sha256.digest_string (Sha256.to_raw_string prev ^ body)
+let chain_hash ~prev body =
+  let ctx = Sha256.init () in
+  Sha256.feed_string ctx (Sha256.to_raw_string prev);
+  Sha256.feed_string ctx body;
+  Sha256.finalize ctx
 
 let append t ~at ~decision ~principal ~action ?(args = []) ?(rule = "") ?(creds = [])
     ?(env_facts = []) ?(trace_seq = 0) () =
@@ -133,38 +138,11 @@ let verify t =
    so a one-byte tamper is always visible to the verifier (bad hex parses
    are failures too). *)
 
-let hex_of_string s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
-
-let string_of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    let digit c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | _ -> None
-    in
-    let buf = Buffer.create (n / 2) in
-    let rec go i =
-      if i >= n then Some (Buffer.contents buf)
-      else
-        match (digit s.[i], digit s.[i + 1]) with
-        | Some hi, Some lo ->
-            Buffer.add_char buf (Char.chr ((hi lsl 4) lor lo));
-            go (i + 2)
-        | _ -> None
-    in
-    go 0
-
 let header_magic = "oasis-decision-log v1 "
 
 let export_header t = header_magic ^ Ident.to_string t.owner ^ "\n"
 
-let line_of ~body ~hash = hex_of_string body ^ " " ^ Sha256.to_hex hash ^ "\n"
+let line_of ~body ~hash = String.concat "" [ Hex.encode body; " "; Sha256.to_hex hash; "\n" ]
 
 let export_line r = line_of ~body:(payload r) ~hash:r.hash
 
@@ -176,43 +154,9 @@ let export t =
     (List.rev t.rev_entries);
   Buffer.contents buf
 
-let verify_string s =
-  let lines = String.split_on_char '\n' s in
-  let lines = List.filter (fun l -> l <> "") lines in
-  match lines with
-  | [] -> Error (0, "empty chain file")
-  | header :: rest ->
-      let magic_len = String.length header_magic in
-      if
-        String.length header < magic_len
-        || not (String.equal (String.sub header 0 magic_len) header_magic)
-      then Error (0, "bad header")
-      else
-        let owner_s = String.sub header magic_len (String.length header - magic_len) in
-        (match Ident.of_string owner_s with
-        | None -> Error (0, "unparseable service identifier in header")
-        | Some owner ->
-            let rec go seq prev = function
-              | [] -> Ok seq
-              | line :: rest -> (
-                  match String.index_opt line ' ' with
-                  | None -> Error (seq, "malformed record line")
-                  | Some sp -> (
-                      let payload_hex = String.sub line 0 sp in
-                      let hash_hex = String.sub line (sp + 1) (String.length line - sp - 1) in
-                      match string_of_hex payload_hex with
-                      | None -> Error (seq, "payload is not valid hex")
-                      | Some body ->
-                          let expect = chain_hash ~prev body in
-                          if not (String.equal (Sha256.to_hex expect) hash_hex) then
-                            Error (seq, "chain hash mismatch")
-                          else go (seq + 1) expect rest))
-            in
-            go 0 (genesis owner) rest)
-
-let resume ~service s =
-  let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
-  match lines with
+(* Splits an exported chain into its owner and record lines. *)
+let parse_header s =
+  match String.split_on_char '\n' s |> List.filter (fun l -> l <> "") with
   | [] -> Error (0, "empty chain file")
   | header :: rest -> (
       let magic_len = String.length header_magic in
@@ -224,30 +168,40 @@ let resume ~service s =
         let owner_s = String.sub header magic_len (String.length header - magic_len) in
         match Ident.of_string owner_s with
         | None -> Error (0, "unparseable service identifier in header")
-        | Some owner ->
-            if not (Ident.equal owner service) then
-              Error (0, "chain belongs to a different service")
-            else
-              let rec go seq prev acc = function
-                | [] -> Ok { owner; rev_entries = acc; length = seq; head = prev }
-                | line :: rest -> (
-                    match String.index_opt line ' ' with
-                    | None -> Error (seq, "malformed record line")
-                    | Some sp -> (
-                        let payload_hex = String.sub line 0 sp in
-                        let hash_hex = String.sub line (sp + 1) (String.length line - sp - 1) in
-                        match string_of_hex payload_hex with
-                        | None -> Error (seq, "payload is not valid hex")
-                        | Some body ->
-                            let expect = chain_hash ~prev body in
-                            if not (String.equal (Sha256.to_hex expect) hash_hex) then
-                              Error (seq, "chain hash mismatch")
-                            else
-                              go (seq + 1) expect
-                                (Imported { payload = body; hash = expect } :: acc)
-                                rest))
-              in
-              go 0 (genesis owner) [] rest)
+        | Some owner -> Ok (owner, rest))
+
+(* Re-derives every link from [owner]'s genesis; the verified prefix comes
+   back as [Imported] entries, newest first, with its length and head. *)
+let replay owner lines =
+  let rec go seq prev acc = function
+    | [] -> Ok (seq, prev, acc)
+    | line :: rest -> (
+        match String.index_opt line ' ' with
+        | None -> Error (seq, "malformed record line")
+        | Some sp -> (
+            let payload_hex = String.sub line 0 sp in
+            let hash_hex = String.sub line (sp + 1) (String.length line - sp - 1) in
+            match Hex.decode payload_hex with
+            | None -> Error (seq, "payload is not valid hex")
+            | Some body ->
+                let expect = chain_hash ~prev body in
+                if not (String.equal (Sha256.to_hex expect) hash_hex) then
+                  Error (seq, "chain hash mismatch")
+                else go (seq + 1) expect (Imported { payload = body; hash = expect } :: acc) rest))
+  in
+  go 0 (genesis owner) [] lines
+
+let verify_string s =
+  Result.bind (parse_header s) (fun (owner, lines) ->
+      Result.map (fun (length, _, _) -> length) (replay owner lines))
+
+let resume ~service s =
+  Result.bind (parse_header s) (fun (owner, lines) ->
+      if not (Ident.equal owner service) then Error (0, "chain belongs to a different service")
+      else
+        Result.map
+          (fun (length, head, rev_entries) -> { owner; rev_entries; length; head })
+          (replay owner lines))
 
 let tamper s ~byte =
   let n = String.length s in

@@ -100,6 +100,74 @@ let test_pow_edge () =
   Alcotest.check_raises "negative exponent" (Invalid_argument "Modp.pow: negative exponent")
     (fun () -> ignore (Modp.pow 2L (-1L)))
 
+(* An independent int64 model of the field: double-and-add multiplication
+   (every partial sum stays below 2^62) and square-and-multiply on top of
+   it. Slow and obviously correct; it lives only here. *)
+let ref_mul a b =
+  let acc = ref 0L and a = ref a and b = ref b in
+  while !b > 0L do
+    if Int64.logand !b 1L = 1L then acc := Int64.rem (Int64.add !acc !a) Modp.p;
+    a := Int64.rem (Int64.add !a !a) Modp.p;
+    b := Int64.shift_right_logical !b 1
+  done;
+  !acc
+
+let ref_pow base e =
+  let acc = ref 1L and base = ref (Modp.of_int64 base) and e = ref e in
+  while !e > 0L do
+    if Int64.logand !e 1L = 1L then acc := ref_mul !acc !base;
+    base := ref_mul !base !base;
+    e := Int64.shift_right_logical !e 1
+  done;
+  !acc
+
+let edge_values =
+  let p = Modp.p in
+  [ 0L; 1L; 2L; 0x7FFFFFFFL; 0x80000000L; 0x80000001L; Int64.sub p 2L; Int64.sub p 1L ]
+
+(* Canonical elements: uniform over [0, p), or one of the edge values. *)
+let element =
+  let open QCheck in
+  let uniform = Gen.map (fun x -> Int64.rem (Int64.logand x Int64.max_int) Modp.p) Gen.ui64 in
+  make ~print:Int64.to_string (Gen.frequency [ (4, uniform); (1, Gen.oneofl edge_values) ])
+
+let test_mul_matches_model () =
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check int64) (Printf.sprintf "%Ld * %Ld" a b) (ref_mul a b) (Modp.mul a b))
+        edge_values)
+    edge_values;
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:2000 ~name:"mul = model" (QCheck.pair element element)
+       (fun (a, b) -> Int64.equal (Modp.mul a b) (ref_mul a b)))
+
+let test_pow_matches_model () =
+  List.iter
+    (fun b ->
+      List.iter
+        (fun e -> Alcotest.(check int64) (Printf.sprintf "%Ld^%Ld" b e) (ref_pow b e) (Modp.pow b e))
+        (Int64.max_int :: edge_values))
+    edge_values;
+  let exponent =
+    QCheck.make ~print:Int64.to_string (QCheck.Gen.map (Int64.logand Int64.max_int) QCheck.Gen.ui64)
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:200 ~name:"pow = model" (QCheck.pair element exponent)
+       (fun (b, e) -> Int64.equal (Modp.pow b e) (ref_pow b e)))
+
+(* Out-of-range operands are canonicalised before the native-int path. *)
+let test_noncanonical_operands () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:500 ~name:"mul/add/sub canonicalise"
+       QCheck.(pair int64 int64)
+       (fun (a, b) ->
+         let a' = Modp.of_int64 a and b' = Modp.of_int64 b in
+         Int64.equal (Modp.mul a b) (ref_mul a' b')
+         && Int64.equal (Modp.add a b) (Int64.rem (Int64.add a' b') Modp.p)
+         && Int64.equal (Modp.sub a b) (Int64.rem (Int64.add a' (Int64.sub Modp.p b')) Modp.p)))
+
 let test_random_in_range () =
   let rng = Rng.create 77 in
   for _ = 1 to 1000 do
@@ -121,5 +189,8 @@ let suite =
       Alcotest.test_case "Fermat" `Quick test_fermat;
       Alcotest.test_case "pow laws" `Quick test_pow_laws;
       Alcotest.test_case "pow edge cases" `Quick test_pow_edge;
+      Alcotest.test_case "mul = int64 model" `Quick test_mul_matches_model;
+      Alcotest.test_case "pow = int64 model" `Quick test_pow_matches_model;
+      Alcotest.test_case "non-canonical operands" `Quick test_noncanonical_operands;
       Alcotest.test_case "random range" `Quick test_random_in_range;
     ] )

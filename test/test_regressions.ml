@@ -9,7 +9,10 @@
    - a raising RPC handler fails the round trip instead of stranding it
    - remove_node purges the node's link overrides in both directions
    - drops are attributed to exactly one cause; broker suppression of
-     in-flight deliveries after unsubscribe is visible in the stats *)
+     in-flight deliveries after unsubscribe is visible in the stats
+   and for the per-call crypto and audit kernels:
+   - SHA-256, modular exponentiation, Schnorr verification and a decision-log
+     append with its export line stay within minor-heap allocation budgets *)
 
 module World = Oasis_core.World
 module Service = Oasis_core.Service
@@ -436,6 +439,50 @@ let test_broker_inflight_unsubscribe_accounted () =
   Alcotest.(check int) "notified" 1 st.Broker.notified;
   Alcotest.(check int) "in-flight suppression visible" 1 st.Broker.suppressed
 
+(* Minor-heap words per call, averaged over [n] calls after a warm-up. *)
+let minor_words_per_call ?(n = 200) f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_budget name ~budget f =
+  let words = minor_words_per_call f in
+  if words > budget then
+    Alcotest.failf "%s allocates %.1f minor words per call (budget %.0f)" name words budget
+
+(* The kernels run on every activation, invocation and decision. Budgets
+   are about twice what the native-int kernels allocate; boxed Int32 words
+   in SHA-256 (~9,000 words per KiB), boxed int64 in the field arithmetic
+   (~3,600 per exponentiation) or a [Printf.sprintf "%02x"] per hex byte
+   (~40 words each) overshoot them many times over. *)
+let test_kernel_allocation_budgets () =
+  let module Sha256 = Oasis_crypto.Sha256 in
+  let module Modp = Oasis_crypto.Modp in
+  let module Schnorr = Oasis_crypto.Schnorr in
+  let kib = String.make 1024 'x' in
+  check_budget "Sha256.digest_string (1 KiB)" ~budget:82. (fun () -> Sha256.digest_string kib);
+  let rng = Rng.create 5 in
+  let base = Modp.random rng and e = Modp.random rng in
+  check_budget "Modp.pow" ~budget:6. (fun () -> Modp.pow base e);
+  let kp = Schnorr.generate rng in
+  let msg = String.make 136 'c' in
+  let sg = Schnorr.sign ~secret:kp.Schnorr.secret rng msg in
+  check_budget "Schnorr.verify" ~budget:110. (fun () ->
+      assert (Schnorr.verify ~public:kp.Schnorr.public msg sg));
+  (* A grant as Service records it, mirrored to durable storage. *)
+  let log = Dlog.create ~service:(Ident.make "hospital" 1) in
+  let doctor = Ident.make "principal" 7 in
+  check_budget "Decision_log.append + export_line" ~budget:2700. (fun () ->
+      Dlog.export_line
+        (Dlog.append log ~at:12.5 ~decision:Dlog.Grant ~principal:doctor ~action:"treating_doctor"
+           ~args:[ Value.Id doctor; Value.Int 42 ]
+           ~rule:"treating_doctor(d, p) <- doctor(d), env:assigned(d, p)"
+           ~creds:[ Ident.make "cert" 1; Ident.make "cert" 2; Ident.make "cert" 3 ]
+           ~env_facts:[ "assigned(principal#7, 42)" ] ~trace_seq:9 ()))
+
 let suite =
   ( "regressions",
     [
@@ -445,6 +492,7 @@ let suite =
       Alcotest.test_case "decommission releases cache watches" `Quick
         test_decommission_releases_cache_watches;
       Alcotest.test_case "rule order preserved" `Quick test_rule_order_preserved;
+      Alcotest.test_case "kernel allocation budgets" `Quick test_kernel_allocation_budgets;
       Alcotest.test_case "fact-change cost, indexed" `Quick test_fact_change_cost_indexed;
       Alcotest.test_case "shared tuple and negated watch" `Quick
         test_shared_tuple_and_negated_watch;

@@ -25,6 +25,41 @@ let test_million_a () =
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (Sha256.to_hex (Sha256.finalize ctx))
 
+(* The chunked form of the same vector: chunk sizes below, at and just past
+   the 64-byte block keep the partial-block top-up, the whole-block path
+   straight from the source, and their hand-over in play. *)
+let test_million_a_chunked () =
+  let million = String.make 1_000_000 'a' in
+  List.iter
+    (fun chunk ->
+      let ctx = Sha256.init () in
+      let pos = ref 0 in
+      while !pos < 1_000_000 do
+        let len = min chunk (1_000_000 - !pos) in
+        Sha256.feed_string ctx (String.sub million !pos len);
+        pos := !pos + len
+      done;
+      Alcotest.(check string)
+        (Printf.sprintf "million a in %d-byte chunks" chunk)
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        (Sha256.to_hex (Sha256.finalize ctx)))
+    [ 7; 63; 64; 65 ]
+
+(* One-shot hashing equals every two-way split, for every length through
+   two blocks plus padding. *)
+let test_every_split () =
+  for len = 0 to 130 do
+    let s = String.init len (fun i -> Char.chr (((i * 31) + len) land 255)) in
+    let whole = Sha256.digest_string s in
+    for cut = 0 to len do
+      let ctx = Sha256.init () in
+      Sha256.feed_string ctx (String.sub s 0 cut);
+      Sha256.feed_bytes ctx (Bytes.of_string (String.sub s cut (len - cut)));
+      if not (Sha256.equal (Sha256.finalize ctx) whole) then
+        Alcotest.failf "length %d split at %d differs from one-shot" len cut
+    done
+  done
+
 let test_incremental_equals_oneshot () =
   let property (chunks : string list) =
     let whole = String.concat "" chunks in
@@ -93,6 +128,8 @@ let suite =
     [
       Alcotest.test_case "FIPS vectors" `Quick test_fips_vectors;
       Alcotest.test_case "million a" `Slow test_million_a;
+      Alcotest.test_case "million a, chunked" `Slow test_million_a_chunked;
+      Alcotest.test_case "every split point" `Quick test_every_split;
       Alcotest.test_case "incremental = oneshot (qcheck)" `Quick test_incremental_equals_oneshot;
       Alcotest.test_case "padding boundaries" `Quick test_padding_boundaries;
       Alcotest.test_case "finalize twice" `Quick test_finalize_twice_raises;

@@ -74,6 +74,29 @@ let test_signature_packing () =
   Alcotest.(check bool) "HMAC digest rejected as signature" true
     (Schnorr.of_digest hmac = None)
 
+(* Keys and signatures drawn from a fixed seed, recorded before the field
+   arithmetic moved from boxed int64 to native ints: the rewrite must
+   reproduce them exactly, scalar for scalar. *)
+let test_golden_signatures () =
+  let rng = Rng.create 2024 in
+  let kp = Schnorr.generate rng in
+  Alcotest.(check int64) "public" 557708226356091013L kp.Schnorr.public;
+  Alcotest.(check int64) "secret" 2264624435582397653L kp.Schnorr.secret;
+  List.iter
+    (fun (msg, e, s) ->
+      let sg = Schnorr.sign ~secret:kp.Schnorr.secret rng msg in
+      Alcotest.(check int64) (Printf.sprintf "e of %S" msg) e sg.Schnorr.e;
+      Alcotest.(check int64) (Printf.sprintf "s of %S" msg) s sg.Schnorr.s;
+      Alcotest.(check bool) "verifies" true (Schnorr.verify ~public:kp.Schnorr.public msg sg))
+    [
+      ("", 1067730812800852036L, 1547731453926971634L);
+      ("abc", 1023928602436586986L, 1462295602618570959L);
+      ("oasis credential", 51429675513684926L, 2232061395260517897L);
+      (String.make 200 'z', 78508568243152263L, 1589820879348330077L);
+    ];
+  Alcotest.(check int64) "pow" 1049267445988448792L (Modp.pow 3L 1234567890123456789L);
+  Alcotest.(check int64) "pow, top exponent bit" 78125L (Modp.pow 5L Int64.max_int)
+
 (* ---------------- Public-key parsing (satellite 4) ---------------- *)
 
 let test_public_of_string_strict () =
@@ -301,6 +324,7 @@ let suite =
       Alcotest.test_case "sign/verify (qcheck)" `Quick test_sign_verify;
       Alcotest.test_case "tampered signature" `Quick test_tampered_signature_rejected;
       Alcotest.test_case "signature packing" `Quick test_signature_packing;
+      Alcotest.test_case "golden signatures" `Quick test_golden_signatures;
       Alcotest.test_case "strict public-key parse" `Quick test_public_of_string_strict;
       Alcotest.test_case "key chain" `Quick test_chain_verifies;
       Alcotest.test_case "signed rmc roundtrip" `Quick test_signed_rmc_roundtrip;

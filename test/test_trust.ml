@@ -279,6 +279,31 @@ let sample_log n =
   done;
   log
 
+(* A fixed three-record chain, exported and hashed before the hex codec
+   and SHA-256 were rewritten: the export must stay byte-identical. *)
+let test_decision_log_export_golden () =
+  let log = Dlog.create ~service:(Ident.make "hospital" 1) in
+  let p = Ident.make "principal" 7 in
+  ignore
+    (Dlog.append log ~at:12.5 ~decision:Dlog.Grant ~principal:p ~action:"treating_doctor"
+       ~args:[ Value.Id p; Value.Int 42 ]
+       ~rule:"treating_doctor(d, p) <- doctor(d), env:assigned(d, p)"
+       ~creds:[ Ident.make "cert" 1; Ident.make "cert" 2 ]
+       ~env_facts:[ "assigned(principal#7, 42)" ] ~trace_seq:3 ());
+  ignore (Dlog.append log ~at:13.0 ~decision:Dlog.Deny ~principal:p ~action:"read_record" ());
+  ignore
+    (Dlog.append log ~at:20.25 ~decision:Dlog.Revoke ~principal:p ~action:"treating_doctor"
+       ~args:[ Value.Id p; Value.Int 42 ] ~rule:"env assigned(principal#7, 42) retracted" ());
+  let exported = Dlog.export log in
+  Alcotest.(check int) "export length" 1093 (String.length exported);
+  Alcotest.(check string) "export digest"
+    "e2edfbc251457c2ffe60a8c3ec43ab74f9e5625e215a2c2eaeb1877cc8238336"
+    Oasis_crypto.Sha256.(to_hex (digest_string exported));
+  Alcotest.(check string) "head"
+    "36c1ae7f5edea6a66e982b9ea3d8c883a408c229d32e70ce0a0cd38697dc42aa"
+    (Oasis_crypto.Sha256.to_hex (Dlog.head log));
+  Alcotest.(check (result int (pair int string))) "re-verifies" (Ok 3) (Dlog.verify_string exported)
+
 let test_decision_log_roundtrip () =
   let log = sample_log 20 in
   Alcotest.(check bool) "verifies" true (Dlog.verify log = Ok 20);
@@ -513,6 +538,7 @@ let suite =
       Alcotest.test_case "tenfold re-presentation" `Quick test_dedup_tenfold;
       Alcotest.test_case "rejection causes split" `Quick test_rejection_causes_split;
       Alcotest.test_case "decision log roundtrip" `Quick test_decision_log_roundtrip;
+      Alcotest.test_case "decision log export golden" `Quick test_decision_log_export_golden;
       Alcotest.test_case "decay moves to prior" `Quick test_decay_moves_to_prior;
       Alcotest.test_case "cached aggregate = full recompute" `Quick test_cached_matches_full;
       Alcotest.test_case "durable chain resume" `Quick test_resume_chain;
