@@ -18,9 +18,10 @@ lint: build
 	dune exec bin/oasisctl.exe -- lint scenarios/nurse_allocation.scn
 
 # Symbolic reachability analysis (DESIGN.md §13) over the same surfaces:
-# classic report plus the R001-R003 findings; exits non-zero on any
+# role and privilege verdicts under the permissive wallet, the R001-R003
+# findings and the dangling references (L102-L104); exits non-zero on any
 # error-severity finding, so the shipped policies must analyze clean (or
-# carry explicit lint:allow waivers).
+# carry explicit lint:allow waivers). `dune runtest` runs the same three.
 analyze: build
 	dune exec bin/oasisctl.exe -- analyze policies/hospital.oasis --name hospital --kinds is_admin,is_rota_manager
 	dune exec bin/oasisctl.exe -- analyze scenarios/hospital.scn

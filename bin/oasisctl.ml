@@ -3,6 +3,7 @@
    Subcommands:
      policy-check FILE   parse and report a policy file
      lint FILE           static policy lint with located diagnostics
+     analyze FILE        role and privilege reachability, R- and L10x findings
      run FILE            execute a scenario script and check expectations
      trace FILE          execute a scenario, stream its JSONL event timeline
      stats FILE          final metrics of a scenario / summary of a timeline
@@ -23,16 +24,17 @@ module Elgamal = Oasis_crypto.Elgamal
 
 open Cmdliner
 
+let read_file file =
+  let ic = open_in file in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
 (* ---------------- policy-check ---------------- *)
 
 let policy_check file =
-  let source =
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
+  let source = read_file file in
   match Parser.parse source with
   | Error e ->
       Format.eprintf "%s: %a\n" file Parser.pp_error e;
@@ -65,16 +67,8 @@ let policy_check_cmd =
 
 (* ---------------- analyze ---------------- *)
 
-module Analysis = Oasis_policy.Analysis
 module Reach = Oasis_policy.Reach
-module PLint = Oasis_policy.Lint
-
-let read_source file =
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+module Lint = Oasis_policy.Lint
 
 (* A .scn file carries its whole world (plus the implicit CIV); a .oasis
    file is one service whose name and extra kinds come from the flags. *)
@@ -86,12 +80,21 @@ let load_world file svc_name kinds source =
         exit 1
     | Ok world -> world
   else
-    match Oasis_policy.Parser.parse source with
+    match Parser.parse source with
     | Error e ->
-        Format.eprintf "%s: %a\n" file Oasis_policy.Parser.pp_error e;
+        Format.eprintf "%s: %a\n" file Parser.pp_error e;
         exit 1
-    | Ok statements ->
-        [ Analysis.of_statements ~name:svc_name ~appointment_kinds:kinds statements ]
+    | Ok statements -> [ Lint.of_statements ~name:svc_name ~extra_kinds:kinds statements ]
+
+let count_severity findings sev =
+  List.length (List.filter (fun f -> f.Lint.severity = sev) findings)
+
+let print_findings file findings =
+  List.iter (fun f -> Format.printf "%s:%a\n" file Lint.pp_finding f) findings;
+  Format.printf "%s: %d error(s), %d warning(s), %d info\n" file
+    (count_severity findings Lint.Error)
+    (count_severity findings Lint.Warning)
+    (count_severity findings Lint.Info)
 
 (* --held entries are "kind" (issued by the analysed service, or by the
    implicit CIV for scenarios) or "kind@service". *)
@@ -105,8 +108,8 @@ let parse_held ~default_issuer entries =
       | None -> (default_issuer, entry))
     entries
 
-let analyze_core file svc_name kinds held adversary goal pins json =
-  let source = read_source file in
+let analyze file svc_name kinds held adversary goal pins json =
+  let source = read_file file in
   let world = load_world file svc_name kinds source in
   let default_issuer =
     if Filename.check_suffix file ".scn" then "civ" else svc_name
@@ -122,10 +125,12 @@ let analyze_core file svc_name kinds held adversary goal pins json =
     | pairs, _ -> { Reach.held_appointments = pairs; held_roles = [] }
   in
   let result = Reach.analyse ~adversary:creds ~pins world in
+  (* The analysed world is closed: a reference outside it dangles. *)
   let findings =
-    Reach.findings world |> PLint.apply_waivers ~waivers:(PLint.waivers source)
+    Reach.findings world @ Lint.dangling world
+    |> Lint.apply_waivers ~waivers:(Lint.waivers source)
+    |> Lint.sort_findings
   in
-  let count sev = List.length (List.filter (fun f -> f.PLint.severity = sev) findings) in
   match goal with
   | Some g ->
       (* Goal query: verdict-driven exit code so CI can gate on "can the
@@ -168,28 +173,10 @@ let analyze_core file svc_name kinds held adversary goal pins json =
   | None ->
       if json then print_endline (Reach.to_json ~findings result)
       else begin
-        let unresolved =
-          if adversary then []
-          else begin
-            (* Classic report (reachability under the same wallet, dead
-               roles, cycles, dangling references), then the R-findings. *)
-            let report =
-              Analysis.analyse ~held_appointments:creds.Reach.held_appointments world
-            in
-            Format.printf "%a\n" Analysis.pp_report report;
-            report.Analysis.unresolved
-          end
-        in
-        if adversary then Format.printf "%a\n" Reach.pp_result result;
-        List.iter (fun f -> Format.printf "%s:%a\n" file PLint.pp_finding f) findings;
-        Format.printf "%s: %d error(s), %d warning(s), %d info\n" file (count PLint.Error)
-          (count PLint.Warning) (count PLint.Info);
-        if count PLint.Error > 0 || unresolved <> [] then exit 2
+        Format.printf "%a\n" Reach.pp_result result;
+        print_findings file findings
       end;
-      if count PLint.Error > 0 then exit 2
-
-let analyze file svc_name kinds held adversary goal pins json =
-  analyze_core file svc_name kinds held adversary goal pins json
+      if count_severity findings Lint.Error > 0 then exit 2
 
 let analyze_cmd =
   let file =
@@ -252,53 +239,27 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
-         "Static policy analysis: reachability, dead roles, cycles, dangling references — plus \
-          adversarial symbolic goal-reachability (R001-R003 findings, witness derivations, \
-          lint-grade exit codes)")
+         "Static policy analysis: three-valued reachability of every role and privilege under a \
+          credential wallet, with witness derivations, plus R001-R003 findings and dangling \
+          references (L102-L104) with lint-grade exit codes")
     Term.(const analyze $ file $ svc_name $ kinds $ held $ adversary $ goal $ pins $ json)
 
 (* ---------------- lint ---------------- *)
 
-module Lint = Oasis_policy.Lint
-
-let read_file file =
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let lint file svc_name kinds json strict max_depth =
   let source = read_file file in
   let scenario = Filename.check_suffix file ".scn" in
-  let services =
-    if scenario then
-      match Oasis_script.Scenario.extract_lint_services source with
-      | Error e ->
-          Format.eprintf "%a\n" Oasis_script.Scenario.pp_error e;
-          exit 1
-      | Ok services -> services
-    else
-      match Parser.parse source with
-      | Error e ->
-          Format.eprintf "%s: %a\n" file Parser.pp_error e;
-          exit 1
-      | Ok statements -> [ Lint.of_statements ~name:svc_name ~extra_kinds:kinds statements ]
-  in
+  let services = load_world file svc_name kinds source in
   (* A scenario carries its whole world, so unresolved services are real
      errors; a lone policy file legitimately references peers. *)
   let findings =
     Lint.check ~closed:scenario ~max_cascade_depth:max_depth services
     |> Lint.apply_waivers ~waivers:(Lint.waivers source)
   in
-  let count sev = List.length (List.filter (fun f -> f.Lint.severity = sev) findings) in
   if json then print_endline (Lint.to_json ~depths:(Lint.cascade_depths services) findings)
-  else begin
-    List.iter (fun f -> Format.printf "%s:%a\n" file Lint.pp_finding f) findings;
-    Format.printf "%s: %d error(s), %d warning(s), %d info\n" file (count Lint.Error)
-      (count Lint.Warning) (count Lint.Info)
-  end;
-  if count Lint.Error > 0 || (strict && count Lint.Warning > 0) then exit 2
+  else print_findings file findings;
+  if count_severity findings Lint.Error > 0 || (strict && count_severity findings Lint.Warning > 0)
+  then exit 2
 
 let lint_cmd =
   let file =
@@ -463,22 +424,6 @@ let trust_cmd =
     (Cmd.info "trust" ~doc:"Run the Sect. 6 audit-certificate marketplace simulation")
     Term.(
       const trust $ byz $ col $ padding $ rounds $ threshold $ no_disc $ favourable $ seed)
-
-(* ---------------- analyze-world ---------------- *)
-
-let analyze_world file json = analyze_core file "service" [] [] false None [] json
-
-let analyze_world_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Scenario file to analyse.")
-  in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON report.") in
-  Cmd.v
-    (Cmd.info "analyze-world"
-       ~doc:
-         "Static analysis across every service of a scenario file, CIV included (alias for \
-          $(b,analyze) on a .scn world)")
-    Term.(const analyze_world $ file $ json)
 
 (* ---------------- run (scenario scripts) ---------------- *)
 
@@ -951,4 +896,4 @@ let keygen_cmd =
 let () =
   let doc = "OASIS role-based access control — reproduction toolkit" in
   let info = Cmd.info "oasisctl" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ policy_check_cmd; lint_cmd; analyze_cmd; analyze_world_cmd; run_cmd; trace_cmd; stats_cmd; audit_cmd; cascade_cmd; trust_cmd; keygen_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ policy_check_cmd; lint_cmd; analyze_cmd; run_cmd; trace_cmd; stats_cmd; audit_cmd; cascade_cmd; trust_cmd; keygen_cmd ]))

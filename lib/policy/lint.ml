@@ -419,25 +419,36 @@ let lint_env_arities s =
 (* Resolution: L102 unknown-role, L103 unknown-service, L104 kind      *)
 (* ------------------------------------------------------------------ *)
 
-type unresolved_ref =
-  | Ref_service of { at : string; rule : string; service : string; loc : Rule.loc }
-  | Ref_role of { at : string; rule : string; service : string; role : string; loc : Rule.loc }
-  | Ref_kind of { at : string; rule : string; issuer : string; kind : string; loc : Rule.loc }
-
-let resolve_refs ?(closed = true) world =
-  let refs = ref [] in
-  let note r = if not (List.mem r !refs) then refs := r :: !refs in
+let dangling ?(closed = true) world =
+  let findings = ref [] in
+  let note code check ~at ~loc message =
+    let f = { code; check; severity = Error; service = at; loc; message } in
+    if not (List.mem f !findings) then findings := f :: !findings
+  in
   let check_ref ~at ~rule ~loc ~kind_ref (r : Rule.cred_ref) =
     let target = match r.Rule.service with None -> at | Some t -> t in
     match find_service world target with
-    | None -> if closed then note (Ref_service { at; rule; service = target; loc })
+    | None ->
+        if closed then
+          note "L103" "unknown-service" ~at ~loc
+            (Printf.sprintf
+               "rule '%s' references service '%s', which is not part of the analysed world" rule
+               target)
     | Some tsvc ->
         if kind_ref then begin
           if not (issues_kind tsvc r.Rule.name) then
-            note (Ref_kind { at; rule; issuer = target; kind = r.Rule.name; loc })
+            note "L104" "unknown-appointment" ~at ~loc
+              (Printf.sprintf
+                 "rule '%s' requires appointment kind '%s' from '%s', which '%s' neither \
+                  defines an appoint rule for nor is declared to issue"
+                 rule r.Rule.name target target)
         end
         else if not (defines_role tsvc r.Rule.name) then
-          note (Ref_role { at; rule; service = target; role = r.Rule.name; loc })
+          note "L102" "unknown-role" ~at ~loc
+            (Printf.sprintf
+               "rule '%s' requires role '%s@%s', but service '%s' has no activation rule for \
+                it — likely a typo"
+               rule r.Rule.name target target)
   in
   List.iter
     (fun s ->
@@ -464,47 +475,7 @@ let resolve_refs ?(closed = true) world =
             auth.required_roles)
         s.s_appointers)
     world;
-  List.rev !refs
-
-let resolution_findings refs =
-  List.map
-    (function
-      | Ref_service { at; rule; service; loc } ->
-          {
-            code = "L103";
-            check = "unknown-service";
-            severity = Error;
-            service = at;
-            loc;
-            message =
-              Printf.sprintf "rule '%s' references service '%s', which is not part of the \
-                              analysed world" rule service;
-          }
-      | Ref_role { at; rule; service; loc; role } ->
-          {
-            code = "L102";
-            check = "unknown-role";
-            severity = Error;
-            service = at;
-            loc;
-            message =
-              Printf.sprintf "rule '%s' requires role '%s@%s', but service '%s' has no \
-                              activation rule for it — likely a typo" rule role service service;
-          }
-      | Ref_kind { at; rule; issuer; kind; loc } ->
-          {
-            code = "L104";
-            check = "unknown-appointment";
-            severity = Error;
-            service = at;
-            loc;
-            message =
-              Printf.sprintf
-                "rule '%s' requires appointment kind '%s' from '%s', which '%s' neither \
-                 defines an appoint rule for nor is declared to issue"
-                rule kind issuer issuer;
-          })
-    refs
+  List.rev !findings
 
 (* ------------------------------------------------------------------ *)
 (* Revocation cascade depth: L203                                      *)
@@ -591,6 +562,14 @@ let depth_findings world ~max_cascade_depth =
 (* Top level                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let sort_findings findings =
+  List.sort
+    (fun a b ->
+      compare
+        (a.service, a.loc.Rule.line, a.loc.Rule.col, a.code, a.message)
+        (b.service, b.loc.Rule.line, b.loc.Rule.col, b.code, b.message))
+    findings
+
 let check ?(closed = true) ?(max_cascade_depth = 4) world =
   let per_service s =
     List.concat_map (lint_activation s) s.s_activations
@@ -601,17 +580,10 @@ let check ?(closed = true) ?(max_cascade_depth = 4) world =
     @ lint_ref_arities world s
     @ lint_env_arities s
   in
-  let findings =
-    List.concat_map per_service world
-    @ resolution_findings (resolve_refs ~closed world)
-    @ depth_findings world ~max_cascade_depth
-  in
-  List.sort
-    (fun a b ->
-      compare
-        (a.service, a.loc.Rule.line, a.loc.Rule.col, a.code, a.message)
-        (b.service, b.loc.Rule.line, b.loc.Rule.col, b.code, b.message))
-    findings
+  sort_findings
+    (List.concat_map per_service world
+    @ dangling ~closed world
+    @ depth_findings world ~max_cascade_depth)
 
 let install_blocking f =
   f.severity = Error && List.mem f.code [ "L001"; "L003"; "L101" ]
@@ -712,14 +684,14 @@ let json_string s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
+let finding_json f =
+  Printf.sprintf
+    "{\"code\":%s,\"check\":%s,\"severity\":%s,\"service\":%s,\"line\":%d,\"col\":%d,\"message\":%s}"
+    (json_string f.code) (json_string f.check)
+    (json_string (severity_to_string f.severity))
+    (json_string f.service) f.loc.Rule.line f.loc.Rule.col (json_string f.message)
+
 let to_json ?(depths = []) findings =
-  let finding_json f =
-    Printf.sprintf
-      "{\"code\":%s,\"check\":%s,\"severity\":%s,\"service\":%s,\"line\":%d,\"col\":%d,\"message\":%s}"
-      (json_string f.code) (json_string f.check)
-      (json_string (severity_to_string f.severity))
-      (json_string f.service) f.loc.Rule.line f.loc.Rule.col (json_string f.message)
-  in
   let count sev = List.length (List.filter (fun f -> f.severity = sev) findings) in
   let depth_json ((service, role), d) =
     Printf.sprintf "{\"service\":%s,\"role\":%s,\"depth\":%d}" (json_string service)

@@ -87,19 +87,12 @@ type service = {
 
 val of_statements : name:string -> ?extra_kinds:string list -> Parser.statement list -> service
 
-(** An unresolved cross-reference, structurally (shared with
-    {!Analysis.analyse}'s [unresolved] report). [rule] is the defining
-    role name, ["priv p"] or ["appoint k"]. *)
-type unresolved_ref =
-  | Ref_service of { at : string; rule : string; service : string; loc : Rule.loc }
-  | Ref_role of { at : string; rule : string; service : string; role : string; loc : Rule.loc }
-  | Ref_kind of { at : string; rule : string; issuer : string; kind : string; loc : Rule.loc }
-
-val resolve_refs : ?closed:bool -> service list -> unresolved_ref list
-(** Every dangling reference in the world. [closed] (default [true]) treats
-    services outside the list as unknown ([Ref_service]); pass [false] when
-    linting a single service out of context — references to other services
-    are then assumed resolvable and skipped. *)
+val dangling : ?closed:bool -> service list -> finding list
+(** The dangling-reference findings alone (L102, L103, L104), in rule
+    order. [closed] (default [true]) treats services outside the list as
+    unknown (L103); pass [false] when linting a single service out of
+    context — references to other services are then assumed resolvable
+    and skipped. *)
 
 val cascade_depths : service list -> ((string * string) * int) list
 (** Worst-case revocation cascade depth per defined [(service, role)]:
@@ -108,9 +101,13 @@ val cascade_depths : service list -> ((string * string) * int) list
     unresolvable prerequisites, are reported at the depth of their
     resolvable part. Sorted. *)
 
+val sort_findings : finding list -> finding list
+(** By service, then position, then code, then message — the order every
+    analyser reports in. *)
+
 val check : ?closed:bool -> ?max_cascade_depth:int -> service list -> finding list
 (** All findings over the world, sorted by service, then position, then
-    code. [closed] as in {!resolve_refs}. [max_cascade_depth] (default 4)
+    code. [closed] as in {!dangling}. [max_cascade_depth] (default 4)
     bounds the depth above which L203 is reported. *)
 
 val install_blocking : finding -> bool
@@ -119,7 +116,7 @@ val install_blocking : finding -> bool
     on other services' policies (L001, L003, L101) — exactly the class
     that can only ever fail at request time. Cross-service resolution
     (L10x) is a world property, enforced by [oasisctl lint] /
-    [analyze-world] instead. *)
+    [oasisctl analyze] instead. *)
 
 val waivers : string -> (int * string list) list
 (** Scans policy source text for [lint:allow] comments: each result is
@@ -131,6 +128,12 @@ val waivers : string -> (int * string list) list
 val apply_waivers : waivers:(int * string list) list -> finding list -> finding list
 (** Drops findings whose code or check name is waived on the finding's
     line. *)
+
+val json_string : string -> string
+(** A JSON string literal, quotes included. *)
+
+val finding_json : finding -> string
+(** [{"code","check","severity","service","line","col","message"}]. *)
 
 val to_json : ?depths:((string * string) * int) list -> finding list -> string
 (** Machine-readable report:

@@ -13,12 +13,14 @@ type adversary = {
 
 let no_credentials = { held_appointments = []; held_roles = [] }
 
-let permissive (world : Analysis.world_policy) =
+let permissive (world : Lint.service list) =
   {
     held_appointments =
       List.concat_map
-        (fun (sp : Analysis.service_policy) ->
-          List.map (fun kind -> (sp.Analysis.sp_name, kind)) sp.Analysis.appointment_kinds)
+        (fun (s : Lint.service) ->
+          List.map (fun (a : Rule.authorization) -> a.privilege) s.s_appointers @ s.s_extra_kinds
+          |> List.sort_uniq compare
+          |> List.map (fun kind -> (s.s_name, kind)))
         world;
     held_roles = [];
   }
@@ -54,8 +56,11 @@ type goal = {
   g_assumptions : (string * bool) list;
 }
 
+type privilege = { p_service : string; p_privilege : string; p_verdict : verdict }
+
 type result = {
   goals : goal list;
+  privileges : privilege list;
   r_adversary : adversary;
   r_pins : (string * bool) list;
 }
@@ -104,10 +109,8 @@ let better candidate = function
   | None -> true
   | Some (existing, _) -> candidate = Definite && existing = Conditional
 
-let analyse ?(adversary = no_credentials) ?(pins = []) (world : Analysis.world_policy) =
-  let service_of name =
-    List.find_opt (fun (sp : Analysis.service_policy) -> String.equal sp.Analysis.sp_name name) world
-  in
+let analyse ?(adversary = no_credentials) ?(pins = []) (world : Lint.service list) =
+  let service_of name = List.find_opt (fun (s : Lint.service) -> String.equal s.s_name name) world in
   let table : (string * string, strength * witness) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (service, role) ->
@@ -141,29 +144,32 @@ let analyse ?(adversary = no_credentials) ?(pins = []) (world : Analysis.world_p
              the adversary can fire grants self-issuance. *)
           match service_of issuer with
           | None -> None
-          | Some sp ->
-              sp.Analysis.appointers
+          | Some s ->
+              s.s_appointers
               |> List.filter (fun (a : Rule.authorization) -> String.equal a.privilege kind)
-              |> List.filter_map (fun (a : Rule.authorization) -> eval_appointer ~issuer a)
+              |> List.filter_map (fun (a : Rule.authorization) ->
+                     eval_authorization ~at:issuer a
+                     |> Option.map (fun (strength, premises) ->
+                            ( strength,
+                              Fired { service = issuer; head = Appoint kind; loc = a.loc; premises }
+                            )))
               |> pick_best
               |> Option.map (fun (strength, w) ->
                      (strength, Appointment_premise { issuer; kind; monitored; via = Some w })))
-  and eval_appointer ~issuer (a : Rule.authorization) =
+  (* The body of a [priv] or [appoint] rule: its required roles, then its
+     constraints, all evaluated at the rule's own service. *)
+  and eval_authorization ~at (a : Rule.authorization) =
     let roles =
       List.map
-        (fun (r : Rule.cred_ref) ->
-          eval_condition ~at:issuer ~monitored:false (Rule.Prereq r))
+        (fun (r : Rule.cred_ref) -> eval_condition ~at ~monitored:false (Rule.Prereq r))
         a.required_roles
     in
     let constraints =
       List.map
-        (fun (pred, args) ->
-          eval_condition ~at:issuer ~monitored:false (Rule.Constraint (pred, args)))
+        (fun (pred, args) -> eval_condition ~at ~monitored:false (Rule.Constraint (pred, args)))
         a.constraints
     in
     combine (roles @ constraints)
-    |> Option.map (fun (strength, premises) ->
-           (strength, Fired { service = issuer; head = Appoint a.privilege; loc = a.loc; premises }))
   and combine evaluated =
     List.fold_left
       (fun acc c ->
@@ -186,31 +192,25 @@ let analyse ?(adversary = no_credentials) ?(pins = []) (world : Analysis.world_p
   let sweep () =
     let improved = ref false in
     List.iter
-      (fun (sp : Analysis.service_policy) ->
+      (fun (s : Lint.service) ->
         List.iter
           (fun (a : Rule.activation) ->
-            let key = (sp.Analysis.sp_name, a.role) in
+            let key = (s.s_name, a.role) in
             let current = Hashtbl.find_opt table key in
             if current = None || fst (Option.get current) = Conditional then
               let evaluated =
                 List.map2
-                  (fun monitored c -> eval_condition ~at:sp.Analysis.sp_name ~monitored c)
+                  (fun monitored c -> eval_condition ~at:s.s_name ~monitored c)
                   a.membership a.conditions
               in
               match combine evaluated with
               | Some (strength, premises) when better strength current ->
                   Hashtbl.replace table key
                     ( strength,
-                      Fired
-                        {
-                          service = sp.Analysis.sp_name;
-                          head = Role a.role;
-                          loc = a.loc;
-                          premises;
-                        } );
+                      Fired { service = s.s_name; head = Role a.role; loc = a.loc; premises } );
                   improved := true
               | _ -> ())
-          sp.Analysis.activations)
+          s.s_activations)
       world;
     !improved
   in
@@ -236,8 +236,8 @@ let analyse ?(adversary = no_credentials) ?(pins = []) (world : Analysis.world_p
   in
   let all_roles =
     List.concat_map
-      (fun (sp : Analysis.service_policy) ->
-        List.map (fun (a : Rule.activation) -> (sp.Analysis.sp_name, a.role)) sp.Analysis.activations)
+      (fun (s : Lint.service) ->
+        List.map (fun (a : Rule.activation) -> (s.s_name, a.role)) s.s_activations)
       world
     |> List.sort_uniq compare
   in
@@ -271,7 +271,33 @@ let analyse ?(adversary = no_credentials) ?(pins = []) (world : Analysis.world_p
             })
       all_roles
   in
-  { goals; r_adversary = adversary; r_pins = pins }
+  (* A privilege is as grantable as its best [priv] rule; the role table is
+     final, so each rule body is evaluated once. *)
+  let rule_strengths =
+    List.concat_map
+      (fun (s : Lint.service) ->
+        List.map
+          (fun (a : Rule.authorization) ->
+            ((s.s_name, a.privilege), Option.map fst (eval_authorization ~at:s.s_name a)))
+          s.s_authorizations)
+      world
+  in
+  let privileges =
+    List.sort_uniq compare (List.map fst rule_strengths)
+    |> List.map (fun ((service, privilege) as key) ->
+           let strengths =
+             List.filter_map (fun (k, st) -> if k = key then st else None) rule_strengths
+           in
+           {
+             p_service = service;
+             p_privilege = privilege;
+             p_verdict =
+               (if List.mem Definite strengths then Reachable
+                else if strengths <> [] then Env_contingent
+                else Unreachable);
+           })
+  in
+  { goals; privileges; r_adversary = adversary; r_pins = pins }
 
 let goal_for result ~service ~role =
   List.find_opt
@@ -304,43 +330,43 @@ let plan witness =
 
 (* ---------------- R-rule findings ---------------- *)
 
-let first_rule_loc (world : Analysis.world_policy) service role =
+let first_rule_loc (world : Lint.service list) service role =
   List.find_map
-    (fun (sp : Analysis.service_policy) ->
-      if String.equal sp.Analysis.sp_name service then
+    (fun (s : Lint.service) ->
+      if String.equal s.s_name service then
         List.find_map
           (fun (a : Rule.activation) ->
             if String.equal a.role role then Some a.loc else None)
-          sp.Analysis.activations
+          s.s_activations
       else None)
     world
   |> Option.value ~default:Rule.no_loc
 
 (* Roles that guard something: required by a privilege or by appointment
    issuance. A revocation-exempt path to one of these is worth a finding. *)
-let sensitive_roles (world : Analysis.world_policy) =
+let sensitive_roles (world : Lint.service list) =
   List.concat_map
-    (fun (sp : Analysis.service_policy) ->
+    (fun (s : Lint.service) ->
       List.concat_map
         (fun (auth : Rule.authorization) ->
           List.map
             (fun (r : Rule.cred_ref) ->
-              ((match r.Rule.service with None -> sp.Analysis.sp_name | Some s -> s), r.Rule.name))
+              ((match r.Rule.service with None -> s.s_name | Some s -> s), r.Rule.name))
             auth.required_roles)
-        (sp.Analysis.authorizations @ sp.Analysis.appointers))
+        (s.s_authorizations @ s.s_appointers))
     world
   |> List.sort_uniq compare
 
 (* The prerequisite closure of a role: every (service, role) some derivation
    of it may rest on, over all rules (conservative — not witness-specific). *)
-let prereq_closure (world : Analysis.world_policy) seed =
+let prereq_closure (world : Lint.service list) seed =
   let rules_of (service, role) =
     List.concat_map
-      (fun (sp : Analysis.service_policy) ->
-        if String.equal sp.Analysis.sp_name service then
+      (fun (s : Lint.service) ->
+        if String.equal s.s_name service then
           List.filter
             (fun (a : Rule.activation) -> String.equal a.role role)
-            sp.Analysis.activations
+            s.s_activations
           |> List.map (fun a -> (service, a))
         else [])
       world
@@ -366,7 +392,7 @@ let prereq_closure (world : Analysis.world_policy) seed =
   in
   grow [] [ seed ]
 
-let findings (world : Analysis.world_policy) =
+let findings (world : Lint.service list) =
   let r_empty = analyse ~adversary:no_credentials world in
   let r_full = analyse ~adversary:(permissive world) world in
   let r001 =
@@ -433,19 +459,19 @@ let findings (world : Analysis.world_policy) =
       (fun ((s_svc, s_role) as sensitive) ->
         let closure = prereq_closure world sensitive in
         List.concat_map
-          (fun (sp : Analysis.service_policy) ->
+          (fun (s : Lint.service) ->
             List.concat_map
               (fun (a : Rule.activation) ->
-                if not (List.mem (sp.Analysis.sp_name, a.role) closure) then []
+                if not (List.mem (s.s_name, a.role) closure) then []
                 else
                   List.filter_map
                     (fun (monitored, condition) ->
                       match condition with
                       | Rule.Appointment r when not monitored ->
                           let issuer =
-                            match r.Rule.service with None -> sp.Analysis.sp_name | Some s -> s
+                            match r.Rule.service with None -> s.s_name | Some s -> s
                           in
-                          let key = (sp.Analysis.sp_name, a.loc, r.Rule.name) in
+                          let key = (s.s_name, a.loc, r.Rule.name) in
                           if Hashtbl.mem seen key then None
                           else begin
                             Hashtbl.replace seen key ();
@@ -454,7 +480,7 @@ let findings (world : Analysis.world_policy) =
                                 Lint.code = "R003";
                                 check = "revocation-exempt";
                                 severity = Lint.Warning;
-                                service = sp.Analysis.sp_name;
+                                service = s.s_name;
                                 loc = a.loc;
                                 message =
                                   Printf.sprintf
@@ -465,16 +491,11 @@ let findings (world : Analysis.world_policy) =
                           end
                       | _ -> None)
                     (List.combine a.membership a.conditions))
-              sp.Analysis.activations)
+              s.s_activations)
           world)
       reachable_sensitive
   in
-  List.sort
-    (fun (a : Lint.finding) (b : Lint.finding) ->
-      compare
-        (a.service, a.loc.Rule.line, a.loc.Rule.col, a.code)
-        (b.service, b.loc.Rule.line, b.loc.Rule.col, b.code))
-    (r001 @ r002 @ r003)
+  Lint.sort_findings (r001 @ r002 @ r003)
 
 (* ---------------- rendering ---------------- *)
 
@@ -529,26 +550,16 @@ let pp_result ppf r =
     Format.fprintf ppf "@,pins: %s"
       (String.concat ", " (List.map (fun (p, v) -> Printf.sprintf "%s=%b" p v) r.r_pins));
   List.iter (fun g -> Format.fprintf ppf "@,%a" pp_goal g) r.goals;
+  List.iter
+    (fun p ->
+      Format.fprintf ppf "@,%-14s priv %s@%s" (verdict_to_string p.p_verdict) p.p_privilege
+        p.p_service)
+    r.privileges;
   Format.fprintf ppf "@]"
 
 (* ---------------- JSON ---------------- *)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_string = Lint.json_string
 
 let rec witness_json = function
   | Held { service; role } ->
@@ -577,13 +588,6 @@ and premise_json = function
         (String.concat "," (List.map (fun t -> json_string (Term.to_string t)) args))
         assumed
 
-let finding_json (f : Lint.finding) =
-  Printf.sprintf
-    "{\"code\":%s,\"check\":%s,\"severity\":%s,\"service\":%s,\"line\":%d,\"col\":%d,\"message\":%s}"
-    (json_string f.code) (json_string f.check)
-    (json_string (Lint.severity_to_string f.severity))
-    (json_string f.service) f.loc.Rule.line f.loc.Rule.col (json_string f.message)
-
 let to_json ?(findings = []) r =
   let goal_json g =
     Printf.sprintf
@@ -596,9 +600,14 @@ let to_json ?(findings = []) r =
             g.g_assumptions))
       (match g.g_witness with None -> "null" | Some w -> witness_json w)
   in
+  let privilege_json p =
+    Printf.sprintf "{\"service\":%s,\"privilege\":%s,\"verdict\":%s}" (json_string p.p_service)
+      (json_string p.p_privilege)
+      (json_string (verdict_to_string p.p_verdict))
+  in
   let count sev = List.length (List.filter (fun (f : Lint.finding) -> f.severity = sev) findings) in
   Printf.sprintf
-    "{\"adversary\":{\"held_appointments\":[%s],\"held_roles\":[%s]},\"pins\":[%s],\"goals\":[%s],\"findings\":[%s],\"errors\":%d,\"warnings\":%d,\"infos\":%d}"
+    "{\"adversary\":{\"held_appointments\":[%s],\"held_roles\":[%s]},\"pins\":[%s],\"goals\":[%s],\"privileges\":[%s],\"findings\":[%s],\"errors\":%d,\"warnings\":%d,\"infos\":%d}"
     (String.concat ","
        (List.map
           (fun (i, k) ->
@@ -614,5 +623,6 @@ let to_json ?(findings = []) r =
           (fun (p, v) -> Printf.sprintf "{\"pred\":%s,\"value\":%b}" (json_string p) v)
           r.r_pins))
     (String.concat "," (List.map goal_json r.goals))
-    (String.concat "," (List.map finding_json findings))
+    (String.concat "," (List.map privilege_json r.privileges))
+    (String.concat "," (List.map Lint.finding_json findings))
     (count Lint.Error) (count Lint.Warning) (count Lint.Info)

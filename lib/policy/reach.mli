@@ -2,12 +2,11 @@
     policies make answerable — {e can a principal holding only these
     credentials ever activate that role, under any environment?}
 
-    {!Analysis} answers the policy author's benign questions (dead roles,
-    dangling references) by assuming every environmental constraint
-    satisfiable and every appointment in hand. This module answers the
-    adversary's question instead: it computes the least fixpoint of
-    reachable role activations over the world's Horn rules, starting from
-    an explicit credential set, handling
+    This is the one reachability analysis over a world of {!Lint.service}
+    policies. It computes the least fixpoint of reachable role activations
+    over the world's Horn rules, starting from an explicit credential set —
+    the empty wallet for the adversary's question, {!permissive} for the
+    policy author's (which roles and privileges are dead) — handling
 
     - {b appointment chains}: an appointment the adversary does not hold is
       still obtainable if an [appoint] rule for the kind fires from roles
@@ -21,9 +20,14 @@
     - {b ground pure built-ins}: [env:eq(1, 1)] and friends are evaluated,
       not assumed (time-dependent built-ins stay contingent);
     - {b activation cycles}: roles reachable only through each other stay
-      unreachable — the fixpoint solves what the linter merely flags.
+      unreachable, so each member of a cycle with no way in is dead.
 
-    Every non-[Unreachable] verdict carries a {e witness}: the derivation
+    After the fixpoint, every privilege gets a verdict too: the best of its
+    [priv] rules, each evaluated like an [appoint] rule body (required
+    roles against the final role table, constraints three-valued). A
+    privilege is grantable unless [Unreachable], dead otherwise.
+
+    Every non-[Unreachable] role verdict carries a {e witness}: the derivation
     tree of rule firings, held credentials, chained appointments and
     environment assumptions that realises the goal. {!plan} flattens a
     witness into the concrete activation/appointment steps a live principal
@@ -37,8 +41,8 @@
       credential wallet (possibly contingent on environment) — anyone can
       hold it;
     - {b R002 dead-grant} (error): a role no credential set and no
-      environment can ever fire — stronger than {!Analysis}'s dead-role
-      report because appointment chains are considered before giving up;
+      environment can ever fire under the {!permissive} wallet — roles on a
+      prerequisite cycle with no way in land here, one finding each;
     - {b R003 revocation-exempt} (warning): an unmonitored appointment
       condition sits on a derivation path to a {e sensitive} role (one that
       guards a privilege or appointment issuance); revoking that credential
@@ -59,9 +63,10 @@ type adversary = {
 val no_credentials : adversary
 (** The empty wallet — the default adversary, and the R001 probe. *)
 
-val permissive : Analysis.world_policy -> adversary
-(** Every appointment kind every service can issue, no roles — the
-    best-case principal {!Analysis.analyse} defaults to; the R002 probe. *)
+val permissive : Lint.service list -> adversary
+(** Every appointment kind every service can issue — its [appoint]-rule
+    kinds plus [s_extra_kinds] — and no roles: the best-case principal, and
+    the R002 probe. *)
 
 type verdict =
   | Reachable  (** derivable whatever the environment does *)
@@ -115,8 +120,12 @@ type goal = {
           [(base name, required truth)]; non-empty iff [Env_contingent] *)
 }
 
+(** A privilege's verdict, over all of its [priv] rules. *)
+type privilege = { p_service : string; p_privilege : string; p_verdict : verdict }
+
 type result = {
   goals : goal list;  (** every defined (service, role), sorted *)
+  privileges : privilege list;  (** every defined (service, privilege), sorted *)
   r_adversary : adversary;
   r_pins : (string * bool) list;
 }
@@ -124,13 +133,13 @@ type result = {
 val analyse :
   ?adversary:adversary ->
   ?pins:(string * bool) list ->
-  Analysis.world_policy ->
+  Lint.service list ->
   result
 (** [analyse ~adversary ~pins world] computes the reachability fixpoint.
     [adversary] defaults to {!no_credentials} — the {e worst}-case wallet;
-    contrast {!Analysis.analyse}, whose optional [held_appointments]
-    defaults to the best case. [pins] maps environmental predicate base
-    names to a pinned truth value; unpinned predicates are free. *)
+    pass {!permissive} for the best case. A held appointment counts whether
+    or not its issuer issues that kind. [pins] maps environmental predicate
+    base names to a pinned truth value; unpinned predicates are free. *)
 
 val goal_for : result -> service:string -> role:string -> goal option
 
@@ -145,7 +154,7 @@ val plan : witness -> step list
     Executing the steps in order against a live world (fresh session, the
     adversary's wallet) must grant every one; the fuzzer enforces this. *)
 
-val findings : Analysis.world_policy -> Lint.finding list
+val findings : Lint.service list -> Lint.finding list
 (** The R-rule catalogue over the world, sorted like {!Lint.check} output
     and carrying rule positions, so [oasisctl analyze] gates CI exactly as
     [oasisctl lint] does. *)
@@ -155,10 +164,13 @@ val pp_witness : Format.formatter -> witness -> unit
 
 val pp_goal : Format.formatter -> goal -> unit
 val pp_result : Format.formatter -> result -> unit
+(** The wallet and pins, one line per role goal (with its witness), then
+    one [VERDICT priv NAME@SERVICE] line per privilege. *)
 
 val to_json : ?findings:Lint.finding list -> result -> string
 (** Machine-readable report:
     [{"adversary":{...},"pins":[...],"goals":[{"service","role","verdict",
-    "assumptions":[...],"witness":{...}|null}...],"findings":[...],
+    "assumptions":[...],"witness":{...}|null}...],"privileges":[{"service",
+    "privilege","verdict"}...],"findings":[...],
     "errors":N,"warnings":N,"infos":N}]. Findings use the same shape as
     {!Lint.to_json}. *)

@@ -748,7 +748,7 @@ let run_file ?sink path =
   run_string ?sink s
 
 (* ------------------------------------------------------------------ *)
-(* Static extraction for analyze-world                                *)
+(* Static extraction for lint and analyze                             *)
 (* ------------------------------------------------------------------ *)
 
 (* The [service NAME { … }] blocks of a scenario, parsed. Statement
@@ -791,25 +791,6 @@ let civ_kinds services =
   |> List.sort_uniq compare
 
 let extract_policies source =
-  match gather_blocks source with
-  | exception Stop e -> Error e
-  | services ->
-      let civ =
-        {
-          Oasis_policy.Analysis.sp_name = "civ";
-          activations = [];
-          authorizations = [];
-          appointers = [];
-          appointment_kinds = civ_kinds services;
-        }
-      in
-      Ok
-        (civ
-        :: List.map
-             (fun (name, statements) -> Oasis_policy.Analysis.of_statements ~name statements)
-             services)
-
-let extract_lint_services source =
   match gather_blocks source with
   | exception Stop e -> Error e
   | services ->

@@ -115,13 +115,9 @@ val run_string : ?sink:Oasis_obs.Obs.sink -> string -> (outcome, error) result
 
 val run_file : ?sink:Oasis_obs.Obs.sink -> string -> (outcome, error) result
 
-val extract_policies : string -> (Oasis_policy.Analysis.service_policy list, error) result
-(** Reads only the [service NAME { … }] blocks of a scenario (plus the
-    implicit CIV, which can issue any kind the policies mention), for
-    whole-world static analysis without executing anything —
-    [oasisctl analyze-world]. *)
-
-val extract_lint_services : string -> (Oasis_policy.Lint.service list, error) result
-(** Same extraction, shaped for the policy linter ([oasisctl lint]); the
-    implicit CIV appears with the mentioned kinds as [s_extra_kinds].
+val extract_policies : string -> (Oasis_policy.Lint.service list, error) result
+(** Reads only the [service NAME { … }] blocks of a scenario, plus the
+    implicit CIV with every kind the policies ask of it as [s_extra_kinds],
+    for whole-world static analysis without executing anything
+    ([oasisctl lint] and [oasisctl analyze]).
     Statement locations are absolute within the scenario file. *)

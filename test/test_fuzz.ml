@@ -36,7 +36,7 @@ module Principal = Oasis_core.Principal
 module Civ = Oasis_domain.Civ
 module Env = Oasis_policy.Env
 module Parser = Oasis_policy.Parser
-module Analysis = Oasis_policy.Analysis
+module Lint = Oasis_policy.Lint
 module Reach = Oasis_policy.Reach
 module Rng = Oasis_util.Rng
 module Value = Oasis_util.Value
@@ -202,16 +202,16 @@ let build spec =
 (* ---------------- analyzer inputs from live state ---------------- *)
 
 let world_policy spec =
-  Analysis.
+  Lint.
     {
-      sp_name = "civ";
-      activations = [];
-      authorizations = [];
-      appointers = [];
-      appointment_kinds = spec.civ_kinds;
+      s_name = "civ";
+      s_activations = [];
+      s_authorizations = [];
+      s_appointers = [];
+      s_extra_kinds = spec.civ_kinds;
     }
   :: List.map
-       (fun sv -> Analysis.of_statements ~name:sv.sv_name (Parser.parse_exn sv.sv_policy))
+       (fun sv -> Lint.of_statements ~name:sv.sv_name (Parser.parse_exn sv.sv_policy))
        spec.services
 
 let pins_of live =
@@ -485,19 +485,19 @@ let test_print_reparse_stability () =
          in
          let original = world_policy spec in
          let reprinted =
-           Analysis.
+           Lint.
              {
-               sp_name = "civ";
-               activations = [];
-               authorizations = [];
-               appointers = [];
-               appointment_kinds = spec.civ_kinds;
+               s_name = "civ";
+               s_activations = [];
+               s_authorizations = [];
+               s_appointers = [];
+               s_extra_kinds = spec.civ_kinds;
              }
            :: List.map
                 (fun sv ->
                   let statements = Parser.parse_exn sv.sv_policy in
                   let printed = Parser.print statements in
-                  Analysis.of_statements ~name:sv.sv_name (Parser.parse_exn printed))
+                  Lint.of_statements ~name:sv.sv_name (Parser.parse_exn printed))
                 spec.services
          in
          if verdicts original <> verdicts reprinted then

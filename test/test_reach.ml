@@ -2,13 +2,12 @@
    R-rule findings (lib/policy/reach.ml). The cross-check against the live
    engine lives in test_fuzz.ml; these are the analyzer's own edge cases. *)
 
-module Analysis = Oasis_policy.Analysis
 module Reach = Oasis_policy.Reach
 module Lint = Oasis_policy.Lint
 module Parser = Oasis_policy.Parser
 
 let policy name ?kinds src =
-  Analysis.of_statements ~name ?appointment_kinds:kinds (Parser.parse_exn src)
+  Lint.of_statements ~name ?extra_kinds:kinds (Parser.parse_exn src)
 
 let verdict_t : Reach.verdict Alcotest.testable =
   Alcotest.testable
@@ -21,6 +20,17 @@ let verdict ?adversary ?pins world ~service ~role =
   | Some g -> g.Reach.g_verdict
   | None -> Alcotest.failf "goal %s@%s not in result" role service
 
+let privilege_verdict result ~service ~privilege =
+  match
+    List.find_opt
+      (fun p -> String.equal p.Reach.p_service service && String.equal p.Reach.p_privilege privilege)
+      result.Reach.privileges
+  with
+  | Some p -> p.Reach.p_verdict
+  | None -> Alcotest.failf "privilege %s@%s not in result" privilege service
+
+let dangling_codes world = List.map (fun f -> f.Lint.code) (Lint.dangling world)
+
 let test_empty_wallet_unreachable () =
   let world = [ policy "h" "initial logged_in(u) <- appt:employee(u);" ] in
   Alcotest.check verdict_t "empty wallet" Reach.Unreachable
@@ -29,7 +39,24 @@ let test_empty_wallet_unreachable () =
     Reach.Reachable
     (verdict
        ~adversary:{ Reach.held_appointments = [ ("h", "employee") ]; held_roles = [] }
-       world ~service:"h" ~role:"logged_in")
+       world ~service:"h" ~role:"logged_in");
+  (* A partial wallet restricts reachability: without qualified (which no
+     appoint rule issues) doctor stays out of reach, and nothing dangles. *)
+  let hospital =
+    [
+      policy "hospital" ~kinds:[ "employee"; "qualified" ]
+        {|
+          initial logged_in(u) <- appt:employee(u);
+          doctor(u) <- *logged_in(u), appt:qualified(u);
+        |};
+    ]
+  in
+  let adversary = { Reach.held_appointments = [ ("hospital", "employee") ]; held_roles = [] } in
+  Alcotest.check verdict_t "held employee: logged_in" Reach.Reachable
+    (verdict ~adversary hospital ~service:"hospital" ~role:"logged_in");
+  Alcotest.check verdict_t "held employee: no doctor" Reach.Unreachable
+    (verdict ~adversary hospital ~service:"hospital" ~role:"doctor");
+  Alcotest.(check (list string)) "nothing dangles" [] (dangling_codes hospital)
 
 let test_appointment_chain () =
   (* The adversary holds only is_admin, but hr_admin can self-issue
@@ -91,7 +118,23 @@ let test_prereq_cycle_unsolved () =
     Reach.Reachable
     (verdict
        ~adversary:{ Reach.held_appointments = []; held_roles = [ ("s", "x") ] }
-       world ~service:"s" ~role:"y")
+       world ~service:"s" ~role:"y");
+  (* A two-role cycle beside an initial role, and a self-loop: every member
+     is dead under the permissive wallet and gets its own R002, located at
+     its rule; the initial role does not. *)
+  let r002_lines world =
+    List.filter_map
+      (fun f -> if f.Lint.code = "R002" then Some (f.Lint.service, f.Lint.loc.Oasis_policy.Rule.line) else None)
+      (Reach.findings world)
+  in
+  let cycle = [ policy "a" "initial seed <- env:eq(1, 1);\nx(u) <- y(u);\ny(u) <- x(u);" ] in
+  Alcotest.(check (list (pair string int))) "R002 per cycle member" [ ("a", 2); ("a", 3) ]
+    (r002_lines cycle);
+  Alcotest.check verdict_t "seed" Reach.Reachable
+    (verdict ~adversary:(Reach.permissive cycle) cycle ~service:"a" ~role:"seed");
+  let self_loop = [ policy "a" "x(u) <- x(u);" ] in
+  Alcotest.(check (list (pair string int))) "R002 on the self-loop" [ ("a", 1) ]
+    (r002_lines self_loop)
 
 let test_env_three_valued () =
   let world =
@@ -126,7 +169,14 @@ let test_pure_builtins_decided () =
   Alcotest.check verdict_t "eq(1,2) decided false" Reach.Unreachable
     (verdict world ~service:"s" ~role:"never");
   Alcotest.check verdict_t "timed builtin stays contingent" Reach.Env_contingent
-    (verdict world ~service:"s" ~role:"nocturnal")
+    (verdict world ~service:"s" ~role:"nocturnal");
+  (* A free, non-built-in constraint is an assumption, not a dead end: the
+     role is env-contingent under the permissive wallet and no R002 fires. *)
+  let gated = [ policy "a" "initial gated <- env:impossible(1);" ] in
+  Alcotest.check verdict_t "free constraint is contingent" Reach.Env_contingent
+    (verdict ~adversary:(Reach.permissive gated) gated ~service:"a" ~role:"gated");
+  Alcotest.(check bool) "no R002" false
+    (List.exists (fun f -> f.Lint.code = "R002") (Reach.findings gated))
 
 let test_dangling_references () =
   (* Multi-service danglers: unknown service, unknown role, unknown kind —
@@ -146,7 +196,16 @@ let test_dangling_references () =
     (fun role ->
       Alcotest.check verdict_t (role ^ " dangling") Reach.Unreachable
         (verdict ~adversary world ~service:"a" ~role))
-    [ "r1"; "r2"; "r3" ]
+    [ "r1"; "r2"; "r3" ];
+  Alcotest.(check (list string)) "one finding per dangler" [ "L103"; "L102"; "L104" ]
+    (dangling_codes world);
+  (* An unknown service and an unknown role in one rule: both reported,
+     and the rule's role is dead. *)
+  let a = policy "a" "r(u) <- ghost(u)@nowhere, real(u)@b;" in
+  let world = [ a; b ] in
+  Alcotest.(check (list string)) "L103 and L102" [ "L103"; "L102" ] (dangling_codes world);
+  Alcotest.check verdict_t "r dead" Reach.Unreachable
+    (verdict ~adversary:(Reach.permissive world) world ~service:"a" ~role:"r")
 
 let test_cross_service_chain () =
   (* The appointment is issued by ANOTHER service, whose appoint rule
@@ -162,7 +221,15 @@ let test_cross_service_chain () =
        ~adversary:{ Reach.held_appointments = [ ("hr", "staff_card") ]; held_roles = [] }
        world ~service:"hospital" ~role:"logged_in");
   Alcotest.check verdict_t "without the card" Reach.Unreachable
-    (verdict world ~service:"hospital" ~role:"logged_in")
+    (verdict world ~service:"hospital" ~role:"logged_in");
+  (* A plain cross-service prerequisite under the permissive wallet. *)
+  let world =
+    [ policy "a" ~kinds:[ "card" ] "initial base(u) <- appt:card(u);"; policy "b" "derived(u) <- base(u)@a;" ]
+  in
+  let adversary = Reach.permissive world in
+  Alcotest.check verdict_t "base@a" Reach.Reachable (verdict ~adversary world ~service:"a" ~role:"base");
+  Alcotest.check verdict_t "derived@b" Reach.Reachable
+    (verdict ~adversary world ~service:"b" ~role:"derived")
 
 let find_codes findings = List.map (fun f -> f.Lint.code) findings |> List.sort_uniq compare
 
@@ -203,7 +270,38 @@ let test_r002_dead_grant () =
        let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
        go 0
      in
-     has "dead")
+     has "dead");
+  (* Dead roles and dead privileges under the permissive wallet: consultant
+     needs a fellowship appointment the hospital cannot issue, so it and the
+     privilege it guards are dead, and the kind dangles (L104). *)
+  let hospital =
+    [
+      policy "hospital" ~kinds:[ "employee"; "qualified" ]
+        {|
+          initial logged_in(u) <- appt:employee(u);
+          doctor(u) <- *logged_in(u), appt:qualified(u);
+          consultant(u) <- doctor(u), appt:fellowship(u);
+          priv read(u) <- doctor(u);
+          priv sign(u) <- consultant(u);
+        |};
+    ]
+  in
+  let result = Reach.analyse ~adversary:(Reach.permissive hospital) hospital in
+  Alcotest.(check (list (pair string string)))
+    "verdicts"
+    [
+      ("consultant", "unreachable"); ("doctor", "reachable"); ("logged_in", "reachable");
+    ]
+    (List.map (fun g -> (g.Reach.g_role, Reach.verdict_to_string g.Reach.g_verdict)) result.Reach.goals);
+  Alcotest.check verdict_t "read grantable" Reach.Reachable
+    (privilege_verdict result ~service:"hospital" ~privilege:"read");
+  Alcotest.check verdict_t "sign dead" Reach.Unreachable
+    (privilege_verdict result ~service:"hospital" ~privilege:"sign");
+  Alcotest.(check (list string)) "R002 on consultant" [ "R002" ]
+    (List.filter_map
+       (fun f -> if f.Lint.code = "R002" then Some f.Lint.code else None)
+       (Reach.findings hospital));
+  Alcotest.(check (list string)) "fellowship dangles" [ "L104" ] (dangling_codes hospital)
 
 let test_r003_revocation_exempt () =
   (* An UNmonitored appointment guards a role that guards a privilege:
@@ -244,7 +342,7 @@ let test_waivers_apply () =
 initial operator(u) <- appt:badge(u);
 priv launch(u) <- operator(u);
 |} in
-  let world = [ Analysis.of_statements ~name:"s" ~appointment_kinds:[ "badge" ] (Parser.parse_exn src) ] in
+  let world = [ policy "s" ~kinds:[ "badge" ] src ] in
   let findings =
     Reach.findings world |> Lint.apply_waivers ~waivers:(Lint.waivers src)
   in
@@ -270,7 +368,16 @@ let test_json_smoke () =
       "\"assumptions\":[{\"pred\":\"f\",\"value\":true}]";
       "\"code\":\"R002\"";
       "\"errors\":1";
-    ]
+    ];
+  (* The text rendering carries every goal and every privilege. *)
+  let world = [ policy "a" "initial r <- env:eq(1, 1);\npriv p <- r;" ] in
+  let text = Format.asprintf "%a" Reach.pp_result (Reach.analyse world) in
+  List.iter
+    (fun needle ->
+      let n = String.length needle and m = String.length text in
+      let rec go i = i + n <= m && (String.sub text i n = needle || go (i + 1)) in
+      Alcotest.(check bool) (Printf.sprintf "text contains %s" needle) true (go 0))
+    [ "reachable      r@a"; "reachable      priv p@a" ]
 
 let suite =
   ( "reach",

@@ -262,13 +262,15 @@ let test_extract_policies () =
   | Error e -> Alcotest.failf "extract: %a" Scenario.pp_error e
   | Ok world ->
       Alcotest.(check int) "civ + two services" 3 (List.length world);
-      let report = Oasis_policy.Analysis.analyse world in
-      Alcotest.(check bool) "derived reachable" true
-        (List.mem ("b", "derived") report.Oasis_policy.Analysis.reachable_roles);
-      Alcotest.(check bool) "orphan dead" true
-        (List.mem ("b", "orphan") report.Oasis_policy.Analysis.dead_roles);
-      Alcotest.(check bool) "missing flagged" true
-        (report.Oasis_policy.Analysis.unresolved <> [])
+      let module Reach = Oasis_policy.Reach in
+      let result = Reach.analyse ~adversary:(Reach.permissive world) world in
+      let verdict role =
+        Option.map (fun g -> g.Reach.g_verdict) (Reach.goal_for result ~service:"b" ~role)
+      in
+      Alcotest.(check bool) "derived reachable" true (verdict "derived" = Some Reach.Reachable);
+      Alcotest.(check bool) "orphan dead" true (verdict "orphan" = Some Reach.Unreachable);
+      Alcotest.(check (list string)) "missing flagged" [ "L102" ]
+        (List.map (fun f -> f.Oasis_policy.Lint.code) (Oasis_policy.Lint.dangling world))
 
 let test_extract_reports_policy_errors () =
   match Scenario.extract_policies "service a {\n broken ((( \n}" with
