@@ -767,10 +767,22 @@ let rec mkdir_p dir =
     Sys.mkdir dir 0o755
   end
 
+(* The revision of the tree the binary runs in, with [-dirty] when it has
+   uncommitted changes; "unknown" outside a git checkout. *)
+let git_revision () =
+  match Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+      let rev = try input_line ic with End_of_file -> "unknown" in
+      ignore (Unix.close_process_in ic);
+      rev
+
 (* Writes one experiment's JSON result. A full run writes the committed
    [file] in the current directory; a smoke run only proves the emitter
    works, so it writes under _build/bench-smoke/ and never clobbers the
-   committed numbers. *)
+   committed numbers. Every file opens with the same provenance header —
+   git revision on a line of its own, OCaml version and GC settings —
+   and [emit] writes the experiment's own fields after it. *)
 let write_result file emit =
   let path =
     if !smoke_mode then begin
@@ -780,7 +792,16 @@ let write_result file emit =
     else file
   in
   let out = open_out path in
-  Fun.protect ~finally:(fun () -> close_out out) (fun () -> emit out);
+  Fun.protect
+    ~finally:(fun () -> close_out out)
+    (fun () ->
+      let gc = Gc.get () in
+      Printf.fprintf out
+        "{\n\
+        \  \"git_revision\": %S,\n\
+        \  \"runtime\": { \"ocaml\": %S, \"gc_minor_heap_words\": %d, \"gc_space_overhead\": %d },\n"
+        (git_revision ()) Sys.ocaml_version gc.Gc.minor_heap_size gc.Gc.space_overhead;
+      emit out);
   Printf.printf "\n  results written to %s\n" path
 
 (* The active-security hot path: every fact change must confront the
@@ -919,7 +940,7 @@ let e9 () =
   in
   write_result "BENCH_active_security.json" (fun out ->
     Printf.fprintf out
-      "{\n\
+      "\
       \  \"benchmark\": \"env_churn_active_security\",\n\
       \  \"generated_by\": \"dune exec bench/main.exe -- E9%s\",\n\
       \  \"params\": { \"services\": %d, \"hot_watchers\": %d, \"flips\": %d, \"watched_flips\": %d, \"smoke\": %b },\n\
@@ -1019,7 +1040,7 @@ let e11 () =
   row "memory-sink" (List.length events) sink_s;
   write_result "BENCH_trace.json" (fun out ->
     Printf.fprintf out
-      "{\n\
+      "\
       \  \"benchmark\": \"trace_pipeline\",\n\
       \  \"generated_by\": \"dune exec bench/main.exe -- E11%s\",\n\
       \  \"params\": { \"flips\": %d, \"smoke\": %b },\n\
@@ -1058,12 +1079,17 @@ let e12 () =
   let smoke = !smoke_mode in
   let n_roles = if smoke then 8 else 64 in
   let retry = { Backoff.default with base = 0.02; cap = 0.2; max_attempts = 4 } in
+  (* The issuer signs with the epoch HMAC: the validation callback and the
+     heartbeat machinery are under measurement, and an offline-verifiable
+     issuer would have its certificates checked without either. *)
+  let hmac_issuer = { Service.default_config with offline_sign = false } in
 
   (* -------- (a) the storm -------- *)
   let storm ~batch =
     let world = World.create ~seed:12 () in
     let issuer =
-      Service.create world ~name:"issuer" ~policy:"initial base(u) <- env:enrolled(u);" ()
+      Service.create world ~name:"issuer" ~config:hmac_issuer
+        ~policy:"initial base(u) <- env:enrolled(u);" ()
     in
     Env.declare_fact (Service.env issuer) "enrolled";
     let config =
@@ -1074,9 +1100,6 @@ let e12 () =
            fail-closed timer, so drain time measures the worker pool *)
         suspect_grace = 120.0;
         reconcile_batch = batch;
-        (* the exhausted validation callback is the failure detector under
-           measurement; offline verification would grant without the RPC *)
-        offline_verify = false;
       }
     in
     let relying =
@@ -1147,18 +1170,11 @@ let e12 () =
   let latency ~monitoring ~partitioned ~heal_after =
     let world = World.create ~seed:12 ?monitoring () in
     let issuer =
-      Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" ()
+      Service.create world ~name:"issuer" ~config:hmac_issuer
+        ~policy:"initial base <- env:eq(1, 1);" ()
     in
     let config =
-      {
-        Service.default_config with
-        retry;
-        suspect_grace = grace;
-        reconcile_batch = 8;
-        (* revocation latency here is defined by the callback/heartbeat
-           machinery, not the offline tombstone channel *)
-        offline_verify = false;
-      }
+      { Service.default_config with retry; suspect_grace = grace; reconcile_batch = 8 }
     in
     let relying =
       Service.create world ~name:"relying" ~config ~policy:"derived <- *base@issuer;" ()
@@ -1214,7 +1230,7 @@ let e12 () =
   in
   write_result "BENCH_fault.json" (fun out ->
     Printf.fprintf out
-      "{\n\
+      "\
       \  \"benchmark\": \"fault_tolerance\",\n\
       \  \"generated_by\": \"dune exec bench/main.exe -- E12%s\",\n\
       \  \"params\": { \"roles\": %d, \"heartbeat_period\": %.2f, \"heartbeat_deadline\": %.2f,\n\
@@ -1231,8 +1247,9 @@ let e12 () =
 (* E13 — offline-verifiable signed credentials: RPCs and latency       *)
 (* ------------------------------------------------------------------ *)
 
-(* Two workloads into BENCH_signed.json (DESIGN.md §12), each run with
-   offline verification on and off:
+(* Two workloads into BENCH_signed.json (DESIGN.md §12), each run with the
+   CIV and the services signing offline (Schnorr) and with the epoch HMAC;
+   relying services verify offline exactly when the issuer has a chain:
 
    (a) the hospital shape: one CIV domain, principals holding employee and
        qualification appointments log in and step up to doctor — the paper's
@@ -1257,7 +1274,7 @@ let e13 () =
   let hospital ~offline =
     let world = World.create ~seed:13 () in
     let civ = Civ.create world ~name:"civ" ~offline_sign:offline () in
-    let config = { Service.default_config with Service.offline_verify = offline } in
+    let config = { Service.default_config with Service.offline_sign = offline } in
     let hospital =
       Service.create world ~name:"hospital" ~config
         ~policy:
@@ -1299,7 +1316,7 @@ let e13 () =
   let storm ~offline =
     let world = World.create ~seed:13 () in
     let civ = Civ.create world ~name:"civ" ~offline_sign:offline () in
-    let config = { Service.default_config with Service.offline_verify = offline } in
+    let config = { Service.default_config with Service.offline_sign = offline } in
     let services =
       Array.init n_services (fun i ->
           Service.create world ~name:(Printf.sprintf "svc%d" i) ~config
@@ -1362,7 +1379,7 @@ let e13 () =
   in
   write_result "BENCH_signed.json" (fun out ->
     Printf.fprintf out
-      "{\n\
+      "\
       \  \"benchmark\": \"signed_credentials\",\n\
       \  \"generated_by\": \"dune exec bench/main.exe -- E13%s\",\n\
       \  \"params\": { \"principals\": %d, \"storm_services\": %d, \"smoke\": %b },\n\
@@ -1577,7 +1594,7 @@ let e15 () =
   let rows = List.map session_row counts in
   write_result "BENCH_scale.json" (fun out ->
     Printf.fprintf out
-      "{\n\
+      "\
       \  \"benchmark\": \"scale_curve\",\n\
       \  \"generated_by\": \"dune exec bench/main.exe -- E15%s\",\n\
       \  \"params\": { \"heartbeat_period_s\": %.0f, \"cascade_samples\": %d, \"smoke\": %b },\n\
@@ -1777,7 +1794,7 @@ let e16 () =
 
   write_result "BENCH_trust.json" (fun out ->
     Printf.fprintf out
-      "{\n\
+      "\
       \  \"benchmark\": \"trust_audit\",\n\
       \  \"generated_by\": \"dune exec bench/main.exe -- E16%s\",\n\
       \  \"params\": { \"chain_records\": %d, \"collusion_rounds\": %d, \"smoke\": %b },\n\
@@ -1928,7 +1945,7 @@ let e17 () =
 
   write_result "BENCH_trust_decay.json" (fun out ->
     Printf.fprintf out
-      "{\n\
+      "\
       \  \"benchmark\": \"trust_decay\",\n\
       \  \"generated_by\": \"dune exec bench/main.exe -- E17%s\",\n\
       \  \"params\": { \"interactions\": %d, \"naive_interactions\": %d, \"decay_rate\": %.4f, \

@@ -17,10 +17,9 @@ module Rmc = Oasis_cert.Rmc
 module Appointment = Oasis_cert.Appointment
 module Cr = Oasis_cert.Credential_record
 module Vcache = Oasis_cert.Validation_cache
-module Secret = Oasis_crypto.Secret
 module Elgamal = Oasis_crypto.Elgamal
-module Schnorr = Oasis_crypto.Schnorr
 module Signed = Oasis_cert.Signed
+module Issuer_key = Oasis_cert.Issuer_key
 module Challenge = Oasis_crypto.Challenge
 module Obs = Oasis_obs.Obs
 module Dlog = Oasis_trust.Decision_log
@@ -37,7 +36,7 @@ type config = {
   retry : Backoff.policy;
   suspect_grace : float;
   reconcile_batch : int;
-  offline_verify : bool;
+  offline_sign : bool;
 }
 
 let default_config =
@@ -51,7 +50,7 @@ let default_config =
     retry = Backoff.fixed 3;
     suspect_grace = 0.0;
     reconcile_batch = 8;
-    offline_verify = true;
+    offline_sign = true;
   }
 
 (* Watch state for one remote credential supporting an active role or a
@@ -161,10 +160,8 @@ type t = {
   obs : Obs.t;
   config : config;
   env : Env.t;
-  secret : Secret.t;
-  signing : Schnorr.keypair option;  (* present iff offline_verify: this key is enrolled with the domain root *)
+  key : Issuer_key.t;
   root_address : string;
-  mutable epoch : int;
   activations : (string, Rule.activation Queue.t) Hashtbl.t;
   authorizations : (string, Rule.authorization Queue.t) Hashtbl.t;
   appointers : (string, Rule.authorization Queue.t) Hashtbl.t;
@@ -194,7 +191,7 @@ let id t = t.sid
 let service_name t = t.sname
 let env t = t.env
 let world t = t.world
-let current_epoch t = t.epoch
+let current_epoch t = Issuer_key.epoch t.key
 
 (* ------------------------------------------------------------------ *)
 (* Policy installation                                                *)
@@ -224,46 +221,40 @@ let register_operation t privilege handler = Hashtbl.replace t.operations privil
 (* Credential validation                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Own certificates verify under whichever scheme this service issues:
-   packed Schnorr signatures when enrolled with the domain root, epoch-HMAC
-   otherwise. Either way the credential record store has the last word —
-   a perfectly signed but revoked certificate is dead. *)
+(* Own certificates verify under this service's issuer key, and the
+   credential record store has the last word — a perfectly signed but
+   revoked certificate is dead. *)
+let record_valid t cert_id =
+  match Cr.find t.crs cert_id with Some record -> Cr.is_valid record | None -> false
+
 let verify_own_rmc t ~principal_key (rmc : Rmc.t) =
-  (match t.signing with
-  | Some kp -> (
-      match Schnorr.of_digest rmc.signature with
-      | Some sg -> Schnorr.verify ~public:kp.Schnorr.public (Rmc.signing_bytes ~principal_key rmc) sg
-      | None -> false)
-  | None -> Rmc.verify ~secret:t.secret ~principal_key rmc)
-  && (match Cr.find t.crs rmc.id with Some record -> Cr.is_valid record | None -> false)
+  Issuer_key.verify_rmc t.key ~principal_key rmc && record_valid t rmc.id
 
 let verify_own_appt t (appt : Appointment.t) =
-  let now = World.now t.world in
-  (match t.signing with
-  | Some kp ->
-      appt.epoch = t.epoch
-      && (not (Appointment.expired ~now appt))
-      && (match Schnorr.of_digest appt.signature with
-         | Some sg -> Schnorr.verify ~public:kp.Schnorr.public (Appointment.signing_bytes appt) sg
-         | None -> false)
-  | None -> Appointment.verify ~master_secret:t.secret ~current_epoch:t.epoch ~now appt)
-  && (match Cr.find t.crs appt.id with Some record -> Cr.is_valid record | None -> false)
+  Issuer_key.verify_appointment t.key ~now:(World.now t.world) appt && record_valid t appt.id
+
+(* How a presented certificate is verified follows from what its issuer
+   publishes: offline against the issuer's chain with the domain root when
+   there is one, by callback otherwise. *)
+let issuer_chain t issuer = Signed.chain_for (World.authority t.world) issuer
 
 (* Starts an invalidation watch for a remote certificate, used both for
    membership monitoring and for cache invalidation. [on_dead] learns how
    the credential died: [`Revoked reason] is definitive (the issuer said
    so); [`Silence] is a failure-detector verdict (heartbeats stopped) — the
    issuer may be partitioned away, not revoking (DESIGN.md §11). *)
-let watch_invalidation t ~issuer ~cert_id ~on_dead =
+let watch_invalidation ?(replay = true) t ~issuer ~cert_id ~on_dead =
   let topic = Cr.topic_of ~issuer ~cert_id in
   match World.monitoring t.world with
   | Change_events ->
       let sub =
-        (* Legacy validation RPCs precede every watch, so the watched
-           certificate is known live and no tombstone can exist. The offline
-           path installs watches without asking the issuer and must pick up
-           a retained Invalidated published before it subscribed. *)
-        Broker.subscribe ~replay_retained:t.config.offline_verify (World.broker t.world) topic
+        (* A fresh watch picks up a retained Invalidated published before it
+           subscribed: a certificate verified offline was never shown to its
+           issuer, and a callback verdict can be overtaken by a revocation
+           published while the reply was in flight. Only the restart
+           rebuild opts out ([replay = false]): its roles go suspect and
+           reconciliation asks the issuer instead. *)
+        Broker.subscribe ~replay_retained:replay (World.broker t.world) topic
           ~owner:t.sid (fun _topic event ->
             match event with
             | Protocol.Invalidated { reason; _ } -> on_dead (`Revoked reason)
@@ -487,9 +478,6 @@ let deactivate_rmc t (issued : issued_rmc) ~reason ~cascade =
 (* Suspect state and anti-entropy reconciliation (DESIGN.md §11)      *)
 (* ------------------------------------------------------------------ *)
 
-let dep_locally_valid t dep =
-  match Cr.find t.crs dep.dep_cert with Some r -> Cr.is_valid r | None -> false
-
 (* How long a reconciler waits between rounds while the issuer stays
    unreachable. The backoff cap, so a heal is noticed within one cap —
    configure cap < suspect_grace and suspects resolve inside the grace
@@ -512,16 +500,15 @@ let trace_role t what (issued : issued_rmc) extra =
 (* The mutually recursive core: a watch going silent enters suspect state,
    suspect roles enqueue for reconciliation, reconciliation re-creates
    watches on reinstatement. *)
-let rec watch_dep t issued dep =
+let rec watch_dep ?replay t issued dep =
   let watch =
-    watch_invalidation t ~issuer:dep.dep_issuer ~cert_id:dep.dep_cert ~on_dead:(function
+    watch_invalidation ?replay t ~issuer:dep.dep_issuer ~cert_id:dep.dep_cert ~on_dead:(function
       | `Revoked why ->
           (* Offline verification has no issuer round trip at presentation
              time, so a definitive revocation learnt here must be remembered
              locally: the poisoned cache entry makes a re-presented revoked
-             certificate fail the offline check. Gated on the flag so the
-             legacy path's cache statistics are untouched. *)
-          if t.config.offline_verify then Vcache.invalidate t.cache dep.dep_cert;
+             certificate fail the offline check. *)
+          Vcache.invalidate t.cache dep.dep_cert;
           deactivate_rmc t issued ~cascade:true
             ~reason:
               (Printf.sprintf "supporting credential %s invalid: %s"
@@ -592,7 +579,7 @@ and pump_reconcile t =
    [Some valid] is authoritative; [None] means the issuer stayed
    unreachable (or does not speak Check_cr) — keep polling, never guess. *)
 and check_dep t dep =
-  if Ident.equal dep.dep_issuer t.sid then Some (dep_locally_valid t dep)
+  if Ident.equal dep.dep_issuer t.sid then Some (record_valid t dep.dep_cert)
   else
     match
       Backoff.retry t.config.retry (World.rng t.world) ~sleep:Proc.sleep
@@ -766,15 +753,12 @@ let challenge_key t ~dst ~key =
    contain certificates that have expired or been revoked. *)
 let validate_presented t ~src ~session_key (creds : Protocol.credentials) =
   (* Zero-RPC verification (DESIGN.md §12): when the presenting issuer has
-     an enrolled key chain and this service trusts the domain root, the
-     signature is checked locally and no callback is made. A chain in hand
-     is authoritative for *authenticity*; freshness still comes from the
-     dep watches installed after the grant (and from the poisoned cache for
-     revocations this service has already witnessed). Issuers without a
-     chain — legacy HMAC signers — fall back to the callback RPC. *)
-  let offline_chain issuer =
-    if t.config.offline_verify then Signed.chain_for (World.authority t.world) issuer else None
-  in
+     an enrolled key chain, the signature is checked locally against the
+     domain root and no callback is made. A chain in hand is authoritative
+     for *authenticity*; freshness still comes from the dep watches
+     installed after the grant (and from the poisoned cache for revocations
+     this service has already witnessed). Issuers without a chain — HMAC
+     signers, decommissioned issuers — are validated by callback. *)
   (* The certificate's event channel retains its Invalidated notice, so a
      verifier that never watched this certificate still sees the revocation
      at presentation time — a push-based revocation list. A partition hides
@@ -797,7 +781,7 @@ let validate_presented t ~src ~session_key (creds : Protocol.credentials) =
   let rmc_ok (rmc : Rmc.t) =
     if Ident.equal rmc.issuer t.sid then verify_own_rmc t ~principal_key:session_key rmc
     else
-      match offline_chain rmc.issuer with
+      match issuer_chain t rmc.issuer with
       | Some chain ->
           offline_verdict ~issuer:rmc.issuer rmc.id (fun () ->
               Signed.verify_rmc ~address:t.root_address ~chain ~principal_key:session_key rmc)
@@ -808,7 +792,7 @@ let validate_presented t ~src ~session_key (creds : Protocol.credentials) =
   let appt_ok (appt : Appointment.t) =
     (if Ident.equal appt.issuer t.sid then verify_own_appt t appt
      else
-       match offline_chain appt.issuer with
+       match issuer_chain t appt.issuer with
        | Some chain ->
            offline_verdict ~issuer:appt.issuer appt.id (fun () ->
                Signed.verify_appointment ~address:t.root_address ~chain ~now:(World.now t.world)
@@ -909,17 +893,7 @@ let revoke_certificate t cert_id ~reason =
       | Some ia -> revoke_appt t ia ~reason
       | None -> false)
 
-let rotate_secret t =
-  t.epoch <- t.epoch + 1;
-  (* Re-certify the issuing key under the new epoch: appointments of older
-     epochs then fail offline verification exactly as they fail the HMAC
-     scheme's current-epoch check, and must be re-issued. *)
-  match t.signing with
-  | Some kp ->
-      ignore
-        (Signed.enrol (World.authority t.world) ~subject:t.sid ~subject_pk:kp.Schnorr.public
-           ~key_epoch:t.epoch ~now:(World.now t.world))
-  | None -> ()
+let rotate_secret t = Issuer_key.rotate t.key ~now:(World.now t.world)
 
 let decommission t ~reason =
   (* Withdraw every credential this service ever issued; dependents
@@ -945,7 +919,7 @@ let decommission t ~reason =
   (* Withdraw the issuing-key chain too: a decommissioned issuer's
      certificates must stop verifying offline, not just stop answering
      callbacks. *)
-  Signed.revoke_chain (World.authority t.world) t.sid;
+  Issuer_key.withdraw t.key;
   !count
 
 (* ------------------------------------------------------------------ *)
@@ -1172,14 +1146,14 @@ let restart_node t =
             ~reason:"restart: membership constraint no longer holds"
         else if
           List.exists
-            (fun dep -> Ident.equal dep.dep_issuer t.sid && not (dep_locally_valid t dep))
+            (fun dep -> Ident.equal dep.dep_issuer t.sid && not (record_valid t dep.dep_cert))
             issued.deps
         then
           deactivate_rmc t issued ~cascade:true ~reason:"restart: supporting credential revoked"
         else begin
           List.iter (fun c -> arm_env_timer t issued c) issued.env_watch;
           List.iter
-            (fun dep -> if Option.is_none dep.dep_watch then watch_dep t issued dep)
+            (fun dep -> if Option.is_none dep.dep_watch then watch_dep ~replay:false t issued dep)
             issued.deps;
           if List.exists (fun dep -> not (Ident.equal dep.dep_issuer t.sid)) issued.deps then
             enter_suspect t issued ~why:"restart: remote credentials unverified"
@@ -1274,15 +1248,8 @@ let handle_activate t ~src ~principal ~session_key ~role ~requested ~creds =
             let cert_id = World.fresh_cert_id t.world in
             let now = World.now t.world in
             let rmc =
-              match t.signing with
-              | Some keypair ->
-                  Signed.issue_rmc ~keypair
-                    ~rng:(Signed.rng (World.authority t.world))
-                    ~principal_key:session_key ~id:cert_id ~issuer:t.sid ~role
-                    ~args:proof.role_args ~issued_at:now
-              | None ->
-                  Rmc.issue ~secret:t.secret ~principal_key:session_key ~id:cert_id ~issuer:t.sid
-                    ~role ~args:proof.role_args ~issued_at:now
+              Issuer_key.issue_rmc t.key ~principal_key:session_key ~id:cert_id ~role
+                ~args:proof.role_args ~issued_at:now
             in
             let record =
               Cr.add t.crs ~cert_id ~issuer:t.sid ~kind:Cr.Kind_rmc ~principal ~name:role
@@ -1414,15 +1381,8 @@ let handle_appoint t ~src ~principal ~session_key ~kind ~args ~holder ~holder_ke
             let cert_id = World.fresh_cert_id t.world in
             let now = World.now t.world in
             let appt =
-              match t.signing with
-              | Some keypair ->
-                  Signed.issue_appointment ~keypair
-                    ~rng:(Signed.rng (World.authority t.world))
-                    ~epoch:t.epoch ~id:cert_id ~issuer:t.sid ~kind ~args ~holder:holder_key
-                    ~issued_at:now ?expires_at ()
-              | None ->
-                  Appointment.issue ~master_secret:t.secret ~epoch:t.epoch ~id:cert_id
-                    ~issuer:t.sid ~kind ~args ~holder:holder_key ~issued_at:now ?expires_at ()
+              Issuer_key.issue_appointment t.key ~id:cert_id ~kind ~args ~holder:holder_key
+                ~issued_at:now ?expires_at ()
             in
             let record =
               Cr.add t.crs ~cert_id ~issuer:t.sid ~kind:Cr.Kind_appointment ~principal:holder
@@ -1524,16 +1484,6 @@ let create world ~name ?(config = default_config) ?env ~policy () =
   let labels = [ ("service", name) ] in
   let counter cname = Obs.counter obs cname ~labels in
   let authority = World.authority world in
-  let signing =
-    if config.offline_verify then begin
-      let kp = Signed.generate_keypair authority in
-      ignore
-        (Signed.enrol authority ~subject:sid ~subject_pk:kp.Schnorr.public ~key_epoch:0
-           ~now:(World.now world));
-      Some kp
-    end
-    else None
-  in
   let t =
     {
       world;
@@ -1542,10 +1492,10 @@ let create world ~name ?(config = default_config) ?env ~policy () =
       obs;
       config;
       env;
-      secret = Secret.generate (World.rng world);
-      signing;
+      key =
+        Issuer_key.create authority ~rng:(World.rng world) ~subject:sid
+          ~offline_sign:config.offline_sign ~now:(World.now world);
       root_address = Signed.address authority;
-      epoch = 0;
       activations = Hashtbl.create 16;
       authorizations = Hashtbl.create 16;
       appointers = Hashtbl.create 8;

@@ -45,18 +45,20 @@ type config = {
       (** at most this many suspect roles re-validate against their issuers
           concurrently after a heal or restart; the rest queue. Bounds the
           post-heal re-validation storm (experiment E12); default 8 *)
-  offline_verify : bool;
-      (** issue Schnorr-signed credentials under a key certified by the
-          world's domain root, and verify presented credentials from
-          enrolled issuers locally — chain, signature, expiry, epoch — with
-          zero validation RPCs (DESIGN.md §12); default on. Presented
-          credentials whose issuer has no chain (a legacy HMAC signer, or a
-          decommissioned issuer) fall back to the validation callback.
-          Freshness is unchanged: dep watches, heartbeats and anti-entropy
-          reconciliation still bound revocation propagation, and
-          revocations witnessed over a watch poison the validation cache so
-          re-presenting a known-dead certificate is refused locally. Off
-          restores the historical HMAC + callback-per-check behaviour. *)
+  offline_sign : bool;
+      (** how this service signs the certificates it issues
+          ({!Oasis_cert.Issuer_key}): on (the default), under a Schnorr key
+          certified by the world's domain root, so every relying service
+          verifies them locally — chain, signature, expiry, epoch — with
+          zero validation RPCs (DESIGN.md §12); off, under the paper's epoch
+          HMAC, so every relying service validates them by callback. A
+          relying service needs no setting of its own: it verifies a
+          presented credential offline exactly when its issuer has a chain
+          with the root. Freshness is the same either way: dep watches,
+          heartbeats and anti-entropy reconciliation bound revocation
+          propagation, and revocations witnessed over a watch poison the
+          validation cache so re-presenting a known-dead certificate is
+          refused locally. *)
 }
 
 val default_config : config

@@ -7,9 +7,7 @@ module Broker = Oasis_event.Broker
 module Heartbeat = Oasis_event.Heartbeat
 module Appointment = Oasis_cert.Appointment
 module Cr = Oasis_cert.Credential_record
-module Signed = Oasis_cert.Signed
-module Secret = Oasis_crypto.Secret
-module Schnorr = Oasis_crypto.Schnorr
+module Issuer_key = Oasis_cert.Issuer_key
 module World = Oasis_core.World
 module Protocol = Oasis_core.Protocol
 module Obs = Oasis_obs.Obs
@@ -33,9 +31,7 @@ type t = {
   router : Ident.t;
   mode : replication;
   audit : Oasis_trust.Registrar.t;
-  secret : Secret.t;
-  signing : Schnorr.keypair option;  (* present iff enrolled with the domain root *)
-  mutable epoch : int;
+  key : Issuer_key.t;
   crs : Cr.store;
   replicas : replica array;
   beats : Heartbeat.emitter Ident.Tbl.t;
@@ -58,7 +54,7 @@ let id t = t.router
 let replication t = t.mode
 let civ_name t = t.cname
 let replica_count t = Array.length t.replicas
-let current_epoch t = t.epoch
+let current_epoch t = Issuer_key.epoch t.key
 
 let repl_topic t = Printf.sprintf "civ-repl:%s" (Ident.to_string t.router)
 
@@ -73,24 +69,12 @@ let primary_down t =
 (* Validation, replica side                                           *)
 (* ------------------------------------------------------------------ *)
 
-let signature_ok t appt =
-  match t.signing with
-  | Some kp ->
-      appt.Appointment.epoch = t.epoch
-      && (not (Appointment.expired ~now:(World.now t.world) appt))
-      && (match Schnorr.of_digest appt.Appointment.signature with
-         | Some sg -> Schnorr.verify ~public:kp.Schnorr.public (Appointment.signing_bytes appt) sg
-         | None -> false)
-  | None ->
-      Appointment.verify ~master_secret:t.secret ~current_epoch:t.epoch
-        ~now:(World.now t.world) appt
-
 let primary_view t cert_id =
   match Cr.find t.crs cert_id with Some record -> Cr.is_valid record | None -> false
 
 let replica_validate t replica (appt : Appointment.t) =
   replica.served <- replica.served + 1;
-  signature_ok t appt
+  Issuer_key.verify_appointment t.key ~now:(World.now t.world) appt
   &&
   if replica.index = 0 then primary_view t appt.id
   else
@@ -116,7 +100,7 @@ let replica_handler t replica =
         match msg with
         | Protocol.Validate_appt { appt } ->
             Protocol.Validate_result
-              (Ident.equal appt.Appointment.issuer t.router && replica_validate t replica appt)
+              (Ident.equal appt.issuer t.router && replica_validate t replica appt)
         | Protocol.Validate_rmc _ ->
             (* A CIV issues appointment certificates only. *)
             Protocol.Validate_result false
@@ -187,17 +171,6 @@ let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = t
   if replicas < 1 then invalid_arg "Civ.create: need at least one replica";
   let router = World.fresh_service_id world in
   let counter cname = Obs.counter (World.obs world) cname ~labels:[ ("civ", name) ] in
-  let signing =
-    if offline_sign then begin
-      let authority = World.authority world in
-      let kp = Signed.generate_keypair authority in
-      ignore
-        (Signed.enrol authority ~subject:router ~subject_pk:kp.Schnorr.public ~key_epoch:0
-           ~now:(World.now world));
-      Some kp
-    end
-    else None
-  in
   let t =
     {
       world;
@@ -205,9 +178,9 @@ let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = t
       router;
       mode = replication;
       audit = Oasis_trust.Registrar.create (Oasis_util.Rng.split (World.rng world)) ~name ();
-      secret = Secret.generate (World.rng world);
-      signing;
-      epoch = 0;
+      key =
+        Issuer_key.create (World.authority world) ~rng:(World.rng world) ~subject:router
+          ~offline_sign ~now:(World.now world);
       crs = Cr.create_store ();
       replicas =
         Array.init replicas (fun index ->
@@ -294,15 +267,8 @@ let issue t ~kind ~args ~holder ~holder_key ?expires_at () =
   let cert_id = World.fresh_cert_id t.world in
   let now = World.now t.world in
   let appt =
-    match t.signing with
-    | Some keypair ->
-        Signed.issue_appointment ~keypair
-          ~rng:(Signed.rng (World.authority t.world))
-          ~epoch:t.epoch ~id:cert_id ~issuer:t.router ~kind ~args ~holder:holder_key
-          ~issued_at:now ?expires_at ()
-    | None ->
-        Appointment.issue ~master_secret:t.secret ~epoch:t.epoch ~id:cert_id ~issuer:t.router
-          ~kind ~args ~holder:holder_key ~issued_at:now ?expires_at ()
+    Issuer_key.issue_appointment t.key ~id:cert_id ~kind ~args ~holder:holder_key ~issued_at:now
+      ?expires_at ()
   in
   let record =
     Cr.add t.crs ~cert_id ~issuer:t.router ~kind:Cr.Kind_appointment ~principal:holder ~name:kind
@@ -327,20 +293,11 @@ let issue t ~kind ~args ~holder ~holder_key ?expires_at () =
 
 let reissue t (old : Appointment.t) =
   if primary_down t then raise Primary_unavailable;
-  if not (Ident.equal old.Appointment.issuer t.router) then Error "not our certificate"
+  if not (Ident.equal old.issuer t.router) then Error "not our certificate"
   else if
     (* Re-issue accepts any epoch (that is its purpose) but never a bad
-       signature or an expired certificate, whichever scheme signed it. *)
-    not
-      (match t.signing with
-      | Some kp ->
-          (not (Appointment.expired ~now:(World.now t.world) old))
-          && (match Schnorr.of_digest old.Appointment.signature with
-             | Some sg ->
-                 Schnorr.verify ~public:kp.Schnorr.public (Appointment.signing_bytes old) sg
-             | None -> false)
-      | None ->
-          Appointment.verify_ignoring_epoch ~master_secret:t.secret ~now:(World.now t.world) old)
+       signature or an expired certificate. *)
+    not (Issuer_key.verify_appointment ~any_epoch:true t.key ~now:(World.now t.world) old)
   then Error "signature or expiry check failed"
   else if not (primary_view t old.Appointment.id) then Error "credential record revoked"
   else begin
@@ -355,14 +312,7 @@ let reissue t (old : Appointment.t) =
          ~holder_key:old.Appointment.holder ?expires_at:old.Appointment.expires_at ())
   end
 
-let rotate_secret t =
-  t.epoch <- t.epoch + 1;
-  match t.signing with
-  | Some kp ->
-      ignore
-        (Signed.enrol (World.authority t.world) ~subject:t.router ~subject_pk:kp.Schnorr.public
-           ~key_epoch:t.epoch ~now:(World.now t.world))
-  | None -> ()
+let rotate_secret t = Issuer_key.rotate t.key ~now:(World.now t.world)
 
 let registrar t = t.audit
 

@@ -36,11 +36,12 @@ val create :
   t
 (** Default 3 replicas, [Async] replication. The cluster registers its
     router under [name] in the world's service registry, so policy rules can
-    say [appt:kind(…)@name]. With [offline_sign] (default on) the CIV
-    enrols a Schnorr issuing key with the world's domain root and signs
-    appointments offline-verifiably (DESIGN.md §12); relying services with
-    [offline_verify] then validate them with zero RPCs to the cluster. Off
-    restores epoch-HMAC signing, where every check is a replica callback. *)
+    say [appt:kind(…)@name]. [offline_sign] picks the cluster's
+    {!Oasis_cert.Issuer_key} scheme, as [Service.config.offline_sign] does
+    for a service: on (the default), a Schnorr issuing key enrolled with the
+    world's domain root, so every relying service validates the cluster's
+    appointments with zero RPCs (DESIGN.md §12); off, the paper's epoch
+    HMAC, where every check is a replica callback. *)
 
 val replication : t -> replication
 

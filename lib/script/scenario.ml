@@ -38,10 +38,6 @@ type state = {
   mutable svc_config : Service.config option;
       (* config overrides (suspect-grace …) applied to services created
          after the directive; [None] keeps [Service.default_config] *)
-  mutable offline_sign : bool;
-      (* whether the CIV created with the world enrols a root-certified
-         signing key; mirrors svc_config.offline_verify and must be set
-         before the first world-creating directive to take effect *)
   services : (string, Service.t) Hashtbl.t;
   principals : (string, Principal.t) Hashtbl.t;
   sessions : (string, Principal.t * Principal.session) Hashtbl.t;
@@ -57,7 +53,6 @@ let fresh_state ?sink () =
     sink;
     seed = 1;
     svc_config = None;
-    offline_sign = true;
     services = Hashtbl.create 8;
     principals = Hashtbl.create 8;
     sessions = Hashtbl.create 8;
@@ -76,7 +71,8 @@ let world st line =
       (* The sink must see every event, so it attaches before any service
          or certificate exists. *)
       (match st.sink with Some sink -> Obs.attach (World.obs w) sink | None -> ());
-      let civ = Civ.create w ~name:"civ" ~offline_sign:st.offline_sign () in
+      let config = Option.value st.svc_config ~default:Service.default_config in
+      let civ = Civ.create w ~name:"civ" ~offline_sign:config.offline_sign () in
       st.world <- Some w;
       st.civ <- Some civ;
       ignore line;
@@ -637,15 +633,13 @@ let run_lines ?sink lines =
           | "revoke" :: tail ->
               exec_revoke st line tail;
               step rest
-          | [ "offline-verify"; v ] ->
-              (match v with
-              | "on" | "off" ->
-                  let enabled = String.equal v "on" in
-                  let base = Option.value st.svc_config ~default:Service.default_config in
-                  st.svc_config <- Some { base with offline_verify = enabled };
-                  st.offline_sign <- enabled
-              | _ -> fail line "offline-verify takes on|off, not %s" v);
+          | [ "offline-sign"; (("on" | "off") as v) ] ->
+              (* The CIV is created with the world and keeps its scheme. *)
+              if st.world <> None then fail line "offline-sign must come before anything else";
+              let base = Option.value st.svc_config ~default:Service.default_config in
+              st.svc_config <- Some { base with offline_sign = String.equal v "on" };
               step rest
+          | [ "offline-sign"; v ] -> fail line "offline-sign takes on|off, not %s" v
           | [ "suspect-grace"; f ] ->
               (match float_of_string_opt f with
               | Some g when g >= 0.0 ->

@@ -38,7 +38,7 @@
     run-until 1000.0
 
     suspect-grace 5.0           # config for services created after it
-    offline-verify off          # legacy HMAC + callback-per-check path
+    offline-sign off            # HMAC signers (callback per check); comes first
     fault partition wan hospital|civ   # sides are comma-separated services
     fault heal wan
     fault crash hospital
@@ -81,10 +81,12 @@
     created {e after} it to keep failure-detected roles active-but-suspect
     for [F] virtual seconds of anti-entropy reconciliation before
     fail-closed deactivation ([0] — the default — deactivates
-    immediately). [offline-verify on|off] (default on) controls whether
-    services issue root-certified signed credentials and verify presented
-    ones locally with zero RPCs (DESIGN.md §12); place it before the first
-    world-creating directive so the CIV's signing mode matches.
+    immediately). [offline-sign on|off] (default on) picks how the CIV and
+    every service sign the certificates they issue: under Schnorr keys
+    certified by the domain root, which relying services verify locally
+    with zero RPCs, or under the paper's epoch HMAC, which they validate by
+    callback (DESIGN.md §12). The CIV is created with the world, so the
+    directive is an error after anything that creates the world.
 
     Argument tokens inside parentheses: a declared principal name denotes
     its identity; integers, floats (times), ["strings"], [true]/[false] are

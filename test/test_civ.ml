@@ -8,10 +8,13 @@ module Civ = Oasis_domain.Civ
 module Value = Oasis_util.Value
 module Network = Oasis_sim.Network
 
-let make_civ ?(replicas = 3) ?monitoring ?notify_latency ?replication () =
+let make_civ ?(replicas = 3) ?monitoring ?notify_latency ?replication ?offline_sign () =
   let world = World.create ~seed:21 ?monitoring ?notify_latency () in
-  let civ = Civ.create world ~name:"civ" ~replicas ?replication () in
+  let civ = Civ.create world ~name:"civ" ~replicas ?replication ?offline_sign () in
   (world, civ)
+
+(* Rotation and re-issue are checked under both signing schemes. *)
+let both_schemes f = List.iter (fun offline_sign -> f (make_civ ~offline_sign ())) [ true; false ]
 
 let issue_for _world civ principal =
   let appt =
@@ -150,7 +153,7 @@ let test_round_robin_spreads_load () =
     served
 
 let test_epoch_rotation () =
-  let world, civ = make_civ () in
+  both_schemes @@ fun (world, civ) ->
   let p = Principal.create world ~name:"p" in
   let appt = issue_for world civ p in
   World.settle world;
@@ -203,7 +206,7 @@ let test_sync_replication_no_staleness () =
 let test_reissue_after_rotation () =
   (* Sect. 4.1: rotation invalidates old appointment certificates; re-issue
      under the new epoch secret restores service. *)
-  let world, civ = make_civ () in
+  both_schemes @@ fun (world, civ) ->
   let p = Principal.create world ~name:"p" in
   let old = issue_for world civ p in
   World.settle world;

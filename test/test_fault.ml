@@ -23,15 +23,20 @@ let fault_config =
     Service.default_config with
     suspect_grace = 5.0;
     retry = { Backoff.default with base = 0.01; cap = 0.2; max_attempts = 3 };
-    (* These tests exercise the validation-RPC failure detector and the
-       suspect/reconciliation machinery; offline verification would answer
-       the presentations locally and never touch the faulty link. *)
-    offline_verify = false;
   }
+
+(* These tests exercise the validation-RPC failure detector and the
+   suspect/reconciliation machinery, so the issuer signs with the epoch
+   HMAC: an offline-verifiable issuer would have its certificates checked
+   locally, never touching the faulty link. *)
+let hmac_issuer = { Service.default_config with offline_sign = false }
 
 let build ?(seed = 1) ?(config = fault_config) ?monitoring () =
   let world = World.create ~seed ?monitoring () in
-  let issuer = Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" () in
+  let issuer =
+    Service.create world ~name:"issuer" ~config:hmac_issuer
+      ~policy:"initial base <- env:eq(1, 1);" ()
+  in
   let relying =
     Service.create world ~name:"relying" ~config ~policy:"derived <- *base@issuer;" ()
   in

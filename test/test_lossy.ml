@@ -8,16 +8,15 @@ module Network = Oasis_sim.Network
 
 let build ~retries ~loss ~seed =
   let world = World.create ~seed () in
-  let issuer = Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" () in
-  let config =
-    {
-      Service.default_config with
-      retry = Oasis_util.Backoff.fixed (retries + 1);
-      (* The suite measures validation-RPC retries over a lossy link;
-         offline verification would bypass the link entirely. *)
-      offline_verify = false;
-    }
+  (* The suite measures validation-RPC retries over a lossy link, so the
+     issuer signs with the epoch HMAC; an offline-verifiable issuer would
+     bypass the link entirely. *)
+  let issuer =
+    Service.create world ~name:"issuer"
+      ~config:{ Service.default_config with offline_sign = false }
+      ~policy:"initial base <- env:eq(1, 1);" ()
   in
+  let config = { Service.default_config with retry = Oasis_util.Backoff.fixed (retries + 1) } in
   let relying =
     Service.create world ~name:"relying" ~config ~policy:"derived <- base@issuer;" ()
   in

@@ -73,14 +73,12 @@ let test_heartbeat_cancel_releases_timer () =
    its cache-invalidation watches on other issuers' event channels. *)
 let test_decommission_releases_cache_watches () =
   let world = World.create ~seed:13 () in
-  let civ = Civ.create world ~name:"authority" () in
   (* The regression is about releasing cache-invalidation watches, which
-     only the legacy callback path installs (offline verification does not
-     populate the positive cache). *)
-  let config = { Service.default_config with offline_verify = false } in
+     only the callback path installs (offline verification does not
+     populate the positive cache), so the CIV signs with the epoch HMAC. *)
+  let civ = Civ.create world ~name:"authority" ~offline_sign:false () in
   let svc =
-    Service.create world ~name:"club" ~config
-      ~policy:"initial member(u) <- *appt:badge(u)@authority;" ()
+    Service.create world ~name:"club" ~policy:"initial member(u) <- *appt:badge(u)@authority;" ()
   in
   let p = Principal.create world ~name:"p" in
   let badge =

@@ -232,6 +232,22 @@ let test_errors () =
 let test_seed_must_be_first () =
   expect_error "principal p\nseed 4"
 
+(* The CIV is created with the world, so a signing scheme chosen after the
+   world exists would apply to later services only. *)
+let test_late_offline_sign_rejected () =
+  let script first second =
+    Printf.sprintf
+      "seed 7\n%s\n%s\nservice hospital {\n  initial logged_in(u) <- *appt:employee(u)@civ ;\n}"
+      first second
+  in
+  expect_ok (script "offline-sign off" "principal alice");
+  match Scenario.run_string (script "principal alice" "offline-sign off") with
+  | Error e ->
+      Alcotest.(check int) "error names the directive's line" 3 e.Scenario.line;
+      Alcotest.(check string) "placement error"
+        "offline-sign must come before anything else" e.Scenario.message
+  | Ok _ -> Alcotest.fail "late offline-sign accepted"
+
 let test_string_and_bool_args () =
   expect_ok
     {|
@@ -290,6 +306,7 @@ let suite =
       Alcotest.test_case "decay revokes via tick" `Quick test_decay_revokes_through_tick;
       Alcotest.test_case "errors" `Quick test_errors;
       Alcotest.test_case "seed placement" `Quick test_seed_must_be_first;
+      Alcotest.test_case "late offline-sign" `Quick test_late_offline_sign_rejected;
       Alcotest.test_case "string/bool args" `Quick test_string_and_bool_args;
       Alcotest.test_case "extract policies" `Quick test_extract_policies;
       Alcotest.test_case "extract errors" `Quick test_extract_reports_policy_errors;

@@ -203,13 +203,15 @@ let test_tampered_rmc_rejected_by_issuer_callback () =
 
 let clinic_policy = "consultant(u) <- *doctor(u)@hospital;"
 
+(* The callback economics need an issuer that signs with the epoch HMAC; an
+   offline-verifiable hospital would have every presentation answered with
+   zero callbacks. *)
+let hmac_issuer = { Service.default_config with offline_sign = false }
+
 let test_cache_saves_callbacks () =
-  let t = make () in
+  let t = make ~config:hmac_issuer () in
   let session = alice_treating t ~patient:7 in
-  (* Measures the legacy callback economics; offline verification would
-     answer every presentation with zero callbacks. *)
-  let config = { Service.default_config with offline_verify = false } in
-  let clinic = Service.create t.world ~name:"clinic" ~config ~policy:clinic_policy () in
+  let clinic = Service.create t.world ~name:"clinic" ~policy:clinic_policy () in
   World.run_proc t.world (fun () ->
       for _ = 1 to 5 do
         match Principal.activate t.alice session clinic ~role:"consultant" () with
@@ -223,11 +225,9 @@ let test_cache_saves_callbacks () =
   Alcotest.(check bool) "cache hits accrued" true (st.Service.cache.Oasis_cert.Validation_cache.hits >= 20)
 
 let test_cache_disabled_calls_back_every_time () =
-  let t = make () in
+  let t = make ~config:hmac_issuer () in
   let session = alice_treating t ~patient:7 in
-  let config =
-    { Service.default_config with cache_remote_validation = false; offline_verify = false }
-  in
+  let config = { Service.default_config with cache_remote_validation = false } in
   let clinic = Service.create t.world ~name:"clinic" ~config ~policy:clinic_policy () in
   World.run_proc t.world (fun () ->
       for _ = 1 to 5 do

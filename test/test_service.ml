@@ -8,6 +8,7 @@ module Protocol = Oasis_core.Protocol
 module Env = Oasis_policy.Env
 module Value = Oasis_util.Value
 module Rmc = Oasis_cert.Rmc
+module Proc = Oasis_sim.Proc
 open Fixtures
 
 let test_initial_role_activation () =
@@ -254,11 +255,12 @@ let test_multiple_rules_disjunction () =
 let test_cross_service_prereq () =
   (* Fig. 1: service C requires RMCs issued by A. *)
   let world = World.create ~seed:9 () in
-  let a = Service.create world ~name:"a" ~policy:"initial base <- env:eq(1, 1);" () in
-  (* The point is the legacy validation callback at the issuer; offline
-     verification would prove [base@a] locally without one. *)
-  let config = { Service.default_config with offline_verify = false } in
-  let c2 = Service.create world ~name:"c2" ~config ~policy:"derived2 <- base@a;" () in
+  (* The point is the validation callback at the issuer, so [a] signs with
+     the epoch HMAC; an offline-verifiable [base@a] would be proved locally
+     without one. *)
+  let config = { Service.default_config with offline_sign = false } in
+  let a = Service.create world ~name:"a" ~config ~policy:"initial base <- env:eq(1, 1);" () in
+  let c2 = Service.create world ~name:"c2" ~policy:"derived2 <- base@a;" () in
   let p = Principal.create world ~name:"p" in
   World.run_proc world (fun () ->
       let s = Principal.start_session p in
@@ -270,6 +272,42 @@ let test_cross_service_prereq () =
   (* Validation callbacks happened at a. *)
   let st = Service.stats a in
   Alcotest.(check bool) "issuer answered callbacks" true (st.Service.callbacks_in >= 1)
+
+let test_revocation_during_validation_reply () =
+  (* An HMAC issuer revokes a certificate after answering its validation
+     callback but before the reply arrives. The Invalidated is published to
+     the subscribers of that moment, and the verifier's watches are not
+     among them yet; the watches it installs on the reply must replay the
+     retained tombstone, or the derived role outlives its prerequisite and
+     the cached positive verdict accepts the revoked certificate forever. *)
+  let world = World.create ~seed:9 () in
+  let config = { Service.default_config with offline_sign = false } in
+  let a = Service.create world ~name:"a" ~config ~policy:"initial base <- env:eq(1, 1);" () in
+  let c2 = Service.create world ~name:"c2" ~policy:"derived2 <- base@a;" () in
+  let p = Principal.create world ~name:"p" in
+  World.run_proc world (fun () ->
+      let s = Principal.start_session p in
+      let base = ok (Principal.activate p s a ~role:"base" ()) in
+      let creds = { Protocol.rmcs = [ base ]; appointments = [] } in
+      (* Revoke the moment [a] has answered the callback: the reply is still
+         on the wire for one network latency. *)
+      World.spawn world (fun () ->
+          while (Service.stats a).Service.callbacks_in = 0 do
+            Proc.sleep 0.0001
+          done;
+          Alcotest.(check bool) "revoked at issuer" true
+            (Service.revoke_certificate a base.Rmc.id ~reason:"test"));
+      let derived = ok (Principal.activate_with p s c2 ~role:"derived2" ~creds ()) in
+      Proc.sleep 0.1;
+      Alcotest.(check bool) "derived role collapsed" false
+        (Service.is_valid_certificate c2 derived.Rmc.id);
+      let callbacks = (Service.stats c2).Service.callbacks_out in
+      (match Principal.activate_with p s c2 ~role:"derived2" ~creds () with
+      | Error Protocol.No_proof -> ()
+      | Ok _ -> Alcotest.fail "revoked prerequisite accepted on re-presentation"
+      | Error _ -> Alcotest.fail "unexpected denial");
+      Alcotest.(check int) "refused from the poisoned cache" callbacks
+        (Service.stats c2).Service.callbacks_out)
 
 let suite =
   ( "service",
@@ -290,4 +328,6 @@ let suite =
       Alcotest.test_case "introspection" `Quick test_active_roles_and_introspection;
       Alcotest.test_case "rule disjunction" `Quick test_multiple_rules_disjunction;
       Alcotest.test_case "cross-service prereq" `Quick test_cross_service_prereq;
+      Alcotest.test_case "revocation during validation reply" `Quick
+        test_revocation_during_validation_reply;
     ] )

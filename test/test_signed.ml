@@ -226,14 +226,7 @@ let test_signed_appointment_roundtrip () =
 
 (* ---------------- The zero-RPC validation path ---------------- *)
 
-let build_pair ~offline () =
-  let world = World.create ~seed:23 () in
-  let issuer = Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" () in
-  let config = { Service.default_config with Service.offline_verify = offline } in
-  let relying =
-    Service.create world ~name:"relying" ~config ~policy:"derived <- *base@issuer;" ()
-  in
-  (world, issuer, relying)
+let signing offline_sign = { Service.default_config with Service.offline_sign }
 
 let activate_derived world issuer relying =
   let p = Principal.create world ~name:"p" in
@@ -244,28 +237,34 @@ let activate_derived world issuer relying =
   World.settle world
 
 let test_offline_path_zero_rpcs () =
-  let world, issuer, relying = build_pair ~offline:true () in
-  activate_derived world issuer relying;
-  let st = Service.stats relying in
-  Alcotest.(check int) "no validation callbacks" 0 st.Service.callbacks_out;
-  Alcotest.(check bool) "offline validations counted" true (st.Service.offline_validations >= 1);
-  Alcotest.(check int) "issuer answered nothing" 0 (Service.stats issuer).Service.callbacks_in
-
-let test_legacy_path_still_calls_back () =
-  let world, issuer, relying = build_pair ~offline:false () in
-  activate_derived world issuer relying;
-  let st = Service.stats relying in
-  Alcotest.(check bool) "callbacks made" true (st.Service.callbacks_out >= 1);
-  Alcotest.(check int) "no offline validations" 0 st.Service.offline_validations
+  (* How a presented credential is verified follows its issuer's chain, not
+     the relying service's own signing scheme: an HMAC-signing relying
+     service verifies an enrolled issuer's RMC offline too. *)
+  List.iter
+    (fun relying_signs_offline ->
+      let world = World.create ~seed:23 () in
+      let issuer =
+        Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" ()
+      in
+      let relying =
+        Service.create world ~name:"relying" ~config:(signing relying_signs_offline)
+          ~policy:"derived <- *base@issuer;" ()
+      in
+      activate_derived world issuer relying;
+      let st = Service.stats relying in
+      Alcotest.(check int) "no validation callbacks" 0 st.Service.callbacks_out;
+      Alcotest.(check bool) "offline validations counted" true
+        (st.Service.offline_validations >= 1);
+      Alcotest.(check int) "issuer answered nothing" 0 (Service.stats issuer).Service.callbacks_in)
+    [ true; false ]
 
 let test_unenrolled_issuer_falls_back () =
-  (* The issuer runs legacy HMAC signing (no chain with the root); a relying
-     service with offline verification on must fall back to the callback and
-     still grant. *)
+  (* The issuer signs with the epoch HMAC (no chain with the root); a
+     relying service must fall back to the callback and still grant. *)
   let world = World.create ~seed:29 () in
-  let legacy = { Service.default_config with Service.offline_verify = false } in
   let issuer =
-    Service.create world ~name:"issuer" ~config:legacy ~policy:"initial base <- env:eq(1, 1);" ()
+    Service.create world ~name:"issuer" ~config:(signing false)
+      ~policy:"initial base <- env:eq(1, 1);" ()
   in
   let relying = Service.create world ~name:"relying" ~policy:"derived <- *base@issuer;" () in
   activate_derived world issuer relying;
@@ -330,7 +329,6 @@ let suite =
       Alcotest.test_case "signed rmc roundtrip" `Quick test_signed_rmc_roundtrip;
       Alcotest.test_case "signed appointment roundtrip" `Quick test_signed_appointment_roundtrip;
       Alcotest.test_case "offline path zero RPCs" `Quick test_offline_path_zero_rpcs;
-      Alcotest.test_case "legacy path calls back" `Quick test_legacy_path_still_calls_back;
       Alcotest.test_case "unenrolled issuer falls back" `Quick test_unenrolled_issuer_falls_back;
       Alcotest.test_case "revoked re-presentation" `Quick test_revoked_represented_denied_offline;
       Alcotest.test_case "decommission revokes chain" `Quick test_decommission_revokes_chain;
