@@ -7,6 +7,7 @@ module Engine = Oasis_sim.Engine
 module Network = Oasis_sim.Network
 module Broker = Oasis_event.Broker
 module Heartbeat = Oasis_event.Heartbeat
+module Fault = Oasis_sim.Fault
 module Env = Oasis_policy.Env
 module Rule = Oasis_policy.Rule
 module Term = Oasis_policy.Term
@@ -87,7 +88,6 @@ type issued_rmc = {
   mutable watches : watch list;  (* env re-check timers *)
   mutable env_watch : (string * Value.t list) list;
       (* ground membership env constraints; first component may carry '!' *)
-  mutable beats : Heartbeat.emitter option;
   mutable suspect : suspect_state option;
   mutable reconciling : bool;  (* queued or running in the reconciler *)
 }
@@ -100,12 +100,6 @@ module Tuple_tbl = Hashtbl.Make (struct
   let equal = List.equal Value.equal
   let hash = Hashtbl.hash
 end)
-
-type issued_appt = {
-  appt : Appointment.t;
-  appt_record : Cr.t;
-  mutable appt_beats : Heartbeat.emitter option;
-}
 
 (* Per-service counters in the world's registry, labelled
    [service=<name>] — e.g. [service.env_rechecks{service=hospital}]. The
@@ -166,7 +160,7 @@ type t = {
   authorizations : (string, Rule.authorization Queue.t) Hashtbl.t;
   appointers : (string, Rule.authorization Queue.t) Hashtbl.t;
   operations : (string, principal:Ident.t -> Value.t list -> Value.t option) Hashtbl.t;
-  crs : Cr.store;
+  records : Issuer_records.t;
   rmcs : issued_rmc Ident.Tbl.t;
   env_index : (string, issued_rmc Ident.Map.t Tuple_tbl.t) Hashtbl.t;
       (* predicate base name -> fact tuple -> issued RMCs whose membership
@@ -175,7 +169,6 @@ type t = {
       (* remote issuer -> issued RMCs holding a dependency on that issuer;
          an issuer-unreachable sweep touches only its watchers, never the
          whole RMC table *)
-  appts : issued_appt Ident.Tbl.t;
   cache : Vcache.t;
   cache_watched : watch Ident.Tbl.t;  (* remote cert id -> invalidation watch *)
   st : counters;
@@ -224,14 +217,12 @@ let register_operation t privilege handler = Hashtbl.replace t.operations privil
 (* Own certificates verify under this service's issuer key, and the
    credential record store has the last word — a perfectly signed but
    revoked certificate is dead. *)
-let record_valid t cert_id =
-  match Cr.find t.crs cert_id with Some record -> Cr.is_valid record | None -> false
-
 let verify_own_rmc t ~principal_key (rmc : Rmc.t) =
-  Issuer_key.verify_rmc t.key ~principal_key rmc && record_valid t rmc.id
+  Issuer_key.verify_rmc t.key ~principal_key rmc && Issuer_records.is_valid t.records rmc.id
 
 let verify_own_appt t (appt : Appointment.t) =
-  Issuer_key.verify_appointment t.key ~now:(World.now t.world) appt && record_valid t appt.id
+  Issuer_key.verify_appointment t.key ~now:(World.now t.world) appt
+  && Issuer_records.is_valid t.records appt.id
 
 (* How a presented certificate is verified follows from what its issuer
    publishes: offline against the issuer's chain with the domain root when
@@ -370,12 +361,6 @@ let unindex_deps t issued =
 (* Revocation and cascading deactivation (Fig. 5)                     *)
 (* ------------------------------------------------------------------ *)
 
-let announce_invalidation t record reason =
-  (* Retained: a revocation is true forever, and offline verification needs
-     late dependency watches to find the tombstone on the channel. *)
-  Broker.publish ~src:t.sid ~retain:true (World.broker t.world) (Cr.topic record)
-    (Protocol.Invalidated { issuer = t.sid; cert_id = record.Cr.cert_id; reason })
-
 let cancel_suspect t issued =
   match issued.suspect with
   | None -> ()
@@ -394,11 +379,10 @@ let drop_dep_watch t dep =
       drop_watch t w
   | None -> ()
 
-(* Tears down a role's in-memory monitoring — emitter, dependency watches,
-   env timers, suspect timer — on deactivation and on crash alike. *)
+(* Tears down a role's in-memory monitoring — dependency watches, env
+   timers, suspect timer — on deactivation and on crash alike. Its emitter
+   is the issuer records' to stop. *)
 let stop_monitoring t issued =
-  (match issued.beats with Some e -> Heartbeat.stop_emitter e | None -> ());
-  issued.beats <- None;
   cancel_suspect t issued;
   List.iter (drop_dep_watch t) issued.deps;
   List.iter (drop_watch t) issued.watches;
@@ -444,35 +428,37 @@ let support_creds support =
       | Solve.By_env _ -> None)
     support
 
+(* Deactivation revokes the RMC's credential record. Between the flip and
+   the announcement on its channel, the role's own state goes: counters,
+   the svc.revoke event, the Revoke decision record and its monitoring. *)
 let deactivate_rmc t (issued : issued_rmc) ~reason ~cascade =
-  match Cr.revoke t.crs issued.rmc.Rmc.id ~at:(World.now t.world) ~reason with
-  | None -> () (* already revoked *)
-  | Some record ->
-      Obs.Counter.inc t.st.revocations;
-      if cascade then Obs.Counter.inc t.st.cascade_deactivations;
-      if Obs.tracing t.obs then
-        Obs.event t.obs "svc.revoke"
-          ~labels:
-            [
-              ("service", t.sname);
-              ("cert", Ident.to_string issued.rmc.Rmc.id);
-              ("role", issued.rmc.Rmc.role);
-              ("cascade", if cascade then "true" else "false");
-              ("reason", reason);
-            ];
-      Log.debug (fun m ->
-          m "%s deactivates %s (%s): %s" t.sname (Ident.to_string issued.rmc.Rmc.id)
-            issued.rmc.Rmc.role reason);
-      log_decision t ~decision:Dlog.Revoke ~principal:issued.ir_principal
-        ~action:("revoke:" ^ issued.rmc.Rmc.role) ~args:issued.rmc.Rmc.args ~rule:reason
-        ~creds:[ issued.rmc.Rmc.id ]
-        ~env_facts:(List.map render_env_fact issued.env_watch)
-        ();
-      stop_monitoring t issued;
-      unindex_env t issued;
-      issued.env_watch <- [];
-      unindex_deps t issued;
-      announce_invalidation t record reason
+  let bookkeeping _record =
+    Obs.Counter.inc t.st.revocations;
+    if cascade then Obs.Counter.inc t.st.cascade_deactivations;
+    if Obs.tracing t.obs then
+      Obs.event t.obs "svc.revoke"
+        ~labels:
+          [
+            ("service", t.sname);
+            ("cert", Ident.to_string issued.rmc.Rmc.id);
+            ("role", issued.rmc.Rmc.role);
+            ("cascade", if cascade then "true" else "false");
+            ("reason", reason);
+          ];
+    Log.debug (fun m ->
+        m "%s deactivates %s (%s): %s" t.sname (Ident.to_string issued.rmc.Rmc.id)
+          issued.rmc.Rmc.role reason);
+    log_decision t ~decision:Dlog.Revoke ~principal:issued.ir_principal
+      ~action:("revoke:" ^ issued.rmc.Rmc.role) ~args:issued.rmc.Rmc.args ~rule:reason
+      ~creds:[ issued.rmc.Rmc.id ]
+      ~env_facts:(List.map render_env_fact issued.env_watch)
+      ();
+    stop_monitoring t issued;
+    unindex_env t issued;
+    issued.env_watch <- [];
+    unindex_deps t issued
+  in
+  ignore (Issuer_records.revoke t.records issued.rmc.Rmc.id ~reason ~bookkeeping)
 
 (* ------------------------------------------------------------------ *)
 (* Suspect state and anti-entropy reconciliation (DESIGN.md §11)      *)
@@ -579,7 +565,7 @@ and pump_reconcile t =
    [Some valid] is authoritative; [None] means the issuer stayed
    unreachable (or does not speak Check_cr) — keep polling, never guess. *)
 and check_dep t dep =
-  if Ident.equal dep.dep_issuer t.sid then Some (record_valid t dep.dep_cert)
+  if Ident.equal dep.dep_issuer t.sid then Some (Issuer_records.is_valid t.records dep.dep_cert)
   else
     match
       Backoff.retry t.config.retry (World.rng t.world) ~sleep:Proc.sleep
@@ -873,14 +859,9 @@ let solver_context t ~rmc_creds ~appt_creds =
 (* Administrative revocation (Fig. 5)                                 *)
 (* ------------------------------------------------------------------ *)
 
-let revoke_appt t (ia : issued_appt) ~reason =
-  match Cr.revoke t.crs ia.appt.Appointment.id ~at:(World.now t.world) ~reason with
-  | None -> false
-  | Some record ->
-      Obs.Counter.inc t.st.revocations;
-      (match ia.appt_beats with Some e -> Heartbeat.stop_emitter e | None -> ());
-      announce_invalidation t record reason;
-      true
+(* An appointment holds no monitoring state here: revoking one costs the
+   counter alone. *)
+let count_revocation t _record = Obs.Counter.inc t.st.revocations
 
 let revoke_certificate t cert_id ~reason =
   match Ident.Tbl.find_opt t.rmcs cert_id with
@@ -888,10 +869,7 @@ let revoke_certificate t cert_id ~reason =
       let was_valid = Cr.is_valid issued.record in
       deactivate_rmc t issued ~reason ~cascade:false;
       was_valid
-  | None -> (
-      match Ident.Tbl.find_opt t.appts cert_id with
-      | Some ia -> revoke_appt t ia ~reason
-      | None -> false)
+  | None -> Issuer_records.revoke t.records cert_id ~reason ~bookkeeping:(count_revocation t)
 
 let rotate_secret t = Issuer_key.rotate t.key ~now:(World.now t.world)
 
@@ -906,9 +884,11 @@ let decommission t ~reason =
         incr count
       end)
     t.rmcs;
-  Ident.Tbl.iter
-    (fun _ ia -> if revoke_appt t ia ~reason then incr count)
-    t.appts;
+  List.iter
+    (fun cert_id ->
+      if Issuer_records.revoke t.records cert_id ~reason ~bookkeeping:(count_revocation t) then
+        incr count)
+    (Issuer_records.valid_appointments t.records);
   (* This service also holds state about *other* services' certificates:
      invalidation watches backing the validation cache. A decommissioned
      service must not keep subscriptions or heartbeat monitors alive on
@@ -925,15 +905,6 @@ let decommission t ~reason =
 (* ------------------------------------------------------------------ *)
 (* Membership monitoring for a freshly issued RMC                     *)
 (* ------------------------------------------------------------------ *)
-
-let start_beats t record =
-  match World.monitoring t.world with
-  | Change_events -> None
-  | Heartbeats { period; _ } ->
-      Some
-        (Heartbeat.start_emitter ~src:t.sid (World.broker t.world) (World.engine t.world)
-           ~topic:(Cr.topic record) ~period
-           ~beat:(Protocol.Beat { issuer = t.sid; cert_id = record.Cr.cert_id }))
 
 (* Time-dependent constraints change truth value spontaneously: schedule a
    re-check at the earliest possible flip. One timer slot per constraint —
@@ -1070,12 +1041,8 @@ let install_env_listener t =
    from. *)
 let crash_node t =
   t.crashed <- true;
+  Issuer_records.stop_emitters t.records;
   Ident.Tbl.iter (fun _ issued -> stop_monitoring t issued) t.rmcs;
-  Ident.Tbl.iter
-    (fun _ ia ->
-      (match ia.appt_beats with Some e -> Heartbeat.stop_emitter e | None -> ());
-      ia.appt_beats <- None)
-    t.appts;
   Ident.Tbl.iter (fun _ watch -> drop_watch t watch) t.cache_watched;
   Ident.Tbl.reset t.cache_watched;
   Vcache.clear t.cache;
@@ -1120,11 +1087,7 @@ let resume_chain t =
 let restart_node t =
   resume_chain t;
   t.crashed <- false;
-  Ident.Tbl.iter
-    (fun _ ia ->
-      if Cr.is_valid ia.appt_record && ia.appt_beats = None then
-        ia.appt_beats <- start_beats t ia.appt_record)
-    t.appts;
+  Issuer_records.resume t.records;
   (* Snapshot: the rebuild may deactivate records, mutating the table. *)
   let live =
     Ident.Tbl.fold (fun _ i acc -> if Cr.is_valid i.record then i :: acc else acc) t.rmcs []
@@ -1132,7 +1095,6 @@ let restart_node t =
   List.iter
     (fun issued ->
       if Cr.is_valid issued.record then begin
-        if issued.beats = None then issued.beats <- start_beats t issued.record;
         if
           not
             (List.for_all
@@ -1146,7 +1108,9 @@ let restart_node t =
             ~reason:"restart: membership constraint no longer holds"
         else if
           List.exists
-            (fun dep -> Ident.equal dep.dep_issuer t.sid && not (record_valid t dep.dep_cert))
+            (fun dep ->
+              Ident.equal dep.dep_issuer t.sid
+              && not (Issuer_records.is_valid t.records dep.dep_cert))
             issued.deps
         then
           deactivate_rmc t issued ~cascade:true ~reason:"restart: supporting credential revoked"
@@ -1176,11 +1140,46 @@ let record_grant t ?issued ~principal ~action ~args ~support ~rule () =
   log_decision t ~decision:Dlog.Grant ~principal ~action ~args ~rule ~creds
     ~env_facts:(support_env_facts support) ()
 
-(* Denials are decisions too: they enter the chain with the refusal reason
-   in the rule slot, so [oasisctl audit why] explains refusals as well as
-   grants. *)
-let record_denial t ~principal ~action ~reason =
-  log_decision t ~decision:Dlog.Deny ~principal ~action ~rule:reason ()
+(* Activation, invocation and appointment take one decision (Fig. 2). It
+   has five outcomes: an unknown name, a failed challenge, a policy error
+   and a missing proof are denied, and a proof is handed to the request's
+   [grant]. Denials are decisions too: they enter the chain under [action]
+   with the refusal reason in the rule slot, so [oasisctl audit why]
+   explains refusals as well as grants. *)
+let decide t ~src ~principal ~session_key ~creds ~action ~denied ~challenge ~unknown ~rules
+    ~solve ~grant =
+  let deny reason denial =
+    Obs.Counter.inc denied;
+    log_decision t ~decision:Dlog.Deny ~principal ~action ~rule:reason ();
+    Protocol.Denied denial
+  in
+  let policy_error message =
+    Log.err (fun m -> m "%s: %s" t.sname message);
+    deny message (Protocol.Bad_request message)
+  in
+  match rules with
+  | None ->
+      let reason, denial = unknown in
+      deny reason denial
+  | Some rules -> (
+      let rmc_creds, appt_creds = validate_presented t ~src ~session_key creds in
+      let ctx = solver_context t ~rmc_creds ~appt_creds in
+      if challenge && not (challenge_key t ~dst:src ~key:session_key) then
+        deny "challenge failed" Protocol.Challenge_failed
+      else
+        (* A rule that proves but leaves a head parameter unbound, one
+           naming an unknown predicate, or one negating a non-ground
+           constraint is a policy configuration error: refuse the request
+           and log, never crash the service. *)
+        match Seq.find_map (solve ctx) (Queue.to_seq rules) with
+        | Some proof -> grant proof
+        | None -> deny "no proof" Protocol.No_proof
+        | exception Solve.Unbound_head (r, v) ->
+            policy_error (Printf.sprintf "policy error: unbound head parameter %s in role %s" v r)
+        | exception Solve.Nonground_negation p ->
+            policy_error (Printf.sprintf "policy error: non-ground negated constraint %s" p)
+        | exception Env.Unknown_predicate p ->
+            policy_error (Printf.sprintf "policy error: unknown predicate %s" p))
 
 let seed_from_requested (rule : Rule.activation) requested =
   (* Positional unification of the requested parameter pins. *)
@@ -1196,213 +1195,106 @@ let seed_from_requested (rule : Rule.activation) requested =
       (Some Term.Subst.empty) rule.params requested
 
 let handle_activate t ~src ~principal ~session_key ~role ~requested ~creds =
-  match Hashtbl.find_opt t.activations role with
-  | None ->
-      Obs.Counter.inc t.st.activations_denied;
-      record_denial t ~principal ~action:("activate:" ^ role) ~reason:"unknown role";
-      Protocol.Denied (Protocol.Unknown_role role)
-  | Some rules ->
-      let rmc_creds, appt_creds = validate_presented t ~src ~session_key creds in
-      let ctx = solver_context t ~rmc_creds ~appt_creds in
-      let challenge_ok =
-        (not t.config.challenge_on_activation) || challenge_key t ~dst:src ~key:session_key
+  let action = "activate:" ^ role in
+  decide t ~src ~principal ~session_key ~creds ~action
+    ~denied:t.st.activations_denied ~challenge:t.config.challenge_on_activation
+    ~unknown:("unknown role", Protocol.Unknown_role role)
+    ~rules:(Hashtbl.find_opt t.activations role)
+    ~solve:(fun ctx rule ->
+      Option.bind (seed_from_requested rule requested) (fun seed ->
+          Solve.activation ~obs:t.obs ctx rule ~seed ()))
+    ~grant:(fun (proof : Solve.proof) ->
+      let cert_id = World.fresh_cert_id t.world in
+      let rmc =
+        Issuer_key.issue_rmc t.key ~principal_key:session_key ~id:cert_id ~role
+          ~args:proof.role_args ~issued_at:(World.now t.world)
       in
-      if not challenge_ok then begin
-        Obs.Counter.inc t.st.activations_denied;
-        record_denial t ~principal ~action:("activate:" ^ role) ~reason:"challenge failed";
-        Protocol.Denied Protocol.Challenge_failed
-      end
-      else
-        let proof =
-          (* A rule that proves but leaves a head parameter unbound, one
-             naming an unknown predicate, or one negating a non-ground
-             constraint is a policy configuration error: refuse the request
-             and log, never crash the service. *)
-          try
-            Ok
-              (Seq.find_map
-                 (fun rule ->
-                   match seed_from_requested rule requested with
-                   | None -> None
-                   | Some seed -> Solve.activation ~obs:t.obs ctx rule ~seed ())
-                 (Queue.to_seq rules))
-          with
-          | Oasis_policy.Solve.Unbound_head (r, v) ->
-              Error (Printf.sprintf "policy error: unbound head parameter %s in role %s" v r)
-          | Oasis_policy.Solve.Nonground_negation p ->
-              Error (Printf.sprintf "policy error: non-ground negated constraint %s" p)
-          | Env.Unknown_predicate p ->
-              Error (Printf.sprintf "policy error: unknown predicate %s" p)
-        in
-        match proof with
-        | Error message ->
-            Obs.Counter.inc t.st.activations_denied;
-            Log.err (fun m -> m "%s: %s" t.sname message);
-            record_denial t ~principal ~action:("activate:" ^ role) ~reason:message;
-            Protocol.Denied (Protocol.Bad_request message)
-        | Ok None ->
-            Obs.Counter.inc t.st.activations_denied;
-            record_denial t ~principal ~action:("activate:" ^ role) ~reason:"no proof";
-            Protocol.Denied Protocol.No_proof
-        | Ok (Some proof) ->
-            let cert_id = World.fresh_cert_id t.world in
-            let now = World.now t.world in
-            let rmc =
-              Issuer_key.issue_rmc t.key ~principal_key:session_key ~id:cert_id ~role
-                ~args:proof.role_args ~issued_at:now
-            in
-            let record =
-              Cr.add t.crs ~cert_id ~issuer:t.sid ~kind:Cr.Kind_rmc ~principal ~name:role
-                ~args:proof.role_args ~issued_at:now
-            in
-            let issued =
-              {
-                rmc;
-                record;
-                initial = proof.rule.initial;
-                session_key;
-                ir_principal = principal;
-                deps = [];
-                watches = [];
-                env_watch = [];
-                beats = start_beats t record;
-                suspect = None;
-                reconciling = false;
-              }
-            in
-            Ident.Tbl.replace t.rmcs cert_id issued;
-            monitor_membership t issued proof;
-            record_grant t ~issued:cert_id ~principal ~action:("activate:" ^ role)
-              ~args:proof.role_args ~support:proof.support
-              ~rule:(Parser.print_statement (Parser.Activation proof.rule))
-              ();
-            Obs.Counter.inc t.st.activations_granted;
-            Log.debug (fun m ->
-                m "%s grants %s(%s) to %a" t.sname role
-                  (String.concat ", " (List.map Value.to_string proof.role_args))
-                  Ident.pp principal);
-            Protocol.Activate_ok { rmc; initial = proof.rule.initial }
+      let record =
+        Issuer_records.add t.records ~cert_id ~kind:Cr.Kind_rmc ~principal ~name:role
+          ~args:proof.role_args ()
+      in
+      let issued =
+        {
+          rmc;
+          record;
+          initial = proof.rule.initial;
+          session_key;
+          ir_principal = principal;
+          deps = [];
+          watches = [];
+          env_watch = [];
+          suspect = None;
+          reconciling = false;
+        }
+      in
+      Ident.Tbl.replace t.rmcs cert_id issued;
+      monitor_membership t issued proof;
+      record_grant t ~issued:cert_id ~principal ~action ~args:proof.role_args
+        ~support:proof.support
+        ~rule:(Parser.print_statement (Parser.Activation proof.rule))
+        ();
+      Obs.Counter.inc t.st.activations_granted;
+      Log.debug (fun m ->
+          m "%s grants %s(%s) to %a" t.sname role
+            (String.concat ", " (List.map Value.to_string proof.role_args))
+            Ident.pp principal);
+      Protocol.Activate_ok { rmc; initial = proof.rule.initial })
 
-(* Authorization search with the same policy-error containment. *)
-let solve_privilege ~obs ctx rules args =
-  try
-    Ok
-      (Seq.find_map
-         (fun (rule : Rule.authorization) ->
-           if List.length rule.priv_args <> List.length args then None
-           else
-             match
-               List.fold_left2
-                 (fun acc param value ->
-                   match acc with None -> None | Some s -> Term.unify s param value)
-                 (Some Term.Subst.empty) rule.priv_args args
-             with
-             | None -> None
-             | Some seed ->
-                 Option.map
-                   (fun (subst, support) -> (rule, subst, support))
-                   (Solve.authorization ~obs ctx rule ~seed ()))
-         (Queue.to_seq rules))
-  with
-  | Env.Unknown_predicate p -> Error (Printf.sprintf "policy error: unknown predicate %s" p)
-  | Oasis_policy.Solve.Nonground_negation p ->
-      Error (Printf.sprintf "policy error: non-ground negated constraint %s" p)
+(* Invocation and appointment both prove an authorization rule whose
+   parameters are pinned positionally by the requested arguments. *)
+let solve_privilege t args ctx (rule : Rule.authorization) =
+  Option.bind (Term.unify_args Term.Subst.empty rule.priv_args args) (fun seed ->
+      Solve.authorization ~obs:t.obs ctx rule ~seed ()
+      |> Option.map (fun (_subst, support) -> (rule, support)))
 
 let handle_invoke t ~src ~principal ~session_key ~privilege ~args ~creds =
-  match Hashtbl.find_opt t.authorizations privilege with
-  | None ->
-      Obs.Counter.inc t.st.invocations_denied;
-      record_denial t ~principal ~action:("invoke:" ^ privilege) ~reason:"unknown privilege";
-      Protocol.Denied (Protocol.Unknown_privilege privilege)
-  | Some rules ->
-      let rmc_creds, appt_creds = validate_presented t ~src ~session_key creds in
-      let ctx = solver_context t ~rmc_creds ~appt_creds in
-      let challenge_ok =
-        (not t.config.challenge_on_invocation) || challenge_key t ~dst:src ~key:session_key
+  decide t ~src ~principal ~session_key ~creds ~action:("invoke:" ^ privilege)
+    ~denied:t.st.invocations_denied ~challenge:t.config.challenge_on_invocation
+    ~unknown:("unknown privilege", Protocol.Unknown_privilege privilege)
+    ~rules:(Hashtbl.find_opt t.authorizations privilege)
+    ~solve:(solve_privilege t args)
+    ~grant:(fun (rule, support) ->
+      (* A grant logs the bare privilege name. *)
+      record_grant t ~principal ~action:privilege ~args ~support
+        ~rule:(Parser.print_statement (Parser.Authorization rule))
+        ();
+      Obs.Counter.inc t.st.invocations_granted;
+      let result =
+        match Hashtbl.find_opt t.operations privilege with
+        | Some operation -> operation ~principal args
+        | None -> None
       in
-      if not challenge_ok then begin
-        Obs.Counter.inc t.st.invocations_denied;
-        record_denial t ~principal ~action:("invoke:" ^ privilege) ~reason:"challenge failed";
-        Protocol.Denied Protocol.Challenge_failed
-      end
-      else
-        match solve_privilege ~obs:t.obs ctx rules args with
-        | Error message ->
-            Obs.Counter.inc t.st.invocations_denied;
-            Log.err (fun m -> m "%s: %s" t.sname message);
-            record_denial t ~principal ~action:("invoke:" ^ privilege) ~reason:message;
-            Protocol.Denied (Protocol.Bad_request message)
-        | Ok None ->
-            Obs.Counter.inc t.st.invocations_denied;
-            record_denial t ~principal ~action:("invoke:" ^ privilege) ~reason:"no proof";
-            Protocol.Denied Protocol.No_proof
-        | Ok (Some (rule, _subst, support)) ->
-            record_grant t ~principal ~action:privilege ~args ~support
-              ~rule:(Parser.print_statement (Parser.Authorization rule))
-              ();
-            Obs.Counter.inc t.st.invocations_granted;
-            let result =
-              match Hashtbl.find_opt t.operations privilege with
-              | Some operation -> operation ~principal args
-              | None -> None
-            in
-            Protocol.Invoke_ok result
+      Protocol.Invoke_ok result)
 
 let handle_appoint t ~src ~principal ~session_key ~kind ~args ~holder ~holder_key ~expires_at
     ~creds =
-  match Hashtbl.find_opt t.appointers kind with
-  | None ->
-      Obs.Counter.inc t.st.appointments_denied;
-      record_denial t ~principal ~action:("appoint:" ^ kind) ~reason:"unknown appointment kind";
-      Protocol.Denied (Protocol.Unknown_privilege ("appoint:" ^ kind))
-  | Some rules ->
-      let rmc_creds, appt_creds = validate_presented t ~src ~session_key creds in
-      let ctx = solver_context t ~rmc_creds ~appt_creds in
-      let challenge_ok =
-        (not t.config.challenge_on_invocation) || challenge_key t ~dst:src ~key:session_key
+  let action = "appoint:" ^ kind in
+  decide t ~src ~principal ~session_key ~creds ~action ~denied:t.st.appointments_denied
+    ~challenge:t.config.challenge_on_invocation
+    ~unknown:("unknown appointment kind", Protocol.Unknown_privilege action)
+    ~rules:(Hashtbl.find_opt t.appointers kind)
+    ~solve:(solve_privilege t args)
+    ~grant:(fun (rule, support) ->
+      let cert_id = World.fresh_cert_id t.world in
+      let appt =
+        Issuer_key.issue_appointment t.key ~id:cert_id ~kind ~args ~holder:holder_key
+          ~issued_at:(World.now t.world) ?expires_at ()
       in
-      if not challenge_ok then begin
-        Obs.Counter.inc t.st.appointments_denied;
-        record_denial t ~principal ~action:("appoint:" ^ kind) ~reason:"challenge failed";
-        Protocol.Denied Protocol.Challenge_failed
-      end
-      else
-        match solve_privilege ~obs:t.obs ctx rules args with
-        | Error message ->
-            Obs.Counter.inc t.st.appointments_denied;
-            Log.err (fun m -> m "%s: %s" t.sname message);
-            record_denial t ~principal ~action:("appoint:" ^ kind) ~reason:message;
-            Protocol.Denied (Protocol.Bad_request message)
-        | Ok None ->
-            Obs.Counter.inc t.st.appointments_denied;
-            record_denial t ~principal ~action:("appoint:" ^ kind) ~reason:"no proof";
-            Protocol.Denied Protocol.No_proof
-        | Ok (Some (rule, _subst, support)) ->
-            let cert_id = World.fresh_cert_id t.world in
-            let now = World.now t.world in
-            let appt =
-              Issuer_key.issue_appointment t.key ~id:cert_id ~kind ~args ~holder:holder_key
-                ~issued_at:now ?expires_at ()
-            in
-            let record =
-              Cr.add t.crs ~cert_id ~issuer:t.sid ~kind:Cr.Kind_appointment ~principal:holder
-                ~name:kind ~args ~issued_at:now
-            in
-            let ia = { appt; appt_record = record; appt_beats = start_beats t record } in
-            Ident.Tbl.replace t.appts cert_id ia;
-            (* The issuer announces expiry on the event channel so dependent
-               roles collapse at the deadline, not at next validation. *)
-            (match expires_at with
-            | Some at when at > now ->
-                ignore
-                  (Engine.schedule_at (World.engine t.world) ~at (fun () ->
-                       ignore (revoke_appt t ia ~reason:"expired")))
-            | Some _ | None -> ());
-            record_grant t ~issued:cert_id ~principal ~action:("appoint:" ^ kind) ~args ~support
-              ~rule:(Parser.print_statement (Parser.Appointer rule))
-              ();
-            Obs.Counter.inc t.st.appointments_granted;
-            Protocol.Appoint_ok appt
+      let expire () =
+        ignore
+          (Issuer_records.revoke t.records cert_id ~reason:"expired"
+             ~bookkeeping:(count_revocation t))
+      in
+      ignore
+        (Issuer_records.add t.records ~cert_id ~kind:Cr.Kind_appointment ~principal:holder
+           ~name:kind ~args
+           ?expiry:(Option.map (fun at -> (at, expire)) expires_at)
+           ());
+      record_grant t ~issued:cert_id ~principal ~action ~args ~support
+        ~rule:(Parser.print_statement (Parser.Appointer rule))
+        ();
+      Obs.Counter.inc t.st.appointments_granted;
+      Protocol.Appoint_ok appt)
 
 let handle_deactivate t ~cert_id ~session_key =
   match Ident.Tbl.find_opt t.rmcs cert_id with
@@ -1441,11 +1333,7 @@ let handle_rpc t ~src msg =
   | Protocol.Check_cr { cert_id } ->
       (* Anti-entropy: answer point-blank from the credential store. Any
          service can vouch for (or disown) the certificates it issued. *)
-      Protocol.Cr_status
-        {
-          valid =
-            (match Cr.find t.crs cert_id with Some record -> Cr.is_valid record | None -> false);
-        }
+      Protocol.Cr_status { valid = Issuer_records.is_valid t.records cert_id }
   | Protocol.Activate_ok _ | Protocol.Invoke_ok _ | Protocol.Appoint_ok _
   | Protocol.Deactivate_ok | Protocol.Validate_result _ | Protocol.Challenge_msg _
   | Protocol.Challenge_response _ | Protocol.Env_result _ | Protocol.Cr_status _
@@ -1500,11 +1388,12 @@ let create world ~name ?(config = default_config) ?env ~policy () =
       authorizations = Hashtbl.create 16;
       appointers = Hashtbl.create 8;
       operations = Hashtbl.create 8;
-      crs = Cr.create_store ();
+      records =
+        Issuer_records.create world ~issuer:sid ~is_down:(fun () ->
+            Fault.is_crashed (World.fault world) sid);
       rmcs = Ident.Tbl.create 64;
       env_index = Hashtbl.create 16;
       watchers_by_issuer = Ident.Tbl.create 8;
-      appts = Ident.Tbl.create 64;
       cache = Vcache.create ~obs ~labels ();
       cache_watched = Ident.Tbl.create 64;
       st =
@@ -1581,7 +1470,7 @@ let create world ~name ?(config = default_config) ?env ~policy () =
       on_oneway = (fun ~src:_ _msg -> ());
       on_rpc = (fun ~src msg -> handle_rpc t ~src msg);
     };
-  Oasis_sim.Fault.set_hooks (World.fault world) sid
+  Fault.set_hooks (World.fault world) sid
     ~on_crash:(fun () -> crash_node t)
     ~on_restart:(fun () -> restart_node t);
   t
@@ -1589,8 +1478,8 @@ let create world ~name ?(config = default_config) ?env ~policy () =
 (* Crash/restart are driven through the world's fault controller so network
    down-state, the broker's partition filter and the service hooks stay in
    lock-step; these are conveniences for tests and application code. *)
-let crash t = Oasis_sim.Fault.crash (World.fault t.world) t.sid
-let restart t = Oasis_sim.Fault.restart (World.fault t.world) t.sid
+let crash t = Fault.crash (World.fault t.world) t.sid
+let restart t = Fault.restart (World.fault t.world) t.sid
 let is_crashed t = t.crashed
 
 (* Registers [local_name] as a computed predicate answered by [at]'s
@@ -1611,8 +1500,7 @@ let register_remote_predicate t ~local_name ~at ~remote_name =
 (* Introspection                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let is_valid_certificate t cert_id =
-  match Cr.find t.crs cert_id with Some record -> Cr.is_valid record | None -> false
+let is_valid_certificate t cert_id = Issuer_records.is_valid t.records cert_id
 
 let active_roles t =
   Ident.Tbl.fold
@@ -1628,7 +1516,7 @@ let active_roles_named t role =
       if record.Cr.kind = Cr.Kind_rmc && Cr.is_valid record then
         Some (record.Cr.cert_id, record.Cr.args, record.Cr.principal)
       else None)
-    (Cr.find_named t.crs ~issuer:t.sid ~name:role)
+    (Issuer_records.find_named t.records ~name:role)
 
 let suspect_roles t =
   Ident.Tbl.fold

@@ -130,8 +130,10 @@ val register_remote_predicate :
 val revoke_certificate : t -> Oasis_util.Ident.t -> reason:string -> bool
 (** Administratively revokes a certificate issued here (RMC or appointment):
     the credential record is invalidated, the change is announced on its
-    event channel, and dependent roles everywhere collapse (Fig. 5). [false]
-    if unknown or already revoked. *)
+    event channel ({!Issuer_records.revoke}), and dependent roles everywhere
+    collapse (Fig. 5). [false] if unknown or already revoked. An appointment
+    issued with an expiry is revoked the same way at its deadline, or at
+    {!restart} if the service is down then. *)
 
 val decommission : t -> reason:string -> int
 (** Administrative shutdown: revokes every certificate this service issued
@@ -167,7 +169,9 @@ val restart : t -> unit
 (** Rebuilds subscriptions, monitors and emitters from the durable
     credential records. The durable decision-log chain is re-verified and
     resumed first — on any mismatch the service refuses to come back
-    ({!Chain_tampered}).
+    ({!Chain_tampered}). Appointments whose expiry passed while down are
+    then revoked and announced ({!Issuer_records.resume}), before any
+    emitter restarts.
     Environmental constraints are re-checked on the spot
     (changes missed while down deactivate now); roles resting on remote
     credentials become {e suspect} and are re-validated by anti-entropy
@@ -251,7 +255,8 @@ type stats = {
   cascade_deactivations : int;  (** revocations triggered by monitoring, not administration *)
   env_rechecks : int;
       (** RMCs whose membership constraints were re-examined because a fact
-          changed — only the watchers of the changed predicate *)
+          changed — only the watchers of the changed fact tuple (every
+          watcher of a computed predicate, whose poke names no tuple) *)
   suspects : int;  (** roles that entered suspect state ([svc.suspect{service=..}]) *)
   reconciled_reinstated : int;
       (** suspect roles reconciliation re-validated and kept active *)

@@ -1,14 +1,12 @@
 module Ident = Oasis_util.Ident
-module Value = Oasis_util.Value
-module Engine = Oasis_sim.Engine
 module Network = Oasis_sim.Network
 module Fault = Oasis_sim.Fault
 module Broker = Oasis_event.Broker
-module Heartbeat = Oasis_event.Heartbeat
 module Appointment = Oasis_cert.Appointment
 module Cr = Oasis_cert.Credential_record
 module Issuer_key = Oasis_cert.Issuer_key
 module World = Oasis_core.World
+module Issuer_records = Oasis_core.Issuer_records
 module Protocol = Oasis_core.Protocol
 module Obs = Oasis_obs.Obs
 
@@ -32,9 +30,8 @@ type t = {
   mode : replication;
   audit : Oasis_trust.Registrar.t;
   key : Issuer_key.t;
-  crs : Cr.store;
+  records : Issuer_records.t;
   replicas : replica array;
-  beats : Heartbeat.emitter Ident.Tbl.t;
   mutable rr : int;
   (* Audit certificates issued but not yet filed into both parties'
      wallets — the window a mid-issuance crash leaves open. Restart
@@ -60,23 +57,22 @@ let repl_topic t = Printf.sprintf "civ-repl:%s" (Ident.to_string t.router)
 
 let primary t = t.replicas.(0)
 
-let primary_down t =
-  let net = World.network t.world in
-  Network.is_down net (primary t).node
-  || Fault.is_crashed (World.fault t.world) t.router
+(* Writes need the primary up and the router not crashed. *)
+let primary_down_at world ~router ~primary =
+  Network.is_down (World.network world) primary || Fault.is_crashed (World.fault world) router
+
+let primary_down t = primary_down_at t.world ~router:t.router ~primary:(primary t).node
+let is_valid t cert_id = Issuer_records.is_valid t.records cert_id
 
 (* ------------------------------------------------------------------ *)
 (* Validation, replica side                                           *)
 (* ------------------------------------------------------------------ *)
 
-let primary_view t cert_id =
-  match Cr.find t.crs cert_id with Some record -> Cr.is_valid record | None -> false
-
 let replica_validate t replica (appt : Appointment.t) =
   replica.served <- replica.served + 1;
   Issuer_key.verify_appointment t.key ~now:(World.now t.world) appt
   &&
-  if replica.index = 0 then primary_view t appt.id
+  if replica.index = 0 then is_valid t appt.id
   else
     match Ident.Tbl.find_opt replica.validity appt.id with
     | Some valid -> valid
@@ -143,7 +139,7 @@ let router_handler t =
                handler fails the RPC — "could not determine" must never read
                as "revoked". *)
             if primary_down t then raise Primary_unavailable
-            else Protocol.Cr_status { valid = primary_view t cert_id }
+            else Protocol.Cr_status { valid = is_valid t cert_id }
         | _ -> Protocol.Denied (Protocol.Bad_request "CIV router only validates"));
   }
 
@@ -171,6 +167,10 @@ let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = t
   if replicas < 1 then invalid_arg "Civ.create: need at least one replica";
   let router = World.fresh_service_id world in
   let counter cname = Obs.counter (World.obs world) cname ~labels:[ ("civ", name) ] in
+  let replicas =
+    Array.init replicas (fun index ->
+        { node = World.fresh_service_id world; index; validity = Ident.Tbl.create 64; served = 0 })
+  in
   let t =
     {
       world;
@@ -181,16 +181,10 @@ let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = t
       key =
         Issuer_key.create (World.authority world) ~rng:(World.rng world) ~subject:router
           ~offline_sign ~now:(World.now world);
-      crs = Cr.create_store ();
-      replicas =
-        Array.init replicas (fun index ->
-            {
-              node = World.fresh_service_id world;
-              index;
-              validity = Ident.Tbl.create 64;
-              served = 0;
-            });
-      beats = Ident.Tbl.create 16;
+      records =
+        Issuer_records.create world ~issuer:router ~is_down:(fun () ->
+            primary_down_at world ~router ~primary:replicas.(0).node);
+      replicas;
       rr = 0;
       pending_filings = [];
       c_forwarded = counter "civ.forwarded";
@@ -210,10 +204,14 @@ let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = t
     (fun cert -> Oasis_trust.Registrar.validate t.audit cert);
   Network.add_node (World.network world) router (router_handler t);
   (* Crashing the router (the cluster's stable identity) models the whole
-     registrar going down mid-issuance; restart runs wallet anti-entropy. *)
+     registrar going down mid-issuance. Its beats run on and the broker's
+     partition filter drops them. Restart announces the expiries that fell
+     due while down, then runs wallet anti-entropy. *)
   Fault.set_hooks (World.fault world) router
     ~on_crash:(fun () -> ())
-    ~on_restart:(fun () -> reconcile_filings t);
+    ~on_restart:(fun () ->
+      Issuer_records.resume t.records;
+      reconcile_filings t);
   Array.iter
     (fun replica ->
       Network.add_node (World.network world) replica.node (replica_handler t replica);
@@ -246,21 +244,13 @@ let replicate t cert_id valid =
         t.replicas
 
 let revoke t cert_id ~reason =
-  if primary_down t then false
-  else
-    match Cr.revoke t.crs cert_id ~at:(World.now t.world) ~reason with
-    | None -> false
-    | Some record ->
-        Obs.Counter.inc t.c_revocations;
-        (match Ident.Tbl.find_opt t.beats cert_id with
-        | Some emitter ->
-            Heartbeat.stop_emitter emitter;
-            Ident.Tbl.remove t.beats cert_id
-        | None -> ());
-        Broker.publish ~src:t.router ~retain:true (World.broker t.world) (Cr.topic record)
-          (Protocol.Invalidated { issuer = t.router; cert_id; reason });
-        replicate t cert_id false;
-        true
+  let revoked =
+    (not (primary_down t))
+    && Issuer_records.revoke t.records cert_id ~reason ~bookkeeping:(fun _record ->
+           Obs.Counter.inc t.c_revocations)
+  in
+  if revoked then replicate t cert_id false;
+  revoked
 
 let issue t ~kind ~args ~holder ~holder_key ?expires_at () =
   if primary_down t then raise Primary_unavailable;
@@ -270,25 +260,14 @@ let issue t ~kind ~args ~holder ~holder_key ?expires_at () =
     Issuer_key.issue_appointment t.key ~id:cert_id ~kind ~args ~holder:holder_key ~issued_at:now
       ?expires_at ()
   in
-  let record =
-    Cr.add t.crs ~cert_id ~issuer:t.router ~kind:Cr.Kind_appointment ~principal:holder ~name:kind
-      ~args ~issued_at:now
-  in
+  let expire () = ignore (revoke t cert_id ~reason:"expired") in
+  ignore
+    (Issuer_records.add t.records ~cert_id ~kind:Cr.Kind_appointment ~principal:holder ~name:kind
+       ~args
+       ?expiry:(Option.map (fun at -> (at, expire)) expires_at)
+       ());
   Obs.Counter.inc t.c_issues;
-  (match World.monitoring t.world with
-  | World.Change_events -> ()
-  | World.Heartbeats { period; _ } ->
-      Ident.Tbl.replace t.beats cert_id
-        (Heartbeat.start_emitter ~src:t.router (World.broker t.world) (World.engine t.world)
-           ~topic:(Cr.topic record) ~period
-           ~beat:(Protocol.Beat { issuer = t.router; cert_id })));
   replicate t cert_id true;
-  (match expires_at with
-  | Some at when at > now ->
-      ignore
-        (Engine.schedule_at (World.engine t.world) ~at (fun () ->
-             ignore (revoke t cert_id ~reason:"expired")))
-  | Some _ | None -> ());
   appt
 
 let reissue t (old : Appointment.t) =
@@ -299,18 +278,15 @@ let reissue t (old : Appointment.t) =
        signature or an expired certificate. *)
     not (Issuer_key.verify_appointment ~any_epoch:true t.key ~now:(World.now t.world) old)
   then Error "signature or expiry check failed"
-  else if not (primary_view t old.Appointment.id) then Error "credential record revoked"
-  else begin
-    let principal =
-      match Cr.find t.crs old.Appointment.id with
-      | Some record -> record.Cr.principal
-      | None -> assert false (* primary_view verified it exists *)
-    in
-    ignore (revoke t old.Appointment.id ~reason:"superseded");
-    Ok
-      (issue t ~kind:old.Appointment.kind ~args:old.Appointment.args ~holder:principal
-         ~holder_key:old.Appointment.holder ?expires_at:old.Appointment.expires_at ())
-  end
+  else
+    match Issuer_records.find t.records old.Appointment.id with
+    | Some record when Cr.is_valid record ->
+        ignore (revoke t old.Appointment.id ~reason:"superseded");
+        Ok
+          (issue t ~kind:old.Appointment.kind ~args:old.Appointment.args
+             ~holder:record.Cr.principal ~holder_key:old.Appointment.holder
+             ?expires_at:old.Appointment.expires_at ())
+    | Some _ | None -> Error "credential record revoked"
 
 let rotate_secret t = Issuer_key.rotate t.key ~now:(World.now t.world)
 
@@ -348,16 +324,18 @@ let record_interaction_crashing t ~client ~server ~client_outcome ~server_outcom
 
 let validate_audit t cert = Oasis_trust.Registrar.validate t.audit cert
 
-let is_valid t cert_id = primary_view t cert_id
-
 let replica_view t i cert_id =
-  if i = 0 then primary_view t cert_id
+  if i = 0 then is_valid t cert_id
   else
     match Ident.Tbl.find_opt t.replicas.(i).validity cert_id with
     | Some valid -> valid
     | None -> false
 
-let set_replica_down t i down = Network.set_down (World.network t.world) t.replicas.(i).node down
+(* Bringing the primary back lets the cluster write again: it announces the
+   expiries that fell due while down. *)
+let set_replica_down t i down =
+  Network.set_down (World.network t.world) t.replicas.(i).node down;
+  if i = 0 && not down then Issuer_records.resume t.records
 
 type stats = {
   validations_served : int array;

@@ -66,7 +66,11 @@ val issue :
   Oasis_cert.Appointment.t
 (** Issues an appointment certificate (e.g. [employed_as_doctor(hospital)]).
     Raises {!Primary_unavailable} if the primary replica is down — a
-    primary–backup cluster keeps reads available but not writes. *)
+    primary–backup cluster keeps reads available but not writes. With
+    [expires_at], the cluster revokes the certificate (reason ["expired"])
+    at the deadline; if it cannot write then, it does so when it is back —
+    at a router restart or when the primary comes back up
+    ({!set_replica_down}). *)
 
 val reissue : t -> Oasis_cert.Appointment.t -> (Oasis_cert.Appointment.t, string) result
 (** Re-issues a certificate under the current epoch secret — Sect. 4.1:
@@ -78,8 +82,10 @@ val reissue : t -> Oasis_cert.Appointment.t -> (Oasis_cert.Appointment.t, string
     issued. Raises {!Primary_unavailable} when the primary is down. *)
 
 val revoke : t -> Oasis_util.Ident.t -> reason:string -> bool
-(** Revokes at the primary; the invalidation reaches dependent roles via the
-    certificate's event channel and the replicas via replication events. *)
+(** Revokes at the primary ({!Oasis_core.Issuer_records.revoke}); the
+    invalidation reaches dependent roles via the certificate's event channel
+    and the replicas via replication events. [false] if the primary is
+    down, or the certificate unknown or already revoked. *)
 
 val rotate_secret : t -> unit
 val current_epoch : t -> int
@@ -137,7 +143,8 @@ val validate_audit : t -> Oasis_trust.Audit.t -> bool
 (** {1 Failure injection} *)
 
 val set_replica_down : t -> int -> bool -> unit
-(** Replica 0 is the primary. *)
+(** Replica 0 is the primary. Bringing it back up announces the expiries
+    that fell due while it was down. *)
 
 type stats = {
   validations_served : int array;  (** per replica *)

@@ -309,6 +309,132 @@ let test_revocation_during_validation_reply () =
       Alcotest.(check int) "refused from the poisoned cache" callbacks
         (Service.stats c2).Service.callbacks_out)
 
+(* Activate, invoke and appoint share one five-outcome decision: unknown
+   name, challenge failed, policy error, no proof, grant. Each row pins the
+   reply, the action and rule of the Deny or Grant record it appends, and
+   which of the kind's counters moved. *)
+let test_decide_outcomes () =
+  let config =
+    { Service.default_config with challenge_on_activation = true; challenge_on_invocation = true }
+  in
+  let t = make ~config () in
+  Fixtures.add_unlinted t.hospital
+    {|
+      initial broken_env <- env:no_such_predicate(1);
+      priv broken_priv <- env:no_such_predicate(1);
+    |};
+  (match Oasis_policy.Parser.parse_exn "appoint broken_kind(u) <- env:no_such_predicate(u);" with
+  | [ Oasis_policy.Parser.Appointer rule ] ->
+      Service.set_appointer t.hospital ~kind:"broken_kind" ~rule
+  | _ -> Alcotest.fail "appointer statement expected");
+  let session = alice_treating t ~patient:7 in
+  let alice = Principal.id t.alice in
+  let key = Principal.session_key session in
+  let creds = { Protocol.rmcs = Principal.session_rmcs session; appointments = [] } in
+  let admin_creds =
+    { Protocol.rmcs = Principal.session_rmcs t.admin_session; appointments = [] }
+  in
+  let activate ?(session_key = key) role =
+    Protocol.Activate
+      {
+        principal = alice;
+        session_key;
+        role;
+        requested = [];
+        creds = { creds with appointments = Principal.appointments t.alice };
+      }
+  in
+  let invoke ?(session_key = key) privilege args =
+    Protocol.Invoke { principal = alice; session_key; privilege; args; creds }
+  in
+  let appoint ?(session_key = Principal.session_key t.admin_session) kind =
+    Protocol.Appoint
+      {
+        principal = Principal.id t.admin;
+        session_key;
+        kind;
+        args = [ Value.Id alice ];
+        holder = alice;
+        holder_key = Principal.longterm_public t.alice;
+        expires_at = None;
+        creds = admin_creds;
+      }
+  in
+  let reply_label = function
+    | Protocol.Activate_ok _ -> "Activate_ok"
+    | Protocol.Invoke_ok _ -> "Invoke_ok"
+    | Protocol.Appoint_ok _ -> "Appoint_ok"
+    | Protocol.Denied d -> Protocol.denial_to_string d
+    | _ -> "unexpected reply"
+  in
+  let counters kind (st : Service.stats) =
+    match kind with
+    | `Activate -> (st.activations_granted, st.activations_denied)
+    | `Invoke -> (st.invocations_granted, st.invocations_denied)
+    | `Appoint -> (st.appointments_granted, st.appointments_denied)
+  in
+  let policy_error = "policy error: unknown predicate no_such_predicate" in
+  let bad_request = "bad request: " ^ policy_error in
+  let no_proof = "no activation or authorization rule satisfied" in
+  let challenge = "challenge-response failed" in
+  let fake = "12345" (* a session key nobody can answer for *) in
+  let record_7 = [ Value.Id alice; Value.Int 7 ] in
+  let rows =
+    [
+      (`Activate, activate "surgeon", "unknown role surgeon", Dlog.Deny, "activate:surgeon",
+       "unknown role");
+      (`Activate, activate ~session_key:fake "logged_in", challenge, Dlog.Deny,
+       "activate:logged_in", "challenge failed");
+      (`Activate, activate "broken_env", bad_request, Dlog.Deny, "activate:broken_env",
+       policy_error);
+      (`Activate, activate "hr_admin", no_proof, Dlog.Deny, "activate:hr_admin", "no proof");
+      (`Activate, activate "logged_in", "Activate_ok", Dlog.Grant, "activate:logged_in",
+       "initial logged_in(u) <- appt:employee(u) ;");
+      (`Invoke, invoke "delete_everything" [], "unknown privilege delete_everything", Dlog.Deny,
+       "invoke:delete_everything", "unknown privilege");
+      (`Invoke, invoke ~session_key:fake "read_record" record_7, challenge, Dlog.Deny,
+       "invoke:read_record", "challenge failed");
+      (`Invoke, invoke "broken_priv" [], bad_request, Dlog.Deny, "invoke:broken_priv",
+       policy_error);
+      (`Invoke, invoke "read_record" [ Value.Id alice; Value.Int 8 ], no_proof, Dlog.Deny,
+       "invoke:read_record", "no proof");
+      (* An invocation grant logs the bare privilege name. *)
+      (`Invoke, invoke "read_record" record_7, "Invoke_ok", Dlog.Grant, "read_record",
+       "priv read_record(doc, pat) <- treating_doctor(doc, pat), env:!excluded(doc, pat) ;");
+      (`Appoint, appoint "nonexistent", "unknown privilege appoint:nonexistent", Dlog.Deny,
+       "appoint:nonexistent", "unknown appointment kind");
+      (`Appoint, appoint ~session_key:fake "qualified", challenge, Dlog.Deny,
+       "appoint:qualified", "challenge failed");
+      (`Appoint, appoint "broken_kind", bad_request, Dlog.Deny, "appoint:broken_kind",
+       policy_error);
+      (`Appoint, appoint "is_admin", no_proof, Dlog.Deny, "appoint:is_admin", "no proof");
+      (`Appoint, appoint "qualified", "Appoint_ok", Dlog.Grant, "appoint:qualified",
+       "appoint qualified(u) <- hr_admin(a) ;");
+    ]
+  in
+  List.iter
+    (fun (kind, msg, reply, decision, action, rule) ->
+      let granted0, denied0 = counters kind (Service.stats t.hospital) in
+      let got =
+        World.run_proc t.world (fun () ->
+            let src = match msg with Protocol.Appoint { principal; _ } -> principal | _ -> alice in
+            Oasis_sim.Network.rpc (World.network t.world) ~src ~dst:(Service.id t.hospital) msg)
+      in
+      let granted1, denied1 = counters kind (Service.stats t.hospital) in
+      let last = List.rev (Dlog.records (Service.decision_log t.hospital)) |> List.hd in
+      let row = Printf.sprintf "%s → %s" action reply in
+      Alcotest.(check string) (row ^ ": reply") reply (reply_label got);
+      Alcotest.(check string) (row ^ ": decision") (Dlog.decision_label decision)
+        (Dlog.decision_label last.decision);
+      Alcotest.(check string) (row ^ ": action") action last.action;
+      Alcotest.(check string) (row ^ ": rule") rule last.rule;
+      let grant = decision = Dlog.Grant in
+      Alcotest.(check (pair int int))
+        (row ^ ": counters (granted, denied)")
+        ((if grant then 1 else 0), if grant then 0 else 1)
+        (granted1 - granted0, denied1 - denied0))
+    rows
+
 let suite =
   ( "service",
     [
@@ -330,4 +456,5 @@ let suite =
       Alcotest.test_case "cross-service prereq" `Quick test_cross_service_prereq;
       Alcotest.test_case "revocation during validation reply" `Quick
         test_revocation_during_validation_reply;
+      Alcotest.test_case "decide outcomes" `Quick test_decide_outcomes;
     ] )
