@@ -29,8 +29,6 @@ module Churn = Oasis_script.Churn
 module Rbac96 = Oasis_baseline.Rbac96
 module Delegation = Oasis_baseline.Delegation
 module Acl = Oasis_baseline.Acl
-module Network = Oasis_sim.Network
-module Broker = Oasis_event.Broker
 module Env = Oasis_policy.Env
 module Rule = Oasis_policy.Rule
 module Term = Oasis_policy.Term
@@ -56,6 +54,13 @@ let header title =
 let ok = function
   | Ok v -> v
   | Error d -> failwith ("unexpected denial: " ^ Protocol.denial_to_string d)
+
+(* One counter of the world's registry by rendered key; a missing key is a
+   typo, never a zero. *)
+let metric world key =
+  match Obs.value (World.obs world) key with
+  | Some v -> int_of_float v
+  | None -> failwith ("metric missing from registry: " ^ key)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel helper: run a set of wall-clock microbenchmarks and print
@@ -111,25 +116,24 @@ let e1 () =
       let world = World.create ~seed:1 ~net_latency:0.001 () in
       let services = build_chain world depth in
       let p = Principal.create world ~name:"p" in
-      let net = World.network world in
       let session = Principal.start_session p in
       World.run_proc world (fun () ->
           for i = 0 to depth - 1 do
             ignore
               (ok (Principal.activate p session services.(i) ~role:(Printf.sprintf "r%d" i) ()))
           done);
-      let total_before = (Network.stats net).Network.sent in
-      Network.reset_stats net;
+      let sent_before = metric world "net.sent" in
+      let bytes_before = metric world "net.bytes_sent" in
       let t0 = World.now world in
       World.run_proc world (fun () ->
           ignore
             (ok
                (Principal.activate p session services.(depth) ~role:(Printf.sprintf "r%d" depth) ())));
       let dt = (World.now world -. t0) *. 1000.0 in
-      let last = Network.stats net in
-      Printf.printf "  %5d | %19.1f | %14d | %12d | %16d\n" depth dt last.Network.sent
-        last.Network.bytes_sent
-        (total_before + last.Network.sent))
+      let sent = metric world "net.sent" in
+      Printf.printf "  %5d | %19.1f | %14d | %12d | %16d\n" depth dt (sent - sent_before)
+        (metric world "net.bytes_sent" - bytes_before)
+        sent)
     [ 1; 2; 4; 8; 16; 32 ];
   Printf.printf
     "\n  ablation: selective presentation (only the needed prerequisite RMC)\n";
@@ -140,7 +144,6 @@ let e1 () =
       let world = World.create ~seed:1 ~net_latency:0.001 () in
       let services = build_chain world depth in
       let p = Principal.create world ~name:"p" in
-      let net = World.network world in
       let session = Principal.start_session p in
       let selective i =
         (* Present exactly the prerequisite credential the rule needs. *)
@@ -164,13 +167,12 @@ let e1 () =
       for i = 0 to depth - 1 do
         selective i
       done;
-      let total_before = (Network.stats net).Network.sent in
-      Network.reset_stats net;
+      let sent_before = metric world "net.sent" in
       let t0 = World.now world in
       selective depth;
       let dt = (World.now world -. t0) *. 1000.0 in
-      let last_msgs = (Network.stats net).Network.sent in
-      Printf.printf "  %5d | %19.1f | %14d | %18d\n" depth dt last_msgs (total_before + last_msgs))
+      let sent = metric world "net.sent" in
+      Printf.printf "  %5d | %19.1f | %14d | %18d\n" depth dt (sent - sent_before) sent)
     [ 1; 2; 4; 8; 16; 32 ]
 
 (* ------------------------------------------------------------------ *)
@@ -352,9 +354,9 @@ let e3 () =
   List.iter
     (fun caching ->
       let world, ehr, carol, session = e3_world ~caching in
-      let net = World.network world in
       for call = 1 to 5 do
-        Network.reset_stats net;
+        let sent_before = metric world "net.sent" in
+        let bytes_before = metric world "net.bytes_sent" in
         let cb_before = (Service.stats ehr).Service.callbacks_out in
         let t0 = World.now world in
         World.run_proc world (fun () ->
@@ -363,12 +365,14 @@ let e3 () =
                  (Principal.invoke carol session ehr ~privilege:"request_ehr"
                     ~args:[ Value.Id (Principal.id carol); Value.Int 1 ])));
         let dt = (World.now world -. t0) *. 1000.0 in
-        let st = Network.stats net in
         let cb = (Service.stats ehr).Service.callbacks_out - cb_before in
         if call <= 2 || call = 5 then
           Printf.printf "  %-10s | %6d | %10.1f | %12d | %10d | %13d\n"
             (if caching then "cached" else "uncached")
-            call dt st.Network.sent st.Network.bytes_sent cb
+            call dt
+            (metric world "net.sent" - sent_before)
+            (metric world "net.bytes_sent" - bytes_before)
+            cb
       done)
     [ false; true ]
 
@@ -522,9 +526,8 @@ let e5 () =
     let p = Principal.create world ~name:"p" in
     let session = activate_tree world nodes p in
     let roles = tree_alive nodes in
-    let broker = World.broker world in
-    Broker.reset_stats broker;
-    Network.reset_stats (World.network world);
+    let notified_before = metric world "broker.notified" in
+    let sent_before = metric world "net.sent" in
     let _, root, _ = List.find (fun (name, _, _) -> name = "troot") nodes in
     let root_rmc =
       List.find
@@ -541,10 +544,9 @@ let e5 () =
     drive ();
     let dt = (World.now world -. t0) *. 1000.0 in
     World.settle world;
-    let stats = Broker.stats broker in
     Printf.printf "  %5d %6d %6d | %18.1f | %13d | %10d\n" depth fanout roles dt
-      stats.Broker.notified
-      (Network.stats (World.network world)).Network.sent;
+      (metric world "broker.notified" - notified_before)
+      (metric world "net.sent" - sent_before);
     assert (tree_alive nodes = 0)
   in
   List.iter
@@ -562,10 +564,9 @@ let e5 () =
         for i = 0 to 4 do
           ignore (ok (Principal.activate p session services.(i) ~role:(Printf.sprintf "r%d" i) ()))
         done);
-    let broker = World.broker world in
-    Broker.reset_stats broker;
+    let published_before = metric world "broker.published" in
     World.run_until world (World.now world +. 60.0);
-    let steady = (Broker.stats broker).Broker.published in
+    let steady = metric world "broker.published" - published_before in
     let root_rmc = List.find (fun (r : Rmc.t) -> r.role = "r0") (Principal.session_rmcs session) in
     let t0 = World.now world in
     ignore (Service.revoke_certificate services.(0) root_rmc.Rmc.id ~reason:"x");
@@ -857,19 +858,15 @@ let e9 () =
     let count f = Array.fold_left (fun acc s -> acc + f s) 0 services in
     assert (active () = total);
     assert (count (fun s -> Service.env_watcher_count s "hot") = total);
-    (* The reported counts come from the shared Obs registry; the legacy
-       [Service.stats] view is the same counter, so the two must agree
-       exactly — any drift means a module bypassed the registry. *)
-    let obs = World.obs world in
+    (* The reported counts come from the shared Obs registry; [Service.stats]
+       reads the same counter, so the two must agree exactly — any drift
+       means a module bypassed the registry. *)
     let rechecks () =
       let sum = ref 0 in
       Array.iteri
         (fun i s ->
-          let key = Printf.sprintf "service.env_rechecks{service=churn%d}" i in
           let from_registry =
-            match Obs.value obs key with
-            | Some v -> int_of_float v
-            | None -> failwith ("E9: metric missing from registry: " ^ key)
+            metric world (Printf.sprintf "service.env_rechecks{service=churn%d}" i)
           in
           assert (from_registry = (Service.stats s).Service.env_rechecks);
           sum := !sum + from_registry)
@@ -880,21 +877,21 @@ let e9 () =
        notification reaches the services but deactivates nothing, so the
        same population is re-measured across predicates. *)
     let measure_sentinel pred =
-      Array.iter Service.reset_stats services;
+      let before = rechecks () in
       let t0 = Sys.time () in
       for _ = 1 to flips do
         Env.assert_fact env pred [ Value.Int (-1) ];
         Env.retract_fact env pred [ Value.Int (-1) ]
       done;
       let seconds = Sys.time () -. t0 in
-      (rechecks (), seconds)
+      (rechecks () - before, seconds)
     in
     let idle_rechecks, idle_s = measure_sentinel "idle" in
     let sentinel_rechecks, sentinel_s = measure_sentinel "hot" in
     assert (active () = total);
     (* The watched tuple: the retraction re-checks and collapses exactly its
        watchers, the re-assertion finds nobody watching. *)
-    Array.iter Service.reset_stats services;
+    let watched_before = rechecks () in
     let watched_s = ref 0.0 in
     for _ = 1 to watched_flips do
       assert (count (fun s -> Service.env_watcher_count_tuple s "hot" shared) = hot_watchers);
@@ -909,7 +906,7 @@ let e9 () =
         activate session i
       done
     done;
-    let watched_rechecks = rechecks () in
+    let watched_rechecks = rechecks () - watched_before in
     (* The claim, enforced: a change costs the watchers of its tuple, so
        sentinels cost nothing even on a predicate all M roles watch. *)
     assert (idle_rechecks = 0);
@@ -1130,12 +1127,9 @@ let e12 () =
     assert (Service.suspect_count relying = n_roles);
     (* Let the pollers hammer the dead link for a fixed window, then heal. *)
     World.run_until world (World.now world +. 2.0);
-    let retries_at key =
-      match Obs.value (World.obs world) key with Some v -> int_of_float v | None -> 0
-    in
-    let wasted_retries = retries_at "rpc.retries{site=reconcile}" in
-    let wasted_drops = List.assoc "partitioned" (Network.dropped_by_cause (World.network world)) in
-    let rpcs_before = (Network.stats (World.network world)).Network.rpcs in
+    let wasted_retries = metric world "rpc.retries{site=reconcile}" in
+    let wasted_drops = metric world "net.dropped{cause=partitioned}" in
+    let rpcs_before = metric world "net.rpcs" in
     Fault.heal (World.fault world) "wan";
     let healed_at = World.now world in
     let deadline = healed_at +. 60.0 in
@@ -1145,7 +1139,7 @@ let e12 () =
     assert (Service.suspect_count relying = 0);
     assert ((Service.stats relying).Service.reconciled_reinstated = n_roles);
     let drain_s = World.now world -. healed_at in
-    let status_rpcs = (Network.stats (World.network world)).Network.rpcs - rpcs_before in
+    let status_rpcs = metric world "net.rpcs" - rpcs_before in
     (wasted_retries, wasted_drops, status_rpcs, drain_s)
   in
 

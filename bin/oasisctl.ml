@@ -355,9 +355,9 @@ let cascade depth fanout heartbeats period deadline seed =
   Printf.printf "collapse completed in %.3f virtual seconds (%s monitoring)\n"
     (World.now world -. t0)
     (if heartbeats then Printf.sprintf "heartbeat %.1fs/%.1fs" period deadline else "change-event");
-  let stats = Oasis_event.Broker.stats (World.broker world) in
-  Printf.printf "event-channel traffic: %d published, %d notifications delivered\n"
-    stats.Oasis_event.Broker.published stats.Oasis_event.Broker.notified
+  let count key = Option.get (Oasis_obs.Obs.value (World.obs world) key) in
+  Printf.printf "event-channel traffic: %.0f published, %.0f notifications delivered\n"
+    (count "broker.published") (count "broker.notified")
 
 let cascade_cmd =
   let depth =
@@ -672,23 +672,7 @@ let matches_filter svc_filter decision_filter principal_filter since name (r : D
      | Some p -> String.equal p (Oasis_util.Ident.to_string r.Dlog.principal))
   && match since with None -> true | Some t -> r.Dlog.at >= t
 
-(* Same escaping as Lint.to_json / Reach.to_json machine output. *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_string = Lint.json_string
 
 let record_json name (r : Dlog.record) =
   Printf.sprintf

@@ -21,7 +21,7 @@ module Sla = Oasis_domain.Sla
 module Env = Oasis_policy.Env
 module Term = Oasis_policy.Term
 module Value = Oasis_util.Value
-module Network = Oasis_sim.Network
+module Obs = Oasis_obs.Obs
 module Dlog = Oasis_trust.Decision_log
 
 let banner title = Printf.printf "\n=== %s ===\n" title
@@ -184,7 +184,8 @@ let () =
         [ "logged_in"; "doctor"; "treating_doctor" ]);
 
   banner "Paths 1-2: request-EHR across domains";
-  Network.reset_stats (World.network world);
+  let sent () = int_of_float (Option.get (Obs.value (World.obs world) "net.sent")) in
+  let sent_before = sent () in
   World.run_proc world (fun () ->
       match
         Principal.invoke carol session ehr_service ~privilege:"request_ehr"
@@ -193,9 +194,8 @@ let () =
       | Ok (Some (Value.Str record)) -> Printf.printf "  copy of EHR for patient 1005: %s\n" record
       | Ok _ -> Printf.printf "  (no record)\n"
       | Error d -> Printf.printf "  DENIED: %s\n" (Protocol.denial_to_string d));
-  let s1 = Network.stats (World.network world) in
   Printf.printf "  network messages for the full chain: %d (incl. validation callbacks)\n"
-    s1.Network.sent;
+    (sent () - sent_before);
 
   banner "Paths 3-4: append-to-EHR after treatment";
   World.run_proc world (fun () ->

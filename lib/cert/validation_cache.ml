@@ -53,34 +53,3 @@ let drop t cert_id =
   | Some Invalid | None -> ()
 
 let clear t = Ident.Tbl.reset t.table
-
-type stats = {
-  hits : int;
-  negative_hits : int;
-  misses : int;
-  invalidations : int;
-  entries : int;
-  negative_entries : int;
-}
-
-let stats (t : t) =
-  let entries, negative_entries =
-    Ident.Tbl.fold
-      (fun _ verdict (pos, neg) ->
-        match verdict with Valid -> (pos + 1, neg) | Invalid -> (pos, neg + 1))
-      t.table (0, 0)
-  in
-  {
-    hits = Obs.Counter.value t.c_hits;
-    negative_hits = Obs.Counter.value t.c_negative_hits;
-    misses = Obs.Counter.value t.c_misses;
-    invalidations = Obs.Counter.value t.c_invalidations;
-    entries;
-    negative_entries;
-  }
-
-let reset_stats (t : t) =
-  Obs.Counter.reset t.c_hits;
-  Obs.Counter.reset t.c_negative_hits;
-  Obs.Counter.reset t.c_misses;
-  Obs.Counter.reset t.c_invalidations

@@ -28,9 +28,12 @@ type t
 type verdict = Valid | Invalid
 
 val create : ?obs:Oasis_obs.Obs.t -> ?labels:Oasis_obs.Obs.label list -> unit -> t
-(** Hit/miss/invalidation counters register into [obs] (default: a private
-    registry) under [vcache.*] with the given [labels] — callers owning
-    several caches distinguish them with e.g. [("service", name)]. *)
+(** The counters register into [obs] (default: a private registry) with
+    the given [labels] — callers owning several caches distinguish them
+    with e.g. [("service", name)]: [vcache.hits] (positive-verdict hits),
+    [vcache.negative_hits] (callbacks a cached invalidation suppressed),
+    [vcache.misses] and [vcache.invalidations] (entries turned negative).
+    The cache's size is not a count; {!lookup} shows what it holds. *)
 
 val cache_valid : t -> Oasis_util.Ident.t -> unit
 (** Records a positive callback verdict for a certificate id. *)
@@ -51,15 +54,3 @@ val drop : t -> Oasis_util.Ident.t -> unit
     negatives are left in place — revocation stays permanent. *)
 
 val clear : t -> unit
-
-type stats = {
-  hits : int;  (** positive-verdict cache hits *)
-  negative_hits : int;  (** callbacks suppressed by a cached invalidation *)
-  misses : int;
-  invalidations : int;
-  entries : int;  (** positive entries currently cached *)
-  negative_entries : int;  (** invalidated certificates remembered *)
-}
-
-val stats : t -> stats
-val reset_stats : t -> unit

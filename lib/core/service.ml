@@ -103,7 +103,7 @@ end)
 
 (* Per-service counters in the world's registry, labelled
    [service=<name>] — e.g. [service.env_rechecks{service=hospital}]. The
-   public [stats] record below is a view over them. *)
+   public [stats] record below reads them back. *)
 type counters = {
   activations_granted : Obs.Counter.t;
   activations_denied : Obs.Counter.t;
@@ -144,7 +144,6 @@ type stats = {
   reconciled_reinstated : int;
   reconciled_revoked : int;
   flaps_suppressed : int;
-  cache : Vcache.stats;
 }
 
 type t = {
@@ -1578,25 +1577,5 @@ let stats t =
     reconciled_reinstated = Obs.Counter.value t.st.reconciled_reinstated;
     reconciled_revoked = Obs.Counter.value t.st.reconciled_revoked;
     flaps_suppressed = Obs.Counter.value t.st.flaps_suppressed;
-    cache = Vcache.stats t.cache;
   }
 
-let reset_stats t =
-  Obs.Counter.reset t.st.activations_granted;
-  Obs.Counter.reset t.st.activations_denied;
-  Obs.Counter.reset t.st.invocations_granted;
-  Obs.Counter.reset t.st.invocations_denied;
-  Obs.Counter.reset t.st.appointments_granted;
-  Obs.Counter.reset t.st.appointments_denied;
-  Obs.Counter.reset t.st.callbacks_in;
-  Obs.Counter.reset t.st.callbacks_out;
-  Obs.Counter.reset t.st.offline_validations;
-  Obs.Counter.reset t.st.validation_failures;
-  Obs.Counter.reset t.st.revocations;
-  Obs.Counter.reset t.st.cascade_deactivations;
-  Obs.Counter.reset t.st.env_rechecks;
-  Obs.Counter.reset t.st.suspects;
-  Obs.Counter.reset t.st.reconciled_reinstated;
-  Obs.Counter.reset t.st.reconciled_revoked;
-  Obs.Counter.reset t.st.flaps_suppressed;
-  Vcache.reset_stats t.cache

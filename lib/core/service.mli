@@ -266,8 +266,13 @@ type stats = {
       (** membership re-checks that failed the grant condition but survived
           inside a hysteresis band ([trust.flaps_suppressed{service=..}]) —
           each one is a revocation the gate's band absorbed *)
-  cache : Oasis_cert.Validation_cache.stats;
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit
+(** The service's counters read back from the world's registry, where they
+    live under [service.<field>{service=<name>}] ([svc.suspect] and
+    [svc.reconciled{outcome=reinstated|revoked}] for the suspect fields,
+    [trust.flaps_suppressed] for [flaps_suppressed]). Kept as the O(1)
+    view the repository benchmark reads; every other caller can read the
+    same keys with {!Oasis_obs.Obs.value}. The validation cache's counters
+    are [vcache.*{service=<name>}]. *)

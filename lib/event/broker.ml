@@ -32,8 +32,6 @@ type 'a bucket = {
 
 type subscription = { unsub : unit -> unit }
 
-type stats = { published : int; notified : int; suppressed : int }
-
 type 'a t = {
   engine : Engine.t;
   rng : Rng.t;
@@ -261,22 +259,3 @@ let publish ?src ?(retain = false) t topic payload =
 
 let subscriber_count t topic =
   match Hashtbl.find_opt t.subs topic with None -> 0 | Some b -> b.blen - b.dead
-
-let stats t =
-  {
-    published = Obs.Counter.value t.c_published;
-    notified = Obs.Counter.value t.c_notified;
-    suppressed = Obs.Counter.value t.c_suppressed + Obs.Counter.value t.c_suppressed_part;
-  }
-
-let suppressed_by_cause t =
-  [
-    ("unsubscribed", Obs.Counter.value t.c_suppressed);
-    ("partitioned", Obs.Counter.value t.c_suppressed_part);
-  ]
-
-let reset_stats t =
-  Obs.Counter.reset t.c_published;
-  Obs.Counter.reset t.c_notified;
-  Obs.Counter.reset t.c_suppressed;
-  Obs.Counter.reset t.c_suppressed_part

@@ -1,19 +1,14 @@
 module Engine = Oasis_sim.Engine
 module Obs = Oasis_obs.Obs
 
-type emitter = {
-  mutable running : bool;
-  mutable beats : int;
-  mutable stop_timer : unit -> unit;
-}
+type emitter = { mutable running : bool; mutable stop_timer : unit -> unit }
 
 let start_emitter ?src broker engine ~topic ~period ~beat =
-  let emitter = { running = true; beats = 0; stop_timer = (fun () -> ()) } in
+  let emitter = { running = true; stop_timer = (fun () -> ()) } in
   let c_beats = Obs.counter (Broker.obs broker) "hb.beats" in
   let timer =
     Engine.every engine ~period (fun () ->
         if emitter.running then begin
-          emitter.beats <- emitter.beats + 1;
           Obs.Counter.inc c_beats;
           Broker.publish ?src broker topic beat
         end;
@@ -31,8 +26,6 @@ let stop_emitter emitter =
     emitter.stop_timer ();
     emitter.stop_timer <- (fun () -> ())
   end
-
-let beats_emitted emitter = emitter.beats
 
 type monitor = {
   mutable alive : bool;

@@ -20,15 +20,14 @@ val start_emitter :
 (** Publishes [beat] on [topic] every [period] until {!stop_emitter}. The
     first beat fires one period after the start. [src] names the emitting
     node so beats are subject to the broker's partition filter; without it
-    beats pass through partitions (legacy behaviour). *)
+    beats pass through partitions (legacy behaviour). Every beat counts
+    under [hb.beats] in the broker's registry. *)
 
 val stop_emitter : emitter -> unit
 (** Stopping models the issuer withdrawing the credential: beats cease and
     monitors fire after their deadline. Idempotent. Cancels the underlying
     recurring engine timer, so a stopped emitter holds no live closure — a
     decommissioned issuer with 10^6 certificates frees all of them. *)
-
-val beats_emitted : emitter -> int
 
 type monitor
 

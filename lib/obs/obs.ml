@@ -6,7 +6,6 @@ module Counter = struct
   let inc t = t.n <- t.n + 1
   let add t k = t.n <- t.n + k
   let value t = t.n
-  let reset t = t.n <- 0
 end
 
 module Gauge = struct
@@ -15,7 +14,6 @@ module Gauge = struct
   let set t v = t.v <- v
   let add t d = t.v <- t.v +. d
   let value t = t.v
-  let reset t = t.v <- 0.0
 end
 
 module Histogram = struct
@@ -37,12 +35,6 @@ module Histogram = struct
   let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
   let min t = t.min
   let max t = t.max
-
-  let reset t =
-    t.count <- 0;
-    t.sum <- 0.0;
-    t.min <- infinity;
-    t.max <- neg_infinity
 end
 
 type metric =

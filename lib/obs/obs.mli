@@ -4,15 +4,16 @@
     runtime behaviour — how fast an env change cascades into revocation, how
     many messages a validation round costs. Every layer of the reproduction
     therefore reports into one shared registry owned by the world, and the
-    per-module [stats] records ({!Oasis_sim.Network.stats},
-    {!Oasis_event.Broker.stats}, [Service.stats], …) are views over it
-    rather than private mutable state. Spans and events stream to pluggable
-    sinks: an in-memory sink for tests and a JSONL exporter for tooling
-    ([oasisctl trace]). See DESIGN.md §10.
+    registry is the only place a count lives: callers read it back through
+    rendered keys ({!value}, the scenario-script [expect-metric] directive,
+    [oasisctl stats]). [Service.stats] and [Civ.stats] are the only record
+    views left; they read the same counters. Spans and events stream to
+    pluggable sinks: an in-memory sink for tests and a JSONL exporter for
+    tooling ([oasisctl trace]). See DESIGN.md §10.
 
     {b Cost model.} Metrics are always live: a counter increment is one
-    mutable-field update, exactly what the old private records paid. Tracing
-    is off until a sink is attached; the hot-path idiom is
+    mutable-field update. Tracing is off until a sink is attached; the
+    hot-path idiom is
 
     {[ if Obs.tracing obs then Obs.event obs "net.drop" ~labels:[ ... ] ]}
 
@@ -22,14 +23,14 @@
 type label = string * string
 (** A key/value pair qualifying a metric or event, e.g. [("cause", "link_loss")]. *)
 
-(** Monotone integer counters. *)
+(** Monotone integer counters: nothing zeroes one, so a phase is measured
+    as the difference of two reads. *)
 module Counter : sig
   type t
 
   val inc : t -> unit
   val add : t -> int -> unit
   val value : t -> int
-  val reset : t -> unit
 end
 
 (** Last-value float gauges. *)
@@ -39,7 +40,6 @@ module Gauge : sig
   val set : t -> float -> unit
   val add : t -> float -> unit
   val value : t -> float
-  val reset : t -> unit
 end
 
 (** Streaming histograms (count / sum / min / max; no buckets — the
@@ -56,7 +56,6 @@ module Histogram : sig
 
   val min : t -> float
   val max : t -> float
-  val reset : t -> unit
 end
 
 type t

@@ -11,10 +11,7 @@ type link = { latency : float; jitter : float; loss : float }
 
 type 'msg node = { handler : 'msg handler; mutable down : bool }
 
-type stats = { sent : int; delivered : int; dropped : int; rpcs : int; bytes_sent : int }
-
-(* The drop counters, one per cause — the registry view `oasisctl stats`
-   and the drop-accounting regression tests read. *)
+(* The drop counters, one per cause: [net.dropped{cause=...}]. *)
 type drop_counters = {
   src_down : Obs.Counter.t;
   dst_missing : Obs.Counter.t;
@@ -130,7 +127,7 @@ let endpoint_labels src dst = [ ("src", Ident.to_string src); ("dst", Ident.to_s
 
 (* Attempts one message leg. [k] runs at delivery time with the destination
    node; [lost] runs immediately if the leg cannot complete. Each drop is
-   counted under its cause; the legacy [stats.dropped] field is the sum. *)
+   counted under exactly one cause. *)
 let transmit t ~src ~dst ~msg ~k ~lost =
   Obs.Counter.inc t.c_sent;
   Obs.Counter.add t.c_bytes (t.size_of msg);
@@ -209,39 +206,3 @@ let rpc ?timeout t ~src ~dst msg =
   | Lost | Handler_failed _ -> raise Rpc_dropped
 
 let set_tracer t tracer = t.tracer <- tracer
-
-let dropped_total d =
-  Obs.Counter.value d.src_down + Obs.Counter.value d.dst_missing
-  + Obs.Counter.value d.partitioned + Obs.Counter.value d.link_loss
-  + Obs.Counter.value d.in_flight_down + Obs.Counter.value d.handler_error
-
-let stats t =
-  {
-    sent = Obs.Counter.value t.c_sent;
-    delivered = Obs.Counter.value t.c_delivered;
-    dropped = dropped_total t.drops;
-    rpcs = Obs.Counter.value t.c_rpcs;
-    bytes_sent = Obs.Counter.value t.c_bytes;
-  }
-
-let dropped_by_cause t =
-  [
-    ("src_down", Obs.Counter.value t.drops.src_down);
-    ("dst_missing", Obs.Counter.value t.drops.dst_missing);
-    ("partitioned", Obs.Counter.value t.drops.partitioned);
-    ("link_loss", Obs.Counter.value t.drops.link_loss);
-    ("in_flight_down", Obs.Counter.value t.drops.in_flight_down);
-    ("handler_error", Obs.Counter.value t.drops.handler_error);
-  ]
-
-let reset_stats t =
-  Obs.Counter.reset t.c_sent;
-  Obs.Counter.reset t.c_delivered;
-  Obs.Counter.reset t.c_rpcs;
-  Obs.Counter.reset t.c_bytes;
-  Obs.Counter.reset t.drops.src_down;
-  Obs.Counter.reset t.drops.dst_missing;
-  Obs.Counter.reset t.drops.partitioned;
-  Obs.Counter.reset t.drops.link_loss;
-  Obs.Counter.reset t.drops.in_flight_down;
-  Obs.Counter.reset t.drops.handler_error

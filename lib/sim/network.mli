@@ -6,6 +6,14 @@
     harness (messages and round trips are the paper-shape quantities we
     report, see DESIGN.md §4).
 
+    The counters live in the network's registry ({!obs}): [net.sent]
+    (messages handed to the network, lost ones included), [net.delivered],
+    [net.rpcs] (completed round trips), [net.bytes_sent] (per [size_of]) and
+    one [net.dropped{cause=...}] per drop cause ([src_down], [dst_missing],
+    [partitioned], [link_loss], [in_flight_down], [handler_error]). The
+    total drop count is the sum over the causes, and once nothing is in
+    flight [net.sent] = [net.delivered] + that sum.
+
     The payload type ['msg] is chosen by the instantiating layer (the OASIS
     core defines a protocol variant). RPC handlers run inside {!Proc}
     processes, so a handler may itself perform nested RPCs — exactly the
@@ -96,21 +104,3 @@ val set_tracer :
 (** Observes every message handed to the network (including ones that will
     be lost), before delivery scheduling. For debugging and packet traces;
     [None] removes the tracer. *)
-
-(** Traffic statistics — a view over the registry counters. *)
-type stats = {
-  sent : int;  (** messages handed to the network, including lost ones *)
-  delivered : int;
-  dropped : int;  (** sum over the per-cause counters, see {!dropped_by_cause} *)
-  rpcs : int;  (** completed round trips *)
-  bytes_sent : int;  (** per [size_of]; 0 when no estimator was given *)
-}
-
-val stats : 'msg t -> stats
-
-val dropped_by_cause : 'msg t -> (string * int) list
-(** Per-cause drop counts ([src_down], [dst_missing], [partitioned],
-    [link_loss], [in_flight_down], [handler_error]); the registry keys are
-    [net.dropped{cause=...}]. [stats.dropped] is their sum. *)
-
-val reset_stats : 'msg t -> unit

@@ -23,6 +23,7 @@ module Dlog = Oasis_trust.Decision_log
 module Term = Oasis_policy.Term
 module Env = Oasis_policy.Env
 module Value = Oasis_util.Value
+module Obs = Oasis_obs.Obs
 
 (* Appointment issuance is itself policy (the 'appoint' statements). *)
 let hospital_policy =
@@ -98,6 +99,20 @@ let alice_treating t ~patient =
       ignore (ok (Principal.activate t.alice session t.hospital ~role:"doctor" ()));
       ignore (ok (Principal.activate t.alice session t.hospital ~role:"treating_doctor" ()));
       session)
+
+(* One counter of a registry by rendered key ([Obs.render_key]); fails on a
+   missing key, so a mistyped key cannot read as 0. *)
+let metric obs key =
+  match Obs.value obs key with
+  | Some v -> int_of_float v
+  | None -> Alcotest.failf "metric missing from registry: %s" key
+
+(* [net.dropped] summed over its six causes. *)
+let net_dropped obs =
+  List.fold_left
+    (fun acc cause -> acc + metric obs (Printf.sprintf "net.dropped{cause=%s}" cause))
+    0
+    [ "src_down"; "dst_missing"; "partitioned"; "link_loss"; "in_flight_down"; "handler_error" ]
 
 let denial_testable =
   Alcotest.testable

@@ -131,16 +131,15 @@ let test_broker_traffic_proportional_to_tree () =
   let services = build_simple_chain world 4 in
   let p = Principal.create world ~name:"p" in
   let session = activate_chain world services p in
-  let broker = World.broker world in
-  Oasis_event.Broker.reset_stats broker;
+  let published () = Fixtures.metric (World.obs world) "broker.published" in
+  let published_before = published () in
   let root_rmc =
     List.find (fun (r : Oasis_cert.Rmc.t) -> r.role = "r0") (Principal.session_rmcs session)
   in
   ignore (Service.revoke_certificate services.(0) root_rmc.Oasis_cert.Rmc.id ~reason:"x");
   World.settle world;
-  let stats = Oasis_event.Broker.stats broker in
   (* One invalidation publish per collapsed certificate. *)
-  Alcotest.(check int) "one publish per dead role" 5 stats.Oasis_event.Broker.published
+  Alcotest.(check int) "one publish per dead role" 5 (published () - published_before)
 
 let suite =
   ( "cascade",

@@ -9,6 +9,7 @@ module Secret = Oasis_crypto.Secret
 module Ident = Oasis_util.Ident
 module Value = Oasis_util.Value
 module Rng = Oasis_util.Rng
+module Obs = Oasis_obs.Obs
 
 let secret = Secret.of_string "test-secret-0123456789abcdef0123"
 let other_secret = Secret.of_string "other-secret-123456789abcdef012"
@@ -181,7 +182,8 @@ let verdict_testable =
     ( = )
 
 let test_cache () =
-  let cache = Vcache.create () in
+  let obs = Obs.create () in
+  let cache = Vcache.create ~obs () in
   let id1 = Ident.make "cert" 1 in
   Alcotest.(check verdict_testable) "miss" None (Vcache.lookup cache id1);
   Vcache.cache_valid cache id1;
@@ -192,21 +194,26 @@ let test_cache () =
   Alcotest.(check verdict_testable) "negative after invalidate" (Some Vcache.Invalid)
     (Vcache.lookup cache id1);
   Vcache.invalidate cache id1;
-  let stats = Vcache.stats cache in
-  Alcotest.(check int) "hits" 1 stats.Vcache.hits;
-  Alcotest.(check int) "negative hits" 1 stats.Vcache.negative_hits;
-  Alcotest.(check int) "misses" 1 stats.Vcache.misses;
-  Alcotest.(check int) "invalidations idempotent" 1 stats.Vcache.invalidations;
-  Alcotest.(check int) "entries" 0 stats.Vcache.entries;
-  Alcotest.(check int) "negative entries" 1 stats.Vcache.negative_entries
+  let count key = Fixtures.metric obs key in
+  Alcotest.(check int) "hits" 1 (count "vcache.hits");
+  Alcotest.(check int) "negative hits" 1 (count "vcache.negative_hits");
+  Alcotest.(check int) "misses" 1 (count "vcache.misses");
+  Alcotest.(check int) "invalidations idempotent" 1 (count "vcache.invalidations");
+  (* The positive entry became the negative one. *)
+  Alcotest.(check verdict_testable) "still negative" (Some Vcache.Invalid)
+    (Vcache.lookup cache id1)
 
+(* [clear] empties the table; the counters are monotone and keep counting. *)
 let test_cache_clear_and_reset () =
-  let cache = Vcache.create () in
+  let obs = Obs.create () in
+  let cache = Vcache.create ~obs () in
   Vcache.cache_valid cache (Ident.make "cert" 1);
+  Alcotest.(check verdict_testable) "cached" (Some Vcache.Valid)
+    (Vcache.lookup cache (Ident.make "cert" 1));
   Vcache.clear cache;
   Alcotest.(check verdict_testable) "cleared" None (Vcache.lookup cache (Ident.make "cert" 1));
-  Vcache.reset_stats cache;
-  Alcotest.(check int) "stats reset" 0 (Vcache.stats cache).Vcache.misses
+  Alcotest.(check int) "hits survive clear" 1 (Fixtures.metric obs "vcache.hits");
+  Alcotest.(check int) "misses" 1 (Fixtures.metric obs "vcache.misses")
 
 (* ---------------- Wire encoding ---------------- *)
 

@@ -5,13 +5,17 @@ module Broker = Oasis_event.Broker
 module Heartbeat = Oasis_event.Heartbeat
 module Ident = Oasis_util.Ident
 module Rng = Oasis_util.Rng
+module Obs = Oasis_obs.Obs
 
 let owner = Ident.make "svc" 0
 
 let make ?(latency = 1.0) () =
   let engine = Engine.create () in
-  let broker = Broker.create engine (Rng.create 1) ~notify_latency:latency () in
+  let obs = Obs.create ~now:(fun () -> Engine.now engine) () in
+  let broker = Broker.create engine (Rng.create 1) ~notify_latency:latency ~obs () in
   (engine, broker)
+
+let count broker key = Fixtures.metric (Broker.obs broker) key
 
 let test_pub_sub () =
   let engine, broker = make () in
@@ -82,11 +86,11 @@ let test_stats () =
   Broker.publish broker "t" 1;
   Broker.publish broker "u" 2;
   Engine.run engine;
-  let stats = Broker.stats broker in
-  Alcotest.(check int) "published" 2 stats.Broker.published;
-  Alcotest.(check int) "notified" 2 stats.Broker.notified;
-  Broker.reset_stats broker;
-  Alcotest.(check int) "reset" 0 (Broker.stats broker).Broker.published
+  Alcotest.(check int) "published" 2 (count broker "broker.published");
+  Alcotest.(check int) "notified" 2 (count broker "broker.notified");
+  Alcotest.(check int) "nothing suppressed" 0
+    (count broker "broker.suppressed{cause=unsubscribed}"
+    + count broker "broker.suppressed{cause=partitioned}")
 
 let test_fifo_per_subscriber () =
   let engine, broker = make () in
@@ -109,7 +113,7 @@ let test_emitter_beats () =
   Heartbeat.stop_emitter emitter;
   Engine.run engine;
   Alcotest.(check int) "five beats" 5 !beats;
-  Alcotest.(check int) "emitted counter" 5 (Heartbeat.beats_emitted emitter)
+  Alcotest.(check int) "emitted counter" 5 (count broker "hb.beats")
 
 let test_monitor_no_miss_while_beating () =
   let engine, broker = make ~latency:0.01 () in

@@ -5,9 +5,7 @@ module World = Oasis_core.World
 module Service = Oasis_core.Service
 module Principal = Oasis_core.Principal
 module Protocol = Oasis_core.Protocol
-module Network = Oasis_sim.Network
 module Fault = Oasis_sim.Fault
-module Broker = Oasis_event.Broker
 module Heartbeat = Oasis_event.Heartbeat
 module Backoff = Oasis_util.Backoff
 module Rng = Oasis_util.Rng
@@ -74,13 +72,8 @@ let test_partition_suspect_reinstate () =
   let _, _, _, derived = establish world issuer relying in
   cut world issuer relying;
   provoke world issuer relying;
-  let dropped = List.assoc "partitioned" (Network.dropped_by_cause (World.network world)) in
+  let dropped = Fixtures.metric (World.obs world) "net.dropped{cause=partitioned}" in
   Alcotest.(check bool) "partition drops counted" true (dropped > 0);
-  let by_cause = Network.dropped_by_cause (World.network world) in
-  Alcotest.(check int)
-    "drop causes sum to total"
-    (Network.stats (World.network world)).Network.dropped
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 by_cause);
   Alcotest.(check int) "role is suspect, not dropped" 1 (Service.suspect_count relying);
   Alcotest.(check bool) "suspect role still active" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
@@ -99,9 +92,7 @@ let test_missed_revocation_reconciled () =
   cut world issuer relying;
   ignore (Service.revoke_certificate issuer base.Oasis_cert.Rmc.id ~reason:"gone");
   World.settle world;
-  let suppressed =
-    List.assoc "partitioned" (Broker.suppressed_by_cause (World.broker world))
-  in
+  let suppressed = Fixtures.metric (World.obs world) "broker.suppressed{cause=partitioned}" in
   Alcotest.(check bool) "invalidation suppressed by partition" true (suppressed > 0);
   Alcotest.(check bool) "grant is stale while partitioned" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);

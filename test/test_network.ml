@@ -5,6 +5,7 @@ module Network = Oasis_sim.Network
 module Proc = Oasis_sim.Proc
 module Ident = Oasis_util.Ident
 module Rng = Oasis_util.Rng
+module Obs = Oasis_obs.Obs
 
 type msg = Ping | Pong | Echo of int | Echoed of int
 
@@ -14,8 +15,12 @@ let silent_handler = { Network.on_oneway = (fun ~src:_ _ -> ()); on_rpc = (fun ~
 
 let make ?(latency = 1.0) () =
   let engine = Engine.create () in
-  let net = Network.create engine (Rng.create 1) ~default_latency:latency () in
+  let obs = Obs.create ~now:(fun () -> Engine.now engine) () in
+  let net = Network.create engine (Rng.create 1) ~default_latency:latency ~obs () in
   (engine, net)
+
+let count net key = Fixtures.metric (Network.obs net) key
+let dropped net = Fixtures.net_dropped (Network.obs net)
 
 let test_oneway_delivery_and_latency () =
   let engine, net = make () in
@@ -32,9 +37,8 @@ let test_oneway_delivery_and_latency () =
   (match !received with
   | Some (Ping, t) -> Alcotest.(check (float 1e-9)) "after latency" 1.0 t
   | _ -> Alcotest.fail "wrong delivery");
-  let stats = Network.stats net in
-  Alcotest.(check int) "sent" 1 stats.Network.sent;
-  Alcotest.(check int) "delivered" 1 stats.Network.delivered
+  Alcotest.(check int) "sent" 1 (count net "net.sent");
+  Alcotest.(check int) "delivered" 1 (count net "net.delivered")
 
 let test_rpc_roundtrip () =
   let engine, net = make () in
@@ -52,7 +56,7 @@ let test_rpc_roundtrip () =
   (match !result with
   | Some (Echoed 42, t) -> Alcotest.(check (float 1e-9)) "two legs" 2.0 t
   | _ -> Alcotest.fail "wrong rpc result");
-  Alcotest.(check int) "rpcs counted" 1 (Network.stats net).Network.rpcs
+  Alcotest.(check int) "rpcs counted" 1 (count net "net.rpcs")
 
 let test_rpc_nested () =
   (* Node 1's handler performs its own RPC to node 2 — the Fig. 3 chain. *)
@@ -86,9 +90,8 @@ let test_unknown_destination_dropped () =
   Network.add_node net (node_id 0) silent_handler;
   Network.send net ~src:(node_id 0) ~dst:(node_id 9) Ping;
   Engine.run engine;
-  let stats = Network.stats net in
-  Alcotest.(check int) "dropped" 1 stats.Network.dropped;
-  Alcotest.(check int) "not delivered" 0 stats.Network.delivered
+  Alcotest.(check int) "dropped" 1 (dropped net);
+  Alcotest.(check int) "not delivered" 0 (count net "net.delivered")
 
 let test_down_node () =
   let engine, net = make () in
@@ -156,8 +159,7 @@ let test_lossy_link () =
     (Printf.sprintf "roughly half lost (%d)" !received)
     true
     (!received > 60 && !received < 140);
-  let stats = Network.stats net in
-  Alcotest.(check int) "conservation" 200 (stats.Network.delivered + stats.Network.dropped)
+  Alcotest.(check int) "conservation" 200 (count net "net.delivered" + dropped net)
 
 let test_link_override_latency () =
   let engine, net = make ~latency:5.0 () in

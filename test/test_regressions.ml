@@ -28,6 +28,7 @@ module Network = Oasis_sim.Network
 module Proc = Oasis_sim.Proc
 module Ident = Oasis_util.Ident
 module Rng = Oasis_util.Rng
+module Obs = Oasis_obs.Obs
 module Value = Oasis_util.Value
 open Fixtures
 
@@ -57,7 +58,9 @@ let test_nonground_negation_denied () =
    cancel handle was dropped and dead monitors kept a timer in the heap. *)
 let test_heartbeat_cancel_releases_timer () =
   let engine = Engine.create () in
-  let broker = Broker.create engine (Rng.create 1) ~notify_latency:0.01 () in
+  let broker =
+    Broker.create engine (Rng.create 1) ~notify_latency:0.01 ~obs:(Obs.create ()) ()
+  in
   let missed = ref false in
   let monitor =
     Heartbeat.watch broker engine ~topic:"hb" ~deadline:2.5 ~on_miss:(fun () -> missed := true)
@@ -95,15 +98,24 @@ let test_decommission_releases_cache_watches () =
   let broker = World.broker world in
   Alcotest.(check bool) "badge topic watched while active" true
     (Broker.subscriber_count broker topic > 0);
-  Alcotest.(check bool) "verdict cached" true
-    ((Service.stats svc).Service.cache.Oasis_cert.Validation_cache.entries > 0);
+  (* The cache's content shows in how a re-presentation of the badge is
+     counted: a hit (positive entry), a negative hit, or a miss (none). *)
+  let lookups () =
+    List.map
+      (fun key -> Fixtures.metric (World.obs world) (key ^ "{service=club}"))
+      [ "vcache.hits"; "vcache.negative_hits"; "vcache.misses" ]
+  in
+  let present () =
+    let before = lookups () in
+    World.run_proc world (fun () ->
+        ignore (Principal.activate p (Principal.start_session p) svc ~role:"member" ()));
+    List.map2 ( - ) (lookups ()) before
+  in
+  Alcotest.(check (list int)) "verdict cached" [ 1; 0; 0 ] (present ());
   ignore (Service.decommission svc ~reason:"retired");
   World.settle world;
   Alcotest.(check int) "badge topic released" 0 (Broker.subscriber_count broker topic);
-  let cache = (Service.stats svc).Service.cache in
-  Alcotest.(check int) "cache emptied" 0 cache.Oasis_cert.Validation_cache.entries;
-  Alcotest.(check int) "no cached negatives" 0
-    cache.Oasis_cert.Validation_cache.negative_entries
+  Alcotest.(check (list int)) "cache emptied, no cached negatives" [ 0; 0; 1 ] (present ())
 
 (* Rules for the same role must be tried in installation order: the first
    rule binds the unpinned parameter even when a later rule also proves. *)
@@ -152,19 +164,17 @@ let test_fact_change_cost_indexed () =
     (Service.env_watcher_count_tuple t.hospital "assigned" [ alice; Value.Int 7 ]);
   Alcotest.(check int) "excluded is unmarked, unwatched" 0
     (Service.env_watcher_count t.hospital "excluded");
-  Service.reset_stats t.hospital;
+  let before = (Service.stats t.hospital).Service.env_rechecks in
+  let rechecks () = (Service.stats t.hospital).Service.env_rechecks - before in
   Env.assert_fact env "unrelated" [ Value.Int 1 ];
-  Alcotest.(check int) "unwatched change re-checks nothing" 0
-    (Service.stats t.hospital).Service.env_rechecks;
+  Alcotest.(check int) "unwatched change re-checks nothing" 0 (rechecks ());
   Env.assert_fact env "assigned" [ alice; Value.Int 999 ];
-  Alcotest.(check int) "sentinel tuple re-checks nothing" 0
-    (Service.stats t.hospital).Service.env_rechecks;
+  Alcotest.(check int) "sentinel tuple re-checks nothing" 0 (rechecks ());
   Alcotest.(check int) "role survived the sentinel change" 1
     (List.length (Service.active_roles_named t.hospital "treating_doctor"));
   Env.retract_fact env "assigned" [ alice; Value.Int 7 ];
   World.settle t.world;
-  Alcotest.(check int) "watched tuple re-checks exactly its watcher" 1
-    (Service.stats t.hospital).Service.env_rechecks;
+  Alcotest.(check int) "watched tuple re-checks exactly its watcher" 1 (rechecks ());
   Alcotest.(check int) "role collapsed with its fact" 0
     (List.length (Service.active_roles_named t.hospital "treating_doctor"));
   Alcotest.(check int) "index emptied" 0 (Service.env_watcher_count t.hospital "assigned")
@@ -197,7 +207,9 @@ let test_shared_tuple_and_negated_watch () =
   List.iter
     (fun (role, p) -> ignore (ok (activate_pinned world doc session svc role (tuple p))))
     [ ("observe", 2); ("consult", 2); ("consult", 3) ];
-  let rechecks () = (Service.stats svc).Service.env_rechecks in
+  let rechecks_total () = (Service.stats svc).Service.env_rechecks in
+  let before = ref (rechecks_total ()) in
+  let rechecks () = rechecks_total () - !before in
   let active role = List.length (Service.active_roles_named svc role) in
   Alcotest.(check int) "two watchers of assigned(1, 2)" 2
     (Service.env_watcher_count_tuple svc "assigned" (tuple 2));
@@ -205,7 +217,7 @@ let test_shared_tuple_and_negated_watch () =
     (Service.env_watcher_count_tuple svc "!excluded" (tuple 3));
   Alcotest.(check int) "three distinct watchers of assigned" 3
     (Service.env_watcher_count svc "assigned");
-  Service.reset_stats svc;
+  before := rechecks_total ();
   Env.assert_fact env "excluded" (tuple 999);
   Alcotest.(check int) "sentinel exclusion re-checks nothing" 0 (rechecks ());
   Env.assert_fact env "excluded" (tuple 3);
@@ -213,7 +225,7 @@ let test_shared_tuple_and_negated_watch () =
   Alcotest.(check int) "exclusion re-checks its one watcher" 1 (rechecks ());
   Alcotest.(check int) "excluded consult revoked" 1 (active "consult");
   Alcotest.(check int) "observe untouched" 1 (active "observe");
-  Service.reset_stats svc;
+  before := rechecks_total ();
   Env.retract_fact env "assigned" (tuple 2);
   World.settle world;
   Alcotest.(check int) "shared tuple re-checks both watchers" 2 (rechecks ());
@@ -320,9 +332,10 @@ let test_poke_rechecks_every_watcher () =
     [ "p1"; "p2"; "p3" ];
   Alcotest.(check int) "three trust_score watchers" 3
     (Service.env_watcher_count svc "trust_score");
-  Service.reset_stats svc;
+  let before = (Service.stats svc).Service.env_rechecks in
   Env.poke env "trust_score";
-  Alcotest.(check int) "one poke re-checks all three" 3 (Service.stats svc).Service.env_rechecks;
+  Alcotest.(check int) "one poke re-checks all three" 3
+    ((Service.stats svc).Service.env_rechecks - before);
   Alcotest.(check int) "scores unchanged, roles kept" 3
     (List.length (Service.active_roles_named svc "member"))
 
@@ -335,7 +348,8 @@ let counting_handler received =
    knows the server died — and be accounted under the handler_error cause. *)
 let test_rpc_handler_error_fails_fast () =
   let engine = Engine.create () in
-  let net = Network.create engine (Rng.create 1) ~default_latency:1.0 () in
+  let obs = Obs.create () in
+  let net = Network.create engine (Rng.create 1) ~default_latency:1.0 ~obs () in
   let a = Ident.make "node" 0 and b = Ident.make "node" 1 in
   Network.add_node net a (counting_handler (ref 0));
   Network.add_node net b
@@ -362,15 +376,16 @@ let test_rpc_handler_error_fails_fast () =
   Engine.run engine;
   Alcotest.(check bool) "failed as soon as the handler died" true (!failed_at -. t0 < 50.0);
   Alcotest.(check int) "counted as handler_error" 2
-    (List.assoc "handler_error" (Network.dropped_by_cause net));
-  Alcotest.(check int) "legacy dropped view agrees" 2 (Network.stats net).Network.dropped
+    (Fixtures.metric obs "net.dropped{cause=handler_error}");
+  Alcotest.(check int) "under no other cause" 2 (Fixtures.net_dropped obs)
 
 (* remove_node used to leave the node's link overrides behind, so a later
    node reusing the ident inherited a dead node's link profile. The purge
    must cover both directions. *)
 let test_remove_node_purges_links () =
   let engine = Engine.create () in
-  let net = Network.create engine (Rng.create 1) ~default_latency:1.0 () in
+  let obs = Obs.create () in
+  let net = Network.create engine (Rng.create 1) ~default_latency:1.0 ~obs () in
   let a = Ident.make "node" 0 and b = Ident.make "node" 1 in
   let got_a = ref 0 and got_b = ref 0 in
   Network.add_node net a (counting_handler got_a);
@@ -381,7 +396,7 @@ let test_remove_node_purges_links () =
   Engine.run engine;
   Alcotest.(check int) "fully lossy link drops" 0 !got_b;
   Alcotest.(check int) "loss attributed to link_loss" 1
-    (List.assoc "link_loss" (Network.dropped_by_cause net));
+    (Fixtures.metric obs "net.dropped{cause=link_loss}");
   Network.remove_node net b;
   let got_b' = ref 0 in
   Network.add_node net b (counting_handler got_b');
@@ -391,11 +406,12 @@ let test_remove_node_purges_links () =
   Alcotest.(check int) "reused ident gets the default a->b link" 1 !got_b';
   Alcotest.(check int) "reverse direction purged too" 1 !got_a
 
-(* Every drop carries exactly one cause and the legacy aggregate is their
-   sum; conservation (sent = delivered + dropped) still holds. *)
-let test_drop_causes_sum_to_legacy_total () =
+(* Every drop carries exactly one cause, and conservation holds: sent =
+   delivered + the drops summed over their causes. *)
+let test_drop_causes_conserve_messages () =
   let engine = Engine.create () in
-  let net = Network.create engine (Rng.create 3) ~default_latency:1.0 () in
+  let obs = Obs.create () in
+  let net = Network.create engine (Rng.create 3) ~default_latency:1.0 ~obs () in
   let a = Ident.make "node" 0 and b = Ident.make "node" 1 and c = Ident.make "node" 2 in
   let got = ref 0 in
   Network.add_node net a (counting_handler got);
@@ -409,21 +425,21 @@ let test_drop_causes_sum_to_legacy_total () =
   ignore (Engine.schedule engine ~after:0.5 (fun () -> Network.set_down net c true));
   Network.send net ~src:a ~dst:b ();
   Engine.run engine;
-  let causes = Network.dropped_by_cause net in
-  Alcotest.(check int) "dst_missing" 1 (List.assoc "dst_missing" causes);
-  Alcotest.(check int) "src_down" 1 (List.assoc "src_down" causes);
-  Alcotest.(check int) "in_flight_down" 1 (List.assoc "in_flight_down" causes);
-  let stats = Network.stats net in
-  Alcotest.(check int) "legacy dropped = per-cause sum" 3 stats.Network.dropped;
-  Alcotest.(check int) "conservation" stats.Network.sent
-    (stats.Network.delivered + stats.Network.dropped)
+  let count key = Fixtures.metric obs key in
+  Alcotest.(check int) "dst_missing" 1 (count "net.dropped{cause=dst_missing}");
+  Alcotest.(check int) "src_down" 1 (count "net.dropped{cause=src_down}");
+  Alcotest.(check int) "in_flight_down" 1 (count "net.dropped{cause=in_flight_down}");
+  Alcotest.(check int) "no other cause" 3 (Fixtures.net_dropped obs);
+  Alcotest.(check int) "conservation" (count "net.sent")
+    (count "net.delivered" + Fixtures.net_dropped obs)
 
 (* An unsubscribe while a publish is in flight suppresses the delivery;
    the accounting must show it: for each publish, subscribers at publish
    time = notified + suppressed. *)
 let test_broker_inflight_unsubscribe_accounted () =
   let engine = Engine.create () in
-  let broker = Broker.create engine (Rng.create 1) ~notify_latency:1.0 () in
+  let obs = Obs.create () in
+  let broker = Broker.create engine (Rng.create 1) ~notify_latency:1.0 ~obs () in
   let got = ref 0 in
   let owner = Ident.make "svc" 1 in
   let s1 = Broker.subscribe broker "t" ~owner (fun _ _ -> incr got) in
@@ -432,10 +448,12 @@ let test_broker_inflight_unsubscribe_accounted () =
   Broker.unsubscribe broker s1;
   Engine.run engine;
   Alcotest.(check int) "one callback ran" 1 !got;
-  let st = Broker.stats broker in
-  Alcotest.(check int) "published" 1 st.Broker.published;
-  Alcotest.(check int) "notified" 1 st.Broker.notified;
-  Alcotest.(check int) "in-flight suppression visible" 1 st.Broker.suppressed
+  let count key = Fixtures.metric obs key in
+  Alcotest.(check int) "published" 1 (count "broker.published");
+  Alcotest.(check int) "notified" 1 (count "broker.notified");
+  Alcotest.(check int) "in-flight suppression visible" 1
+    (count "broker.suppressed{cause=unsubscribed}");
+  Alcotest.(check int) "no partition suppression" 0 (count "broker.suppressed{cause=partitioned}")
 
 (* Minor-heap words per call, averaged over [n] calls after a warm-up. *)
 let minor_words_per_call ?(n = 200) f =
@@ -499,8 +517,8 @@ let suite =
       Alcotest.test_case "poke re-checks every watcher" `Quick test_poke_rechecks_every_watcher;
       Alcotest.test_case "rpc handler error fails fast" `Quick test_rpc_handler_error_fails_fast;
       Alcotest.test_case "remove_node purges links" `Quick test_remove_node_purges_links;
-      Alcotest.test_case "drop causes sum to legacy total" `Quick
-        test_drop_causes_sum_to_legacy_total;
+      Alcotest.test_case "drop causes conserve messages" `Quick
+        test_drop_causes_conserve_messages;
       Alcotest.test_case "broker in-flight unsubscribe accounted" `Quick
         test_broker_inflight_unsubscribe_accounted;
     ] )

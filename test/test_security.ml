@@ -222,7 +222,8 @@ let test_cache_saves_callbacks () =
   (* The wallet carries 3 RMCs + 2 appointments; each remote credential needs
      exactly one callback across all 5 requests thanks to the cache. *)
   Alcotest.(check int) "one callback per distinct credential" 5 st.Service.callbacks_out;
-  Alcotest.(check bool) "cache hits accrued" true (st.Service.cache.Oasis_cert.Validation_cache.hits >= 20)
+  Alcotest.(check bool) "cache hits accrued" true
+    (Fixtures.metric (World.obs t.world) "vcache.hits{service=clinic}" >= 20)
 
 let test_cache_disabled_calls_back_every_time () =
   let t = make ~config:hmac_issuer () in
@@ -254,7 +255,7 @@ let test_cache_invalidated_by_event () =
   ignore (Service.revoke_certificate t.hospital doctor_rmc.Rmc.id ~reason:"revoked");
   World.settle t.world;
   Alcotest.(check bool) "cache entry invalidated" true
-    ((Service.stats clinic).Service.cache.Oasis_cert.Validation_cache.invalidations >= 1);
+    (Fixtures.metric (World.obs t.world) "vcache.invalidations{service=clinic}" >= 1);
   World.run_proc t.world (fun () ->
       match Principal.activate t.alice session clinic ~role:"consultant" () with
       | Error Protocol.No_proof -> ()

@@ -199,16 +199,103 @@ let test_grants_audited () =
 
 let test_stats_counters () =
   let t = make () in
-  Service.reset_stats t.hospital;
+  let count key = Fixtures.metric (World.obs t.world) (key ^ "{service=hospital}") in
+  let granted_before = count "service.activations_granted" in
+  let denied_before = count "service.activations_denied" in
   let _session = alice_treating t ~patient:7 in
   World.run_proc t.world (fun () ->
       let s = Principal.start_session t.alice in
       match Principal.activate t.alice s t.hospital ~role:"surgeon" () with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "surgeon?!");
-  let st = Service.stats t.hospital in
-  Alcotest.(check int) "granted" 3 st.Service.activations_granted;
-  Alcotest.(check int) "denied" 1 st.Service.activations_denied
+  Alcotest.(check int) "granted" 3 (count "service.activations_granted" - granted_before);
+  Alcotest.(check int) "denied" 1 (count "service.activations_denied" - denied_before)
+
+(* [Service.stats] and [Civ.stats] are read back from the registry: every
+   field equals the value of its rendered key. The world exercises an
+   activation, a denial, an invocation, callback validations against an
+   HMAC-signing CIV, an env revoke and a CIV revoke. *)
+let test_stats_views_read_registry () =
+  let world = World.create ~seed:19 () in
+  let civ = Oasis_domain.Civ.create world ~name:"authority" ~offline_sign:false () in
+  let club =
+    Service.create world ~name:"club"
+      ~policy:
+        {|
+          initial member(u) <- *appt:badge(u)@authority, *env:listed(u);
+          priv enter(u) <- member(u);
+        |}
+      ()
+  in
+  let env = Service.env club in
+  let holder name =
+    let p = Principal.create world ~name in
+    let badge =
+      Oasis_domain.Civ.issue civ ~kind:"badge"
+        ~args:[ Value.Id (Principal.id p) ]
+        ~holder:(Principal.id p) ~holder_key:(Principal.longterm_public p) ()
+    in
+    Principal.grant_appointment p badge;
+    Env.assert_fact env "listed" [ Value.Id (Principal.id p) ];
+    (p, badge)
+  in
+  let p, _ = holder "p" and q, q_badge = holder "q" in
+  World.settle world;
+  World.run_proc world (fun () ->
+      List.iter
+        (fun who ->
+          let s = Principal.start_session who in
+          ignore (ok (Principal.activate who s club ~role:"member" ()));
+          ignore
+            (ok (Principal.invoke who s club ~privilege:"enter" ~args:[ Value.Id (Principal.id who) ])))
+        [ p; q ];
+      match Principal.activate p (Principal.start_session p) club ~role:"guest" () with
+      | Ok _ -> Alcotest.fail "guest is not a role"
+      | Error _ -> ());
+  Env.retract_fact env "listed" [ Value.Id (Principal.id p) ];
+  ignore (Oasis_domain.Civ.revoke civ q_badge.Oasis_cert.Appointment.id ~reason:"lost");
+  World.settle world;
+  Alcotest.(check int) "both members revoked" 0 (List.length (Service.active_roles club));
+  let obs = World.obs world in
+  let check key field = Alcotest.(check int) key (Fixtures.metric obs key) field in
+  let svc key = Printf.sprintf "%s{service=club}" key in
+  let st = Service.stats club in
+  check (svc "service.activations_granted") st.Service.activations_granted;
+  check (svc "service.activations_denied") st.Service.activations_denied;
+  check (svc "service.invocations_granted") st.Service.invocations_granted;
+  check (svc "service.invocations_denied") st.Service.invocations_denied;
+  check (svc "service.appointments_granted") st.Service.appointments_granted;
+  check (svc "service.appointments_denied") st.Service.appointments_denied;
+  check (svc "service.callbacks_in") st.Service.callbacks_in;
+  check (svc "service.callbacks_out") st.Service.callbacks_out;
+  check (svc "service.offline_validations") st.Service.offline_validations;
+  check (svc "service.validation_failures") st.Service.validation_failures;
+  check (svc "service.revocations") st.Service.revocations;
+  check (svc "service.cascade_deactivations") st.Service.cascade_deactivations;
+  check (svc "service.env_rechecks") st.Service.env_rechecks;
+  check (svc "svc.suspect") st.Service.suspects;
+  check "svc.reconciled{outcome=reinstated,service=club}" st.Service.reconciled_reinstated;
+  check "svc.reconciled{outcome=revoked,service=club}" st.Service.reconciled_revoked;
+  check (svc "trust.flaps_suppressed") st.Service.flaps_suppressed;
+  let cv = Oasis_domain.Civ.stats civ in
+  check "civ.forwarded{civ=authority}" cv.Oasis_domain.Civ.forwarded_to_primary;
+  check "civ.issues{civ=authority}" cv.Oasis_domain.Civ.issues;
+  check "civ.revocations{civ=authority}" cv.Oasis_domain.Civ.revocations;
+  check "civ.failovers{civ=authority}" cv.Oasis_domain.Civ.failovers;
+  check "civ.exhausted{civ=authority}" cv.Oasis_domain.Civ.exhausted;
+  (* Most fields are non-zero, so the checks above compare live counts. *)
+  Alcotest.(check (list int)) "granted, denied, invoked, called back, rechecked, cascaded"
+    [ 2; 1; 2; 2; 1; 2 ]
+    [
+      st.Service.activations_granted;
+      st.Service.activations_denied;
+      st.Service.invocations_granted;
+      st.Service.callbacks_out;
+      st.Service.env_rechecks;
+      st.Service.cascade_deactivations;
+    ];
+  Alcotest.(check (list int)) "issued, revoked" [ 2; 1 ]
+    [ cv.Oasis_domain.Civ.issues; cv.Oasis_domain.Civ.revocations ]
 
 let test_active_roles_and_introspection () =
   let t = make () in
@@ -451,6 +538,7 @@ let suite =
       Alcotest.test_case "appointer lacks privilege" `Quick test_appointer_needs_no_privilege;
       Alcotest.test_case "audit log" `Quick test_grants_audited;
       Alcotest.test_case "stats" `Quick test_stats_counters;
+      Alcotest.test_case "stats views read the registry" `Quick test_stats_views_read_registry;
       Alcotest.test_case "introspection" `Quick test_active_roles_and_introspection;
       Alcotest.test_case "rule disjunction" `Quick test_multiple_rules_disjunction;
       Alcotest.test_case "cross-service prereq" `Quick test_cross_service_prereq;

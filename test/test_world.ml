@@ -191,8 +191,7 @@ let test_remote_predicate () =
       | Error d -> Alcotest.failf "member denied: %s" (Protocol.denial_to_string d));
   (* The lookup really crossed the network. *)
   Alcotest.(check bool) "registry consulted" true
-    (let st = Oasis_sim.Network.stats (World.network world) in
-     st.Oasis_sim.Network.rpcs >= 3);
+    (Fixtures.metric (World.obs world) "net.rpcs" >= 3);
   (* A dead registry counts as "does not hold", not a crash. *)
   Oasis_sim.Network.set_down (World.network world) (Service.id registry) true;
   World.run_proc world (fun () ->
