@@ -9,7 +9,8 @@
     remote caches and dependent roles can subscribe (the ECR proxies of
     Fig. 5 are those subscriptions).
 
-    Storage is sharded sixteen ways by key hash (DESIGN.md §14): a store of
+    Storage is sharded sixteen ways — records by certificate sequence
+    number, the name index by key hash (DESIGN.md §14): a store of
     10^6 records pays per-shard hashtable resizes instead of store-wide
     pauses, and lookups stay O(1) within a shard. The interface is
     unchanged — sharding is invisible except to the allocator. *)

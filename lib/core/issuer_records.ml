@@ -20,7 +20,12 @@ type t = {
       (* valid records with a deadline: when, and the caller's revoke *)
 }
 
-let create world ~issuer ~is_down =
+let create ?is_down world ~issuer =
+  let is_down =
+    match is_down with
+    | Some is_down -> is_down
+    | None -> fun () -> Oasis_sim.Fault.is_crashed (World.fault world) issuer
+  in
   {
     world;
     issuer;

@@ -17,10 +17,11 @@
 
 type t
 
-val create : World.t -> issuer:Oasis_util.Ident.t -> is_down:(unit -> bool) -> t
+val create : ?is_down:(unit -> bool) -> World.t -> issuer:Oasis_util.Ident.t -> t
 (** An empty record store for [issuer]. [is_down] says whether the issuer
-    can act now: an expiry that falls due while it holds is deferred to
-    {!resume}. *)
+    can act now — by default, whether the world's fault controller has it
+    crashed ({!Oasis_sim.Fault.is_crashed}): an expiry that falls due while
+    it holds is deferred to {!resume}. *)
 
 val add :
   t ->

@@ -6,6 +6,13 @@
     middleware — actively monitors the membership conditions of every role it
     has granted, deactivating immediately when one becomes false (Sect. 2–4).
 
+    The service is cut along the paper's own seams. This module decides:
+    policy installation, credential validation, the Fig. 2 decision for
+    activation, invocation and appointment, and administration. What a
+    granted role rests on is watched by its {!Monitor} (Fig. 5), what it
+    issued is kept by its {!Issuer_records}, and every decision either
+    takes lands in its {!Audit_trail}.
+
     Server-side message handling runs inside simulated processes, so a
     service's policy evaluation may itself perform validation callbacks to
     other services, and its registered operations may invoke further
@@ -152,11 +159,13 @@ val current_epoch : t -> int
 
 val crash : t -> unit
 (** Crashes this node through the world's fault controller
-    ({!Oasis_sim.Fault}): the network node goes down, emitters fall silent,
-    and all in-memory active-security state (watches, monitors, suspect
-    timers, validation cache, reconciliation queue) is dropped. Durable
-    state — credential records, issued certificates, policy, per-role
-    dependency lists — survives for {!restart} to rebuild from. *)
+    ({!Oasis_sim.Fault}), which runs the monitor's crash hook: the network
+    node goes down, emitters fall silent, and all in-memory active-security
+    state — dependency and cache watches, env timers, suspect timers, the
+    validation cache, the reconciliation queue — is dropped. Durable state
+    — credential records, issued certificates, policy, per-role dependency
+    lists, the decision-log mirror — survives for {!restart} to rebuild
+    from. *)
 
 exception Chain_tampered of { service : string; seq : int; why : string }
 (** Raised by {!restart} when the durable
@@ -166,27 +175,28 @@ exception Chain_tampered of { service : string; seq : int; why : string }
     forgery. [seq] is the first record that fails; [why] the cause. *)
 
 val restart : t -> unit
-(** Rebuilds subscriptions, monitors and emitters from the durable
-    credential records. The durable decision-log chain is re-verified and
-    resumed first — on any mismatch the service refuses to come back
-    ({!Chain_tampered}). Appointments whose expiry passed while down are
-    then revoked and announced ({!Issuer_records.resume}), before any
-    emitter restarts.
-    Environmental constraints are re-checked on the spot
-    (changes missed while down deactivate now); roles resting on remote
-    credentials become {e suspect} and are re-validated by anti-entropy
-    reconciliation — invalidations announced while down were never
-    delivered, so the stale watch state cannot be trusted. A no-op unless
-    crashed. *)
+(** Brings the node back through the fault controller, whose restart hook
+    is the monitor's rebuild from durable state. The decision-log chain is
+    re-verified and resumed first ({!Audit_trail.resume}) — on any mismatch
+    the service refuses to come back ({!Chain_tampered}) and stays crashed.
+    Appointments whose expiry passed while down are then revoked and
+    announced ({!Issuer_records.resume}), before any emitter restarts. Each
+    active role's env constraints are re-checked on the spot — changes
+    missed while down deactivate it now, and a predicate the env no longer
+    knows fails closed — and own-issuer prerequisites are checked against
+    the credential records; a surviving role gets its env timers and
+    watches back, and if it rests on a remote credential it becomes
+    {e suspect} until anti-entropy reconciliation re-validates it —
+    invalidations announced while down were never delivered, so the stale
+    watch state cannot be trusted. A no-op unless crashed. *)
 
 val is_crashed : t -> bool
+(** {!Oasis_sim.Fault.is_crashed} for this node. *)
 
 val suspect_roles : t -> (Oasis_util.Ident.t * string) list
 (** [(cert_id, role)] for every active role currently in suspect state:
     its failure detector fired but revocation is unconfirmed, and either
     reconciliation or the grace timer will resolve it. *)
-
-val suspect_count : t -> int
 
 (** {1 Introspection} *)
 

@@ -189,7 +189,7 @@ let run_schedule seed =
       finish c;
       note_degradation c;
       if stale_grant c then violation := Some "S1: stale grant after final heal";
-      if Service.suspect_count c.relying + Service.suspect_count c.issuer > 0 then
+      if Service.suspect_roles c.relying <> [] || Service.suspect_roles c.issuer <> [] then
         violation := Some "S2: unresolved suspects after heal + grace");
   (c, !violation)
 

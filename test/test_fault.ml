@@ -74,12 +74,14 @@ let test_partition_suspect_reinstate () =
   provoke world issuer relying;
   let dropped = Fixtures.metric (World.obs world) "net.dropped{cause=partitioned}" in
   Alcotest.(check bool) "partition drops counted" true (dropped > 0);
-  Alcotest.(check int) "role is suspect, not dropped" 1 (Service.suspect_count relying);
+  Alcotest.(check int) "role is suspect, not dropped" 1
+    (List.length (Service.suspect_roles relying));
   Alcotest.(check bool) "suspect role still active" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
   heal world;
   World.settle world;
-  Alcotest.(check int) "suspect resolved after heal" 0 (Service.suspect_count relying);
+  Alcotest.(check int) "suspect resolved after heal" 0
+    (List.length (Service.suspect_roles relying));
   let stats = Service.stats relying in
   Alcotest.(check int) "reinstated by reconciliation" 1 stats.Service.reconciled_reinstated;
   Alcotest.(check int) "nothing revoked" 0 stats.Service.reconciled_revoked;
@@ -97,7 +99,7 @@ let test_missed_revocation_reconciled () =
   Alcotest.(check bool) "grant is stale while partitioned" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
   provoke world issuer relying;
-  Alcotest.(check int) "stale role suspect" 1 (Service.suspect_count relying);
+  Alcotest.(check int) "stale role suspect" 1 (List.length (Service.suspect_roles relying));
   heal world;
   World.settle world;
   Alcotest.(check bool) "missed revocation completed" false
@@ -111,10 +113,11 @@ let test_grace_expiry_fail_closed () =
   let _, _, _, derived = establish world issuer relying in
   cut world issuer relying;
   provoke world issuer relying;
-  Alcotest.(check int) "suspect" 1 (Service.suspect_count relying);
+  Alcotest.(check int) "suspect" 1 (List.length (Service.suspect_roles relying));
   (* Never heal: the grace timer must degrade fail-closed. *)
   World.run_until world (World.now world +. fault_config.Service.suspect_grace +. 1.0);
-  Alcotest.(check int) "suspect resolved by degradation" 0 (Service.suspect_count relying);
+  Alcotest.(check int) "suspect resolved by degradation" 0
+    (List.length (Service.suspect_roles relying));
   Alcotest.(check bool) "role conservatively deactivated" false
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
   let stats = Service.stats relying in
@@ -128,14 +131,14 @@ let test_crash_restart_reinstates () =
   Alcotest.(check bool) "crashed" true (Service.is_crashed relying);
   Alcotest.(check bool) "durable record survives the crash" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
-  Alcotest.(check int) "no suspects while down" 0 (Service.suspect_count relying);
+  Alcotest.(check int) "no suspects while down" 0 (List.length (Service.suspect_roles relying));
   Service.restart relying;
   Alcotest.(check bool) "restarted" false (Service.is_crashed relying);
   Alcotest.(check bool) "remote deps unverified after restart" true
-    (Service.suspect_count relying >= 1);
+    (List.length (Service.suspect_roles relying) >= 1);
   World.settle world;
   Alcotest.(check int) "reconciliation resolves the restart" 0
-    (Service.suspect_count relying);
+    (List.length (Service.suspect_roles relying));
   Alcotest.(check bool) "role reinstated" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
   Alcotest.(check int) "reinstated outcome counted" 1
@@ -161,12 +164,14 @@ let test_heartbeat_silence_suspect () =
   cut world issuer relying;
   (* Beats are suppressed by the partition; the monitor fires Silence. *)
   World.run_until world (World.now world +. 2.5);
-  Alcotest.(check int) "silence makes the role suspect" 1 (Service.suspect_count relying);
+  Alcotest.(check int) "silence makes the role suspect" 1
+    (List.length (Service.suspect_roles relying));
   Alcotest.(check bool) "still active inside the grace" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
   heal world;
   World.run_until world (World.now world +. 1.0);
-  Alcotest.(check int) "resolved within grace of heal" 0 (Service.suspect_count relying);
+  Alcotest.(check int) "resolved within grace of heal" 0
+    (List.length (Service.suspect_roles relying));
   Alcotest.(check bool) "role reinstated" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id)
 

@@ -72,9 +72,10 @@ let test_heartbeat_cancel_releases_timer () =
   Alcotest.(check bool) "no miss after cancel" false !missed;
   Alcotest.(check bool) "monitor not missed" false (Heartbeat.missed monitor)
 
-(* Decommissioning a service must drop its validation cache and unsubscribe
-   its cache-invalidation watches on other issuers' event channels. *)
-let test_decommission_releases_cache_watches () =
+(* Decommissioning or crashing a service must drop its validation cache
+   and unsubscribe its cache-invalidation watches on other issuers' event
+   channels. *)
+let test_teardown_releases_cache_watches teardown () =
   let world = World.create ~seed:13 () in
   (* The regression is about releasing cache-invalidation watches, which
      only the callback path installs (offline verification does not
@@ -112,9 +113,11 @@ let test_decommission_releases_cache_watches () =
     List.map2 ( - ) (lookups ()) before
   in
   Alcotest.(check (list int)) "verdict cached" [ 1; 0; 0 ] (present ());
-  ignore (Service.decommission svc ~reason:"retired");
+  teardown svc;
   World.settle world;
   Alcotest.(check int) "badge topic released" 0 (Broker.subscriber_count broker topic);
+  (* A crashed service answers nothing; back up, it has an empty cache. *)
+  if Service.is_crashed svc then Service.restart svc;
   Alcotest.(check (list int)) "cache emptied, no cached negatives" [ 0; 0; 1 ] (present ())
 
 (* Rules for the same role must be tried in installation order: the first
@@ -506,7 +509,10 @@ let suite =
       Alcotest.test_case "heartbeat cancel releases timer" `Quick
         test_heartbeat_cancel_releases_timer;
       Alcotest.test_case "decommission releases cache watches" `Quick
-        test_decommission_releases_cache_watches;
+        (test_teardown_releases_cache_watches (fun svc ->
+             ignore (Service.decommission svc ~reason:"retired")));
+      Alcotest.test_case "crash releases cache watches" `Quick
+        (test_teardown_releases_cache_watches Service.crash);
       Alcotest.test_case "rule order preserved" `Quick test_rule_order_preserved;
       Alcotest.test_case "kernel allocation budgets" `Quick test_kernel_allocation_budgets;
       Alcotest.test_case "fact-change cost, indexed" `Quick test_fact_change_cost_indexed;
