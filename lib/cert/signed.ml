@@ -25,7 +25,15 @@ let key_cert_bytes kc =
       Wire.Ffloat kc.issued_at;
     ]
 
-type chain = { root_pk : Elgamal.public; cert : key_cert }
+(* What one successful [verify_chain] vouched for. The chain value is
+   immutable apart from this cell, and a record copy shares the cell, so
+   the memo names the exact root key, key certificate and address it
+   checked: a copy with another [cert] or [root_pk] misses it. *)
+type vouched = { v_address : string; v_root_pk : Elgamal.public; v_cert : key_cert }
+
+type memo = { mutable vouched : vouched option }
+
+type chain = { root_pk : Elgamal.public; cert : key_cert; memo : memo }
 
 let address_of_public pk =
   Sha256.to_hex (Sha256.digest_string ("oasis-root\x00" ^ Elgamal.public_to_string pk))
@@ -49,7 +57,9 @@ let null_sig = { Schnorr.e = 0L; s = 0L }
 let enrol a ~subject ~subject_pk ~key_epoch ~now =
   let unsigned = { subject; subject_pk; key_epoch; issued_at = now; ksig = null_sig } in
   let ksig = Schnorr.sign ~secret:a.root.Schnorr.secret a.rng (key_cert_bytes unsigned) in
-  let chain = { root_pk = a.root.Schnorr.public; cert = { unsigned with ksig } } in
+  let chain =
+    { root_pk = a.root.Schnorr.public; cert = { unsigned with ksig }; memo = { vouched = None } }
+  in
   Ident.Tbl.replace a.chains subject chain;
   chain
 
@@ -57,9 +67,23 @@ let chain_for a subject = Ident.Tbl.find_opt a.chains subject
 
 let revoke_chain a subject = Ident.Tbl.remove a.chains subject
 
+(* Only a success is remembered, so a failure costs the full check every
+   time and can never be served from the memo. *)
 let verify_chain ~address:addr chain =
-  String.equal (address_of_public chain.root_pk) addr
-  && Schnorr.verify ~public:chain.root_pk (key_cert_bytes chain.cert) chain.cert.ksig
+  match chain.memo.vouched with
+  | Some v
+    when v.v_cert == chain.cert
+         && Int64.equal v.v_root_pk chain.root_pk
+         && String.equal v.v_address addr ->
+      true
+  | Some _ | None ->
+      let ok =
+        String.equal (address_of_public chain.root_pk) addr
+        && Schnorr.verify ~public:chain.root_pk (key_cert_bytes chain.cert) chain.cert.ksig
+      in
+      if ok then
+        chain.memo.vouched <- Some { v_address = addr; v_root_pk = chain.root_pk; v_cert = chain.cert };
+      ok
 
 (* ------------------------------------------------------------------ *)
 (* Offline-verifiable certificates                                    *)

@@ -21,8 +21,25 @@ type key_cert = {
 val key_cert_bytes : key_cert -> string
 (** The canonical encoding the root signs ([ksig] excluded). *)
 
-type chain = { root_pk : Oasis_crypto.Elgamal.public; cert : key_cert }
-(** Everything a verifier needs besides the trusted root address. *)
+type memo
+(** The record of a successful {!verify_chain} on one chain value. No
+    caller can build or change one. *)
+
+type chain = { root_pk : Oasis_crypto.Elgamal.public; cert : key_cert; memo : memo }
+(** Everything a verifier needs besides the trusted root address.
+
+    {!enrol} creates each chain value with an empty [memo]. The first
+    {!verify_chain} that succeeds records in it the address, the [root_pk]
+    and the [cert] it checked, the last compared with [==]. Later calls on
+    the same value answer from the memo with no hash, encoding or
+    signature check. A record copy shares the memo, but a copy with
+    another [cert] or [root_pk] misses it and is checked in full. Failures
+    are never recorded.
+
+    Rotation and withdrawal need no hook. {!enrol} after a rotation makes a
+    new chain value, whose memo is empty. {!revoke_chain} removes the value
+    from {!chain_for}, which is where relying services look up a chain on
+    every presentation, so a withdrawn chain is never checked again. *)
 
 type authority
 (** The domain root: holds the root keypair and the directory of enrolled
@@ -61,7 +78,8 @@ val revoke_chain : authority -> Oasis_util.Ident.t -> unit
 
 val verify_chain : address:string -> chain -> bool
 (** The root public key hashes to the trusted [address] and the key
-    certificate carries a valid root signature. *)
+    certificate carries a valid root signature. A success is memoized on
+    the chain value (see {!chain}); repeat calls allocate nothing. *)
 
 val issue_rmc :
   keypair:Oasis_crypto.Schnorr.keypair ->

@@ -36,6 +36,13 @@ let lookup t cert_id =
       Obs.Counter.inc t.c_misses;
       None
 
+let is_poisoned t cert_id =
+  match Ident.Tbl.find_opt t.table cert_id with
+  | Some Invalid ->
+      Obs.Counter.inc t.c_negative_hits;
+      true
+  | Some Valid | None -> false
+
 let invalidate t cert_id =
   match Ident.Tbl.find_opt t.table cert_id with
   | Some Invalid -> ()

@@ -31,8 +31,9 @@ val create : ?obs:Oasis_obs.Obs.t -> ?labels:Oasis_obs.Obs.label list -> unit ->
 (** The counters register into [obs] (default: a private registry) with
     the given [labels] — callers owning several caches distinguish them
     with e.g. [("service", name)]: [vcache.hits] (positive-verdict hits),
-    [vcache.negative_hits] (callbacks a cached invalidation suppressed),
-    [vcache.misses] and [vcache.invalidations] (entries turned negative).
+    [vcache.negative_hits] (presentations a cached invalidation refused),
+    [vcache.misses] ({!lookup}s that found nothing) and
+    [vcache.invalidations] (entries turned negative).
     The cache's size is not a count; {!lookup} shows what it holds. *)
 
 val cache_valid : t -> Oasis_util.Ident.t -> unit
@@ -42,6 +43,11 @@ val lookup : t -> Oasis_util.Ident.t -> verdict option
 (** [Some Valid] / [Some Invalid] if a verdict is cached (counts a hit /
     negative hit); [None] means the caller must perform the callback
     (counts a miss). *)
+
+val is_poisoned : t -> Oasis_util.Ident.t -> bool
+(** Whether a negative verdict is cached (counts a negative hit). For a
+    caller that verifies the certificate itself and never fills the cache,
+    so an absent entry is not a miss and counts nothing. *)
 
 val invalidate : t -> Oasis_util.Ident.t -> unit
 (** Called on an invalidation event from the issuer's channel. Converts the

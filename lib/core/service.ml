@@ -238,7 +238,7 @@ let validate_presented t ~src ~session_key (creds : Protocol.credentials) =
   let offline_verdict ~issuer cert_id verify =
     Obs.Counter.inc t.st.offline_validations;
     trace_verdict t ~cert_id "offline"
-      (Vcache.lookup t.cache cert_id <> Some Vcache.Invalid
+      ((not (Vcache.is_poisoned t.cache cert_id))
       && (not (Monitor.revoked_on_channel t.monitor ~issuer ~cert_id))
       && verify ())
   in

@@ -54,6 +54,30 @@ let pow base e =
   done;
   Int64.of_int !acc
 
+(* Shamir's trick: one square per bit of the longer exponent, and one
+   multiply by b1, b2 or b1*b2 per bit where either exponent is set.
+   Non-negative int64 exponents fit the 63-bit int bit for bit, and [lsr]
+   reads them unsigned. *)
+let pow2 b1 e1 b2 e2 =
+  if e1 < 0L || e2 < 0L then invalid_arg "Modp.pow2: negative exponent";
+  let b1 = to_field b1 and b2 = to_field b2 in
+  let b12 = mul_int b1 b2 in
+  let e1 = Int64.to_int e1 and e2 = Int64.to_int e2 in
+  let top = ref 62 in
+  while !top >= 0 && ((e1 lor e2) lsr !top) land 1 = 0 do
+    decr top
+  done;
+  let acc = ref 1 in
+  for i = !top downto 0 do
+    acc := mul_int !acc !acc;
+    match ((e1 lsr i) land 1) lor (((e2 lsr i) land 1) lsl 1) with
+    | 1 -> acc := mul_int !acc b1
+    | 2 -> acc := mul_int !acc b2
+    | 3 -> acc := mul_int !acc b12
+    | _ -> ()
+  done;
+  Int64.of_int !acc
+
 let inv a =
   let a = of_int64 a in
   if a = 0L then invalid_arg "Modp.inv: zero has no inverse";

@@ -27,6 +27,14 @@ val pow : int64 -> int64 -> int64
 (** [pow base e] with [e >= 0], by square-and-multiply over the bits of
     [e]; raises [Invalid_argument] on a negative exponent. *)
 
+val pow2 : int64 -> int64 -> int64 -> int64 -> int64
+(** [pow2 b1 e1 b2 e2] is [mul (pow b1 e1) (pow b2 e2)], computed in one
+    interleaved square-and-multiply over the bits of both exponents
+    (Shamir's trick): one squaring per bit of the longer exponent instead
+    of one per bit of each. Every non-negative [int64] exponent is
+    accepted; Schnorr verification passes scalars below p − 1 < 2^61.
+    Raises [Invalid_argument] on a negative exponent. *)
+
 val inv : int64 -> int64
 (** Multiplicative inverse by Fermat; raises [Invalid_argument] on 0. *)
 

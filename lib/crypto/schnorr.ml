@@ -64,7 +64,7 @@ let verify ~public msg { e; s } =
   e >= 0L && e < n64 && s >= 0L && s < n64
   && Elgamal.valid_public public
   &&
-  let r' = Modp.mul (Modp.pow Modp.generator s) (Modp.pow public e) in
+  let r' = Modp.pow2 Modp.generator s public e in
   Int64.equal (challenge r' msg) e
 
 (* ------------------------------------------------------------------ *)

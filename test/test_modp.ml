@@ -157,6 +157,28 @@ let test_pow_matches_model () =
     (QCheck.Test.make ~count:200 ~name:"pow = model" (QCheck.pair element exponent)
        (fun (b, e) -> Int64.equal (Modp.pow b e) (ref_pow b e)))
 
+let test_pow2_matches_model () =
+  let model b1 e1 b2 e2 = ref_mul (ref_pow b1 e1) (ref_pow b2 e2) in
+  let exponents = Int64.max_int :: Int64.shift_left 1L 62 :: edge_values in
+  List.iter
+    (fun e1 ->
+      List.iter
+        (fun e2 ->
+          Alcotest.(check int64) (Printf.sprintf "3^%Ld 5^%Ld" e1 e2) (model 3L e1 5L e2)
+            (Modp.pow2 3L e1 5L e2))
+        exponents)
+    exponents;
+  Alcotest.(check int64) "0^0 0^0 = 1" 1L (Modp.pow2 0L 0L 0L 0L);
+  Alcotest.check_raises "negative exponent" (Invalid_argument "Modp.pow2: negative exponent")
+    (fun () -> ignore (Modp.pow2 2L 1L 3L (-1L)));
+  let exponent =
+    QCheck.make ~print:Int64.to_string (QCheck.Gen.map (Int64.logand Int64.max_int) QCheck.Gen.ui64)
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:200 ~name:"pow2 = model"
+       (QCheck.quad element exponent element exponent)
+       (fun (b1, e1, b2, e2) -> Int64.equal (Modp.pow2 b1 e1 b2 e2) (model b1 e1 b2 e2)))
+
 (* Out-of-range operands are canonicalised before the native-int path. *)
 let test_noncanonical_operands () =
   QCheck.Test.check_exn
@@ -191,6 +213,7 @@ let suite =
       Alcotest.test_case "pow edge cases" `Quick test_pow_edge;
       Alcotest.test_case "mul = int64 model" `Quick test_mul_matches_model;
       Alcotest.test_case "pow = int64 model" `Quick test_pow_matches_model;
+      Alcotest.test_case "pow2 = int64 model" `Quick test_pow2_matches_model;
       Alcotest.test_case "non-canonical operands" `Quick test_noncanonical_operands;
       Alcotest.test_case "random range" `Quick test_random_in_range;
     ] )

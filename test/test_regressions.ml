@@ -11,8 +11,9 @@
    - drops are attributed to exactly one cause; broker suppression of
      in-flight deliveries after unsubscribe is visible in the stats
    and for the per-call crypto and audit kernels:
-   - SHA-256, modular exponentiation, Schnorr verification and a decision-log
-     append with its export line stay within minor-heap allocation budgets *)
+   - SHA-256, modular exponentiation, Schnorr verification, a warm key-chain
+     check and a decision-log append with its export line stay within
+     minor-heap allocation budgets *)
 
 module World = Oasis_core.World
 module Service = Oasis_core.Service
@@ -481,16 +482,30 @@ let test_kernel_allocation_budgets () =
   let module Sha256 = Oasis_crypto.Sha256 in
   let module Modp = Oasis_crypto.Modp in
   let module Schnorr = Oasis_crypto.Schnorr in
+  let module Signed = Oasis_cert.Signed in
   let kib = String.make 1024 'x' in
   check_budget "Sha256.digest_string (1 KiB)" ~budget:82. (fun () -> Sha256.digest_string kib);
   let rng = Rng.create 5 in
   let base = Modp.random rng and e = Modp.random rng in
   check_budget "Modp.pow" ~budget:6. (fun () -> Modp.pow base e);
+  let base2 = Modp.random rng and e2 = Modp.random rng in
+  check_budget "Modp.pow2" ~budget:6. (fun () -> Modp.pow2 base e base2 e2);
   let kp = Schnorr.generate rng in
   let msg = String.make 136 'c' in
   let sg = Schnorr.sign ~secret:kp.Schnorr.secret rng msg in
   check_budget "Schnorr.verify" ~budget:110. (fun () ->
       assert (Schnorr.verify ~public:kp.Schnorr.public msg sg));
+  (* A key chain checked once answers from its memo: a memo that never hits
+     costs the full check again, about 280 words. *)
+  let auth = Signed.create_authority (Rng.create 6) in
+  let address = Signed.address auth in
+  let chain =
+    Signed.enrol auth ~subject:(Ident.make "service" 1) ~subject_pk:kp.Schnorr.public ~key_epoch:0
+      ~now:0.0
+  in
+  assert (Signed.verify_chain ~address chain);
+  check_budget "Signed.verify_chain (warm)" ~budget:2. (fun () ->
+      assert (Signed.verify_chain ~address chain));
   (* A grant as Service records it, mirrored to durable storage. *)
   let log = Dlog.create ~service:(Ident.make "hospital" 1) in
   let doctor = Ident.make "principal" 7 in

@@ -228,13 +228,21 @@ let test_signed_appointment_roundtrip () =
 
 let signing offline_sign = { Service.default_config with Service.offline_sign }
 
-let activate_derived world issuer relying =
-  let p = Principal.create world ~name:"p" in
-  World.run_proc world (fun () ->
-      let s = Principal.start_session p in
+(* Runs [f] in a fresh session of [p] and returns its result. *)
+let in_session world p f =
+  let result = ref None in
+  World.run_proc world (fun () -> result := Some (f (Principal.start_session p)));
+  World.settle world;
+  match !result with Some r -> r | None -> Alcotest.fail "session never ran"
+
+(* One presentation of the issuer's RMC at the relying service. *)
+let present_base world p issuer relying =
+  in_session world p (fun s ->
       ignore (ok (Principal.activate p s issuer ~role:"base" ()));
-      ignore (ok (Principal.activate p s relying ~role:"derived" ())));
-  World.settle world
+      Principal.activate p s relying ~role:"derived" ())
+
+let activate_derived world issuer relying =
+  ignore (ok (present_base world (Principal.create world ~name:"p") issuer relying))
 
 let test_offline_path_zero_rpcs () =
   (* How a presented credential is verified follows its issuer's chain, not
@@ -274,11 +282,10 @@ let test_unenrolled_issuer_falls_back () =
   Alcotest.(check int) "granted" 1
     (List.length (Service.active_roles_named relying "derived"))
 
-let test_revoked_represented_denied_offline () =
-  (* A revocation witnessed over the dependency watch poisons the cache;
-     re-presenting the dead certificate is refused locally, still with zero
-     callbacks. *)
-  let world = World.create ~seed:31 () in
+(* A CIV-issued badge gates a role at [club]; the badge is checked offline
+   against the CIV cluster's chain. *)
+let badge_world ~seed =
+  let world = World.create ~seed () in
   let civ = Civ.create world ~name:"authority" () in
   let club =
     Service.create world ~name:"club" ~policy:"initial member(u) <- *appt:badge(u)@authority;" ()
@@ -291,20 +298,24 @@ let test_revoked_represented_denied_offline () =
   in
   Principal.grant_appointment p badge;
   World.settle world;
-  World.run_proc world (fun () ->
-      let s = Principal.start_session p in
-      ignore (ok (Principal.activate p s club ~role:"member" ())));
-  World.settle world;
+  (world, civ, club, p, badge)
+
+let join world p club = in_session world p (fun s -> Principal.activate p s club ~role:"member" ())
+
+let test_revoked_represented_denied_offline () =
+  (* A revocation witnessed over the dependency watch poisons the cache;
+     re-presenting the dead certificate is refused locally, still with zero
+     callbacks. *)
+  let world, civ, club, p, badge = badge_world ~seed:31 in
+  ignore (ok (join world p club));
   ignore (Civ.revoke civ badge.Appointment.id ~reason:"lapsed");
   World.settle world;
   Alcotest.(check int) "watch collapsed the role" 0
     (List.length (Service.active_roles_named club "member"));
-  World.run_proc world (fun () ->
-      let s2 = Principal.start_session p in
-      match Principal.activate p s2 club ~role:"member" () with
-      | Error Protocol.No_proof -> ()
-      | Ok _ -> Alcotest.fail "revoked badge re-accepted"
-      | Error d -> Alcotest.failf "unexpected denial: %s" (Protocol.denial_to_string d));
+  (match join world p club with
+  | Error Protocol.No_proof -> ()
+  | Ok _ -> Alcotest.fail "revoked badge re-accepted"
+  | Error d -> Alcotest.failf "unexpected denial: %s" (Protocol.denial_to_string d));
   Alcotest.(check int) "all of it without callbacks" 0 (Service.stats club).Service.callbacks_out
 
 let test_decommission_revokes_chain () =
@@ -316,6 +327,183 @@ let test_decommission_revokes_chain () =
   ignore (Service.decommission issuer ~reason:"retired");
   Alcotest.(check bool) "chain withdrawn on decommission" true
     (Signed.chain_for auth (Service.id issuer) = None)
+
+(* ---------------- The verified-chain memo ---------------- *)
+
+(* The definition the memo must agree with, written from the primitives. *)
+let reference_verify_chain ~address (c : Signed.chain) =
+  String.equal address
+    (Sha256.to_hex (Sha256.digest_string ("oasis-root\x00" ^ Elgamal.public_to_string c.root_pk)))
+  && Schnorr.verify ~public:c.root_pk (Signed.key_cert_bytes c.cert) c.cert.ksig
+
+let test_withdrawn_chain_goes_by_callback () =
+  let world = World.create ~seed:41 () in
+  let issuer = Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" () in
+  let relying = Service.create world ~name:"relying" ~policy:"derived <- *base@issuer;" () in
+  let p = Principal.create world ~name:"p" in
+  let auth = World.authority world in
+  let stale = Option.get (Signed.chain_for auth (Service.id issuer)) in
+  ignore (ok (present_base world p issuer relying));
+  let warm = Service.stats relying in
+  Alcotest.(check int) "warmed offline" 1 warm.Service.offline_validations;
+  Alcotest.(check bool) "the stale value would still verify" true
+    (Signed.verify_chain ~address:(Signed.address auth) stale);
+  Signed.revoke_chain auth (Service.id issuer);
+  ignore (ok (present_base world p issuer relying));
+  let after = Service.stats relying in
+  Alcotest.(check int) "no offline check after withdrawal" warm.Service.offline_validations
+    after.Service.offline_validations;
+  Alcotest.(check bool) "validated by callback" true
+    (after.Service.callbacks_out > warm.Service.callbacks_out)
+
+let test_rotation_refuses_old_epoch_next () =
+  let world, civ, club, p, badge = badge_world ~seed:43 in
+  ignore (ok (join world p club));
+  let warm = Service.stats club in
+  Alcotest.(check int) "warmed offline" 1 warm.Service.offline_validations;
+  Civ.rotate_secret civ;
+  (match join world p club with
+  | Error Protocol.No_proof -> ()
+  | Ok _ -> Alcotest.fail "old-epoch badge accepted after rotation"
+  | Error d -> Alcotest.failf "unexpected denial: %s" (Protocol.denial_to_string d));
+  let after = Service.stats club in
+  Alcotest.(check int) "refused offline, by the new chain" (warm.Service.offline_validations + 1)
+    after.Service.offline_validations;
+  Alcotest.(check int) "no callbacks" 0 after.Service.callbacks_out;
+  Alcotest.(check bool) "the record itself is still valid" true
+    (Civ.is_valid civ badge.Appointment.id)
+
+let test_tampered_chain_copies_refused () =
+  let world, _civ, club, p, badge = badge_world ~seed:47 in
+  ignore (ok (join world p club));
+  let auth = World.authority world in
+  let address = Signed.address auth in
+  let now = World.now world in
+  let chain = Option.get (Signed.chain_for auth badge.Appointment.issuer) in
+  Alcotest.(check bool) "genuine badge verifies on the warm chain" true
+    (Signed.verify_appointment ~address ~chain ~now badge);
+  (* A forger substitutes its own key into a copy of the warm chain; the
+     copy shares the memo cell but not the key certificate. *)
+  let forger = Schnorr.generate (Rng.create 3) in
+  let forged =
+    Signed.issue_appointment ~keypair:forger ~rng:(Rng.create 4) ~epoch:chain.cert.key_epoch
+      ~id:(Ident.make "cert" 999) ~issuer:badge.Appointment.issuer ~kind:"badge"
+      ~args:badge.Appointment.args ~holder:badge.Appointment.holder ~issued_at:now ()
+  in
+  let new_cert = { chain with cert = { chain.cert with subject_pk = forger.Schnorr.public } } in
+  Alcotest.(check bool) "copy with a new cert refused" false
+    (Signed.verify_chain ~address new_cert);
+  Alcotest.(check bool) "forged badge refused under it" false
+    (Signed.verify_appointment ~address ~chain:new_cert ~now forged);
+  (* A rogue root certifies the forger's key; neither its root key alone
+     nor its whole chain, grafted onto the warm memo, passes. *)
+  let rogue = Signed.create_authority (Rng.create 5) in
+  let rogue_chain =
+    Signed.enrol rogue ~subject:badge.Appointment.issuer ~subject_pk:forger.Schnorr.public
+      ~key_epoch:chain.cert.key_epoch ~now
+  in
+  let new_root = { chain with root_pk = rogue_chain.root_pk } in
+  Alcotest.(check bool) "copy with a new root_pk refused" false
+    (Signed.verify_chain ~address new_root);
+  let grafted = { chain with root_pk = rogue_chain.root_pk; cert = rogue_chain.cert } in
+  Alcotest.(check bool) "rogue chain grafted onto the memo refused" false
+    (Signed.verify_appointment ~address ~chain:grafted ~now forged);
+  Alcotest.(check bool) "the warm chain still verifies" true (Signed.verify_chain ~address chain);
+  Alcotest.(check bool) "and still refuses the forgery" false
+    (Signed.verify_appointment ~address ~chain ~now forged);
+  Alcotest.(check int) "no callbacks" 0 (Service.stats club).Service.callbacks_out
+
+(* Random schedules over two authorities and two subjects: every chain
+   value ever handed out stays in the pool, and copies sharing a memo cell
+   are mixed in, so stale, withdrawn and tampered values are all checked
+   again after other values warmed. *)
+type chain_op =
+  | Enrol of int * int
+  | Rotate of int * int
+  | Withdraw of int * int
+  | Tamper of int * int * int
+  | Verify of int * int
+
+let chain_op_gen =
+  QCheck.Gen.(
+    let two = int_bound 1 and any = int_bound 1_000 in
+    frequency
+      [
+        (2, map2 (fun a s -> Enrol (a, s)) two two);
+        (2, map2 (fun a s -> Rotate (a, s)) two two);
+        (1, map2 (fun a s -> Withdraw (a, s)) two two);
+        (3, map3 (fun i j k -> Tamper (i, j, k)) any any (int_bound 5));
+        (6, map2 (fun i a -> Verify (i, a)) any two);
+      ])
+
+let test_memo_matches_definition () =
+  let verdicts = [| 0; 0 |] in
+  let run ops =
+    let auths = Array.init 2 (fun i -> Signed.create_authority (Rng.create (71 + i))) in
+    let addresses = Array.map Signed.address auths in
+    let subjects = Array.init 2 (fun i -> Ident.make "service" i) in
+    let keys = Array.map (fun a -> Array.init 2 (fun _ -> Signed.generate_keypair a)) auths in
+    let epochs = Array.make_matrix 2 2 0 in
+    let pool = ref [||] in
+    let add c = pool := Array.append !pool [| c |] in
+    let enrol a s =
+      add
+        (Signed.enrol auths.(a) ~subject:subjects.(s) ~subject_pk:keys.(a).(s).Schnorr.public
+           ~key_epoch:epochs.(a).(s) ~now:0.0)
+    in
+    let agrees i addr =
+      let c = !pool.(i mod Array.length !pool) in
+      let address = addresses.(addr) in
+      let got = Signed.verify_chain ~address c in
+      let b = if got then 1 else 0 in
+      verdicts.(b) <- verdicts.(b) + 1;
+      got = reference_verify_chain ~address c
+    in
+    enrol 0 0;
+    List.for_all
+      (fun op ->
+        match op with
+        | Enrol (a, s) ->
+            enrol a s;
+            true
+        | Rotate (a, s) ->
+            epochs.(a).(s) <- epochs.(a).(s) + 1;
+            enrol a s;
+            true
+        | Withdraw (a, s) ->
+            Signed.revoke_chain auths.(a) subjects.(s);
+            Signed.chain_for auths.(a) subjects.(s) = None
+        | Tamper (i, j, k) ->
+            let n = Array.length !pool in
+            let c = !pool.(i mod n) and o = !pool.(j mod n) in
+            add
+              (match k with
+              | 0 -> { c with cert = { c.cert with key_epoch = c.cert.key_epoch + 1 } }
+              | 1 -> { c with cert = { c.cert with subject_pk = o.cert.subject_pk } }
+              | 2 -> { c with cert = o.cert }
+              | 3 -> { c with root_pk = o.root_pk }
+              | 4 -> { c with root_pk = o.root_pk; cert = o.cert }
+              | _ -> { c with cert = c.cert });
+            true
+        (* The second check answers from the memo when the first passed. *)
+        | Verify (i, addr) -> agrees i addr && agrees i addr)
+      ops
+    && List.for_all
+         (fun (a, s) ->
+           match Signed.chain_for auths.(a) subjects.(s) with
+           | Some c ->
+               Array.for_all
+                 (fun address ->
+                   Signed.verify_chain ~address c = reference_verify_chain ~address c)
+                 addresses
+           | None -> true)
+         [ (0, 0); (0, 1); (1, 0); (1, 1) ]
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:200 ~name:"memoized verify_chain = definition"
+       QCheck.(make Gen.(list_size (int_range 1 40) chain_op_gen))
+       run);
+  Alcotest.(check bool) "schedules reach both verdicts" true (verdicts.(0) > 0 && verdicts.(1) > 0)
 
 let suite =
   ( "signed",
@@ -332,4 +520,10 @@ let suite =
       Alcotest.test_case "unenrolled issuer falls back" `Quick test_unenrolled_issuer_falls_back;
       Alcotest.test_case "revoked re-presentation" `Quick test_revoked_represented_denied_offline;
       Alcotest.test_case "decommission revokes chain" `Quick test_decommission_revokes_chain;
+      Alcotest.test_case "withdrawn chain goes by callback" `Quick
+        test_withdrawn_chain_goes_by_callback;
+      Alcotest.test_case "rotation refuses old epoch next" `Quick
+        test_rotation_refuses_old_epoch_next;
+      Alcotest.test_case "tampered chain copies refused" `Quick test_tampered_chain_copies_refused;
+      Alcotest.test_case "chain memo = definition (qcheck)" `Quick test_memo_matches_definition;
     ] )
