@@ -1,5 +1,6 @@
 module Ident = Oasis_util.Ident
 module Value = Oasis_util.Value
+module Printed_length = Oasis_util.Printed_length
 
 type field =
   | Fident : Ident.t -> field
@@ -37,4 +38,19 @@ let encode tag fields =
 
 let signature_bytes = 32
 
-let size_bytes tag fields = String.length (encode tag fields) + signature_bytes
+(* The length of [encode tag fields], field by field, without building it. *)
+let lp_length payload = 1 + Printed_length.int payload + 1 + payload
+
+let field_length = function
+  | Fident id -> lp_length (Ident.string_length id)
+  | Fstring s -> lp_length (String.length s)
+  | Fvalue v -> lp_length (Value.encoded_length v)
+  | Ffloat f -> lp_length (Printed_length.hex_float f)
+  | Fint n -> lp_length (Printed_length.int n)
+  | Fvalues vs -> lp_length (List.fold_left (fun acc v -> acc + Value.encoded_length v) 0 vs)
+
+let size_bytes tag fields =
+  List.fold_left
+    (fun acc field -> acc + field_length field)
+    (lp_length (String.length tag) + signature_bytes)
+    fields

@@ -21,4 +21,4 @@ val encode : string -> field list -> string
 
 val size_bytes : string -> field list -> int
 (** Length of {!encode} plus the 32-byte signature: the certificate's
-    simulated wire size. *)
+    simulated wire size, computed from the field lengths without encoding. *)

@@ -9,6 +9,7 @@ type t = {
   sid : Ident.t;
   sname : string;
   obs : Obs.t;
+  records : Dlog.decision -> Obs.Counter.t;
   mutable dlog : Dlog.t; (* replaced by the durable resume on restart *)
 }
 
@@ -18,9 +19,34 @@ type t = {
    chain). Restart resumes from the blob; see [resume]. *)
 let chain_key t = "dlog:" ^ Ident.to_string t.sid
 
+(* [audit.records{service,decision}], each handle looked up once, at its
+   first record: a decision this service never takes registers no key. *)
+let records_counters obs ~name =
+  let counter decision =
+    lazy
+      (Obs.counter obs "audit.records"
+         ~labels:[ ("service", name); ("decision", Dlog.decision_label decision) ])
+  in
+  let grant = counter Dlog.Grant and deny = counter Dlog.Deny and revoke = counter Dlog.Revoke in
+  let suspect = counter Dlog.Suspect and reconcile = counter Dlog.Reconcile in
+  function
+  | Dlog.Grant -> Lazy.force grant
+  | Dlog.Deny -> Lazy.force deny
+  | Dlog.Revoke -> Lazy.force revoke
+  | Dlog.Suspect -> Lazy.force suspect
+  | Dlog.Reconcile -> Lazy.force reconcile
+
 let create world ~service ~name =
+  let obs = World.obs world in
   let t =
-    { world; sid = service; sname = name; obs = World.obs world; dlog = Dlog.create ~service }
+    {
+      world;
+      sid = service;
+      sname = name;
+      obs;
+      records = records_counters obs ~name;
+      dlog = Dlog.create ~service;
+    }
   in
   Durable.set (World.durable world) (chain_key t) (Dlog.export_header t.dlog);
   t
@@ -31,9 +57,7 @@ let decision_log t = t.dlog
    just before it (0 while tracing is off). *)
 let log t ~decision ~principal ~action ?(args = []) ?(rule = "") ?(creds = []) ?(env_facts = [])
     () =
-  Obs.Counter.inc
-    (Obs.counter t.obs "audit.records"
-       ~labels:[ ("service", t.sname); ("decision", Dlog.decision_label decision) ]);
+  Obs.Counter.inc (t.records decision);
   let r =
     Dlog.append t.dlog ~at:(World.now t.world) ~decision ~principal ~action ~args ~rule ~creds
       ~env_facts ~trace_seq:(Obs.last_seq t.obs) ()

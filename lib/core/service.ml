@@ -89,18 +89,29 @@ type stats = {
   flaps_suppressed : int;
 }
 
+(* A rule as installed, with its canonical text, which the audit record of
+   every grant it proves carries, and the credentials its body names: the
+   prerequisite roles it checks RMCs against and the appointments. *)
+type 'rule installed = {
+  rule : 'rule;
+  text : string;
+  names_rmcs : Rule.cred_ref list;
+  names_appointments : Rule.cred_ref list;
+}
+
 type t = {
   world : World.t;
   sid : Ident.t;
   sname : string;
   obs : Obs.t;
+  solver : Solve.observer;
   config : config;
   env : Env.t;
   key : Issuer_key.t;
   root_address : string;
-  activations : (string, Rule.activation Queue.t) Hashtbl.t;
-  authorizations : (string, Rule.authorization Queue.t) Hashtbl.t;
-  appointers : (string, Rule.authorization Queue.t) Hashtbl.t;
+  activations : (string, Rule.activation installed Queue.t) Hashtbl.t;
+  authorizations : (string, Rule.authorization installed Queue.t) Hashtbl.t;
+  appointers : (string, Rule.authorization installed Queue.t) Hashtbl.t;
   operations : (string, principal:Ident.t -> Value.t list -> Value.t option) Hashtbl.t;
   records : Issuer_records.t;
   audit : Audit_trail.t;
@@ -130,12 +141,30 @@ let multi_add table key v =
       Queue.push v q;
       Hashtbl.replace table key q
 
-let add_activation_rule t (rule : Rule.activation) = multi_add t.activations rule.role rule
+let add_activation_rule t (rule : Rule.activation) =
+  let refs pick = List.filter_map pick rule.conditions in
+  multi_add t.activations rule.role
+    {
+      rule;
+      text = Parser.print_statement (Parser.Activation rule);
+      names_rmcs = refs (function Rule.Prereq r -> Some r | _ -> None);
+      names_appointments = refs (function Rule.Appointment r -> Some r | _ -> None);
+    }
+
+let installed_authorization statement (rule : Rule.authorization) =
+  {
+    rule;
+    text = Parser.print_statement statement;
+    names_rmcs = rule.required_roles;
+    names_appointments = [];
+  }
 
 let add_authorization_rule t (rule : Rule.authorization) =
-  multi_add t.authorizations rule.privilege rule
+  multi_add t.authorizations rule.privilege
+    (installed_authorization (Parser.Authorization rule) rule)
 
-let set_appointer t ~kind ~rule = multi_add t.appointers kind rule
+let set_appointer t ~kind ~rule =
+  multi_add t.appointers kind (installed_authorization (Parser.Appointer rule) rule)
 
 let register_operation t privilege handler = Hashtbl.replace t.operations privilege handler
 
@@ -224,10 +253,36 @@ let challenge_key t ~dst ~key =
       | _ -> false
       | exception Network.Rpc_dropped -> false)
 
-(* Validates every presented credential, returning solver candidates.
+(* Presented credentials and the references in rule bodies meet on one
+   key: the issuer's identifier and the role or appointment name. A rule's
+   symbolic service resolves to this service when absent, through the
+   world's name registry otherwise. *)
+module Key = struct
+  type t = Ident.t * string
+
+  let equal (i, n) (j, m) = Ident.equal i j && String.equal n m
+  let hash : t -> int = Hashtbl.hash
+end
+
+module Key_tbl = Hashtbl.Make (Key)
+
+let resolve_issuer t = function
+  | None -> Some t.sid
+  | Some symbolic -> World.resolve t.world symbolic
+
+(* Validates the presented credentials, returning solver candidates.
    Invalid credentials are dropped (and counted): a wallet may legitimately
-   contain certificates that have expired or been revoked. *)
-let validate_presented t ~src ~session_key (creds : Protocol.credentials) =
+   contain certificates that have expired or been revoked.
+
+   [rules] are the request's candidate rules. A credential none of them
+   names can never support a proof — the solver only looks credentials up
+   by the rules' own references — so it is dropped unchecked when its
+   check would be local: its issuer is this service or has a chain. A check that goes over the
+   network runs for every presented credential, named or not, in
+   presentation order: a callback warms the cache, installs a cache watch
+   and can mark its issuer unreachable, and a holder challenge is an RPC to
+   the presenter. *)
+let validate_presented t ~src ~session_key ~rules (creds : Protocol.credentials) =
   (* Zero-RPC verification (DESIGN.md §12): when the presenting issuer has
      an enrolled key chain, the signature is checked locally against the
      domain root and no callback is made. A chain in hand is authoritative
@@ -269,14 +324,44 @@ let validate_presented t ~src ~session_key (creds : Protocol.credentials) =
           appointment certificates (Sect. 4.1). *)
        || challenge_key t ~dst:src ~key:appt.holder)
   in
+  let named_keys refs acc =
+    List.fold_left
+      (fun acc (r : Rule.cred_ref) ->
+        match resolve_issuer t r.service with Some issuer -> (issuer, r.name) :: acc | None -> acc)
+      acc refs
+  in
+  let named_rmcs, named_appts =
+    Queue.fold
+      (fun (rmcs, appts) entry ->
+        (named_keys entry.names_rmcs rmcs, named_keys entry.names_appointments appts))
+      ([], []) rules
+  in
+  let named keys key = List.exists (Key.equal key) keys in
+  let checked ~named issuer =
+    named || not (Ident.equal issuer t.sid || Option.is_some (issuer_chain t issuer))
+  in
   let keep valid =
     List.filter (fun c ->
         let ok = valid c in
         if not ok then Obs.Counter.inc t.st.validation_failures;
         ok)
   in
-  let keep_rmcs = keep rmc_ok creds.rmcs in
-  let keep_appts = keep appt_ok creds.appointments in
+  let keep_rmcs =
+    keep rmc_ok
+      (List.filter
+         (fun (rmc : Rmc.t) -> checked rmc.issuer ~named:(named named_rmcs (rmc.issuer, rmc.role)))
+         creds.rmcs)
+  in
+  let keep_appts =
+    keep appt_ok
+      (List.filter
+         (fun (appt : Appointment.t) ->
+           checked appt.issuer
+             ~named:
+               (t.config.challenge_appointment_holders
+               || named named_appts (appt.issuer, appt.kind)))
+         creds.appointments)
+  in
   let rmc_creds =
     List.map
       (fun (rmc : Rmc.t) ->
@@ -296,35 +381,28 @@ let validate_presented t ~src ~session_key (creds : Protocol.credentials) =
   in
   (rmc_creds, appt_creds)
 
-(* Candidate credentials indexed by (issuer, name): built once per request,
-   then each rule condition looks up exactly its matching candidates instead
-   of filtering the whole presented wallet (a rule with many conditions over
+(* Candidate credentials indexed by key: built once per request, then each
+   rule condition looks up exactly its matching candidates instead of
+   filtering the whole presented wallet (a rule with many conditions over
    a fat wallet was quadratic). Presentation order is preserved within a
    bucket, so proof search tries credentials in the order presented. *)
 let index_creds creds =
-  let key issuer name = Ident.to_string issuer ^ "\x00" ^ name in
-  let tbl = Hashtbl.create 16 in
+  let tbl = Key_tbl.create 16 in
   List.iter
     (fun (c : Solve.cred) ->
-      let k = key c.issuer c.cred_name in
-      match Hashtbl.find_opt tbl k with
+      let k = (c.issuer, c.cred_name) in
+      match Key_tbl.find_opt tbl k with
       | Some bucket -> bucket := c :: !bucket
-      | None -> Hashtbl.replace tbl k (ref [ c ]))
+      | None -> Key_tbl.replace tbl k (ref [ c ]))
     creds;
-  Hashtbl.iter (fun _ bucket -> bucket := List.rev !bucket) tbl;
-  fun issuer name -> match Hashtbl.find_opt tbl (key issuer name) with
-    | Some bucket -> !bucket
-    | None -> []
+  Key_tbl.iter (fun _ bucket -> bucket := List.rev !bucket) tbl;
+  fun k -> match Key_tbl.find_opt tbl k with Some bucket -> !bucket | None -> []
 
 let solver_context t ~rmc_creds ~appt_creds =
   let find_rmc = index_creds rmc_creds in
   let find_appt = index_creds appt_creds in
-  let resolve = function
-    | None -> Some t.sid
-    | Some symbolic -> World.resolve t.world symbolic
-  in
   let by_issuer find service name =
-    match resolve service with None -> [] | Some issuer -> find issuer name
+    match resolve_issuer t service with None -> [] | Some issuer -> find (issuer, name)
   in
   {
     Solve.find_rmcs = (fun ~service ~name -> by_issuer find_rmc service name);
@@ -376,7 +454,7 @@ let decide t ~src ~principal ~session_key ~creds ~action ~denied ~challenge ~unk
       let reason, denial = unknown in
       deny reason denial
   | Some rules -> (
-      let rmc_creds, appt_creds = validate_presented t ~src ~session_key creds in
+      let rmc_creds, appt_creds = validate_presented t ~src ~session_key ~rules creds in
       let ctx = solver_context t ~rmc_creds ~appt_creds in
       if challenge && not (challenge_key t ~dst:src ~key:session_key) then
         deny "challenge failed" Protocol.Challenge_failed
@@ -385,8 +463,12 @@ let decide t ~src ~principal ~session_key ~creds ~action ~denied ~challenge ~unk
            naming an unknown predicate, or one negating a non-ground
            constraint is a policy configuration error: refuse the request
            and log, never crash the service. *)
-        match Seq.find_map (solve ctx) (Queue.to_seq rules) with
-        | Some proof -> grant proof
+        match
+          Seq.find_map
+            (fun entry -> Option.map (fun proof -> (entry.text, proof)) (solve ctx entry.rule))
+            (Queue.to_seq rules)
+        with
+        | Some (text, proof) -> grant ~rule:text proof
         | None -> deny "no proof" Protocol.No_proof
         | exception Solve.Unbound_head (r, v) ->
             policy_error (Printf.sprintf "policy error: unbound head parameter %s in role %s" v r)
@@ -416,8 +498,8 @@ let handle_activate t ~src ~principal ~session_key ~role ~requested ~creds =
     ~rules:(Hashtbl.find_opt t.activations role)
     ~solve:(fun ctx rule ->
       Option.bind (seed_from_requested rule requested) (fun seed ->
-          Solve.activation ~obs:t.obs ctx rule ~seed ()))
-    ~grant:(fun (proof : Solve.proof) ->
+          Solve.activation ~obs:t.solver ctx rule ~seed ()))
+    ~grant:(fun ~rule (proof : Solve.proof) ->
       let cert_id = World.fresh_cert_id t.world in
       let rmc =
         Issuer_key.issue_rmc t.key ~principal_key:session_key ~id:cert_id ~role
@@ -429,9 +511,7 @@ let handle_activate t ~src ~principal ~session_key ~role ~requested ~creds =
       in
       Monitor.grant t.monitor ~rmc ~record ~session_key ~principal proof;
       Audit_trail.record_grant t.audit ~issued:cert_id ~principal ~action ~args:proof.role_args
-        ~support:proof.support
-        ~rule:(Parser.print_statement (Parser.Activation proof.rule))
-        ();
+        ~support:proof.support ~rule ();
       Obs.Counter.inc t.st.activations_granted;
       Log.debug (fun m ->
           m "%s grants %s(%s) to %a" t.sname role
@@ -443,8 +523,7 @@ let handle_activate t ~src ~principal ~session_key ~role ~requested ~creds =
    parameters are pinned positionally by the requested arguments. *)
 let solve_privilege t args ctx (rule : Rule.authorization) =
   Option.bind (Term.unify_args Term.Subst.empty rule.priv_args args) (fun seed ->
-      Solve.authorization ~obs:t.obs ctx rule ~seed ()
-      |> Option.map (fun (_subst, support) -> (rule, support)))
+      Solve.authorization ~obs:t.solver ctx rule ~seed () |> Option.map snd)
 
 let handle_invoke t ~src ~principal ~session_key ~privilege ~args ~creds =
   decide t ~src ~principal ~session_key ~creds ~action:("invoke:" ^ privilege)
@@ -452,11 +531,9 @@ let handle_invoke t ~src ~principal ~session_key ~privilege ~args ~creds =
     ~unknown:("unknown privilege", Protocol.Unknown_privilege privilege)
     ~rules:(Hashtbl.find_opt t.authorizations privilege)
     ~solve:(solve_privilege t args)
-    ~grant:(fun (rule, support) ->
+    ~grant:(fun ~rule support ->
       (* A grant logs the bare privilege name. *)
-      Audit_trail.record_grant t.audit ~principal ~action:privilege ~args ~support
-        ~rule:(Parser.print_statement (Parser.Authorization rule))
-        ();
+      Audit_trail.record_grant t.audit ~principal ~action:privilege ~args ~support ~rule ();
       Obs.Counter.inc t.st.invocations_granted;
       let result =
         match Hashtbl.find_opt t.operations privilege with
@@ -473,7 +550,7 @@ let handle_appoint t ~src ~principal ~session_key ~kind ~args ~holder ~holder_ke
     ~unknown:("unknown appointment kind", Protocol.Unknown_privilege action)
     ~rules:(Hashtbl.find_opt t.appointers kind)
     ~solve:(solve_privilege t args)
-    ~grant:(fun (rule, support) ->
+    ~grant:(fun ~rule support ->
       let cert_id = World.fresh_cert_id t.world in
       let appt =
         Issuer_key.issue_appointment t.key ~id:cert_id ~kind ~args ~holder:holder_key
@@ -485,9 +562,7 @@ let handle_appoint t ~src ~principal ~session_key ~kind ~args ~holder ~holder_ke
            ~name:kind ~args
            ?expiry:(Option.map (fun at -> (at, expire)) expires_at)
            ());
-      Audit_trail.record_grant t.audit ~issued:cert_id ~principal ~action ~args ~support
-        ~rule:(Parser.print_statement (Parser.Appointer rule))
-        ();
+      Audit_trail.record_grant t.audit ~issued:cert_id ~principal ~action ~args ~support ~rule ();
       Obs.Counter.inc t.st.appointments_granted;
       Protocol.Appoint_ok appt)
 
@@ -572,6 +647,7 @@ let create world ~name ?(config = default_config) ?env ~policy () =
       sid;
       sname = name;
       obs;
+      solver = Solve.observer obs;
       config;
       env;
       key =

@@ -259,8 +259,16 @@ type stats = {
   offline_validations : int;
       (** remote credentials checked locally against an issuer chain —
           presentations that under the legacy path would each have been a
-          [callbacks_out] RPC *)
-  validation_failures : int;  (** presented credentials dropped as invalid *)
+          [callbacks_out] RPC. Only credentials a candidate rule of the
+          request names are checked locally; the others are dropped
+          unchecked and not counted *)
+  validation_failures : int;
+      (** presented credentials that were checked and found invalid, and so
+          dropped: every callback-checked one (HMAC signers, issuers
+          without a chain, and every appointment while
+          [challenge_appointment_holders] is on), but a locally checked one
+          (own issuer, or an issuer with a chain) only when a candidate rule
+          of the request names it *)
   revocations : int;  (** credential records invalidated here *)
   cascade_deactivations : int;  (** revocations triggered by monitoring, not administration *)
   env_rechecks : int;

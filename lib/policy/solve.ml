@@ -105,42 +105,58 @@ let ground_head (rule : Rule.activation) subst =
           raise (Unbound_head (rule.role, var)))
     rule.params
 
-(* Wraps one solver entry point: counts condition visits into the
+(* Where searches report: the registry, and the [solve.steps{kind}]
+   histogram of each entry point, looked up once, at its first search, so
+   a kind never searched registers no key. *)
+type observer = {
+  obs : Obs.t;
+  activation_steps : Obs.Histogram.t Lazy.t;
+  authorization_steps : Obs.Histogram.t Lazy.t;
+}
+
+let observer obs =
+  let steps kind = lazy (Obs.histogram obs "solve.steps" ~labels:[ ("kind", kind) ]) in
+  {
+    obs;
+    activation_steps = steps "activation";
+    authorization_steps = steps "authorization";
+  }
+
+(* Wraps one solver entry point: counts condition visits into its
    [solve.steps] histogram and (when tracing) brackets the search in a
-   [solve.<kind>] span. Without [obs] the search runs untouched. *)
-let observed ?obs ~kind ~rule f =
+   [solve.<kind>] span. Without an observer the search runs untouched. *)
+let observed ?obs ~kind ~histogram ~rule f =
   match obs with
   | None -> f (fun () -> ())
-  | Some obs ->
+  | Some o ->
       let steps = ref 0 in
       let run () = f (fun () -> incr steps) in
       let result =
-        if Obs.tracing obs then Obs.span obs ("solve." ^ kind) ~labels:[ ("rule", rule) ] run
+        if Obs.tracing o.obs then Obs.span o.obs ("solve." ^ kind) ~labels:[ ("rule", rule) ] run
         else run ()
       in
-      Obs.Histogram.observe
-        (Obs.histogram obs "solve.steps" ~labels:[ ("kind", kind) ])
-        (float_of_int !steps);
+      Obs.Histogram.observe (Lazy.force (histogram o)) (float_of_int !steps);
       result
 
 let activation ?obs ctx (rule : Rule.activation) ?(seed = Subst.empty) () =
-  observed ?obs ~kind:"activation" ~rule:rule.role (fun on_step ->
+  observed ?obs ~kind:"activation" ~histogram:(fun o -> o.activation_steps) ~rule:rule.role
+    (fun on_step ->
       let result = ref None in
       search ~on_step ctx rule.conditions ~seed ~emit:(fun subst support ->
           result := Some { rule; subst; role_args = ground_head rule subst; support };
           false);
       !result)
 
-let activation_all ?obs ctx (rule : Rule.activation) ?(seed = Subst.empty) () =
-  observed ?obs ~kind:"activation_all" ~rule:rule.role (fun on_step ->
-      let results = ref [] in
-      search ~on_step ctx rule.conditions ~seed ~emit:(fun subst support ->
-          results := { rule; subst; role_args = ground_head rule subst; support } :: !results;
-          true);
-      List.rev !results)
+let activation_all ctx (rule : Rule.activation) ?(seed = Subst.empty) () =
+  let results = ref [] in
+  search ctx rule.conditions ~seed ~emit:(fun subst support ->
+      results := { rule; subst; role_args = ground_head rule subst; support } :: !results;
+      true);
+  List.rev !results
 
 let authorization ?obs ctx (auth : Rule.authorization) ?(seed = Subst.empty) () =
-  observed ?obs ~kind:"authorization" ~rule:auth.privilege (fun on_step ->
+  observed ?obs ~kind:"authorization" ~histogram:(fun o -> o.authorization_steps)
+    ~rule:auth.privilege (fun on_step ->
       let conditions =
         List.map (fun r -> Rule.Prereq r) auth.required_roles
         @ List.map (fun (name, args) -> Rule.Constraint (name, args)) auth.constraints

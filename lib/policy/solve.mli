@@ -55,21 +55,26 @@ exception Nonground_negation of string
     every variable it mentions; anything else is a policy configuration
     error that must surface loudly rather than yield "no proof". *)
 
+type observer
+(** Where searches report: a registry, with each entry point's
+    [solve.steps{kind}] histogram looked up once, at its first search. *)
+
+val observer : Oasis_obs.Obs.t -> observer
+
 val activation :
-  ?obs:Oasis_obs.Obs.t -> context -> Rule.activation -> ?seed:Term.Subst.t -> unit -> proof option
+  ?obs:observer -> context -> Rule.activation -> ?seed:Term.Subst.t -> unit -> proof option
 (** First proof found, or [None]. [seed] pre-binds head variables when the
     principal requests specific parameters (e.g. a particular patient).
     With [obs], condition visits feed the [solve.steps{kind=activation}]
     histogram and tracing brackets the search in a [solve.activation] span
     labelled with the role. *)
 
-val activation_all :
-  ?obs:Oasis_obs.Obs.t -> context -> Rule.activation -> ?seed:Term.Subst.t -> unit -> proof list
-(** All proofs (distinct supporting-credential combinations); used by tests
-    and by the monitor when re-validating after a credential loss. *)
+val activation_all : context -> Rule.activation -> ?seed:Term.Subst.t -> unit -> proof list
+(** All proofs (distinct supporting-credential combinations), unobserved;
+    used by tests. *)
 
 val authorization :
-  ?obs:Oasis_obs.Obs.t ->
+  ?obs:observer ->
   context ->
   Rule.authorization ->
   ?seed:Term.Subst.t ->

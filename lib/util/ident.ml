@@ -10,6 +10,8 @@ let hash a = Hashtbl.hash (a.tag, a.n)
 
 let to_string a = Printf.sprintf "%s#%d" a.tag a.n
 
+let string_length a = String.length a.tag + 1 + Printed_length.int a.n
+
 let pp ppf a = Format.pp_print_string ppf (to_string a)
 
 let tag a = a.tag

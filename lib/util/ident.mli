@@ -13,6 +13,9 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val string_length : t -> int
+(** [String.length (to_string t)], without building the string. *)
+
 val tag : t -> string
 (** The namespace tag the identifier was minted under. *)
 

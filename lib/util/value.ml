@@ -53,6 +53,15 @@ let encode buf v =
   | Time f -> add_tagged 't' (Printf.sprintf "%h" f)
   | Id i -> add_tagged 'd' (Ident.to_string i)
 
+let encoded_length v =
+  let tagged payload = 1 + Printed_length.int payload + 1 + payload in
+  match v with
+  | Int n -> tagged (Printed_length.int n)
+  | Str s -> tagged (String.length s)
+  | Bool _ -> tagged 1
+  | Time f -> tagged (Printed_length.hex_float f)
+  | Id i -> tagged (Ident.string_length i)
+
 let of_string s =
   match int_of_string_opt s with
   | Some n -> Int n

@@ -27,6 +27,9 @@ val encode : Buffer.t -> t -> unit
     computing certificate signatures so that distinct field lists can never
     collide ([Fig. 4]'s protected fields). *)
 
+val encoded_length : t -> int
+(** The number of bytes {!encode} appends, computed without encoding. *)
+
 val of_string : string -> t
 (** Best-effort parse used by the policy parser: integers, [true]/[false],
     [t:<float>] for times, [tag#n] for identifiers, anything else a string. *)

@@ -7,6 +7,7 @@ module Secret = Oasis_crypto.Secret
 module Sha256 = Oasis_crypto.Sha256
 module Ident = Oasis_util.Ident
 module Value = Oasis_util.Value
+module Wire = Oasis_cert.Wire
 
 let secret = Secret.of_string "codec-secret-0123456789abcdef012"
 
@@ -171,6 +172,49 @@ let test_size_matches_encoding () =
     true
     (abs (encoded - claimed) < 16)
 
+(* Sizing adds up field lengths instead of encoding; it must agree with the
+   encoding byte for byte, including on the spellings whose length varies
+   most: signs, empty strings, subnormals, infinities and NaNs. *)
+let test_size_bytes_is_encoded_length () =
+  let open QCheck.Gen in
+  let any_int = oneof [ small_signed_int; int; oneofl [ 0; -1; min_int; max_int ] ] in
+  let any_float =
+    oneof
+      [
+        float;
+        map Int64.float_of_bits int64;
+        oneofl [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; -0.0; 4.9e-324 ];
+      ]
+  in
+  let any_string = string_size (int_bound 12) in
+  let ident = map2 Ident.make (string_size ~gen:(char_range 'a' 'z') (int_bound 8)) any_int in
+  let value =
+    oneof
+      [
+        map (fun n -> Value.Int n) any_int;
+        map (fun s -> Value.Str s) any_string;
+        map (fun b -> Value.Bool b) bool;
+        map (fun f -> Value.Time f) any_float;
+        map (fun i -> Value.Id i) ident;
+      ]
+  in
+  let field =
+    oneof
+      [
+        map (fun i -> Wire.Fident i) ident;
+        map (fun s -> Wire.Fstring s) any_string;
+        map (fun v -> Wire.Fvalue v) value;
+        map (fun f -> Wire.Ffloat f) any_float;
+        map (fun n -> Wire.Fint n) any_int;
+        map (fun vs -> Wire.Fvalues vs) (list_size (int_bound 5) value);
+      ]
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:2000 ~name:"size_bytes = encoded length + 32"
+       (QCheck.make (pair any_string (list_size (int_bound 8) field)))
+       (fun (tag, fields) ->
+         Wire.size_bytes tag fields = String.length (Wire.encode tag fields) + 32))
+
 (* ---------------- Canonical-encoding regressions ---------------- *)
 
 (* Replace the unique occurrence of [before] in [s]; the tests below rewrite
@@ -305,6 +349,7 @@ let suite =
       Alcotest.test_case "kind confusion" `Quick test_kind_confusion_rejected;
       Alcotest.test_case "trailing bytes" `Quick test_trailing_bytes_rejected;
       Alcotest.test_case "size accounting" `Quick test_size_matches_encoding;
+      Alcotest.test_case "size without encoding (qcheck)" `Quick test_size_bytes_is_encoded_length;
       Alcotest.test_case "non-canonical lengths" `Quick test_noncanonical_lengths_rejected;
       Alcotest.test_case "NaN timestamps" `Quick test_nan_timestamp_rejected;
       Alcotest.test_case "special floats roundtrip" `Quick test_special_floats_roundtrip;

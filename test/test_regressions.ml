@@ -12,8 +12,8 @@
      in-flight deliveries after unsubscribe is visible in the stats
    and for the per-call crypto and audit kernels:
    - SHA-256, modular exponentiation, Schnorr verification, a warm key-chain
-     check and a decision-log append with its export line stay within
-     minor-heap allocation budgets *)
+     check, sizing a five-credential invocation and a decision-log append
+     with its export line stay within minor-heap allocation budgets *)
 
 module World = Oasis_core.World
 module Service = Oasis_core.Service
@@ -506,6 +506,43 @@ let test_kernel_allocation_budgets () =
   assert (Signed.verify_chain ~address chain);
   check_budget "Signed.verify_chain (warm)" ~budget:2. (fun () ->
       assert (Signed.verify_chain ~address chain));
+  (* An invocation presenting five credentials, sized as the network counts
+     it: from field lengths, where encoding every certificate to measure it
+     cost about 1,700 words. *)
+  let module Rmc = Oasis_cert.Rmc in
+  let module Appointment = Oasis_cert.Appointment in
+  let signature = Sha256.digest_string "" in
+  let patient = Value.Int 4711 and issuer = Ident.make "service" 2 in
+  let rmc n role args =
+    Rmc.of_parts ~id:(Ident.make "cert" n) ~issuer ~role ~args ~issued_at:(12.5 +. float n)
+      ~signature
+  in
+  let appt n kind =
+    Appointment.of_parts ~id:(Ident.make "cert" n) ~issuer:(Ident.make "civ" 1) ~kind
+      ~args:[ Value.Id (Ident.make "principal" 7) ]
+      ~holder:(String.make 40 'k') ~issued_at:1.0 ~expires_at:(Some 1e6) ~epoch:0 ~signature
+  in
+  let invoke =
+    Protocol.Invoke
+      {
+        principal = Ident.make "principal" 7;
+        session_key = String.make 40 's';
+        privilege = "read_record";
+        args = [ Value.Id (Ident.make "principal" 7); patient ];
+        creds =
+          {
+            Protocol.rmcs =
+              [
+                rmc 10 "logged_in" [ Value.Id (Ident.make "principal" 7) ];
+                rmc 11 "doctor" [ Value.Id (Ident.make "principal" 7) ];
+                rmc 12 "treating_doctor" [ Value.Id (Ident.make "principal" 7); patient ];
+              ];
+            appointments = [ appt 13 "employee"; appt 14 "qualified" ];
+          };
+      }
+  in
+  check_budget "Protocol.size_of (Invoke, 5 credentials)" ~budget:420. (fun () ->
+      Protocol.size_of invoke);
   (* A grant as Service records it, mirrored to durable storage. *)
   let log = Dlog.create ~service:(Ident.make "hospital" 1) in
   let doctor = Ident.make "principal" 7 in

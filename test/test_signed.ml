@@ -18,6 +18,10 @@ module Sha256 = Oasis_crypto.Sha256
 module Rng = Oasis_util.Rng
 module Ident = Oasis_util.Ident
 module Value = Oasis_util.Value
+module Solve = Oasis_policy.Solve
+module Parser = Oasis_policy.Parser
+module Env = Oasis_policy.Env
+module Dlog = Oasis_trust.Decision_log
 
 let ok = function
   | Ok v -> v
@@ -505,6 +509,261 @@ let test_memo_matches_definition () =
        run);
   Alcotest.(check bool) "schedules reach both verdicts" true (verdicts.(0) > 0 && verdicts.(1) > 0)
 
+(* ---------------- Which presented credentials are checked ---------------- *)
+
+(* Who issued a presented credential: the deciding service itself, a
+   service with a key chain, an HMAC-signing service (checked by callback),
+   or a CIV with or without a chain (appointments). *)
+type source = Own | Chained | Hmac | Civ_chained | Civ_hmac
+
+(* Stale: an appointment signed under the key (or epoch) that a rotation
+   has since replaced. RMCs neither expire nor go stale. *)
+type status = Valid | Tampered | Revoked | Expired | Stale
+
+let is_appointment = function Civ_chained | Civ_hmac -> true | Own | Chained | Hmac -> false
+
+let ref_text (source, name) =
+  match source with
+  | Own -> name
+  | Chained -> name ^ "@chained"
+  | Hmac -> name ^ "@hmac"
+  | Civ_chained -> "appt:" ^ name ^ "@civ"
+  | Civ_hmac -> "appt:" ^ name ^ "@hciv"
+
+let other_name = function "a" -> "b" | _ -> "a"
+
+type presented = Presented_rmc of Rmc.t | Presented_appt of Appointment.t
+
+type presentation = {
+  world : World.t;
+  svc : Service.t;
+  goal_rules : string;
+  request : unit -> (Rmc.t, Protocol.denial) result;
+  wallet : (status * presented) list;  (** in presentation order *)
+}
+
+(* A world where [svc] holds one [goal] rule per element of [rules] (each a
+   list of references), and a principal's session holds the credentials
+   [specs] describes, presented to [svc] in that order by [request]. *)
+let presentation ~seed ~rules specs =
+  let world = World.create ~seed () in
+  let roles = "initial a <- env:eq(1, 1); initial b <- env:eq(1, 1); " in
+  let goal_rules =
+    String.concat " "
+      (List.map (fun refs -> "goal <- " ^ String.concat ", " (List.map ref_text refs) ^ ";") rules)
+  in
+  let svc = Service.create world ~name:"svc" ~policy:(roles ^ goal_rules) () in
+  let chained = Service.create world ~name:"chained" ~policy:roles () in
+  let hmac = Service.create world ~name:"hmac" ~config:(signing false) ~policy:roles () in
+  let civ = Civ.create world ~name:"civ" ~replicas:1 () in
+  let hciv = Civ.create world ~name:"hciv" ~replicas:1 ~offline_sign:false () in
+  let p = Principal.create world ~name:"p" in
+  let session = Principal.start_session p in
+  let issuer = function Own -> svc | Chained -> chained | _ -> hmac in
+  let civ_of = function Civ_chained -> civ | _ -> hciv in
+  let rmc source name =
+    World.run_proc world (fun () ->
+        ok
+          (Principal.activate_with p session (issuer source) ~role:name
+             ~creds:Protocol.no_credentials ()))
+  in
+  let appt ?expires_at source name =
+    Civ.issue (civ_of source) ~kind:name ~args:[] ~holder:(Principal.id p)
+      ~holder_key:(Principal.longterm_public p) ?expires_at ()
+  in
+  let make (source, name, status) =
+    if is_appointment source then
+      Presented_appt
+        (match status with
+        | Valid | Stale -> appt source name
+        | Tampered ->
+            let (a : Appointment.t) = appt source (other_name name) in
+            Appointment.of_parts ~id:a.id ~issuer:a.issuer ~kind:name ~args:a.args ~holder:a.holder
+              ~issued_at:a.issued_at ~expires_at:a.expires_at ~epoch:a.epoch ~signature:a.signature
+        | Revoked ->
+            let a = appt source name in
+            ignore (Civ.revoke (civ_of source) a.Appointment.id ~reason:"revoked");
+            a
+        | Expired -> appt ~expires_at:(World.now world +. 1.0) source name)
+    else
+      Presented_rmc
+        (match status with
+        | Valid -> rmc source name
+        | Tampered ->
+            let (r : Rmc.t) = rmc source (other_name name) in
+            Rmc.of_parts ~id:r.id ~issuer:r.issuer ~role:name ~args:r.args ~issued_at:r.issued_at
+              ~signature:r.signature
+        | Revoked ->
+            let r = rmc source name in
+            ignore (Service.revoke_certificate (issuer source) r.Rmc.id ~reason:"revoked");
+            r
+        | Expired | Stale -> invalid_arg "RMCs neither expire nor go stale")
+  in
+  let specs = List.mapi (fun i spec -> (i, spec)) specs in
+  let stale, current = List.partition (fun (_, (_, _, status)) -> status = Stale) specs in
+  let issue = List.map (fun (i, ((_, _, status) as spec)) -> (i, (status, make spec))) in
+  let early = issue stale in
+  Civ.rotate_secret civ;
+  Civ.rotate_secret hciv;
+  let wallet = List.sort (fun (i, _) (j, _) -> Int.compare i j) (early @ issue current) in
+  let wallet = List.map snd wallet in
+  (* Past every expiry, and every revocation announced. *)
+  World.run_until world (World.now world +. 2.0);
+  World.settle world;
+  let creds =
+    {
+      Protocol.rmcs = List.filter_map (function _, Presented_rmc r -> Some r | _ -> None) wallet;
+      appointments = List.filter_map (function _, Presented_appt a -> Some a | _ -> None) wallet;
+    }
+  in
+  let request () =
+    World.run_proc world (fun () -> Principal.activate_with p session svc ~role:"goal" ~creds ())
+  in
+  { world; svc; goal_rules; request; wallet }
+
+(* The credentials the last grant of [svc] rested on. *)
+let last_support svc =
+  match List.rev (Dlog.records (Service.decision_log svc)) with
+  | { Dlog.decision = Dlog.Grant; creds = _issued :: support; _ } :: _ -> support
+  | _ -> Alcotest.fail "no grant recorded"
+
+(* The reply to one request, with what it added to the deciding service's
+   offline validations, validation failures and callbacks. *)
+let request_counted pr =
+  let (b : Service.stats) = Service.stats pr.svc in
+  let result = pr.request () in
+  let (a : Service.stats) = Service.stats pr.svc in
+  ( result,
+    ( a.offline_validations - b.offline_validations,
+      a.validation_failures - b.validation_failures,
+      a.callbacks_out - b.callbacks_out ) )
+
+let test_unnamed_local_credentials_unchecked () =
+  let pr =
+    presentation ~seed:53
+      ~rules:[ [ (Chained, "a"); (Civ_chained, "a") ] ]
+      [
+        (Chained, "a", Valid);
+        (Own, "b", Tampered);
+        (Civ_chained, "b", Stale);
+        (Civ_chained, "a", Valid);
+      ]
+  in
+  let result, (offline, failures, callbacks) = request_counted pr in
+  ignore (ok result);
+  Alcotest.(check int) "only the two named credentials checked offline" 2 offline;
+  Alcotest.(check int) "the unnamed invalid ones dropped unchecked" 0 failures;
+  Alcotest.(check int) "no callbacks" 0 callbacks
+
+let test_tampered_named_credential_refused () =
+  let pr =
+    presentation ~seed:59
+      ~rules:[ [ (Chained, "a"); (Civ_chained, "a") ] ]
+      [ (Chained, "a", Tampered); (Civ_chained, "a", Valid) ]
+  in
+  let result, (_, failures, _) = request_counted pr in
+  (match result with
+  | Error Protocol.No_proof -> ()
+  | Ok _ -> Alcotest.fail "tampered named credential accepted"
+  | Error d -> Alcotest.failf "unexpected denial: %s" (Protocol.denial_to_string d));
+  Alcotest.(check int) "counted as a failure" 1 failures
+
+let test_unnamed_callback_credential_still_checked () =
+  let pr =
+    presentation ~seed:61
+      ~rules:[ [ (Chained, "a") ] ]
+      [ (Chained, "a", Valid); (Hmac, "b", Valid) ]
+  in
+  let result, (offline, _, callbacks) = request_counted pr in
+  ignore (ok result);
+  Alcotest.(check int) "the named one offline" 1 offline;
+  Alcotest.(check int) "the unnamed HMAC one by one callback" 1 callbacks
+
+(* The proof the solver finds when every presented credential is checked:
+   the candidates are exactly the credentials built valid, in presentation
+   order. *)
+let reference_support pr =
+  let resolve = function
+    | None -> Some (Service.id pr.svc)
+    | Some name -> World.resolve pr.world name
+  in
+  let candidates pick ~service ~name =
+    match resolve service with
+    | None -> []
+    | Some issuer ->
+        List.filter_map
+          (fun (status, cred) ->
+            match pick cred with
+            | Some (c : Solve.cred)
+              when status = Valid && Ident.equal c.issuer issuer && String.equal c.cred_name name ->
+                Some c
+            | _ -> None)
+          pr.wallet
+  in
+  let of_rmc = function
+    | Presented_rmc (r : Rmc.t) ->
+        Some { Solve.cred_id = r.id; issuer = r.issuer; cred_name = r.role; cred_args = r.args }
+    | Presented_appt _ -> None
+  in
+  let of_appt = function
+    | Presented_appt (a : Appointment.t) ->
+        Some { Solve.cred_id = a.id; issuer = a.issuer; cred_name = a.kind; cred_args = a.args }
+    | Presented_rmc _ -> None
+  in
+  let env = Service.env pr.svc in
+  let ctx =
+    {
+      Solve.find_rmcs = (fun ~service ~name -> candidates of_rmc ~service ~name);
+      find_appointments = (fun ~issuer ~name -> candidates of_appt ~service:issuer ~name);
+      env_check = Env.check env;
+      env_enumerate = Env.enumerate env;
+    }
+  in
+  List.find_map
+    (function Parser.Activation rule -> Solve.activation ctx rule () | _ -> None)
+    (Parser.parse_exn pr.goal_rules)
+  |> Option.map (fun (proof : Solve.proof) ->
+         List.filter_map
+           (function
+             | Solve.By_rmc c | Solve.By_appointment c -> Some c.Solve.cred_id
+             | Solve.By_env _ -> None)
+           proof.support)
+
+let cred_ref_gen =
+  QCheck.Gen.(pair (oneofl [ Own; Chained; Hmac; Civ_chained; Civ_hmac ]) (oneofl [ "a"; "b" ]))
+
+let spec_gen =
+  QCheck.Gen.(
+    cred_ref_gen >>= fun (source, name) ->
+    map
+      (fun status -> (source, name, status))
+      (if is_appointment source then oneofl [ Valid; Valid; Tampered; Revoked; Expired; Stale ]
+       else oneofl [ Valid; Valid; Tampered; Revoked ]))
+
+let test_decisions_match_checking_everything () =
+  let outcomes = [| 0; 0 |] in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"decision and support = checking every credential"
+       QCheck.(
+         make
+           Gen.(
+             triple small_nat
+               (list_size (int_range 1 2) (list_size (int_range 1 3) cred_ref_gen))
+               (list_size (int_bound 6) spec_gen)))
+       (fun (seed, rules, specs) ->
+         let pr = presentation ~seed:(seed + 1) ~rules specs in
+         let got =
+           match pr.request () with
+           | Ok _ -> Some (last_support pr.svc)
+           | Error Protocol.No_proof -> None
+           | Error d -> Alcotest.failf "unexpected denial: %s" (Protocol.denial_to_string d)
+         in
+         let i = if got = None then 0 else 1 in
+         outcomes.(i) <- outcomes.(i) + 1;
+         Option.equal (List.equal Ident.equal) got (reference_support pr)));
+  Alcotest.(check bool) "cases reach both grants and denials" true
+    (outcomes.(0) > 0 && outcomes.(1) > 0)
+
 let suite =
   ( "signed",
     [
@@ -526,4 +785,12 @@ let suite =
         test_rotation_refuses_old_epoch_next;
       Alcotest.test_case "tampered chain copies refused" `Quick test_tampered_chain_copies_refused;
       Alcotest.test_case "chain memo = definition (qcheck)" `Quick test_memo_matches_definition;
+      Alcotest.test_case "unnamed local credentials unchecked" `Quick
+        test_unnamed_local_credentials_unchecked;
+      Alcotest.test_case "tampered named credential refused" `Quick
+        test_tampered_named_credential_refused;
+      Alcotest.test_case "unnamed callback credential still checked" `Quick
+        test_unnamed_callback_credential_still_checked;
+      Alcotest.test_case "decisions = checking everything (qcheck)" `Quick
+        test_decisions_match_checking_everything;
     ] )
