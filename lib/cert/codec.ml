@@ -77,7 +77,7 @@ let decode_int at s =
   | Some n when String.equal (string_of_int n) s -> n
   | Some _ | None -> fail at (Printf.sprintf "malformed int %S" s)
 
-(* Values were encoded by {!Oasis_util.Value.encode}: a nested TLV stream. *)
+(* Values were written by {!Oasis_util.Value.write}: a nested TLV stream. *)
 let decode_values at payload =
   let r = { src = payload; pos = 0 } in
   let values = ref [] in

@@ -10,47 +10,62 @@ type field =
   | Fint : int -> field
   | Fvalues : Value.t list -> field
 
-let add_lp buf tag payload =
-  Buffer.add_char buf tag;
-  Buffer.add_string buf (string_of_int (String.length payload));
-  Buffer.add_char buf ':';
-  Buffer.add_string buf payload
-
-let add_field buf = function
-  | Fident id -> add_lp buf 'I' (Ident.to_string id)
-  | Fstring s -> add_lp buf 'S' s
-  | Fvalue v ->
-      let b = Buffer.create 16 in
-      Value.encode b v;
-      add_lp buf 'V' (Buffer.contents b)
-  | Ffloat f -> add_lp buf 'F' (Printf.sprintf "%h" f)
-  | Fint n -> add_lp buf 'N' (string_of_int n)
-  | Fvalues vs ->
-      let b = Buffer.create 32 in
-      List.iter (Value.encode b) vs;
-      add_lp buf 'L' (Buffer.contents b)
-
-let encode tag fields =
-  let buf = Buffer.create 128 in
-  add_lp buf 'T' tag;
-  List.iter (add_field buf) fields;
-  Buffer.contents buf
-
-let signature_bytes = 32
-
-(* The length of [encode tag fields], field by field, without building it. *)
+(* Every frame is a tag, the payload's decimal length, [:] and the
+   payload. *)
 let lp_length payload = 1 + Printed_length.int payload + 1 + payload
 
-let field_length = function
-  | Fident id -> lp_length (Ident.string_length id)
-  | Fstring s -> lp_length (String.length s)
-  | Fvalue v -> lp_length (Value.encoded_length v)
-  | Ffloat f -> lp_length (Printed_length.hex_float f)
-  | Fint n -> lp_length (Printed_length.int n)
-  | Fvalues vs -> lp_length (List.fold_left (fun acc v -> acc + Value.encoded_length v) 0 vs)
+let values_length vs = List.fold_left (fun acc v -> acc + Value.encoded_length v) 0 vs
 
-let size_bytes tag fields =
+let payload_length = function
+  | Fident id -> Ident.string_length id
+  | Fstring s -> String.length s
+  | Fvalue v -> Value.encoded_length v
+  | Ffloat f -> Printed_length.hex_float f
+  | Fint n -> Printed_length.int n
+  | Fvalues vs -> values_length vs
+
+let encoded_length tag fields =
   List.fold_left
-    (fun acc field -> acc + field_length field)
-    (lp_length (String.length tag) + signature_bytes)
+    (fun acc field -> acc + lp_length (payload_length field))
+    (lp_length (String.length tag))
     fields
+
+let signature_bytes = 32
+let size_bytes tag fields = encoded_length tag fields + signature_bytes
+
+(* Writes a frame header; returns where the payload starts. *)
+let write_header buf pos tag payload =
+  Bytes.set buf pos tag;
+  let pos = Printed_length.write_int buf (pos + 1) payload in
+  Bytes.set buf pos ':';
+  pos + 1
+
+let write_string buf pos s =
+  Bytes.blit_string s 0 buf pos (String.length s);
+  pos + String.length s
+
+let rec write_field buf pos field =
+  let payload = payload_length field in
+  match field with
+  | Fident id -> Ident.write buf (write_header buf pos 'I' payload) id
+  | Fstring s -> write_string buf (write_header buf pos 'S' payload) s
+  | Fvalue v -> Value.write buf (write_header buf pos 'V' payload) v
+  | Ffloat f -> Printed_length.write_hex_float buf (write_header buf pos 'F' payload) f
+  | Fint n -> Printed_length.write_int buf (write_header buf pos 'N' payload) n
+  | Fvalues vs -> write_values buf (write_header buf pos 'L' payload) vs
+
+and write_values buf pos = function
+  | [] -> pos
+  | v :: vs -> write_values buf (Value.write buf pos v) vs
+
+let rec write_fields buf pos = function
+  | [] -> pos
+  | field :: fields -> write_fields buf (write_field buf pos field) fields
+
+let write buf pos tag fields =
+  write_fields buf (write_string buf (write_header buf pos 'T' (String.length tag)) tag) fields
+
+let encode tag fields =
+  let buf = Bytes.create (encoded_length tag fields) in
+  ignore (write buf 0 tag fields);
+  Bytes.unsafe_to_string buf

@@ -4,7 +4,11 @@
     For the MAC to protect against field-boundary games every encoded field
     is length-prefixed and tagged, so distinct field lists can never encode
     to the same byte string. The same encoding doubles as the simulated wire
-    format when the benchmarks report certificate sizes. *)
+    format when the benchmarks report certificate sizes.
+
+    The encoder makes one pass: every length prefix comes from the field
+    lengths ({!encoded_length}), so each byte is written once, straight
+    into the destination, with no intermediate buffer or [Printf]. *)
 
 type field =
   | Fident : Oasis_util.Ident.t -> field
@@ -17,7 +21,16 @@ type field =
 val encode : string -> field list -> string
 (** [encode tag fields] — [tag] domain-separates certificate kinds
     (["rmc"], ["appt"], ["audit"]) so a signature for one kind can never
-    verify as another. *)
+    verify as another. Allocates the result and nothing else. *)
+
+val encoded_length : string -> field list -> int
+(** [String.length (encode tag fields)], computed from the field lengths
+    without encoding. *)
+
+val write : Bytes.t -> int -> string -> field list -> int
+(** [write buf pos tag fields] writes [encode tag fields] at [pos] and
+    returns [pos + encoded_length tag fields]; the caller provides the
+    room. For a caller that reuses one buffer across encodings. *)
 
 val size_bytes : string -> field list -> int
 (** Length of {!encode} plus the 32-byte signature: the certificate's

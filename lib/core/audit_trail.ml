@@ -8,6 +8,7 @@ type t = {
   world : World.t;
   sid : Ident.t;
   sname : string;
+  key : string; (* [chain_key] *)
   obs : Obs.t;
   records : Dlog.decision -> Obs.Counter.t;
   mutable dlog : Dlog.t; (* replaced by the durable resume on restart *)
@@ -17,7 +18,7 @@ type t = {
    header once at creation, then one export line per appended record
    (incremental — the write cost per decision is that line, never the
    chain). Restart resumes from the blob; see [resume]. *)
-let chain_key t = "dlog:" ^ Ident.to_string t.sid
+let chain_key sid = "dlog:" ^ Ident.to_string sid
 
 (* [audit.records{service,decision}], each handle looked up once, at its
    first record: a decision this service never takes registers no key. *)
@@ -43,12 +44,13 @@ let create world ~service ~name =
       world;
       sid = service;
       sname = name;
+      key = chain_key service;
       obs;
       records = records_counters obs ~name;
       dlog = Dlog.create ~service;
     }
   in
-  Durable.set (World.durable world) (chain_key t) (Dlog.export_header t.dlog);
+  Durable.set (World.durable world) t.key (Dlog.export_header t.dlog);
   t
 
 let decision_log t = t.dlog
@@ -58,11 +60,10 @@ let decision_log t = t.dlog
 let log t ~decision ~principal ~action ?(args = []) ?(rule = "") ?(creds = []) ?(env_facts = [])
     () =
   Obs.Counter.inc (t.records decision);
-  let r =
-    Dlog.append t.dlog ~at:(World.now t.world) ~decision ~principal ~action ~args ~rule ~creds
-      ~env_facts ~trace_seq:(Obs.last_seq t.obs) ()
-  in
-  Durable.append (World.durable t.world) (chain_key t) (Dlog.export_line r)
+  ignore
+    (Dlog.append t.dlog ~at:(World.now t.world) ~decision ~principal ~action ~args ~rule ~creds
+       ~env_facts ~trace_seq:(Obs.last_seq t.obs) ());
+  Durable.append (World.durable t.world) t.key (Dlog.export_last_line t.dlog)
 
 let render_env_fact (name, args) =
   if args = [] then name
@@ -89,7 +90,7 @@ let record_grant t ?issued ~principal ~action ~args ~support ~rule () =
 exception Chain_tampered of { service : string; seq : int; why : string }
 
 let resume t =
-  match Durable.get (World.durable t.world) (chain_key t) with
+  match Durable.get (World.durable t.world) t.key with
   | None -> () (* never wrote anything durable: nothing to resume *)
   | Some blob -> (
       let outcome label =

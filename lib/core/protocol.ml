@@ -108,8 +108,7 @@ let creds_size { rmcs; appointments } =
   List.fold_left (fun acc r -> acc + Oasis_cert.Rmc.size_bytes r) 0 rmcs
   + List.fold_left (fun acc a -> acc + Oasis_cert.Appointment.size_bytes a) 0 appointments
 
-let values_size args =
-  List.fold_left (fun acc v -> acc + String.length (Value.to_string v) + 4) 0 args
+let values_size args = List.fold_left (fun acc v -> acc + Value.string_length v + 4) 0 args
 
 let size_of msg =
   header_bytes

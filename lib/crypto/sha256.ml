@@ -92,6 +92,7 @@ let compress h buf off =
    out of [src]; only a trailing partial block is copied. *)
 let feed_sub ctx src pos len =
   if ctx.finished then invalid_arg "Sha256: context already finalized";
+  if pos < 0 || len < 0 || pos + len > Bytes.length src then invalid_arg "Sha256.feed_sub";
   ctx.length <- ctx.length + len;
   let pos = ref pos and len = ref len in
   if ctx.fill > 0 then begin

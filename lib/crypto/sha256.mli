@@ -23,6 +23,12 @@ type ctx
 val init : unit -> ctx
 val feed_string : ctx -> string -> unit
 val feed_bytes : ctx -> bytes -> unit
+
+val feed_sub : ctx -> bytes -> int -> int -> unit
+(** [feed_sub ctx b pos len] feeds the [len] bytes of [b] from [pos]: a
+    caller that reuses one buffer hashes its filled prefix without copying
+    it out. *)
+
 val finalize : ctx -> digest
 (** [finalize] consumes the context; feeding it afterwards raises
     [Invalid_argument]. *)

@@ -48,40 +48,69 @@ type t = {
   mutable rev_entries : entry list; (* newest first *)
   mutable length : int;
   mutable head : Sha256.digest;
+  mutable scratch : Bytes.t;
+      (* reused by every append; while the newest entry is [Full], its
+         first [scratch_length] bytes are that record's payload *)
+  mutable scratch_length : int;
 }
 
 (* Binding the genesis digest to the service identifier means a chain
    exported by one service can never verify as another's. *)
 let genesis owner = Sha256.digest_string ("oasis-decision-log:" ^ Ident.to_string owner)
 
-let create ~service = { owner = service; rev_entries = []; length = 0; head = genesis service }
+let of_entries owner ~rev_entries ~length ~head =
+  { owner; rev_entries; length; head; scratch = Bytes.empty; scratch_length = 0 }
+
+let create ~service = of_entries service ~rev_entries:[] ~length:0 ~head:(genesis service)
+
+let payload_tag = "decision"
+
+let fields ~seq ~at ~decision ~principal ~action ~args ~rule ~creds ~env_facts ~trace_seq =
+  [
+    Wire.Fint seq;
+    Wire.Ffloat at;
+    Wire.Fstring (decision_label decision);
+    Wire.Fident principal;
+    Wire.Fstring action;
+    Wire.Fvalues args;
+    Wire.Fstring rule;
+    Wire.Fvalues (List.map (fun id -> Value.Id id) creds);
+    Wire.Fstring (String.concat ";" env_facts);
+    Wire.Fint trace_seq;
+  ]
 
 let payload r =
-  Wire.encode "decision"
-    [
-      Wire.Fint r.seq;
-      Wire.Ffloat r.at;
-      Wire.Fstring (decision_label r.decision);
-      Wire.Fident r.principal;
-      Wire.Fstring r.action;
-      Wire.Fvalues r.args;
-      Wire.Fstring r.rule;
-      Wire.Fvalues (List.map (fun id -> Value.Id id) r.creds);
-      Wire.Fstring (String.concat ";" r.env_facts);
-      Wire.Fint r.trace_seq;
-    ]
+  Wire.encode payload_tag
+    (fields ~seq:r.seq ~at:r.at ~decision:r.decision ~principal:r.principal ~action:r.action
+       ~args:r.args ~rule:r.rule ~creds:r.creds ~env_facts:r.env_facts ~trace_seq:r.trace_seq)
 
-let chain_hash ~prev body =
+(* SHA256(prev_raw || the first [len] bytes of [body]). *)
+let chain_hash ~prev body len =
   let ctx = Sha256.init () in
   Sha256.feed_string ctx (Sha256.to_raw_string prev);
-  Sha256.feed_string ctx body;
+  Sha256.feed_sub ctx body 0 len;
   Sha256.finalize ctx
 
+let chain_hash_string ~prev body =
+  chain_hash ~prev (Bytes.unsafe_of_string body) (String.length body)
+
+(* The payload is encoded once, into [scratch], and hashed from there; the
+   durable mirror's line is hexed from the same bytes ({!export_last_line}). *)
 let append t ~at ~decision ~principal ~action ?(args = []) ?(rule = "") ?(creds = [])
     ?(env_facts = []) ?(trace_seq = 0) () =
+  let seq = t.length in
+  let fields =
+    fields ~seq ~at ~decision ~principal ~action ~args ~rule ~creds ~env_facts ~trace_seq
+  in
+  let length = Wire.encoded_length payload_tag fields in
+  if Bytes.length t.scratch < length then
+    t.scratch <- Bytes.create (max length (2 * Bytes.length t.scratch));
+  ignore (Wire.write t.scratch 0 payload_tag fields);
+  t.scratch_length <- length;
+  let hash = chain_hash ~prev:t.head t.scratch length in
   let r =
     {
-      seq = t.length;
+      seq;
       at;
       decision;
       principal;
@@ -92,13 +121,12 @@ let append t ~at ~decision ~principal ~action ?(args = []) ?(rule = "") ?(creds 
       env_facts;
       trace_seq;
       prev = t.head;
-      hash = t.head;
+      hash;
     }
   in
-  let r = { r with hash = chain_hash ~prev:t.head (payload r) } in
   t.rev_entries <- Full r :: t.rev_entries;
-  t.length <- t.length + 1;
-  t.head <- r.hash;
+  t.length <- seq + 1;
+  t.head <- hash;
   r
 
 let service t = t.owner
@@ -127,7 +155,7 @@ let verify t =
         match e with
         | Full r when not (Sha256.equal r.prev prev) -> Error (r.seq, "prev-hash mismatch")
         | _ ->
-            let expect = chain_hash ~prev (entry_payload e) in
+            let expect = chain_hash_string ~prev (entry_payload e) in
             if not (Sha256.equal expect (entry_hash e)) then
               Error (seq, "record hash mismatch")
             else go (seq + 1) expect rest)
@@ -142,16 +170,31 @@ let header_magic = "oasis-decision-log v1 "
 
 let export_header t = header_magic ^ Ident.to_string t.owner ^ "\n"
 
-let line_of ~body ~hash = String.concat "" [ Hex.encode body; " "; Sha256.to_hex hash; "\n" ]
+(* Hex of the first [len] bytes of [body], a space, the hex hash and a
+   newline, written straight into the one string returned. *)
+let line_of body len hash =
+  let raw = Sha256.to_raw_string hash in
+  let line = Bytes.create ((2 * len) + 1 + (2 * String.length raw) + 1) in
+  let pos = Hex.write body 0 len line 0 in
+  Bytes.set line pos ' ';
+  let pos = Hex.write (Bytes.unsafe_of_string raw) 0 (String.length raw) line (pos + 1) in
+  Bytes.set line pos '\n';
+  Bytes.unsafe_to_string line
 
-let export_line r = line_of ~body:(payload r) ~hash:r.hash
+let line_of_string body hash = line_of (Bytes.unsafe_of_string body) (String.length body) hash
+let export_line r = line_of_string (payload r) r.hash
+let entry_line e = line_of_string (entry_payload e) (entry_hash e)
+
+let export_last_line t =
+  match t.rev_entries with
+  | Full r :: _ -> line_of t.scratch t.scratch_length r.hash
+  | (Imported _ as e) :: _ -> entry_line e
+  | [] -> invalid_arg "Decision_log.export_last_line: empty chain"
 
 let export t =
   let buf = Buffer.create (256 * (t.length + 1)) in
   Buffer.add_string buf (export_header t);
-  List.iter
-    (fun e -> Buffer.add_string buf (line_of ~body:(entry_payload e) ~hash:(entry_hash e)))
-    (List.rev t.rev_entries);
+  List.iter (fun e -> Buffer.add_string buf (entry_line e)) (List.rev t.rev_entries);
   Buffer.contents buf
 
 (* Splits an exported chain into its owner and record lines. *)
@@ -184,7 +227,7 @@ let replay owner lines =
             match Hex.decode payload_hex with
             | None -> Error (seq, "payload is not valid hex")
             | Some body ->
-                let expect = chain_hash ~prev body in
+                let expect = chain_hash_string ~prev body in
                 if not (String.equal (Sha256.to_hex expect) hash_hex) then
                   Error (seq, "chain hash mismatch")
                 else go (seq + 1) expect (Imported { payload = body; hash = expect } :: acc) rest))
@@ -200,7 +243,7 @@ let resume ~service s =
       if not (Ident.equal owner service) then Error (0, "chain belongs to a different service")
       else
         Result.map
-          (fun (length, head, rev_entries) -> { owner; rev_entries; length; head })
+          (fun (length, head, rev_entries) -> of_entries owner ~rev_entries ~length ~head)
           (replay owner lines))
 
 let tamper s ~byte =

@@ -12,6 +12,9 @@
     stores a genesis digest derived from the owning service's identifier),
     and [hash = SHA256(prev_raw || payload_i)] where [payload_i] is the
     canonical {!Oasis_cert.Wire} encoding of the record's fields. The
+    payload is encoded once per append, into one buffer the log reuses,
+    and hashed from there; the durable mirror's line
+    ({!export_last_line}) is made from the same hashed bytes. The
     exported textual form ({!export}) can be re-verified offline with
     {!verify_string} — flipping a single byte anywhere in the export makes
     verification fail ([oasisctl audit verify --tamper] demonstrates
@@ -85,16 +88,27 @@ val export : t -> string
     (the previous line's hash). Suitable for writing to a file and
     re-verifying offline. [export t = export_header t ^ concat of
     export_line per record], which is what lets services mirror the chain
-    into their durable store incrementally — one {!export_line} per append
-    — instead of rewriting the whole export every time. *)
+    into their durable store incrementally — one line per append, from
+    {!export_last_line} — instead of rewriting the whole export every time.
+    [export] encodes every record again: a different path to the same
+    bytes. *)
 
 val export_header : t -> string
 (** Just the header line (newline-terminated) — written once when the
     durable mirror of a chain is created. *)
 
 val export_line : record -> string
-(** One record's export line (newline-terminated) — appended to the durable
-    mirror as the decision is logged. *)
+(** One record's export line (newline-terminated), encoding the record
+    again. *)
+
+val export_last_line : t -> string
+(** The export line of the newest record — what {!export_line} gives for
+    it — appended to the durable mirror as the decision is logged. The
+    line is made from the very bytes {!append} encoded and hashed, hexed
+    into one allocation, so a decision's payload is encoded exactly once.
+    The log keeps those bytes only until the next append (one reusable
+    buffer, never a payload per record). [Invalid_argument] on an empty
+    chain. *)
 
 val resume : service:Oasis_util.Ident.t -> string -> (t, int * string) result
 (** Rebuild a chain from its durable export after a crash: verifies every

@@ -1,13 +1,20 @@
 let digits = "0123456789abcdef"
 
+let write src src_pos len dst dst_pos =
+  if src_pos < 0 || len < 0 || src_pos + len > Bytes.length src || dst_pos < 0
+     || dst_pos + (2 * len) > Bytes.length dst
+  then invalid_arg "Hex.write";
+  for i = 0 to len - 1 do
+    let c = Char.code (Bytes.unsafe_get src (src_pos + i)) in
+    Bytes.unsafe_set dst (dst_pos + (2 * i)) (String.unsafe_get digits (c lsr 4));
+    Bytes.unsafe_set dst (dst_pos + (2 * i) + 1) (String.unsafe_get digits (c land 15))
+  done;
+  dst_pos + (2 * len)
+
 let encode s =
   let n = String.length s in
   let out = Bytes.create (2 * n) in
-  for i = 0 to n - 1 do
-    let c = Char.code (String.unsafe_get s i) in
-    Bytes.unsafe_set out (2 * i) (String.unsafe_get digits (c lsr 4));
-    Bytes.unsafe_set out ((2 * i) + 1) (String.unsafe_get digits (c land 15))
-  done;
+  ignore (write (Bytes.unsafe_of_string s) 0 n out 0);
   Bytes.unsafe_to_string out
 
 (* -1 marks a character outside the lowercase alphabet. *)

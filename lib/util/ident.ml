@@ -8,9 +8,18 @@ let equal a b = a.n = b.n && String.equal a.tag b.tag
 
 let hash a = Hashtbl.hash (a.tag, a.n)
 
-let to_string a = Printf.sprintf "%s#%d" a.tag a.n
-
 let string_length a = String.length a.tag + 1 + Printed_length.int a.n
+
+let write buf pos a =
+  let tag_length = String.length a.tag in
+  Bytes.blit_string a.tag 0 buf pos tag_length;
+  Bytes.set buf (pos + tag_length) '#';
+  Printed_length.write_int buf (pos + tag_length + 1) a.n
+
+let to_string a =
+  let buf = Bytes.create (string_length a) in
+  ignore (write buf 0 a);
+  Bytes.unsafe_to_string buf
 
 let pp ppf a = Format.pp_print_string ppf (to_string a)
 

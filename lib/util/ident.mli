@@ -16,6 +16,10 @@ val to_string : t -> string
 val string_length : t -> int
 (** [String.length (to_string t)], without building the string. *)
 
+val write : Bytes.t -> int -> t -> int
+(** [write buf pos t] writes [to_string t] at [pos] and returns
+    [pos + string_length t], without allocating. *)
+
 val tag : t -> string
 (** The namespace tag the identifier was minted under. *)
 

@@ -30,6 +30,13 @@ let to_string = function
   | Time f -> Printf.sprintf "t:%g" f
   | Id i -> Ident.to_string i
 
+let string_length = function
+  | Int n -> Printed_length.int n
+  | Str s -> String.length s
+  | Bool b -> if b then 4 else 5
+  | Time _ as v -> String.length (to_string v) (* "%g" has no length function *)
+  | Id i -> Ident.string_length i
+
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let type_name = function
@@ -39,20 +46,6 @@ let type_name = function
   | Time _ -> "time"
   | Id _ -> "id"
 
-let encode buf v =
-  let add_tagged tag payload =
-    Buffer.add_char buf tag;
-    Buffer.add_string buf (string_of_int (String.length payload));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf payload
-  in
-  match v with
-  | Int n -> add_tagged 'i' (string_of_int n)
-  | Str s -> add_tagged 's' s
-  | Bool b -> add_tagged 'b' (if b then "1" else "0")
-  | Time f -> add_tagged 't' (Printf.sprintf "%h" f)
-  | Id i -> add_tagged 'd' (Ident.to_string i)
-
 let encoded_length v =
   let tagged payload = 1 + Printed_length.int payload + 1 + payload in
   match v with
@@ -61,6 +54,29 @@ let encoded_length v =
   | Bool _ -> tagged 1
   | Time f -> tagged (Printed_length.hex_float f)
   | Id i -> tagged (Ident.string_length i)
+
+(* The tag, the payload's decimal length and a [:]; returns where the
+   payload starts. *)
+let write_header buf pos tag payload =
+  Bytes.set buf pos tag;
+  let pos = Printed_length.write_int buf (pos + 1) payload in
+  Bytes.set buf pos ':';
+  pos + 1
+
+let write buf pos v =
+  match v with
+  | Int n -> Printed_length.write_int buf (write_header buf pos 'i' (Printed_length.int n)) n
+  | Str s ->
+      let pos = write_header buf pos 's' (String.length s) in
+      Bytes.blit_string s 0 buf pos (String.length s);
+      pos + String.length s
+  | Bool b ->
+      let pos = write_header buf pos 'b' 1 in
+      Bytes.set buf pos (if b then '1' else '0');
+      pos + 1
+  | Time f ->
+      Printed_length.write_hex_float buf (write_header buf pos 't' (Printed_length.hex_float f)) f
+  | Id i -> Ident.write buf (write_header buf pos 'd' (Ident.string_length i)) i
 
 let of_string s =
   match int_of_string_opt s with

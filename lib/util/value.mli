@@ -18,17 +18,21 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val string_length : t -> int
+(** [String.length (to_string v)]; only a [Time] is rendered to measure it. *)
+
 val type_name : t -> string
 (** ["int"], ["str"], ["bool"], ["time"] or ["id"]; used in error messages
     and for parameter signature checks. *)
 
-val encode : Buffer.t -> t -> unit
-(** Appends an unambiguous, length-prefixed wire encoding; used when
-    computing certificate signatures so that distinct field lists can never
-    collide ([Fig. 4]'s protected fields). *)
-
 val encoded_length : t -> int
-(** The number of bytes {!encode} appends, computed without encoding. *)
+(** The length of [v]'s wire encoding, computed without encoding. *)
+
+val write : Bytes.t -> int -> t -> int
+(** [write buf pos v] writes [v]'s unambiguous, length-prefixed wire
+    encoding at [pos] and returns [pos + encoded_length v]; used when
+    computing certificate signatures so that distinct field lists can never
+    collide ([Fig. 4]'s protected fields). Allocates nothing. *)
 
 val of_string : string -> t
 (** Best-effort parse used by the policy parser: integers, [true]/[false],

@@ -172,18 +172,30 @@ let test_size_matches_encoding () =
     true
     (abs (encoded - claimed) < 16)
 
-(* Sizing adds up field lengths instead of encoding; it must agree with the
-   encoding byte for byte, including on the spellings whose length varies
-   most: signs, empty strings, subnormals, infinities and NaNs. *)
-let test_size_bytes_is_encoded_length () =
+(* Random [Wire] field lists over the spellings whose bytes and lengths
+   vary most: signs, [min_int] / [max_int], empty strings, negative ident
+   numbers, and every float class — signed zeros, subnormals, infinities,
+   NaNs of either sign and any payload, and arbitrary bit patterns. *)
+let wire_gen =
   let open QCheck.Gen in
-  let any_int = oneof [ small_signed_int; int; oneofl [ 0; -1; min_int; max_int ] ] in
+  let any_int = oneof [ small_signed_int; int; oneofl [ 0; -1; min_int; max_int; min_int + 1 ] ] in
+  let with_bits mask set =
+    map (fun b -> Int64.float_of_bits (Int64.logor (Int64.logand b mask) set)) int64
+  in
   let any_float =
     oneof
       [
         float;
         map Int64.float_of_bits int64;
-        oneofl [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; -0.0; 4.9e-324 ];
+        (* exponent field zero: a subnormal, or a zero of either sign *)
+        with_bits 0x800F_FFFF_FFFF_FFFFL 0L;
+        (* exponent field all ones and some fraction bit set: a NaN *)
+        with_bits 0x800F_FFFF_FFFF_FFFFL 0x7FF0_0000_0000_0001L;
+        (* a short fraction, so trailing zero digits are dropped *)
+        with_bits 0xFFFF_F000_0000_0000L 0L;
+        oneofl
+          [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 4.9e-324;
+            Float.min_float; Float.max_float; 1.0; -2.5 ];
       ]
   in
   let any_string = string_size (int_bound 12) in
@@ -209,11 +221,71 @@ let test_size_bytes_is_encoded_length () =
         map (fun vs -> Wire.Fvalues vs) (list_size (int_bound 5) value);
       ]
   in
+  QCheck.make (pair any_string (list_size (int_bound 8) field))
+
+(* Sizing adds up field lengths instead of encoding; it must agree with the
+   encoding byte for byte. *)
+let test_size_bytes_is_encoded_length () =
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:2000 ~name:"size_bytes = encoded length + 32"
-       (QCheck.make (pair any_string (list_size (int_bound 8) field)))
+    (QCheck.Test.make ~count:2000 ~name:"size_bytes = encoded length + 32" wire_gen
        (fun (tag, fields) ->
          Wire.size_bytes tag fields = String.length (Wire.encode tag fields) + 32))
+
+(* The encoder as it was written before the one-pass writer: every field
+   rendered on its own ([string_of_int], [Printf "%h"], [Printf "%s#%d"])
+   into a sub-buffer, then framed with its length. It is the oracle for the
+   one-pass [Wire.encode], whose bytes every signature and every hash-chain
+   link rests on. *)
+module Reference_wire = struct
+  let add_lp buf tag payload =
+    Buffer.add_char buf tag;
+    Buffer.add_string buf (string_of_int (String.length payload));
+    Buffer.add_char buf ':';
+    Buffer.add_string buf payload
+
+  let ident id = Printf.sprintf "%s#%d" (Ident.tag id) (Ident.number id)
+
+  let value buf = function
+    | Value.Int n -> add_lp buf 'i' (string_of_int n)
+    | Value.Str s -> add_lp buf 's' s
+    | Value.Bool b -> add_lp buf 'b' (if b then "1" else "0")
+    | Value.Time f -> add_lp buf 't' (Printf.sprintf "%h" f)
+    | Value.Id i -> add_lp buf 'd' (ident i)
+
+  let values vs =
+    let b = Buffer.create 32 in
+    List.iter (value b) vs;
+    Buffer.contents b
+
+  let field buf = function
+    | Wire.Fident id -> add_lp buf 'I' (ident id)
+    | Wire.Fstring s -> add_lp buf 'S' s
+    | Wire.Fvalue v -> add_lp buf 'V' (values [ v ])
+    | Wire.Ffloat f -> add_lp buf 'F' (Printf.sprintf "%h" f)
+    | Wire.Fint n -> add_lp buf 'N' (string_of_int n)
+    | Wire.Fvalues vs -> add_lp buf 'L' (values vs)
+
+  let encode tag fields =
+    let buf = Buffer.create 128 in
+    add_lp buf 'T' tag;
+    List.iter (field buf) fields;
+    Buffer.contents buf
+end
+
+let test_encode_matches_reference () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:3000 ~name:"encode = reference encoder" wire_gen (fun (tag, fields) ->
+         let encoded = Wire.encode tag fields in
+         String.equal encoded (Reference_wire.encode tag fields)
+         && String.length encoded + 32 = Wire.size_bytes tag fields
+         &&
+         (* and at an offset inside a larger buffer, as the decision log
+            reuses one *)
+         let buf = Bytes.make (String.length encoded + 5) '?' in
+         Wire.write buf 3 tag fields = String.length encoded + 3
+         && String.equal (Bytes.sub_string buf 3 (String.length encoded)) encoded
+         && Bytes.sub_string buf 0 3 = "???"
+         && Bytes.sub_string buf (String.length encoded + 3) 2 = "??"))
 
 (* ---------------- Canonical-encoding regressions ---------------- *)
 
@@ -350,6 +422,8 @@ let suite =
       Alcotest.test_case "trailing bytes" `Quick test_trailing_bytes_rejected;
       Alcotest.test_case "size accounting" `Quick test_size_matches_encoding;
       Alcotest.test_case "size without encoding (qcheck)" `Quick test_size_bytes_is_encoded_length;
+      Alcotest.test_case "one-pass encode = reference (qcheck)" `Quick
+        test_encode_matches_reference;
       Alcotest.test_case "non-canonical lengths" `Quick test_noncanonical_lengths_rejected;
       Alcotest.test_case "NaN timestamps" `Quick test_nan_timestamp_rejected;
       Alcotest.test_case "special floats roundtrip" `Quick test_special_floats_roundtrip;

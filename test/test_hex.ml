@@ -23,6 +23,22 @@ let test_known_values () =
   Alcotest.(check (option string)) "empty decodes" (Some "") (Hex.decode "");
   Alcotest.(check (option string)) "decode" (Some "\x00\xff\x10") (Hex.decode "00ff10")
 
+(* [write] is [encode] into a caller's buffer: the same digits at the
+   offset, nothing outside it, and no write past either buffer. *)
+let test_write_into_buffer () =
+  let src = Bytes.of_string ("--" ^ all_bytes ^ "--") in
+  let dst = Bytes.make 516 '.' in
+  Alcotest.(check int) "returns the end" 514 (Hex.write src 2 256 dst 2);
+  Alcotest.(check string) "same digits as encode" (".." ^ Hex.encode all_bytes ^ "..")
+    (Bytes.to_string dst);
+  List.iter
+    (fun (src_pos, len, dst_pos) ->
+      Alcotest.check_raises
+        (Printf.sprintf "src_pos %d len %d dst_pos %d" src_pos len dst_pos)
+        (Invalid_argument "Hex.write")
+        (fun () -> ignore (Hex.write src src_pos len dst dst_pos)))
+    [ (-1, 1, 0); (0, -1, 0); (0, 261, 0); (1, 1, -1); (0, 258, 1); (0, 1, 515) ]
+
 let test_strict_decode () =
   List.iter
     (fun bad -> Alcotest.(check (option string)) bad None (Hex.decode bad))
@@ -39,6 +55,7 @@ let suite =
     [
       Alcotest.test_case "all byte values" `Quick test_all_byte_values;
       Alcotest.test_case "known values" `Quick test_known_values;
+      Alcotest.test_case "write into a buffer" `Quick test_write_into_buffer;
       Alcotest.test_case "strict decode" `Quick test_strict_decode;
       Alcotest.test_case "round trip (qcheck)" `Quick test_roundtrip_qcheck;
     ] )

@@ -46,7 +46,8 @@ let test_million_a_chunked () =
     [ 7; 63; 64; 65 ]
 
 (* One-shot hashing equals every two-way split, for every length through
-   two blocks plus padding. *)
+   two blocks plus padding; the tail is fed whole, or as a range of a
+   larger buffer (odd cuts). *)
 let test_every_split () =
   for len = 0 to 130 do
     let s = String.init len (fun i -> Char.chr (((i * 31) + len) land 255)) in
@@ -54,7 +55,8 @@ let test_every_split () =
     for cut = 0 to len do
       let ctx = Sha256.init () in
       Sha256.feed_string ctx (String.sub s 0 cut);
-      Sha256.feed_bytes ctx (Bytes.of_string (String.sub s cut (len - cut)));
+      if cut land 1 = 0 then Sha256.feed_bytes ctx (Bytes.of_string (String.sub s cut (len - cut)))
+      else Sha256.feed_sub ctx (Bytes.of_string (s ^ "trailing")) cut (len - cut);
       if not (Sha256.equal (Sha256.finalize ctx) whole) then
         Alcotest.failf "length %d split at %d differs from one-shot" len cut
     done
@@ -95,6 +97,19 @@ let test_feed_after_finalize_raises () =
   Alcotest.check_raises "feed after finalize" (Invalid_argument "Sha256: context already finalized")
     (fun () -> Sha256.feed_string ctx "x")
 
+let test_feed_sub_bounds () =
+  let ctx = Sha256.init () and b = Bytes.make 8 'x' in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Sha256.feed_sub")
+        (fun () -> Sha256.feed_sub ctx b pos len))
+    [ (-1, 1); (0, -1); (0, 9); (5, 4); (9, 0) ];
+  Sha256.feed_sub ctx b 8 0;
+  Alcotest.(check bool) "nothing was fed" true
+    (Sha256.equal (Sha256.finalize ctx) (Sha256.digest_string ""))
+
 let test_raw_string () =
   let d = Sha256.digest_string "abc" in
   let raw = Sha256.to_raw_string d in
@@ -134,6 +149,7 @@ let suite =
       Alcotest.test_case "padding boundaries" `Quick test_padding_boundaries;
       Alcotest.test_case "finalize twice" `Quick test_finalize_twice_raises;
       Alcotest.test_case "feed after finalize" `Quick test_feed_after_finalize_raises;
+      Alcotest.test_case "feed_sub bounds" `Quick test_feed_sub_bounds;
       Alcotest.test_case "raw string" `Quick test_raw_string;
       Alcotest.test_case "equality" `Quick test_equal_constant_time_semantics;
       Alcotest.test_case "avalanche" `Quick test_avalanche;

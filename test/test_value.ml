@@ -61,9 +61,9 @@ let test_to_string_roundtrip () =
     samples
 
 let encode v =
-  let b = Buffer.create 16 in
-  Value.encode b v;
-  Buffer.contents b
+  let b = Bytes.create (Value.encoded_length v) in
+  Alcotest.(check int) "write ends at encoded_length" (Bytes.length b) (Value.write b 0 v);
+  Bytes.to_string b
 
 let test_encode_injective () =
   (* Distinct values encode distinctly (prefix games must not collapse). *)
@@ -83,13 +83,28 @@ let test_encode_type_tagged () =
 
 let test_list_encoding_unambiguous () =
   (* ["ab"; "c"] vs ["a"; "bc"] — length prefixes must separate them. *)
-  let enc vs =
-    let b = Buffer.create 16 in
-    List.iter (Value.encode b) vs;
-    Buffer.contents b
-  in
+  let enc vs = String.concat "" (List.map encode vs) in
   Alcotest.(check bool) "no concat collision" false
     (String.equal (enc [ Value.Str "ab"; Value.Str "c" ]) (enc [ Value.Str "a"; Value.Str "bc" ]))
+
+(* Messages are sized from [string_length]; it must be the rendered
+   length, sign, [min_int] and negative identifier numbers included. *)
+let test_string_length () =
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (Value.to_string v) (String.length (Value.to_string v))
+        (Value.string_length v))
+    (samples
+    @ [
+        Value.Int min_int;
+        Value.Int max_int;
+        Value.Int 10;
+        Value.Int (-100);
+        Value.Time (-1e-300);
+        Value.Time Float.nan;
+        Value.Id (Ident.make "" (-42));
+        Value.Id (Ident.make "cert" 1000);
+      ])
 
 let test_type_name () =
   Alcotest.(check string) "int" "int" (Value.type_name (Value.Int 1));
@@ -109,5 +124,6 @@ let suite =
       Alcotest.test_case "encode injective" `Quick test_encode_injective;
       Alcotest.test_case "encode type tagged" `Quick test_encode_type_tagged;
       Alcotest.test_case "list encoding unambiguous" `Quick test_list_encoding_unambiguous;
+      Alcotest.test_case "string_length" `Quick test_string_length;
       Alcotest.test_case "type names" `Quick test_type_name;
     ] )

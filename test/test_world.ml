@@ -386,6 +386,67 @@ let test_chain_tamper_fail_closed () =
       Alcotest.(check string) "refusal names the service" "svc" service);
   Alcotest.(check bool) "stays crashed (rolled back)" true (Service.is_crashed svc)
 
+(* The durable mirror takes each line from the bytes the append hashed
+   ([Dlog.export_last_line]); [Dlog.export] encodes every record again, or
+   re-hexes the imported prefix after a restart. The two paths must give the
+   same blob across grants, denials, revocations and a crash/restart. *)
+let test_durable_mirror_is_export () =
+  let t = Fixtures.make () in
+  let hospital = t.Fixtures.hospital and alice = t.Fixtures.alice in
+  let me = Value.Id (Principal.id alice) in
+  let blob () =
+    let key = "dlog:" ^ Ident.to_string (Service.id hospital) in
+    match Durable.get (World.durable t.Fixtures.world) key with
+    | Some b -> b
+    | None -> Alcotest.fail "no durable mirror"
+  in
+  let same_bytes label =
+    Alcotest.(check string) label (Dlog.export (Service.decision_log hospital)) (blob ())
+  in
+  let round patient =
+    ignore (Fixtures.alice_treating t ~patient);
+    World.run_proc t.Fixtures.world (fun () ->
+        let s = Principal.start_session alice in
+        ignore (Fixtures.ok (Principal.activate alice s hospital ~role:"logged_in" ()));
+        match
+          Principal.activate alice s hospital ~role:"treating_doctor"
+            ~args:[ Some me; Some (Value.Int (patient + 100)) ]
+            ()
+        with
+        | Ok _ -> Alcotest.fail "treating an unassigned patient must be denied"
+        | Error _ -> ());
+    Env.retract_fact (Service.env hospital) "assigned" [ me; Value.Int patient ];
+    World.settle t.Fixtures.world
+  in
+  let count decision =
+    List.length
+      (List.filter
+         (fun (r : Dlog.record) -> r.Dlog.decision = decision)
+         (Dlog.records (Service.decision_log hospital)))
+  in
+  let all_kinds label =
+    List.iter
+      (fun d ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: some %s" label (Dlog.decision_label d))
+          true
+          (count d > 0))
+      [ Dlog.Grant; Dlog.Deny; Dlog.Revoke ]
+  in
+  round 1;
+  all_kinds "before the crash";
+  same_bytes "mirror = export before the crash";
+  Service.crash hospital;
+  Service.restart hospital;
+  Alcotest.(check bool) "prefix imported" true
+    (Dlog.imported_count (Service.decision_log hospital) > 0);
+  same_bytes "mirror = export after restart";
+  round 2;
+  all_kinds "after the restart";
+  same_bytes "mirror = export after more decisions";
+  Alcotest.(check bool) "chain verifies" true
+    (Result.is_ok (Dlog.verify_string (blob ())))
+
 let suite =
   ( "world",
     [
@@ -406,4 +467,5 @@ let suite =
       Alcotest.test_case "no-op re-delivery suppressed" `Quick test_noop_redelivery_suppressed;
       Alcotest.test_case "mid-issuance crash heals" `Quick test_mid_issuance_crash_heals;
       Alcotest.test_case "chain tamper fail-closed" `Quick test_chain_tamper_fail_closed;
+      Alcotest.test_case "durable mirror = export" `Quick test_durable_mirror_is_export;
     ] )
