@@ -35,17 +35,17 @@ let rec generate rng =
   let public = Modp.pow Modp.generator x in
   if Elgamal.valid_public public then { public; secret = x } else generate rng
 
-let int64_be v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 v;
-  Bytes.to_string b
+(* "oasis-schnorr\x00" followed by the 8 bytes of r: one scratch buffer
+   reused by every challenge (single-domain, as Sha256's schedule is). *)
+let challenge_prefix = Bytes.of_string ("oasis-schnorr\x00" ^ String.make 8 '\x00')
+let r_at = Bytes.length challenge_prefix - 8
 
 (* H("oasis-schnorr\x00" || r || msg): its first 8 bytes (sign bit
    cleared) reduced mod n. *)
 let challenge r msg =
   let ctx = Sha256.init () in
-  Sha256.feed_string ctx "oasis-schnorr\x00";
-  Sha256.feed_string ctx (int64_be r);
+  Bytes.set_int64_be challenge_prefix r_at r;
+  Sha256.feed_bytes ctx challenge_prefix;
   Sha256.feed_string ctx msg;
   let d = Sha256.to_raw_string (Sha256.finalize ctx) in
   Int64.rem (Int64.logand (String.get_int64_be d 0) Int64.max_int) n64
@@ -76,16 +76,20 @@ let verify ~public msg { e; s } =
    as a packed signature fails the zero-pad check (and the scalar range
    checks) with overwhelming probability, so the two schemes cannot be
    confused on the wire. *)
-let zero_pad = String.make 16 '\x00'
-
 let to_digest { e; s } =
-  match Sha256.of_raw_string (int64_be e ^ int64_be s ^ zero_pad) with
+  let b = Bytes.make 32 '\x00' in
+  Bytes.set_int64_be b 0 e;
+  Bytes.set_int64_be b 8 s;
+  match Sha256.of_raw_string (Bytes.unsafe_to_string b) with
   | Some d -> d
   | None -> assert false
 
 let of_digest d =
   let raw = Sha256.to_raw_string d in
   let e = String.get_int64_be raw 0 and s = String.get_int64_be raw 8 in
-  if String.equal (String.sub raw 16 16) zero_pad && e >= 0L && e < n64 && s >= 0L && s < n64 then
-    Some { e; s }
+  if
+    Int64.equal (String.get_int64_ne raw 16) 0L
+    && Int64.equal (String.get_int64_ne raw 24) 0L
+    && e >= 0L && e < n64 && s >= 0L && s < n64
+  then Some { e; s }
   else None

@@ -2,9 +2,9 @@ type digest = string (* exactly 32 bytes *)
 
 (* The 32-bit words live in native ints masked to 32 bits, so the schedule,
    chaining state and round variables are immediate values: no boxing and
-   no allocation per block. That needs at least 63-bit ints (a sum of five
-   32-bit words must not wrap); a 32-bit build stops here rather than
-   hashing wrongly. *)
+   no allocation per block. That needs 63-bit ints (a rotation reads a
+   word doubled into bits 0-62, see [big_sigma0]); a 32-bit build stops
+   here rather than hashing wrongly. *)
 let () = assert (Sys.int_size >= 63)
 
 let mask = 0xFFFFFFFF
@@ -41,52 +41,113 @@ let init () =
     finished = false;
   }
 
-(* Rotates the 32-bit word [x] right by [n]; bits above 32 are left for the
-   caller to mask once per sum of rotations. *)
-let[@inline] rotr x n = (x lsr n) lor (x lsl (32 - n))
-
 let w = Array.make 64 0
 
+(* Big-endian 32-bit load without a bounds check of its own: [compress]
+   checks the whole block once, at entry. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] load buf p =
+  let x = get32u buf p in
+  Int32.to_int (if Sys.big_endian then x else swap32 x) land mask
+
+(* Every rotation comes from one doubled word: for a 32-bit [x],
+   [xx = x lor (x lsl 32)] holds [x] in bits 0-31 and bits 0-30 of [x] in
+   bits 32-62, so bits 0-31 of [xx lsr n] are [x] rotated right by [n] for
+   any n <= 31 (SHA-256 rotates by at most 25). The argument must be a
+   clean 32-bit word; the result carries junk above bit 31, which is left
+   there: every Σ/σ value only ever goes into a sum, and the low 32 bits
+   of a sum depend only on the low 32 bits of its terms, so the one mask
+   on the sum clears it. *)
+let[@inline] big_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 2) lxor (xx lsr 13) lxor (xx lsr 22)
+
+let[@inline] big_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 6) lxor (xx lsr 11) lxor (xx lsr 25)
+
+let[@inline] small_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 17) lxor (xx lsr 19) lxor (x lsr 10)
+
+let[@inline] ch e f g = g lxor (e land (f lxor g))
+let[@inline] maj a b c = (a land b) lor (c land (a lor b))
+
+(* T1 of round [i], unmasked: only its low 32 bits are ever used. The
+   sums add the term that hangs off the previous round's result last (Σ1
+   here, Σ0 for the new [h], σ1 of w[i-2] in the schedule), so the next
+   round waits on one addition after it rather than on the whole sum. *)
+let[@inline] t1 e f g h i =
+  h + Array.unsafe_get k i + Array.unsafe_get w i + ch e f g + big_sigma1 e
+
 (* Compresses the 64-byte block starting at [off] in [buf] into [h].
-   Shared schedule array [w] makes this module non-reentrant across domains;
-   the reproduction is single-domain. *)
+   Eight rounds per iteration: instead of shifting all eight working
+   variables along each round, round j of an iteration names them from
+   offset j, so a round writes only its new [d] and [h]. The block and the
+   state are bounds-checked once, here; the loads below are unchecked.
+   Shared schedule array [w] makes this module non-reentrant across
+   domains; the reproduction is single-domain. *)
 let compress h buf off =
+  if off < 0 || off > Bytes.length buf - 64 || Array.length h < 8 then
+    invalid_arg "Sha256.compress";
   for i = 0 to 15 do
-    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be buf (off + (4 * i))) land mask)
+    Array.unsafe_set w i (load buf (off + (4 * i)))
   done;
   for i = 16 to 63 do
-    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
-    let s0 = (rotr x 7 lxor rotr x 18 lxor (x lsr 3)) land mask in
-    let s1 = (rotr y 17 lxor rotr y 19 lxor (y lsr 10)) land mask in
     Array.unsafe_set w i
-      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
+      ((Array.unsafe_get w (i - 16)
+       + Array.unsafe_get w (i - 7)
+       + small_sigma0 (Array.unsafe_get w (i - 15))
+       + small_sigma1 (Array.unsafe_get w (i - 2)))
+      land mask)
   done;
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let e' = !e and a' = !a in
-    let s1 = (rotr e' 6 lxor rotr e' 11 lxor rotr e' 25) land mask in
-    let ch = (e' land !f) lxor (lnot e' land !g) in
-    let temp1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
-    let s0 = (rotr a' 2 lxor rotr a' 13 lxor rotr a' 22) land mask in
-    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
-    hh := !g;
-    g := !f;
-    f := e';
-    e := (!d + temp1) land mask;
-    d := !c;
-    c := !b;
-    b := a';
-    a := (temp1 + s0 + maj) land mask
+  let a = ref (Array.unsafe_get h 0) and b = ref (Array.unsafe_get h 1) in
+  let c = ref (Array.unsafe_get h 2) and d = ref (Array.unsafe_get h 3) in
+  let e = ref (Array.unsafe_get h 4) and f = ref (Array.unsafe_get h 5) in
+  let g = ref (Array.unsafe_get h 6) and hh = ref (Array.unsafe_get h 7) in
+  let i = ref 0 in
+  while !i < 64 do
+    let r = !i in
+    let t = t1 !e !f !g !hh r in
+    d := (!d + t) land mask;
+    hh := (t + maj !a !b !c + big_sigma0 !a) land mask;
+    let t = t1 !d !e !f !g (r + 1) in
+    c := (!c + t) land mask;
+    g := (t + maj !hh !a !b + big_sigma0 !hh) land mask;
+    let t = t1 !c !d !e !f (r + 2) in
+    b := (!b + t) land mask;
+    f := (t + maj !g !hh !a + big_sigma0 !g) land mask;
+    let t = t1 !b !c !d !e (r + 3) in
+    a := (!a + t) land mask;
+    e := (t + maj !f !g !hh + big_sigma0 !f) land mask;
+    let t = t1 !a !b !c !d (r + 4) in
+    hh := (!hh + t) land mask;
+    d := (t + maj !e !f !g + big_sigma0 !e) land mask;
+    let t = t1 !hh !a !b !c (r + 5) in
+    g := (!g + t) land mask;
+    c := (t + maj !d !e !f + big_sigma0 !d) land mask;
+    let t = t1 !g !hh !a !b (r + 6) in
+    f := (!f + t) land mask;
+    b := (t + maj !c !d !e + big_sigma0 !c) land mask;
+    let t = t1 !f !g !hh !a (r + 7) in
+    e := (!e + t) land mask;
+    a := (t + maj !b !c !d + big_sigma0 !b) land mask;
+    i := r + 8
   done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land mask);
+  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land mask);
+  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land mask);
+  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land mask);
+  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land mask);
+  Array.unsafe_set h 5 ((Array.unsafe_get h 5 + !f) land mask);
+  Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land mask);
+  Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land mask)
 
 (* Tops up a partly filled block, then compresses whole blocks straight
    out of [src]; only a trailing partial block is copied. *)
@@ -120,17 +181,23 @@ let feed_sub ctx src pos len =
 let feed_string ctx s = feed_sub ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 let feed_bytes ctx b = feed_sub ctx b 0 (Bytes.length b)
 
+(* Pads inside the context's own block: 0x80, zeros up to 56 mod 64 (one
+   extra block when fewer than 9 bytes are left), then the 8-byte
+   big-endian bit length. *)
 let finalize ctx =
   if ctx.finished then invalid_arg "Sha256: context already finalized";
-  (* Padding in one buffer: 0x80, zeros up to 56 mod 64, then the 8-byte
-     big-endian bit length. *)
-  let pad_len = if ctx.fill < 56 then 64 - ctx.fill else 128 - ctx.fill in
-  let pad = Bytes.make pad_len '\x00' in
-  Bytes.set pad 0 '\x80';
-  Bytes.set_int64_be pad (pad_len - 8) (Int64.shift_left (Int64.of_int ctx.length) 3);
-  feed_bytes ctx pad;
-  assert (ctx.fill = 0);
   ctx.finished <- true;
+  let block = ctx.block and fill = ctx.fill in
+  Bytes.set block fill '\x80';
+  if fill >= 56 then begin
+    Bytes.fill block (fill + 1) (63 - fill) '\x00';
+    compress ctx.h block 0;
+    Bytes.fill block 0 56 '\x00'
+  end
+  else Bytes.fill block (fill + 1) (55 - fill) '\x00';
+  Bytes.set_int64_be block 56 (Int64.shift_left (Int64.of_int ctx.length) 3);
+  compress ctx.h block 0;
+  ctx.fill <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))

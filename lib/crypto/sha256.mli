@@ -4,9 +4,14 @@
     hash underlying certificate signatures (Fig. 4) and the decision-log
     chain is provided here. The 32-bit words are native ints masked to 32
     bits (the module refuses to initialise on a build with ints narrower
-    than 63 bits), whole 64-byte blocks are compressed straight from the
-    caller's string, and nothing is allocated per block: a digest costs
-    its context, the padding block and the 32 output bytes. The message
+    than 63 bits), and whole 64-byte blocks are compressed straight from
+    the caller's bytes, bounds-checked once per block. The compression runs
+    eight rounds per loop iteration, renaming the working variables instead
+    of shifting them, so each round writes only its new [d] and [h]; every
+    rotation is one shift of the word doubled into 63 bits, and each sum is
+    masked once. Nothing is allocated per block: a digest costs its
+    context, its chaining words, its 64-byte block (the padding is written
+    into it) and the 32 output bytes, 31 minor words in all. The message
     schedule is one module-level array reused by every call, so hashing is
     single-domain, as the whole reproduction is. Not hardened against side
     channels. *)
