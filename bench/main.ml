@@ -1825,7 +1825,7 @@ let e16 () =
        to 1e-9 and beat the naive per-interaction cost by 5x or more;
    (b) hysteresis ablation — the same churn schedules with delta = 0 must
        revoke strictly more often than with the band on;
-   (c) tamper drill — with the durable export corrupted mid-run, every
+   (c) tamper drill — with the durable chain corrupted mid-run, every
        restart refuses the corrupted chain;
    (d) the churn summary itself — interactions, mid-issuance crashes, gate
        restarts and zero invariant violations across all seeds. *)

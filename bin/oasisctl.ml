@@ -729,12 +729,16 @@ let audit_why file svc_filter seq cert =
     | None -> chains
     | Some s -> List.filter (fun (name, _) -> String.equal name s) chains
   in
+  (* A [--seq] decodes that one record through the log's index. *)
+  let candidates log =
+    match seq with
+    | Some n -> Option.to_list (Dlog.find log ~seq:n)
+    | None -> if cert = None then [] else Dlog.records log
+  in
   let wanted (r : Dlog.record) =
-    (match seq with None -> cert <> None | Some n -> r.Dlog.seq = n)
-    && match cert with
-       | None -> true
-       | Some id ->
-           List.exists (fun c -> String.equal id (Oasis_util.Ident.to_string c)) r.Dlog.creds
+    match cert with
+    | None -> true
+    | Some id -> List.exists (fun c -> String.equal id (Oasis_util.Ident.to_string c)) r.Dlog.creds
   in
   let found = ref false in
   List.iter
@@ -763,7 +767,7 @@ let audit_why file svc_filter seq cert =
               (Oasis_crypto.Sha256.to_hex r.Dlog.prev)
               (Oasis_crypto.Sha256.to_hex r.Dlog.hash)
           end)
-        (Dlog.records log))
+        (candidates log))
     chains;
   if not !found then begin
     Printf.eprintf "no matching decision record\n";

@@ -69,3 +69,81 @@ let encode tag fields =
   let buf = Bytes.create (encoded_length tag fields) in
   ignore (write buf 0 tag fields);
   Bytes.unsafe_to_string buf
+
+type error = { offset : int; reason : string }
+
+exception Malformed of error
+
+let fail offset reason = raise (Malformed { offset; reason })
+
+(* Every piece is accepted only in the spelling the encoder writes back:
+   decode ∘ encode is the identity, and every decodable string re-encodes
+   to itself. *)
+let canonical what parse print at s =
+  match parse s with
+  | Some v when String.equal (print v) s -> v
+  | Some _ | None -> fail at (Printf.sprintf "malformed %s %S" what s)
+
+let decode_int = canonical "int" int_of_string_opt string_of_int
+let decode_float = canonical "float" float_of_string_opt (Printf.sprintf "%h")
+
+(* [tag#n], split at the last [#]: any tag, any number. *)
+let decode_ident =
+  let parse s =
+    match String.rindex_opt s '#' with
+    | Some i ->
+        let n = int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) in
+        Option.map (Ident.make (String.sub s 0 i)) n
+    | None -> None
+  in
+  canonical "identifier" parse Ident.to_string
+
+(* The frame at [pos], which must end by [stop]: its tag, where its
+   payload starts and the payload's length. *)
+let read_frame src pos stop =
+  if pos >= stop then fail pos "unexpected end of input";
+  match String.index_from_opt src (pos + 1) ':' with
+  | Some colon when colon < stop ->
+      let len = canonical "length" int_of_string_opt string_of_int (pos + 1)
+          (String.sub src (pos + 1) (colon - pos - 1)) in
+      if len < 0 || len > stop - colon - 1 then fail colon "payload truncated";
+      (src.[pos], colon + 1, len)
+  | Some _ | None -> fail pos "missing length separator"
+
+(* The frames in [pos .. stop - 1], each decoded by [f tag start len]. *)
+let rec frames src pos stop f acc =
+  if pos = stop then List.rev acc
+  else
+    let tag, start, len = read_frame src pos stop in
+    frames src (start + len) stop f (f tag start len :: acc)
+
+let decode_value src tag at len =
+  match (tag, String.sub src at len) with
+  | 'i', body -> Value.Int (decode_int at body)
+  | 's', body -> Value.Str body
+  | 'b', ("0" | "1" as body) -> Value.Bool (body = "1")
+  | 't', body -> Value.Time (decode_float at body)
+  | 'd', body -> Value.Id (decode_ident at body)
+  | c, body -> fail at (Printf.sprintf "malformed value %C %S" c body)
+
+let decode_field src tag at len =
+  let body () = String.sub src at len in
+  let values () = frames src at (at + len) (decode_value src) [] in
+  match tag with
+  | 'I' -> Fident (decode_ident at (body ()))
+  | 'S' -> Fstring (body ())
+  | 'V' -> ( match values () with [ v ] -> Fvalue v | _ -> fail at "not exactly one value")
+  | 'F' -> Ffloat (decode_float at (body ()))
+  | 'N' -> Fint (decode_int at (body ()))
+  | 'L' -> Fvalues (values ())
+  | c -> fail at (Printf.sprintf "unknown field tag %C" c)
+
+let decode s =
+  let stop = String.length s in
+  match
+    let tag, start, len = read_frame s 0 stop in
+    if tag <> 'T' then fail 0 "expected a tag frame";
+    (String.sub s start len, frames s (start + len) stop (decode_field s) [])
+  with
+  | decoded -> Ok decoded
+  | exception Malformed e -> Error e

@@ -35,3 +35,14 @@ val write : Bytes.t -> int -> string -> field list -> int
 val size_bytes : string -> field list -> int
 (** Length of {!encode} plus the 32-byte signature: the certificate's
     simulated wire size, computed from the field lengths without encoding. *)
+
+type error = { offset : int; reason : string }
+(** Where decoding failed (a byte offset into the input) and why. *)
+
+val decode : string -> (string * field list, error) result
+(** [decode (encode tag fields)] is [Ok (tag, fields)]: the inverse of
+    {!encode}, total on any input. Strict: a frame is accepted only in the
+    spelling the encoder writes — canonical decimal lengths, integers and
+    identifiers, ["%h"] floats (NaN and infinities included), ["0"]/["1"]
+    booleans, exactly one value in a [Fvalue] — so every string that
+    decodes re-encodes to itself, and one field list has one wire form. *)

@@ -2,15 +2,17 @@
 
     Every access-control decision a service takes — grant, deny, revoke,
     suspect, reconcile — is appended to its hash-chained decision log with
-    its provenance, counted under [audit.records{service,decision}], and
-    mirrored into the world's durable store one export line at a time, so a
-    restarted service resumes the chain instead of starting a new one. The
-    decide path ({!Service}) and the monitor ({!Monitor}) both append here. *)
+    its provenance and counted under [audit.records{service,decision}]. The
+    chain is written once, as raw records, into a chunk store the world's
+    durable store keeps under [dlog:<service id>], so a restarted service
+    resumes the chain, typed records included, instead of starting a new
+    one. The decide path ({!Service}) and the monitor ({!Monitor}) both
+    append here. *)
 
 type t
 
 val create : World.t -> service:Oasis_util.Ident.t -> name:string -> t
-(** An empty chain for [service], whose header is written to the durable
+(** An empty chain for [service], whose store is placed in the durable
     store at once. *)
 
 val log :
@@ -48,12 +50,14 @@ val render_env_fact : string * Oasis_util.Value.t list -> string
 exception Chain_tampered of { service : string; seq : int; why : string }
 
 val resume : t -> unit
-(** Resumes the chain from its durable mirror: re-verifies every line and
-    continues appending from the verified head, counting
-    [audit.chain{outcome=resumed}]. A line that fails verification means
-    the store was tampered with or truncated while the service was down:
-    counts [audit.chain{outcome=tampered}] and raises {!Chain_tampered} —
-    building new decisions onto a forged prefix would launder the forgery.
-    A no-op when nothing was ever mirrored. *)
+(** Resumes the chain from its durable store
+    ({!Oasis_trust.Decision_log.resume}): re-verifies every stored record
+    and continues appending from the verified head, counting
+    [audit.chain{outcome=resumed}]; the pre-crash records decode as before.
+    A record that fails verification means the store was tampered with or
+    cut inside a record while the service was down: counts
+    [audit.chain{outcome=tampered}] and raises {!Chain_tampered} — building
+    new decisions onto a forged prefix would launder the forgery. A cut at
+    a record boundary resumes the shorter chain undetected. *)
 
 val decision_log : t -> Oasis_trust.Decision_log.t

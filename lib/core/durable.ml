@@ -1,52 +1,24 @@
-(* Simulated durable storage: string-keyed blobs that survive a node crash
-   (crash/restart hooks drop only in-memory state; nothing ever clears
-   this store except its owner). Services mirror their decision-log chains
-   here incrementally — one appended line per logged decision — and resume
-   from the blob on restart. [corrupt] is the adversary move for the
-   fail-closed resume tests: flip one byte of what is on "disk" while the
-   node is down. *)
+(* Simulated durable storage: string-keyed chunk stores that survive a
+   node crash (crash/restart hooks drop only in-memory state; nothing ever
+   clears this store except its owner). A service's decision log writes
+   into the chunk store it keeps here and resumes from it on restart.
+   [corrupt] is the adversary move for the fail-closed resume tests: flip
+   one byte of what is on "disk" while the node is down. *)
 
-type t = { blobs : (string, Buffer.t) Hashtbl.t }
+module Chunks = Oasis_util.Chunks
 
-let create () = { blobs = Hashtbl.create 16 }
+type t = { stores : (string, Chunks.t) Hashtbl.t }
 
-let bucket t key =
-  match Hashtbl.find_opt t.blobs key with
-  | Some b -> b
-  | None ->
-      let b = Buffer.create 256 in
-      Hashtbl.replace t.blobs key b;
-      b
-
-let set t key data =
-  let b = bucket t key in
-  Buffer.clear b;
-  Buffer.add_string b data
-
-let append t key data = Buffer.add_string (bucket t key) data
-
-let get t key =
-  match Hashtbl.find_opt t.blobs key with
-  | Some b -> Some (Buffer.contents b)
-  | None -> None
-
-let mem t key = Hashtbl.mem t.blobs key
-
-let remove t key = Hashtbl.remove t.blobs key
-
-let size t key =
-  match Hashtbl.find_opt t.blobs key with Some b -> Buffer.length b | None -> 0
+let create () = { stores = Hashtbl.create 16 }
+let set t key chunks = Hashtbl.replace t.stores key chunks
+let find t key = Hashtbl.find_opt t.stores key
 
 let corrupt t key ~byte =
-  match Hashtbl.find_opt t.blobs key with
+  match Hashtbl.find_opt t.stores key with
   | None -> false
-  | Some b when Buffer.length b = 0 -> false
-  | Some b ->
-      let data = Buffer.contents b in
-      let n = String.length data in
+  | Some c when Chunks.length c = 0 -> false
+  | Some c ->
+      let n = Chunks.length c in
       let i = ((byte mod n) + n) mod n in
-      let bytes = Bytes.of_string data in
-      Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 1));
-      Buffer.clear b;
-      Buffer.add_bytes b bytes;
+      Chunks.set c i (Char.chr (Char.code (Chunks.get c i) lxor 1));
       true

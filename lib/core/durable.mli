@@ -1,33 +1,23 @@
 (** Simulated durable storage (DESIGN.md §16).
 
     A crash drops a node's in-memory state; what it wrote here survives.
-    One store per world, keyed by opaque strings (services prefix their
-    own identifier). Decision-log chains are mirrored into it
-    incrementally — {!append} one export line per logged decision — and
-    {!get} hands the whole blob back to {!Oasis_trust.Decision_log.resume}
-    on restart. *)
+    One store per world, holding {!Oasis_util.Chunks} stores under opaque
+    string keys (services prefix their own identifier). A service's live
+    decision log appends straight into the store it {!set} here, and
+    {!Oasis_trust.Decision_log.resume} rebuilds the log from the same
+    store on restart. *)
 
 type t
 
 val create : unit -> t
 
-val set : t -> string -> string -> unit
-(** Replace the blob under a key (creating it if absent). *)
+val set : t -> string -> Oasis_util.Chunks.t -> unit
+(** Keep [chunks] under a key, replacing whatever was there. The store is
+    shared, not copied: later appends to it are durable. *)
 
-val append : t -> string -> string -> unit
-(** Append to the blob under a key (creating it if absent) — the
-    incremental path: cost is the appended bytes, never the blob size. *)
-
-val get : t -> string -> string option
-
-val mem : t -> string -> bool
-
-val remove : t -> string -> unit
-
-val size : t -> string -> int
-(** Blob length in bytes; 0 when absent. *)
+val find : t -> string -> Oasis_util.Chunks.t option
 
 val corrupt : t -> string -> byte:int -> bool
-(** Flip the low bit of byte [byte mod size] of the stored blob — the
-    adversary tampering with "disk" while the node is down. Returns
+(** Flip the low bit of byte [byte mod size] of the stored bytes, in place
+    — the adversary tampering with "disk" while the node is down. Returns
     [false] when there is nothing to corrupt. *)

@@ -164,13 +164,13 @@ val crash : t -> unit
     state — dependency and cache watches, env timers, suspect timers, the
     validation cache, the reconciliation queue — is dropped. Durable state
     — credential records, issued certificates, policy, per-role dependency
-    lists, the decision-log mirror — survives for {!restart} to rebuild
+    lists, the decision-log chain's store — survives for {!restart} to rebuild
     from. *)
 
 exception Chain_tampered of { service : string; seq : int; why : string }
 (** Raised by {!restart} when the durable
-    export of the decision-log chain does not verify — the "disk" was
-    tampered with or truncated while the node was down. The service stays
+    store of the decision-log chain does not verify — the "disk" was
+    tampered with or cut inside a record while the node was down. The service stays
     crashed: building new decisions onto a forged prefix would launder the
     forgery. [seq] is the first record that fails; [why] the cause. *)
 

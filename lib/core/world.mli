@@ -47,9 +47,9 @@ val fault : t -> Protocol.msg Oasis_sim.Fault.t
 val monitoring : t -> monitoring
 
 val durable : t -> Durable.t
-(** The world's simulated durable store: blobs written here survive node
-    crashes (services mirror their decision-log chains into it and resume
-    from it on restart, DESIGN.md §16). *)
+(** The world's simulated durable store: what is kept here survives node
+    crashes (services keep their decision-log chains in it and resume from
+    it on restart, DESIGN.md §16). *)
 
 val authority : t -> Oasis_cert.Signed.authority
 (** The world's domain root (DESIGN.md §12): certifies per-service issuing

@@ -33,7 +33,7 @@ type config = {
   band : float;  (* hysteresis δ; 0.0 is the flappy ablation *)
   decay_rate : float;  (* λ in exp(-λ·age); 0.0 disables decay *)
   decay_tick : float;  (* periodic re-assessment period *)
-  tamper : bool;  (* corrupt the durable export mid-run *)
+  tamper : bool;  (* corrupt the durable chain mid-run *)
 }
 
 let default_config =
@@ -217,7 +217,7 @@ let restart_gate c =
       if c.tampered then c.tamper_detected <- true
       else violation c "chain: restart refused without tampering (seq %d: %s)" seq why
 
-let tamper_blob c =
+let tamper_chain c =
   if not (Service.is_crashed c.gate) then Service.crash c.gate;
   let key = "dlog:" ^ Ident.to_string (Service.id c.gate) in
   if Durable.corrupt (World.durable c.world) key ~byte:(41 + c.cfg.seed) then c.tampered <- true
@@ -317,7 +317,7 @@ let run (cfg : config) =
   let c = build cfg in
   let rng = Rng.create ((cfg.seed * 2654435761) lxor 0x9e3779b9) in
   for i = 1 to cfg.steps do
-    if c.cfg.tamper && i = Int.max 1 (cfg.steps / 2) then tamper_blob c;
+    if c.cfg.tamper && i = Int.max 1 (cfg.steps / 2) then tamper_chain c;
     step c rng
   done;
   finish c;

@@ -18,7 +18,7 @@
       sits below θ - δ (minus a small decay-drift margin);
     - {b chain}: the gate's decision-log chain verifies after every
       crash/restart, and a restart is refused {e only} when the durable
-      export was actually tampered with;
+      chain was actually tampered with;
     - {b anti-entropy}: once every fault heals, both parties' wallets hold
       the same certificates and the registrar has no half-filed issuance
       left. *)
@@ -32,7 +32,7 @@ type config = {
   band : float;  (** hysteresis δ; [0.0] is the flappy ablation *)
   decay_rate : float;  (** λ in [exp (-λ·age)]; [0.0] disables decay *)
   decay_tick : float;  (** periodic re-assessment period (virtual s) *)
-  tamper : bool;  (** corrupt the durable chain export mid-run *)
+  tamper : bool;  (** corrupt the durable chain mid-run *)
 }
 
 val default_config : config
@@ -53,7 +53,7 @@ type summary = {
   wallet_subject : int;
   wallet_peer : int;
   chain_length : int;
-  tampered : bool;  (** the durable export was actually corrupted *)
+  tampered : bool;  (** the durable chain was actually corrupted *)
   tamper_detected : bool;  (** a restart refused with [Chain_tampered] *)
   violations : string list;  (** empty iff every invariant held *)
 }

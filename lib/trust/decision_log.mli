@@ -12,13 +12,29 @@
     stores a genesis digest derived from the owning service's identifier),
     and [hash = SHA256(prev_raw || payload_i)] where [payload_i] is the
     canonical {!Oasis_cert.Wire} encoding of the record's fields. The
-    payload is encoded once per append, into one buffer the log reuses,
-    and hashed from there; the durable mirror's line
-    ({!export_last_line}) is made from the same hashed bytes. The
-    exported textual form ({!export}) can be re-verified offline with
-    {!verify_string} — flipping a single byte anywhere in the export makes
-    verification fail ([oasisctl audit verify --tamper] demonstrates
-    this). *)
+    environmental facts are one string field, joined with [;]; a [;] or
+    [\] inside a fact is escaped with [\] and an empty fact is written
+    [\e], so the facts decode back exactly as logged.
+
+    Storage: each decision is kept once, as raw bytes in an append-only
+    {!Oasis_util.Chunks} store — the payload's length (4 bytes,
+    big-endian), the payload and the 32-byte hash; [prev] is the hash
+    stored before it. The payload is encoded once per append, hashed and
+    copied into the store; {!records}, {!find} and {!fold} decode from the
+    stored bytes, and {!verify} hashes them where they lie. The log itself
+    keeps only its head, its length, one scratch buffer and each record's
+    offset, so a crash that drops the log and keeps the store (the
+    simulated durable store does exactly that) loses nothing {!resume}
+    cannot rebuild. Hex appears only in the textual {!export}, which can be
+    re-verified offline with {!verify_string}: flipping a single byte
+    anywhere in the export makes verification fail ([oasisctl audit verify
+    --tamper] demonstrates this).
+
+    What the chain cannot show: a store cut short exactly at a record
+    boundary is a shorter valid chain. {!resume} detects a flipped byte
+    anywhere and a cut inside a record, but a rollback to an earlier record
+    boundary verifies; only an external witness of the length or head (an
+    audit certificate, a peer's copy) can tell. *)
 
 type decision = Grant | Deny | Revoke | Suspect | Reconcile
 
@@ -46,6 +62,23 @@ type record = {
 type t
 
 val create : service:Oasis_util.Ident.t -> t
+(** An empty chain in a store of its own ({!store}). *)
+
+val resume :
+  service:Oasis_util.Ident.t -> Oasis_util.Chunks.t -> (t, int * string) result
+(** The chain held in a store, after a crash dropped the log that wrote it:
+    walks every stored record, re-deriving each link from [service]'s
+    genesis digest (a store written by a different service fails at record
+    0), and returns a log whose length, head and index continue exactly
+    where the store ends. The returned log appends to the same store, and
+    its {!records} decode the pre-crash records in full. An empty store
+    resumes as an empty chain. [Error (seq, why)] is the fail-closed
+    signal: the store was tampered with or cut inside a record, and the
+    service must refuse to build on it. A cut at a record boundary is not
+    detected (see above). *)
+
+val store : t -> Oasis_util.Chunks.t
+(** The bytes the chain lives in; appends extend it in place. *)
 
 val append :
   t ->
@@ -61,65 +94,40 @@ val append :
   unit ->
   record
 
-val service : t -> Oasis_util.Ident.t
 val length : t -> int
 
 val head : t -> Oasis_crypto.Sha256.digest
 (** Hash of the most recent record (the genesis digest when empty). *)
 
 val records : t -> record list
-(** Oldest first. A chain rebuilt with {!resume} holds its pre-crash prefix
-    only as verified bytes, so [records] returns just the post-resume
-    (typed) records; {!length} still counts the whole chain. *)
+(** Every record, oldest first, decoded from the store. *)
 
-val imported_count : t -> int
-(** How many records in the chain are the opaque resumed prefix (0 for a
-    chain that never crossed a crash). *)
+val fold : ('a -> record -> 'a) -> 'a -> t -> 'a
+(** [fold f init t] folds [f] over the records oldest first, decoding one at
+    a time. *)
 
 val find : t -> seq:int -> record option
+(** Decodes the one record [seq] through the offset index. *)
+
+(** {!records}, {!fold} and {!find} raise [Failure] if the stored bytes no
+    longer decode, which only a change to the store under the live log can
+    cause (run {!verify} first). *)
 
 val verify : t -> (int, int * string) result
-(** Recomputes the whole chain from genesis. [Ok n] means all [n] records
-    are intact; [Error (seq, why)] names the first record that fails. *)
+(** Recomputes the whole chain from genesis over the stored bytes. [Ok n]
+    means all [n] records are intact and the chain ends at {!head};
+    [Error (seq, why)] names the first record that fails. *)
 
 val export : t -> string
 (** Textual chain: a header line naming the service, then one line per
     record — hex canonical payload and hex chain hash. [prev] is implicit
     (the previous line's hash). Suitable for writing to a file and
-    re-verifying offline. [export t = export_header t ^ concat of
-    export_line per record], which is what lets services mirror the chain
-    into their durable store incrementally — one line per append, from
-    {!export_last_line} — instead of rewriting the whole export every time.
-    [export] encodes every record again: a different path to the same
-    bytes. *)
-
-val export_header : t -> string
-(** Just the header line (newline-terminated) — written once when the
-    durable mirror of a chain is created. *)
+    re-verifying offline. Hexed straight from the stored bytes; [export t]
+    is the header followed by {!export_line} of every record. *)
 
 val export_line : record -> string
 (** One record's export line (newline-terminated), encoding the record
     again. *)
-
-val export_last_line : t -> string
-(** The export line of the newest record — what {!export_line} gives for
-    it — appended to the durable mirror as the decision is logged. The
-    line is made from the very bytes {!append} encoded and hashed, hexed
-    into one allocation, so a decision's payload is encoded exactly once.
-    The log keeps those bytes only until the next append (one reusable
-    buffer, never a payload per record). [Invalid_argument] on an empty
-    chain. *)
-
-val resume : service:Oasis_util.Ident.t -> string -> (t, int * string) result
-(** Rebuild a chain from its durable export after a crash: verifies every
-    line against the genesis digest for [service] (a chain exported by a
-    different service is rejected outright) and returns a log whose length
-    and head continue exactly where the export stopped. The verified prefix
-    is kept as opaque bytes (the wire encoding is one-way); new appends
-    chain onto it and re-exports reproduce the prefix byte-for-byte.
-    [Error (seq, why)] is the fail-closed signal: the durable record was
-    tampered with or truncated mid-line, and the service must refuse to
-    build on it. *)
 
 val verify_string : string -> (int, int * string) result
 (** Verifies an {!export}ed chain without access to the original log.

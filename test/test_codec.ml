@@ -301,6 +301,84 @@ let rewrite s ~before ~after =
   let i = find 0 in
   String.sub s 0 i ^ after ^ String.sub s (i + m) (n - i - m)
 
+(* [Wire.decode] inverts [Wire.encode] over the same spellings: every float
+   class (a NaN's payload is not encoded, so NaNs compare as equal),
+   [min_int] / [max_int], negative ident numbers, empty strings and nested
+   value lists. *)
+let field_equal a b =
+  let value_equal x y =
+    match (x, y) with
+    | Value.Time f, Value.Time g -> Float.equal f g
+    | _ -> Value.equal x y
+  in
+  let values_equal xs ys = List.length xs = List.length ys && List.for_all2 value_equal xs ys in
+  match (a, b) with
+  | Wire.Fident x, Wire.Fident y -> Ident.equal x y
+  | Fstring x, Fstring y -> String.equal x y
+  | Fvalue x, Fvalue y -> value_equal x y
+  | Ffloat x, Ffloat y -> Float.equal x y
+  | Fint x, Fint y -> x = y
+  | Fvalues xs, Fvalues ys -> values_equal xs ys
+  | _ -> false
+
+let test_decode_inverts_encode () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:3000 ~name:"decode (encode tag fields) = (tag, fields)" wire_gen
+       (fun (tag, fields) ->
+         let encoded = Wire.encode tag fields in
+         match Wire.decode encoded with
+         | Ok (tag', fields') ->
+             String.equal tag tag'
+             && List.length fields = List.length fields'
+             && List.for_all2 field_equal fields fields'
+             && String.equal (Wire.encode tag' fields') encoded
+         | Error { Wire.offset; reason } ->
+             QCheck.Test.fail_reportf "refused at %d: %s" offset reason))
+
+(* Strictness: a byte changed anywhere either fails to decode or decodes to
+   fields that re-encode to the changed bytes; and the spellings a lenient
+   parser would also accept are refused. *)
+let test_decode_is_strict () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:2000 ~name:"whatever decodes re-encodes to itself"
+       QCheck.(pair wire_gen (pair small_nat (int_range 0 255)))
+       (fun ((tag, fields), (at, replacement)) ->
+         let mutated = Bytes.of_string (Wire.encode tag fields) in
+         Bytes.set mutated (at mod Bytes.length mutated) (Char.chr replacement);
+         let mutated = Bytes.to_string mutated in
+         match Wire.decode mutated with
+         | Ok (tag', fields') -> String.equal (Wire.encode tag' fields') mutated
+         | Error _ -> true));
+  let sample =
+    Wire.encode "t"
+      Wire.[ Ffloat 9.0; Fint 5; Fident (Ident.make "p" (-3)); Fvalue (Value.Bool true) ]
+  in
+  Alcotest.(check string) "sample spelling" "T1:tF8:0x1.2p+3N1:5I4:p#-3V4:b1:1" sample;
+  Alcotest.(check bool) "sample decodes" true (Result.is_ok (Wire.decode sample));
+  List.iter
+    (fun (before, after) ->
+      match Wire.decode (rewrite sample ~before ~after) with
+      | Ok _ -> Alcotest.failf "non-canonical %S decoded" after
+      | Error _ -> ())
+    [
+      ("T1:t", "T01:t"); (* leading zero in a length *)
+      ("N1:5", "N01:5"); (* and in a field length *)
+      ("F8:0x1.2p+3", "F6:0x9p+0"); (* 9.0, not as "%h" spells it *)
+      ("F8:0x1.2p+3", "F3:9.0"); (* decimal *)
+      ("F8:0x1.2p+3", "F9:0x1.20p+3"); (* trailing zero digit *)
+      ("N1:5", "N2:+5"); (* explicit sign *)
+      ("N1:5", "N2:05"); (* leading zero *)
+      ("N1:5", "N3:0x5"); (* hex *)
+      ("I4:p#-3", "I5:p#-03"); (* leading zero in an ident number *)
+      ("V4:b1:1", "V4:b1:2"); (* a bool other than 0 / 1 *)
+      ("V4:b1:1", "V8:b1:1b1:0"); (* two values in one value field *)
+      ("V4:b1:1", "V0:"); (* none *)
+      ("N1:5", "X1:5"); (* unknown field tag *)
+    ];
+  match Wire.decode (sample ^ "N") with
+  | Ok _ -> Alcotest.fail "a trailing partial frame decoded"
+  | Error _ -> ()
+
 let sample_rmc ?(args = [ Value.Int 1 ]) () =
   Rmc.issue ~secret ~principal_key:"k" ~id:(Ident.make "cert" 11)
     ~issuer:(Ident.make "service" 1) ~role:"doctor" ~args ~issued_at:3.0
@@ -418,6 +496,8 @@ let suite =
       Alcotest.test_case "truncation totality" `Quick test_decoder_total_on_truncation;
       Alcotest.test_case "mutation totality" `Quick test_decoder_total_on_mutation;
       Alcotest.test_case "garbage totality (qcheck)" `Quick test_decoder_random_garbage;
+      Alcotest.test_case "wire decode inverts encode (qcheck)" `Quick test_decode_inverts_encode;
+      Alcotest.test_case "wire decode is strict (qcheck)" `Quick test_decode_is_strict;
       Alcotest.test_case "kind confusion" `Quick test_kind_confusion_rejected;
       Alcotest.test_case "trailing bytes" `Quick test_trailing_bytes_rejected;
       Alcotest.test_case "size accounting" `Quick test_size_matches_encoding;

@@ -577,24 +577,36 @@ let test_kernel_allocation_budgets () =
   let reused = Bytes.create (Wire.encoded_length "decision" fields) in
   check_budget "Wire.write (reused buffer)" ~budget:2. (fun () ->
       Wire.write reused 0 "decision" fields);
-  (* A grant as Service records it, mirrored to durable storage. *)
-  let log = Dlog.create ~service:(Ident.make "hospital" 1) in
+  (* A grant as Audit_trail.log records it. *)
   let doctor = Ident.make "principal" 7 in
-  let grant () =
+  let grant log () =
     Dlog.append log ~at:12.5 ~decision:Dlog.Grant ~principal:doctor ~action:"treating_doctor"
       ~args:[ Value.Id doctor; Value.Int 42 ]
       ~rule:"treating_doctor(d, p) <- doctor(d), env:assigned(d, p)"
       ~creds:[ Ident.make "cert" 1; Ident.make "cert" 2; Ident.make "cert" 3 ]
       ~env_facts:[ "assigned(principal#7, 42)" ] ~trace_seq:9 ()
   in
+  let log = Dlog.create ~service:(Ident.make "hospital" 1) in
   check_budget "Decision_log.append + export_line" ~budget:2700. (fun () ->
-      Dlog.export_line (grant ()));
-  (* The mirror line as Audit_trail writes it: hexed from the bytes the
-     append hashed, where encoding the record a second time for the line
-     cost about 1,550 words. *)
-  check_budget "Decision_log.append + export_last_line" ~budget:700. (fun () ->
-      ignore (grant ());
-      Dlog.export_last_line log)
+      Dlog.export_line (grant log ()));
+  (* The append alone, as services make it: encoded once into the scratch
+     buffer, hashed there and copied into the chunk store, whose 64 KiB
+     chunks are allocated outside the minor heap. A hex line per append,
+     as a text mirror of the chain would write, adds about 100 words. *)
+  check_budget "Decision_log.append (into the chunk store)" ~budget:147. (grant log);
+  (* What a decision costs to keep: its stored bytes (the payload, a
+     4-byte length and a 32-byte hash), its offset in the index and its
+     share of the part-filled last chunk, about 270 bytes for this grant.
+     A typed record kept beside the bytes, or a hex copy of them, takes it
+     well over the 450 allowed. *)
+  let log = Dlog.create ~service:(Ident.make "hospital" 1) in
+  let n = 10_000 in
+  for _ = 1 to n do
+    ignore (grant log ())
+  done;
+  let per_record = float (Obj.reachable_words (Obj.repr log) * (Sys.word_size / 8)) /. float n in
+  if per_record > 450. then
+    Alcotest.failf "a decision log keeps %.0f bytes per record (budget 450)" per_record
 
 let suite =
   ( "regressions",

@@ -375,36 +375,114 @@ let test_cached_matches_full () =
 
 (* ---------------- durable chain resume ---------------- *)
 
+(* The chunk store reads back what was appended, wherever the pieces and
+   the ranges read fall against the 64 KiB chunk boundaries. *)
+let test_chunks_are_one_string () =
+  let module Chunks = Oasis_util.Chunks in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:40 ~name:"chunk store = the concatenated pieces"
+       QCheck.(
+         pair
+           (list_of_size Gen.(int_range 1 6) (int_bound 40_000))
+           (pair (int_bound 1_000_000) (int_bound 1_000_000)))
+       (fun (sizes, (a, b)) ->
+         let t = Chunks.create () and reference = Buffer.create 1024 in
+         List.iteri
+           (fun i size ->
+             let piece = Bytes.init (size + 2) (fun j -> Char.chr (((i * 31) + j) land 255)) in
+             Chunks.add_sub t piece 1 size;
+             Buffer.add_subbytes reference piece 1 size)
+           sizes;
+         let all = Buffer.contents reference in
+         let n = String.length all in
+         let pos = if n = 0 then 0 else a mod n in
+         let len = if n = 0 then 0 else b mod (n - pos + 1) in
+         Chunks.length t = n
+         && Chunks.sub_string t 0 n = all
+         && Chunks.sub_string t pos len = String.sub all pos len
+         && (n = 0 || Chunks.get t pos = all.[pos])
+         && Chunks.sub_string (Chunks.of_string all) 0 n = all))
+
+(* A log that crashed leaves only its store; [resume] rebuilds the log
+   from it, typed records included. *)
 let test_resume_chain () =
   let owner = Ident.make "svc" 1 in
-  let log = sample_log 12 in
-  let blob = Buffer.create 512 in
-  Buffer.add_string blob (Dlog.export_header log);
-  List.iter (fun r -> Buffer.add_string blob (Dlog.export_line r)) (Dlog.records log);
-  (match Dlog.resume ~service:owner (Buffer.contents blob) with
+  let log = sample_log 1000 in
+  let store = Dlog.store log in
+  Alcotest.(check bool) "the chain spans chunks" true
+    (Oasis_util.Chunks.length store > Oasis_util.Chunks.chunk_size);
+  (match Dlog.resume ~service:owner store with
   | Error (seq, why) -> Alcotest.failf "resume failed at %d: %s" seq why
   | Ok resumed ->
-      Alcotest.(check int) "length preserved" 12 (Dlog.length resumed);
-      Alcotest.(check int) "prefix is opaque" 12 (Dlog.imported_count resumed);
+      Alcotest.(check int) "length preserved" 1000 (Dlog.length resumed);
+      Alcotest.(check bool) "resumed records equal the pre-crash records, rule and creds included"
+        true
+        (Dlog.records resumed = Dlog.records log);
+      Alcotest.(check bool) "find decodes a pre-crash record" true
+        (Dlog.find resumed ~seq:327 = Dlog.find log ~seq:327 && Dlog.find resumed ~seq:327 <> None);
       Alcotest.(check bool) "heads agree" true (Dlog.head resumed = Dlog.head log);
-      Alcotest.(check bool) "resumed chain verifies" true (Dlog.verify resumed = Ok 12);
-      (* Appends continue from the verified head, and the incremental
-         export line brings the durable blob along. *)
+      Alcotest.(check bool) "resumed chain verifies" true (Dlog.verify resumed = Ok 1000);
+      Alcotest.(check string) "resumed export = pre-crash export" (Dlog.export log)
+        (Dlog.export resumed);
+      (* Appends continue from the verified head, into the same store. *)
       let r =
         Dlog.append resumed ~at:13.0 ~decision:Dlog.Grant ~principal:client
           ~action:"invoke:post-crash" ~args:[] ~rule:"r" ~creds:[] ~env_facts:[] ()
       in
-      Buffer.add_string blob (Dlog.export_line r);
-      Alcotest.(check bool) "extended chain verifies" true (Dlog.verify resumed = Ok 13);
-      Alcotest.(check bool) "re-exported blob verifies" true
-        (Dlog.verify_string (Buffer.contents blob) = Ok 13);
-      Alcotest.(check bool) "second resume sees 13" true
-        (match Dlog.resume ~service:owner (Buffer.contents blob) with
-        | Ok again -> Dlog.length again = 13 && Dlog.head again = Dlog.head resumed
+      Alcotest.(check bool) "extended chain verifies" true (Dlog.verify resumed = Ok 1001);
+      Alcotest.(check bool) "export verifies" true
+        (Dlog.verify_string (Dlog.export resumed) = Ok 1001);
+      Alcotest.(check bool) "second resume sees 1001" true
+        (match Dlog.resume ~service:owner store with
+        | Ok again ->
+            Dlog.length again = 1001
+            && Dlog.head again = Dlog.head resumed
+            && Dlog.find again ~seq:1000 = Some r
         | Error _ -> false));
-  (* Fail closed: a chain naming some other service must not resume. *)
+  (* Fail closed: a chain written by some other service must not resume. *)
   Alcotest.(check bool) "wrong owner refused" true
-    (Result.is_error (Dlog.resume ~service:(Ident.make "svc" 2) (Buffer.contents blob)))
+    (Result.is_error (Dlog.resume ~service:(Ident.make "svc" 2) store))
+
+(* Facts are one joined field; a [;] or [\] inside a fact, or an empty
+   fact, must neither merge two logged fact lists into one hashed payload
+   nor come back different from what was logged. *)
+let test_env_facts_roundtrip () =
+  let chain facts =
+    let log = Dlog.create ~service:(Ident.make "svc" 1) in
+    ignore
+      (Dlog.append log ~at:0.0 ~decision:Dlog.Grant ~principal:client ~action:"a"
+         ~env_facts:facts ());
+    log
+  in
+  let head facts = Dlog.head (chain facts) in
+  Alcotest.(check bool) "a ; inside a fact is not a separator" false
+    (head [ "ward(a;b)" ] = head [ "ward(a"; "b)" ]);
+  Alcotest.(check bool) "an empty fact is not an empty list" false (head [ "" ] = head []);
+  (* Any bytes, and short strings over the bytes the escaping is about,
+     empty ones included. *)
+  let fact =
+    QCheck.Gen.(
+      oneof
+        [
+          string_size (int_bound 8);
+          string_size ~gen:(oneofl [ 'a'; ';'; '\\'; 'e' ]) (int_bound 6);
+        ])
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"decode . encode = id over arbitrary facts"
+       QCheck.(list_of_size Gen.(int_bound 4) (list_of_size Gen.(int_bound 4) (make fact)))
+       (fun fact_lists ->
+         let log = Dlog.create ~service:(Ident.make "svc" 1) in
+         let appended =
+           List.mapi
+             (fun i facts ->
+               Dlog.append log ~at:(float_of_int i) ~decision:Dlog.Revoke ~principal:client
+                 ~action:"a" ~env_facts:facts ())
+             fact_lists
+         in
+         Dlog.records log = appended
+         && List.for_all (fun (r : Dlog.record) -> Dlog.find log ~seq:r.seq = Some r) appended
+         && Dlog.verify_string (Dlog.export log) = Ok (List.length appended)))
 
 (* ---------------- qcheck properties ---------------- *)
 
@@ -541,7 +619,9 @@ let suite =
       Alcotest.test_case "decision log export golden" `Quick test_decision_log_export_golden;
       Alcotest.test_case "decay moves to prior" `Quick test_decay_moves_to_prior;
       Alcotest.test_case "cached aggregate = full recompute" `Quick test_cached_matches_full;
+      Alcotest.test_case "chunk store (qcheck)" `Quick test_chunks_are_one_string;
       Alcotest.test_case "durable chain resume" `Quick test_resume_chain;
+      Alcotest.test_case "env facts round-trip (qcheck)" `Quick test_env_facts_roundtrip;
       Alcotest.test_case "decay monotone (qcheck)" `Quick test_prop_decay_monotone;
       Alcotest.test_case "score monotone (qcheck)" `Quick test_prop_score_monotone;
       Alcotest.test_case "dedup idempotent (qcheck)" `Quick test_prop_dedup_idempotent;

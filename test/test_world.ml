@@ -386,22 +386,26 @@ let test_chain_tamper_fail_closed () =
       Alcotest.(check string) "refusal names the service" "svc" service);
   Alcotest.(check bool) "stays crashed (rolled back)" true (Service.is_crashed svc)
 
-(* The durable mirror takes each line from the bytes the append hashed
-   ([Dlog.export_last_line]); [Dlog.export] encodes every record again, or
-   re-hexes the imported prefix after a restart. The two paths must give the
-   same blob across grants, denials, revocations and a crash/restart. *)
-let test_durable_mirror_is_export () =
+(* The live log writes into the chunk store the durable store keeps, so a
+   log resumed from that store is the same chain: the two exports agree
+   across grants, denials, revocations and a crash/restart, and the
+   restarted service decodes its pre-crash records in full. *)
+let test_durable_store_is_the_chain () =
   let t = Fixtures.make () in
   let hospital = t.Fixtures.hospital and alice = t.Fixtures.alice in
   let me = Value.Id (Principal.id alice) in
-  let blob () =
+  let store () =
     let key = "dlog:" ^ Ident.to_string (Service.id hospital) in
-    match Durable.get (World.durable t.Fixtures.world) key with
-    | Some b -> b
-    | None -> Alcotest.fail "no durable mirror"
+    match Durable.find (World.durable t.Fixtures.world) key with
+    | Some s -> s
+    | None -> Alcotest.fail "no durable chain"
   in
-  let same_bytes label =
-    Alcotest.(check string) label (Dlog.export (Service.decision_log hospital)) (blob ())
+  let same_chain label =
+    match Dlog.resume ~service:(Service.id hospital) (store ()) with
+    | Error (seq, why) -> Alcotest.failf "%s: resume failed at %d: %s" label seq why
+    | Ok resumed ->
+        Alcotest.(check string) label (Dlog.export (Service.decision_log hospital))
+          (Dlog.export resumed)
   in
   let round patient =
     ignore (Fixtures.alice_treating t ~patient);
@@ -435,17 +439,91 @@ let test_durable_mirror_is_export () =
   in
   round 1;
   all_kinds "before the crash";
-  same_bytes "mirror = export before the crash";
+  same_chain "live export = resumed export before the crash";
+  let before = Dlog.records (Service.decision_log hospital) in
+  Alcotest.(check bool) "some pre-crash grant names its rule and creds" true
+    (List.exists
+       (fun (r : Dlog.record) -> r.decision = Dlog.Grant && r.rule <> "" && r.creds <> [])
+       before);
   Service.crash hospital;
   Service.restart hospital;
-  Alcotest.(check bool) "prefix imported" true
-    (Dlog.imported_count (Service.decision_log hospital) > 0);
-  same_bytes "mirror = export after restart";
+  Alcotest.(check bool) "resumed records equal the pre-crash records, rule and creds included" true
+    (List.filteri
+       (fun i _ -> i < List.length before)
+       (Dlog.records (Service.decision_log hospital))
+    = before);
+  same_chain "live export = resumed export after restart";
   round 2;
   all_kinds "after the restart";
-  same_bytes "mirror = export after more decisions";
+  same_chain "live export = resumed export after more decisions";
   Alcotest.(check bool) "chain verifies" true
-    (Result.is_ok (Dlog.verify_string (blob ())))
+    (Dlog.verify (Service.decision_log hospital) = Ok (Dlog.length (Service.decision_log hospital)))
+
+(* Every byte of a crashed service's stored chain, flipped and, separately,
+   cut off there: restart either refuses with [Chain_tampered] or resumes
+   exactly the first k pre-crash records. A flip is always refused; a cut
+   resumes only at a record boundary, each boundary once — the rollback the
+   chain alone cannot detect (decision_log.mli). Nothing is active at the
+   crash, so a restart appends nothing of its own. *)
+let test_crash_consistency_sweep () =
+  let world = World.create ~seed:3 () in
+  let svc = Service.create world ~name:"svc" ~policy:"initial base <- env:eq(1, 1);" () in
+  let p = Principal.create world ~name:"p" in
+  World.run_proc world (fun () ->
+      let s = Principal.start_session p in
+      let rmc = Fixtures.ok (Principal.activate p s svc ~role:"base" ()) in
+      (match Principal.activate p s svc ~role:"nosuch" () with
+      | Ok _ -> Alcotest.fail "an unknown role must be denied"
+      | Error _ -> ());
+      ignore (Service.revoke_certificate svc rmc.Oasis_cert.Rmc.id ~reason:"revoked");
+      ignore (Fixtures.ok (Principal.activate p s svc ~role:"base" ()));
+      Principal.logout p s);
+  World.settle world;
+  Alcotest.(check int) "nothing active at the crash" 0 (List.length (Service.active_roles svc));
+  let pre = Dlog.records (Service.decision_log svc) in
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) ("some " ^ Dlog.decision_label d) true
+        (List.exists (fun (r : Dlog.record) -> r.decision = d) pre))
+    [ Dlog.Grant; Dlog.Deny; Dlog.Revoke ];
+  Service.crash svc;
+  let durable = World.durable world and key = "dlog:" ^ Ident.to_string (Service.id svc) in
+  let stored =
+    match Durable.find durable key with
+    | Some c -> Oasis_util.Chunks.sub_string c 0 (Oasis_util.Chunks.length c)
+    | None -> Alcotest.fail "no durable chain"
+  in
+  (* Some k when restart resumed k records (then crashes it again), None
+     when it refused. *)
+  let restart_with bytes ~flip =
+    Durable.set durable key (Oasis_util.Chunks.of_string bytes);
+    Option.iter (fun byte -> assert (Durable.corrupt durable key ~byte)) flip;
+    match Service.restart svc with
+    | () ->
+        let resumed = Dlog.records (Service.decision_log svc) in
+        let k = List.length resumed in
+        if resumed <> List.filteri (fun i _ -> i < k) pre then
+          Alcotest.failf "resumed %d records that are not the first %d pre-crash ones" k k;
+        Service.crash svc;
+        Some k
+    | exception Service.Chain_tampered _ ->
+        Alcotest.(check bool) "a refused restart stays down" true (Service.is_crashed svc);
+        None
+  in
+  let n = String.length stored in
+  for off = 0 to n - 1 do
+    match restart_with stored ~flip:(Some off) with
+    | Some k -> Alcotest.failf "flipping byte %d of %d resumed %d records" off n k
+    | None -> ()
+  done;
+  let resumed_at =
+    List.filter_map
+      (fun off -> restart_with (String.sub stored 0 off) ~flip:None)
+      (List.init (n + 1) Fun.id)
+  in
+  Alcotest.(check (list int)) "a cut resumes once per record boundary, and nowhere else"
+    (List.init (List.length pre + 1) Fun.id)
+    resumed_at
 
 let suite =
   ( "world",
@@ -467,5 +545,6 @@ let suite =
       Alcotest.test_case "no-op re-delivery suppressed" `Quick test_noop_redelivery_suppressed;
       Alcotest.test_case "mid-issuance crash heals" `Quick test_mid_issuance_crash_heals;
       Alcotest.test_case "chain tamper fail-closed" `Quick test_chain_tamper_fail_closed;
-      Alcotest.test_case "durable mirror = export" `Quick test_durable_mirror_is_export;
+      Alcotest.test_case "durable store = live export" `Quick test_durable_store_is_the_chain;
+      Alcotest.test_case "crash-consistency sweep" `Quick test_crash_consistency_sweep;
     ] )
