@@ -9,16 +9,14 @@ type t = {
   issuer : Ident.t;
   is_down : unit -> bool;
   store : Cr.store;
-  beats : Heartbeat.emitter Ident.Tbl.t array;
-      (* live emitters of valid records, in 16 shards: with one table,
-         whose bucket array grows huge at 5*10^4 emitters, the perf [scale]
-         workload's peak heap was 24 % higher. The shard is picked by the
-         id's sequence number, not by [Ident.hash], whose low bits each
-         shard's table indexes by: sharing them would leave 15/16 of every
-         shard's buckets empty and its chains 16 times longer. *)
+  mutable emitter : Heartbeat.emitter option; (* under heartbeats, from the first record on *)
+  mutable epoch : int; (* beats since the emitter last started *)
+  mutable revoked : Ident.t list; (* revoked since the last beat, newest first *)
   expiries : (float * (unit -> unit)) Ident.Tbl.t;
       (* valid records with a deadline: when, and the caller's revoke *)
 }
+
+let beat_topic issuer = "hb:" ^ Ident.to_string issuer
 
 let create ?is_down world ~issuer =
   let is_down =
@@ -31,35 +29,35 @@ let create ?is_down world ~issuer =
     issuer;
     is_down;
     store = Cr.create_store ();
-    beats = Array.init 16 (fun _ -> Ident.Tbl.create 16);
+    emitter = None;
+    epoch = 0;
+    revoked = [];
     expiries = Ident.Tbl.create 16;
   }
 
-let beats t cert_id = t.beats.(Ident.number cert_id land (Array.length t.beats - 1))
+(* Each tick numbers the beat and hands over the revocations since the
+   previous one. *)
+let next_beat t () =
+  t.epoch <- t.epoch + 1;
+  let revoked = List.rev t.revoked in
+  t.revoked <- [];
+  Protocol.Beat { issuer = t.issuer; epoch = t.epoch; revoked }
 
-let start_beats t (record : Cr.t) =
-  match World.monitoring t.world with
-  | Change_events -> ()
-  | Heartbeats { period; _ } ->
-      Ident.Tbl.replace (beats t record.cert_id) record.cert_id
-        (Heartbeat.start_emitter ~src:t.issuer (World.broker t.world) (World.engine t.world)
-           ~topic:(Cr.topic record) ~period
-           ~beat:(Protocol.Beat { issuer = t.issuer; cert_id = record.cert_id }))
-
-let stop_beats t cert_id =
-  let shard = beats t cert_id in
-  match Ident.Tbl.find_opt shard cert_id with
-  | Some emitter ->
-      Heartbeat.stop_emitter emitter;
-      Ident.Tbl.remove shard cert_id
-  | None -> ()
+let start_beats t =
+  match (World.monitoring t.world, t.emitter) with
+  | Heartbeats { period; _ }, None ->
+      t.emitter <-
+        Some
+          (Heartbeat.start_emitter ~src:t.issuer (World.broker t.world) (World.engine t.world)
+             ~topic:(beat_topic t.issuer) ~period ~beat:(next_beat t))
+  | Heartbeats _, Some _ | Change_events, _ -> ()
 
 let add t ~cert_id ~kind ~principal ~name ~args ?expiry () =
   let now = World.now t.world in
   let record =
     Cr.add t.store ~cert_id ~issuer:t.issuer ~kind ~principal ~name ~args ~issued_at:now
   in
-  start_beats t record;
+  start_beats t;
   (match expiry with
   | Some ((at, expire) as due) when at > now ->
       Ident.Tbl.replace t.expiries cert_id due;
@@ -75,10 +73,12 @@ let revoke t cert_id ~reason ~bookkeeping =
   | Some record ->
       Ident.Tbl.remove t.expiries cert_id;
       bookkeeping record;
-      stop_beats t cert_id;
+      (match World.monitoring t.world with
+      | Heartbeats _ -> t.revoked <- cert_id :: t.revoked
+      | Change_events -> ());
       (* Retained: a revocation is true forever, and offline verification
-         needs late dependency watches to find the tombstone on the
-         channel. *)
+         and late watches, under either monitoring mode, read the tombstone
+         off the channel. *)
       Broker.publish ~src:t.issuer ~retain:true (World.broker t.world) (Cr.topic record)
         (Protocol.Invalidated { issuer = t.issuer; cert_id; reason });
       true
@@ -94,12 +94,14 @@ let valid_appointments t =
         ids := record.Cr.cert_id :: !ids);
   List.sort Ident.compare !ids
 
+(* The epoch and the pending revocations are the emitter's volatile state:
+   a restarted issuer counts from 1 again, and its dependants, seeing the
+   epoch go backwards, read the tombstones of everything they watch. *)
 let stop_emitters t =
-  Array.iter
-    (fun shard ->
-      Ident.Tbl.iter (fun _ emitter -> Heartbeat.stop_emitter emitter) shard;
-      Ident.Tbl.reset shard)
-    t.beats
+  Option.iter Heartbeat.stop_emitter t.emitter;
+  t.emitter <- None;
+  t.epoch <- 0;
+  t.revoked <- []
 
 let resume t =
   if not (t.is_down ()) then begin
@@ -110,8 +112,5 @@ let resume t =
       t.expiries []
     |> List.sort (fun (a, x, _) (b, y, _) -> compare (a, Ident.number x) (b, Ident.number y))
     |> List.iter (fun (_, _, expire) -> expire ());
-    Cr.iter t.store (fun record ->
-        if Cr.is_valid record && not (Ident.Tbl.mem (beats t record.Cr.cert_id) record.Cr.cert_id)
-        then
-          start_beats t record)
+    if Cr.count t.store > 0 then start_beats t
   end

@@ -3,11 +3,14 @@
     "The issuer keeps information on the RMC, including its current
     validity, in a credential record." Every issuer — a service issuing RMCs
     and appointments, or a domain's CIV cluster issuing appointments —
-    keeps its records here and announces a record's death on that record's
-    event channel: a retained [Invalidated] tombstone under change-event
-    monitoring, or the end of the record's periodic [Beat]s under heartbeat
-    monitoring. Which of the two the issuer runs follows from
-    {!World.monitoring}.
+    keeps its records here and announces a record's death with a retained
+    [Invalidated] tombstone on that record's event channel. Under heartbeat
+    monitoring ({!World.monitoring}) the issuer also beats once per period
+    on its own channel ({!beat_topic}), however many records it holds: each
+    [Beat] carries its epoch (beats since the emitter last started) and the
+    ids revoked since the previous beat, so a dependant learns of a
+    revocation from the next beat and of the issuer's death from the
+    beats' silence.
 
     Signing is {!Oasis_cert.Issuer_key}'s business; relying-side monitoring
     (dependency watches, suspects, reconciliation) is the relying service's.
@@ -16,6 +19,9 @@
     {!revoke}. *)
 
 type t
+
+val beat_topic : Oasis_util.Ident.t -> Oasis_event.Broker.topic
+(** The channel an issuer's beats go out on. *)
 
 val create : ?is_down:(unit -> bool) -> World.t -> issuer:Oasis_util.Ident.t -> t
 (** An empty record store for [issuer]. [is_down] says whether the issuer
@@ -33,8 +39,9 @@ val add :
   ?expiry:float * (unit -> unit) ->
   unit ->
   Oasis_cert.Credential_record.t
-(** Files a valid record issued now and, under heartbeat monitoring, starts
-    its emitter (first beat one period from now). With [expiry = (at,
+(** Files a valid record issued now. Under heartbeat monitoring the
+    issuer's first record starts its emitter (first beat one period from
+    now). With [expiry = (at,
     expire)] and [at] in the future, [expire] — the caller's revoke with
     reason ["expired"] — runs at [at], or at the next {!resume} if the
     issuer is down then, so dependent roles collapse at the deadline rather
@@ -48,8 +55,8 @@ val revoke :
   bookkeeping:(Oasis_cert.Credential_record.t -> unit) ->
   bool
 (** Revokes a valid record, in this order: flip it in the store, run the
-    caller's [bookkeeping], stop its emitter, publish the retained
-    [Invalidated] tombstone on its channel. The publish comes last so the
+    caller's [bookkeeping], under heartbeat monitoring list it for the next
+    beat, publish the retained [Invalidated] tombstone on its channel. The publish comes last so the
     caller's trace events and decision records precede the broker's.
     [false] (and nothing runs) if the record is unknown or already
     revoked. *)
@@ -67,11 +74,12 @@ val valid_appointments : t -> Oasis_util.Ident.t list
 (** The ids of every currently valid appointment record. *)
 
 val stop_emitters : t -> unit
-(** The issuer crashed: every emitter falls silent. Records are durable and
-    stay as they are. *)
+(** The issuer crashed: its emitter falls silent, and its epoch and the
+    revocations not yet beaten are lost with it. Records and tombstones are
+    durable and stay as they are. *)
 
 val resume : t -> unit
 (** The issuer is back. First every record whose expiry passed while it was
-    down is revoked through its [expire]; then every valid record without
-    an emitter gets one again. A no-op for the emitters of an issuer whose
-    beats never stopped. *)
+    down is revoked through its [expire]; then an issuer that has issued
+    anything starts beating again, from epoch 1. A no-op for the emitter of
+    an issuer whose beats never stopped. *)

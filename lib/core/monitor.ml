@@ -19,8 +19,30 @@ let log = Logs.Src.create "oasis.monitor" ~doc:"OASIS active-security monitoring
 
 module Log = (val Logs.src_log log)
 
-(* A live invalidation watch on one certificate's event channel. *)
-type watch = Subscription of Broker.subscription | Beats of Heartbeat.monitor
+type death = [ `Revoked of string | `Silence ]
+
+(* Under heartbeat monitoring a service keeps one monitor per issuer it
+   watches anything of, on the issuer's beat channel, and registers each
+   watched certificate under it. *)
+type issuer_beats = {
+  beat_issuer : Ident.t;
+  mutable monitor : Heartbeat.monitor option; (* set right after creation *)
+  certs : cert_watch list Ident.Tbl.t;
+      (* watched cert -> its registrations; the monitor goes with the last *)
+  mutable epoch : int option; (* of the last beat heard *)
+  mutable fresh : cert_watch list; (* registered since the last beat heard *)
+}
+
+(* One certificate's registration under its issuer's monitor. *)
+and cert_watch = {
+  beats : issuer_beats;
+  cert_id : Ident.t;
+  on_dead : death -> unit;
+  mutable registered : bool;
+}
+
+(* A live invalidation watch on one certificate. *)
+type watch = Subscription of Broker.subscription | Beats of cert_watch
 
 (* A credential supporting an active role. Durable: it survives a crash
    (unlike its live watch), so restart can rebuild the watch and
@@ -105,6 +127,7 @@ type t = {
       (* remote issuer -> roles holding a dependency on it: an
          unreachable-issuer sweep touches only those *)
   cache_watches : watch Ident.Tbl.t; (* remote cert id -> invalidation watch *)
+  beat_monitors : issuer_beats Ident.Tbl.t; (* issuer -> its monitor, under heartbeats *)
   st : counters;
   mutable reconcilers : int;
   reconcile_queue : role Queue.t;
@@ -141,47 +164,153 @@ let trace_role t what role extra =
 (* Invalidation watches                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Starts an invalidation watch on a certificate's channel, for a role
-   dependency or a cached verdict. [on_dead] learns how the credential
-   died: [`Revoked reason] is definitive (the issuer said so); [`Silence]
-   is a failure-detector verdict (heartbeats stopped), which
-   [silence_revokes] interprets. *)
-let watch ?(replay = true) t ~issuer ~cert_id ~on_dead =
-  let topic = Cr.topic_of ~issuer ~cert_id in
-  match World.monitoring t.world with
-  | Change_events ->
-      (* A fresh watch picks up a retained Invalidated published before it
-         subscribed: a certificate verified offline was never shown to its
-         issuer, and a callback verdict can be overtaken by a revocation
-         published while the reply was in flight. Only the restart rebuild
-         opts out ([replay = false]): its roles go suspect and
-         reconciliation asks the issuer instead. *)
-      Subscription
-        (Broker.subscribe ~replay_retained:replay (World.broker t.world) topic ~owner:t.sid
-           (fun _topic event ->
-             match event with
-             | Protocol.Invalidated { reason; _ } -> on_dead (`Revoked reason)
-             | Protocol.Beat _ | Protocol.Replicated _ -> ()))
-  | Heartbeats { deadline; _ } ->
-      Beats
-        (Heartbeat.watch
-           ~accept:(function Protocol.Beat _ -> true | _ -> false)
-           ~owner:t.sid (World.broker t.world) (World.engine t.world) ~topic ~deadline
-           ~on_miss:(fun () -> on_dead `Silence))
-
-let unwatch t = function
-  | Subscription sub -> Broker.unsubscribe (World.broker t.world) sub
-  | Beats monitor -> Heartbeat.cancel_watch monitor
-
 (* The certificate's event channel retains its Invalidated notice, so a
    verifier that never watched this certificate still sees the revocation
    at presentation time — a push-based revocation list. A partition hides
    the tombstone like it hides the live event; the heartbeat / suspect
    machinery bounds that staleness as usual. *)
-let revoked_on_channel t ~issuer ~cert_id =
+let tombstone t ~issuer ~cert_id =
   match Broker.retained (World.broker t.world) (Cr.topic_of ~issuer ~cert_id) ~reader:t.sid with
-  | Some (Protocol.Invalidated _) -> true
-  | Some _ | None -> false
+  | Some (Protocol.Invalidated { reason; _ }) -> Some reason
+  | Some _ | None -> None
+
+let revoked_on_channel t ~issuer ~cert_id = Option.is_some (tombstone t ~issuer ~cert_id)
+
+(* Stops an issuer's monitor; a later watch on that issuer starts anew. *)
+let retire t ib =
+  Option.iter Heartbeat.cancel_watch ib.monitor;
+  match Ident.Tbl.find_opt t.beat_monitors ib.beat_issuer with
+  | Some current when current == ib -> Ident.Tbl.remove t.beat_monitors ib.beat_issuer
+  | Some _ | None -> ()
+
+(* Takes one registration off its issuer's monitor, and the monitor down
+   with its last one. *)
+let detach t cw =
+  if cw.registered then begin
+    cw.registered <- false;
+    let ib = cw.beats in
+    (match List.filter (fun r -> r != cw) (Ident.Tbl.find ib.certs cw.cert_id) with
+    | [] -> Ident.Tbl.remove ib.certs cw.cert_id
+    | rest -> Ident.Tbl.replace ib.certs cw.cert_id rest);
+    if Ident.Tbl.length ib.certs = 0 then retire t ib
+  end
+
+(* Every registration of [cert_id] learns how it died, in the order they
+   were made. Each is detached first: a dead credential stays dead. *)
+let kill t ib cert_id death =
+  match Ident.Tbl.find_opt ib.certs cert_id with
+  | None -> ()
+  | Some regs ->
+      let regs = List.rev regs in
+      List.iter (detach t) regs;
+      List.iter (fun cw -> cw.on_dead death) regs
+
+(* Watched certificates in id order, so a sweep is reproducible. *)
+let watched_certs ib =
+  Ident.Tbl.fold (fun cert_id _ acc -> cert_id :: acc) ib.certs [] |> List.sort Ident.compare
+
+let check_tombstone t ib cert_id =
+  match tombstone t ~issuer:ib.beat_issuer ~cert_id with
+  | Some reason -> kill t ib cert_id (`Revoked reason)
+  | None -> ()
+
+(* The next epoch lists what was revoked since the last. Any other epoch —
+   a beat lost to a partition shorter than the deadline, or an issuer that
+   restarted and counts from 1 again — means revocations may have gone
+   unheard: every watched certificate's tombstone is read, locally. A
+   certificate registered since the last beat has its tombstone read again
+   now: a partition can hide the tombstone when the watch starts, but not
+   from a reader the beat just reached. *)
+let on_beat t ib ~epoch ~revoked =
+  let gap = match ib.epoch with Some last -> epoch <> last + 1 | None -> false in
+  let fresh = ib.fresh in
+  ib.epoch <- Some epoch;
+  ib.fresh <- [];
+  if gap then List.iter (check_tombstone t ib) (watched_certs ib)
+  else begin
+    List.iter
+      (fun cert_id ->
+        if Ident.Tbl.mem ib.certs cert_id then
+          let reason =
+            Option.value (tombstone t ~issuer:ib.beat_issuer ~cert_id) ~default:"revoked"
+          in
+          kill t ib cert_id (`Revoked reason))
+      revoked;
+    List.iter (fun cw -> if cw.registered then check_tombstone t ib cw.cert_id) (List.rev fresh)
+  end
+
+(* The issuer fell silent for a deadline: the monitor has stopped, and
+   every certificate watched there hears [`Silence]. *)
+let on_silence t ib =
+  retire t ib;
+  List.iter (fun cert_id -> kill t ib cert_id `Silence) (watched_certs ib)
+
+let issuer_beats t ~issuer ~deadline =
+  match Ident.Tbl.find_opt t.beat_monitors issuer with
+  | Some ib -> ib
+  | None ->
+      let ib =
+        {
+          beat_issuer = issuer;
+          monitor = None;
+          certs = Ident.Tbl.create 16;
+          epoch = None;
+          fresh = [];
+        }
+      in
+      Ident.Tbl.replace t.beat_monitors issuer ib;
+      ib.monitor <-
+        Some
+          (Heartbeat.watch
+             ~on_beat:(function
+               | Protocol.Beat { epoch; revoked; _ } -> on_beat t ib ~epoch ~revoked
+               | Protocol.Invalidated _ | Protocol.Replicated _ -> ())
+             ~owner:t.sid (World.broker t.world) (World.engine t.world)
+             ~topic:(Issuer_records.beat_topic issuer) ~deadline
+             ~on_miss:(fun () -> on_silence t ib));
+      ib
+
+(* Starts an invalidation watch on a certificate, for a role dependency or
+   a cached verdict. [on_dead] learns how the credential died: [`Revoked
+   reason] is definitive (the issuer said so); [`Silence] is a
+   failure-detector verdict (heartbeats stopped), which [silence_revokes]
+   interprets.
+
+   A fresh watch picks up a revocation announced before it started: a
+   certificate verified offline was never shown to its issuer, and a
+   callback verdict can be overtaken by a revocation published while the
+   reply was in flight. Only the restart rebuild opts out ([replay =
+   false]): its roles go suspect and reconciliation asks the issuer
+   instead. *)
+let watch ?(replay = true) t ~issuer ~cert_id ~on_dead =
+  match World.monitoring t.world with
+  | Change_events ->
+      Subscription
+        (Broker.subscribe ~replay_retained:replay (World.broker t.world)
+           (Cr.topic_of ~issuer ~cert_id) ~owner:t.sid (fun _topic event ->
+             match event with
+             | Protocol.Invalidated { reason; _ } -> on_dead (`Revoked reason)
+             | Protocol.Beat _ | Protocol.Replicated _ -> ()))
+  | Heartbeats { deadline; _ } ->
+      let ib = issuer_beats t ~issuer ~deadline in
+      let cw = { beats = ib; cert_id; on_dead; registered = true } in
+      Ident.Tbl.replace ib.certs cert_id
+        (cw :: Option.value (Ident.Tbl.find_opt ib.certs cert_id) ~default:[]);
+      (* Revoked in an earlier epoch: the tombstone says so, now or at the
+         next beat. Told on the next engine step, as a replayed change
+         event would be, so the caller holds the watch before it fires. *)
+      if replay then begin
+        ib.fresh <- cw :: ib.fresh;
+        if revoked_on_channel t ~issuer ~cert_id then
+          ignore
+            (Engine.schedule (World.engine t.world) ~after:0.0 (fun () ->
+                 if cw.registered then check_tombstone t ib cert_id))
+      end;
+      Beats cw
+
+let unwatch t = function
+  | Subscription sub -> Broker.unsubscribe (World.broker t.world) sub
+  | Beats cw -> detach t cw
 
 (* A positive callback verdict is cached with an invalidation watch on the
    issuer's channel. Definitive revocation poisons the entry (a permanent
@@ -674,6 +803,7 @@ let create world ~service ~name ~env ~records ~audit ~cache ~suspect_grace ~reco
     env_index = Fact_tbl.create 16;
     by_issuer = Ident.Tbl.create 8;
     cache_watches = Ident.Tbl.create 64;
+    beat_monitors = Ident.Tbl.create 8;
     st =
       {
         revocations = counter "service.revocations";

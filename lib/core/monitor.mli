@@ -3,10 +3,12 @@
     Beside the decision path, a service watches every condition a role it
     granted rests on and collapses the role the moment one fails:
 
-    - each supporting credential through an invalidation watch on its
-      issuer's event channel — a change-event subscription or a heartbeat
-      monitor, as {!World.monitoring} says — and each cached positive
-      validation verdict the same way;
+        - each supporting credential through an invalidation watch, as
+      {!World.monitoring} says: a change-event subscription on the
+      credential's channel, or a registration under the one heartbeat
+      monitor this service keeps per issuer, whose beats name the
+      revocations and whose silence fails everything watched there — and
+      each cached positive validation verdict the same way;
     - each ground membership env constraint through the env listener
       (indexed by fact tuple, so a change costs the roles watching exactly
       that tuple), a re-check timer for time-dependent constraints, and a

@@ -92,15 +92,8 @@ let pp_msg ppf = function
 
 type event =
   | Invalidated of { issuer : Ident.t; cert_id : Ident.t; reason : string }
-  | Beat of { issuer : Ident.t; cert_id : Ident.t }
+  | Beat of { issuer : Ident.t; epoch : int; revoked : Ident.t list }
   | Replicated of { issuer : Ident.t; cert_id : Ident.t; valid : bool }
-
-let pp_event ppf = function
-  | Invalidated { cert_id; reason; _ } ->
-      Format.fprintf ppf "Invalidated(%a: %s)" Ident.pp cert_id reason
-  | Beat { cert_id; _ } -> Format.fprintf ppf "Beat(%a)" Ident.pp cert_id
-  | Replicated { cert_id; valid; _ } ->
-      Format.fprintf ppf "Replicated(%a valid=%b)" Ident.pp cert_id valid
 
 let header_bytes = 24 (* addressing, kind tag, request id *)
 

@@ -97,12 +97,14 @@ val size_of : msg -> int
     encodings, other fields at representative sizes. Feeds the network's
     byte counters. *)
 
-(** Event-channel payloads (Fig. 5): invalidation change events, or
-    heartbeats asserting continued validity. *)
+(** Event-channel payloads (Fig. 5): invalidation change events on a
+    credential record's channel, or an issuer's heartbeats on its own
+    channel. *)
 type event =
   | Invalidated of { issuer : Oasis_util.Ident.t; cert_id : Oasis_util.Ident.t; reason : string }
-  | Beat of { issuer : Oasis_util.Ident.t; cert_id : Oasis_util.Ident.t }
+  | Beat of { issuer : Oasis_util.Ident.t; epoch : int; revoked : Oasis_util.Ident.t list }
+      (** The issuer is alive. [epoch] counts its beats since it last
+          started; [revoked] lists the records it revoked since the
+          previous beat, oldest first. *)
   | Replicated of { issuer : Oasis_util.Ident.t; cert_id : Oasis_util.Ident.t; valid : bool }
       (** CIV-cluster state replication: primary → replicas (ref [10]). *)
-
-val pp_event : Format.formatter -> event -> unit

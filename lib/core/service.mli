@@ -160,7 +160,7 @@ val current_epoch : t -> int
 val crash : t -> unit
 (** Crashes this node through the world's fault controller
     ({!Oasis_sim.Fault}), which runs the monitor's crash hook: the network
-    node goes down, emitters fall silent, and all in-memory active-security
+    node goes down, its heartbeat emitter falls silent, and all in-memory active-security
     state — dependency and cache watches, env timers, suspect timers, the
     validation cache, the reconciliation queue — is dropped. Durable state
     — credential records, issued certificates, policy, per-role dependency
@@ -180,7 +180,7 @@ val restart : t -> unit
     re-verified and resumed first ({!Audit_trail.resume}) — on any mismatch
     the service refuses to come back ({!Chain_tampered}) and stays crashed.
     Appointments whose expiry passed while down are then revoked and
-    announced ({!Issuer_records.resume}), before any emitter restarts. Each
+    announced ({!Issuer_records.resume}), before its emitter restarts. Each
     active role's env constraints are re-checked on the spot — changes
     missed while down deactivate it now, and a predicate the env no longer
     knows fails closed — and own-issuer prerequisites are checked against

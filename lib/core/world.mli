@@ -8,8 +8,10 @@
     Fig. 5 ablation, experiment E5):
     - [Change_events]: issuers publish invalidation events; dependents react
       immediately on delivery.
-    - [Heartbeats]: issuers beat every [period] per valid credential record;
-      dependents declare a credential dead after [deadline] without a beat. *)
+        - [Heartbeats]: each issuer beats once every [period], naming the
+      records it revoked since its last beat; dependents treat [deadline]
+      without a beat from an issuer as silence of everything they watch
+      there. *)
 type heartbeat_config = { period : float; deadline : float }
 
 type monitoring =

@@ -10,7 +10,7 @@ let start_emitter ?src broker engine ~topic ~period ~beat =
     Engine.every engine ~period (fun () ->
         if emitter.running then begin
           Obs.Counter.inc c_beats;
-          Broker.publish ?src broker topic beat
+          Broker.publish ?src broker topic (beat ())
         end;
         emitter.running)
   in
@@ -18,8 +18,7 @@ let start_emitter ?src broker engine ~topic ~period ~beat =
   emitter
 
 (* Cancelling the recurring timer (not just flagging [running]) is what
-   keeps a decommissioned issuer from leaking one live periodic closure per
-   certificate it ever issued. *)
+   leaves a stopped emitter no live periodic closure. *)
 let stop_emitter emitter =
   if emitter.running then begin
     emitter.running <- false;
@@ -40,7 +39,8 @@ type monitor = {
    accounting) collide between unrelated watches. *)
 let monitor_idents = Oasis_util.Ident.generator "hb-monitor"
 
-let watch ?(accept = fun _ -> true) ?owner broker engine ~topic ~deadline ~on_miss =
+let watch ?(accept = fun _ -> true) ?(on_beat = ignore) ?owner broker engine ~topic ~deadline
+    ~on_miss =
   if deadline <= 0.0 then invalid_arg "Heartbeat.watch: deadline must be positive";
   let owner =
     match owner with Some o -> o | None -> Oasis_util.Ident.fresh monitor_idents
@@ -56,7 +56,10 @@ let watch ?(accept = fun _ -> true) ?owner broker engine ~topic ~deadline ~on_mi
   in
   let subscription =
     Broker.subscribe broker topic ~owner (fun _topic beat ->
-        if m.alive && accept beat then m.last_beat <- Engine.now engine)
+        if m.alive && accept beat then begin
+          m.last_beat <- Engine.now engine;
+          on_beat beat
+        end)
   in
   m.unsub <- (fun () -> Broker.unsubscribe broker subscription);
   (* Re-arm a timer for the earliest instant a miss could be declared. The

@@ -248,8 +248,9 @@ let test_heartbeat_mode_cascade () =
   let t = make ~monitoring () in
   let session = alice_treating t ~patient:7 in
   Alcotest.(check bool) "doctor active" true (role_active t session "doctor");
-  (* Revocation stops the qualification's beats; the doctor role dies within
-     one deadline, and treating_doctor one deadline later. *)
+    (* The hospital's next beat names the revoked qualification: the doctor
+     role dies within one period, and treating_doctor with the beat that
+     names the doctor role. *)
   let revoked_at = World.now t.world in
   ignore
     (Service.revoke_certificate t.hospital t.alice_qualification.Oasis_cert.Appointment.id
@@ -259,7 +260,7 @@ let test_heartbeat_mode_cascade () =
     (role_active t session "doctor");
   Alcotest.(check bool) "treating collapsed transitively" false
     (role_active t session "treating_doctor");
-  (* Staleness: collapse took at least one deadline, unlike change events. *)
+    (* Staleness: collapse waited for a beat, unlike change events. *)
   let st = Service.stats t.hospital in
   Alcotest.(check bool) "cascades recorded" true (st.Service.cascade_deactivations >= 2)
 

@@ -108,7 +108,7 @@ let test_emitter_beats () =
   let engine, broker = make ~latency:0.01 () in
   let beats = ref 0 in
   ignore (Broker.subscribe broker "hb" ~owner (fun _ _ -> incr beats));
-  let emitter = Heartbeat.start_emitter broker engine ~topic:"hb" ~period:1.0 ~beat:() in
+  let emitter = Heartbeat.start_emitter broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ()) in
   Engine.run_until engine 5.5;
   Heartbeat.stop_emitter emitter;
   Engine.run engine;
@@ -117,7 +117,7 @@ let test_emitter_beats () =
 
 let test_monitor_no_miss_while_beating () =
   let engine, broker = make ~latency:0.01 () in
-  let emitter = Heartbeat.start_emitter broker engine ~topic:"hb" ~period:1.0 ~beat:() in
+  let emitter = Heartbeat.start_emitter broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ()) in
   let missed = ref false in
   let monitor =
     Heartbeat.watch broker engine ~topic:"hb" ~deadline:2.5 ~on_miss:(fun () -> missed := true)
@@ -130,7 +130,7 @@ let test_monitor_no_miss_while_beating () =
 
 let test_monitor_miss_after_stop () =
   let engine, broker = make ~latency:0.01 () in
-  let emitter = Heartbeat.start_emitter broker engine ~topic:"hb" ~period:1.0 ~beat:() in
+  let emitter = Heartbeat.start_emitter broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ()) in
   let miss_at = ref nan in
   let monitor =
     Heartbeat.watch broker engine ~topic:"hb" ~deadline:2.5 ~on_miss:(fun () ->

@@ -181,9 +181,9 @@ let test_concurrent_monitors_independent () =
      cancelling one must not disturb the other. *)
   let world = World.create ~seed:3 () in
   let broker = World.broker world and engine = World.engine world in
+  let beat = Protocol.Beat { issuer = World.fresh_service_id world; epoch = 1; revoked = [] } in
   let emitter =
-    Heartbeat.start_emitter broker engine ~topic:"shared" ~period:0.5
-      ~beat:(Protocol.Beat { issuer = World.fresh_service_id world; cert_id = World.fresh_cert_id world })
+    Heartbeat.start_emitter broker engine ~topic:"shared" ~period:0.5 ~beat:(fun () -> beat)
   in
   let misses = ref 0 in
   let watch () =
@@ -199,6 +199,172 @@ let test_concurrent_monitors_independent () =
   Alcotest.(check int) "only the live monitor fires" 1 !misses;
   Alcotest.(check bool) "m2 missed, m1 cancelled" true
     (Heartbeat.missed m2 && not (Heartbeat.missed m1))
+
+(* ---------------- The issuer's beat (Fig. 5, heartbeat mode) -------- *)
+
+let beat_period = 0.5
+let beat_deadline = 1.5
+let beats = World.Heartbeats { period = beat_period; deadline = beat_deadline }
+let notify_latency = 0.001
+
+(* A counter a test may read before anything bumped it. *)
+let count world key = Option.value (Oasis_obs.Obs.value (World.obs world) key) ~default:0.0
+
+let still_active relying (derived : Oasis_cert.Rmc.t) =
+  Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id
+
+(* The rule of the relying service's last Revoke decision. *)
+let last_revoke_rule relying =
+  match
+    List.rev (Oasis_trust.Decision_log.records (Service.decision_log relying))
+    |> List.find_opt (fun (r : Oasis_trust.Decision_log.record) ->
+           r.decision = Oasis_trust.Decision_log.Revoke)
+  with
+  | Some r -> r.rule
+  | None -> Alcotest.fail "no Revoke decision"
+
+(* The issuer's beats fall one period apart from its first issue (t ~ 0);
+   t = 2.2 sits between two of them. The next beat names the revocation,
+   so the role collapses within one period and the notification latency,
+   with no missed beat. *)
+let test_beat_announces_revocation () =
+  let world, issuer, relying = build ~monitoring:beats () in
+  let _, _, base, derived = establish world issuer relying in
+  World.run_until world 2.2;
+  let revoked_at = World.now world in
+  ignore (Service.revoke_certificate issuer base.Oasis_cert.Rmc.id ~reason:"struck off");
+  World.run_until world (revoked_at +. 0.1);
+  Alcotest.(check bool) "nothing announced between beats" true (still_active relying derived);
+  World.run_until world (revoked_at +. beat_period +. notify_latency +. 1e-6);
+  Alcotest.(check bool) "collapsed within period + notify latency" false
+    (still_active relying derived);
+  Alcotest.(check bool) "for the revocation's reason" true
+    (String.ends_with ~suffix:"invalid: struck off" (last_revoke_rule relying));
+  Alcotest.(check (float 0.0)) "no missed beat" 0.0 (count world "hb.misses");
+  Alcotest.(check int) "never suspect" 0 (Service.stats relying).Service.suspects
+
+(* A partition shorter than the deadline swallows the beat that names the
+   revocation. The first beat after the heal skips an epoch, so the
+   relying service reads the tombstones of what it watches there. *)
+let test_epoch_gap_after_short_partition () =
+  let world, issuer, relying = build ~monitoring:beats () in
+  let _, _, base, derived = establish world issuer relying in
+  World.run_until world 2.2;
+  cut world issuer relying;
+  ignore (Service.revoke_certificate issuer base.Oasis_cert.Rmc.id ~reason:"struck off");
+  World.run_until world 2.9;
+  Alcotest.(check bool) "the announcing beat was swallowed" true (still_active relying derived);
+  Alcotest.(check int) "no silence inside the deadline" 0
+    (List.length (Service.suspect_roles relying));
+  heal world;
+  let healed_at = World.now world in
+  World.run_until world (healed_at +. beat_period +. notify_latency +. 1e-6);
+  Alcotest.(check bool) "the epoch gap collapses the role after the heal" false
+    (still_active relying derived);
+  Alcotest.(check bool) "for the revocation's reason" true
+    (String.ends_with ~suffix:"invalid: struck off" (last_revoke_rule relying));
+  Alcotest.(check (float 0.0)) "no missed beat" 0.0 (count world "hb.misses");
+  Alcotest.(check int) "no reconciliation" 0 (Service.stats relying).Service.reconciled_revoked
+
+(* The credential was revoked two epochs before the relying service ever
+   saw it: a partition hid the tombstone from the offline presentation
+   check and from the watch it started. The first beat after the heal has
+   the new watch's tombstone read again. *)
+let test_late_watch_reads_tombstone () =
+  let world = World.create ~seed:1 ~monitoring:beats () in
+  let issuer = Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" () in
+  let relying =
+    Service.create world ~name:"relying" ~config:fault_config ~policy:"derived <- *base@issuer;"
+      ()
+  in
+  let p = Principal.create world ~name:"p" in
+  let s = Principal.start_session p in
+  let base = World.run_proc world (fun () -> ok (Principal.activate p s issuer ~role:"base" ())) in
+  World.run_until world 2.2;
+  cut world issuer relying;
+  ignore (Service.revoke_certificate issuer base.Oasis_cert.Rmc.id ~reason:"struck off");
+  World.run_until world (2.2 +. (2.0 *. beat_period));
+  let derived =
+    World.run_proc world (fun () -> ok (Principal.activate p s relying ~role:"derived" ()))
+  in
+  Alcotest.(check bool) "granted offline behind the partition" true
+    (still_active relying derived);
+  World.run_until world (World.now world +. 0.1);
+  heal world;
+  World.run_until world (World.now world +. beat_period +. notify_latency +. 1e-6);
+  Alcotest.(check bool) "collapsed through the tombstone" false (still_active relying derived);
+  Alcotest.(check bool) "for the revocation's reason" true
+    (String.ends_with ~suffix:"invalid: struck off" (last_revoke_rule relying));
+  Alcotest.(check (float 0.0)) "no missed beat" 0.0 (count world "hb.misses")
+
+(* A callback verdict overtaken by the revocation: the issuer answers at
+   t = 2.202 and revokes at 2.2025, before its answer lands at 2.203. The
+   grant's new watch reads the tombstone and collapses the role at once,
+   not at the issuer's next beat (~2.5). *)
+let test_watch_start_reads_tombstone () =
+  let world, issuer, relying = build ~monitoring:beats () in
+  let p = Principal.create world ~name:"p" in
+  let s = Principal.start_session p in
+  let base = World.run_proc world (fun () -> ok (Principal.activate p s issuer ~role:"base" ())) in
+  World.run_until world 2.2;
+  ignore
+    (Oasis_sim.Engine.schedule_at (World.engine world) ~at:2.2025 (fun () ->
+         ignore (Service.revoke_certificate issuer base.Oasis_cert.Rmc.id ~reason:"struck off")));
+  let derived =
+    World.run_proc world (fun () -> ok (Principal.activate p s relying ~role:"derived" ()))
+  in
+  Alcotest.(check bool) "collapsed before the next beat" true
+    ((not (still_active relying derived)) && World.now world < 2.25);
+  Alcotest.(check bool) "for the revocation's reason" true
+    (String.ends_with ~suffix:"invalid: struck off" (last_revoke_rule relying))
+
+(* The issuer revokes and crashes before its next beat, losing the
+   revocation it had not beaten yet, and is back inside the deadline. Its
+   first beat counts from epoch 1 again: the relying service sees the
+   epoch go backwards and reads the tombstone. *)
+let test_issuer_restart_epoch_gap () =
+  let world, issuer, relying = build ~monitoring:beats () in
+  let _, _, base, derived = establish world issuer relying in
+  World.run_until world 2.2;
+  ignore (Service.revoke_certificate issuer base.Oasis_cert.Rmc.id ~reason:"struck off");
+  Service.crash issuer;
+  World.run_until world 2.8;
+  Alcotest.(check bool) "unannounced while the issuer is down" true
+    (still_active relying derived);
+  Service.restart issuer;
+  World.run_until world (2.8 +. beat_period +. notify_latency +. 1e-6);
+  Alcotest.(check bool) "collapsed at the first beat after the restart" false
+    (still_active relying derived);
+  Alcotest.(check bool) "for the revocation's reason" true
+    (String.ends_with ~suffix:"invalid: struck off" (last_revoke_rule relying));
+  Alcotest.(check (float 0.0)) "no missed beat" 0.0 (count world "hb.misses")
+
+(* Silence is the issuer's, not a credential's: one missed deadline makes
+   every dependant on that issuer suspect at once, and with the issuer
+   still unreachable each fails closed once the grace runs out. *)
+let test_issuer_silence_fails_closed () =
+  let world, issuer, relying = build ~monitoring:beats () in
+  let derived =
+    List.init 3 (fun _ ->
+        let _, _, _, derived = establish world issuer relying in
+        derived)
+  in
+  World.run_until world 2.2;
+  let cut_at = World.now world in
+  cut world issuer relying;
+  World.run_until world (cut_at +. beat_deadline +. notify_latency);
+  Alcotest.(check int) "one missed deadline for the issuer" 1
+    (int_of_float (count world "hb.misses"));
+  Alcotest.(check int) "every dependant suspect" 3 (List.length (Service.suspect_roles relying));
+  World.run_until world (cut_at +. fault_config.Service.suspect_grace);
+  Alcotest.(check bool) "held inside the grace" true
+    (List.for_all (still_active relying) derived);
+  World.run_until world
+    (cut_at +. beat_deadline +. fault_config.Service.suspect_grace +. notify_latency);
+  Alcotest.(check bool) "every dependant failed closed" true
+    (List.for_all (fun d -> not (still_active relying d)) derived);
+  Alcotest.(check bool) "by degradation" true
+    (String.starts_with ~prefix:"fail-closed degradation" (last_revoke_rule relying))
 
 let test_backoff_deterministic () =
   let p = Backoff.default in
@@ -259,6 +425,13 @@ let suite =
       Alcotest.test_case "crash misses revocation" `Quick test_crash_misses_revocation;
       Alcotest.test_case "heartbeat silence under partition" `Quick
         test_heartbeat_silence_suspect;
+      Alcotest.test_case "beat announces a revocation" `Quick test_beat_announces_revocation;
+      Alcotest.test_case "epoch gap after short partition" `Quick
+        test_epoch_gap_after_short_partition;
+      Alcotest.test_case "late watch reads the tombstone" `Quick test_late_watch_reads_tombstone;
+      Alcotest.test_case "watch start reads the tombstone" `Quick test_watch_start_reads_tombstone;
+      Alcotest.test_case "issuer restart: epoch gap" `Quick test_issuer_restart_epoch_gap;
+      Alcotest.test_case "issuer silence fails closed" `Quick test_issuer_silence_fails_closed;
       Alcotest.test_case "concurrent monitors independent" `Quick
         test_concurrent_monitors_independent;
       Alcotest.test_case "backoff deterministic" `Quick test_backoff_deterministic;

@@ -1,5 +1,5 @@
 (* The issuer side of Fig. 5, shared by services and CIV clusters: credential
-   records, per-record heartbeat emitters, retained tombstones and expiry. *)
+   records, the issuer's heartbeat, retained tombstones and expiry. *)
 
 module World = Oasis_core.World
 module Service = Oasis_core.Service
@@ -11,6 +11,10 @@ module Value = Oasis_util.Value
 module Cr = Oasis_cert.Credential_record
 module Obs = Oasis_obs.Obs
 module Dlog = Oasis_trust.Decision_log
+module Engine = Oasis_sim.Engine
+module Broker = Oasis_event.Broker
+module Protocol = Oasis_core.Protocol
+module Ident = Oasis_util.Ident
 
 let ok = Fixtures.ok
 
@@ -91,9 +95,9 @@ let check_expired name (role_held, badge_valid) =
 
 (* An appointment that expires while its issuer is down is announced when
    the issuer is back, through the normal revoke path: under change events
-   the tombstone reaches the gate, under heartbeats the emitter stops and
-   reconciliation finds the record revoked. Without the crash the role
-   collapses at the deadline. *)
+   the tombstone reaches the gate, under heartbeats a beat lists it or the
+   gate reads its tombstone. Without the crash the role collapses at the
+   deadline. *)
 let test_expiry_while_down () =
   List.iter
     (fun (issuer, iname) ->
@@ -122,43 +126,119 @@ let add ?expires_at ?(on_expire = ignore) records world =
        ~principal:(World.fresh_principal_id world) ~name:"badge" ~args:[] ?expiry ());
   cert_id
 
-(* Under heartbeats a record beats from [add] until [revoke]; a revoke runs
-   the caller's bookkeeping once, and only on the call that flips it. *)
-let test_beats_until_revoked () =
+(* Every beat heard on [issuer]'s channel, as (epoch, revoked), oldest
+   first. *)
+let heard world issuer =
+  let beats = ref [] in
+  ignore
+    (Broker.subscribe (World.broker world) (Issuer_records.beat_topic issuer)
+       ~owner:(World.fresh_service_id world) (fun _topic -> function
+       | Protocol.Beat { epoch; revoked; _ } -> beats := (epoch, revoked) :: !beats
+       | Protocol.Invalidated _ | Protocol.Replicated _ -> ()));
+  fun () -> List.rev !beats
+
+let beat = Alcotest.(pair int (list (testable Ident.pp Ident.equal)))
+
+(* Under heartbeats the issuer beats once per period from its first record
+   on, revoked records or not, and its next beat lists each revocation
+   once; a revoke runs the caller's bookkeeping once, and only on the call
+   that flips it. *)
+let test_next_beat_lists_revocation () =
   let world = World.create ~monitoring:heartbeats () in
-  let records = store world in
-  let id = add records world in
+  let issuer = World.fresh_service_id world in
+  let records = Issuer_records.create world ~issuer in
+  let heard = heard world issuer in
+  let id = add records world and other = add records world in
   World.run_until world 12.0;
-  Alcotest.(check int) "beats at t=5 and t=10" 2 (beats world);
+  Alcotest.(check int) "one beat per period for two records, at t=5 and t=10" 2 (beats world);
   let bookkept = ref 0 in
   let revoke () =
     Issuer_records.revoke records id ~reason:"test" ~bookkeeping:(fun _ -> incr bookkept)
   in
   Alcotest.(check bool) "first revoke flips the record" true (revoke ());
-  World.run_until world 60.0;
-  Alcotest.(check int) "no beat after the revoke" 2 (beats world);
+  World.run_until world 22.0;
+  Alcotest.(check int) "the issuer beats on after the revoke" 4 (beats world);
+  Alcotest.(check (list beat)) "the next beat lists the revocation, once"
+    [ (1, []); (2, []); (3, [ id ]); (4, []) ]
+    (heard ());
   Alcotest.(check bool) "second revoke" false (revoke ());
   Alcotest.(check int) "bookkeeping ran once" 1 !bookkept;
   Alcotest.(check bool) "revoked record" false (Issuer_records.is_valid records id);
+  Alcotest.(check bool) "other record" true (Issuer_records.is_valid records other);
   Alcotest.(check bool) "unknown id" false
     (Issuer_records.is_valid records (World.fresh_cert_id world))
 
-(* A crash silences every emitter; [resume] restarts the valid records'
-   emitters and leaves the revoked ones silent. *)
+(* A crash silences the issuer's one emitter and loses its epoch and the
+   revocations not yet beaten; [resume] restarts it from epoch 1. *)
 let test_crash_and_resume () =
   let world = World.create ~monitoring:heartbeats () in
-  let records = store world in
+  let issuer = World.fresh_service_id world in
+  let records = Issuer_records.create world ~issuer in
+  let heard = heard world issuer in
   let live = add records world and dead = add records world in
-  ignore (Issuer_records.revoke records dead ~reason:"test" ~bookkeeping:ignore);
   World.run_until world 7.0;
-  Alcotest.(check int) "one live emitter" 1 (beats world);
+  ignore (Issuer_records.revoke records dead ~reason:"test" ~bookkeeping:ignore);
+  Alcotest.(check int) "one emitter for both records" 1 (beats world);
   Issuer_records.stop_emitters records;
   World.run_until world 30.0;
   Alcotest.(check int) "silent while crashed" 1 (beats world);
   Issuer_records.resume records;
   World.run_until world 36.0;
-  Alcotest.(check int) "the live record beats again" 2 (beats world);
+  Alcotest.(check int) "the issuer beats again" 2 (beats world);
+  Alcotest.(check (list beat)) "epoch 1 again, the unbeaten revocation lost"
+    [ (1, []); (1, []) ]
+    (heard ());
+  Issuer_records.resume records;
+  World.run_until world 41.0;
+  Alcotest.(check int) "a second resume starts no second emitter" 3 (beats world);
   Alcotest.(check bool) "still valid" true (Issuer_records.is_valid records live)
+
+(* Change-event monitoring starts no emitter. *)
+let test_change_events_silent () =
+  let world = World.create () in
+  let records = store world in
+  ignore (add records world);
+  let pending = Engine.pending (World.engine world) in
+  World.run_until world 60.0;
+  Alcotest.(check int) "no beats" 0 (beats world);
+  Alcotest.(check int) "no timer" 0 pending
+
+(* With 1,000 badges watched by a gate there is one beat per issuer per
+   period — the CIV's and the gate's own — and the engine's pending timers
+   do not grow with the record count: each side holds one emitter, and the
+   gate one deadline monitor for the CIV. *)
+let test_beats_per_issuer_at_scale () =
+  let world = World.create ~seed:7 ~monitoring:heartbeats () in
+  let civ = Civ.create world ~name:"civ" () in
+  let gate =
+    Service.create world ~name:"gate" ~policy:"initial member(u) <- *appt:badge(u)@civ ;" ()
+  in
+  let enrol i =
+    let p = Principal.create world ~name:(Printf.sprintf "p%d" i) in
+    Principal.grant_appointment p
+      (Civ.issue civ ~kind:"badge"
+         ~args:[ Value.Id (Principal.id p) ]
+         ~holder:(Principal.id p) ~holder_key:(Principal.longterm_public p) ());
+    ignore
+      (World.run_proc world (fun () ->
+           ok (Principal.activate p (Principal.start_session p) gate ~role:"member" ())))
+  in
+  let pending () =
+    World.settle world;
+    Engine.pending (World.engine world)
+  in
+  enrol 0;
+  let one = pending () in
+  for i = 1 to 999 do
+    enrol i
+  done;
+  let thousand = pending () in
+  Alcotest.(check int) "pending timers with 1,000 records as with one" one thousand;
+  Alcotest.(check int) "1,000 active members" 1000 (List.length (Service.active_roles gate));
+  let before = beats world in
+  World.run_until world (World.now world +. 50.0);
+  Alcotest.(check int) "one beat per issuer per period" (2 * 10) (beats world - before);
+  Alcotest.(check int) "every member still active" 1000 (List.length (Service.active_roles gate))
 
 (* An expiry that falls due while the issuer is down waits for [resume]. *)
 let test_expiry_deferred () =
@@ -219,8 +299,10 @@ let test_tombstone_published_last () =
 let suite =
   ( "issuer-records",
     [
-      Alcotest.test_case "beats until revoked" `Quick test_beats_until_revoked;
+      Alcotest.test_case "next beat lists a revocation" `Quick test_next_beat_lists_revocation;
       Alcotest.test_case "crash and resume" `Quick test_crash_and_resume;
+      Alcotest.test_case "change events start no emitter" `Quick test_change_events_silent;
+      Alcotest.test_case "one beat per issuer at 1,000" `Quick test_beats_per_issuer_at_scale;
       Alcotest.test_case "expiry deferred while down" `Quick test_expiry_deferred;
       Alcotest.test_case "tombstone published last" `Quick test_tombstone_published_last;
       Alcotest.test_case "expiry while the issuer is down" `Quick test_expiry_while_down;
