@@ -1630,8 +1630,8 @@ let e16 () =
 
   (* (a) the live crossing. Two fulfilled interactions lift the vendor to
      (2+1)/(2+2) = 0.75 and the gate admits it; breaches then drag the
-     score under 0.6 and the trust-change poke revokes, no request in
-     flight. *)
+     score under 0.6 and the trust-change notification revokes, no request
+     in flight. *)
   let world = World.create ~seed:16 () in
   let sink, captured = Obs.memory_sink () in
   Obs.attach (World.obs world) sink;

@@ -56,7 +56,5 @@ let offboard t principal =
 
 let admin_ops t = t.ops
 
-let object_count t = Hashtbl.length t.objects
-
 let entry_count t =
   Hashtbl.fold (fun _ acl acc -> acc + Entry_set.cardinal !acl) t.objects 0

@@ -26,5 +26,4 @@ val offboard : t -> Oasis_util.Ident.t -> int
     touched — the churn RBAC avoids. *)
 
 val admin_ops : t -> int
-val object_count : t -> int
 val entry_count : t -> int

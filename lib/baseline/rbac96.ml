@@ -138,13 +138,6 @@ let grant_permission t role permission =
   Hashtbl.replace t.pa role (Perm_set.add permission existing);
   counted t changed
 
-let revoke_permission t role permission =
-  require_role t role;
-  let existing = perms_of t role in
-  let changed = Perm_set.mem permission existing in
-  Hashtbl.replace t.pa role (Perm_set.remove permission existing);
-  counted t changed
-
 let add_ssd t a b =
   require_role t a;
   require_role t b;
@@ -179,8 +172,6 @@ let activate_role t session role =
     Ok ()
   end
   else Error (Printf.sprintf "user not authorized for role %s" role)
-
-let drop_role _t session role = session.active <- Str_set.remove role session.active
 
 let active_roles session = Str_set.elements session.active
 

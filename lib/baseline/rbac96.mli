@@ -30,7 +30,6 @@ val deassign_user : t -> Oasis_util.Ident.t -> string -> unit
     from the user's live sessions — centralised revocation. *)
 
 val grant_permission : t -> string -> permission -> unit
-val revoke_permission : t -> string -> permission -> unit
 
 val add_ssd : t -> string -> string -> unit
 (** Static separation of duty: no user may be assigned both roles
@@ -46,8 +45,6 @@ val create_session : t -> Oasis_util.Ident.t -> session
 
 val activate_role : t -> session -> string -> (unit, string) result
 (** Allowed when the user is assigned the role or a senior of it. *)
-
-val drop_role : t -> session -> string -> unit
 
 val active_roles : session -> string list
 

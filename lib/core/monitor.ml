@@ -121,8 +121,8 @@ type t = {
   retry : Backoff.policy;
   roles : role Ident.Tbl.t;
   env_index : role Ident.Map.t Fact_tbl.t;
-      (* (predicate base name, fact tuple) -> roles whose membership rule
-         watches that ground instance *)
+      (* [env_key] of a ground constraint (predicate base name, fact tuple
+         or trust subject) -> roles whose membership rule watches it *)
   by_issuer : role Ident.Map.t Ident.Tbl.t;
       (* remote issuer -> roles holding a dependency on it: an
          unreachable-issuer sweep touches only those *)
@@ -342,18 +342,15 @@ let drop_cache t =
 (* Deactivation teardown (Fig. 5)                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The env index keys a watch by its fact tuple. A leading '!' is
-   stripped, so a negated watch shares the bucket of its fact. A computed
-   predicate announces a change with [Env.poke], whose args are always
-   [[]], and one poke may move the truth of several tuples (the trust
-   assessor discounts registrars, shifting subjects other than the one
-   notified), so every watch of a computed predicate is keyed [[]], the one
-   bucket a poke looks up. Whether a name is a fact predicate never
-   changes: the env neither forgets a fact predicate nor lets a computed
-   one take its name. *)
-let env_key t (name, args) =
-  let base = Env.base_name name in
-  (base, if Env.fact_predicate t.env base then args else [])
+(* The env index keys a watch by what its change announcement names. A
+   leading '!' is stripped, so a negated watch shares the bucket of its
+   fact. A fact change names its whole tuple; a trust change names only its
+   subject ({!World.on_trust_change}), so [trust_score(u, ...)] is keyed
+   [[u]] whatever its threshold and band. *)
+let env_key (name, args) =
+  match (Env.base_name name, args) with
+  | "trust_score", subject :: _ -> ("trust_score", [ subject ])
+  | base, _ -> (base, args)
 
 let drop_dep_watch t dep =
   match dep.watch with
@@ -398,7 +395,7 @@ let deactivate t role ~reason ~cascade =
       ~env_facts:(List.map Audit_trail.render_env_fact role.env_watch)
       ();
     stop_monitoring t role;
-    List.iter (fun c -> By_fact.remove t.env_index (env_key t c) role) role.env_watch;
+    List.iter (fun c -> By_fact.remove t.env_index (env_key c) role) role.env_watch;
     role.env_watch <- [];
     List.iter (fun dep -> By_issuer.remove t.by_issuer dep.issuer role) role.deps
   in
@@ -469,8 +466,8 @@ let arm_env_timer t role ((name, args) as c) =
       arm at;
       role.timers <- slot :: role.timers
 
-(* The env listener re-checks the roles watching exactly the changed
-   tuple, or every watcher of a poked computed predicate (see [env_key]).
+(* The env and trust listeners re-check the roles watching exactly the
+   changed key: a fact tuple, or a trust subject (see [env_key]).
    [env_rechecks] counts roles examined per change, which is what the scale
    tests and the E9 benchmark assert on; a role an earlier re-check of the
    same change deactivated is skipped. A crashed node reacts to nothing:
@@ -695,7 +692,7 @@ let grant t ~rmc ~record ~session_key ~principal (proof : Solve.proof) =
       | Solve.By_env (name, args) ->
           let c = (name, args) in
           role.env_watch <- c :: role.env_watch;
-          By_fact.add t.env_index (env_key t c) role;
+          By_fact.add t.env_index (env_key c) role;
           arm_env_timer t role c)
     proof.support
 
@@ -823,10 +820,11 @@ let create world ~service ~name ~env ~records ~audit ~cache ~suspect_grace ~reco
 
 let start t =
   Env.on_change t.env (fun changed args _change -> on_env_change t changed args);
-  (* Trust-gated roles are re-checked whenever a score may have moved — the
-     same env-change -> recheck -> revoke chain fact changes drive. *)
-  World.on_trust_change t.world (fun _subject ->
-      if not (is_down t) then Env.poke t.env "trust_score");
+  (* A subject's trust-gated roles are re-checked whenever its score may
+     have moved — the same env-change -> recheck -> revoke chain fact
+     changes drive. *)
+  World.on_trust_change t.world (fun subject ->
+      on_env_change t "trust_score" [ Value.Id subject ]);
   Fault.set_hooks (World.fault t.world) t.sid ~on_crash:(fun () -> crash t)
     ~on_restart:(fun () -> restart t)
 
@@ -858,6 +856,6 @@ let env_watcher_count t predicate =
   |> Ident.Set.cardinal
 
 let env_watcher_count_tuple t predicate args =
-  Ident.Map.cardinal (By_fact.find t.env_index (env_key t (predicate, args)))
+  Ident.Map.cardinal (By_fact.find t.env_index (env_key (predicate, args)))
 
 let issuer_watcher_count t issuer = Ident.Map.cardinal (By_issuer.find t.by_issuer issuer)

@@ -12,7 +12,8 @@
     - each ground membership env constraint through the env listener
       (indexed by fact tuple, so a change costs the roles watching exactly
       that tuple), a re-check timer for time-dependent constraints, and a
-      re-check of every [trust_score] watcher when a score may have moved.
+      re-check of a subject's [trust_score] watchers when its score may
+      have moved.
 
     Silence and unreachability are failure-detector verdicts, not
     revocations (DESIGN.md §11): under a positive suspect grace they make a
@@ -44,8 +45,8 @@ val create :
     the service's configuration. *)
 
 val start : t -> unit
-(** Installs the env listener, the [trust_score] re-check and the
-    service's crash and restart hooks ({!Oasis_sim.Fault.set_hooks}).
+(** Installs the env listener, the per-subject [trust_score] re-check and
+    the service's crash and restart hooks ({!Oasis_sim.Fault.set_hooks}).
     {!Service.create} calls it once the policy is installed, so a service
     whose policy is rejected leaves no listener behind. *)
 

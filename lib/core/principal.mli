@@ -51,8 +51,6 @@ val session_key : session -> string
 (** The session public key as bound into RMCs. *)
 
 val session_rmcs : session -> Oasis_cert.Rmc.t list
-val initial_rmcs : session -> Oasis_cert.Rmc.t list
-(** RMCs of initial (session-root) roles. *)
 
 (** {1 Client operations — call inside a simulated process} *)
 
@@ -128,14 +126,3 @@ val activate_with :
 (** Like {!activate} but presenting an arbitrary credential set — e.g.
     certificates stolen from another principal. The request is still bound
     to {e this} session's key. *)
-
-val invoke_with :
-  t ->
-  session ->
-  Service.t ->
-  privilege:string ->
-  args:Oasis_util.Value.t list ->
-  ?alias:Oasis_util.Ident.t ->
-  creds:Protocol.credentials ->
-  unit ->
-  (Oasis_util.Value.t option, Protocol.denial) result

@@ -220,10 +220,10 @@ val env_watcher_count : t -> string -> int
 
 val env_watcher_count_tuple : t -> string -> Oasis_util.Value.t list -> int
 (** How many currently active RMCs a change of the given ground instance
-    re-checks: the RMCs watching exactly that tuple of a fact predicate, or
-    every watcher of a computed predicate (its {!Oasis_policy.Env.poke}
-    names no tuple). A leading ['!'] is ignored, so a negated watch counts
-    under its fact. *)
+    re-checks: the RMCs watching exactly that tuple of a fact predicate, or,
+    for [trust_score(u, ...)], every watcher of subject [u]'s score (a trust
+    change names only its subject). A leading ['!'] is ignored, so a negated
+    watch counts under its fact. *)
 
 val issuer_watcher_count : t -> Oasis_util.Ident.t -> int
 (** How many issued RMCs currently hold a dependency on a credential of the
@@ -273,8 +273,8 @@ type stats = {
   cascade_deactivations : int;  (** revocations triggered by monitoring, not administration *)
   env_rechecks : int;
       (** RMCs whose membership constraints were re-examined because a fact
-          changed — only the watchers of the changed fact tuple (every
-          watcher of a computed predicate, whose poke names no tuple) *)
+          or a trust score changed — only the watchers of the changed fact
+          tuple, or of the subject whose score moved *)
   suspects : int;  (** roles that entered suspect state ([svc.suspect{service=..}]) *)
   reconciled_reinstated : int;
       (** suspect roles reconciliation re-validated and kept active *)

@@ -23,8 +23,8 @@ type trust = {
   mutable trust_listeners : (Ident.t -> unit) list;
   last_scores : float Ident.Tbl.t;
       (* score each subject's listeners last saw: notifications that would
-         repeat it are suppressed (no-op pokes must not trigger the
-         recheck cascade) *)
+         repeat it are suppressed (a no-op notification must not trigger
+         the recheck cascade) *)
   mutable decay_tick : Oasis_sim.Engine.cancel option;
 }
 
@@ -186,9 +186,9 @@ let trust_score t subject =
   | None -> (assess t subject).Oasis_trust.Assess.score
 
 (* Every trust notification flows through here. A notification whose score
-   matches what listeners already saw is a no-op poke: fanning it out
-   would re-check every trust-gated role for nothing, so it is counted and
-   dropped instead. *)
+   matches what listeners already saw is a no-op: fanning it out would
+   re-check the subject's trust-gated roles for nothing, so it is counted
+   and dropped instead. *)
 let notify_trust_change t subject =
   let score = trust_score t subject in
   match Ident.Tbl.find_opt t.trust.last_scores subject with
@@ -197,12 +197,6 @@ let notify_trust_change t subject =
   | _ ->
       Ident.Tbl.replace t.trust.last_scores subject score;
       List.iter (fun f -> f subject) (List.rev t.trust.trust_listeners)
-
-let trust_feedback t verdict ~actual =
-  Oasis_trust.Assess.feedback t.trust.assessor verdict ~actual;
-  (* Discounting moves registrar weights, which moves every score their
-     certificates contribute to; let watchers re-check. *)
-  notify_trust_change t verdict.Oasis_trust.Assess.subject
 
 (* File into one party's wallet. Split from the both-parties path so a
    registrar crash mid-issuance can leave exactly one wallet updated —
@@ -217,20 +211,14 @@ let file_audit_certificate t cert ~party =
     true
   end
   else begin
-    (* Duplicate delivery (anti-entropy replay): nothing moved, nobody is
-       poked. *)
+    (* Duplicate delivery (anti-entropy replay): nothing moved, so the
+       notification is suppressed. *)
     notify_trust_change t party;
     false
   end
 
-let record_audit_certificate t cert =
-  let client = cert.Oasis_trust.Audit.client and server = cert.Oasis_trust.Audit.server in
-  Obs.Counter.inc (Obs.counter t.obs "trust.certificates");
-  ignore (file_audit_certificate t cert ~party:client : bool);
-  ignore (file_audit_certificate t cert ~party:server : bool)
-
 (* Decay makes scores time-varying even with no new evidence, so the world
-   re-assesses every walleted party each [tick] and pokes only the
+   re-assesses every walleted party each [tick] and notifies only the
    subjects whose score actually moved (the change detection above). *)
 let set_trust_decay t ~rate ~tick =
   Oasis_trust.Assess.set_decay_rate t.trust.assessor rate;

@@ -93,7 +93,7 @@ val settle : ?horizon:float -> t -> unit
 
     The world owns one {!Oasis_trust.Assess} instance and one certificate
     wallet per party. CIVs push the audit certificates they issue into the
-    wallets with {!record_audit_certificate} and bridge their registrar in
+    wallets with {!file_audit_certificate} and bridge their registrar in
     with {!register_trust_validator}; services read scores through
     {!trust_score} (the [trust_score(subject, θ)] env predicate) and
     subscribe to {!on_trust_change} so a score crossing re-triggers the
@@ -110,16 +110,13 @@ val register_trust_validator :
     Certificates from unregistered registrars fail validation (fail
     closed). *)
 
-val record_audit_certificate : t -> Oasis_trust.Audit.t -> unit
-(** Files the certificate in both parties' wallets (deduplicated by id)
-    and notifies trust-change listeners for both. *)
-
 val file_audit_certificate : t -> Oasis_trust.Audit.t -> party:Oasis_util.Ident.t -> bool
 (** Files the certificate in one party's wallet only, returning whether it
-    was new to that wallet. {!record_audit_certificate} is two of these; a
-    registrar crashing between them leaves exactly one wallet updated —
+    was new to that wallet, and notifies that party's trust-change
+    listeners. A CIV files each certificate twice, once per party; a
+    registrar crashing between the two leaves exactly one wallet updated —
     the half-issuance anti-entropy repairs by re-delivering (idempotent:
-    replaying an already-filed certificate changes nothing and pokes
+    replaying an already-filed certificate changes nothing and notifies
     nobody). *)
 
 val assess : t -> Oasis_util.Ident.t -> Oasis_trust.Assess.verdict
@@ -137,18 +134,20 @@ val set_trust_decay : t -> rate:float -> tick:float -> unit
 (** Configures time-decayed reputation (DESIGN.md §16): certificate
     weights decay as [exp (-rate * age)] on the virtual clock, and every
     [tick] virtual seconds the world re-scores all walleted parties,
-    poking only subjects whose score actually moved (trust-gated roles
+    notifying only subjects whose score actually moved (trust-gated roles
     then re-check through the ordinary env-change cascade). [tick <= 0]
     disables the periodic re-assessment (scores still decay whenever they
     are read). Calling again replaces the previous configuration. *)
 
-val trust_feedback : t -> Oasis_trust.Assess.verdict -> actual:Oasis_trust.Audit.outcome -> unit
-(** Reports an interaction's actual outcome against a prior verdict
-    (registrar discounting), then notifies trust-change listeners. *)
-
 val on_trust_change : t -> (Oasis_util.Ident.t -> unit) -> unit
 (** [f subject] runs synchronously whenever [subject]'s score may have
-    moved — a new certificate was filed or registrar weights shifted. *)
+    moved — a certificate was filed into its wallet, or a decay tick moved
+    its score. Services re-check only the roles gated on [subject]'s score,
+    so any path that moves scores must notify every subject it moves. A
+    world-level registrar discount ({!Oasis_trust.Assess.feedback}) would
+    move every subject holding that registrar's certificates; none is
+    wired in, and one that is must find and notify those subjects (a
+    per-registrar reverse index of the wallets would). *)
 
 val run_proc : t -> (unit -> 'a) -> 'a
 (** [run_proc t f] spawns [f] and executes engine events until [f]

@@ -209,11 +209,6 @@ let digest_string s =
   feed_string ctx s;
   finalize ctx
 
-let digest_bytes b =
-  let ctx = init () in
-  feed_bytes ctx b;
-  finalize ctx
-
 let to_raw_string d = d
 
 let to_hex = Oasis_util.Hex.encode

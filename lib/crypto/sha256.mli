@@ -20,7 +20,6 @@ type digest
 (** A 32-byte digest. *)
 
 val digest_string : string -> digest
-val digest_bytes : bytes -> digest
 
 type ctx
 (** Incremental hashing context. *)

@@ -146,7 +146,7 @@ let router_handler t =
 (* Anti-entropy after a registrar crash: any certificate that did not
    reach both wallets is re-delivered to both parties. Wallet filing is
    idempotent (dedup by certificate id), so completing the already-filed
-   half changes nothing; the missing half lands and pokes its party. *)
+   half changes nothing; the missing half lands and notifies its party. *)
 let reconcile_filings t =
   let pending = t.pending_filings in
   t.pending_filings <- [];

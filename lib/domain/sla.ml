@@ -75,7 +75,6 @@ let establish world ~name ~between ~and_ ~clauses =
 
 let name t = t.sname
 let parties t = t.parties
-let established_at t = t.established_at
 let clauses t = t.clauses
 let rules_installed t = t.rules
 

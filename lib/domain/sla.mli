@@ -55,7 +55,6 @@ val establish :
 
 val name : t -> string
 val parties : t -> string * string
-val established_at : t -> float
 val clauses : t -> clause list
 val rules_installed : t -> (string * Oasis_policy.Rule.activation) list
 

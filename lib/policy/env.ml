@@ -41,9 +41,10 @@ let numeric_cmp op = function
    changes spontaneously, so a membership mark on one is unmonitorable
    (nothing ever re-triggers the check). `Timed predicates read the clock
    and are monitored by re-check timers. `Live predicates read external
-   mutable state (the trust assessor); their owner announces changes with
-   [poke], so marks on them are monitorable without timers. The linter
-   consumes this list; keep it in step with [register_builtins]. *)
+   mutable state (the trust assessor); its owner announces each change to
+   the membership monitor, so marks on them are monitorable without
+   timers. The linter consumes this list; keep it in step with
+   [register_builtins]. *)
 let builtin_predicates =
   [
     ("eq", 2, `Pure);
@@ -187,10 +188,6 @@ let enumerate t name =
         (* Unknown predicates must fail loudly even via enumeration. *)
         raise (Unknown_predicate base)
 
-let fact_predicate t name =
-  let _, base = strip_negation name in
-  Hashtbl.mem t.facts base && not (Hashtbl.mem t.computed base)
-
 let next_change_time t name args =
   let _, base = strip_negation name in
   match (base, args) with
@@ -217,10 +214,5 @@ let next_change_time t name args =
   | _ -> None
 
 let on_change t listener = t.listeners <- listener :: t.listeners
-
-let poke t name =
-  if not (Hashtbl.mem t.computed name) then
-    invalid_arg (Printf.sprintf "Env.poke: %s is not a computed predicate" name);
-  notify t name [] `Asserted
 
 let fact_count t = Hashtbl.fold (fun _ b acc -> acc + Tuple_set.cardinal !b) t.facts 0

@@ -36,10 +36,12 @@ val builtin_predicates : (string * int * [ `Pure | `Timed | `Live ]) list
     never changes spontaneously, so a membership mark on one cannot be
     monitored; [`Timed] predicates read the clock and are re-checked by
     timers ({!next_change_time}); [`Live] predicates read external mutable
-    state whose owner announces changes with {!poke} (the trust assessor
-    behind [trust_score(subject, threshold)]), so marks on them are
-    monitorable without timers. The policy linter keys its
-    arity-consistency and unmonitorable-membership checks off this list. *)
+    state whose owner announces each change outside the env (the world's
+    trust assessor behind [trust_score(subject, threshold)] notifies the
+    subject whose score moved, and the membership monitor re-checks that
+    subject's gates), so marks on them are monitorable without timers. The
+    policy linter keys its arity-consistency and unmonitorable-membership
+    checks off this list. *)
 
 val declare_fact : t -> string -> unit
 (** Declares a fact predicate that may (for now) have no tuples — e.g. an
@@ -85,9 +87,6 @@ val enumerate : t -> string -> Oasis_util.Value.t list list
     rule evaluation). Computed and negated predicates enumerate to [] —
     their variables must be bound by earlier conditions. *)
 
-val fact_predicate : t -> string -> bool
-(** Whether the (un-negated) name denotes a fact predicate. *)
-
 val base_name : string -> string
 (** The predicate name with any leading ['!'] negation marker removed.
     Change notifications carry base names, so watchers index by this. *)
@@ -105,13 +104,5 @@ val on_change : t -> (string -> Oasis_util.Value.t list -> [ `Asserted | `Retrac
 (** Registers a listener for fact changes. Listeners run synchronously in
     assertion order; the active-security layer bridges them onto event
     channels. *)
-
-val poke : t -> string -> unit
-(** Announces that the truth value of a computed predicate may have
-    changed (e.g. live assessor state behind [trust_score] moved).
-    Listeners receive the base name with an empty tuple; watchers
-    re-evaluate their own stored ground instances, exactly as for fact
-    changes. Raises [Invalid_argument] if the name is not a computed
-    predicate — facts announce themselves. *)
 
 val fact_count : t -> int

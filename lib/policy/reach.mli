@@ -159,9 +159,6 @@ val findings : Lint.service list -> Lint.finding list
     and carrying rule positions, so [oasisctl analyze] gates CI exactly as
     [oasisctl lint] does. *)
 
-val pp_witness : Format.formatter -> witness -> unit
-(** Indented derivation tree. *)
-
 val pp_goal : Format.formatter -> goal -> unit
 val pp_result : Format.formatter -> result -> unit
 (** The wallet and pins, one line per role goal (with its witness), then

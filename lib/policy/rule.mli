@@ -32,8 +32,6 @@ type condition =
   | Appointment of cred_ref  (** an appointment certificate *)
   | Constraint of string * Term.t list  (** environmental predicate *)
 
-val pp_condition : Format.formatter -> condition -> unit
-
 (** One activation rule for a role. A role may have several rules; any
     satisfied rule admits the principal (Horn clause disjunction). *)
 type activation = {

@@ -22,14 +22,6 @@ type support =
   | By_appointment of cred
   | By_env of string * Value.t list
 
-let pp_support ppf = function
-  | By_rmc c -> Format.fprintf ppf "rmc:%a=%s" Ident.pp c.cred_id c.cred_name
-  | By_appointment c -> Format.fprintf ppf "appt:%a=%s" Ident.pp c.cred_id c.cred_name
-  | By_env (name, args) ->
-      Format.fprintf ppf "env:%s(%a)" name
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") Value.pp)
-        args
-
 type proof = {
   rule : Rule.activation;
   subst : Subst.t;

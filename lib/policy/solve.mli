@@ -35,8 +35,6 @@ type support =
   | By_env of string * Oasis_util.Value.t list
       (** the ground instance that held *)
 
-val pp_support : Format.formatter -> support -> unit
-
 type proof = {
   rule : Rule.activation;
   subst : Term.Subst.t;

@@ -27,7 +27,6 @@ module Subst : sig
   val bind : t -> string -> binding -> t option
   (** [None] if the variable is already bound to a different value. *)
 
-  val bindings : t -> (string * binding) list
   val pp : Format.formatter -> t -> unit
 end
 

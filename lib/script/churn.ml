@@ -222,9 +222,9 @@ let tamper_chain c =
   let key = "dlog:" ^ Ident.to_string (Service.id c.gate) in
   if Durable.corrupt (World.durable c.world) key ~byte:(41 + c.cfg.seed) then c.tampered <- true
 
-(* Decay drifts a score between the poke that last rechecked the gate and
-   the moment we observe it; bound the drift over a 2 s window so the
-   invariant doesn't flag reads the event machinery hasn't seen yet. *)
+(* Decay drifts a score between the notification that last rechecked the
+   gate and the moment we observe it; bound the drift over a 2 s window so
+   the invariant doesn't flag reads the event machinery hasn't seen yet. *)
 let drift_margin c = (0.5 *. (1.0 -. exp (-2.0 *. c.cfg.decay_rate))) +. 1e-9
 
 (* The gate invariant: a role still active while the score sits below the

@@ -57,7 +57,6 @@ let active_partitions t = Hashtbl.fold (fun name _ acc -> name :: acc) t.partiti
 let heal_all t = List.iter (heal t) (active_partitions t)
 
 let set_hooks t id ~on_crash ~on_restart = Ident.Tbl.replace t.hooks id { on_crash; on_restart }
-let clear_hooks t id = Ident.Tbl.remove t.hooks id
 let is_crashed t id = Option.value ~default:false (Ident.Tbl.find_opt t.crashed id)
 
 (* Only faults injected here count: a plain [Network.set_down] (the legacy

@@ -34,9 +34,6 @@ val heal : 'msg t -> string -> unit
 
 val heal_all : 'msg t -> unit
 
-val active_partitions : 'msg t -> string list
-(** Names of partitions currently installed, in no particular order. *)
-
 val is_cut : 'msg t -> Oasis_util.Ident.t -> Oasis_util.Ident.t -> bool
 (** Whether traffic from the first node to the second is currently severed —
     by a partition, or because either endpoint was {!crash}ed. The event
@@ -49,8 +46,6 @@ val set_hooks :
 (** Registers crash/restart behaviour for a node. Re-registering replaces
     the hooks (a service decommissioned and re-created under the same
     ident). *)
-
-val clear_hooks : 'msg t -> Oasis_util.Ident.t -> unit
 
 val crash : 'msg t -> Oasis_util.Ident.t -> unit
 (** Takes the node down, then runs its [on_crash] hook (if any). Idempotent

@@ -99,8 +99,6 @@ let set_link t src dst ~latency ?(jitter = 0.0) ?(loss = 0.0) () =
 let is_down t id =
   match Ident.Tbl.find_opt t.nodes id with Some node -> node.down | None -> true
 
-let has_node t id = Ident.Tbl.mem t.nodes id
-
 let set_down t id down =
   match Ident.Tbl.find_opt t.nodes id with
   | Some node -> node.down <- down

@@ -67,8 +67,6 @@ val set_down : 'msg t -> Oasis_util.Ident.t -> bool -> unit
 val is_down : 'msg t -> Oasis_util.Ident.t -> bool
 (** [true] for down or unregistered nodes. *)
 
-val has_node : 'msg t -> Oasis_util.Ident.t -> bool
-
 val block_pair : 'msg t -> Oasis_util.Ident.t -> Oasis_util.Ident.t -> unit
 (** Severs the directed [src -> dst] pair: messages are dropped at the
     sender (counted under the [partitioned] cause). Blocks are refcounted so

@@ -9,7 +9,6 @@ type agg = {
   mutable s : float; (* decayed success mass, valued at t_ref *)
   mutable f : float; (* decayed failure mass, valued at t_ref *)
   mutable t_ref : float;
-  mutable count : int; (* certificates folded in, for diagnostics *)
 }
 
 type t = {
@@ -74,11 +73,10 @@ let observe t ~subject ~now cert =
   | Some agg ->
       advance t agg ~now;
       let w = cert_weight t ~now cert in
-      (match Audit.outcome_for cert subject with
+      match Audit.outcome_for cert subject with
       | Some Audit.Fulfilled -> agg.s <- agg.s +. w
       | Some Audit.Breached -> agg.f <- agg.f +. w
-      | None -> ());
-      agg.count <- agg.count + 1
+      | None -> ()
 
 let cached_score t ~subject ~now =
   match Ident.Tbl.find_opt t.aggregates subject with
@@ -89,11 +87,6 @@ let cached_score t ~subject ~now =
         advance t agg ~now;
         Some (beta_score ~successes:agg.s ~failures:agg.f)
       end
-
-let aggregate_count t ~subject =
-  match Ident.Tbl.find_opt t.aggregates subject with
-  | None -> None
-  | Some agg -> Some agg.count
 
 type verdict = {
   subject : Ident.t;
@@ -132,8 +125,7 @@ let assess_at ?(remember = false) t ~now ~validate ~subject ~presented =
   (* Beta-reputation point estimate with a uniform prior. *)
   let score = beta_score ~successes ~failures in
   if remember then
-    Ident.Tbl.replace t.aggregates subject
-      { s = successes; f = failures; t_ref = now; count = List.length evidence };
+    Ident.Tbl.replace t.aggregates subject { s = successes; f = failures; t_ref = now };
   {
     subject;
     score;

@@ -39,10 +39,6 @@ val set_decay_rate : t -> float -> unit
 val registrar_weight : t -> Oasis_util.Ident.t -> float
 (** Current credibility of a registrar; 1.0 until evidence accumulates. *)
 
-val cert_weight : t -> now:float -> Audit.t -> float
-(** The weight one certificate carries at virtual time [now]: registrar
-    credibility times the decay factor for its age. *)
-
 (** The verdict on one counterparty, with the evidence that produced it. *)
 type verdict = {
   subject : Oasis_util.Ident.t;
@@ -95,10 +91,6 @@ val cached_score :
     (never assessed with [remember], or invalidated since) or when [now]
     precedes the aggregate's reference instant — fall back to a full
     {!assess}. *)
-
-val aggregate_count : t -> subject:Oasis_util.Ident.t -> int option
-(** Number of certificates folded into the subject's running aggregate,
-    for tests and diagnostics. *)
 
 val invalidate : t -> unit
 (** Drop all running aggregates (registrar weights or decay parameters

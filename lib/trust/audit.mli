@@ -15,8 +15,6 @@ type outcome =
   | Fulfilled  (** the party met its obligations *)
   | Breached  (** exploited resources, failed to pay, poor or partial fulfilment *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 type t = private {
   id : Oasis_util.Ident.t;
   registrar : Oasis_util.Ident.t;  (** issuing CIV; its domain weights the certificate's credibility *)

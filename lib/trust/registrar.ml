@@ -24,7 +24,6 @@ let create rng ~name ?(honest = true) () =
   }
 
 let id t = t.rid
-let is_honest t = t.honest
 
 let issue_cert t ~client ~server ~at ~client_outcome ~server_outcome =
   let cert_id = Ident.fresh t.cert_gen in
@@ -55,9 +54,5 @@ let validate t (cert : Audit.t) =
   && Audit.verify ~secret:t.secret cert
 
 let issued_count t = Ident.Tbl.length t.issued
-
-let issued_certs t =
-  Ident.Tbl.fold (fun _ cert acc -> cert :: acc) t.issued []
-  |> List.sort (fun (a : Audit.t) (b : Audit.t) -> Ident.compare a.id b.id)
 
 let validations t = t.validation_count

@@ -16,7 +16,6 @@ val create : Oasis_util.Rng.t -> name:string -> ?honest:bool -> unit -> t
 (** [honest] defaults to [true]. Deterministic ids derive from [name]. *)
 
 val id : t -> Oasis_util.Ident.t
-val is_honest : t -> bool
 
 val record_interaction :
   t ->
@@ -47,11 +46,5 @@ val validate : t -> Audit.t -> bool
     been repudiated. Counts toward {!validations}. *)
 
 val issued_count : t -> int
-
-val issued_certs : t -> Audit.t list
-(** Every certificate this registrar ever issued, in issue order — the
-    registrar's own durable record, which anti-entropy re-delivers after a
-    crash left only one party's wallet updated (DESIGN.md §16). Wallet
-    dedup makes re-delivery idempotent. *)
 
 val validations : t -> int

@@ -3,11 +3,6 @@ module Rng = Oasis_util.Rng
 
 type server_kind = Honest | Byzantine of float | Colluder of int
 
-let pp_server_kind ppf = function
-  | Honest -> Format.pp_print_string ppf "honest"
-  | Byzantine p -> Format.fprintf ppf "byzantine(p=%g)" p
-  | Colluder k -> Format.fprintf ppf "colluder(pad=%d)" k
-
 type params = {
   servers : int;
   clients : int;

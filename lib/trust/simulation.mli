@@ -16,8 +16,6 @@ type server_kind =
   | Byzantine of float  (** breaches with this probability *)
   | Colluder of int  (** breaches always; pads this many fabricated certificates per round *)
 
-val pp_server_kind : Format.formatter -> server_kind -> unit
-
 type params = {
   servers : int;
   clients : int;

@@ -7,7 +7,6 @@ type policy = {
 }
 
 let default = { base = 0.05; factor = 2.0; cap = 1.0; max_attempts = 4; jitter = 0.25 }
-let no_retry = { base = 0.0; factor = 1.0; cap = 0.0; max_attempts = 1; jitter = 0.0 }
 let fixed n = { base = 0.0; factor = 1.0; cap = 0.0; max_attempts = max 1 n; jitter = 0.0 }
 
 let delay p rng ~attempt =

@@ -18,9 +18,6 @@ val default : policy
 (** 4 attempts, 50 ms base doubling to a 1 s cap, 25% jitter — tuned so a
     full retry cycle stays well inside a heartbeat deadline. *)
 
-val no_retry : policy
-(** A single attempt: the fail-fast behaviour of a bare RPC. *)
-
 val fixed : int -> policy
 (** [fixed n] reproduces the legacy fixed-count retry: [n] attempts with no
     delay between them ([n] is clamped to at least 1). *)

@@ -10,6 +10,3 @@ let advance_to t time =
       (Printf.sprintf "Clock.advance_to: %g is before current time %g" time t.current);
   t.current <- time
 
-let advance_by t delta =
-  if delta < 0.0 then invalid_arg "Clock.advance_by: negative delta";
-  t.current <- t.current +. delta

@@ -15,4 +15,3 @@ val advance_to : t -> float -> unit
 (** Moves the clock forward. Raises [Invalid_argument] on attempts to move
     time backwards — simulations must never reorder the past. *)
 
-val advance_by : t -> float -> unit

@@ -35,8 +35,6 @@ val bernoulli : t -> float -> bool
 val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list. Raises [Invalid_argument] on []. *)
 
-val pick_array : t -> 'a array -> 'a
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

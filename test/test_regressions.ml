@@ -20,6 +20,7 @@ module Service = Oasis_core.Service
 module Principal = Oasis_core.Principal
 module Protocol = Oasis_core.Protocol
 module Civ = Oasis_domain.Civ
+module Audit = Oasis_trust.Audit
 module Env = Oasis_policy.Env
 module Engine = Oasis_sim.Engine
 module Broker = Oasis_event.Broker
@@ -316,32 +317,168 @@ let test_tuple_index_keeps_only_holding_roles () =
   Alcotest.(check bool) (Printf.sprintf "%d grants, %d revocations" !granted !revoked) true
     (!granted > 100 && !revoked > 40)
 
-(* A computed predicate's poke names no tuple, and the trust assessor moves
-   scores of subjects other than the one notified, so one [trust_score]
-   poke must still re-check every [trust_score] watcher. *)
-let test_poke_rechecks_every_watcher () =
+(* A trust change names its subject, so it re-checks only the roles gated
+   on that subject's score; a duplicate filing moves no score and re-checks
+   nothing. *)
+let test_trust_change_rechecks_only_its_subject () =
   let world = World.create ~seed:5 () in
+  let civ = Civ.create world ~name:"civ" () in
   let svc =
-    Service.create world ~name:"gate"
-      ~policy:"initial member(u) <- *env:listed(u), *env:trust_score(u) >= 0.4 ;" ()
+    Service.create world ~name:"gate" ~policy:"initial member(u) <- *env:trust_score(u) >= 0.4 ;"
+      ()
   in
-  let env = Service.env svc in
+  let rechecks () = metric (World.obs world) "service.env_rechecks{service=gate}" in
+  let subjects =
+    List.map
+      (fun name ->
+        let p = Principal.create world ~name in
+        let id = Principal.id p in
+        World.run_proc world (fun () ->
+            let session = Principal.start_session p in
+            ignore
+              (ok (Principal.activate p session svc ~role:"member" ~args:[ Some (Value.Id id) ] ())));
+        id)
+      [ "p1"; "p2"; "p3" ]
+  in
+  let p1 = List.hd subjects and peer = Principal.id (Principal.create world ~name:"peer") in
+  Alcotest.(check int) "three trust_score watchers" 3 (Service.env_watcher_count svc "trust_score");
   List.iter
-    (fun name ->
-      let p = Principal.create world ~name in
-      Env.assert_fact env "listed" [ Value.Id (Principal.id p) ];
-      World.run_proc world (fun () ->
-          let session = Principal.start_session p in
-          ignore (ok (Principal.activate p session svc ~role:"member" ()))))
-    [ "p1"; "p2"; "p3" ];
-  Alcotest.(check int) "three trust_score watchers" 3
-    (Service.env_watcher_count svc "trust_score");
-  let before = (Service.stats svc).Service.env_rechecks in
-  Env.poke env "trust_score";
-  Alcotest.(check int) "one poke re-checks all three" 3
-    ((Service.stats svc).Service.env_rechecks - before);
-  Alcotest.(check int) "scores unchanged, roles kept" 3
+    (fun id ->
+      Alcotest.(check int) "one watcher per subject" 1
+        (Service.env_watcher_count_tuple svc "trust_score" [ Value.Id id; Value.Time 0.4 ]))
+    subjects;
+  let before = rechecks () in
+  let cert =
+    Civ.record_interaction civ ~client:p1 ~server:peer ~client_outcome:Audit.Fulfilled
+      ~server_outcome:Audit.Fulfilled
+  in
+  Alcotest.(check bool) "p1's score moved" true (World.trust_score world p1 > 0.5);
+  Alcotest.(check int) "p1's role re-checked, p2's and p3's not" 1 (rechecks () - before);
+  let before = rechecks () in
+  Alcotest.(check bool) "duplicate not filed" false
+    (World.file_audit_certificate world cert ~party:p1);
+  Alcotest.(check int) "a duplicate re-checks nothing" 0 (rechecks () - before);
+  World.settle world;
+  Alcotest.(check int) "all three roles kept" 3
     (List.length (Service.active_roles_named svc "member"))
+
+(* Banded trust gates over random schedules of filings (both parties,
+   fulfilled or breached), with and without decay. A listener registered
+   after the service's sees each trust notification once the service has
+   re-checked it: the notified subject's gated roles, no others, were
+   re-checked; each role kept passes [Env.check_hold] and each revoked
+   fails it, at that instant. A decay tick notifies every subject whose
+   score moved, so right after one (after every step without decay) every
+   active gated role passes the hold check: the roles a full re-check of
+   every gate would keep. *)
+let trust_gates = [ ("low", 0.45, 0.1); ("high", 0.6, 0.1) ]
+
+let test_trust_recheck_keyed_by_subject () =
+  let policy =
+    String.concat "\n"
+      (List.map
+         (fun (role, theta, delta) ->
+           Printf.sprintf "initial %s(u) <- *env:trust_score(u) >= %g ~ %g ;" role theta delta)
+         trust_gates)
+  in
+  let crowded = ref 0 and revoked = ref 0 in
+  for seed = 1 to 20 do
+    let decay = seed mod 2 = 0 in
+    let world = World.create ~seed () in
+    let civ = Civ.create world ~name:"civ" () in
+    let svc = Service.create world ~name:"gate" ~policy () in
+    let env = Service.env svc in
+    if decay then World.set_trust_decay world ~rate:0.2 ~tick:1.0;
+    let rng = Rng.create seed in
+    let subjects =
+      Array.init (3 + Rng.int rng 3) (fun i ->
+          let p = Principal.create world ~name:(Printf.sprintf "s%d" i) in
+          (p, World.run_proc world (fun () -> Principal.start_session p)))
+    in
+    let holds (_, u, (_, theta, delta)) =
+      Env.check_hold env "trust_score" [ Value.Id u; Value.Time theta; Value.Time delta ]
+    in
+    let is_active () =
+      let ids = List.map (fun (id, _, _, _) -> id) (Service.active_roles svc) in
+      fun (id, _, _) -> List.exists (Ident.equal id) ids
+    in
+    (* (rmc id, subject, gate) of every gated role the service granted and
+       has not yet revoked. *)
+    let model = ref [] in
+    let rechecks () = metric (World.obs world) "service.env_rechecks{service=gate}" in
+    let expected = ref 0 in
+    World.on_trust_change world (fun u ->
+        let mine, others = List.partition (fun (_, s, _) -> Ident.equal s u) !model in
+        expected := !expected + List.length mine;
+        if others <> [] then incr crowded;
+        let kept, gone = List.partition (is_active ()) mine in
+        List.iter
+          (fun r ->
+            if not (holds r) then Alcotest.failf "seed %d: kept a role that fails its hold" seed)
+          kept;
+        List.iter
+          (fun r -> if holds r then Alcotest.failf "seed %d: revoked a role that holds" seed)
+          gone;
+        revoked := !revoked + List.length gone;
+        model := kept @ others);
+    let next_tick = ref 1.0 in
+    for step = 1 to 80 do
+      let before = rechecks () in
+      expected := 0;
+      let ticked =
+        match Rng.int rng 10 with
+        | 0 | 1 | 2 | 3 ->
+            let n = Array.length subjects in
+            let c = Rng.int rng n in
+            let s = (c + 1 + Rng.int rng (n - 1)) mod n in
+            let id i = Principal.id (fst subjects.(i)) in
+            let outcome () = if Rng.bernoulli rng 0.5 then Audit.Fulfilled else Audit.Breached in
+            let client_outcome = outcome () in
+            ignore
+              (Civ.record_interaction civ ~client:(id c) ~server:(id s) ~client_outcome
+                 ~server_outcome:(outcome ())
+                : Audit.t);
+            false
+        | 4 | 5 | 6 ->
+            let p, session = Rng.pick rng (Array.to_list subjects) in
+            let ((role, _, _) as gate) = Rng.pick rng trust_gates in
+            let u = Principal.id p in
+            if not (List.exists (fun (_, s, g) -> Ident.equal s u && g == gate) !model) then begin
+              match
+                World.run_proc world (fun () ->
+                    Principal.activate p session svc ~role ~args:[ Some (Value.Id u) ] ())
+              with
+              | Ok rmc -> model := (rmc.Oasis_cert.Rmc.id, u, gate) :: !model
+              | Error _ -> ()
+            end;
+            false
+        | _ ->
+            World.run_until world !next_tick;
+            next_tick := !next_tick +. 1.0;
+            true
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d step %d: re-checks = the notified subjects' gated roles" seed step)
+        !expected
+        (rechecks () - before);
+      if ticked || not decay then
+        List.iter
+          (fun r ->
+            if not (holds r) then
+              Alcotest.failf "seed %d step %d: an active gated role fails its hold" seed step)
+          !model;
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d step %d: the model is the active set" seed step)
+        (List.length !model)
+        (List.length (Service.active_roles svc))
+    done
+  done;
+  (* Not vacuous: notifications arrive while other subjects hold gated
+     roles, and the gates revoke. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d crowded notifications, %d revocations" !crowded !revoked)
+    true
+    (!crowded > 1000 && !revoked > 30)
 
 let counting_handler received =
   { Network.on_oneway = (fun ~src:_ _ -> incr received); on_rpc = (fun ~src:_ m -> m) }
@@ -626,7 +763,10 @@ let suite =
         test_shared_tuple_and_negated_watch;
       Alcotest.test_case "tuple index keeps only holding roles" `Quick
         test_tuple_index_keeps_only_holding_roles;
-      Alcotest.test_case "poke re-checks every watcher" `Quick test_poke_rechecks_every_watcher;
+      Alcotest.test_case "trust change re-checks subject" `Quick
+        test_trust_change_rechecks_only_its_subject;
+      Alcotest.test_case "trust re-checks keyed by subject" `Quick
+        test_trust_recheck_keyed_by_subject;
       Alcotest.test_case "rpc handler error fails fast" `Quick test_rpc_handler_error_fails_fast;
       Alcotest.test_case "remove_node purges links" `Quick test_remove_node_purges_links;
       Alcotest.test_case "drop causes conserve messages" `Quick

@@ -307,7 +307,7 @@ let test_no_band_flaps () =
   Alcotest.(check int) "nothing suppressed" 0 (Service.stats gate).Service.flaps_suppressed
 
 (* Anti-entropy re-delivery of an already-filed certificate must not
-   cascade: the score did not move, so nobody is poked and no env-watch
+   cascade: the score did not move, so nobody is notified and no env-watch
    recheck runs. *)
 let test_noop_redelivery_suppressed () =
   let world, civ, gate, p, s, peer = trust_gate_world () in
@@ -329,7 +329,7 @@ let test_noop_redelivery_suppressed () =
     (World.file_audit_certificate world cert ~party:me);
   World.settle world;
   Alcotest.(check int) "wallet unchanged" 3 (History.size (World.wallet world me));
-  Alcotest.(check int) "no recheck cascade on a no-op poke" before
+  Alcotest.(check int) "no recheck cascade on a no-op notification" before
     (Service.stats gate).Service.env_rechecks;
   match Obs.value (World.obs world) "trust.notify_suppressed" with
   | Some v -> Alcotest.(check bool) "suppression counted" true (v >= 1.0)
