@@ -394,7 +394,7 @@ let e4 () =
     Appointment.issue ~master_secret:secret ~epoch:3 ~id:(Ident.make "cert" 2) ~issuer
       ~kind:"qualified" ~args ~holder:"holder-key" ~issued_at:1.0 ~expires_at:100.0 ()
   in
-  let encoded = Codec.rmc_to_string rmc in
+  let encoded = Codec.to_string (Codec.Rmc rmc) in
   let payload = String.make 1024 'x' in
   (* The offline (Schnorr) path: a domain root, one enrolled issuer, and an
      RMC it signed; plus a decision log taking grants as Service logs them. *)
@@ -432,9 +432,9 @@ let e4 () =
         (Staged.stage (fun () ->
              ignore (Appointment.verify ~master_secret:secret ~current_epoch:3 ~now:5.0 appt)));
       Test.make ~name:"codec encode RMC"
-        (Staged.stage (fun () -> ignore (Codec.rmc_to_string rmc)));
+        (Staged.stage (fun () -> ignore (Codec.to_string (Codec.Rmc rmc))));
       Test.make ~name:"codec decode RMC"
-        (Staged.stage (fun () -> ignore (Codec.rmc_of_string encoded)));
+        (Staged.stage (fun () -> ignore (Codec.of_string encoded)));
       Test.make ~name:"HMAC-SHA256 (1 KiB)"
         (Staged.stage (fun () -> ignore (Hmac.mac ~key:"k" payload)));
       Test.make ~name:"SHA-256 (1 KiB)"
@@ -600,26 +600,21 @@ let e6 () =
   List.iter
     (fun (n, objects) ->
       let leavers = max 1 (n / 10) in
+      let names = Array.init objects (fun o -> Printf.sprintf "obj%d" (o + 1)) in
       let acl = Acl.create () in
-      for o = 1 to objects do
-        Acl.add_object acl (Printf.sprintf "obj%d" o)
-      done;
+      Array.iter (Acl.add_object acl) names;
       for u = 1 to n do
-        for o = 1 to objects do
-          Acl.grant acl ~principal:(Ident.make "u" u)
-            ~obj:(Printf.sprintf "obj%d" o)
-            ~operation:"read"
-        done
+        let principal = Ident.make "u" u in
+        Array.iter (fun obj -> Acl.grant acl ~principal ~obj ~operation:"read") names
       done;
       for u = 1 to leavers do
         ignore (Acl.offboard acl (Ident.make "u" u))
       done;
       let rbac = Rbac96.create () in
       Rbac96.add_role rbac "staff";
-      for o = 1 to objects do
-        Rbac96.grant_permission rbac "staff"
-          { Rbac96.operation = "read"; target = Printf.sprintf "obj%d" o }
-      done;
+      Array.iter
+        (fun target -> Rbac96.grant_permission rbac "staff" { Rbac96.operation = "read"; target })
+        names;
       for u = 1 to n do
         Rbac96.add_user rbac (Ident.make "u" u);
         Rbac96.assign_user rbac (Ident.make "u" u) "staff"
@@ -698,8 +693,9 @@ let e7 () =
   let world = World.create ~seed:8 () in
   let insurer = Domain.create world ~name:"ins" () in
   let clinic = Service.create world ~name:"clinic" ~policy:"initial noop <- env:eq(1,1);" () in
-  Service.add_activation_rule clinic
-    (Anonymity.member_role_rule ~scheme:"insured" ~civ_name:"ins.civ" ~role:"patient");
+  Service.add_rule clinic
+    (Oasis_policy.Parser.Activation
+       (Anonymity.member_role_rule ~scheme:"insured" ~civ_name:"ins.civ" ~role:"patient"));
   let member = Principal.create world ~name:"member" in
   let membership =
     Anonymity.enroll ~civ:(Domain.civ insurer) ~member ~scheme:"insured" ~expires_at:1e6

@@ -42,27 +42,27 @@ let () =
   in
   (* The matron staffs the department; nurses allocate patients. *)
   let appointer kind role =
-    Service.set_appointer aande ~kind
-      ~rule:
+    Service.add_rule aande
+      (Oasis_policy.Parser.Appointer
         {
           Rule.privilege = kind;
           priv_args = [ Term.Var "x" ];
           required_roles = [ { Rule.service = None; name = role; args = [] } ];
           constraints = [];
           loc = Rule.no_loc;
-        }
+        })
   in
   appointer "nurse_shift" "matron";
   appointer "medical_register" "matron";
-  Service.set_appointer aande ~kind:"allocated"
-    ~rule:
+  Service.add_rule aande
+    (Oasis_policy.Parser.Appointer
       {
         Rule.privilege = "allocated";
         priv_args = [ Term.Var "d"; Term.Var "pat" ];
         required_roles = [ { Rule.service = None; name = "screening_nurse"; args = [ Term.Var "n" ] } ];
         constraints = [];
         loc = Rule.no_loc;
-      };
+      });
   let matron = Principal.create world ~name:"matron" in
   let nurse = Principal.create world ~name:"nurse-niamh" in
   let doctor = Principal.create world ~name:"dr-dara" in

@@ -31,9 +31,10 @@ let () =
     Service.create world ~name:"genetic-clinic"
       ~policy:"priv take_genetic_test(exp) <- paid_up_patient(exp);" ()
   in
-  Service.add_activation_rule clinic
-    (Anonymity.member_role_rule ~scheme:"insured" ~civ_name:"mutual-health.civ"
-       ~role:"paid_up_patient");
+  Service.add_rule clinic
+    (Oasis_policy.Parser.Activation
+       (Anonymity.member_role_rule ~scheme:"insured" ~civ_name:"mutual-health.civ"
+          ~role:"paid_up_patient"));
   Service.register_operation clinic "take_genetic_test" (fun ~principal args ->
       ignore args;
       Printf.printf "  [clinic] sample taken for %s; billing the scheme\n"

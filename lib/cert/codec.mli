@@ -13,8 +13,10 @@ type error = Wire.error = { offset : int; reason : string }
 
 val pp_error : Format.formatter -> error -> unit
 
-val rmc_to_string : Rmc.t -> string
-val rmc_of_string : string -> (Rmc.t, error) result
+type cert = Rmc of Rmc.t | Appointment of Appointment.t
 
-val appointment_to_string : Appointment.t -> string
-val appointment_of_string : string -> (Appointment.t, error) result
+val to_string : cert -> string
+
+val of_string : string -> (cert, error) result
+(** The certificate kind comes from the encoding's {!Wire} kind tag, so the
+    bytes of one kind never decode as the other. *)

@@ -9,9 +9,8 @@
     remote caches and dependent roles can subscribe (the ECR proxies of
     Fig. 5 are those subscriptions).
 
-    Storage is sharded sixteen ways — records by certificate sequence
-    number, the name index by key hash (DESIGN.md §14): a store of
-    10^6 records pays per-shard hashtable resizes instead of store-wide
+    Storage is sharded sixteen ways by certificate sequence number
+    (DESIGN.md §14): a store of 10^6 records pays per-shard hashtable resizes instead of store-wide
     pauses, and lookups stay O(1) within a shard. The interface is
     unchanged — sharding is invisible except to the allocator. *)
 
@@ -57,12 +56,6 @@ val add :
 
 val find : store -> Oasis_util.Ident.t -> t option
 
-val find_named : store -> issuer:Oasis_util.Ident.t -> name:string -> t list
-(** Every record (valid or revoked) issued by [issuer] for role or
-    appointment kind [name], in unspecified order. Served from a secondary
-    index maintained on {!add}: cost is proportional to the matching
-    records, never the store size. *)
-
 val revoke : store -> Oasis_util.Ident.t -> at:float -> reason:string -> t option
 (** Marks the record revoked. [Some record] if it existed and was valid
     (i.e. this call changed its state); [None] otherwise. Revocation is
@@ -70,8 +63,5 @@ val revoke : store -> Oasis_util.Ident.t -> at:float -> reason:string -> t optio
     never resurrects old ones. *)
 
 val count : store -> int
-
-val valid_count : store -> int
-(** The number of currently valid records; maintained incrementally, O(1). *)
 
 val iter : store -> (t -> unit) -> unit

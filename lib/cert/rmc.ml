@@ -44,7 +44,6 @@ let of_parts ~id ~issuer ~role ~args ~issued_at ~signature =
 
 let with_args t args = { t with args }
 
-let crr t = (t.issuer, t.id)
 
 let size_bytes t =
   (* The principal key is not carried in the certificate. *)

@@ -49,9 +49,6 @@ val with_args : t -> Oasis_util.Value.t list -> t
 (** The certificate with altered parameter fields and the {e original}
     signature — an adversary's tampering attempt, for tests. *)
 
-val crr : t -> Oasis_util.Ident.t * Oasis_util.Ident.t
-(** The credential record reference: [(issuer, id)]. *)
-
 val signing_bytes : principal_key:string -> t -> string
 (** The canonical byte string every signature scheme (HMAC here,
     {!Oasis_cert.Signed} offline signatures) covers: the protected fields

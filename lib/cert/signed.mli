@@ -18,9 +18,6 @@ type key_cert = {
   ksig : Oasis_crypto.Schnorr.signature;  (** root signature over the canonical encoding *)
 }
 
-val key_cert_bytes : key_cert -> string
-(** The canonical encoding the root signs ([ksig] excluded). *)
-
 type memo
 (** The record of a successful {!verify_chain} on one chain value. No
     caller can build or change one. *)

@@ -85,7 +85,6 @@ let revoke t cert_id ~reason ~bookkeeping =
 
 let find t cert_id = Cr.find t.store cert_id
 let is_valid t cert_id = match find t cert_id with Some record -> Cr.is_valid record | None -> false
-let find_named t ~name = Cr.find_named t.store ~issuer:t.issuer ~name
 
 let valid_appointments t =
   let ids = ref [] in

@@ -66,10 +66,6 @@ val is_valid : t -> Oasis_util.Ident.t -> bool
 
 val find : t -> Oasis_util.Ident.t -> Oasis_cert.Credential_record.t option
 
-val find_named : t -> name:string -> Oasis_cert.Credential_record.t list
-(** Every record (valid or revoked) of one role or appointment kind, from
-    the store's (issuer, name) index. *)
-
 val valid_appointments : t -> Oasis_util.Ident.t list
 (** The ids of every currently valid appointment record. *)
 

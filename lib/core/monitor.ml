@@ -858,4 +858,3 @@ let env_watcher_count t predicate =
 let env_watcher_count_tuple t predicate args =
   Ident.Map.cardinal (By_fact.find t.env_index (env_key (predicate, args)))
 
-let issuer_watcher_count t issuer = Ident.Map.cardinal (By_issuer.find t.by_issuer issuer)

@@ -105,7 +105,6 @@ val active_roles :
 val suspect_roles : t -> (Oasis_util.Ident.t * string) list
 val env_watcher_count : t -> string -> int
 val env_watcher_count_tuple : t -> string -> Oasis_util.Value.t list -> int
-val issuer_watcher_count : t -> Oasis_util.Ident.t -> int
 
 type counters = {
   revocations : Oasis_obs.Obs.Counter.t;

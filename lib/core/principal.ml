@@ -50,16 +50,10 @@ let create world ~name =
       pseudonyms = [];
     }
   in
-  Network.add_node (World.network world) pid
-    {
-      on_oneway = (fun ~src:_ _msg -> ());
-      on_rpc =
-        (fun ~src:_ msg ->
-          match msg with
-          | Protocol.Challenge_msg { challenge; key_hint } ->
-              Protocol.Challenge_response (answer_challenge t challenge ~key_hint)
-          | _ -> Protocol.Denied (Protocol.Bad_request "principals only answer challenges"));
-    };
+  Network.add_node (World.network world) pid (fun ~src:_ -> function
+    | Protocol.Challenge_msg { challenge; key_hint } ->
+        Protocol.Challenge_response (answer_challenge t challenge ~key_hint)
+    | _ -> Protocol.Denied (Protocol.Bad_request "principals only answer challenges"));
   t
 
 let fresh_pseudonym t =

@@ -24,7 +24,6 @@ let denial_to_string = function
   | Challenge_failed -> "challenge-response failed"
   | Bad_request m -> Printf.sprintf "bad request: %s" m
 
-let pp_denial ppf d = Format.pp_print_string ppf (denial_to_string d)
 
 type msg =
   | Activate of {
@@ -66,29 +65,6 @@ type msg =
   | Check_cr of { cert_id : Ident.t }
   | Cr_status of { valid : bool }
   | Denied of denial
-
-let pp_msg ppf = function
-  | Activate { role; principal; _ } ->
-      Format.fprintf ppf "Activate(%s by %a)" role Ident.pp principal
-  | Activate_ok { rmc; _ } -> Format.fprintf ppf "Activate_ok(%a)" Oasis_cert.Rmc.pp rmc
-  | Invoke { privilege; principal; _ } ->
-      Format.fprintf ppf "Invoke(%s by %a)" privilege Ident.pp principal
-  | Invoke_ok _ -> Format.pp_print_string ppf "Invoke_ok"
-  | Appoint { kind; holder; _ } -> Format.fprintf ppf "Appoint(%s to %a)" kind Ident.pp holder
-  | Appoint_ok a -> Format.fprintf ppf "Appoint_ok(%a)" Oasis_cert.Appointment.pp a
-  | Deactivate { cert_id; _ } -> Format.fprintf ppf "Deactivate(%a)" Ident.pp cert_id
-  | Deactivate_ok -> Format.pp_print_string ppf "Deactivate_ok"
-  | Validate_rmc { rmc; _ } -> Format.fprintf ppf "Validate_rmc(%a)" Ident.pp rmc.Oasis_cert.Rmc.id
-  | Validate_appt { appt } ->
-      Format.fprintf ppf "Validate_appt(%a)" Ident.pp appt.Oasis_cert.Appointment.id
-  | Validate_result ok -> Format.fprintf ppf "Validate_result(%b)" ok
-  | Challenge_msg _ -> Format.pp_print_string ppf "Challenge"
-  | Challenge_response _ -> Format.pp_print_string ppf "Challenge_response"
-  | Env_check { pred; _ } -> Format.fprintf ppf "Env_check(%s)" pred
-  | Env_result ok -> Format.fprintf ppf "Env_result(%b)" ok
-  | Check_cr { cert_id } -> Format.fprintf ppf "Check_cr(%a)" Ident.pp cert_id
-  | Cr_status { valid } -> Format.fprintf ppf "Cr_status(%b)" valid
-  | Denied d -> Format.fprintf ppf "Denied(%a)" pp_denial d
 
 type event =
   | Invalidated of { issuer : Ident.t; cert_id : Ident.t; reason : string }

@@ -24,7 +24,6 @@ type denial =
   | Challenge_failed
   | Bad_request of string
 
-val pp_denial : Format.formatter -> denial -> unit
 val denial_to_string : denial -> string
 
 type msg =
@@ -88,9 +87,6 @@ type msg =
   | Check_cr of { cert_id : Oasis_util.Ident.t }
   | Cr_status of { valid : bool }
   | Denied of denial
-
-val pp_msg : Format.formatter -> msg -> unit
-(** Constructor-level summary for logs and traces. *)
 
 val size_of : msg -> int
 (** Estimated wire size in bytes: certificates at their exact {!Oasis_cert}

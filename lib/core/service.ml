@@ -163,8 +163,11 @@ let add_authorization_rule t (rule : Rule.authorization) =
   multi_add t.authorizations rule.privilege
     (installed_authorization (Parser.Authorization rule) rule)
 
-let set_appointer t ~kind ~rule =
-  multi_add t.appointers kind (installed_authorization (Parser.Appointer rule) rule)
+let add_rule t = function
+  | Parser.Activation rule -> add_activation_rule t rule
+  | Parser.Authorization rule -> add_authorization_rule t rule
+  | Parser.Appointer rule as statement ->
+      multi_add t.appointers rule.Rule.privilege (installed_authorization statement rule)
 
 let register_operation t privilege handler = Hashtbl.replace t.operations privilege handler
 
@@ -622,12 +625,7 @@ let install_policy t statements =
     |> List.filter Lint.install_blocking
   in
   if blocking <> [] then raise (Policy_rejected blocking);
-  List.iter
-    (function
-      | Parser.Activation rule -> add_activation_rule t rule
-      | Parser.Authorization rule -> add_authorization_rule t rule
-      | Parser.Appointer rule -> set_appointer t ~kind:rule.Rule.privilege ~rule)
-    statements
+  List.iter (add_rule t) statements
 
 let create world ~name ?(config = default_config) ?env ~policy () =
   let sid = World.fresh_service_id world in
@@ -714,11 +712,7 @@ let create world ~name ?(config = default_config) ?env ~policy () =
           | _ -> false)
       | _ -> false);
   World.register_service world ~name sid;
-  Oasis_sim.Network.add_node (World.network world) sid
-    {
-      on_oneway = (fun ~src:_ _msg -> ());
-      on_rpc = (fun ~src msg -> handle_rpc t ~src msg);
-    };
+  Oasis_sim.Network.add_node (World.network world) sid (handle_rpc t);
   t
 
 (* Crash/restart are driven through the world's fault controller so network
@@ -752,23 +746,9 @@ let is_valid_certificate t cert_id = Issuer_records.is_valid t.records cert_id
 
 let active_roles t = Monitor.active_roles t.monitor
 
-let active_roles_named t role =
-  List.filter_map
-    (fun (record : Cr.t) ->
-      if record.Cr.kind = Cr.Kind_rmc && Cr.is_valid record then
-        Some (record.Cr.cert_id, record.Cr.args, record.Cr.principal)
-      else None)
-    (Issuer_records.find_named t.records ~name:role)
-
 let suspect_roles t = Monitor.suspect_roles t.monitor
 let env_watcher_count t = Monitor.env_watcher_count t.monitor
 let env_watcher_count_tuple t = Monitor.env_watcher_count_tuple t.monitor
-let issuer_watcher_count t = Monitor.issuer_watcher_count t.monitor
-
-let roles_defined t = Hashtbl.fold (fun role _ acc -> role :: acc) t.activations [] |> List.sort compare
-
-let privileges_defined t =
-  Hashtbl.fold (fun privilege _ acc -> privilege :: acc) t.authorizations [] |> List.sort compare
 
 let decision_log t = Audit_trail.decision_log t.audit
 

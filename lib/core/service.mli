@@ -71,13 +71,13 @@ type config = {
 val default_config : config
 
 exception Policy_rejected of Oasis_policy.Lint.finding list
-(** Raised by {!install_policy} (and hence {!create}) when the policy
-    contains install-blocking lint errors — unbound head parameters,
+(** Raised by {!create} when the policy contains install-blocking lint
+    errors — unbound head parameters,
     non-ground negation, arity mismatches
     ({!Oasis_policy.Lint.install_blocking}); the findings carry positions
-    within the policy text. Rules added one at a time with
-    {!add_activation_rule} / {!add_authorization_rule} bypass the gate, and
-    any request they match is answered [Bad_request]. *)
+    within the policy text. Rules added one at a time with {!add_rule}
+    bypass the gate, and any request they match is answered
+    [Bad_request]. *)
 
 val create :
   World.t ->
@@ -88,9 +88,11 @@ val create :
   unit ->
   t
 (** Creates the service, registers it on the network and in the world's
-    name registry, and installs the parsed policy. Raises [Failure] on a
-    policy syntax error and {!Policy_rejected} on install-blocking lint
-    errors. The [env] defaults to a fresh environment private to this
+    name registry, and installs the parsed policy. The policy is linted as
+    a single open world (cross-service references are left to [oasisctl
+    lint]) and rejected wholesale, with no partial install, if any finding
+    is {!Oasis_policy.Lint.install_blocking}. Raises [Failure] on a policy
+    syntax error and {!Policy_rejected} on install-blocking lint errors. The [env] defaults to a fresh environment private to this
     service; pass a shared one to model services reading one
     domain database. *)
 
@@ -101,19 +103,13 @@ val world : t -> World.t
 
 (** {1 Policy administration} *)
 
-val install_policy : t -> Oasis_policy.Parser.statement list -> unit
-(** Installs a batch of parsed statements. The batch is first linted as a single open world (cross-service references are
-    left to [oasisctl lint]) and rejected wholesale — no partial install —
-    if any finding is {!Oasis_policy.Lint.install_blocking}. *)
-
-val add_activation_rule : t -> Oasis_policy.Rule.activation -> unit
-val add_authorization_rule : t -> Oasis_policy.Rule.authorization -> unit
-
-val set_appointer : t -> kind:string -> rule:Oasis_policy.Rule.authorization -> unit
-(** Installs the policy governing who may issue appointment certificates of
-    [kind] at this service ("being active in certain roles carries the
-    privilege of issuing appointment certificates", Sect. 1). The rule's
-    [priv_args] bind the appointment's parameters. *)
+val add_rule : t -> Oasis_policy.Parser.statement -> unit
+(** Installs one statement without the lint gate: generated rules (SLA
+    clauses, anonymous-membership roles) and rules a test breaks on
+    purpose. An [appoint] statement governs who may issue appointment
+    certificates of its kind at this service ("being active in certain
+    roles carries the privilege of issuing appointment certificates",
+    Sect. 1); its [priv_args] bind the appointment's parameters. *)
 
 val register_operation :
   t -> string -> (principal:Oasis_util.Ident.t -> Oasis_util.Value.t list -> Oasis_util.Value.t option) -> unit
@@ -206,12 +202,6 @@ val is_valid_certificate : t -> Oasis_util.Ident.t -> bool
 val active_roles : t -> (Oasis_util.Ident.t * string * Oasis_util.Value.t list * Oasis_util.Ident.t) list
 (** [(cert_id, role, args, principal)] for every currently valid RMC. *)
 
-val active_roles_named :
-  t -> string -> (Oasis_util.Ident.t * Oasis_util.Value.t list * Oasis_util.Ident.t) list
-(** [(cert_id, args, principal)] for every currently valid RMC of one role,
-    served from the credential store's (issuer, name) index: cost is the
-    records of that role, not a scan of everything ever issued. *)
-
 val env_watcher_count : t -> string -> int
 (** How many distinct currently active RMCs watch the given environmental
     predicate (membership-marked constraints only), read from the reverse
@@ -225,14 +215,6 @@ val env_watcher_count_tuple : t -> string -> Oasis_util.Value.t list -> int
     change names only its subject). A leading ['!'] is ignored, so a negated
     watch counts under its fact. *)
 
-val issuer_watcher_count : t -> Oasis_util.Ident.t -> int
-(** How many issued RMCs currently hold a dependency on a credential of the
-    given remote issuer, read from the reverse index the unreachable-issuer
-    sweep uses ({!val-stats}: suspects): cost of that sweep is this count,
-    not the size of the RMC table. *)
-
-val roles_defined : t -> string list
-val privileges_defined : t -> string list
 
 val decision_log : t -> Oasis_trust.Decision_log.t
 (** The hash-chained decision log (DESIGN.md §15): every grant, deny,

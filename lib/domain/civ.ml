@@ -48,9 +48,7 @@ type t = {
 
 let id t = t.router
 
-let replication t = t.mode
 let civ_name t = t.cname
-let replica_count t = Array.length t.replicas
 let current_epoch t = Issuer_key.epoch t.key
 
 let repl_topic t = Printf.sprintf "civ-repl:%s" (Ident.to_string t.router)
@@ -88,20 +86,13 @@ let replica_validate t replica (appt : Appointment.t) =
         | _ -> false
         | exception Network.Rpc_dropped -> false)
 
-let replica_handler t replica =
-  {
-    Network.on_oneway = (fun ~src:_ _ -> ());
-    on_rpc =
-      (fun ~src:_ msg ->
-        match msg with
-        | Protocol.Validate_appt { appt } ->
-            Protocol.Validate_result
-              (Ident.equal appt.issuer t.router && replica_validate t replica appt)
-        | Protocol.Validate_rmc _ ->
-            (* A CIV issues appointment certificates only. *)
-            Protocol.Validate_result false
-        | _ -> Protocol.Denied (Protocol.Bad_request "CIV replicas only validate"));
-  }
+let replica_handler t replica ~src:_ = function
+  | Protocol.Validate_appt { appt } ->
+      Protocol.Validate_result (Ident.equal appt.issuer t.router && replica_validate t replica appt)
+  | Protocol.Validate_rmc _ ->
+      (* A CIV issues appointment certificates only. *)
+      Protocol.Validate_result false
+  | _ -> Protocol.Denied (Protocol.Bad_request "CIV replicas only validate")
 
 (* ------------------------------------------------------------------ *)
 (* Router: round-robin with failover                                  *)
@@ -126,22 +117,17 @@ let route t msg =
   in
   try_from 0
 
-let router_handler t =
-  {
-    Network.on_oneway = (fun ~src:_ _ -> ());
-    on_rpc =
-      (fun ~src:_ msg ->
-        match msg with
-        | Protocol.Validate_appt _ | Protocol.Validate_rmc _ -> route t msg
-        | Protocol.Check_cr { cert_id } ->
-            (* Anti-entropy status check: answered from the authoritative
-               store. With the primary down the truth is unreachable, so the
-               handler fails the RPC — "could not determine" must never read
-               as "revoked". *)
-            if primary_down t then raise Primary_unavailable
-            else Protocol.Cr_status { valid = is_valid t cert_id }
-        | _ -> Protocol.Denied (Protocol.Bad_request "CIV router only validates"));
-  }
+let router_handler t ~src:_ msg =
+  match msg with
+  | Protocol.Validate_appt _ | Protocol.Validate_rmc _ -> route t msg
+  | Protocol.Check_cr { cert_id } ->
+      (* Anti-entropy status check: answered from the authoritative store.
+         With the primary down the truth is unreachable, so the handler
+         fails the RPC — "could not determine" must never read as
+         "revoked". *)
+      if primary_down t then raise Primary_unavailable
+      else Protocol.Cr_status { valid = is_valid t cert_id }
+  | _ -> Protocol.Denied (Protocol.Bad_request "CIV router only validates")
 
 (* Anti-entropy after a registrar crash: any certificate that did not
    reach both wallets is re-delivered to both parties. Wallet filing is
@@ -321,15 +307,6 @@ let record_interaction t ~client ~server ~client_outcome ~server_outcome =
 
 let record_interaction_crashing t ~client ~server ~client_outcome ~server_outcome =
   record_interaction_steps t ~client ~server ~client_outcome ~server_outcome ~crash_mid:true
-
-let validate_audit t cert = Oasis_trust.Registrar.validate t.audit cert
-
-let replica_view t i cert_id =
-  if i = 0 then is_valid t cert_id
-  else
-    match Ident.Tbl.find_opt t.replicas.(i).validity cert_id with
-    | Some valid -> valid
-    | None -> false
 
 (* Bringing the primary back lets the cluster write again: it announces the
    expiries that fell due while down. *)

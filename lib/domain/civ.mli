@@ -43,13 +43,10 @@ val create :
     appointments with zero RPCs (DESIGN.md §12); off, the paper's epoch
     HMAC, where every check is a replica callback. *)
 
-val replication : t -> replication
-
 val id : t -> Oasis_util.Ident.t
 (** The router identifier: use as certificate issuer. *)
 
 val civ_name : t -> string
-val replica_count : t -> int
 
 (** {1 Issuing (administrative API, executes at the primary)} *)
 
@@ -93,10 +90,6 @@ val current_epoch : t -> int
 val is_valid : t -> Oasis_util.Ident.t -> bool
 (** Primary's authoritative view. *)
 
-val replica_view : t -> int -> Oasis_util.Ident.t -> bool
-(** [replica_view t i cert] — replica [i]'s possibly stale view; exposed so
-    tests and benches can observe replication lag. *)
-
 (** {1 Audit certificates (Sect. 6)}
 
     "If a certificate issuing and validation (CIV) service already exists in
@@ -138,7 +131,6 @@ val pending_filings : t -> int
     exactly in the window between a mid-issuance crash and the restart
     anti-entropy pass. *)
 
-val validate_audit : t -> Oasis_trust.Audit.t -> bool
 
 (** {1 Failure injection} *)
 

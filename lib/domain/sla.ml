@@ -1,4 +1,5 @@
 module Rule = Oasis_policy.Rule
+module Parser = Oasis_policy.Parser
 module World = Oasis_core.World
 module Service = Oasis_core.Service
 
@@ -61,7 +62,7 @@ let establish world ~name ~between ~and_ ~clauses =
       (fun clause ->
         let host = host_of clause in
         let rule = rule_of_clause clause in
-        Service.add_activation_rule host rule;
+        Service.add_rule host (Parser.Activation rule);
         (Service.service_name host, rule))
       clauses
   in
@@ -76,7 +77,6 @@ let establish world ~name ~between ~and_ ~clauses =
 let name t = t.sname
 let parties t = t.parties
 let clauses t = t.clauses
-let rules_installed t = t.rules
 
 let pp ppf t =
   let a, b = t.parties in

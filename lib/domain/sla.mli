@@ -56,6 +56,5 @@ val establish :
 val name : t -> string
 val parties : t -> string * string
 val clauses : t -> clause list
-val rules_installed : t -> (string * Oasis_policy.Rule.activation) list
 
 val pp : Format.formatter -> t -> unit

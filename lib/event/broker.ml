@@ -257,5 +257,3 @@ let publish ?src ?(retain = false) t topic payload =
                  done))
         end
 
-let subscriber_count t topic =
-  match Hashtbl.find_opt t.subs topic with None -> 0 | Some b -> b.blen - b.dead

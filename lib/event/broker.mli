@@ -93,4 +93,3 @@ val retained : 'a t -> topic -> reader:Oasis_util.Ident.t -> 'a option
     presentation time, treating the certificate's event channel as a
     push-based revocation list. *)
 
-val subscriber_count : 'a t -> topic -> int

@@ -84,13 +84,12 @@ val counter : t -> ?labels:label list -> string -> Counter.t
 val gauge : t -> ?labels:label list -> string -> Gauge.t
 val histogram : t -> ?labels:label list -> string -> Histogram.t
 
-val render_key : string -> label list -> string
-(** The canonical textual key: [name] or [name{k=v,k2=v2}] with labels
-    sorted by key — the format {!metric_values}, {!value} and the
-    scenario-script [expect-metric] directive use. *)
 
 val metric_values : t -> (string * float) list
-(** Every registered metric as [(rendered key, value)], sorted by key.
+(** Every registered metric as [(rendered key, value)], sorted by key. A
+    rendered key is [name] or [name{k=v,k2=v2}] with labels sorted by key,
+    the format {!value} and the scenario-script [expect-metric] directive
+    use.
     Histograms expand into [name.count], [name.sum], [name.mean],
     [name.max] entries. *)
 

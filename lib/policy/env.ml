@@ -215,4 +215,3 @@ let next_change_time t name args =
 
 let on_change t listener = t.listeners <- listener :: t.listeners
 
-let fact_count t = Hashtbl.fold (fun _ b acc -> acc + Tuple_set.cardinal !b) t.facts 0

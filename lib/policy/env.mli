@@ -105,4 +105,3 @@ val on_change : t -> (string -> Oasis_util.Value.t list -> [ `Asserted | `Retrac
     assertion order; the active-security layer bridges them onto event
     channels. *)
 
-val fact_count : t -> int

@@ -58,7 +58,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_to_string : severity -> string
 (** ["error"], ["warning"], ["info"]. *)
 
 type finding = {
@@ -111,7 +110,7 @@ val check : ?closed:bool -> ?max_cascade_depth:int -> service list -> finding li
     bounds the depth above which L203 is reported. *)
 
 val install_blocking : finding -> bool
-(** Whether a finding should block [Service.install_policy]:
+(** Whether a finding should block a service's policy install:
     error-severity findings whose truth does not depend
     on other services' policies (L001, L003, L101) — exactly the class
     that can only ever fail at request time. Cross-service resolution

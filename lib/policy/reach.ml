@@ -304,30 +304,6 @@ let goal_for result ~service ~role =
     (fun g -> String.equal g.g_service service && String.equal g.g_role role)
     result.goals
 
-(* ---------------- witness plans ---------------- *)
-
-type step =
-  | Activate of { service : string; role : string }
-  | Self_appoint of { issuer : string; kind : string }
-
-let plan witness =
-  let steps = ref [] in
-  let push step = if not (List.mem step !steps) then steps := step :: !steps in
-  let rec walk = function
-    | Held _ -> ()
-    | Fired { service; head; premises; _ } -> (
-        List.iter walk_premise premises;
-        match head with
-        | Role role -> push (Activate { service; role })
-        | Appoint kind -> push (Self_appoint { issuer = service; kind }))
-  and walk_premise = function
-    | Role_premise w -> walk w
-    | Appointment_premise { via; _ } -> Option.iter walk via
-    | Env_premise _ -> ()
-  in
-  walk witness;
-  List.rev !steps
-
 (* ---------------- R-rule findings ---------------- *)
 
 let first_rule_loc (world : Lint.service list) service role =

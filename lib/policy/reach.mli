@@ -29,9 +29,9 @@
 
     Every non-[Unreachable] role verdict carries a {e witness}: the derivation
     tree of rule firings, held credentials, chained appointments and
-    environment assumptions that realises the goal. {!plan} flattens a
-    witness into the concrete activation/appointment steps a live principal
-    would take — the scenario fuzzer replays these against the real
+    environment assumptions that realises the goal. The scenario fuzzer
+    flattens each witness into the activation/appointment steps a live
+    principal would take and replays them against the real
     [Service]/[Solve] engine, so the static and dynamic layers keep each
     other honest (test/test_fuzz.ml).
 
@@ -74,9 +74,6 @@ type verdict =
       (** derivable iff the free environmental predicates recorded in the
           goal's [assumptions] cooperate *)
   | Unreachable  (** underivable under every environment valuation *)
-
-val verdict_to_string : verdict -> string
-(** ["reachable"], ["env-contingent"], ["unreachable"]. *)
 
 (** What a rule firing derives. *)
 type head = Role of string | Appoint of string
@@ -140,19 +137,6 @@ val analyse :
     pass {!permissive} for the best case. A held appointment counts whether
     or not its issuer issues that kind. [pins] maps environmental predicate
     base names to a pinned truth value; unpinned predicates are free. *)
-
-val goal_for : result -> service:string -> role:string -> goal option
-
-(** One concrete step of realising a witness against the live engine. *)
-type step =
-  | Activate of { service : string; role : string }
-  | Self_appoint of { issuer : string; kind : string }
-
-val plan : witness -> step list
-(** The witness flattened into dependency order — prerequisites before
-    dependents, appointment issuance before use — with duplicates removed.
-    Executing the steps in order against a live world (fresh session, the
-    adversary's wallet) must grant every one; the fuzzer enforces this. *)
 
 val findings : Lint.service list -> Lint.finding list
 (** The R-rule catalogue over the world, sorted like {!Lint.check} output

@@ -139,13 +139,6 @@ let activation ?obs ctx (rule : Rule.activation) ?(seed = Subst.empty) () =
           false);
       !result)
 
-let activation_all ctx (rule : Rule.activation) ?(seed = Subst.empty) () =
-  let results = ref [] in
-  search ctx rule.conditions ~seed ~emit:(fun subst support ->
-      results := { rule; subst; role_args = ground_head rule subst; support } :: !results;
-      true);
-  List.rev !results
-
 let authorization ?obs ctx (auth : Rule.authorization) ?(seed = Subst.empty) () =
   observed ?obs ~kind:"authorization" ~histogram:(fun o -> o.authorization_steps)
     ~rule:auth.privilege (fun on_step ->

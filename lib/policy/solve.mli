@@ -67,10 +67,6 @@ val activation :
     histogram and tracing brackets the search in a [solve.activation] span
     labelled with the role. *)
 
-val activation_all : context -> Rule.activation -> ?seed:Term.Subst.t -> unit -> proof list
-(** All proofs (distinct supporting-credential combinations), unobserved;
-    used by tests. *)
-
 val authorization :
   ?obs:observer ->
   context ->

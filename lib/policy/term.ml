@@ -55,10 +55,6 @@ module Subst = struct
       (bindings t)
 end
 
-let apply subst = function
-  | Const _ as t -> t
-  | Var v as t -> ( match Subst.find subst v with Some value -> Const value | None -> t)
-
 let ground subst = function
   | Const c -> Some c
   | Var v -> Subst.find subst v

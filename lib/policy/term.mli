@@ -30,9 +30,6 @@ module Subst : sig
   val pp : Format.formatter -> t -> unit
 end
 
-val apply : Subst.t -> t -> t
-(** Replaces bound variables by their values. *)
-
 val ground : Subst.t -> t -> Oasis_util.Value.t option
 (** The value of a term under a substitution; [None] if still a free var. *)
 

@@ -322,9 +322,3 @@ let run (cfg : config) =
   done;
   finish c;
   summarise c
-
-let trace_line s =
-  Printf.sprintf
-    "seed=%d t=%.3f n=%d mid=%d rs=%d grants=%d casc=%d flaps=%d score=%.4f active=%b ws=%d wp=%d chain=%d"
-    s.seed s.t_end s.interactions s.mid_crashes s.gate_restarts s.grants s.cascade_deactivations
-    s.flaps_suppressed s.final_score s.trusted_at_end s.wallet_subject s.wallet_peer s.chain_length

@@ -23,9 +23,6 @@
       the same certificates and the registrar has no half-filed issuance
       left. *)
 
-val theta : float
-(** The grant threshold used in the generated gate policy. *)
-
 type config = {
   seed : int;
   steps : int;
@@ -61,8 +58,3 @@ type summary = {
 val run : config -> summary
 (** Runs one full schedule (deterministic in [config]) and returns its
     summary; violations are data, the function never asserts. *)
-
-val trace_line : summary -> string
-(** A one-line digest of everything deterministic in a run — two runs of
-    the same config must produce equal trace lines (the determinism
-    check), and unequal seeds almost always differ. *)

@@ -727,19 +727,13 @@ let run_lines ?sink lines =
   in
   { log = List.rev st.log; failures = List.rev st.failures; metrics; chains }
 
-let run_string ?sink source =
+let run_file ?sink path =
+  let source = In_channel.with_open_bin path In_channel.input_all in
   let lines = String.split_on_char '\n' source |> List.mapi (fun i l -> (i + 1, l)) in
   match run_lines ?sink lines with
   | outcome -> Ok outcome
   | exception Stop e -> Error e
   | exception Failure message -> Error { line = 0; message }
-
-let run_file ?sink path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  run_string ?sink s
 
 (* ------------------------------------------------------------------ *)
 (* Static extraction for lint and analyze                             *)

@@ -67,7 +67,7 @@
     half-issuance and its repair assertable.
 
     [expect-metric KEY OP VALUE] checks a rendered registry key (see
-    {!Oasis_obs.Obs.render_key}) against a number with one of [== != <= >=
+    {!Oasis_obs.Obs.metric_values}) against a number with one of [== != <= >=
     < >]; failures land in [outcome.failures] like any other expectation.
     [trace NOTE...] emits a [scenario.mark] event so exported timelines can
     be segmented by scenario position.
@@ -109,13 +109,12 @@ type error = { line : int; message : string }
 
 val pp_error : Format.formatter -> error -> unit
 
-val run_string : ?sink:Oasis_obs.Obs.sink -> string -> (outcome, error) result
-(** Parses and executes a scenario. [Error] is a syntax or setup problem
-    (unknown names, malformed commands); expectation failures are data in
-    the [outcome]. [sink] attaches to the world's tracer before anything
-    runs, streaming the full event timeline ([oasisctl trace]). *)
-
 val run_file : ?sink:Oasis_obs.Obs.sink -> string -> (outcome, error) result
+(** Parses and executes the scenario file at the path. [Error] is a syntax
+    or setup problem (unknown names, malformed commands); expectation
+    failures are data in the [outcome]. [sink] attaches to the world's
+    tracer before anything runs, streaming the full event timeline
+    ([oasisctl trace]). *)
 
 val extract_policies : string -> (Oasis_policy.Lint.service list, error) result
 (** Reads only the [service NAME { … }] blocks of a scenario, plus the

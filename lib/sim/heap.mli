@@ -20,9 +20,6 @@ val create : dummy:'a -> unit -> 'a t
 val is_empty : 'a t -> bool
 val size : 'a t -> int
 
-val capacity : 'a t -> int
-(** Physical slots currently allocated (for boundedness assertions). *)
-
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 
 val pop : 'a t -> (float * int * 'a) option

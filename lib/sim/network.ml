@@ -2,10 +2,7 @@ module Ident = Oasis_util.Ident
 module Rng = Oasis_util.Rng
 module Obs = Oasis_obs.Obs
 
-type 'msg handler = {
-  on_oneway : src:Ident.t -> 'msg -> unit;
-  on_rpc : src:Ident.t -> 'msg -> 'msg;
-}
+type 'msg handler = src:Ident.t -> 'msg -> 'msg
 
 type link = { latency : float; jitter : float; loss : float }
 
@@ -33,7 +30,6 @@ type 'msg t = {
   blocked : (Ident.t * Ident.t, int) Hashtbl.t;
   default : link;
   size_of : 'msg -> int;
-  mutable tracer : (src:Ident.t -> dst:Ident.t -> 'msg -> unit) option;
   c_sent : Obs.Counter.t;
   c_delivered : Obs.Counter.t;
   c_rpcs : Obs.Counter.t;
@@ -59,7 +55,6 @@ let create engine rng ~default_latency ?(default_jitter = 0.0) ?(size_of = fun _
     blocked = Hashtbl.create 16;
     default = { latency = default_latency; jitter = default_jitter; loss = 0.0 };
     size_of;
-    tracer = None;
     c_sent = Obs.counter obs "net.sent";
     c_delivered = Obs.counter obs "net.delivered";
     c_rpcs = Obs.counter obs "net.rpcs";
@@ -82,16 +77,6 @@ let add_node t id handler =
   if Ident.Tbl.mem t.nodes id then
     invalid_arg (Printf.sprintf "Network.add_node: %s already registered" (Ident.to_string id));
   Ident.Tbl.replace t.nodes id { handler; down = false }
-
-let remove_node t id =
-  Ident.Tbl.remove t.nodes id;
-  (* Purge link overrides touching the removed node in both directions: a
-     later node reusing the ident must start from the network defaults, not
-     silently inherit the old latency/jitter/loss profile. *)
-  Hashtbl.filter_map_inplace
-    (fun (src, dst) link ->
-      if Ident.equal src id || Ident.equal dst id then None else Some link)
-    t.links
 
 let set_link t src dst ~latency ?(jitter = 0.0) ?(loss = 0.0) () =
   Hashtbl.replace t.links (src, dst) { latency; jitter; loss }
@@ -129,7 +114,6 @@ let endpoint_labels src dst = [ ("src", Ident.to_string src); ("dst", Ident.to_s
 let transmit t ~src ~dst ~msg ~k ~lost =
   Obs.Counter.inc t.c_sent;
   Obs.Counter.add t.c_bytes (t.size_of msg);
-  (match t.tracer with Some trace -> trace ~src ~dst msg | None -> ());
   if Obs.tracing t.obs then Obs.event t.obs "net.send" ~labels:(endpoint_labels src dst);
   let drop cause counter =
     Obs.Counter.inc counter;
@@ -158,11 +142,6 @@ let transmit t ~src ~dst ~msg ~k ~lost =
                  (* Destination vanished or went down in flight. *)
                  drop "in_flight_down" t.drops.in_flight_down))
 
-let send t ~src ~dst msg =
-  transmit t ~src ~dst ~msg
-    ~k:(fun node -> node.handler.on_oneway ~src msg)
-    ~lost:(fun () -> ())
-
 type 'msg rpc_outcome = Ok_reply of 'msg | Lost | Handler_failed of string
 
 let rpc ?timeout t ~src ~dst msg =
@@ -176,7 +155,7 @@ let rpc ?timeout t ~src ~dst msg =
   in
   transmit t ~src ~dst ~msg ~lost ~k:(fun node ->
       Proc.spawn t.engine (fun () ->
-          match node.handler.on_rpc ~src msg with
+          match node.handler ~src msg with
           | reply ->
               transmit t ~src:dst ~dst:src ~msg:reply ~lost ~k:(fun _src_node ->
                   if Proc.poll iv = None then Proc.fill iv (Ok_reply reply))
@@ -202,5 +181,3 @@ let rpc ?timeout t ~src ~dst msg =
       Obs.Counter.inc t.c_rpcs;
       reply
   | Lost | Handler_failed _ -> raise Rpc_dropped
-
-let set_tracer t tracer = t.tracer <- tracer

@@ -22,12 +22,9 @@
 
 type 'msg t
 
-type 'msg handler = {
-  on_oneway : src:Oasis_util.Ident.t -> 'msg -> unit;
-      (** One-way messages: event notifications, heartbeats. *)
-  on_rpc : src:Oasis_util.Ident.t -> 'msg -> 'msg;
-      (** Request/response; runs in a process and may suspend. *)
-}
+type 'msg handler = src:Oasis_util.Ident.t -> 'msg -> 'msg
+(** Answers one request; runs in a process and may suspend. Event
+    notifications and heartbeats travel on the event broker, not here. *)
 
 val create :
   Engine.t ->
@@ -52,10 +49,6 @@ val obs : 'msg t -> Oasis_obs.Obs.t
 val add_node : 'msg t -> Oasis_util.Ident.t -> 'msg handler -> unit
 (** Registering the same node twice raises [Invalid_argument]. *)
 
-val remove_node : 'msg t -> Oasis_util.Ident.t -> unit
-(** Also purges every link override touching the node (both directions), so
-    a later node reusing the ident starts from the network defaults. *)
-
 val set_link :
   'msg t -> Oasis_util.Ident.t -> Oasis_util.Ident.t -> latency:float -> ?jitter:float -> ?loss:float -> unit -> unit
 (** Directed link override; unset pairs use the network defaults. *)
@@ -79,10 +72,6 @@ val unblock_pair : 'msg t -> Oasis_util.Ident.t -> Oasis_util.Ident.t -> unit
 val pair_blocked : 'msg t -> Oasis_util.Ident.t -> Oasis_util.Ident.t -> bool
 (** Whether any block is currently held on the directed pair. *)
 
-val send : 'msg t -> src:Oasis_util.Ident.t -> dst:Oasis_util.Ident.t -> 'msg -> unit
-(** One-way send; delivery is scheduled after link latency. Sends to unknown
-    nodes are dropped and counted. Callable from any context. *)
-
 exception Rpc_dropped
 
 val rpc :
@@ -96,9 +85,3 @@ val rpc :
     round trip with {!Rpc_dropped} in both modes (counted under the
     [handler_error] drop cause and recorded as a trace event) — the caller
     is never stranded on an unfilled ivar. *)
-
-val set_tracer :
-  'msg t -> (src:Oasis_util.Ident.t -> dst:Oasis_util.Ident.t -> 'msg -> unit) option -> unit
-(** Observes every message handed to the network (including ones that will
-    be lost), before delivery scheduling. For debugging and packet traces;
-    [None] removes the tracer. *)

@@ -53,6 +53,5 @@ let validate t (cert : Audit.t) =
   && (not (Ident.Tbl.mem t.repudiated cert.id))
   && Audit.verify ~secret:t.secret cert
 
-let issued_count t = Ident.Tbl.length t.issued
 
 let validations t = t.validation_count

@@ -45,6 +45,4 @@ val validate : t -> Audit.t -> bool
 (** Checks the signature, that this registrar issued it, and that it has not
     been repudiated. Counts toward {!validations}. *)
 
-val issued_count : t -> int
-
 val validations : t -> int

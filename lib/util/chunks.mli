@@ -1,6 +1,6 @@
 (** Append-only bytes in fixed-size chunks.
 
-    A store grows one {!chunk_size} chunk at a time: an append copies its
+    A store grows one 64 KiB chunk at a time: an append copies its
     bytes once, into the tail chunk (spilling into a fresh one), and never
     moves what is already stored, so a large store costs its bytes plus at
     most one part-filled chunk, with no doubling copy. Decision-log chains
@@ -8,9 +8,6 @@
     store keeps them across a crash. *)
 
 type t
-
-val chunk_size : int
-(** 65,536 bytes. *)
 
 val create : unit -> t
 

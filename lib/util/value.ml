@@ -39,13 +39,6 @@ let string_length = function
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 
-let type_name = function
-  | Int _ -> "int"
-  | Str _ -> "str"
-  | Bool _ -> "bool"
-  | Time _ -> "time"
-  | Id _ -> "id"
-
 let encoded_length v =
   let tagged payload = 1 + Printed_length.int payload + 1 + payload in
   match v with

@@ -21,10 +21,6 @@ val to_string : t -> string
 val string_length : t -> int
 (** [String.length (to_string v)]; only a [Time] is rendered to measure it. *)
 
-val type_name : t -> string
-(** ["int"], ["str"], ["bool"], ["time"] or ["id"]; used in error messages
-    and for parameter signature checks. *)
-
 val encoded_length : t -> int
 (** The length of [v]'s wire encoding, computed without encoding. *)
 

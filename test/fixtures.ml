@@ -114,9 +114,68 @@ let net_dropped obs =
     0
     [ "src_down"; "dst_missing"; "partitioned"; "link_loss"; "in_flight_down"; "handler_error" ]
 
+(* The analysis' verdict for [role@service], if the world defines it. *)
+let goal_for (result : Oasis_policy.Reach.result) ~service ~role =
+  List.find_opt
+    (fun (g : Oasis_policy.Reach.goal) -> g.g_service = service && g.g_role = role)
+    result.goals
+
+(* One concrete step of realising a Reach witness against the live engine. *)
+type step =
+  | Activate of { service : string; role : string }
+  | Self_appoint of { issuer : string; kind : string }
+
+(* A witness flattened into dependency order (prerequisites before
+   dependents, appointment issuance before use), duplicates removed.
+   Executing the steps in order against a live world (fresh session, the
+   adversary's wallet) must grant every one; the fuzzer checks this. *)
+let plan witness =
+  let module Reach = Oasis_policy.Reach in
+  let steps = ref [] in
+  let push step = if not (List.mem step !steps) then steps := step :: !steps in
+  let rec walk = function
+    | Reach.Held _ -> ()
+    | Reach.Fired { service; head; premises; _ } -> (
+        List.iter walk_premise premises;
+        match head with
+        | Reach.Role role -> push (Activate { service; role })
+        | Reach.Appoint kind -> push (Self_appoint { issuer = service; kind }))
+  and walk_premise = function
+    | Reach.Role_premise w -> walk w
+    | Reach.Appointment_premise { via; _ } -> Option.iter walk via
+    | Reach.Env_premise _ -> ()
+  in
+  walk witness;
+  List.rev !steps
+
+(* A request whose reply nobody awaits: a one-way message over
+   [Network.rpc], with a lost leg ignored. *)
+let post engine net ~src ~dst msg =
+  Oasis_sim.Proc.spawn engine (fun () ->
+      try ignore (Oasis_sim.Network.rpc net ~src ~dst msg) with Oasis_sim.Network.Rpc_dropped -> ())
+
+(* One certificate kind through [Codec]: a decode that yields the other
+   kind is an error at the certificate's start. *)
+let rmc_to_string r = Oasis_cert.Codec.to_string (Oasis_cert.Codec.Rmc r)
+let appointment_to_string a = Oasis_cert.Codec.to_string (Oasis_cert.Codec.Appointment a)
+
+let rmc_of_string s =
+  match Oasis_cert.Codec.of_string s with
+  | Ok (Oasis_cert.Codec.Rmc r) -> Ok r
+  | Ok (Oasis_cert.Codec.Appointment _) ->
+      Error { Oasis_cert.Codec.offset = 0; reason = "an appointment, not an rmc" }
+  | Error e -> Error e
+
+let appointment_of_string s =
+  match Oasis_cert.Codec.of_string s with
+  | Ok (Oasis_cert.Codec.Appointment a) -> Ok a
+  | Ok (Oasis_cert.Codec.Rmc _) ->
+      Error { Oasis_cert.Codec.offset = 0; reason = "an rmc, not an appointment" }
+  | Error e -> Error e
+
 let denial_testable =
   Alcotest.testable
-    (fun ppf d -> Protocol.pp_denial ppf d)
+    (fun ppf d -> Format.pp_print_string ppf (Protocol.denial_to_string d))
     (fun a b -> Protocol.denial_to_string a = Protocol.denial_to_string b)
 
 (* The Grant records of a service's decision log, oldest first — the audit
@@ -126,14 +185,14 @@ let grants svc =
     (fun (r : Dlog.record) -> r.decision = Dlog.Grant)
     (Dlog.records (Service.decision_log svc))
 
-(* Adds rules one statement at a time with [Service.add_activation_rule] /
-   [add_authorization_rule], which bypass the install lint gate: how a test
-   reaches the runtime [Bad_request] containment for a deliberately broken
-   rule. *)
-let add_unlinted svc text =
-  List.iter
-    (function
-      | Parser.Activation rule -> Service.add_activation_rule svc rule
-      | Parser.Authorization rule -> Service.add_authorization_rule svc rule
-      | Parser.Appointer _ -> invalid_arg "add_unlinted: appointer statement")
-    (Parser.parse_exn text)
+(* Adds rules one statement at a time with [Service.add_rule], which
+   bypasses the install lint gate: how a test reaches the runtime
+   [Bad_request] containment for a deliberately broken rule. *)
+let add_unlinted svc text = List.iter (Service.add_rule svc) (Parser.parse_exn text)
+
+(* [(cert_id, args, principal)] of every valid RMC of [role] at [svc]. *)
+let active_named svc role =
+  List.filter_map
+    (fun (cert_id, r, args, principal) ->
+      if String.equal r role then Some (cert_id, args, principal) else None)
+    (Service.active_roles svc)

@@ -62,12 +62,6 @@ let test_rmc_size_grows_with_params () =
   Alcotest.(check bool) "more params, bigger cert" true
     (Rmc.size_bytes large > Rmc.size_bytes small)
 
-let test_rmc_crr () =
-  let rmc = sample_rmc () in
-  let i, c = Rmc.crr rmc in
-  Alcotest.(check bool) "issuer" true (Ident.equal i issuer);
-  Alcotest.(check bool) "cert id" true (Ident.equal c cert_id)
-
 (* ---------------- Appointment certificates ---------------- *)
 
 let sample_appt ?(epoch = 0) ?expires_at ?(holder = "holder-longterm-key") () =
@@ -162,7 +156,9 @@ let test_cr_counts () =
   ignore (add_record store 2);
   ignore (Cr.revoke store (Ident.make "cert" 1) ~at:1.0 ~reason:"r");
   Alcotest.(check int) "count" 2 (Cr.count store);
-  Alcotest.(check int) "valid_count" 1 (Cr.valid_count store)
+  let valid = ref 0 in
+  Cr.iter store (fun r -> if Cr.is_valid r then incr valid);
+  Alcotest.(check int) "valid" 1 !valid
 
 let test_cr_topic () =
   let store = Cr.create_store () in
@@ -237,7 +233,6 @@ let suite =
       Alcotest.test_case "rmc theft" `Quick test_rmc_theft;
       Alcotest.test_case "rmc hidden principal key" `Quick test_rmc_principal_key_not_carried;
       Alcotest.test_case "rmc size" `Quick test_rmc_size_grows_with_params;
-      Alcotest.test_case "rmc crr" `Quick test_rmc_crr;
       Alcotest.test_case "appt verify" `Quick test_appt_verify;
       Alcotest.test_case "appt theft" `Quick test_appt_theft_rebind;
       Alcotest.test_case "appt tamper" `Quick test_appt_tamper_args;

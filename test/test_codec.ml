@@ -66,14 +66,14 @@ let appt_equal (a : Appointment.t) (b : Appointment.t) =
 let test_rmc_roundtrip () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:300 ~name:"rmc roundtrip" (QCheck.make rmc_gen) (fun rmc ->
-         match Codec.rmc_of_string (Codec.rmc_to_string rmc) with
+         match Fixtures.rmc_of_string (Fixtures.rmc_to_string rmc) with
          | Ok decoded -> rmc_equal rmc decoded
          | Error _ -> false))
 
 let test_appt_roundtrip () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:300 ~name:"appt roundtrip" (QCheck.make appt_gen) (fun appt ->
-         match Codec.appointment_of_string (Codec.appointment_to_string appt) with
+         match Fixtures.appointment_of_string (Fixtures.appointment_to_string appt) with
          | Ok decoded -> appt_equal appt decoded
          | Error _ -> false))
 
@@ -81,7 +81,7 @@ let test_roundtrip_preserves_verification () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:100 ~name:"decoded rmc verifies" (QCheck.make rmc_gen) (fun rmc ->
          (* Verification must not depend on in-memory provenance. *)
-         match Codec.rmc_of_string (Codec.rmc_to_string rmc) with
+         match Fixtures.rmc_of_string (Fixtures.rmc_to_string rmc) with
          | Ok decoded ->
              Rmc.verify ~secret ~principal_key:"k" decoded
              = Rmc.verify ~secret ~principal_key:"k" rmc
@@ -89,14 +89,14 @@ let test_roundtrip_preserves_verification () =
 
 let test_decoder_total_on_truncation () =
   let sample =
-    Codec.rmc_to_string
+    Fixtures.rmc_to_string
       (Rmc.issue ~secret ~principal_key:"k" ~id:(Ident.make "cert" 1)
          ~issuer:(Ident.make "service" 1) ~role:"doctor"
          ~args:[ Value.Int 1; Value.Str "x" ]
          ~issued_at:3.0)
   in
   for len = 0 to String.length sample - 1 do
-    match Codec.rmc_of_string (String.sub sample 0 len) with
+    match Fixtures.rmc_of_string (String.sub sample 0 len) with
     | Ok _ -> Alcotest.failf "truncation to %d decoded" len
     | Error _ -> ()
   done
@@ -106,7 +106,7 @@ let test_decoder_total_on_mutation () =
      (Signature bytes may flip without breaking framing; verification is
      what catches that, not the decoder.) *)
   let sample =
-    Codec.appointment_to_string
+    Fixtures.appointment_to_string
       (Appointment.issue ~master_secret:secret ~epoch:1 ~id:(Ident.make "cert" 2)
          ~issuer:(Ident.make "service" 1) ~kind:"member"
          ~args:[ Value.Bool true ]
@@ -115,7 +115,7 @@ let test_decoder_total_on_mutation () =
   for i = 0 to String.length sample - 1 do
     let mutated = Bytes.of_string sample in
     Bytes.set mutated i (Char.chr ((Char.code sample.[i] + 1) land 0xff));
-    ignore (Codec.appointment_of_string (Bytes.to_string mutated))
+    ignore (Fixtures.appointment_of_string (Bytes.to_string mutated))
   done
 
 let test_decoder_random_garbage () =
@@ -123,36 +123,37 @@ let test_decoder_random_garbage () =
     (QCheck.Test.make ~count:500 ~name:"garbage never raises"
        QCheck.(string_of_size Gen.(int_bound 300))
        (fun s ->
-         (match Codec.rmc_of_string s with Ok _ | Error _ -> ());
-         (match Codec.appointment_of_string s with Ok _ | Error _ -> ());
+         (match Fixtures.rmc_of_string s with Ok _ | Error _ -> ());
+         (match Fixtures.appointment_of_string s with Ok _ | Error _ -> ());
          true))
 
 let test_kind_confusion_rejected () =
-  (* An appointment's bytes must not decode as an RMC. *)
+  (* An appointment's bytes decode as an appointment, never as an RMC,
+     and the other way round. *)
   let appt_bytes =
-    Codec.appointment_to_string
+    Fixtures.appointment_to_string
       (Appointment.issue ~master_secret:secret ~epoch:0 ~id:(Ident.make "cert" 3)
          ~issuer:(Ident.make "service" 1) ~kind:"member" ~args:[] ~holder:"h" ~issued_at:0.0 ())
   in
-  (match Codec.rmc_of_string appt_bytes with
-  | Ok _ -> Alcotest.fail "kind confusion"
-  | Error _ -> ());
+  (match Codec.of_string appt_bytes with
+  | Ok (Codec.Appointment _) -> ()
+  | Ok (Codec.Rmc _) | Error _ -> Alcotest.fail "kind confusion");
   let rmc_bytes =
-    Codec.rmc_to_string
+    Fixtures.rmc_to_string
       (Rmc.issue ~secret ~principal_key:"k" ~id:(Ident.make "cert" 4)
          ~issuer:(Ident.make "service" 1) ~role:"r" ~args:[] ~issued_at:0.0)
   in
-  match Codec.appointment_of_string rmc_bytes with
-  | Ok _ -> Alcotest.fail "kind confusion"
-  | Error _ -> ()
+  match Codec.of_string rmc_bytes with
+  | Ok (Codec.Rmc _) -> ()
+  | Ok (Codec.Appointment _) | Error _ -> Alcotest.fail "kind confusion"
 
 let test_trailing_bytes_rejected () =
   let sample =
-    Codec.rmc_to_string
+    Fixtures.rmc_to_string
       (Rmc.issue ~secret ~principal_key:"k" ~id:(Ident.make "cert" 5)
          ~issuer:(Ident.make "service" 1) ~role:"r" ~args:[] ~issued_at:0.0)
   in
-  match Codec.rmc_of_string (sample ^ "extra") with
+  match Fixtures.rmc_of_string (sample ^ "extra") with
   | Ok _ -> Alcotest.fail "trailing bytes accepted"
   | Error _ -> ()
 
@@ -165,7 +166,7 @@ let test_size_matches_encoding () =
   in
   (* size_bytes = fields + 32-byte signature; the codec encodes the signature
      as a string field (a few bytes of framing). They must agree closely. *)
-  let encoded = String.length (Codec.rmc_to_string rmc) in
+  let encoded = String.length (Fixtures.rmc_to_string rmc) in
   let claimed = Rmc.size_bytes rmc in
   Alcotest.(check bool)
     (Printf.sprintf "within framing slack (%d vs %d)" encoded claimed)
@@ -386,10 +387,10 @@ let sample_rmc ?(args = [ Value.Int 1 ]) () =
 let test_noncanonical_lengths_rejected () =
   (* The strict decimal length rule: anything [int_of_string_opt] would also
      admit re-frames the same certificate bytes and must be refused. *)
-  let sample = Codec.rmc_to_string (sample_rmc ()) in
+  let sample = Fixtures.rmc_to_string (sample_rmc ()) in
   List.iter
     (fun (before, after) ->
-      match Codec.rmc_of_string (rewrite sample ~before ~after) with
+      match Fixtures.rmc_of_string (rewrite sample ~before ~after) with
       | Ok _ -> Alcotest.failf "non-canonical length %S decoded" after
       | Error _ -> ())
     [
@@ -408,24 +409,24 @@ let test_nan_timestamp_rejected () =
       ~issuer:(Ident.make "service" 1) ~kind:"member" ~args:[] ~holder:"h" ~issued_at:1.0
       ~expires_at ()
   in
-  let sample = Codec.appointment_to_string (appt 9.0) in
-  (match Codec.appointment_of_string (rewrite sample ~before:"F8:0x1.2p+3" ~after:"F3:nan") with
+  let sample = Fixtures.appointment_to_string (appt 9.0) in
+  (match Fixtures.appointment_of_string (rewrite sample ~before:"F8:0x1.2p+3" ~after:"F3:nan") with
   | Ok _ -> Alcotest.fail "NaN expiry decoded"
   | Error _ -> ());
   (* The encoder itself can be handed NaN; its output must not decode. *)
-  (match Codec.appointment_of_string (Codec.appointment_to_string (appt Float.nan)) with
+  (match Fixtures.appointment_of_string (Fixtures.appointment_to_string (appt Float.nan)) with
   | Ok _ -> Alcotest.fail "encoded NaN expiry decoded"
   | Error _ -> ());
   (* Non-canonical spellings of real floats are also refused... *)
-  (match Codec.appointment_of_string (rewrite sample ~before:"F8:0x1.2p+3" ~after:"F4:-inf") with
+  (match Fixtures.appointment_of_string (rewrite sample ~before:"F8:0x1.2p+3" ~after:"F4:-inf") with
   | Ok _ -> Alcotest.fail "non-canonical -inf decoded"
   | Error _ -> ());
   (* ...but the canonical ones keep their meaning: +infinity is "never
      expires", -infinity is "expired since forever", not None. *)
-  (match Codec.appointment_of_string (rewrite sample ~before:"F8:0x1.2p+3" ~after:"F8:infinity") with
+  (match Fixtures.appointment_of_string (rewrite sample ~before:"F8:0x1.2p+3" ~after:"F8:infinity") with
   | Ok a -> Alcotest.(check bool) "+infinity is None" true (a.Appointment.expires_at = None)
   | Error e -> Alcotest.failf "+infinity refused: %s" (Format.asprintf "%a" Codec.pp_error e));
-  match Codec.appointment_of_string (rewrite sample ~before:"F8:0x1.2p+3" ~after:"F9:-infinity") with
+  match Fixtures.appointment_of_string (rewrite sample ~before:"F8:0x1.2p+3" ~after:"F9:-infinity") with
   | Ok a ->
       Alcotest.(check bool) "-infinity stays Some" true
         (a.Appointment.expires_at = Some Float.neg_infinity)
@@ -440,7 +441,7 @@ let test_special_floats_roundtrip () =
           ~issuer:(Ident.make "service" 1) ~kind:"member" ~args:[ Value.Time f ] ~holder:"h"
           ~issued_at:f ~expires_at:f ()
       in
-      match Codec.appointment_of_string (Codec.appointment_to_string appt) with
+      match Fixtures.appointment_of_string (Fixtures.appointment_to_string appt) with
       | Ok decoded -> Alcotest.(check bool) (Printf.sprintf "roundtrip %h" f) true (appt_equal appt decoded)
       | Error e ->
           Alcotest.failf "special float %h refused: %s" f (Format.asprintf "%a" Codec.pp_error e))
@@ -457,14 +458,14 @@ let test_special_floats_roundtrip () =
 let test_malformed_bool_rejected () =
   (* A bool body other than "0"/"1" used to decode as false; now only the
      two canonical bodies are values at all. *)
-  let sample = Codec.rmc_to_string (sample_rmc ~args:[ Value.Bool true ] ()) in
+  let sample = Fixtures.rmc_to_string (sample_rmc ~args:[ Value.Bool true ] ()) in
   List.iter
     (fun (before, after) ->
-      match Codec.rmc_of_string (rewrite sample ~before ~after) with
+      match Fixtures.rmc_of_string (rewrite sample ~before ~after) with
       | Ok _ -> Alcotest.failf "bool body %S decoded" after
       | Error _ -> ())
     [ ("b1:1", "b1:2"); ("b1:1", "b4:true"); ("b1:1", "b0:") ];
-  match Codec.rmc_of_string (rewrite sample ~before:"b1:1" ~after:"b1:0") with
+  match Fixtures.rmc_of_string (rewrite sample ~before:"b1:1" ~after:"b1:0") with
   | Ok decoded -> Alcotest.(check bool) "b1:0 is false" true (decoded.Rmc.args = [ Value.Bool false ])
   | Error _ -> Alcotest.fail "canonical false refused"
 
@@ -476,15 +477,15 @@ let test_decode_is_canonical () =
     (QCheck.Test.make ~count:300 ~name:"unique wire form"
        QCheck.(pair (make rmc_gen) (pair small_nat (int_range 0 255)))
        (fun (rmc, (at, replacement)) ->
-         let bytes = Codec.rmc_to_string rmc in
-         (match Codec.rmc_of_string bytes with
-         | Ok decoded -> assert (String.equal (Codec.rmc_to_string decoded) bytes)
+         let bytes = Fixtures.rmc_to_string rmc in
+         (match Fixtures.rmc_of_string bytes with
+         | Ok decoded -> assert (String.equal (Fixtures.rmc_to_string decoded) bytes)
          | Error _ -> assert false);
          let mutated = Bytes.of_string bytes in
          Bytes.set mutated (at mod Bytes.length mutated) (Char.chr replacement);
          let mutated = Bytes.to_string mutated in
-         match Codec.rmc_of_string mutated with
-         | Ok decoded -> String.equal (Codec.rmc_to_string decoded) mutated
+         match Fixtures.rmc_of_string mutated with
+         | Ok decoded -> String.equal (Fixtures.rmc_to_string decoded) mutated
          | Error _ -> true))
 
 let suite =

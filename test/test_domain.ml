@@ -108,10 +108,13 @@ let test_sla_metadata () =
   Alcotest.(check (pair string string)) "parties" ("hospital.portal", "institute.portal")
     (Sla.parties sla);
   Alcotest.(check int) "two clauses" 2 (List.length (Sla.clauses sla));
-  Alcotest.(check int) "two rules installed" 2 (List.length (Sla.rules_installed sla));
   let rendered = Format.asprintf "%a" Sla.pp sla in
   Alcotest.(check bool) "pp mentions name" true
-    (String.length rendered > 0)
+    (String.length rendered > 0);
+  let installed =
+    List.filter (String.starts_with ~prefix:"  at ") (String.split_on_char '\n' rendered)
+  in
+  Alcotest.(check int) "two rules installed" 2 (List.length installed)
 
 let test_visiting_doctor_flow () =
   let world, hospital_dom, _institute_dom, _hp, institute_portal, _sla = visiting_doctor_world () in
@@ -279,8 +282,10 @@ let anonymity_world () =
   let world = World.create ~seed:37 () in
   let insurer = Domain.create world ~name:"insurer" () in
   let clinic = Service.create world ~name:"clinic" ~policy:"priv take_test(exp) <- paid_up_patient(exp);" () in
-  Service.add_activation_rule clinic
-    (Anonymity.member_role_rule ~scheme:"insured" ~civ_name:"insurer.civ" ~role:"paid_up_patient");
+  Service.add_rule clinic
+    (Oasis_policy.Parser.Activation
+       (Anonymity.member_role_rule ~scheme:"insured" ~civ_name:"insurer.civ"
+          ~role:"paid_up_patient"));
   (world, insurer, clinic)
 
 let test_anonymous_invocation () =
@@ -355,8 +360,10 @@ let test_anonymous_theft_blocked_by_challenge () =
   let insurer = Domain.create world ~name:"insurer" () in
   let config = { Service.default_config with challenge_on_activation = true } in
   let clinic = Service.create world ~name:"clinic" ~config ~policy:"initial noop <- env:eq(1,1);" () in
-  Service.add_activation_rule clinic
-    (Anonymity.member_role_rule ~scheme:"insured" ~civ_name:"insurer.civ" ~role:"paid_up_patient");
+  Service.add_rule clinic
+    (Oasis_policy.Parser.Activation
+       (Anonymity.member_role_rule ~scheme:"insured" ~civ_name:"insurer.civ"
+          ~role:"paid_up_patient"));
   let member = Principal.create world ~name:"member" in
   let membership =
     Anonymity.enroll ~civ:(Domain.civ insurer) ~member ~scheme:"insured" ~expires_at:1000.0

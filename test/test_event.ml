@@ -54,8 +54,7 @@ let test_unsubscribe () =
   Broker.unsubscribe broker sub;
   Broker.publish broker "t" 2;
   Engine.run engine;
-  Alcotest.(check int) "one delivery" 1 !got;
-  Alcotest.(check int) "count" 0 (Broker.subscriber_count broker "t")
+  Alcotest.(check int) "one delivery" 1 !got
 
 let test_unsubscribe_cancels_in_flight () =
   (* Spec: in-flight publishes are still delivered after unsubscribe?

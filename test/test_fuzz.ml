@@ -14,7 +14,7 @@
         analyzer-reachable goal the engine refuses means it is incomplete
         (or the engine is broken) — either way a test failure.
 
-     C2 (witnesses execute): for every Reachable goal, Reach.plan of its
+     C2 (witnesses execute): for every Reachable goal, Fixtures.plan of its
         witness replays step by step against a fresh principal holding the
         same wallet, and every step is granted.
 
@@ -332,7 +332,7 @@ let replay_witnesses live spec result =
             (fun step ->
               World.run_proc live.world (fun () ->
                   match step with
-                  | Reach.Activate { service; role } -> (
+                  | Fixtures.Activate { service; role } -> (
                       let s = List.assoc service live.by_name in
                       match Principal.activate q session s ~role () with
                       | Ok _ -> ()
@@ -341,7 +341,7 @@ let replay_witnesses live spec result =
                             "seed %d: witness step activate %s@%s refused by the engine (%s)"
                             spec.seed role service
                             (Oasis_core.Protocol.denial_to_string d))
-                  | Reach.Self_appoint { issuer; kind } -> (
+                  | Fixtures.Self_appoint { issuer; kind } -> (
                       let s = List.assoc issuer live.by_name in
                       match
                         Principal.appoint q session s ~kind
@@ -354,7 +354,7 @@ let replay_witnesses live spec result =
                             "seed %d: witness step appoint %s@%s refused by the engine (%s)"
                             spec.seed kind issuer
                             (Oasis_core.Protocol.denial_to_string d))))
-            (Reach.plan w)
+            (Fixtures.plan w)
       | _ -> ())
     result.Reach.goals
 

@@ -182,8 +182,14 @@ let test_install_gate_rejects () =
      test_regressions) stays reachable. *)
   let lax = Service.create world ~name:"lax" ~policy:"" () in
   Fixtures.add_unlinted lax "initial broken(u) <- env:eq(1, 1);";
-  Alcotest.(check (list string)) "rule installed past the gate" [ "broken" ]
-    (Service.roles_defined lax)
+  let p = Oasis_core.Principal.create world ~name:"p" in
+  World.run_proc world (fun () ->
+      let s = Oasis_core.Principal.start_session p in
+      match Oasis_core.Principal.activate p s lax ~role:"broken" ~args:[ Some (Value.Int 1) ] () with
+      | Ok _ -> ()
+      | Error d ->
+          Alcotest.failf "rule not installed past the gate: %s"
+            (Oasis_core.Protocol.denial_to_string d))
 
 let test_install_blocking_classification () =
   let blocking f = Lint.install_blocking f in

@@ -11,7 +11,12 @@ type msg = Ping | Pong | Echo of int | Echoed of int
 
 let node_id n = Ident.make "node" n
 
-let silent_handler = { Network.on_oneway = (fun ~src:_ _ -> ()); on_rpc = (fun ~src:_ m -> m) }
+let silent_handler ~src:_ m = m
+
+(* A handler that records each request it answers. *)
+let recording f ~src:_ m =
+  f m;
+  m
 
 let make ?(latency = 1.0) () =
   let engine = Engine.create () in
@@ -22,60 +27,36 @@ let make ?(latency = 1.0) () =
 let count net key = Fixtures.metric (Network.obs net) key
 let dropped net = Fixtures.net_dropped (Network.obs net)
 
-let test_oneway_delivery_and_latency () =
-  let engine, net = make () in
-  let received = ref None in
-  Network.add_node net (node_id 0) silent_handler;
-  Network.add_node net (node_id 1)
-    {
-      Network.on_oneway = (fun ~src:_ m -> received := Some (m, Engine.now engine));
-      on_rpc = (fun ~src:_ m -> m);
-    };
-  Network.send net ~src:(node_id 0) ~dst:(node_id 1) Ping;
-  Alcotest.(check bool) "not yet delivered" true (!received = None);
-  Engine.run engine;
-  (match !received with
-  | Some (Ping, t) -> Alcotest.(check (float 1e-9)) "after latency" 1.0 t
-  | _ -> Alcotest.fail "wrong delivery");
-  Alcotest.(check int) "sent" 1 (count net "net.sent");
-  Alcotest.(check int) "delivered" 1 (count net "net.delivered")
-
 let test_rpc_roundtrip () =
   let engine, net = make () in
+  let served_at = ref None in
   Network.add_node net (node_id 0) silent_handler;
-  Network.add_node net (node_id 1)
-    {
-      Network.on_oneway = (fun ~src:_ _ -> ());
-      on_rpc = (fun ~src:_ m -> match m with Echo n -> Echoed (n + 1) | m -> m);
-    };
+  Network.add_node net (node_id 1) (fun ~src:_ m ->
+      served_at := Some (Engine.now engine);
+      match m with Echo n -> Echoed (n + 1) | m -> m);
   let result = ref None in
   Proc.spawn engine (fun () ->
       let reply = Network.rpc net ~src:(node_id 0) ~dst:(node_id 1) (Echo 41) in
       result := Some (reply, Engine.now engine));
+  Alcotest.(check bool) "not yet delivered" true (!served_at = None);
   Engine.run engine;
+  Alcotest.(check (option (float 1e-9))) "request after one latency" (Some 1.0) !served_at;
   (match !result with
   | Some (Echoed 42, t) -> Alcotest.(check (float 1e-9)) "two legs" 2.0 t
   | _ -> Alcotest.fail "wrong rpc result");
-  Alcotest.(check int) "rpcs counted" 1 (count net "net.rpcs")
+  Alcotest.(check int) "rpcs counted" 1 (count net "net.rpcs");
+  Alcotest.(check int) "both legs sent" 2 (count net "net.sent");
+  Alcotest.(check int) "both legs delivered" 2 (count net "net.delivered")
 
 let test_rpc_nested () =
   (* Node 1's handler performs its own RPC to node 2 — the Fig. 3 chain. *)
   let engine, net = make () in
   Network.add_node net (node_id 0) silent_handler;
-  Network.add_node net (node_id 1)
-    {
-      Network.on_oneway = (fun ~src:_ _ -> ());
-      on_rpc =
-        (fun ~src:_ m ->
-          match m with
-          | Echo n -> Network.rpc net ~src:(node_id 1) ~dst:(node_id 2) (Echo (n * 10))
-          | m -> m);
-    };
-  Network.add_node net (node_id 2)
-    {
-      Network.on_oneway = (fun ~src:_ _ -> ());
-      on_rpc = (fun ~src:_ m -> match m with Echo n -> Echoed n | m -> m);
-    };
+  Network.add_node net (node_id 1) (fun ~src:_ m ->
+      match m with
+      | Echo n -> Network.rpc net ~src:(node_id 1) ~dst:(node_id 2) (Echo (n * 10))
+      | m -> m);
+  Network.add_node net (node_id 2) (fun ~src:_ m -> match m with Echo n -> Echoed n | m -> m);
   let result = ref None in
   Proc.spawn engine (fun () ->
       result := Some (Network.rpc net ~src:(node_id 0) ~dst:(node_id 1) (Echo 7)));
@@ -88,7 +69,7 @@ let test_rpc_nested () =
 let test_unknown_destination_dropped () =
   let engine, net = make () in
   Network.add_node net (node_id 0) silent_handler;
-  Network.send net ~src:(node_id 0) ~dst:(node_id 9) Ping;
+  Fixtures.post engine net ~src:(node_id 0) ~dst:(node_id 9) Ping;
   Engine.run engine;
   Alcotest.(check int) "dropped" 1 (dropped net);
   Alcotest.(check int) "not delivered" 0 (count net "net.delivered")
@@ -97,15 +78,14 @@ let test_down_node () =
   let engine, net = make () in
   let received = ref 0 in
   Network.add_node net (node_id 0) silent_handler;
-  Network.add_node net (node_id 1)
-    { Network.on_oneway = (fun ~src:_ _ -> incr received); on_rpc = (fun ~src:_ m -> m) };
+  Network.add_node net (node_id 1) (recording (fun _ -> incr received));
   Network.set_down net (node_id 1) true;
   Alcotest.(check bool) "is_down" true (Network.is_down net (node_id 1));
-  Network.send net ~src:(node_id 0) ~dst:(node_id 1) Ping;
+  Fixtures.post engine net ~src:(node_id 0) ~dst:(node_id 1) Ping;
   Engine.run engine;
   Alcotest.(check int) "down node got nothing" 0 !received;
   Network.set_down net (node_id 1) false;
-  Network.send net ~src:(node_id 0) ~dst:(node_id 1) Ping;
+  Fixtures.post engine net ~src:(node_id 0) ~dst:(node_id 1) Ping;
   Engine.run engine;
   Alcotest.(check int) "healed node receives" 1 !received
 
@@ -114,9 +94,8 @@ let test_down_in_flight () =
   let engine, net = make () in
   let received = ref 0 in
   Network.add_node net (node_id 0) silent_handler;
-  Network.add_node net (node_id 1)
-    { Network.on_oneway = (fun ~src:_ _ -> incr received); on_rpc = (fun ~src:_ m -> m) };
-  Network.send net ~src:(node_id 0) ~dst:(node_id 1) Ping;
+  Network.add_node net (node_id 1) (recording (fun _ -> incr received));
+  Fixtures.post engine net ~src:(node_id 0) ~dst:(node_id 1) Ping;
   ignore (Engine.schedule engine ~after:0.5 (fun () -> Network.set_down net (node_id 1) true));
   Engine.run engine;
   Alcotest.(check int) "dropped in flight" 0 !received
@@ -148,30 +127,28 @@ let test_lossy_link () =
   let engine, net = make () in
   let received = ref 0 in
   Network.add_node net (node_id 0) silent_handler;
-  Network.add_node net (node_id 1)
-    { Network.on_oneway = (fun ~src:_ _ -> incr received); on_rpc = (fun ~src:_ m -> m) };
+  Network.add_node net (node_id 1) (recording (fun _ -> incr received));
   Network.set_link net (node_id 0) (node_id 1) ~latency:0.1 ~loss:0.5 ();
   for _ = 1 to 200 do
-    Network.send net ~src:(node_id 0) ~dst:(node_id 1) Ping
+    Fixtures.post engine net ~src:(node_id 0) ~dst:(node_id 1) Ping
   done;
   Engine.run engine;
   Alcotest.(check bool)
     (Printf.sprintf "roughly half lost (%d)" !received)
     true
     (!received > 60 && !received < 140);
-  Alcotest.(check int) "conservation" 200 (count net "net.delivered" + dropped net)
+  Alcotest.(check int) "only the lossy leg dropped, as link_loss" (200 - !received)
+    (count net "net.dropped{cause=link_loss}");
+  Alcotest.(check int) "under no other cause" (200 - !received) (dropped net);
+  Alcotest.(check int) "conservation" (count net "net.sent") (count net "net.delivered" + dropped net)
 
 let test_link_override_latency () =
   let engine, net = make ~latency:5.0 () in
   let at = ref 0.0 in
   Network.add_node net (node_id 0) silent_handler;
-  Network.add_node net (node_id 1)
-    {
-      Network.on_oneway = (fun ~src:_ _ -> at := Engine.now engine);
-      on_rpc = (fun ~src:_ m -> m);
-    };
+  Network.add_node net (node_id 1) (recording (fun _ -> at := Engine.now engine));
   Network.set_link net (node_id 0) (node_id 1) ~latency:0.25 ();
-  Network.send net ~src:(node_id 0) ~dst:(node_id 1) Ping;
+  Fixtures.post engine net ~src:(node_id 0) ~dst:(node_id 1) Ping;
   Engine.run engine;
   Alcotest.(check (float 1e-9)) "override latency" 0.25 !at
 
@@ -188,12 +165,9 @@ let test_fifo_per_link () =
   let log = ref [] in
   Network.add_node net (node_id 0) silent_handler;
   Network.add_node net (node_id 1)
-    {
-      Network.on_oneway = (fun ~src:_ m -> match m with Echo n -> log := n :: !log | _ -> ());
-      on_rpc = (fun ~src:_ m -> m);
-    };
+    (recording (function Echo n -> log := n :: !log | _ -> ()));
   for i = 1 to 10 do
-    Network.send net ~src:(node_id 0) ~dst:(node_id 1) (Echo i)
+    Fixtures.post engine net ~src:(node_id 0) ~dst:(node_id 1) (Echo i)
   done;
   Engine.run engine;
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] (List.rev !log)
@@ -201,7 +175,6 @@ let test_fifo_per_link () =
 let suite =
   ( "network",
     [
-      Alcotest.test_case "oneway delivery" `Quick test_oneway_delivery_and_latency;
       Alcotest.test_case "rpc roundtrip" `Quick test_rpc_roundtrip;
       Alcotest.test_case "rpc nested" `Quick test_rpc_nested;
       Alcotest.test_case "unknown destination" `Quick test_unknown_destination_dropped;

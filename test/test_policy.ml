@@ -40,10 +40,6 @@ let test_unify_args () =
 
 let test_apply_ground () =
   let s = Option.get (Term.unify Term.Subst.empty (Term.Var "x") (Value.Int 3)) in
-  Alcotest.(check bool) "apply substitutes" true
-    (Term.equal (Term.apply s (Term.Var "x")) (Term.Const (Value.Int 3)));
-  Alcotest.(check bool) "apply leaves free" true
-    (Term.equal (Term.apply s (Term.Var "y")) (Term.Var "y"));
   Alcotest.(check (option value)) "ground bound" (Some (Value.Int 3)) (Term.ground s (Term.Var "x"));
   Alcotest.(check (option value)) "ground free" None (Term.ground s (Term.Var "y"))
 
@@ -166,8 +162,7 @@ let test_enumerate () =
   let _, env = make_env () in
   Env.assert_fact env "p" [ Value.Int 2 ];
   Env.assert_fact env "p" [ Value.Int 1 ];
-  Alcotest.(check int) "two tuples" 2 (List.length (Env.enumerate env "p"));
-  Alcotest.(check int) "fact_count" 2 (Env.fact_count env)
+  Alcotest.(check int) "two tuples" 2 (List.length (Env.enumerate env "p"))
 
 (* ---------------- Rules ---------------- *)
 

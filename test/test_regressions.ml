@@ -7,7 +7,6 @@
      the other tuples of the changed predicate
    and for the observability-era network/broker fixes:
    - a raising RPC handler fails the round trip instead of stranding it
-   - remove_node purges the node's link overrides in both directions
    - drops are attributed to exactly one cause; broker suppression of
      in-flight deliveries after unsubscribe is visible in the stats
    and for the per-call crypto and audit kernels:
@@ -98,9 +97,27 @@ let test_teardown_releases_cache_watches teardown () =
       let s = Principal.start_session p in
       ignore (ok (Principal.activate p s svc ~role:"member" ())));
   let topic = Cr.topic_of ~issuer:(Civ.id civ) ~cert_id:badge.Oasis_cert.Appointment.id in
-  let broker = World.broker world in
-  Alcotest.(check bool) "badge topic watched while active" true
-    (Broker.subscriber_count broker topic > 0);
+  (* Who still listens on the badge's topic: a probe event the watches
+     ignore reaches every live subscription, counted as notified or
+     suppressed, and no released one. *)
+  let listeners () =
+    let addressed () =
+      List.fold_left
+        (fun acc key -> acc + Fixtures.metric (World.obs world) key)
+        0
+        [
+          "broker.notified"; "broker.suppressed{cause=unsubscribed}";
+          "broker.suppressed{cause=partitioned}";
+        ]
+    in
+    let before = addressed () in
+    Broker.publish (World.broker world) topic
+      (Protocol.Replicated
+         { issuer = Civ.id civ; cert_id = badge.Oasis_cert.Appointment.id; valid = true });
+    World.settle world;
+    addressed () - before
+  in
+  Alcotest.(check bool) "badge topic watched while active" true (listeners () > 0);
   (* The cache's content shows in how a re-presentation of the badge is
      counted: a hit (positive entry), a negative hit, or a miss (none). *)
   let lookups () =
@@ -117,7 +134,7 @@ let test_teardown_releases_cache_watches teardown () =
   Alcotest.(check (list int)) "verdict cached" [ 1; 0; 0 ] (present ());
   teardown svc;
   World.settle world;
-  Alcotest.(check int) "badge topic released" 0 (Broker.subscriber_count broker topic);
+  Alcotest.(check int) "badge topic released" 0 (listeners ());
   (* A crashed service answers nothing; back up, it has an empty cache. *)
   if Service.is_crashed svc then Service.restart svc;
   Alcotest.(check (list int)) "cache emptied, no cached negatives" [ 0; 0; 1 ] (present ())
@@ -146,7 +163,7 @@ let test_rule_order_preserved () =
       (* The later rule is still reachable when explicitly pinned. *)
       ignore (ok (Principal.activate p s svc ~role:"pick" ~args:[ Some (Value.Int 2) ] ())));
   let args_granted =
-    List.map (fun (_, args, _) -> args) (Service.active_roles_named svc "pick")
+    List.map (fun (_, args, _) -> args) (Fixtures.active_named svc "pick")
   in
   Alcotest.(check bool) "first-installed rule bound the parameter" true
     (List.mem [ Value.Int 1 ] args_granted);
@@ -176,12 +193,12 @@ let test_fact_change_cost_indexed () =
   Env.assert_fact env "assigned" [ alice; Value.Int 999 ];
   Alcotest.(check int) "sentinel tuple re-checks nothing" 0 (rechecks ());
   Alcotest.(check int) "role survived the sentinel change" 1
-    (List.length (Service.active_roles_named t.hospital "treating_doctor"));
+    (List.length (Fixtures.active_named t.hospital "treating_doctor"));
   Env.retract_fact env "assigned" [ alice; Value.Int 7 ];
   World.settle t.world;
   Alcotest.(check int) "watched tuple re-checks exactly its watcher" 1 (rechecks ());
   Alcotest.(check int) "role collapsed with its fact" 0
-    (List.length (Service.active_roles_named t.hospital "treating_doctor"));
+    (List.length (Fixtures.active_named t.hospital "treating_doctor"));
   Alcotest.(check int) "index emptied" 0 (Service.env_watcher_count t.hospital "assigned")
 
 let activate_pinned world p session svc role args =
@@ -215,7 +232,7 @@ let test_shared_tuple_and_negated_watch () =
   let rechecks_total () = (Service.stats svc).Service.env_rechecks in
   let before = ref (rechecks_total ()) in
   let rechecks () = rechecks_total () - !before in
-  let active role = List.length (Service.active_roles_named svc role) in
+  let active role = List.length (Fixtures.active_named svc role) in
   Alcotest.(check int) "two watchers of assigned(1, 2)" 2
     (Service.env_watcher_count_tuple svc "assigned" (tuple 2));
   Alcotest.(check int) "one negated watcher of excluded(1, 3)" 1
@@ -360,7 +377,7 @@ let test_trust_change_rechecks_only_its_subject () =
   Alcotest.(check int) "a duplicate re-checks nothing" 0 (rechecks () - before);
   World.settle world;
   Alcotest.(check int) "all three roles kept" 3
-    (List.length (Service.active_roles_named svc "member"))
+    (List.length (Fixtures.active_named svc "member"))
 
 (* Banded trust gates over random schedules of filings (both parties,
    fulfilled or breached), with and without decay. A listener registered
@@ -481,7 +498,9 @@ let test_trust_recheck_keyed_by_subject () =
     (!crowded > 1000 && !revoked > 30)
 
 let counting_handler received =
-  { Network.on_oneway = (fun ~src:_ _ -> incr received); on_rpc = (fun ~src:_ m -> m) }
+  fun ~src:_ m ->
+    incr received;
+    m
 
 (* A handler that raises used to strand the caller on a never-filled ivar
    (the rpc blocked forever at a fixed virtual time). The round trip must
@@ -494,7 +513,7 @@ let test_rpc_handler_error_fails_fast () =
   let a = Ident.make "node" 0 and b = Ident.make "node" 1 in
   Network.add_node net a (counting_handler (ref 0));
   Network.add_node net b
-    { Network.on_oneway = (fun ~src:_ _ -> ()); on_rpc = (fun ~src:_ _ -> failwith "handler bug") };
+    (fun ~src:_ _ -> failwith "handler bug");
   let outcome = ref `Pending in
   Proc.spawn engine (fun () ->
       match Network.rpc net ~src:a ~dst:b () with
@@ -520,33 +539,6 @@ let test_rpc_handler_error_fails_fast () =
     (Fixtures.metric obs "net.dropped{cause=handler_error}");
   Alcotest.(check int) "under no other cause" 2 (Fixtures.net_dropped obs)
 
-(* remove_node used to leave the node's link overrides behind, so a later
-   node reusing the ident inherited a dead node's link profile. The purge
-   must cover both directions. *)
-let test_remove_node_purges_links () =
-  let engine = Engine.create () in
-  let obs = Obs.create () in
-  let net = Network.create engine (Rng.create 1) ~default_latency:1.0 ~obs () in
-  let a = Ident.make "node" 0 and b = Ident.make "node" 1 in
-  let got_a = ref 0 and got_b = ref 0 in
-  Network.add_node net a (counting_handler got_a);
-  Network.add_node net b (counting_handler got_b);
-  Network.set_link net a b ~latency:0.1 ~loss:1.0 ();
-  Network.set_link net b a ~latency:0.1 ~loss:1.0 ();
-  Network.send net ~src:a ~dst:b ();
-  Engine.run engine;
-  Alcotest.(check int) "fully lossy link drops" 0 !got_b;
-  Alcotest.(check int) "loss attributed to link_loss" 1
-    (Fixtures.metric obs "net.dropped{cause=link_loss}");
-  Network.remove_node net b;
-  let got_b' = ref 0 in
-  Network.add_node net b (counting_handler got_b');
-  Network.send net ~src:a ~dst:b ();
-  Network.send net ~src:b ~dst:a ();
-  Engine.run engine;
-  Alcotest.(check int) "reused ident gets the default a->b link" 1 !got_b';
-  Alcotest.(check int) "reverse direction purged too" 1 !got_a
-
 (* Every drop carries exactly one cause, and conservation holds: sent =
    delivered + the drops summed over their causes. *)
 let test_drop_causes_conserve_messages () =
@@ -558,13 +550,13 @@ let test_drop_causes_conserve_messages () =
   Network.add_node net a (counting_handler got);
   Network.add_node net b (counting_handler got);
   Network.add_node net c (counting_handler got);
-  Network.send net ~src:a ~dst:(Ident.make "node" 9) ();
+  Fixtures.post engine net ~src:a ~dst:(Ident.make "node" 9) ();
   Network.set_down net c true;
-  Network.send net ~src:c ~dst:a ();
+  Fixtures.post engine net ~src:c ~dst:a ();
   Network.set_down net c false;
-  Network.send net ~src:a ~dst:c ();
+  Fixtures.post engine net ~src:a ~dst:c ();
   ignore (Engine.schedule engine ~after:0.5 (fun () -> Network.set_down net c true));
-  Network.send net ~src:a ~dst:b ();
+  Fixtures.post engine net ~src:a ~dst:b ();
   Engine.run engine;
   let count key = Fixtures.metric obs key in
   Alcotest.(check int) "dst_missing" 1 (count "net.dropped{cause=dst_missing}");
@@ -768,7 +760,6 @@ let suite =
       Alcotest.test_case "trust re-checks keyed by subject" `Quick
         test_trust_recheck_keyed_by_subject;
       Alcotest.test_case "rpc handler error fails fast" `Quick test_rpc_handler_error_fails_fast;
-      Alcotest.test_case "remove_node purges links" `Quick test_remove_node_purges_links;
       Alcotest.test_case "drop causes conserve messages" `Quick
         test_drop_causes_conserve_messages;
       Alcotest.test_case "broker in-flight unsubscribe accounted" `Quick

@@ -1,13 +1,14 @@
 (* Scale sanity: wider worlds with activation storms, decommissioning, and
-   packet tracing. Guards against accidental quadratic blowups in the hot
-   paths and exercises the administrative bulk operations. *)
+   network traffic in the trace. Guards against accidental quadratic
+   blowups in the hot paths and exercises the administrative bulk
+   operations. *)
 
 module World = Oasis_core.World
 module Service = Oasis_core.Service
 module Principal = Oasis_core.Principal
 module Protocol = Oasis_core.Protocol
 module Civ = Oasis_domain.Civ
-module Network = Oasis_sim.Network
+module Obs = Oasis_obs.Obs
 module Value = Oasis_util.Value
 open Fixtures
 
@@ -71,27 +72,26 @@ let test_decommission () =
       | Error Protocol.No_proof -> ()
       | _ -> Alcotest.fail "decommissioned service still grants")
 
-let test_tracer_sees_traffic () =
+(* The network's traffic is visible as [net.send] trace events through an
+   obs sink, and detaching the sink stops the recording. *)
+let test_net_send_events () =
   let t = make () in
-  let seen = ref [] in
-  Network.set_tracer (World.network t.world)
-    (Some
-       (fun ~src ~dst msg ->
-         seen := (src, dst, Format.asprintf "%a" Protocol.pp_msg msg) :: !seen));
+  let obs = World.obs t.world in
+  let sink, captured = Obs.memory_sink () in
+  Obs.attach obs sink;
   let _session = alice_treating t ~patient:7 in
-  Network.set_tracer (World.network t.world) None;
-  Alcotest.(check bool) "traffic observed" true (List.length !seen >= 6);
-  Alcotest.(check bool) "activations visible" true
-    (List.exists (fun (_, _, m) -> String.length m >= 8 && String.sub m 0 8 = "Activate") !seen);
-  (* Tracer removal stops observation. *)
-  let before = List.length !seen in
+  Obs.detach_all obs;
+  let named name = List.filter (fun (e : Obs.event) -> e.Obs.name = name) (captured ()) in
+  Alcotest.(check bool) "traffic observed" true (List.length (named "net.send") >= 6);
+  Alcotest.(check bool) "activations visible" true (named "solve.activation" <> []);
+  let before = List.length (captured ()) in
   ignore (alice_treating t ~patient:8);
-  Alcotest.(check int) "no further traces" before (List.length !seen)
+  Alcotest.(check int) "nothing recorded after detach" before (List.length (captured ()))
 
 let suite =
   ( "scale",
     [
       Alcotest.test_case "activation storm" `Slow test_activation_storm;
       Alcotest.test_case "decommission" `Quick test_decommission;
-      Alcotest.test_case "tracer" `Quick test_tracer_sees_traffic;
+      Alcotest.test_case "net.send events" `Quick test_net_send_events;
     ] )

@@ -2,8 +2,14 @@
 
 module Scenario = Oasis_script.Scenario
 
+(* Runs scenario source text through a temporary file. *)
+let run_source src =
+  let path = Filename.temp_file "oasis-test" ".scn" in
+  Out_channel.with_open_text path (fun oc -> output_string oc src);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> Scenario.run_file path)
+
 let run src =
-  match Scenario.run_string src with
+  match run_source src with
   | Ok outcome -> outcome
   | Error e -> Alcotest.failf "scenario error: %a" Scenario.pp_error e
 
@@ -215,7 +221,7 @@ let test_decay_revokes_through_tick () =
     |}
 
 let expect_error src =
-  match Scenario.run_string src with
+  match run_source src with
   | Error _ -> ()
   | Ok _ -> Alcotest.failf "expected scenario error for %s" src
 
@@ -241,7 +247,7 @@ let test_late_offline_sign_rejected () =
       first second
   in
   expect_ok (script "offline-sign off" "principal alice");
-  match Scenario.run_string (script "principal alice" "offline-sign off") with
+  match run_source (script "principal alice" "offline-sign off") with
   | Error e ->
       Alcotest.(check int) "error names the directive's line" 3 e.Scenario.line;
       Alcotest.(check string) "placement error"
@@ -281,7 +287,7 @@ let test_extract_policies () =
       let module Reach = Oasis_policy.Reach in
       let result = Reach.analyse ~adversary:(Reach.permissive world) world in
       let verdict role =
-        Option.map (fun g -> g.Reach.g_verdict) (Reach.goal_for result ~service:"b" ~role)
+        Option.map (fun g -> g.Reach.g_verdict) (Fixtures.goal_for result ~service:"b" ~role)
       in
       Alcotest.(check bool) "derived reachable" true (verdict "derived" = Some Reach.Reachable);
       Alcotest.(check bool) "orphan dead" true (verdict "orphan" = Some Reach.Unreachable);

@@ -189,7 +189,7 @@ let test_grants_audited () =
     (Oasis_util.Ident.equal entry.principal (Principal.id t.alice));
   Alcotest.(check bool) "supporting certificate recorded" true (entry.creds <> []);
   (* Activations are audited too, led by the minted certificate. *)
-  let cert_id, _, _ = List.hd (Service.active_roles_named t.hospital "treating_doctor") in
+  let cert_id, _, _ = List.hd (Fixtures.active_named t.hospital "treating_doctor") in
   Alcotest.(check bool) "activation audited, minted certificate first" true
     (List.exists
        (fun (r : Dlog.record) ->
@@ -304,12 +304,7 @@ let test_active_roles_and_introspection () =
   let alice_roles =
     List.filter (fun (_, _, _, p) -> Oasis_util.Ident.equal p (Principal.id t.alice)) roles
   in
-  Alcotest.(check int) "alice has 3 active roles" 3 (List.length alice_roles);
-  Alcotest.(check (list string)) "roles defined"
-    [ "bootstrap"; "doctor"; "hr_admin"; "logged_in"; "treating_doctor" ]
-    (Service.roles_defined t.hospital);
-  Alcotest.(check (list string)) "privileges defined" [ "read_record" ]
-    (Service.privileges_defined t.hospital)
+  Alcotest.(check int) "alice has 3 active roles" 3 (List.length alice_roles)
 
 let test_multiple_rules_disjunction () =
   (* A role with two activation rules: either suffices. *)
@@ -409,11 +404,8 @@ let test_decide_outcomes () =
     {|
       initial broken_env <- env:no_such_predicate(1);
       priv broken_priv <- env:no_such_predicate(1);
+      appoint broken_kind(u) <- env:no_such_predicate(u);
     |};
-  (match Oasis_policy.Parser.parse_exn "appoint broken_kind(u) <- env:no_such_predicate(u);" with
-  | [ Oasis_policy.Parser.Appointer rule ] ->
-      Service.set_appointer t.hospital ~kind:"broken_kind" ~rule
-  | _ -> Alcotest.fail "appointer statement expected");
   let session = alice_treating t ~patient:7 in
   let alice = Principal.id t.alice in
   let key = Principal.session_key session in

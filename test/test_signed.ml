@@ -170,7 +170,7 @@ let test_signed_rmc_roundtrip () =
   in
   (* sign → encode → decode → verify, all offline *)
   let decoded =
-    match Codec.rmc_of_string (Codec.rmc_to_string rmc) with
+    match Fixtures.rmc_of_string (Fixtures.rmc_to_string rmc) with
     | Ok d -> d
     | Error _ -> Alcotest.fail "signed rmc did not decode"
   in
@@ -202,7 +202,7 @@ let test_signed_appointment_roundtrip () =
       ~issuer ~kind:"employee" ~args:[ Value.Int 1 ] ~holder:"hk" ~issued_at:1.0 ~expires_at:10.0 ()
   in
   let decoded =
-    match Codec.appointment_of_string (Codec.appointment_to_string appt) with
+    match Fixtures.appointment_of_string (Fixtures.appointment_to_string appt) with
     | Ok d -> d
     | Error _ -> Alcotest.fail "signed appointment did not decode"
   in
@@ -212,11 +212,11 @@ let test_signed_appointment_roundtrip () =
     (Signed.verify_appointment ~address ~chain ~now:11.0 decoded);
   (* Every byte of the protected fields is covered: flip each one and the
      certificate must either stop decoding or stop verifying. *)
-  let bytes = Codec.appointment_to_string appt in
+  let bytes = Fixtures.appointment_to_string appt in
   for i = 0 to String.length bytes - 1 do
     let mutated = Bytes.of_string bytes in
     Bytes.set mutated i (Char.chr (Char.code bytes.[i] lxor 1));
-    match Codec.appointment_of_string (Bytes.to_string mutated) with
+    match Fixtures.appointment_of_string (Bytes.to_string mutated) with
     | Error _ -> ()
     | Ok d ->
         if Signed.verify_appointment ~address ~chain ~now:5.0 d then
@@ -284,7 +284,7 @@ let test_unenrolled_issuer_falls_back () =
   Alcotest.(check bool) "fell back to callbacks" true (st.Service.callbacks_out >= 1);
   Alcotest.(check int) "no offline validations" 0 st.Service.offline_validations;
   Alcotest.(check int) "granted" 1
-    (List.length (Service.active_roles_named relying "derived"))
+    (List.length (Fixtures.active_named relying "derived"))
 
 (* A CIV-issued badge gates a role at [club]; the badge is checked offline
    against the CIV cluster's chain. *)
@@ -315,7 +315,7 @@ let test_revoked_represented_denied_offline () =
   ignore (Civ.revoke civ badge.Appointment.id ~reason:"lapsed");
   World.settle world;
   Alcotest.(check int) "watch collapsed the role" 0
-    (List.length (Service.active_roles_named club "member"));
+    (List.length (Fixtures.active_named club "member"));
   (match join world p club with
   | Error Protocol.No_proof -> ()
   | Ok _ -> Alcotest.fail "revoked badge re-accepted"
@@ -334,11 +334,24 @@ let test_decommission_revokes_chain () =
 
 (* ---------------- The verified-chain memo ---------------- *)
 
-(* The definition the memo must agree with, written from the primitives. *)
+(* The definition the memo must agree with, written from the primitives:
+   the root signs the key certificate's canonical encoding, [ksig]
+   excluded. *)
 let reference_verify_chain ~address (c : Signed.chain) =
+  let module Wire = Oasis_cert.Wire in
+  let kc = c.cert in
+  let signed_bytes =
+    Wire.encode "keycert"
+      [
+        Wire.Fident kc.subject;
+        Wire.Fstring (Elgamal.public_to_string kc.subject_pk);
+        Wire.Fint kc.key_epoch;
+        Wire.Ffloat kc.issued_at;
+      ]
+  in
   String.equal address
     (Sha256.to_hex (Sha256.digest_string ("oasis-root\x00" ^ Elgamal.public_to_string c.root_pk)))
-  && Schnorr.verify ~public:c.root_pk (Signed.key_cert_bytes c.cert) c.cert.ksig
+  && Schnorr.verify ~public:c.root_pk signed_bytes kc.ksig
 
 let test_withdrawn_chain_goes_by_callback () =
   let world = World.create ~seed:41 () in

@@ -184,18 +184,6 @@ let test_seed_pins_parameters () =
         (Value.equal (List.hd proof.Solve.role_args) (Value.Int 2))
   | None -> Alcotest.fail "no proof"
 
-let test_activation_all () =
-  let ctx =
-    context
-      ~rmcs:[ cred ~id:1 ~name:"doctor" [ Value.Int 1 ]; cred ~id:2 ~name:"doctor" [ Value.Int 2 ] ]
-      ()
-  in
-  let rule =
-    Rule.activation ~role:"r" ~params:[ Term.Var "u" ]
-      [ (false, Rule.Prereq (cref "doctor" [ Term.Var "u" ])) ]
-  in
-  Alcotest.(check int) "two proofs" 2 (List.length (Solve.activation_all ctx rule ()))
-
 let test_unbound_head_raises () =
   let ctx = context ~rmcs:[ cred ~id:1 ~name:"doctor" [ Value.Int 1 ] ] () in
   let rule =
@@ -380,7 +368,6 @@ let suite =
       Alcotest.test_case "negation needs ground" `Quick test_negated_constraint_requires_ground;
       Alcotest.test_case "exception pattern" `Quick test_exception_pattern;
       Alcotest.test_case "seed pins" `Quick test_seed_pins_parameters;
-      Alcotest.test_case "activation_all" `Quick test_activation_all;
       Alcotest.test_case "unbound head" `Quick test_unbound_head_raises;
       Alcotest.test_case "unknown service" `Quick test_unknown_service_reference;
       Alcotest.test_case "authorization" `Quick test_authorization;

@@ -25,8 +25,7 @@ let test_audit_validate () =
   let reg = registrar () in
   let cert = record reg in
   Alcotest.(check bool) "validates" true (Registrar.validate reg cert);
-  Alcotest.(check int) "validation counted" 1 (Registrar.validations reg);
-  Alcotest.(check int) "issued counted" 1 (Registrar.issued_count reg)
+  Alcotest.(check int) "validation counted" 1 (Registrar.validations reg)
 
 let test_audit_tamper () =
   let reg = registrar () in
@@ -409,8 +408,8 @@ let test_resume_chain () =
   let owner = Ident.make "svc" 1 in
   let log = sample_log 1000 in
   let store = Dlog.store log in
-  Alcotest.(check bool) "the chain spans chunks" true
-    (Oasis_util.Chunks.length store > Oasis_util.Chunks.chunk_size);
+  Alcotest.(check bool) "the chain spans chunks (64 KiB each)" true
+    (Oasis_util.Chunks.length store > 65536);
   (match Dlog.resume ~service:owner store with
   | Error (seq, why) -> Alcotest.failf "resume failed at %d: %s" seq why
   | Ok resumed ->

@@ -106,13 +106,6 @@ let test_string_length () =
         Value.Id (Ident.make "cert" 1000);
       ])
 
-let test_type_name () =
-  Alcotest.(check string) "int" "int" (Value.type_name (Value.Int 1));
-  Alcotest.(check string) "str" "str" (Value.type_name (Value.Str "x"));
-  Alcotest.(check string) "bool" "bool" (Value.type_name (Value.Bool true));
-  Alcotest.(check string) "time" "time" (Value.type_name (Value.Time 1.0));
-  Alcotest.(check string) "id" "id" (Value.type_name (Value.Id (Ident.make "a" 0)))
-
 let suite =
   ( "value",
     [
@@ -125,5 +118,4 @@ let suite =
       Alcotest.test_case "encode type tagged" `Quick test_encode_type_tagged;
       Alcotest.test_case "list encoding unambiguous" `Quick test_list_encoding_unambiguous;
       Alcotest.test_case "string_length" `Quick test_string_length;
-      Alcotest.test_case "type names" `Quick test_type_name;
     ] )

@@ -141,10 +141,10 @@ let test_civ_audit_extension () =
     Civ.record_interaction civ ~client ~server ~client_outcome:Audit.Fulfilled
       ~server_outcome:Audit.Breached
   in
-  Alcotest.(check bool) "validates" true (Civ.validate_audit civ cert);
+  Alcotest.(check bool) "validates" true (Oasis_trust.Registrar.validate (Civ.registrar civ) cert);
   Alcotest.(check bool) "records virtual time" true (cert.Audit.at = World.now world);
   let laundered = Audit.with_server_outcome cert Audit.Fulfilled in
-  Alcotest.(check bool) "tamper rejected" false (Civ.validate_audit civ laundered);
+  Alcotest.(check bool) "tamper rejected" false (Oasis_trust.Registrar.validate (Civ.registrar civ) laundered);
   (* Honest registrar: no fabrication. *)
   Alcotest.(check bool) "fabricate refused" true
     (match Oasis_trust.Registrar.fabricate (Civ.registrar civ) ~client ~server ~at:0.0 with
@@ -361,7 +361,7 @@ let test_mid_issuance_crash_heals () =
   Alcotest.(check int) "server wallet healed" 1 (History.size (World.wallet world b));
   Alcotest.(check int) "client wallet not double-counted" 1 (History.size (World.wallet world a));
   Alcotest.(check int) "nothing pending" 0 (Civ.pending_filings civ);
-  Alcotest.(check bool) "certificate still validates" true (Civ.validate_audit civ cert)
+  Alcotest.(check bool) "certificate still validates" true (Oasis_trust.Registrar.validate (Civ.registrar civ) cert)
 
 (* Tampering with the durable decision-log export between crash and
    restart: restart refuses to resume with a distinct error and the
