@@ -27,6 +27,22 @@ let make ?(latency = 1.0) () =
 let count net key = Fixtures.metric (Network.obs net) key
 let dropped net = Fixtures.net_dropped (Network.obs net)
 
+(* A fire-and-forget post: the sender does not wait, and the request
+   reaches the destination's handler after one link latency. *)
+let test_oneway_delivery_and_latency () =
+  let engine, net = make () in
+  let received = ref None in
+  Network.add_node net (node_id 0) silent_handler;
+  Network.add_node net (node_id 1) (recording (fun m -> received := Some (m, Engine.now engine)));
+  Fixtures.post engine net ~src:(node_id 0) ~dst:(node_id 1) Ping;
+  Alcotest.(check bool) "not yet delivered" true (!received = None);
+  Engine.run engine;
+  (match !received with
+  | Some (Ping, t) -> Alcotest.(check (float 1e-9)) "after latency" 1.0 t
+  | _ -> Alcotest.fail "wrong delivery");
+  Alcotest.(check int) "request and reply sent" 2 (count net "net.sent");
+  Alcotest.(check int) "request and reply delivered" 2 (count net "net.delivered")
+
 let test_rpc_roundtrip () =
   let engine, net = make () in
   let served_at = ref None in
@@ -175,6 +191,7 @@ let test_fifo_per_link () =
 let suite =
   ( "network",
     [
+      Alcotest.test_case "oneway delivery" `Quick test_oneway_delivery_and_latency;
       Alcotest.test_case "rpc roundtrip" `Quick test_rpc_roundtrip;
       Alcotest.test_case "rpc nested" `Quick test_rpc_nested;
       Alcotest.test_case "unknown destination" `Quick test_unknown_destination_dropped;
