@@ -262,12 +262,17 @@ let e2 () =
 (* E3 — Fig. 3: the cross-domain EHR session                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Every issuer signs with the epoch HMAC, so each cross-service check is a
+   validation callback (Fig. 3): offline-verifiable issuers would answer
+   them locally and leave caching nothing to save. *)
 let e3_world ~caching =
   let world = World.create ~seed:3 ~net_latency:0.002 () in
-  let hospital = Domain.create world ~name:"h" () in
-  let config = { Service.default_config with cache_remote_validation = caching } in
+  let hospital = Domain.create world ~name:"h" ~offline_sign:false () in
+  let config =
+    { Service.default_config with cache_remote_validation = caching; offline_sign = false }
+  in
   let portal =
-    Domain.add_service hospital ~name:"portal"
+    Domain.add_service hospital ~name:"portal" ~config
       ~policy:
         {|
           initial logged_in(u) <- appt:employee(u)@h.civ;
@@ -280,7 +285,7 @@ let e3_world ~caching =
     Domain.add_service hospital ~name:"ehr" ~config
       ~policy:"priv request_ehr(doc, pat) <- treating_doctor(doc, pat)@h.portal;" ()
   in
-  let national = Domain.create world ~name:"n" () in
+  let national = Domain.create world ~name:"n" ~offline_sign:false () in
   let records =
     Domain.add_service national ~name:"records" ~config
       ~policy:"priv deliver(h, doc, pat) <- hospital(h);" ()

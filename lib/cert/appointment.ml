@@ -54,6 +54,18 @@ let verify_ignoring_epoch ~master_secret ~now t =
 let verify ~master_secret ~current_epoch ~now t =
   t.epoch = current_epoch && verify_ignoring_epoch ~master_secret ~now t
 
+let identical a b =
+  a == b
+  || Ident.equal a.id b.id
+     && Ident.equal a.issuer b.issuer
+     && String.equal a.kind b.kind
+     && List.equal Value.identical a.args b.args
+     && String.equal a.holder b.holder
+     && Value.same_float a.issued_at b.issued_at
+     && Option.equal Value.same_float a.expires_at b.expires_at
+     && a.epoch = b.epoch
+     && Sha256.equal_ct a.signature b.signature
+
 let with_holder t holder = { t with holder }
 
 let with_args t args = { t with args }

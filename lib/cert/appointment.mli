@@ -62,6 +62,10 @@ val of_parts :
 
 val expired : now:float -> t -> bool
 
+val identical : t -> t -> bool
+(** Every field equal, floats by bit pattern ({!Oasis_util.Value.identical}):
+    the two certificates encode alike and carry the same signature. *)
+
 val signing_bytes : t -> string
 (** The canonical byte string every signature scheme (epoch-HMAC here,
     {!Oasis_cert.Signed} offline signatures) covers: all protected fields

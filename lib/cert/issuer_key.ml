@@ -48,11 +48,6 @@ let schnorr_ok kp digest bytes =
   | Some sg -> Schnorr.verify ~public:kp.Schnorr.public bytes sg
   | None -> false
 
-let verify_rmc t ~principal_key (rmc : Rmc.t) =
-  match t.keypair with
-  | Some kp -> schnorr_ok kp rmc.signature (Rmc.signing_bytes ~principal_key rmc)
-  | None -> Rmc.verify ~secret:t.secret ~principal_key rmc
-
 let verify_appointment ?(any_epoch = false) t ~now (appt : Appointment.t) =
   match t.keypair with
   | Some kp ->

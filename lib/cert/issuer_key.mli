@@ -10,8 +10,10 @@
 
     Relying services never ask which: a presented certificate is checked
     offline exactly when {!Signed.chain_for} has a chain for its issuer.
-    Verification here covers the signature (and, for appointments, expiry
-    and epoch) only; the issuer's credential record has the last word. *)
+    Verification here covers an appointment's signature, expiry and epoch
+    only; the issuer's credential record has the last word. An issuer
+    needs no signature check for its own RMCs: it compares them with the
+    certificate it granted (Oasis_core.Monitor.granted). *)
 
 type t
 
@@ -50,10 +52,6 @@ val issue_appointment :
   unit ->
   Appointment.t
 (** Issued by [subject] under the current epoch. *)
-
-val verify_rmc : t -> principal_key:string -> Rmc.t -> bool
-(** The signature of one of this issuer's RMCs, presented under
-    [principal_key]. *)
 
 val verify_appointment : ?any_epoch:bool -> t -> now:float -> Appointment.t -> bool
 (** Signature, expiry and epoch currency of one of this issuer's

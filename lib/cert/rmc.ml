@@ -42,6 +42,15 @@ let verify ~secret ~principal_key t =
 let of_parts ~id ~issuer ~role ~args ~issued_at ~signature =
   { id; issuer; role; args; issued_at; signature }
 
+let identical a b =
+  a == b
+  || Ident.equal a.id b.id
+     && Ident.equal a.issuer b.issuer
+     && String.equal a.role b.role
+     && List.equal Value.identical a.args b.args
+     && Value.same_float a.issued_at b.issued_at
+     && Sha256.equal_ct a.signature b.signature
+
 let with_args t args = { t with args }
 
 

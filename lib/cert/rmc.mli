@@ -45,6 +45,10 @@ val of_parts :
 (** Reassembles a certificate parsed off the wire. The signature is taken
     as presented; it carries no authority until {!verify} accepts it. *)
 
+val identical : t -> t -> bool
+(** Every field equal, floats by bit pattern ({!Oasis_util.Value.identical}):
+    the two certificates encode alike and carry the same signature. *)
+
 val with_args : t -> Oasis_util.Value.t list -> t
 (** The certificate with altered parameter fields and the {e original}
     signature — an adversary's tampering attempt, for tests. *)

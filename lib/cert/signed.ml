@@ -98,14 +98,17 @@ let issue_rmc ~keypair ~rng ~principal_key ~id ~issuer ~role ~args ~issued_at =
   in
   Rmc.of_parts ~id ~issuer ~role ~args ~issued_at ~signature:(Schnorr.to_digest sg)
 
-let verify_rmc ~address:addr ~chain ~principal_key (rmc : Rmc.t) =
+let verify_rmc ?(signature_seen = false) ~address:addr ~chain ~principal_key (rmc : Rmc.t) =
   verify_chain ~address:addr chain
   && Ident.equal rmc.issuer chain.cert.subject
-  &&
-  match Schnorr.of_digest rmc.signature with
-  | Some sg ->
-      Schnorr.verify ~public:chain.cert.subject_pk (Rmc.signing_bytes ~principal_key rmc) sg
-  | None -> false
+  (* [signature_seen]: the caller vouches that this exact certificate
+     already passed this step under [chain.cert] (Validation_cache). *)
+  && (signature_seen
+     ||
+     match Schnorr.of_digest rmc.signature with
+     | Some sg ->
+         Schnorr.verify ~public:chain.cert.subject_pk (Rmc.signing_bytes ~principal_key rmc) sg
+     | None -> false)
 
 let issue_appointment ~keypair ~rng ~epoch ~id ~issuer ~kind ~args ~holder ~issued_at ?expires_at
     () =
@@ -116,7 +119,8 @@ let issue_appointment ~keypair ~rng ~epoch ~id ~issuer ~kind ~args ~holder ~issu
   let sg = Schnorr.sign ~secret:keypair.Schnorr.secret rng (Appointment.signing_bytes unsigned) in
   parts (Schnorr.to_digest sg)
 
-let verify_appointment ~address:addr ~chain ~now (appt : Appointment.t) =
+let verify_appointment ?(signature_seen = false) ~address:addr ~chain ~now (appt : Appointment.t)
+    =
   verify_chain ~address:addr chain
   && Ident.equal appt.issuer chain.cert.subject
   (* The key certificate pins the issuer's current epoch: after a secret
@@ -125,7 +129,8 @@ let verify_appointment ~address:addr ~chain ~now (appt : Appointment.t) =
      the epoch-HMAC scheme enforces with [current_epoch]. *)
   && appt.epoch = chain.cert.key_epoch
   && (not (Appointment.expired ~now appt))
-  &&
-  match Schnorr.of_digest appt.signature with
-  | Some sg -> Schnorr.verify ~public:chain.cert.subject_pk (Appointment.signing_bytes appt) sg
-  | None -> false
+  && (signature_seen
+     ||
+     match Schnorr.of_digest appt.signature with
+     | Some sg -> Schnorr.verify ~public:chain.cert.subject_pk (Appointment.signing_bytes appt) sg
+     | None -> false)

@@ -92,11 +92,22 @@ val issue_rmc :
     Schnorr signature over {!Rmc.signing_bytes} (same principal binding,
     same canonical bytes) instead of an HMAC. *)
 
-val verify_rmc : address:string -> chain:chain -> principal_key:string -> Rmc.t -> bool
+val verify_rmc :
+  ?signature_seen:bool ->
+  address:string ->
+  chain:chain ->
+  principal_key:string ->
+  Rmc.t ->
+  bool
 (** Zero-RPC verification: chain validity, issuer/chain subject match, and
     the signature over the presented fields under the presented principal
     key. Tampered fields, forged signatures, stolen certificates and
-    non-canonical encodings (rejected upstream in {!Codec}) all fail. *)
+    non-canonical encodings (rejected upstream in {!Codec}) all fail.
+
+    [signature_seen] (default [false]) skips the Schnorr step and only it:
+    the caller vouches that this exact certificate, under this principal
+    key, already passed it under [chain.cert]. {!Validation_cache.verify_rmc}
+    is the caller that can; the chain and subject checks still run. *)
 
 val issue_appointment :
   keypair:Oasis_crypto.Schnorr.keypair ->
@@ -112,6 +123,10 @@ val issue_appointment :
   unit ->
   Appointment.t
 
-val verify_appointment : address:string -> chain:chain -> now:float -> Appointment.t -> bool
+val verify_appointment :
+  ?signature_seen:bool -> address:string -> chain:chain -> now:float -> Appointment.t -> bool
 (** Chain + signature + expiry + epoch currency (the chain's [key_epoch]
-    plays the role the HMAC scheme's [current_epoch] does). *)
+    plays the role the HMAC scheme's [current_epoch] does).
+    [signature_seen] skips the signature step alone, as for {!verify_rmc}
+    ({!Validation_cache.verify_appointment}); expiry and epoch are checked
+    on every call. *)

@@ -3,8 +3,30 @@ module Obs = Oasis_obs.Obs
 
 type verdict = Valid | Invalid
 
+type presented = Rmc of Rmc.t * string | Appointment of Appointment.t
+
+let presented_id = function Rmc (rmc, _) -> rmc.Rmc.id | Appointment appt -> appt.Appointment.id
+
+let same a b =
+  match (a, b) with
+  | Rmc (rmc, key), Rmc (rmc', key') -> String.equal key key' && Rmc.identical rmc rmc'
+  | Appointment appt, Appointment appt' -> Appointment.identical appt appt'
+  | Rmc _, Appointment _ | Appointment _, Rmc _ -> false
+
+(* One table per service, keyed by certificate id: a negative verdict; a
+   positive callback verdict with the presentation it answered; or the
+   record of an offline signature check that succeeded — the exact
+   certificate, an RMC's principal key, and the key certificate it
+   verified under. A negative verdict replaces the others, and {!clear}
+   drops everything. *)
+type entry =
+  | Revoked
+  | Confirmed of presented
+  | Rmc_signed of { rmc : Rmc.t; principal_key : string; under : Signed.key_cert }
+  | Appt_signed of { appt : Appointment.t; under : Signed.key_cert }
+
 type t = {
-  table : verdict Ident.Tbl.t;
+  table : entry Ident.Tbl.t;
   c_hits : Obs.Counter.t;
   c_negative_hits : Obs.Counter.t;
   c_misses : Obs.Counter.t;
@@ -22,41 +44,79 @@ let create ?obs ?(labels = []) () =
     c_invalidations = counter "vcache.invalidations";
   }
 
-let cache_valid t cert_id = Ident.Tbl.replace t.table cert_id Valid
+let cache_valid t presented =
+  Ident.Tbl.replace t.table (presented_id presented) (Confirmed presented)
 
-let lookup t cert_id =
-  match Ident.Tbl.find_opt t.table cert_id with
-  | Some Valid as v ->
-      Obs.Counter.inc t.c_hits;
-      v
-  | Some Invalid as v ->
+let lookup t presented =
+  match Ident.Tbl.find_opt t.table (presented_id presented) with
+  | Some Revoked ->
       Obs.Counter.inc t.c_negative_hits;
-      v
-  | None ->
+      Some Invalid
+  | Some (Confirmed answered) when same answered presented ->
+      Obs.Counter.inc t.c_hits;
+      Some Valid
+  | Some (Confirmed _ | Rmc_signed _ | Appt_signed _) | None ->
       Obs.Counter.inc t.c_misses;
       None
 
 let is_poisoned t cert_id =
   match Ident.Tbl.find_opt t.table cert_id with
-  | Some Invalid ->
+  | Some Revoked ->
       Obs.Counter.inc t.c_negative_hits;
       true
-  | Some Valid | None -> false
+  | Some (Confirmed _ | Rmc_signed _ | Appt_signed _) | None -> false
+
+(* Only a success is remembered, so a failure costs the full check every
+   time and can never be served from the table; and a negative verdict
+   stays, since a signature says nothing about revocation. *)
+let remember t cert_id entry found =
+  match found with
+  | Some Revoked -> ()
+  | Some (Confirmed _ | Rmc_signed _ | Appt_signed _) | None ->
+      Ident.Tbl.replace t.table cert_id entry
+
+let verify_rmc t ~address ~chain ~principal_key (rmc : Rmc.t) =
+  let under = chain.Signed.cert in
+  let found = Ident.Tbl.find_opt t.table rmc.id in
+  let signature_seen =
+    match found with
+    | Some (Rmc_signed seen) ->
+        seen.under == under
+        && String.equal seen.principal_key principal_key
+        && Rmc.identical seen.rmc rmc
+    | Some (Revoked | Confirmed _ | Appt_signed _) | None -> false
+  in
+  let ok = Signed.verify_rmc ~signature_seen ~address ~chain ~principal_key rmc in
+  if ok && not signature_seen then
+    remember t rmc.id (Rmc_signed { rmc; principal_key; under }) found;
+  ok
+
+let verify_appointment t ~address ~chain ~now (appt : Appointment.t) =
+  let under = chain.Signed.cert in
+  let found = Ident.Tbl.find_opt t.table appt.id in
+  let signature_seen =
+    match found with
+    | Some (Appt_signed seen) -> seen.under == under && Appointment.identical seen.appt appt
+    | Some (Revoked | Confirmed _ | Rmc_signed _) | None -> false
+  in
+  let ok = Signed.verify_appointment ~signature_seen ~address ~chain ~now appt in
+  if ok && not signature_seen then remember t appt.id (Appt_signed { appt; under }) found;
+  ok
 
 let invalidate t cert_id =
   match Ident.Tbl.find_opt t.table cert_id with
-  | Some Invalid -> ()
-  | Some Valid | None ->
+  | Some Revoked -> ()
+  | Some (Confirmed _ | Rmc_signed _ | Appt_signed _) | None ->
       (* Revocation is permanent (the issuer never resurrects a certificate
          id), so the invalidation event is itself a cachable negative
          verdict: later presentations of the dead certificate answer [false]
          locally instead of re-issuing the callback. *)
-      Ident.Tbl.replace t.table cert_id Invalid;
+      Ident.Tbl.replace t.table cert_id Revoked;
       Obs.Counter.inc t.c_invalidations
 
 let drop t cert_id =
   match Ident.Tbl.find_opt t.table cert_id with
-  | Some Valid -> Ident.Tbl.remove t.table cert_id
-  | Some Invalid | None -> ()
+  | Some (Confirmed _) -> Ident.Tbl.remove t.table cert_id
+  | Some (Revoked | Rmc_signed _ | Appt_signed _) | None -> ()
 
 let clear t = Ident.Tbl.reset t.table

@@ -316,8 +316,9 @@ let unwatch t = function
    issuer's channel. Definitive revocation poisons the entry (a permanent
    negative); silence that does not revoke only retires it — the verdict
    became unknown, not false. *)
-let cache_valid t ~issuer cert_id =
-  Vcache.cache_valid t.cache cert_id;
+let cache_valid t ~issuer presented =
+  let cert_id = Vcache.presented_id presented in
+  Vcache.cache_valid t.cache presented;
   if not (Ident.Tbl.mem t.cache_watches cert_id) then
     Ident.Tbl.replace t.cache_watches cert_id
       (watch t ~issuer ~cert_id ~on_dead:(fun cause ->
@@ -695,6 +696,11 @@ let grant t ~rmc ~record ~session_key ~principal (proof : Solve.proof) =
           By_fact.add t.env_index (env_key c) role;
           arm_env_timer t role c)
     proof.support
+
+let granted t (rmc : Rmc.t) ~session_key =
+  match Ident.Tbl.find_opt t.roles rmc.id with
+  | Some role -> String.equal role.session_key session_key && Rmc.identical role.rmc rmc
+  | None -> false
 
 let revoke t cert_id ~reason =
   match Ident.Tbl.find_opt t.roles cert_id with

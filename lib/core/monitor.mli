@@ -64,6 +64,14 @@ val grant :
     (always) and per membership-marked appointment, and every
     membership-marked env constraint. *)
 
+val granted : t -> Oasis_cert.Rmc.t -> session_key:string -> bool
+(** Whether [rmc] is exactly the certificate {!grant} recorded under its
+    id — every field equal, floats by bit pattern — bound to
+    [session_key]. The grant record outlives revocation and crashes, so
+    this is the whole authenticity check for the service's own RMCs, with
+    no signature to verify; whether the role is still held is
+    {!Issuer_records.is_valid}'s answer. *)
+
 val revoke : t -> Oasis_util.Ident.t -> reason:string -> bool
 (** Revokes a certificate this service issued: a role is deactivated —
     its monitoring torn down, a [Revoke] decision logged — and an
@@ -79,9 +87,10 @@ val revoke_all : t -> reason:string -> int
 
 (** {1 Validation-side hooks} *)
 
-val cache_valid : t -> issuer:Oasis_util.Ident.t -> Oasis_util.Ident.t -> unit
-(** Caches a positive callback verdict and watches the certificate's
-    channel: a revocation turns the entry into a cached negative, silence
+val cache_valid :
+  t -> issuer:Oasis_util.Ident.t -> Oasis_cert.Validation_cache.presented -> unit
+(** Caches a positive callback verdict for this presentation and watches
+    the certificate's channel: a revocation turns the entry into a cached negative, silence
     only retires it (or poisons it too, where silence revokes). *)
 
 val revoked_on_channel :

@@ -175,11 +175,15 @@ let register_operation t privilege handler = Hashtbl.replace t.operations privil
 (* Credential validation                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Own certificates verify under this service's issuer key, and the
-   credential record store has the last word — a perfectly signed but
-   revoked certificate is dead. *)
+(* An own RMC is authentic exactly when it is the certificate this service
+   granted under that id, bound to the same session key: the monitor's
+   grant record answers that with a comparison, no signature check. Own
+   appointments verify under this service's issuer key. Either way the
+   credential record store has the last word — a genuine but revoked
+   certificate is dead. *)
 let verify_own_rmc t ~principal_key (rmc : Rmc.t) =
-  Issuer_key.verify_rmc t.key ~principal_key rmc && Issuer_records.is_valid t.records rmc.id
+  Monitor.granted t.monitor rmc ~session_key:principal_key
+  && Issuer_records.is_valid t.records rmc.id
 
 let verify_own_appt t (appt : Appointment.t) =
   Issuer_key.verify_appointment t.key ~now:(World.now t.world) appt
@@ -206,15 +210,16 @@ let trace_verdict t ~cert_id source ok =
 
 (* Remote validation with optional caching (Sect. 4, experiment E3).
 
-   Positive verdicts are cached with an invalidation watch on the issuer's
-   event channel; when that watch reports the certificate dead, the entry
-   is converted to a cached negative verdict (revocation is permanent), so
-   re-presenting a revoked certificate answers locally instead of issuing
-   the callback again. A plain [false] wire verdict is never cached — RMC
-   validity depends on the presented session key, not the cert id alone. *)
-let validate_remote t ~make_request ~cert_id ~issuer =
-  let trace_verdict = trace_verdict t ~cert_id in
-  let cached = if t.config.cache_remote_validation then Vcache.lookup t.cache cert_id else None in
+   Positive verdicts are cached, for the exact presentation they answered,
+   with an invalidation watch on the issuer's event channel; when that
+   watch reports the certificate dead, the entry is converted to a cached
+   negative verdict (revocation is permanent), so re-presenting a revoked
+   certificate answers locally instead of issuing the callback again. A
+   plain [false] wire verdict is never cached — RMC validity depends on the
+   presented session key, not the cert id alone. *)
+let validate_remote t ~issuer (presented : Vcache.presented) =
+  let trace_verdict = trace_verdict t ~cert_id:(Vcache.presented_id presented) in
+  let cached = if t.config.cache_remote_validation then Vcache.lookup t.cache presented else None in
   match cached with
   | Some Vcache.Valid -> trace_verdict "cache" true
   | Some Vcache.Invalid -> trace_verdict "cache" false
@@ -224,7 +229,12 @@ let validate_remote t ~make_request ~cert_id ~issuer =
          retried — a 'false' answer is authoritative). *)
       let attempt () =
         Obs.Counter.inc t.st.callbacks_out;
-        match Network.rpc (World.network t.world) ~src:t.sid ~dst:issuer (make_request ()) with
+        let request =
+          match presented with
+          | Vcache.Rmc (rmc, principal_key) -> Protocol.Validate_rmc { rmc; principal_key }
+          | Vcache.Appointment appt -> Protocol.Validate_appt { appt }
+        in
+        match Network.rpc (World.network t.world) ~src:t.sid ~dst:issuer request with
         | reply -> Ok reply
         | exception Network.Rpc_dropped -> Error ()
       in
@@ -235,7 +245,7 @@ let validate_remote t ~make_request ~cert_id ~issuer =
       with
       | Ok (Protocol.Validate_result ok) ->
           if ok && t.config.cache_remote_validation then
-            Monitor.cache_valid t.monitor ~issuer cert_id;
+            Monitor.cache_valid t.monitor ~issuer presented;
           trace_verdict "callback" ok
       | Ok _ -> trace_verdict "callback" false
       | Error () ->
@@ -306,10 +316,9 @@ let validate_presented t ~src ~session_key ~rules (creds : Protocol.credentials)
       match issuer_chain t rmc.issuer with
       | Some chain ->
           offline_verdict ~issuer:rmc.issuer rmc.id (fun () ->
-              Signed.verify_rmc ~address:t.root_address ~chain ~principal_key:session_key rmc)
-      | None ->
-          validate_remote t ~cert_id:rmc.id ~issuer:rmc.issuer ~make_request:(fun () ->
-              Protocol.Validate_rmc { rmc; principal_key = session_key })
+              Vcache.verify_rmc t.cache ~address:t.root_address ~chain ~principal_key:session_key
+                rmc)
+      | None -> validate_remote t ~issuer:rmc.issuer (Vcache.Rmc (rmc, session_key))
   in
   let appt_ok (appt : Appointment.t) =
     (if Ident.equal appt.issuer t.sid then verify_own_appt t appt
@@ -317,11 +326,9 @@ let validate_presented t ~src ~session_key ~rules (creds : Protocol.credentials)
        match issuer_chain t appt.issuer with
        | Some chain ->
            offline_verdict ~issuer:appt.issuer appt.id (fun () ->
-               Signed.verify_appointment ~address:t.root_address ~chain ~now:(World.now t.world)
-                 appt)
-       | None ->
-           validate_remote t ~cert_id:appt.id ~issuer:appt.issuer ~make_request:(fun () ->
-               Protocol.Validate_appt { appt }))
+               Vcache.verify_appointment t.cache ~address:t.root_address ~chain
+                 ~now:(World.now t.world) appt)
+       | None -> validate_remote t ~issuer:appt.issuer (Vcache.Appointment appt))
     && ((not t.config.challenge_appointment_holders)
        (* Prove possession of the long-lived holder key: defeats stolen
           appointment certificates (Sect. 4.1). *)

@@ -16,7 +16,17 @@
     Server-side message handling runs inside simulated processes, so a
     service's policy evaluation may itself perform validation callbacks to
     other services, and its registered operations may invoke further
-    services — the cross-domain chains of Fig. 3. *)
+    services — the cross-domain chains of Fig. 3.
+
+    A presented certificate costs a signature check at most once per
+    service and issuer key certificate (DESIGN.md §12). The service's own
+    RMCs — presented to it, or in a validation callback it answers — are
+    compared with the certificate its monitor recorded at the grant
+    ({!Monitor.granted}), with no signature check at all. A foreign
+    certificate checked offline is compared with the one its validation
+    cache remembers from an earlier successful check under the same key
+    certificate; the chain, expiry, epoch and revocation checks run on
+    every presentation. *)
 
 type t
 
@@ -32,8 +42,9 @@ type config = {
           the Sect. 4.1 defence against stolen appointment certificates;
           default off (the firewalled-domain assumption) *)
   cache_remote_validation : bool;
-      (** cache positive callback verdicts, invalidated over the issuer's
-          event channel (Sect. 4); default on *)
+      (** cache positive callback verdicts, each for the presentation it
+          answered (the certificate and an RMC's session key), invalidated
+          over the issuer's event channel (Sect. 4); default on *)
   retry : Oasis_util.Backoff.policy;
       (** the shared retry policy for RPC call sites (validation callbacks,
           anti-entropy reconciliation) when a datagram is lost; a negative
@@ -241,9 +252,10 @@ type stats = {
   offline_validations : int;
       (** remote credentials checked locally against an issuer chain —
           presentations that under the legacy path would each have been a
-          [callbacks_out] RPC. Only credentials a candidate rule of the
-          request names are checked locally; the others are dropped
-          unchecked and not counted *)
+          [callbacks_out] RPC — whether or not the signature step was
+          answered from the validation cache. Only credentials a candidate
+          rule of the request names are checked locally; the others are
+          dropped unchecked and not counted *)
   validation_failures : int;
       (** presented credentials that were checked and found invalid, and so
           dropped: every callback-checked one (HMAC signers, issuers

@@ -38,7 +38,6 @@ type t = {
   monitoring : monitoring;
   authority : Oasis_cert.Signed.authority;
   names : (string, Ident.t) Hashtbl.t;
-  ids : string Ident.Tbl.t;
   cert_gen : Ident.gen;
   service_gen : Ident.gen;
   principal_gen : Ident.gen;
@@ -68,6 +67,9 @@ let create ?(seed = 1) ?(net_latency = 0.001) ?(net_jitter = 0.0) ?(notify_laten
      publishes that name their source are filtered against the fault map. *)
   Broker.set_filter broker
     (Some (fun ~publisher ~owner -> Oasis_sim.Fault.is_cut fault publisher owner));
+  (* What a partition kept from a live watch that stays true forever (a
+     revocation tombstone) is sent again once the partition heals. *)
+  Oasis_sim.Fault.on_heal fault (fun () -> Broker.redeliver broker);
   {
     engine;
     rng;
@@ -78,7 +80,6 @@ let create ?(seed = 1) ?(net_latency = 0.001) ?(net_jitter = 0.0) ?(notify_laten
     monitoring;
     authority;
     names = Hashtbl.create 16;
-    ids = Ident.Tbl.create 16;
     cert_gen = Ident.generator "cert";
     service_gen = Ident.generator "service";
     principal_gen = Ident.generator "principal";
@@ -114,12 +115,9 @@ let fresh_anon_id t = Ident.fresh t.anon_gen
 let register_service t ~name id =
   if Hashtbl.mem t.names name then
     invalid_arg (Printf.sprintf "World.register_service: name %s already bound" name);
-  Hashtbl.replace t.names name id;
-  Ident.Tbl.replace t.ids id name
+  Hashtbl.replace t.names name id
 
 let resolve t name = Hashtbl.find_opt t.names name
-
-let service_name t id = Ident.Tbl.find_opt t.ids id
 
 let spawn t f = Proc.spawn t.engine f
 

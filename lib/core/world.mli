@@ -72,7 +72,6 @@ val register_service : t -> name:string -> Oasis_util.Ident.t -> unit
 (** Binds a symbolic service name. Raises [Invalid_argument] on rebinding. *)
 
 val resolve : t -> string -> Oasis_util.Ident.t option
-val service_name : t -> Oasis_util.Ident.t -> string option
 
 val spawn : t -> (unit -> unit) -> unit
 (** Starts a simulated process (see {!Oasis_sim.Proc}). *)
@@ -119,15 +118,11 @@ val file_audit_certificate : t -> Oasis_trust.Audit.t -> party:Oasis_util.Ident.
     replaying an already-filed certificate changes nothing and notifies
     nobody). *)
 
-val assess : t -> Oasis_util.Ident.t -> Oasis_trust.Assess.verdict
-(** Scores a party from its wallet via the world assessor, updating the
-    [trust.score{subject=..}] gauge and [trust.rejected{cause=..}]
-    counters. *)
-
 val trust_score : t -> Oasis_util.Ident.t -> float
 (** The subject's current score. Served from the assessor's running
     aggregate (one decay multiplication) whenever possible; falls back to
-    a full {!assess} of the wallet — so repeated [trust_score] env checks
+    a full assessment of the wallet (updating the [trust.score{subject=..}]
+    gauge and [trust.rejected{cause=..}] counters) — so repeated [trust_score] env checks
     cost O(1), not O(wallet). *)
 
 val set_trust_decay : t -> rate:float -> tick:float -> unit

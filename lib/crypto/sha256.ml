@@ -226,5 +226,3 @@ let equal_ct a b =
   !acc = 0
 
 let equal = equal_ct
-
-let pp ppf d = Format.pp_print_string ppf (to_hex d)

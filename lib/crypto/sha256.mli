@@ -54,5 +54,3 @@ val equal_ct : digest -> digest -> bool
 
 val equal : digest -> digest -> bool
 (** Alias of {!equal_ct}; kept for callers that compare public digests. *)
-
-val pp : Format.formatter -> digest -> unit

@@ -13,8 +13,10 @@ type t = {
 
 let qualified_name dname n = dname ^ "." ^ n
 
-let create world ~name ?civ_replicas () =
-  let civ = Civ.create world ~name:(qualified_name name "civ") ?replicas:civ_replicas () in
+let create world ~name ?civ_replicas ?offline_sign () =
+  let civ =
+    Civ.create world ~name:(qualified_name name "civ") ?replicas:civ_replicas ?offline_sign ()
+  in
   {
     dname = name;
     world;

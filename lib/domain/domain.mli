@@ -12,8 +12,10 @@
 
 type t
 
-val create : Oasis_core.World.t -> name:string -> ?civ_replicas:int -> unit -> t
-(** Creates the domain with its CIV cluster registered as ["<name>.civ"]. *)
+val create :
+  Oasis_core.World.t -> name:string -> ?civ_replicas:int -> ?offline_sign:bool -> unit -> t
+(** Creates the domain with its CIV cluster registered as ["<name>.civ"];
+    [offline_sign] picks the cluster's signing scheme ({!Civ.create}). *)
 
 val name : t -> string
 val world : t -> Oasis_core.World.t

@@ -75,7 +75,6 @@ let establish world ~name ~between ~and_ ~clauses =
   }
 
 let name t = t.sname
-let parties t = t.parties
 let clauses t = t.clauses
 
 let pp ppf t =

@@ -54,7 +54,6 @@ val establish :
     service that is neither party. *)
 
 val name : t -> string
-val parties : t -> string * string
 val clauses : t -> clause list
 
 val pp : Format.formatter -> t -> unit

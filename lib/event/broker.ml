@@ -50,6 +50,11 @@ type 'a t = {
      world wires this to [Fault.is_cut] so named partitions sever event
      channels exactly as they sever the network. *)
   mutable filter : (publisher:Ident.t -> owner:Ident.t -> bool) option;
+  (* Retained events the filter kept from a subscriber that was still
+     active, with their publisher: {!redeliver} sends each again once its
+     pair is reconnected. A retained event stays true forever, so a heal
+     must not leave the subscriber without it. *)
+  mutable severed : ('a sub * Ident.t * 'a) list;
   c_published : Obs.Counter.t;
   c_notified : Obs.Counter.t;
   c_suppressed : Obs.Counter.t;
@@ -73,6 +78,7 @@ let create engine rng ~notify_latency ?(jitter = 0.0) ?obs () =
     next_id = 0;
     pub_count = 0;
     filter = None;
+    severed = [];
     c_published = Obs.counter obs "broker.published";
     c_notified = Obs.counter obs "broker.notified";
     c_suppressed = Obs.counter obs "broker.suppressed" ~labels:[ ("cause", "unsubscribed") ];
@@ -149,7 +155,7 @@ let cut t src sub =
 (* The at-delivery-time body shared by the batched and per-subscriber
    paths: partition filtering, accounting, callback. The caller has already
    established that the subscriber was active when the publish was issued. *)
-let deliver t src sub payload =
+let deliver t ~retained src sub payload =
   if not sub.active then
     (* The subscriber unsubscribed while this notification was in flight.
        Account for it so published × subscribers = notified + suppressed
@@ -159,6 +165,9 @@ let deliver t src sub payload =
     (* Partitioned at delivery time: the channel is severed, the
        notification is lost like a network message. *)
     Obs.Counter.inc t.c_suppressed_part;
+    (match src with
+    | Some publisher when retained -> t.severed <- (sub, publisher, payload) :: t.severed
+    | Some _ | None -> ());
     if Obs.tracing t.obs then
       Obs.event t.obs "broker.suppress"
         ~labels:
@@ -176,8 +185,19 @@ let deliver t src sub payload =
     sub.callback sub.sub_topic payload
   end
 
-let schedule_delivery t src sub payload =
-  ignore (Engine.schedule t.engine ~after:(delay t) (fun () -> deliver t src sub payload))
+let schedule_delivery t ~retained src sub payload =
+  ignore
+    (Engine.schedule t.engine ~after:(delay t) (fun () -> deliver t ~retained src sub payload))
+
+let redeliver t =
+  let severed = List.rev t.severed in
+  t.severed <- [];
+  List.iter
+    (fun (sub, publisher, payload) ->
+      if not sub.active then ()
+      else if cut t (Some publisher) sub then t.severed <- (sub, publisher, payload) :: t.severed
+      else schedule_delivery t ~retained:true (Some publisher) sub payload)
+    severed
 
 let subscribe ?(replay_retained = false) t topic ~owner callback =
   let sub =
@@ -191,7 +211,7 @@ let subscribe ?(replay_retained = false) t topic ~owner callback =
      filtering at delivery time. *)
   if replay_retained then begin
     match Hashtbl.find_opt t.retained topic with
-    | Some (src, payload) -> schedule_delivery t src sub payload
+    | Some (src, payload) -> schedule_delivery t ~retained:true src sub payload
     | None -> ()
   end;
   {
@@ -238,7 +258,7 @@ let publish ?src ?(retain = false) t topic payload =
              interleavings are unchanged. *)
           for i = 0 to n - 1 do
             let sub = arr.(i) in
-            if sub.active then schedule_delivery t src sub payload
+            if sub.active then schedule_delivery t ~retained:retain src sub payload
           done
         else begin
           (* Zero jitter: all deliveries land at the same instant anyway, so
@@ -248,7 +268,7 @@ let publish ?src ?(retain = false) t topic payload =
             (Engine.schedule t.engine ~after:t.latency (fun () ->
                  for i = 0 to n - 1 do
                    let sub = arr.(i) in
-                   if sub.active then deliver t src sub payload
+                   if sub.active then deliver t ~retained:retain src sub payload
                    else if sub.unsub_pub >= pub_id then
                      (* Active when published, gone now: suppressed in
                         flight. (If it left before this publish, it was

@@ -59,7 +59,8 @@ val unsubscribe : 'a t -> subscription -> unit
     flight at unsubscribe time are suppressed at delivery and counted under
     [broker.suppressed{cause=unsubscribed}], so every scheduled notification
     is accounted for: for each publish, subscribers-at-publish-time =
-    [broker.notified] + the [broker.suppressed{cause=...}] sum. *)
+    [broker.notified] + the [broker.suppressed{cause=...}] sum, apart from
+    the second attempts {!redeliver} makes. *)
 
 val publish : ?src:Oasis_util.Ident.t -> ?retain:bool -> 'a t -> topic -> 'a -> unit
 (** Callable from any context. Delivery order to distinct subscribers of one
@@ -82,7 +83,18 @@ val set_filter : 'a t -> (publisher:Oasis_util.Ident.t -> owner:Oasis_util.Ident
     subscriber owner is severed and the notification is suppressed (counted
     under [broker.suppressed{cause=partitioned}]). The world wires this to
     [Fault.is_cut] so partitions cut event channels alongside the
-    network. *)
+    network. A suppressed {e retained} event — a publish with [retain], or
+    a replay — is remembered for {!redeliver}. *)
+
+val redeliver : 'a t -> unit
+(** Sends again each retained event the filter kept from a subscriber that
+    is still active, once the filter no longer severs its publisher from
+    that subscriber: same latency, same filtering at delivery (counted
+    again under [broker.notified] or [broker.suppressed]). Events still
+    severed stay remembered; those whose subscriber left are forgotten.
+    The world calls it whenever {!Oasis_sim.Fault.heal} removes a
+    partition, so a revocation announced behind a partition reaches every
+    live watch of the certificate after the heal. *)
 
 val retained : 'a t -> topic -> reader:Oasis_util.Ident.t -> 'a option
 (** The topic's retained event as visible to [reader] right now: [None] if

@@ -28,7 +28,6 @@ let stop_emitter emitter =
 
 type monitor = {
   mutable alive : bool;
-  mutable miss_fired : bool;
   mutable last_beat : float;
   mutable unsub : unit -> unit;
   mutable cancel_pending : unit -> unit;
@@ -48,7 +47,6 @@ let watch ?(accept = fun _ -> true) ?(on_beat = ignore) ?owner broker engine ~to
   let m =
     {
       alive = true;
-      miss_fired = false;
       last_beat = Engine.now engine;
       unsub = (fun () -> ());
       cancel_pending = (fun () -> ());
@@ -76,7 +74,6 @@ let watch ?(accept = fun _ -> true) ?(on_beat = ignore) ?owner broker engine ~to
             if m.last_beat = snapshot then begin
               (* No beat since arming: the deadline has truly lapsed. *)
               m.alive <- false;
-              m.miss_fired <- true;
               m.unsub ();
               let obs = Broker.obs broker in
               Obs.Counter.inc (Obs.counter obs "hb.misses");
@@ -97,5 +94,3 @@ let cancel_watch m =
     m.cancel_pending ();
     m.cancel_pending <- (fun () -> ())
   end
-
-let missed m = m.miss_fired

@@ -53,5 +53,3 @@ val watch :
 
 val cancel_watch : monitor -> unit
 (** Stops the monitor without firing [on_miss]. Idempotent. *)
-
-val missed : monitor -> bool

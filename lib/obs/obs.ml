@@ -68,7 +68,6 @@ type t = {
 let create ?(now = fun () -> 0.0) () =
   { now; metrics = Hashtbl.create 64; sinks = []; tracing = false; seq = 0; next_span = 0 }
 
-let null () = create ()
 
 let tracing t = t.tracing
 

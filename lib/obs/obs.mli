@@ -66,10 +66,6 @@ val create : ?now:(unit -> float) -> unit -> t
 (** [now] supplies event timestamps — virtual time when driven by an
     engine. Defaults to a constant 0 clock. *)
 
-val null : unit -> t
-(** A fresh instance with no sinks and the constant clock: metrics work,
-    tracing stays off. The zero-overhead configuration benchmarks run in. *)
-
 val tracing : t -> bool
 (** [true] iff at least one sink is attached. Guard event construction with
     this so disabled tracing costs one branch. *)

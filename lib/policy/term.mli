@@ -24,8 +24,6 @@ module Subst : sig
 
   val empty : t
   val find : t -> string -> binding option
-  val bind : t -> string -> binding -> t option
-  (** [None] if the variable is already bound to a different value. *)
 
   val pp : Format.formatter -> t -> unit
 end

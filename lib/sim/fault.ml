@@ -8,6 +8,7 @@ type 'msg t = {
   partitions : (string, (Ident.t * Ident.t) list) Hashtbl.t;
   hooks : hooks Ident.Tbl.t;
   crashed : bool Ident.Tbl.t;
+  mutable on_heal : unit -> unit;
   c_partitions : Obs.Counter.t;
 }
 
@@ -17,6 +18,7 @@ let create net =
     partitions = Hashtbl.create 8;
     hooks = Ident.Tbl.create 16;
     crashed = Ident.Tbl.create 16;
+    on_heal = ignore;
     c_partitions = Obs.counter (Network.obs net) "net.partitioned";
   }
 
@@ -51,7 +53,10 @@ let heal t name =
           Network.unblock_pair t.net b a)
         pairs;
       let obs = Network.obs t.net in
-      if Obs.tracing obs then Obs.event obs "fault.heal" ~labels:[ ("name", name) ]
+      if Obs.tracing obs then Obs.event obs "fault.heal" ~labels:[ ("name", name) ];
+      t.on_heal ()
+
+let on_heal t hook = t.on_heal <- hook
 
 let active_partitions t = Hashtbl.fold (fun name _ acc -> name :: acc) t.partitions []
 let heal_all t = List.iter (heal t) (active_partitions t)

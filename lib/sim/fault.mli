@@ -29,8 +29,15 @@ val partition :
     appearing on both sides are not cut from themselves. *)
 
 val heal : 'msg t -> string -> unit
-(** Removes the named partition. Raises [Invalid_argument] on an unknown
-    name — a typo in a scenario must surface loudly. *)
+(** Removes the named partition, then runs the {!on_heal} hook. Raises
+    [Invalid_argument] on an unknown name — a typo in a scenario must
+    surface loudly. *)
+
+val on_heal : 'msg t -> (unit -> unit) -> unit
+(** Registers the hook {!heal} runs once a partition is gone (replacing
+    any earlier one). The world wires it to the event broker, which
+    re-sends the retained events the partition kept from live
+    subscribers. *)
 
 val heal_all : 'msg t -> unit
 

@@ -99,14 +99,6 @@ let remove_min t =
   if t.len > 0 then sift_down t 0;
   maybe_shrink t
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let time = t.times.(0) and seq = t.seqs.(0) and value = t.vals.(0) in
-    remove_min t;
-    Some (time, seq, value)
-  end
-
 let min_time t =
   if t.len = 0 then invalid_arg "Heap.min_time: empty heap";
   t.times.(0)

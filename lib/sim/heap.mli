@@ -15,23 +15,20 @@ type 'a t
 
 val create : dummy:'a -> unit -> 'a t
 (** [dummy] is a sentinel used to clear vacated slots; it is never returned
-    by {!pop} or {!pop_min}. *)
+    by {!pop_min}. *)
 
 val is_empty : 'a t -> bool
 val size : 'a t -> int
 
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 
-val pop : 'a t -> (float * int * 'a) option
-(** Removes and returns the minimum element. *)
-
 val min_time : 'a t -> float
 (** The key of the minimum element. Raises [Invalid_argument] when empty. *)
 
 val pop_min : 'a t -> 'a
-(** Allocation-free {!pop}: removes the minimum element and returns its
-    value only ({!min_time} reads its key first). Raises [Invalid_argument]
-    when empty. *)
+(** Removes the minimum element and returns its value, allocating nothing
+    ({!min_time} reads its key first). Raises [Invalid_argument] when
+    empty. *)
 
 val peek_time : 'a t -> float option
 (** The key of the minimum element without removing it. *)

@@ -34,6 +34,8 @@ let create ?(threshold = 0.5) ?(discounting = true) ?(decay_rate = 0.0) () =
 let threshold t = t.thr
 let decay_rate t = t.decay_rate
 
+(* Drops every running aggregate: registrar weights or decay parameters
+   changed. *)
 let invalidate t = Ident.Tbl.reset t.aggregates
 
 let set_decay_rate t rate =

@@ -92,10 +92,6 @@ val cached_score :
     precedes the aggregate's reference instant — fall back to a full
     {!assess}. *)
 
-val invalidate : t -> unit
-(** Drop all running aggregates (registrar weights or decay parameters
-    changed out of band). *)
-
 val feedback : t -> verdict -> actual:Audit.outcome -> unit
 (** After proceeding, report how the counterparty actually behaved. If the
     history said "trustworthy" and the party breached, every registrar whose

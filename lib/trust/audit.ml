@@ -6,10 +6,6 @@ module Sha256 = Oasis_crypto.Sha256
 
 type outcome = Fulfilled | Breached
 
-let pp_outcome ppf = function
-  | Fulfilled -> Format.pp_print_string ppf "fulfilled"
-  | Breached -> Format.pp_print_string ppf "breached"
-
 type t = {
   id : Ident.t;
   registrar : Ident.t;
@@ -61,7 +57,3 @@ let outcome_for t party =
 let involves t party = Ident.equal t.client party || Ident.equal t.server party
 
 let with_server_outcome t server_outcome = { t with server_outcome }
-
-let pp ppf t =
-  Format.fprintf ppf "AUDIT[%a %a->%a client=%a server=%a by %a]" Ident.pp t.id Ident.pp t.client
-    Ident.pp t.server pp_outcome t.client_outcome pp_outcome t.server_outcome Ident.pp t.registrar

@@ -48,5 +48,3 @@ val involves : t -> Oasis_util.Ident.t -> bool
 
 val with_server_outcome : t -> outcome -> t
 (** Tampering helper for tests: altered record, original signature. *)
-
-val pp : Format.formatter -> t -> unit

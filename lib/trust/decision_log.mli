@@ -20,7 +20,7 @@
     {!Oasis_util.Chunks} store — the payload's length (4 bytes,
     big-endian), the payload and the 32-byte hash; [prev] is the hash
     stored before it. The payload is encoded once per append, hashed and
-    copied into the store; {!records}, {!find} and {!fold} decode from the
+    copied into the store; {!records} and {!find} decode from the
     stored bytes, and {!verify} hashes them where they lie. The log itself
     keeps only its head, its length, one scratch buffer and each record's
     offset, so a crash that drops the log and keeps the store (the
@@ -102,14 +102,10 @@ val head : t -> Oasis_crypto.Sha256.digest
 val records : t -> record list
 (** Every record, oldest first, decoded from the store. *)
 
-val fold : ('a -> record -> 'a) -> 'a -> t -> 'a
-(** [fold f init t] folds [f] over the records oldest first, decoding one at
-    a time. *)
-
 val find : t -> seq:int -> record option
 (** Decodes the one record [seq] through the offset index. *)
 
-(** {!records}, {!fold} and {!find} raise [Failure] if the stored bytes no
+(** {!records} and {!find} raise [Failure] if the stored bytes no
     longer decode, which only a change to the store under the live log can
     cause (run {!verify} first). *)
 

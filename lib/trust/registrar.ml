@@ -9,7 +9,6 @@ type t = {
   cert_gen : Ident.gen;
   issued : Audit.t Ident.Tbl.t;
   repudiated : unit Ident.Tbl.t;
-  mutable validation_count : int;
 }
 
 let create rng ~name ?(honest = true) () =
@@ -20,7 +19,6 @@ let create rng ~name ?(honest = true) () =
     cert_gen = Ident.generator ("audit-" ^ name);
     issued = Ident.Tbl.create 256;
     repudiated = Ident.Tbl.create 16;
-    validation_count = 0;
   }
 
 let id t = t.rid
@@ -47,11 +45,9 @@ let repudiate t cert_id =
   Ident.Tbl.replace t.repudiated cert_id ()
 
 let validate t (cert : Audit.t) =
-  t.validation_count <- t.validation_count + 1;
   Ident.equal cert.registrar t.rid
   && Ident.Tbl.mem t.issued cert.id
   && (not (Ident.Tbl.mem t.repudiated cert.id))
   && Audit.verify ~secret:t.secret cert
 
 
-let validations t = t.validation_count

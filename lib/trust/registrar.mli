@@ -43,6 +43,4 @@ val repudiate : t -> Oasis_util.Ident.t -> unit
 
 val validate : t -> Audit.t -> bool
 (** Checks the signature, that this registrar issued it, and that it has not
-    been repudiated. Counts toward {!validations}. *)
-
-val validations : t -> int
+    been repudiated. *)

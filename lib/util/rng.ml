@@ -4,7 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
 
 (* splitmix64: Steele, Lea & Flood, OOPSLA 2014. *)
 let int64 t =

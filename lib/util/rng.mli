@@ -11,9 +11,6 @@ val create : int -> t
 (** [create seed] makes a fresh generator. Generators created from the same
     seed produce identical streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; the copy evolves independently. *)
-
 val split : t -> t
 (** [split t] derives an independent generator, advancing [t]. Use to give
     each simulated component its own stream. *)

@@ -23,6 +23,11 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let identical a b =
+  match (a, b) with Time x, Time y -> same_float x y | _ -> equal a b
+
 let to_string = function
   | Int n -> string_of_int n
   | Str s -> s
@@ -70,20 +75,3 @@ let write buf pos v =
   | Time f ->
       Printed_length.write_hex_float buf (write_header buf pos 't' (Printed_length.hex_float f)) f
   | Id i -> Ident.write buf (write_header buf pos 'd' (Ident.string_length i)) i
-
-let of_string s =
-  match int_of_string_opt s with
-  | Some n -> Int n
-  | None -> (
-      match s with
-      | "true" -> Bool true
-      | "false" -> Bool false
-      | _ ->
-          if String.length s > 2 && String.sub s 0 2 = "t:" then
-            match float_of_string_opt (String.sub s 2 (String.length s - 2)) with
-            | Some f -> Time f
-            | None -> Str s
-          else
-            match Ident.of_string s with
-            | Some i -> Id i
-            | None -> Str s)

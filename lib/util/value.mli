@@ -15,6 +15,16 @@ type t =
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
+val same_float : float -> float -> bool
+(** Bit-pattern equality: [0.0] and [-0.0] differ, and a NaN matches
+    itself. *)
+
+val identical : t -> t -> bool
+(** As {!equal}, but a [Time] compares with {!same_float}. Use it where
+    two values must encode alike, as a presented certificate must match
+    one remembered after a signature check. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
@@ -29,7 +39,3 @@ val write : Bytes.t -> int -> t -> int
     encoding at [pos] and returns [pos + encoded_length v]; used when
     computing certificate signatures so that distinct field lists can never
     collide ([Fig. 4]'s protected fields). Allocates nothing. *)
-
-val of_string : string -> t
-(** Best-effort parse used by the policy parser: integers, [true]/[false],
-    [t:<float>] for times, [tag#n] for identifiers, anything else a string. *)

@@ -1,9 +1,15 @@
 #!/bin/sh
 # Fails when a value exported by a lib/**/*.mli has no caller outside its
-# own module except tests: a word scan of every [val] name against the
-# .ml/.mli files of lib/, bin/, bench/, perf/, examples/ and test/,
-# skipping the value's own .ml and .mli, comments, and the name a
-# definition line defines. It reports two kinds:
+# own module except tests: a scan of the .ml/.mli files of lib/, bin/,
+# bench/, perf/, examples/ and test/ that skips the value's own .ml and
+# .mli, comments and string and character literals. A qualified path
+# names one module: [M.v], [Lib.M.v] and [M.Sub.v] mention [M.v], and so
+# does [X.v] where [X] is a module alias the same file declares
+# ([module X = Oasis_lib.M], resolved transitively), but not [Y.v] for any
+# other module [Y] — [Queue.pop] is no caller of [Heap.pop]. An
+# unqualified word counts for every module exporting it (it may be in
+# scope through an [open] or a functor argument), except the name a
+# [let]/[val]/[and] line defines. It reports two kinds:
 #
 #   - exports mentioned nowhere outside their own module;
 #   - exports that only test/ mentions: lib/ holds what the system runs.
@@ -25,7 +31,69 @@ report=$(awk -v allow="$allow" '
 function stem(f) { sub(/\.mli?$/, "", f); return f }
 function modname(s) { sub(/.*\//, "", s); return toupper(substr(s, 1, 1)) substr(s, 2) }
 function trim(s) { gsub(/^[ \t]+|[ \t]+$/, "", s); return s }
+# The first of [a] and [b] in [str] (0 if neither), the match kept in
+# [found].
+function first_of(str, a, b,   i, j) {
+  i = index(str, a); j = index(str, b)
+  if (i > 0 && (j == 0 || i <= j)) { found = a; return i }
+  if (j > 0) { found = b; return j }
+  return 0
+}
+# The line with comments and string literals blanked, carrying [depth]
+# (comment nesting) and [quote] (the open string'\''s closing delimiter)
+# across lines.
+function strip(line,   out, p, q, n) {
+  gsub(/'\''\\?"'\''/, " ", line)
+  out = ""
+  while (line != "") {
+    if (depth > 0) {
+      p = first_of(line, "(*", "*)")
+      if (p == 0) return out
+      depth += found == "(*" ? 1 : -1
+      line = substr(line, p + 2)
+    } else if (quote != "") {
+      if (quote == "|}") {
+        p = index(line, "|}")
+        if (p == 0) return out
+        line = substr(line, p + 2)
+      } else {
+        p = index(line, "\"")
+        if (p == 0) return out
+        for (q = p - 1; q > 0 && substr(line, q, 1) == "\\"; q--) ;
+        line = substr(line, p + 1)
+        if ((p - 1 - q) % 2 == 1) continue
+      }
+      quote = ""; out = out " "
+    } else {
+      p = first_of(line, "(*", "\"")
+      n = index(line, "{|")
+      if (n > 0 && (p == 0 || n < p)) { p = n; found = "{|" }
+      if (p == 0) return out line
+      out = out substr(line, 1, p - 1) " "
+      if (found == "(*") { depth = 1; line = substr(line, p + 2) }
+      else if (found == "{|") { quote = "|}"; line = substr(line, p + 2) }
+      else { quote = "\""; line = substr(line, p + 1) }
+    }
+  }
+  return out
+}
+# The lib module a module path names: its head expanded through this
+# file'\''s aliases, then the last component that is a lib module
+# ([Oasis_obs.Obs.Counter] names Obs).
+function resolve(path,   hops, head, n, parts, i) {
+  for (hops = 0; hops < 8; hops++) {
+    head = path
+    sub(/\..*/, "", head)
+    if (!(head in alias)) break
+    path = alias[head] substr(path, length(head) + 1)
+  }
+  n = split(path, parts, ".")
+  for (i = n; i >= 1; i--) if (parts[i] in known) return parts[i]
+  return ""
+}
 BEGIN {
+  for (i = 1; i < ARGC; i++)
+    if (ARGV[i] ~ /^lib\/.*\.mli$/) known[modname(stem(ARGV[i]))] = stem(ARGV[i])
   if (allow != "")
     while ((getline line < allow) > 0) {
       lineno++
@@ -37,44 +105,50 @@ BEGIN {
       allowed[name] = 1
     }
 }
-FNR == 1 { depth = 0 }
-{
-  # Strip OCaml comments (nested, across lines): a word in a comment is
-  # not a caller.
-  out = ""; rest = $0
-  while (rest != "") {
-    if (depth > 0) {
-      o = index(rest, "(*"); c = index(rest, "*)")
-      if (c == 0 && o == 0) rest = ""
-      if (o > 0 && (c == 0 || o < c)) { depth++; rest = substr(rest, o + 2) }
-      else { depth--; rest = substr(rest, c + 2) }
-    } else {
-      o = index(rest, "(*")
-      if (o == 0) { out = out rest; rest = "" }
-      else { out = out substr(rest, 1, o - 1) " "; depth = 1; rest = substr(rest, o + 2) }
-    }
-  }
-  $0 = out
+FNR == 1 {
+  depth = 0; quote = ""
+  split("", alias)
+  s = stem(FILENAME)
+  istest = FILENAME ~ /^test\//
 }
 {
-  s = stem(FILENAME)
+  $0 = strip($0)
   if (FILENAME ~ /^lib\/.*\.mli$/ && match($0, /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_'\'']*/)) {
     v = substr($0, RSTART, RLENGTH)
     sub(/^[ \t]*val[ \t]+/, "", v)
-    vals[s, v] = 1
     exported[modname(s) "." v] = 1
   }
-  # The name a [let]/[val]/[and] line defines is not a mention of it, so
-  # a same-named value in another module does not count as a caller.
+  if (match($0, /^[ \t]*module[ \t]+[A-Z][A-Za-z0-9_'\'']*[ \t]*=[ \t]*[A-Z][A-Za-z0-9_'\''.]*[ \t]*$/)) {
+    target = $0
+    sub(/^[ \t]*module[ \t]+/, "", target)
+    name = target; sub(/[ \t]*=.*/, "", name)
+    sub(/^[^=]*=/, "", target)
+    alias[name] = trim(target)
+    next
+  }
+  # Each qualified path mentions the one module it resolves to.
+  rest = $0
+  while (match(rest, /[A-Z][A-Za-z0-9_'\'']*(\.[A-Z][A-Za-z0-9_'\'']*)*\.[a-z_][A-Za-z0-9_'\'']*/)) {
+    path = substr(rest, RSTART, RLENGTH)
+    rest = substr(rest, 1, RSTART - 1) " " substr(rest, RSTART + RLENGTH)
+    v = path; sub(/.*\./, "", v)
+    sub(/\.[^.]*$/, "", path)
+    m = resolve(path)
+    if (m == "" || known[m] == s) continue
+    if (istest) intest[m "." v] = 1
+    else qualified[m "." v] = 1
+  }
+  # The unqualified words: the name a [let]/[val]/[and] line defines is
+  # not a mention of it, so a same-named value in another module does not
+  # count as a caller. For each other word, the first non-test stem
+  # mentioning it, whether a second non-test stem does, and whether a
+  # test mentions it.
   defined = ""
-  if (match($0, /^[ \t]*(let|val|and)[ \t]+(rec[ \t]+)?[a-z_][A-Za-z0-9_'\'']*/)) {
-    defined = substr($0, RSTART, RLENGTH)
+  if (match(rest, /^[ \t]*(let|val|and)[ \t]+(rec[ \t]+)?[a-z_][A-Za-z0-9_'\'']*/)) {
+    defined = substr(rest, RSTART, RLENGTH)
     sub(/.*[ \t]/, "", defined)
   }
-  # For each word: the first non-test stem mentioning it, whether a second
-  # non-test stem does, and whether a test mentions it.
-  istest = FILENAME ~ /^test\//
-  n = split($0, w, /[^A-Za-z0-9_'\'']+/)
+  n = split(rest, w, /[^A-Za-z0-9_'\'']+/)
   for (i = 1; i <= n; i++) {
     k = w[i]
     if (k == "") continue
@@ -85,15 +159,15 @@ FNR == 1 { depth = 0 }
   }
 }
 END {
-  for (sv in vals) {
-    split(sv, p, SUBSEP)
-    name = modname(p[1]) "." p[2]
-    used = (p[2] in elsewhere) || ((p[2] in first) && first[p[2]] != p[1])
+  for (name in exported) {
+    split(name, p, ".")
+    v = p[2]
+    used = (name in qualified) || (v in elsewhere) || ((v in first) && first[v] != known[p[1]])
     if (used && (name in allowed))
-      print "allowlisted " name " (" p[1] ".mli) now has a caller outside test/: drop its line"
+      print "allowlisted " name " now has a caller outside test/: drop its line"
     else if (!used && !(name in allowed))
-      print (p[2] in intest ? "only test/ mentions " : "nothing outside its module mentions ") \
-        name " (" p[1] ".mli)"
+      print ((name in intest) || (v in intest) ? "only test/ mentions " : \
+        "nothing outside its module mentions ") name
   }
   for (name in allowed)
     if (!(name in exported)) print "allowlisted " name " is no longer exported: drop its line"

@@ -177,18 +177,25 @@ let verdict_testable =
       | None -> Format.pp_print_string ppf "None")
     ( = )
 
+(* A presentation of certificate [n]: an RMC shown under [key]. *)
+let shown ?(key = "session-key") ?(args = []) n =
+  Vcache.Rmc
+    ( Rmc.issue ~secret ~principal_key:key ~id:(Ident.make "cert" n) ~issuer ~role:"doctor" ~args
+        ~issued_at:1.0,
+      key )
+
 let test_cache () =
   let obs = Obs.create () in
   let cache = Vcache.create ~obs () in
   let id1 = Ident.make "cert" 1 in
-  Alcotest.(check verdict_testable) "miss" None (Vcache.lookup cache id1);
-  Vcache.cache_valid cache id1;
-  Alcotest.(check verdict_testable) "hit" (Some Vcache.Valid) (Vcache.lookup cache id1);
+  Alcotest.(check verdict_testable) "miss" None (Vcache.lookup cache (shown 1));
+  Vcache.cache_valid cache (shown 1);
+  Alcotest.(check verdict_testable) "hit" (Some Vcache.Valid) (Vcache.lookup cache (shown 1));
   Vcache.invalidate cache id1;
   (* Invalidation leaves a cached negative verdict, not a hole: the next
      presentation is refused locally instead of re-issuing the callback. *)
   Alcotest.(check verdict_testable) "negative after invalidate" (Some Vcache.Invalid)
-    (Vcache.lookup cache id1);
+    (Vcache.lookup cache (shown 1));
   Vcache.invalidate cache id1;
   let count key = Fixtures.metric obs key in
   Alcotest.(check int) "hits" 1 (count "vcache.hits");
@@ -197,17 +204,39 @@ let test_cache () =
   Alcotest.(check int) "invalidations idempotent" 1 (count "vcache.invalidations");
   (* The positive entry became the negative one. *)
   Alcotest.(check verdict_testable) "still negative" (Some Vcache.Invalid)
-    (Vcache.lookup cache id1)
+    (Vcache.lookup cache (shown 1))
+
+(* A positive verdict answers the presentation it was given for: the same
+   certificate under another session key, or a copy with its signature
+   and other fields or [-0.0] for [0.0], is a miss. *)
+let test_cache_keyed_by_presentation () =
+  let obs = Obs.create () in
+  let cache = Vcache.create ~obs () in
+  Vcache.cache_valid cache (shown ~args:[ Value.Time 0.0 ] 1);
+  Alcotest.(check verdict_testable) "same presentation" (Some Vcache.Valid)
+    (Vcache.lookup cache (shown ~args:[ Value.Time 0.0 ] 1));
+  let rmc =
+    match shown ~args:[ Value.Time 0.0 ] 1 with
+    | Vcache.Rmc (rmc, _) -> rmc
+    | Vcache.Appointment _ -> assert false
+  in
+  let copy args = Vcache.Rmc (Rmc.with_args rmc args, "session-key") in
+  Alcotest.(check verdict_testable) "another session key" None
+    (Vcache.lookup cache (Vcache.Rmc (rmc, "thief-key")));
+  Alcotest.(check verdict_testable) "other fields" None
+    (Vcache.lookup cache (copy [ Value.Time 1.0 ]));
+  Alcotest.(check verdict_testable) "negative zero" None
+    (Vcache.lookup cache (copy [ Value.Time (-0.0) ]));
+  Alcotest.(check int) "three misses" 3 (Fixtures.metric obs "vcache.misses")
 
 (* [clear] empties the table; the counters are monotone and keep counting. *)
 let test_cache_clear_and_reset () =
   let obs = Obs.create () in
   let cache = Vcache.create ~obs () in
-  Vcache.cache_valid cache (Ident.make "cert" 1);
-  Alcotest.(check verdict_testable) "cached" (Some Vcache.Valid)
-    (Vcache.lookup cache (Ident.make "cert" 1));
+  Vcache.cache_valid cache (shown 1);
+  Alcotest.(check verdict_testable) "cached" (Some Vcache.Valid) (Vcache.lookup cache (shown 1));
   Vcache.clear cache;
-  Alcotest.(check verdict_testable) "cleared" None (Vcache.lookup cache (Ident.make "cert" 1));
+  Alcotest.(check verdict_testable) "cleared" None (Vcache.lookup cache (shown 1));
   Alcotest.(check int) "hits survive clear" 1 (Fixtures.metric obs "vcache.hits");
   Alcotest.(check int) "misses" 1 (Fixtures.metric obs "vcache.misses")
 
@@ -246,6 +275,7 @@ let suite =
       Alcotest.test_case "cr counts" `Quick test_cr_counts;
       Alcotest.test_case "cr topic" `Quick test_cr_topic;
       Alcotest.test_case "validation cache" `Quick test_cache;
+      Alcotest.test_case "cache keyed by presentation" `Quick test_cache_keyed_by_presentation;
       Alcotest.test_case "cache clear/reset" `Quick test_cache_clear_and_reset;
       Alcotest.test_case "wire domain separation" `Quick test_wire_domain_separation;
       Alcotest.test_case "wire boundaries" `Quick test_wire_field_boundaries;

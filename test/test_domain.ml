@@ -103,12 +103,17 @@ let visiting_doctor_world () =
   in
   (world, hospital_dom, institute_dom, hospital_portal, institute_portal, sla)
 
+let contains hay needle =
+  let n = String.length needle in
+  let rec from i = i + n <= String.length hay && (String.sub hay i n = needle || from (i + 1)) in
+  from 0
+
 let test_sla_metadata () =
   let _, _, _, _, _, sla = visiting_doctor_world () in
-  Alcotest.(check (pair string string)) "parties" ("hospital.portal", "institute.portal")
-    (Sla.parties sla);
-  Alcotest.(check int) "two clauses" 2 (List.length (Sla.clauses sla));
   let rendered = Format.asprintf "%a" Sla.pp sla in
+  Alcotest.(check bool) "parties" true
+    (contains rendered "between hospital.portal and institute.portal");
+  Alcotest.(check int) "two clauses" 2 (List.length (Sla.clauses sla));
   Alcotest.(check bool) "pp mentions name" true
     (String.length rendered > 0);
   let installed =

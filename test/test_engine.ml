@@ -8,27 +8,35 @@ module Rng = Oasis_util.Rng
 
 (* ---------------- Heap properties ---------------- *)
 
+(* The minimum's key and value, removed; [None] when empty. *)
+let pop h =
+  if Heap.is_empty h then None
+  else
+    let time = Heap.min_time h in
+    Some (time, Heap.pop_min h)
+
 (* Random pushes (with deliberate time collisions) always drain in
-   (time, seq) lexicographic order. *)
+   (time, seq) lexicographic order. Each value carries its seq and a
+   payload derived from it. *)
 let test_heap_pop_ordering () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:100 ~name:"heap drains in (time, seq) order"
        QCheck.(int_range 1 1_000_000)
        (fun seed ->
          let rng = Rng.create seed in
-         let h = Heap.create ~dummy:(-1) () in
+         let h = Heap.create ~dummy:(-1, -1) () in
          let n = 1 + Rng.int rng 300 in
          for seq = 0 to n - 1 do
            (* Few distinct times: ties on seq are the interesting case. *)
            let time = float_of_int (Rng.int rng 8) in
-           Heap.push h ~time ~seq seq
+           Heap.push h ~time ~seq (seq, 3 * seq)
          done;
          let last = ref (neg_infinity, -1) in
          for _ = 1 to n do
-           match Heap.pop h with
+           match pop h with
            | None -> QCheck.Test.fail_report "heap drained early"
-           | Some (time, seq, value) ->
-               if value <> seq then QCheck.Test.fail_report "value does not follow seq";
+           | Some (time, (seq, value)) ->
+               if value <> 3 * seq then QCheck.Test.fail_report "value does not follow seq";
                let key = (time, seq) in
                if key <= !last then
                  QCheck.Test.fail_reportf "out of order: (%g,%d) after (%g,%d)" time seq
@@ -48,7 +56,7 @@ let test_heap_clears_slots () =
     Heap.push h ~time:(float_of_int (seq mod 10)) ~seq (Printf.sprintf "v%d" seq)
   done;
   for _ = 1 to 100 do
-    ignore (Heap.pop h)
+    ignore (Heap.pop_min h)
   done;
   Alcotest.(check int) "empty" 0 (Heap.size h);
   (* After draining, the backing arrays must have shrunk back to their
@@ -63,7 +71,7 @@ let test_heap_shrinks () =
   done;
   let high = heap_words h in
   for _ = 1 to 9900 do
-    ignore (Heap.pop h)
+    ignore (Heap.pop_min h)
   done;
   Alcotest.(check int) "100 left" 100 (Heap.size h);
   Alcotest.(check bool)
@@ -92,8 +100,8 @@ let test_heap_filter_in_place () =
          let last = ref neg_infinity in
          let ok = ref true in
          for _ = 1 to !expected do
-           match Heap.pop h with
-           | Some (time, _, v) ->
+           match pop h with
+           | Some (time, v) ->
                if v mod 3 <> 0 then ok := false;
                if time < !last then ok := false;
                last := time

@@ -9,6 +9,8 @@ module Fault = Oasis_sim.Fault
 module Heartbeat = Oasis_event.Heartbeat
 module Backoff = Oasis_util.Backoff
 module Rng = Oasis_util.Rng
+module Value = Oasis_util.Value
+module Civ = Oasis_domain.Civ
 
 let ok = function
   | Ok v -> v
@@ -67,6 +69,9 @@ let cut world issuer relying =
 
 let heal world = Fault.heal (World.fault world) "wan"
 
+(* The world's default event-delivery latency. *)
+let notify_latency = 0.001
+
 let test_partition_suspect_reinstate () =
   let world, issuer, relying = build () in
   let _, _, _, derived = establish world issuer relying in
@@ -88,7 +93,12 @@ let test_partition_suspect_reinstate () =
   Alcotest.(check bool) "role survives" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id)
 
-let test_missed_revocation_reconciled () =
+(* The partition swallows the invalidation; the stale role goes suspect
+   when a callback fails. The broker re-sends the swallowed notice at the
+   heal, so the role collapses within one delivery latency, before the
+   reconciler's next poll (reconciliation still completes a revocation
+   missed while crashed: "crash misses revocation"). *)
+let test_missed_revocation_resent () =
   let world, issuer, relying = build () in
   let _, _, base, derived = establish world issuer relying in
   cut world issuer relying;
@@ -101,11 +111,14 @@ let test_missed_revocation_reconciled () =
   provoke world issuer relying;
   Alcotest.(check int) "stale role suspect" 1 (List.length (Service.suspect_roles relying));
   heal world;
-  World.settle world;
+  World.run_until world (World.now world +. notify_latency +. 1e-6);
   Alcotest.(check bool) "missed revocation completed" false
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
+  World.settle world;
   let stats = Service.stats relying in
-  Alcotest.(check int) "reconciled as revoked" 1 stats.Service.reconciled_revoked;
+  Alcotest.(check int) "by the re-sent notice, not by reconciliation" 0
+    (stats.Service.reconciled_revoked + stats.Service.reconciled_reinstated);
+  Alcotest.(check int) "no suspect left" 0 (List.length (Service.suspect_roles relying));
   Alcotest.(check bool) "counted as cascade" true (stats.Service.cascade_deactivations >= 1)
 
 let test_grace_expiry_fail_closed () =
@@ -186,11 +199,14 @@ let test_concurrent_monitors_independent () =
     Heartbeat.start_emitter broker engine ~topic:"shared" ~period:0.5 ~beat:(fun () -> beat)
   in
   let misses = ref 0 in
-  let watch () =
-    Heartbeat.watch broker engine ~topic:"shared" ~deadline:1.2 ~on_miss:(fun () -> incr misses)
+  let watch missed =
+    Heartbeat.watch broker engine ~topic:"shared" ~deadline:1.2 ~on_miss:(fun () ->
+        missed := true;
+        incr misses)
   in
-  let m1 = watch () in
-  let m2 = watch () in
+  let m1_missed = ref false and m2_missed = ref false in
+  let m1 = watch m1_missed in
+  let _m2 = watch m2_missed in
   World.run_until world 3.0;
   Alcotest.(check int) "beats keep both monitors quiet" 0 !misses;
   Heartbeat.cancel_watch m1;
@@ -198,14 +214,13 @@ let test_concurrent_monitors_independent () =
   World.run_until world 6.0;
   Alcotest.(check int) "only the live monitor fires" 1 !misses;
   Alcotest.(check bool) "m2 missed, m1 cancelled" true
-    (Heartbeat.missed m2 && not (Heartbeat.missed m1))
+    (!m2_missed && not !m1_missed)
 
 (* ---------------- The issuer's beat (Fig. 5, heartbeat mode) -------- *)
 
 let beat_period = 0.5
 let beat_deadline = 1.5
 let beats = World.Heartbeats { period = beat_period; deadline = beat_deadline }
-let notify_latency = 0.001
 
 (* A counter a test may read before anything bumped it. *)
 let count world key = Option.value (Oasis_obs.Obs.value (World.obs world) key) ~default:0.0
@@ -296,6 +311,42 @@ let test_late_watch_reads_tombstone () =
   Alcotest.(check bool) "for the revocation's reason" true
     (String.ends_with ~suffix:"invalid: struck off" (last_revoke_rule relying));
   Alcotest.(check (float 0.0)) "no missed beat" 0.0 (count world "hb.misses")
+
+(* The change-event counterpart: [a] revokes [base] behind a partition at
+   t = 3, and [b] grants [derived] offline at t = 3.2, since the partition
+   hides the tombstone from the presentation check and swallows the replay
+   to the watch the grant starts. The broker keeps that replay and sends it
+   again when the partition heals, so the role collapses within one
+   delivery latency of the heal. *)
+let test_heal_redelivers_tombstone () =
+  let world = World.create ~seed:1 () in
+  let civ = Civ.create world ~name:"civ" () in
+  let config = { Service.default_config with suspect_grace = 5.0 } in
+  let a =
+    Service.create world ~name:"a" ~config ~policy:"initial base(u) <- appt:member(u)@civ;" ()
+  in
+  let b = Service.create world ~name:"b" ~config ~policy:"derived(u) <- *base(u)@a;" () in
+  let p = Principal.create world ~name:"p" in
+  Principal.grant_appointment p
+    (Civ.issue civ ~kind:"member"
+       ~args:[ Value.Id (Principal.id p) ]
+       ~holder:(Principal.id p) ~holder_key:(Principal.longterm_public p) ());
+  let s = Principal.start_session p in
+  let base = World.run_proc world (fun () -> ok (Principal.activate p s a ~role:"base" ())) in
+  World.run_until world 3.0;
+  Fault.partition (World.fault world) ~name:"ab" [ Service.id a ] [ Service.id b ];
+  ignore (Service.revoke_certificate a base.Oasis_cert.Rmc.id ~reason:"struck off");
+  World.run_until world 3.2;
+  let derived = World.run_proc world (fun () -> ok (Principal.activate p s b ~role:"derived" ())) in
+  World.run_until world 3.3;
+  Alcotest.(check bool) "granted behind the partition and still held" true
+    (still_active b derived);
+  Fault.heal (World.fault world) "ab";
+  World.run_until world (3.3 +. notify_latency +. 1e-6);
+  Alcotest.(check bool) "collapsed within one delivery latency of the heal" false
+    (still_active b derived);
+  Alcotest.(check bool) "for the revocation's reason" true
+    (String.ends_with ~suffix:"invalid: struck off" (last_revoke_rule b))
 
 (* A callback verdict overtaken by the revocation: the issuer answers at
    t = 2.202 and revokes at 2.2025, before its answer lands at 2.203. The
@@ -417,8 +468,8 @@ let suite =
     [
       Alcotest.test_case "partition: suspect then reinstate" `Quick
         test_partition_suspect_reinstate;
-      Alcotest.test_case "partition: missed revocation reconciled" `Quick
-        test_missed_revocation_reconciled;
+      Alcotest.test_case "partition: missed revocation re-sent at heal" `Quick
+        test_missed_revocation_resent;
       Alcotest.test_case "grace expiry degrades fail-closed" `Quick
         test_grace_expiry_fail_closed;
       Alcotest.test_case "crash/restart reinstates" `Quick test_crash_restart_reinstates;
@@ -430,6 +481,8 @@ let suite =
         test_epoch_gap_after_short_partition;
       Alcotest.test_case "late watch reads the tombstone" `Quick test_late_watch_reads_tombstone;
       Alcotest.test_case "watch start reads the tombstone" `Quick test_watch_start_reads_tombstone;
+      Alcotest.test_case "heal re-delivers a swallowed tombstone" `Quick
+        test_heal_redelivers_tombstone;
       Alcotest.test_case "issuer restart: epoch gap" `Quick test_issuer_restart_epoch_gap;
       Alcotest.test_case "issuer silence fails closed" `Quick test_issuer_silence_fails_closed;
       Alcotest.test_case "concurrent monitors independent" `Quick

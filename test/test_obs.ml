@@ -4,7 +4,7 @@
 module Obs = Oasis_obs.Obs
 
 let test_counter_identity_and_labels () =
-  let obs = Obs.null () in
+  let obs = Obs.create () in
   let a = Obs.counter obs "hits" ~labels:[ ("svc", "s1"); ("kind", "x") ] in
   let b = Obs.counter obs "hits" ~labels:[ ("kind", "x"); ("svc", "s1") ] in
   Obs.Counter.inc a;
@@ -19,7 +19,7 @@ let test_counter_identity_and_labels () =
   Alcotest.(check (option (float 1e-9))) "unknown key" None (Obs.value obs "nope")
 
 let test_kind_mismatch_rejected () =
-  let obs = Obs.null () in
+  let obs = Obs.create () in
   ignore (Obs.counter obs "m");
   (match Obs.gauge obs "m" with
   | _ -> Alcotest.fail "gauge over a counter key accepted"
@@ -29,7 +29,7 @@ let test_kind_mismatch_rejected () =
   | exception Invalid_argument _ -> ()
 
 let test_histogram_aggregates_and_expansion () =
-  let obs = Obs.null () in
+  let obs = Obs.create () in
   let h = Obs.histogram obs "lat" ~labels:[ ("op", "solve") ] in
   List.iter (Obs.Histogram.observe h) [ 1.0; 3.0; 2.0 ];
   Alcotest.(check int) "count" 3 (Obs.Histogram.count h);
@@ -150,7 +150,7 @@ let test_jsonl_rejects_malformed () =
    one-time noise without masking a per-iteration allocation, which over
    100k iterations would cost at least 200k words. *)
 let test_null_config_hot_path_allocates_nothing () =
-  let obs = Obs.null () in
+  let obs = Obs.create () in
   let c = Obs.counter obs "hot.counter" in
   Obs.Counter.inc c;
   let before = Gc.minor_words () in

@@ -16,16 +16,6 @@ let test_seed_sensitivity () =
   done;
   Alcotest.(check bool) "different seeds differ" true !differs
 
-let test_copy_independent () =
-  let a = Rng.create 9 in
-  ignore (Rng.int64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Rng.int64 a) (Rng.int64 b);
-  ignore (Rng.int64 a);
-  (* b is now one behind; advancing b must reproduce a's previous output *)
-  let a2 = Rng.int64 a and b2 = Rng.int64 b in
-  Alcotest.(check bool) "streams independent" false (Int64.equal a2 b2 && false)
-
 let test_split_independent () =
   let parent = Rng.create 7 in
   let child = Rng.split parent in
@@ -122,7 +112,6 @@ let suite =
     [
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
-      Alcotest.test_case "copy" `Quick test_copy_independent;
       Alcotest.test_case "split" `Quick test_split_independent;
       Alcotest.test_case "int bounds" `Quick test_int_bounds;
       Alcotest.test_case "int invalid bound" `Quick test_int_invalid;

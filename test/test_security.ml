@@ -208,6 +208,98 @@ let clinic_policy = "consultant(u) <- *doctor(u)@hospital;"
    zero callbacks. *)
 let hmac_issuer = { Service.default_config with offline_sign = false }
 
+(* An issuer without a key chain answers a validation callback for one of
+   its RMCs from its grant record: authentic means the certificate it
+   granted under that id, bound to the presenting session key, and a
+   restart keeps the record. The clinic caches nothing, so every
+   presentation is a callback to the hospital. *)
+let test_callback_answered_from_grant_record () =
+  let t = make ~config:hmac_issuer () in
+  let session = alice_treating t ~patient:7 in
+  let doctor = List.find (fun (r : Rmc.t) -> r.role = "doctor") (Principal.session_rmcs session) in
+  let clinic =
+    Service.create t.world ~name:"clinic"
+      ~config:{ Service.default_config with cache_remote_validation = false }
+      ~policy:clinic_policy ()
+  in
+  let mallory = Principal.create t.world ~name:"mallory" in
+  let mallory_session = Principal.start_session mallory in
+  let callbacks () = (Service.stats t.hospital).Service.callbacks_in in
+  let present what principal session rmc ~accepted =
+    let before = callbacks () in
+    let result =
+      World.run_proc t.world (fun () ->
+          Principal.activate_with principal session clinic ~role:"consultant"
+            ~creds:(creds_of ~rmcs:[ rmc ] ()) ())
+    in
+    Alcotest.(check bool) what accepted (Result.is_ok result);
+    Alcotest.(check int) (what ^ ": one callback") (before + 1) (callbacks ())
+  in
+  present "valid RMC" t.alice session doctor ~accepted:true;
+  present "tampered copy" t.alice session
+    (Rmc.with_args doctor [ Value.Id (Principal.id mallory) ])
+    ~accepted:false;
+  present "stolen RMC under another session key" mallory mallory_session doctor ~accepted:false;
+  Service.crash t.hospital;
+  Service.restart t.hospital;
+  World.settle t.world;
+  present "valid RMC after the issuer's crash and restart" t.alice session doctor ~accepted:true
+
+(* A cached verdict vouches for the certificate that earned it, presented
+   under the same session key: a stolen or tampered copy with the same id
+   gets no verdict from the cache. *)
+let test_cached_verdict_needs_same_certificate () =
+  let t = make ~config:hmac_issuer () in
+  let session = alice_treating t ~patient:7 in
+  let doctor = List.find (fun (r : Rmc.t) -> r.role = "doctor") (Principal.session_rmcs session) in
+  let clinic = Service.create t.world ~name:"clinic" ~policy:clinic_policy () in
+  let mallory = Principal.create t.world ~name:"mallory" in
+  let mallory_session = Principal.start_session mallory in
+  let present principal session rmc =
+    World.run_proc t.world (fun () ->
+        Principal.activate_with principal session clinic ~role:"consultant"
+          ~creds:(creds_of ~rmcs:[ rmc ] ()) ())
+  in
+  Alcotest.(check bool) "valid RMC" true (Result.is_ok (present t.alice session doctor));
+  Alcotest.(check bool) "stolen copy refused" false
+    (Result.is_ok (present mallory mallory_session doctor));
+  Alcotest.(check bool) "tampered copy refused" false
+    (Result.is_ok
+       (present t.alice session (Rmc.with_args doctor [ Value.Id (Principal.id mallory) ])));
+  Alcotest.(check bool) "valid RMC again" true (Result.is_ok (present t.alice session doctor))
+
+(* Granted at t = 0 over zero-latency links, an RMC carries [issued_at =
+   0.0]. A copy with [-0.0] there keeps every field [=] to the original,
+   and its signature, but encodes differently, so neither the issuer
+   itself nor a service validating by callback may take it for the
+   certificate it granted. *)
+let test_negative_zero_copy_refused () =
+  let world = World.create ~seed:5 ~net_latency:0.0 () in
+  let issuer =
+    Service.create world ~name:"issuer" ~config:hmac_issuer
+      ~policy:"initial base <- env:eq(1, 1); next <- base;" ()
+  in
+  let relying = Service.create world ~name:"relying" ~policy:"derived <- base@issuer;" () in
+  let p = Principal.create world ~name:"p" in
+  let session = Principal.start_session p in
+  let base =
+    World.run_proc world (fun () -> ok (Principal.activate p session issuer ~role:"base" ()))
+  in
+  Alcotest.(check bool) "issued at +0.0" true (Int64.equal (Int64.bits_of_float base.issued_at) 0L);
+  let copy =
+    Rmc.of_parts ~id:base.id ~issuer:base.issuer ~role:base.role ~args:base.args
+      ~issued_at:(-0.0) ~signature:base.signature
+  in
+  let present svc role rmc =
+    World.run_proc world (fun () ->
+        Result.is_ok
+          (Principal.activate_with p session svc ~role ~creds:(creds_of ~rmcs:[ rmc ] ()) ()))
+  in
+  Alcotest.(check bool) "the issuer takes the original" true (present issuer "next" base);
+  Alcotest.(check bool) "the issuer refuses the copy" false (present issuer "next" copy);
+  Alcotest.(check bool) "by callback, the original" true (present relying "derived" base);
+  Alcotest.(check bool) "by callback, not the copy" false (present relying "derived" copy)
+
 let test_cache_saves_callbacks () =
   let t = make ~config:hmac_issuer () in
   let session = alice_treating t ~patient:7 in
@@ -298,6 +390,11 @@ let suite =
         test_holder_challenge_blocks_stolen_appointment;
       Alcotest.test_case "tampered RMC via callback" `Quick
         test_tampered_rmc_rejected_by_issuer_callback;
+      Alcotest.test_case "callback answered from the grant record" `Quick
+        test_callback_answered_from_grant_record;
+      Alcotest.test_case "cached verdict needs the same certificate" `Quick
+        test_cached_verdict_needs_same_certificate;
+      Alcotest.test_case "negative-zero copy refused" `Quick test_negative_zero_copy_refused;
       Alcotest.test_case "cache saves callbacks" `Quick test_cache_saves_callbacks;
       Alcotest.test_case "cache disabled" `Quick test_cache_disabled_calls_back_every_time;
       Alcotest.test_case "cache invalidation" `Quick test_cache_invalidated_by_event;

@@ -8,6 +8,7 @@ module Principal = Oasis_core.Principal
 module Protocol = Oasis_core.Protocol
 module Civ = Oasis_domain.Civ
 module Signed = Oasis_cert.Signed
+module Vcache = Oasis_cert.Validation_cache
 module Rmc = Oasis_cert.Rmc
 module Appointment = Oasis_cert.Appointment
 module Codec = Oasis_cert.Codec
@@ -522,6 +523,206 @@ let test_memo_matches_definition () =
        run);
   Alcotest.(check bool) "schedules reach both verdicts" true (verdicts.(0) > 0 && verdicts.(1) > 0)
 
+(* ---------------- The signature memo (Validation_cache) ---------------- *)
+
+(* One issuer's certificates as a relying service sees them. A
+   presentation shows a certificate as issued, or a copy with its id that
+   differs in one signed field, the signature, the session key or the
+   issuer. The issuer re-enrols under a fresh key (a new key certificate)
+   or the next epoch, or withdraws its chain; the clock passes expiries;
+   the relying service crashes (its cache cleared) or learns of a
+   revocation (the entry invalidated). *)
+type memo_op =
+  | Issue_rmc of int * int * int
+  | Issue_appt of int * int * int
+  | Present of int
+  | Copy of int * int
+  | Reenrol
+  | Next_epoch
+  | Withdraw
+  | Advance of int
+  | Clear
+  | Invalidate of int
+
+let memo_op_gen =
+  QCheck.Gen.(
+    let small = int_bound 3 and any = int_bound 1_000 in
+    frequency
+      [
+        (3, map3 (fun a t k -> Issue_rmc (a, t, k)) small small small);
+        (3, map3 (fun a t e -> Issue_appt (a, t, e)) small small small);
+        (6, map (fun i -> Present i) any);
+        (6, map2 (fun i k -> Copy (i, k)) any (int_bound 7));
+        (1, return Reenrol);
+        (1, return Next_epoch);
+        (1, return Withdraw);
+        (2, map (fun d -> Advance d) small);
+        (1, return Clear);
+        (1, map (fun i -> Invalidate i) any);
+      ])
+
+(* A copy of a certificate with its id and one signed field changed, or
+   its signature. Negating the times turns a [0.0] into [-0.0], which only
+   the sign bit tells apart. *)
+let negate_times args =
+  if List.exists (function Value.Time _ -> true | _ -> false) args then
+    List.map (function Value.Time f -> Value.Time (-.f) | v -> v) args
+  else args @ [ Value.Int 0 ]
+
+let rmc_copy k (r : Rmc.t) =
+  let parts ?(role = r.role) ?(args = r.args) ?(issued_at = r.issued_at)
+      ?(signature = r.signature) ?(issuer = r.issuer) () =
+    Rmc.of_parts ~id:r.id ~issuer ~role ~args ~issued_at ~signature
+  in
+  match k mod 5 with
+  | 0 -> parts ~role:(if r.role = "a" then "b" else "a") ()
+  | 1 -> parts ~args:(negate_times r.args) ()
+  | 2 -> parts ~issued_at:(-.r.issued_at) ()
+  | 3 -> parts ~signature:(Sha256.digest_string r.role) ()
+  | _ -> parts ~issuer:(Ident.make "elsewhere" 1) ()
+
+let appt_copy k (a : Appointment.t) =
+  let parts ?(kind = a.kind) ?(args = a.args) ?(holder = a.holder) ?(issued_at = a.issued_at)
+      ?(expires_at = a.expires_at) ?(epoch = a.epoch) ?(signature = a.signature) () =
+    Appointment.of_parts ~id:a.id ~issuer:a.issuer ~kind ~args ~holder ~issued_at ~expires_at
+      ~epoch ~signature
+  in
+  match k mod 7 with
+  | 0 -> parts ~kind:(if a.kind = "a" then "b" else "a") ()
+  | 1 -> parts ~args:(negate_times a.args) ()
+  | 2 -> parts ~issued_at:(-.a.issued_at) ()
+  | 3 -> parts ~signature:(Sha256.digest_string a.kind) ()
+  | 4 -> parts ~holder:(a.holder ^ "'") ()
+  | 5 ->
+      parts ~expires_at:(match a.expires_at with Some e -> Some (e +. 1.0) | None -> Some 1e9) ()
+  | _ -> parts ~epoch:(a.epoch + 1) ()
+
+(* Arguments and times with a zero among them. *)
+let memo_args =
+  [|
+    [];
+    [ Value.Time 0.0 ];
+    [ Value.Int 1; Value.Time 2.5 ];
+    [ Value.Id (Ident.make "principal" 3); Value.Time 0.0 ];
+  |]
+
+let test_signature_memo_matches_checking_everything () =
+  let verdicts = [| 0; 0 |] and served = ref 0 in
+  let run ops =
+    let auth = Signed.create_authority (Rng.create 91) in
+    let address = Signed.address auth in
+    let rng = Rng.create 92 in
+    let subject = Ident.make "service" 1 in
+    let keypair = ref (Signed.generate_keypair auth) and epoch = ref 0 and now = ref 1.0 in
+    let enrol () =
+      ignore
+        (Signed.enrol auth ~subject ~subject_pk:!keypair.Schnorr.public ~key_epoch:!epoch
+           ~now:!now)
+    in
+    enrol ();
+    let cache = Vcache.create () in
+    let pool = ref [||] and next_id = ref 0 in
+    let add p = pool := Array.append !pool [| p |] in
+    let fresh_id () =
+      incr next_id;
+      Ident.make "cert" !next_id
+    in
+    let keys = [| "key-a"; "key-b"; "key-c"; "key-d" |] in
+    let times () = [| 0.0; 1.5; !now; 0.0 |] in
+    (* The memo's verdict against the full check, for one presentation
+       while the issuer has a chain; a withdrawn issuer is checked by
+       callback, which this layer does not see. *)
+    let verdict p =
+      match Signed.chain_for auth subject with
+      | None -> None
+      | Some chain ->
+          let got, want =
+            match p with
+            | Vcache.Rmc (rmc, principal_key) ->
+                ( Vcache.verify_rmc cache ~address ~chain ~principal_key rmc,
+                  Signed.verify_rmc ~address ~chain ~principal_key rmc )
+            | Vcache.Appointment appt ->
+                ( Vcache.verify_appointment cache ~address ~chain ~now:!now appt,
+                  Signed.verify_appointment ~address ~chain ~now:!now appt )
+          in
+          let b = if got then 1 else 0 in
+          verdicts.(b) <- verdicts.(b) + 1;
+          Some (got, want)
+    in
+    (* Presented twice: the second answers from the memo when the first
+       passed. *)
+    let agrees p =
+      match verdict p with
+      | None -> true
+      | Some (got, want) -> (
+          got = want
+          &&
+          match verdict p with
+          | Some (again, want) ->
+              if got then incr served;
+              again = want
+          | None -> false)
+    in
+    let pick i = !pool.(i mod Array.length !pool) in
+    let copy p k =
+      match p with
+      | Vcache.Rmc (rmc, key) when k mod 6 = 5 -> Vcache.Rmc (rmc, key ^ "'")
+      | Vcache.Rmc (rmc, key) -> Vcache.Rmc (rmc_copy k rmc, key)
+      | Vcache.Appointment appt -> Vcache.Appointment (appt_copy k appt)
+    in
+    List.for_all
+      (fun op ->
+        match op with
+        | Issue_rmc (a, t, k) ->
+            let principal_key = keys.(k) in
+            add
+              (Vcache.Rmc
+                 ( Signed.issue_rmc ~keypair:!keypair ~rng ~principal_key ~id:(fresh_id ())
+                     ~issuer:subject ~role:"doctor" ~args:memo_args.(a) ~issued_at:(times ()).(t),
+                   principal_key ));
+            true
+        | Issue_appt (a, t, e) ->
+            let expires_at = [| None; Some (!now +. 1.0); Some (!now +. 5.0); None |].(e) in
+            add
+              (Vcache.Appointment
+                 (Signed.issue_appointment ~keypair:!keypair ~rng ~epoch:!epoch ~id:(fresh_id ())
+                    ~issuer:subject ~kind:"qualified" ~args:memo_args.(a) ~holder:"holder"
+                    ~issued_at:(times ()).(t) ?expires_at ()));
+            true
+        | Present i -> Array.length !pool = 0 || agrees (pick i)
+        | Copy (i, k) ->
+            Array.length !pool = 0
+            || (* A presentation as issued first, so the copy meets a warm memo. *)
+            (agrees (pick i) && agrees (copy (pick i) k))
+        | Reenrol ->
+            keypair := Signed.generate_keypair auth;
+            enrol ();
+            true
+        | Next_epoch ->
+            incr epoch;
+            enrol ();
+            true
+        | Withdraw ->
+            Signed.revoke_chain auth subject;
+            true
+        | Advance d ->
+            now := !now +. [| 0.5; 2.0; 10.0; 0.0 |].(d);
+            true
+        | Clear ->
+            Vcache.clear cache;
+            true
+        | Invalidate i ->
+            if Array.length !pool > 0 then Vcache.invalidate cache (Vcache.presented_id (pick i));
+            true)
+      ops
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"signature memo = checking every signature"
+       QCheck.(make Gen.(list_size (int_range 1 60) memo_op_gen))
+       run);
+  Alcotest.(check bool) "schedules reach both verdicts" true (verdicts.(0) > 0 && verdicts.(1) > 0);
+  Alcotest.(check bool) "the memo serves re-presentations" true (!served > 0)
+
 (* ---------------- Which presented credentials are checked ---------------- *)
 
 (* Who issued a presented credential: the deciding service itself, a
@@ -551,7 +752,11 @@ type presentation = {
   world : World.t;
   svc : Service.t;
   goal_rules : string;
-  request : unit -> (Rmc.t, Protocol.denial) result;
+  request : unit -> (Rmc.t, Protocol.denial) result;  (** presents [wallet] *)
+  present :
+    ?stolen:bool -> (status * presented) list -> (Rmc.t, Protocol.denial) result;
+      (** presents a wallet from the principal's session, or with [stolen]
+          from another session of it, whose key no RMC is bound to *)
   wallet : (status * presented) list;  (** in presentation order *)
 }
 
@@ -623,16 +828,18 @@ let presentation ~seed ~rules specs =
   (* Past every expiry, and every revocation announced. *)
   World.run_until world (World.now world +. 2.0);
   World.settle world;
-  let creds =
-    {
-      Protocol.rmcs = List.filter_map (function _, Presented_rmc r -> Some r | _ -> None) wallet;
-      appointments = List.filter_map (function _, Presented_appt a -> Some a | _ -> None) wallet;
-    }
-  in
-  let request () =
+  let thief_session = Principal.start_session p in
+  let present ?(stolen = false) wallet =
+    let creds =
+      {
+        Protocol.rmcs = List.filter_map (function _, Presented_rmc r -> Some r | _ -> None) wallet;
+        appointments = List.filter_map (function _, Presented_appt a -> Some a | _ -> None) wallet;
+      }
+    in
+    let session = if stolen then thief_session else session in
     World.run_proc world (fun () -> Principal.activate_with p session svc ~role:"goal" ~creds ())
   in
-  { world; svc; goal_rules; request; wallet }
+  { world; svc; goal_rules; request = (fun () -> present wallet); present; wallet }
 
 (* The credentials the last grant of [svc] rested on. *)
 let last_support svc =
@@ -692,10 +899,10 @@ let test_unnamed_callback_credential_still_checked () =
   Alcotest.(check int) "the named one offline" 1 offline;
   Alcotest.(check int) "the unnamed HMAC one by one callback" 1 callbacks
 
-(* The proof the solver finds when every presented credential is checked:
-   the candidates are exactly the credentials built valid, in presentation
-   order. *)
-let reference_support pr =
+(* The proof the solver finds when every credential of [wallet] is
+   checked: the candidates are exactly the credentials built valid, in
+   presentation order. *)
+let reference_support pr wallet =
   let resolve = function
     | None -> Some (Service.id pr.svc)
     | Some name -> World.resolve pr.world name
@@ -711,7 +918,7 @@ let reference_support pr =
               when status = Valid && Ident.equal c.issuer issuer && String.equal c.cred_name name ->
                 Some c
             | _ -> None)
-          pr.wallet
+          wallet
   in
   let of_rmc = function
     | Presented_rmc (r : Rmc.t) ->
@@ -753,27 +960,57 @@ let spec_gen =
       (if is_appointment source then oneofl [ Valid; Valid; Tampered; Revoked; Expired; Stale ]
        else oneofl [ Valid; Valid; Tampered; Revoked ]))
 
+(* Each wallet is presented twice, then once more with one credential
+   replaced by a copy (its id, one signed field or the signature changed)
+   or from another session; every decision matches checking every
+   credential. *)
 let test_decisions_match_checking_everything () =
   let outcomes = [| 0; 0 |] in
+  let decide pr ?stolen wallet =
+    match pr.present ?stolen wallet with
+    | Ok _ -> Some (last_support pr.svc)
+    | Error Protocol.No_proof -> None
+    | Error d -> Alcotest.failf "unexpected denial: %s" (Protocol.denial_to_string d)
+  in
+  let same = Option.equal (List.equal Ident.equal) in
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:300 ~name:"decision and support = checking every credential"
        QCheck.(
          make
            Gen.(
-             triple small_nat
-               (list_size (int_range 1 2) (list_size (int_range 1 3) cred_ref_gen))
-               (list_size (int_bound 6) spec_gen)))
-       (fun (seed, rules, specs) ->
+             pair
+               (triple small_nat
+                  (list_size (int_range 1 2) (list_size (int_range 1 3) cred_ref_gen))
+                  (list_size (int_bound 6) spec_gen))
+               (pair (int_bound 6) (int_bound 7))))
+       (fun ((seed, rules, specs), (i, k)) ->
          let pr = presentation ~seed:(seed + 1) ~rules specs in
-         let got =
-           match pr.request () with
-           | Ok _ -> Some (last_support pr.svc)
-           | Error Protocol.No_proof -> None
-           | Error d -> Alcotest.failf "unexpected denial: %s" (Protocol.denial_to_string d)
+         let reference = reference_support pr pr.wallet in
+         let first = decide pr pr.wallet in
+         let o = if first = None then 0 else 1 in
+         outcomes.(o) <- outcomes.(o) + 1;
+         let second = decide pr pr.wallet in
+         let copied, stolen =
+           if k = 7 then
+             ( List.map
+                 (function
+                   | _, (Presented_rmc _ as r) -> (Tampered, r)
+                   | (_, Presented_appt _) as a -> a)
+                 pr.wallet,
+               true )
+           else
+             ( List.mapi
+                 (fun j (status, cred) ->
+                   if j <> i then (status, cred)
+                   else
+                     match cred with
+                     | Presented_rmc r -> (Tampered, Presented_rmc (rmc_copy k r))
+                     | Presented_appt a -> (Tampered, Presented_appt (appt_copy k a)))
+                 pr.wallet,
+               false )
          in
-         let i = if got = None then 0 else 1 in
-         outcomes.(i) <- outcomes.(i) + 1;
-         Option.equal (List.equal Ident.equal) got (reference_support pr)));
+         same first reference && same second reference
+         && same (decide pr ~stolen copied) (reference_support pr copied)));
   Alcotest.(check bool) "cases reach both grants and denials" true
     (outcomes.(0) > 0 && outcomes.(1) > 0)
 
@@ -798,6 +1035,8 @@ let suite =
         test_rotation_refuses_old_epoch_next;
       Alcotest.test_case "tampered chain copies refused" `Quick test_tampered_chain_copies_refused;
       Alcotest.test_case "chain memo = definition (qcheck)" `Quick test_memo_matches_definition;
+      Alcotest.test_case "signature memo = checking every signature (qcheck)" `Quick
+        test_signature_memo_matches_checking_everything;
       Alcotest.test_case "unnamed local credentials unchecked" `Quick
         test_unnamed_local_credentials_unchecked;
       Alcotest.test_case "tampered named credential refused" `Quick

@@ -7,6 +7,13 @@ module Rng = Oasis_util.Rng
 
 (* ---------------- Heap ---------------- *)
 
+(* The minimum's key and value, removed; [None] when empty. *)
+let pop h =
+  if Heap.is_empty h then None
+  else
+    let time = Heap.min_time h in
+    Some (time, Heap.pop_min h)
+
 let test_heap_orders_by_time () =
   let h = Heap.create ~dummy:(-1) () in
   let rng = Rng.create 1 in
@@ -14,31 +21,33 @@ let test_heap_orders_by_time () =
     Heap.push h ~time:(Rng.float rng 100.0) ~seq:i i
   done;
   let rec drain last acc =
-    match Heap.pop h with
+    match pop h with
     | None -> acc
-    | Some (t, _, _) ->
+    | Some (t, _) ->
         if t < last then Alcotest.fail "heap out of order";
         drain t (acc + 1)
   in
   Alcotest.(check int) "drained all" 200 (drain neg_infinity 0)
 
+(* Each value carries its seq and a payload derived from it. *)
 let test_heap_ties_by_seq () =
-  let h = Heap.create ~dummy:(-1) () in
+  let h = Heap.create ~dummy:(-1, "") () in
   for i = 0 to 9 do
-    Heap.push h ~time:1.0 ~seq:i i
+    Heap.push h ~time:1.0 ~seq:i (i, Printf.sprintf "v%d" i)
   done;
   for expected = 0 to 9 do
-    match Heap.pop h with
-    | Some (_, seq, v) ->
+    match pop h with
+    | Some (_, (seq, v)) ->
         Alcotest.(check int) "seq order" expected seq;
-        Alcotest.(check int) "value follows" expected v
+        Alcotest.(check string) "value follows" (Printf.sprintf "v%d" expected) v
     | None -> Alcotest.fail "heap empty early"
   done
 
 let test_heap_empty () =
   let h = Heap.create ~dummy:() () in
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None);
+  Alcotest.(check bool) "pop_min raises" true
+    (match Heap.pop_min h with () -> false | exception Invalid_argument _ -> true);
   Alcotest.(check bool) "peek none" true (Heap.peek_time h = None);
   Heap.push h ~time:5.0 ~seq:0 ();
   Alcotest.(check (option (float 1e-9))) "peek" (Some 5.0) (Heap.peek_time h);

@@ -177,7 +177,7 @@ let test_seed_pins_parameters () =
     Rule.activation ~role:"r" ~params:[ Term.Var "u" ]
       [ (false, Rule.Prereq (cref "doctor" [ Term.Var "u" ])) ]
   in
-  let seed = Option.get (Term.Subst.bind Term.Subst.empty "u" (Value.Int 2)) in
+  let seed = Option.get (Term.unify Term.Subst.empty (Term.Var "u") (Value.Int 2)) in
   match Solve.activation ctx rule ~seed () with
   | Some proof ->
       Alcotest.(check bool) "seed respected" true

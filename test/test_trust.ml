@@ -24,8 +24,7 @@ let record ?(at = 1.0) ?(client_outcome = Audit.Fulfilled) ?(server_outcome = Au
 let test_audit_validate () =
   let reg = registrar () in
   let cert = record reg in
-  Alcotest.(check bool) "validates" true (Registrar.validate reg cert);
-  Alcotest.(check int) "validation counted" 1 (Registrar.validations reg)
+  Alcotest.(check bool) "validates" true (Registrar.validate reg cert)
 
 let test_audit_tamper () =
   let reg = registrar () in

@@ -43,23 +43,6 @@ let test_compare_antisymmetric () =
         samples)
     samples
 
-let test_of_string () =
-  Alcotest.(check value) "int" (Value.Int 42) (Value.of_string "42");
-  Alcotest.(check value) "negative" (Value.Int (-1)) (Value.of_string "-1");
-  Alcotest.(check value) "bool true" (Value.Bool true) (Value.of_string "true");
-  Alcotest.(check value) "bool false" (Value.Bool false) (Value.of_string "false");
-  Alcotest.(check value) "time" (Value.Time 2.5) (Value.of_string "t:2.5");
-  Alcotest.(check value) "ident" (Value.Id (Ident.make "svc" 3)) (Value.of_string "svc#3");
-  Alcotest.(check value) "fallback string" (Value.Str "plain") (Value.of_string "plain")
-
-let test_to_string_roundtrip () =
-  List.iter
-    (fun v ->
-      match v with
-      | Value.Str "" | Value.Str "with spaces" -> () (* not round-trippable by design *)
-      | _ -> Alcotest.(check value) "of_string . to_string" v (Value.of_string (Value.to_string v)))
-    samples
-
 let encode v =
   let b = Bytes.create (Value.encoded_length v) in
   Alcotest.(check int) "write ends at encoded_length" (Bytes.length b) (Value.write b 0 v);
@@ -112,8 +95,6 @@ let suite =
       Alcotest.test_case "equal reflexive" `Quick test_equal_reflexive;
       Alcotest.test_case "distinct samples" `Quick test_compare_distinct;
       Alcotest.test_case "compare antisymmetric" `Quick test_compare_antisymmetric;
-      Alcotest.test_case "of_string" `Quick test_of_string;
-      Alcotest.test_case "to_string roundtrip" `Quick test_to_string_roundtrip;
       Alcotest.test_case "encode injective" `Quick test_encode_injective;
       Alcotest.test_case "encode type tagged" `Quick test_encode_type_tagged;
       Alcotest.test_case "list encoding unambiguous" `Quick test_list_encoding_unambiguous;

@@ -19,8 +19,6 @@ let test_registry () =
   let world = World.create () in
   let svc = Service.create world ~name:"alpha" ~policy:"initial r <- env:eq(1, 1);" () in
   Alcotest.(check bool) "resolve" true (World.resolve world "alpha" = Some (Service.id svc));
-  Alcotest.(check (option string)) "reverse" (Some "alpha")
-    (World.service_name world (Service.id svc));
   Alcotest.(check bool) "unknown" true (World.resolve world "beta" = None);
   Alcotest.(check bool) "rebinding raises" true
     (match World.register_service world ~name:"alpha" (Ident.make "x" 0) with
