@@ -16,11 +16,6 @@ type t = {
   mutable status : status;
 }
 
-let topic_of ~issuer ~cert_id =
-  Printf.sprintf "cr:%s/%s" (Ident.to_string issuer) (Ident.to_string cert_id)
-
-let topic t = topic_of ~issuer:t.issuer ~cert_id:t.cert_id
-
 let is_valid t = match t.status with Valid -> true | Revoked _ -> false
 
 (* Records keyed by certificate id, sharded by its sequence number. One

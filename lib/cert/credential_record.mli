@@ -4,10 +4,12 @@
     validity, in a credential record (CR). The credential record reference
     (CRR) in the RMC allows the issuer and the CR to be located." (Sect. 4)
 
-    A store holds the records of one issuing service. Each record names the
-    event channel ({!topic}) on which the issuer announces invalidation, so
-    remote caches and dependent roles can subscribe (the ECR proxies of
-    Fig. 5 are those subscriptions).
+    A store holds the records of one issuing service. A revoked record keeps
+    its revocation's time and reason for good, so it is also the
+    revocation's tombstone: other nodes read it through
+    {!Oasis_core.World.revocation}. The issuer announces revocations on its
+    one event channel, which remote caches and dependent roles watch (the
+    ECR proxies of Fig. 5 are those watches).
 
     Storage is sharded sixteen ways by certificate sequence number
     (DESIGN.md §14): a store of 10^6 records pays per-shard hashtable resizes instead of store-wide
@@ -30,11 +32,6 @@ type t = private {
   issued_at : float;
   mutable status : status;
 }
-
-val topic : t -> string
-(** The record's event channel name, derived from the CRR. *)
-
-val topic_of : issuer:Oasis_util.Ident.t -> cert_id:Oasis_util.Ident.t -> string
 
 val is_valid : t -> bool
 

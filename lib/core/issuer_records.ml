@@ -10,13 +10,36 @@ type t = {
   is_down : unit -> bool;
   store : Cr.store;
   mutable emitter : Heartbeat.emitter option; (* under heartbeats, from the first record on *)
-  mutable epoch : int; (* beats since the emitter last started *)
+  mutable epoch : int;
+      (* beats since the emitter last started; with no period, beats ever *)
   mutable revoked : Ident.t list; (* revoked since the last beat, newest first *)
+  mutable last_beat : Protocol.event option; (* with no period: re-sent to repair a loss *)
   expiries : (float * (unit -> unit)) Ident.Tbl.t;
       (* valid records with a deadline: when, and the caller's revoke *)
 }
 
 let beat_topic issuer = "hb:" ^ Ident.to_string issuer
+
+(* Each beat numbers itself and hands over the revocations since the
+   previous one. *)
+let next_beat t () =
+  t.epoch <- t.epoch + 1;
+  let revoked = List.rev t.revoked in
+  t.revoked <- [];
+  Protocol.Beat { issuer = t.issuer; epoch = t.epoch; revoked }
+
+let publish t beat =
+  t.last_beat <- Some beat;
+  Broker.publish ~src:t.issuer (World.broker t.world) (beat_topic t.issuer) beat
+
+(* A feed with no period has nothing to fill a lost beat's gap, so the
+   issuer sends its latest beat again whenever a loss may have been
+   repaired: after a heal and when it is back from a crash. A dependant
+   that missed any beat then sees an epoch that is not the next one and
+   reads its tombstones; one that missed none sees a repeat and reads them
+   too. Under heartbeats there is no latest beat to re-send: the next
+   periodic one does the same. *)
+let resend t = if not (t.is_down ()) then Option.iter (publish t) t.last_beat
 
 let create ?is_down world ~issuer =
   let is_down =
@@ -24,24 +47,29 @@ let create ?is_down world ~issuer =
     | Some is_down -> is_down
     | None -> fun () -> Oasis_sim.Fault.is_crashed (World.fault world) issuer
   in
-  {
-    world;
-    issuer;
-    is_down;
-    store = Cr.create_store ();
-    emitter = None;
-    epoch = 0;
-    revoked = [];
-    expiries = Ident.Tbl.create 16;
-  }
-
-(* Each tick numbers the beat and hands over the revocations since the
-   previous one. *)
-let next_beat t () =
-  t.epoch <- t.epoch + 1;
-  let revoked = List.rev t.revoked in
-  t.revoked <- [];
-  Protocol.Beat { issuer = t.issuer; epoch = t.epoch; revoked }
+  let t =
+    {
+      world;
+      issuer;
+      is_down;
+      store = Cr.create_store ();
+      emitter = None;
+      epoch = 0;
+      revoked = [];
+      last_beat = None;
+      expiries = Ident.Tbl.create 16;
+    }
+  in
+  World.register_issuer world issuer
+    {
+      records = t.store;
+      (* A restarted emitter counts from 1 again, so until its first beat
+         its epoch could be mistaken for one from before the crash. *)
+      epoch =
+        (fun () -> match t.emitter with Some _ when t.epoch = 0 -> None | _ -> Some t.epoch);
+      on_heal = (fun () -> resend t);
+    };
+  t
 
 let start_beats t =
   match (World.monitoring t.world, t.emitter) with
@@ -73,14 +101,12 @@ let revoke t cert_id ~reason ~bookkeeping =
   | Some record ->
       Ident.Tbl.remove t.expiries cert_id;
       bookkeeping record;
+      t.revoked <- cert_id :: t.revoked;
+      (* With no period the beat goes out now, naming this revocation; the
+         revoked record itself is the tombstone others read. *)
       (match World.monitoring t.world with
-      | Heartbeats _ -> t.revoked <- cert_id :: t.revoked
-      | Change_events -> ());
-      (* Retained: a revocation is true forever, and offline verification
-         and late watches, under either monitoring mode, read the tombstone
-         off the channel. *)
-      Broker.publish ~src:t.issuer ~retain:true (World.broker t.world) (Cr.topic record)
-        (Protocol.Invalidated { issuer = t.issuer; cert_id; reason });
+      | Change_events -> publish t (next_beat t ())
+      | Heartbeats _ -> ());
       true
 
 let find t cert_id = Cr.find t.store cert_id
@@ -95,12 +121,18 @@ let valid_appointments t =
 
 (* The epoch and the pending revocations are the emitter's volatile state:
    a restarted issuer counts from 1 again, and its dependants, seeing the
-   epoch go backwards, read the tombstones of everything they watch. *)
+   epoch go backwards, read the tombstones of everything they watch. With
+   no period there is no emitter: the epoch counts revocations, which are
+   durable, and goes on from where it was, so the re-sent beat shows a
+   dependant exactly whether it missed one. *)
 let stop_emitters t =
-  Option.iter Heartbeat.stop_emitter t.emitter;
-  t.emitter <- None;
-  t.epoch <- 0;
-  t.revoked <- []
+  match t.emitter with
+  | None -> ()
+  | Some emitter ->
+      Heartbeat.stop_emitter emitter;
+      t.emitter <- None;
+      t.epoch <- 0;
+      t.revoked <- []
 
 let resume t =
   if not (t.is_down ()) then begin
@@ -111,5 +143,6 @@ let resume t =
       t.expiries []
     |> List.sort (fun (a, x, _) (b, y, _) -> compare (a, Ident.number x) (b, Ident.number y))
     |> List.iter (fun (_, _, expire) -> expire ());
-    if Cr.count t.store > 0 then start_beats t
+    if Cr.count t.store > 0 then start_beats t;
+    resend t
   end

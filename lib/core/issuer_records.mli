@@ -3,14 +3,22 @@
     "The issuer keeps information on the RMC, including its current
     validity, in a credential record." Every issuer — a service issuing RMCs
     and appointments, or a domain's CIV cluster issuing appointments —
-    keeps its records here and announces a record's death with a retained
-    [Invalidated] tombstone on that record's event channel. Under heartbeat
-    monitoring ({!World.monitoring}) the issuer also beats once per period
-    on its own channel ({!beat_topic}), however many records it holds: each
-    [Beat] carries its epoch (beats since the emitter last started) and the
-    ids revoked since the previous beat, so a dependant learns of a
-    revocation from the next beat and of the issuer's death from the
-    beats' silence.
+    keeps its records here and announces a record's death on its one
+    channel ({!beat_topic}), however many records it holds. Each [Beat]
+    carries its epoch and the ids revoked since the previous beat. The
+    revoked record itself is the tombstone: the store is registered with
+    the world at creation ({!World.register_issuer}), with the feed's
+    epoch, and others read them through {!World.revocation} and
+    {!World.feed_epoch}.
+
+    How the beats go out follows {!World.monitoring}. Under change events
+    the feed has no period: each revocation is a beat at once, the epoch
+    counts every beat ever sent, and the latest beat is sent again after a
+    partition heals and when the issuer resumes, so a dependant that
+    missed one sees an epoch gap. Under heartbeats the issuer beats once
+    per period, the epoch counting beats since the emitter last started,
+    so a dependant learns of a revocation from the next beat and of the
+    issuer's death from the beats' silence.
 
     Signing is {!Oasis_cert.Issuer_key}'s business; relying-side monitoring
     (dependency watches, suspects, reconciliation) is the relying service's.
@@ -55,11 +63,10 @@ val revoke :
   bookkeeping:(Oasis_cert.Credential_record.t -> unit) ->
   bool
 (** Revokes a valid record, in this order: flip it in the store, run the
-    caller's [bookkeeping], under heartbeat monitoring list it for the next
-    beat, publish the retained [Invalidated] tombstone on its channel. The publish comes last so the
-    caller's trace events and decision records precede the broker's.
-    [false] (and nothing runs) if the record is unknown or already
-    revoked. *)
+    caller's [bookkeeping], list it for the next beat — which under change
+    events is published at once. The publish comes last so the caller's
+    trace events and decision records precede the broker's. [false] (and
+    nothing runs) if the record is unknown or already revoked. *)
 
 val is_valid : t -> Oasis_util.Ident.t -> bool
 (** Whether the record exists and is valid; [false] for an unknown id. *)
@@ -71,11 +78,13 @@ val valid_appointments : t -> Oasis_util.Ident.t list
 
 val stop_emitters : t -> unit
 (** The issuer crashed: its emitter falls silent, and its epoch and the
-    revocations not yet beaten are lost with it. Records and tombstones are
-    durable and stay as they are. *)
+    revocations not yet beaten are lost with it. Records, and so
+    tombstones, are durable and stay as they are. With no emitter (change
+    events) nothing changes: the epoch goes on from where it was. *)
 
 val resume : t -> unit
 (** The issuer is back. First every record whose expiry passed while it was
-    down is revoked through its [expire]; then an issuer that has issued
-    anything starts beating again, from epoch 1. A no-op for the emitter of
-    an issuer whose beats never stopped. *)
+    down is revoked through its [expire]; then under heartbeats an issuer
+    that has issued anything starts beating again, from epoch 1 (a no-op
+    for an emitter that never stopped), and under change events the latest
+    beat, if any, is sent again. *)

@@ -5,7 +5,6 @@ module Proc = Oasis_sim.Proc
 module Engine = Oasis_sim.Engine
 module Network = Oasis_sim.Network
 module Fault = Oasis_sim.Fault
-module Broker = Oasis_event.Broker
 module Heartbeat = Oasis_event.Heartbeat
 module Env = Oasis_policy.Env
 module Solve = Oasis_policy.Solve
@@ -21,19 +20,20 @@ module Log = (val Logs.src_log log)
 
 type death = [ `Revoked of string | `Silence ]
 
-(* Under heartbeat monitoring a service keeps one monitor per issuer it
-   watches anything of, on the issuer's beat channel, and registers each
-   watched certificate under it. *)
+(* A service keeps one monitor per issuer it watches anything of, on the
+   issuer's feed, and registers each watched certificate under it. *)
 type issuer_beats = {
   beat_issuer : Ident.t;
   mutable monitor : Heartbeat.monitor option; (* set right after creation *)
   certs : cert_watch list Ident.Tbl.t;
       (* watched cert -> its registrations; the monitor goes with the last *)
   mutable epoch : int option; (* of the last beat heard *)
-  mutable fresh : cert_watch list; (* registered since the last beat heard *)
+  mutable fresh : cert_watch list;
+      (* registered while cut off from the issuer since the last beat heard *)
 }
 
-(* One certificate's registration under its issuer's monitor. *)
+(* One certificate's registration under its issuer's monitor: a live
+   invalidation watch. *)
 and cert_watch = {
   beats : issuer_beats;
   cert_id : Ident.t;
@@ -41,16 +41,13 @@ and cert_watch = {
   mutable registered : bool;
 }
 
-(* A live invalidation watch on one certificate. *)
-type watch = Subscription of Broker.subscription | Beats of cert_watch
-
 (* A credential supporting an active role. Durable: it survives a crash
    (unlike its live watch), so restart can rebuild the watch and
    reconciliation knows what to re-validate. *)
 type dep = {
   issuer : Ident.t;
   cert : Ident.t;
-  mutable watch : watch option; (* None while silent or crashed *)
+  mutable watch : cert_watch option; (* None while silent or crashed *)
 }
 
 (* An RMC this service granted, with its monitoring state. *)
@@ -126,8 +123,8 @@ type t = {
   by_issuer : role Ident.Map.t Ident.Tbl.t;
       (* remote issuer -> roles holding a dependency on it: an
          unreachable-issuer sweep touches only those *)
-  cache_watches : watch Ident.Tbl.t; (* remote cert id -> invalidation watch *)
-  beat_monitors : issuer_beats Ident.Tbl.t; (* issuer -> its monitor, under heartbeats *)
+  cache_watches : cert_watch Ident.Tbl.t; (* remote cert id -> invalidation watch *)
+  beat_monitors : issuer_beats Ident.Tbl.t; (* issuer -> its monitor *)
   st : counters;
   mutable reconcilers : int;
   reconcile_queue : role Queue.t;
@@ -164,17 +161,11 @@ let trace_role t what role extra =
 (* Invalidation watches                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The certificate's event channel retains its Invalidated notice, so a
-   verifier that never watched this certificate still sees the revocation
-   at presentation time — a push-based revocation list. A partition hides
-   the tombstone like it hides the live event; the heartbeat / suspect
-   machinery bounds that staleness as usual. *)
-let tombstone t ~issuer ~cert_id =
-  match Broker.retained (World.broker t.world) (Cr.topic_of ~issuer ~cert_id) ~reader:t.sid with
-  | Some (Protocol.Invalidated { reason; _ }) -> Some reason
-  | Some _ | None -> None
-
-let revoked_on_channel t ~issuer ~cert_id = Option.is_some (tombstone t ~issuer ~cert_id)
+(* The issuer's revoked record is the tombstone: a verifier that never
+   watched this certificate still sees the revocation at presentation
+   time. A partition hides it like it hides the beat; the epoch gap, the
+   issuer's re-sent beat and the suspect machinery bound that staleness. *)
+let tombstone t ~issuer ~cert_id = World.revocation t.world ~issuer ~cert_id ~reader:t.sid
 
 (* Stops an issuer's monitor; a later watch on that issuer starts anew. *)
 let retire t ib =
@@ -215,14 +206,14 @@ let check_tombstone t ib cert_id =
   | None -> ()
 
 (* The next epoch lists what was revoked since the last. Any other epoch —
-   a beat lost to a partition shorter than the deadline, or an issuer that
-   restarted and counts from 1 again — means revocations may have gone
-   unheard: every watched certificate's tombstone is read, locally. A
-   certificate registered since the last beat has its tombstone read again
-   now: a partition can hide the tombstone when the watch starts, but not
-   from a reader the beat just reached. *)
+   a beat lost to a partition, a beat the issuer re-sent, an issuer that
+   restarted and counts from 1 again, or the first beat of a monitor that
+   joined the feed not knowing where it stood — means revocations may have
+   gone unheard: every watched certificate's tombstone is read, locally. A certificate registered while a partition
+   hid its tombstone has it read again now: the beat just reached the
+   reader, so the partition is gone. *)
 let on_beat t ib ~epoch ~revoked =
-  let gap = match ib.epoch with Some last -> epoch <> last + 1 | None -> false in
+  let gap = match ib.epoch with Some last -> epoch <> last + 1 | None -> true in
   let fresh = ib.fresh in
   ib.epoch <- Some epoch;
   ib.fresh <- [];
@@ -245,7 +236,10 @@ let on_silence t ib =
   retire t ib;
   List.iter (fun cert_id -> kill t ib cert_id `Silence) (watched_certs ib)
 
-let issuer_beats t ~issuer ~deadline =
+(* Under heartbeats the monitor fails everything watched there after a
+   deadline of silence; under change events the feed has no period, so
+   silence means nothing. *)
+let issuer_beats t ~issuer =
   match Ident.Tbl.find_opt t.beat_monitors issuer with
   | Some ib -> ib
   | None ->
@@ -254,63 +248,55 @@ let issuer_beats t ~issuer ~deadline =
           beat_issuer = issuer;
           monitor = None;
           certs = Ident.Tbl.create 16;
-          epoch = None;
+          (* Joining the feed, learn where it stands: every later beat
+             shows whether one was missed. *)
+          epoch = World.feed_epoch t.world ~issuer ~reader:t.sid;
           fresh = [];
         }
       in
       Ident.Tbl.replace t.beat_monitors issuer ib;
+      let deadline =
+        match World.monitoring t.world with
+        | Heartbeats { deadline; _ } -> Some deadline
+        | Change_events -> None
+      in
       ib.monitor <-
         Some
           (Heartbeat.watch
              ~on_beat:(function
                | Protocol.Beat { epoch; revoked; _ } -> on_beat t ib ~epoch ~revoked
-               | Protocol.Invalidated _ | Protocol.Replicated _ -> ())
-             ~owner:t.sid (World.broker t.world) (World.engine t.world)
-             ~topic:(Issuer_records.beat_topic issuer) ~deadline
+               | Protocol.Replicated _ -> ())
+             ~owner:t.sid ?deadline (World.broker t.world) (World.engine t.world)
+             ~topic:(Issuer_records.beat_topic issuer)
              ~on_miss:(fun () -> on_silence t ib));
       ib
 
 (* Starts an invalidation watch on a certificate, for a role dependency or
-   a cached verdict. [on_dead] learns how the credential died: [`Revoked
-   reason] is definitive (the issuer said so); [`Silence] is a
-   failure-detector verdict (heartbeats stopped), which [silence_revokes]
-   interprets.
+   a cached verdict: a registration under the issuer's one monitor.
+   [on_dead] learns how the credential died: [`Revoked reason] is
+   definitive (the issuer said so); [`Silence] is a failure-detector
+   verdict (heartbeats stopped), which [silence_revokes] interprets.
 
-   A fresh watch picks up a revocation announced before it started: a
+   A fresh watch picks up a revocation made before it started: a
    certificate verified offline was never shown to its issuer, and a
    callback verdict can be overtaken by a revocation published while the
-   reply was in flight. Only the restart rebuild opts out ([replay =
-   false]): its roles go suspect and reconciliation asks the issuer
-   instead. *)
+   reply was in flight. The tombstone is read on the next engine step, so
+   the caller holds the watch before it fires; if a partition hides it, the
+   next beat to reach this service reads it again. Only the restart rebuild
+   opts out ([replay = false]): its roles go suspect and reconciliation
+   asks the issuer instead. *)
 let watch ?(replay = true) t ~issuer ~cert_id ~on_dead =
-  match World.monitoring t.world with
-  | Change_events ->
-      Subscription
-        (Broker.subscribe ~replay_retained:replay (World.broker t.world)
-           (Cr.topic_of ~issuer ~cert_id) ~owner:t.sid (fun _topic event ->
-             match event with
-             | Protocol.Invalidated { reason; _ } -> on_dead (`Revoked reason)
-             | Protocol.Beat _ | Protocol.Replicated _ -> ()))
-  | Heartbeats { deadline; _ } ->
-      let ib = issuer_beats t ~issuer ~deadline in
-      let cw = { beats = ib; cert_id; on_dead; registered = true } in
-      Ident.Tbl.replace ib.certs cert_id
-        (cw :: Option.value (Ident.Tbl.find_opt ib.certs cert_id) ~default:[]);
-      (* Revoked in an earlier epoch: the tombstone says so, now or at the
-         next beat. Told on the next engine step, as a replayed change
-         event would be, so the caller holds the watch before it fires. *)
-      if replay then begin
-        ib.fresh <- cw :: ib.fresh;
-        if revoked_on_channel t ~issuer ~cert_id then
-          ignore
-            (Engine.schedule (World.engine t.world) ~after:0.0 (fun () ->
-                 if cw.registered then check_tombstone t ib cert_id))
-      end;
-      Beats cw
-
-let unwatch t = function
-  | Subscription sub -> Broker.unsubscribe (World.broker t.world) sub
-  | Beats cw -> detach t cw
+  let ib = issuer_beats t ~issuer in
+  let cw = { beats = ib; cert_id; on_dead; registered = true } in
+  Ident.Tbl.replace ib.certs cert_id
+    (cw :: Option.value (Ident.Tbl.find_opt ib.certs cert_id) ~default:[]);
+  if replay then
+    if Fault.is_cut (World.fault t.world) issuer t.sid then ib.fresh <- cw :: ib.fresh
+    else if Option.is_some (tombstone t ~issuer ~cert_id) then
+      ignore
+        (Engine.schedule (World.engine t.world) ~after:0.0 (fun () ->
+             if cw.registered then check_tombstone t ib cert_id));
+  cw
 
 (* A positive callback verdict is cached with an invalidation watch on the
    issuer's channel. Definitive revocation poisons the entry (a permanent
@@ -328,14 +314,14 @@ let cache_valid t ~issuer presented =
            match Ident.Tbl.find_opt t.cache_watches cert_id with
            | Some w ->
                Ident.Tbl.remove t.cache_watches cert_id;
-               unwatch t w
+               detach t w
            | None -> ()))
 
 (* Releases every cache watch and the cache with them: a decommissioned or
    crashed service keeps no subscription or heartbeat monitor on foreign
    channels and serves no cached verdict. *)
 let drop_cache t =
-  Ident.Tbl.iter (fun _ w -> unwatch t w) t.cache_watches;
+  Ident.Tbl.iter (fun _ w -> detach t w) t.cache_watches;
   Ident.Tbl.reset t.cache_watches;
   Vcache.clear t.cache
 
@@ -357,7 +343,7 @@ let drop_dep_watch t dep =
   match dep.watch with
   | Some w ->
       dep.watch <- None;
-      unwatch t w
+      detach t w
   | None -> ()
 
 let cancel_suspect t role =

@@ -3,12 +3,15 @@
     Beside the decision path, a service watches every condition a role it
     granted rests on and collapses the role the moment one fails:
 
-        - each supporting credential through an invalidation watch, as
-      {!World.monitoring} says: a change-event subscription on the
-      credential's channel, or a registration under the one heartbeat
-      monitor this service keeps per issuer, whose beats name the
-      revocations and whose silence fails everything watched there — and
-      each cached positive validation verdict the same way;
+    - each supporting credential through an invalidation watch: a
+      registration under the one monitor this service keeps per issuer on
+      the issuer's feed ({!Issuer_records.beat_topic}), whose beats name
+      the revocations, and an epoch gap — counted from the epoch the
+      monitor learnt when it joined ({!World.feed_epoch}) — has the
+      watched certificates' tombstones read ({!World.revocation}); under
+      heartbeats
+      ({!World.monitoring}) the feed's silence fails everything watched
+      there — and each cached positive validation verdict the same way;
     - each ground membership env constraint through the env listener
       (indexed by fact tuple, so a change costs the roles watching exactly
       that tuple), a re-check timer for time-dependent constraints, and a
@@ -90,13 +93,9 @@ val revoke_all : t -> reason:string -> int
 val cache_valid :
   t -> issuer:Oasis_util.Ident.t -> Oasis_cert.Validation_cache.presented -> unit
 (** Caches a positive callback verdict for this presentation and watches
-    the certificate's channel: a revocation turns the entry into a cached negative, silence
-    only retires it (or poisons it too, where silence revokes). *)
-
-val revoked_on_channel :
-  t -> issuer:Oasis_util.Ident.t -> cert_id:Oasis_util.Ident.t -> bool
-(** Whether the certificate's channel retains an [Invalidated] tombstone
-    this service can see. *)
+    the certificate on its issuer's feed: a revocation turns the entry into
+    a cached negative, silence only retires it (or poisons it too, where
+    silence revokes). *)
 
 val note_unreachable : t -> Oasis_util.Ident.t -> unit
 (** A validation RPC to the issuer was lost: under a positive suspect

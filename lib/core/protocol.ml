@@ -67,7 +67,6 @@ type msg =
   | Denied of denial
 
 type event =
-  | Invalidated of { issuer : Ident.t; cert_id : Ident.t; reason : string }
   | Beat of { issuer : Ident.t; epoch : int; revoked : Ident.t list }
   | Replicated of { issuer : Ident.t; cert_id : Ident.t; valid : bool }
 

@@ -93,14 +93,14 @@ val size_of : msg -> int
     encodings, other fields at representative sizes. Feeds the network's
     byte counters. *)
 
-(** Event-channel payloads (Fig. 5): invalidation change events on a
-    credential record's channel, or an issuer's heartbeats on its own
-    channel. *)
+(** Event-channel payloads (Fig. 5): an issuer's beats on its own channel,
+    and a CIV cluster's replication traffic. *)
 type event =
-  | Invalidated of { issuer : Oasis_util.Ident.t; cert_id : Oasis_util.Ident.t; reason : string }
   | Beat of { issuer : Oasis_util.Ident.t; epoch : int; revoked : Oasis_util.Ident.t list }
-      (** The issuer is alive. [epoch] counts its beats since it last
-          started; [revoked] lists the records it revoked since the
-          previous beat, oldest first. *)
+      (** The issuer is alive and names what it revoked. [epoch] numbers
+          its beats (under heartbeats, since it last started); [revoked]
+          lists the records it revoked since the previous beat, oldest
+          first. Under change events each revocation is a beat of its own,
+          and a beat may be re-sent. *)
   | Replicated of { issuer : Oasis_util.Ident.t; cert_id : Oasis_util.Ident.t; valid : bool }
       (** CIV-cluster state replication: primary → replicas (ref [10]). *)

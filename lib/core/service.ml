@@ -123,7 +123,6 @@ type t = {
 let id t = t.sid
 let service_name t = t.sname
 let env t = t.env
-let world t = t.world
 let current_epoch t = Issuer_key.epoch t.key
 
 (* ------------------------------------------------------------------ *)
@@ -307,7 +306,7 @@ let validate_presented t ~src ~session_key ~rules (creds : Protocol.credentials)
     Obs.Counter.inc t.st.offline_validations;
     trace_verdict t ~cert_id "offline"
       ((not (Vcache.is_poisoned t.cache cert_id))
-      && (not (Monitor.revoked_on_channel t.monitor ~issuer ~cert_id))
+      && Option.is_none (World.revocation t.world ~issuer ~cert_id ~reader:t.sid)
       && verify ())
   in
   let rmc_ok (rmc : Rmc.t) =

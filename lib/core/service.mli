@@ -110,7 +110,6 @@ val create :
 val id : t -> Oasis_util.Ident.t
 val service_name : t -> string
 val env : t -> Oasis_policy.Env.t
-val world : t -> World.t
 
 (** {1 Policy administration} *)
 

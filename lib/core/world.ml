@@ -5,6 +5,7 @@ module Broker = Oasis_event.Broker
 module Rng = Oasis_util.Rng
 module Ident = Oasis_util.Ident
 module Obs = Oasis_obs.Obs
+module Cr = Oasis_cert.Credential_record
 
 type heartbeat_config = { period : float; deadline : float }
 
@@ -28,6 +29,8 @@ type trust = {
   mutable decay_tick : Oasis_sim.Engine.cancel option;
 }
 
+type issuer = { records : Cr.store; epoch : unit -> int option; on_heal : unit -> unit }
+
 type t = {
   engine : Engine.t;
   rng : Rng.t;
@@ -44,6 +47,7 @@ type t = {
   anon_gen : Ident.gen;
   trust : trust;
   durable : Durable.t;
+  issuers : issuer Ident.Tbl.t;
 }
 
 let create ?(seed = 1) ?(net_latency = 0.001) ?(net_jitter = 0.0) ?(notify_latency = 0.001)
@@ -67,9 +71,13 @@ let create ?(seed = 1) ?(net_latency = 0.001) ?(net_jitter = 0.0) ?(notify_laten
      publishes that name their source are filtered against the fault map. *)
   Broker.set_filter broker
     (Some (fun ~publisher ~owner -> Oasis_sim.Fault.is_cut fault publisher owner));
-  (* What a partition kept from a live watch that stays true forever (a
-     revocation tombstone) is sent again once the partition heals. *)
-  Oasis_sim.Fault.on_heal fault (fun () -> Broker.redeliver broker);
+  (* After a heal every issuer repairs what the partition swallowed, in
+     creation order. *)
+  let issuers = Ident.Tbl.create 16 in
+  Oasis_sim.Fault.on_heal fault (fun () ->
+      Ident.Tbl.fold (fun id issuer acc -> (id, issuer) :: acc) issuers []
+      |> List.sort (fun (a, _) (b, _) -> Ident.compare a b)
+      |> List.iter (fun (_, issuer) -> issuer.on_heal ()));
   {
     engine;
     rng;
@@ -94,6 +102,7 @@ let create ?(seed = 1) ?(net_latency = 0.001) ?(net_jitter = 0.0) ?(notify_laten
         decay_tick = None;
       };
     durable = Durable.create ();
+    issuers;
   }
 
 let engine t = t.engine
@@ -119,6 +128,25 @@ let register_service t ~name id =
 
 let resolve t name = Hashtbl.find_opt t.names name
 
+let register_issuer t id issuer = Ident.Tbl.replace t.issuers id issuer
+
+(* The record is looked up first: the reachability test is paid only for a
+   revoked one. *)
+let revocation t ~issuer ~cert_id ~reader =
+  match Ident.Tbl.find_opt t.issuers issuer with
+  | None -> None
+  | Some { records; _ } -> (
+      match Cr.find records cert_id with
+      | Some { Cr.status = Cr.Revoked { reason; _ }; _ }
+        when not (Oasis_sim.Fault.is_cut t.fault issuer reader) ->
+          Some reason
+      | Some _ | None -> None)
+
+let feed_epoch t ~issuer ~reader =
+  match Ident.Tbl.find_opt t.issuers issuer with
+  | Some { epoch; _ } when not (Oasis_sim.Fault.is_cut t.fault issuer reader) -> epoch ()
+  | Some _ | None -> None
+
 let spawn t f = Proc.spawn t.engine f
 
 let run t = Engine.run t.engine
@@ -130,8 +158,6 @@ let settle ?(horizon = 1.0) t = Engine.run_until t.engine (Engine.now t.engine +
 (* ------------------------------------------------------------------ *)
 (* Trust (Sect. 6): wallets, assessor, change propagation              *)
 (* ------------------------------------------------------------------ *)
-
-let assessor t = t.trust.assessor
 
 let wallet t party =
   match Ident.Tbl.find_opt t.trust.wallets party with

@@ -5,10 +5,15 @@
     ("@hospital" in a rule body → the hospital service's identifier). *)
 
 (** How services monitor the membership conditions of active roles (the
-    Fig. 5 ablation, experiment E5):
-    - [Change_events]: issuers publish invalidation events; dependents react
-      immediately on delivery.
-        - [Heartbeats]: each issuer beats once every [period], naming the
+    Fig. 5 ablation, experiment E5). Either way each issuer has one feed,
+    {!Issuer_records.beat_topic}, whose beats are numbered and name the
+    records revoked since the previous beat, and a dependent keeps one
+    monitor per issuer on it:
+    - [Change_events]: the feed has no period and no deadline. The issuer
+      beats the moment it revokes, naming that revocation, and re-sends its
+      latest beat after a partition heals and when it resumes after a
+      crash; dependents react on delivery.
+    - [Heartbeats]: each issuer beats once every [period], naming the
       records it revoked since its last beat; dependents treat [deadline]
       without a beat from an issuer as silence of everything they watch
       there. *)
@@ -44,7 +49,8 @@ val broker : t -> Protocol.event Oasis_event.Broker.t
 val fault : t -> Protocol.msg Oasis_sim.Fault.t
 (** The world's fault controller. Named partitions installed here cut both
     the network and (via the broker's delivery filter) event channels;
-    services register crash/restart hooks with it at creation. *)
+    services register crash/restart hooks with it at creation, and its heal
+    hook runs every issuer's [on_heal] ({!register_issuer}). *)
 
 val monitoring : t -> monitoring
 
@@ -73,6 +79,43 @@ val register_service : t -> name:string -> Oasis_util.Ident.t -> unit
 
 val resolve : t -> string -> Oasis_util.Ident.t option
 
+(** {1 Issuers' records and feeds}
+
+    A revoked credential record is its own tombstone: it keeps the
+    revocation's reason forever. Every issuer files its record store here
+    when it is created, and every other node reads revocations through
+    {!revocation} and the position of its feed through {!feed_epoch}. *)
+
+type issuer = {
+  records : Oasis_cert.Credential_record.store;
+  epoch : unit -> int option;
+      (** the epoch of the issuer's latest beat, as a new subscriber to its
+          feed learns it; [None] when that would tell it nothing *)
+  on_heal : unit -> unit;
+      (** runs after every partition heal ({!Oasis_sim.Fault.heal}),
+          issuers in creation order: an issuer with no beat period
+          re-sends its latest beat there *)
+}
+
+val register_issuer : t -> Oasis_util.Ident.t -> issuer -> unit
+(** Files an issuer. Registering an ident again replaces its entry. *)
+
+val revocation :
+  t ->
+  issuer:Oasis_util.Ident.t ->
+  cert_id:Oasis_util.Ident.t ->
+  reader:Oasis_util.Ident.t ->
+  string option
+(** The reason [issuer] revoked [cert_id], as [reader] sees it now: [None]
+    if the record is valid or unknown, and also while {!Oasis_sim.Fault.is_cut}
+    severs [issuer] from [reader] (a partition, or either of them crashed) —
+    a cut-off reader misses the tombstone exactly as it misses the beat. *)
+
+val feed_epoch : t -> issuer:Oasis_util.Ident.t -> reader:Oasis_util.Ident.t -> int option
+(** The issuer's [epoch] as [reader] sees it now: [None] for an
+    unregistered issuer and while {!Oasis_sim.Fault.is_cut} severs the
+    two, like {!revocation}. *)
+
 val spawn : t -> (unit -> unit) -> unit
 (** Starts a simulated process (see {!Oasis_sim.Proc}). *)
 
@@ -97,8 +140,6 @@ val settle : ?horizon:float -> t -> unit
     {!trust_score} (the [trust_score(subject, θ)] env predicate) and
     subscribe to {!on_trust_change} so a score crossing re-triggers the
     env-watch recheck→revoke chain. *)
-
-val assessor : t -> Oasis_trust.Assess.t
 
 val wallet : t -> Oasis_util.Ident.t -> Oasis_trust.History.t
 (** The party's interaction-history wallet, created on first use. *)

@@ -25,7 +25,6 @@ type replica = {
 
 type t = {
   world : World.t;
-  cname : string;
   router : Ident.t;
   mode : replication;
   audit : Oasis_trust.Registrar.t;
@@ -48,7 +47,6 @@ type t = {
 
 let id t = t.router
 
-let civ_name t = t.cname
 let current_epoch t = Issuer_key.epoch t.key
 
 let repl_topic t = Printf.sprintf "civ-repl:%s" (Ident.to_string t.router)
@@ -160,7 +158,6 @@ let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = t
   let t =
     {
       world;
-      cname = name;
       router;
       mode = replication;
       audit = Oasis_trust.Registrar.create (Oasis_util.Rng.split (World.rng world)) ~name ();
@@ -208,7 +205,7 @@ let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = t
                match event with
                | Protocol.Replicated { cert_id; valid; _ } ->
                    Ident.Tbl.replace replica.validity cert_id valid
-               | Protocol.Invalidated _ | Protocol.Beat _ -> ())))
+               | Protocol.Beat _ -> ())))
     t.replicas;
   t
 

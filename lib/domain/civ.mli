@@ -46,8 +46,6 @@ val create :
 val id : t -> Oasis_util.Ident.t
 (** The router identifier: use as certificate issuer. *)
 
-val civ_name : t -> string
-
 (** {1 Issuing (administrative API, executes at the primary)} *)
 
 exception Primary_unavailable

@@ -25,8 +25,6 @@ let create world ~name ?civ_replicas ?offline_sign () =
     services = [];
   }
 
-let name t = t.dname
-let world t = t.world
 let civ t = t.civ
 let env t = t.denv
 
@@ -41,4 +39,3 @@ let services t = List.map snd t.services
 
 let find_service t short = List.assoc_opt short t.services
 
-let qualified t n = qualified_name t.dname n

@@ -17,8 +17,6 @@ val create :
 (** Creates the domain with its CIV cluster registered as ["<name>.civ"];
     [offline_sign] picks the cluster's signing scheme ({!Civ.create}). *)
 
-val name : t -> string
-val world : t -> Oasis_core.World.t
 val civ : t -> Civ.t
 
 val env : t -> Oasis_policy.Env.t
@@ -40,7 +38,3 @@ val services : t -> Oasis_core.Service.t list
 
 val find_service : t -> string -> Oasis_core.Service.t option
 (** Lookup by the short (unqualified) name. *)
-
-val qualified : t -> string -> string
-(** [qualified t n] is ["<domain>.<n>"] — the name as seen in the world
-    registry and in cross-domain policy. *)

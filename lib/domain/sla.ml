@@ -74,7 +74,6 @@ let establish world ~name ~between ~and_ ~clauses =
     rules;
   }
 
-let name t = t.sname
 let clauses t = t.clauses
 
 let pp ppf t =

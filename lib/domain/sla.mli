@@ -53,7 +53,6 @@ val establish :
     records the agreement. Raises [Invalid_argument] if a clause names a
     service that is neither party. *)
 
-val name : t -> string
 val clauses : t -> clause list
 
 val pp : Format.formatter -> t -> unit

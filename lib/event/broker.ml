@@ -39,22 +39,12 @@ type 'a t = {
   latency : float;
   jitter : float;
   subs : (topic, 'a bucket) Hashtbl.t;
-  (* Last retained publish per topic (source, payload): a tombstone a late
-     subscriber can ask to have replayed. OASIS retains exactly one kind of
-     event — a credential record's Invalidated notice, which is true forever
-     once published. *)
-  retained : (topic, Ident.t option * 'a) Hashtbl.t;
   mutable next_id : int;
   mutable pub_count : int;
   (* Delivery filter consulted when a publish carries a source ident; the
      world wires this to [Fault.is_cut] so named partitions sever event
      channels exactly as they sever the network. *)
   mutable filter : (publisher:Ident.t -> owner:Ident.t -> bool) option;
-  (* Retained events the filter kept from a subscriber that was still
-     active, with their publisher: {!redeliver} sends each again once its
-     pair is reconnected. A retained event stays true forever, so a heal
-     must not leave the subscriber without it. *)
-  mutable severed : ('a sub * Ident.t * 'a) list;
   c_published : Obs.Counter.t;
   c_notified : Obs.Counter.t;
   c_suppressed : Obs.Counter.t;
@@ -74,11 +64,9 @@ let create engine rng ~notify_latency ?(jitter = 0.0) ?obs () =
     latency = notify_latency;
     jitter;
     subs = Hashtbl.create 64;
-    retained = Hashtbl.create 16;
     next_id = 0;
     pub_count = 0;
     filter = None;
-    severed = [];
     c_published = Obs.counter obs "broker.published";
     c_notified = Obs.counter obs "broker.notified";
     c_suppressed = Obs.counter obs "broker.suppressed" ~labels:[ ("cause", "unsubscribed") ];
@@ -120,8 +108,8 @@ let bucket_push b sub =
 
 (* Rebuild with only the live subscribers (fresh array: snapshots held by
    in-flight deliveries must not shift under them). An emptied bucket is
-   dropped from the table entirely — topics are per-certificate, so dead
-   buckets would otherwise accumulate one per certificate ever watched. *)
+   dropped from the table entirely, so a topic nobody watches any more
+   costs nothing. *)
 let compact_bucket t topic b =
   let live = b.blen - b.dead in
   if live = 0 then Hashtbl.remove t.subs topic
@@ -145,7 +133,7 @@ let delay t = t.latency +. (if t.jitter > 0.0 then Rng.float t.rng t.jitter else
 
 let set_filter t filter = t.filter <- filter
 
-(* Whether delivery from [src] to [sub] is severed right now. Publishes
+(* Whether delivery from [src] to [sub] is cut right now. Publishes
    without a source ident predate fault injection and are never filtered. *)
 let cut t src sub =
   match (src, t.filter) with
@@ -155,19 +143,16 @@ let cut t src sub =
 (* The at-delivery-time body shared by the batched and per-subscriber
    paths: partition filtering, accounting, callback. The caller has already
    established that the subscriber was active when the publish was issued. *)
-let deliver t ~retained src sub payload =
+let deliver t src sub payload =
   if not sub.active then
     (* The subscriber unsubscribed while this notification was in flight.
        Account for it so published × subscribers = notified + suppressed
        always holds. *)
     Obs.Counter.inc t.c_suppressed
   else if cut t src sub then begin
-    (* Partitioned at delivery time: the channel is severed, the
+    (* Partitioned at delivery time: the channel is cut, the
        notification is lost like a network message. *)
     Obs.Counter.inc t.c_suppressed_part;
-    (match src with
-    | Some publisher when retained -> t.severed <- (sub, publisher, payload) :: t.severed
-    | Some _ | None -> ());
     if Obs.tracing t.obs then
       Obs.event t.obs "broker.suppress"
         ~labels:
@@ -185,35 +170,13 @@ let deliver t ~retained src sub payload =
     sub.callback sub.sub_topic payload
   end
 
-let schedule_delivery t ~retained src sub payload =
-  ignore
-    (Engine.schedule t.engine ~after:(delay t) (fun () -> deliver t ~retained src sub payload))
-
-let redeliver t =
-  let severed = List.rev t.severed in
-  t.severed <- [];
-  List.iter
-    (fun (sub, publisher, payload) ->
-      if not sub.active then ()
-      else if cut t (Some publisher) sub then t.severed <- (sub, publisher, payload) :: t.severed
-      else schedule_delivery t ~retained:true (Some publisher) sub payload)
-    severed
-
-let subscribe ?(replay_retained = false) t topic ~owner callback =
+let subscribe t topic ~owner callback =
   let sub =
     { id = t.next_id; sub_topic = topic; owner; callback; active = true; unsub_pub = 0 }
   in
   t.next_id <- t.next_id + 1;
   let b = bucket t topic in
   bucket_push b sub;
-  (* A late subscriber asking for replay receives the topic's retained
-     event as if it had just been published: same latency, same partition
-     filtering at delivery time. *)
-  if replay_retained then begin
-    match Hashtbl.find_opt t.retained topic with
-    | Some (src, payload) -> schedule_delivery t ~retained:true src sub payload
-    | None -> ()
-  end;
   {
     unsub =
       (fun () ->
@@ -225,31 +188,16 @@ let subscribe ?(replay_retained = false) t topic ~owner callback =
         end);
   }
 
-let retained t topic ~reader =
-  match Hashtbl.find_opt t.retained topic with
-  | None -> None
-  | Some (src, payload) ->
-      (* The tombstone lives on the publisher's side of the fabric: a reader
-         currently partitioned from it cannot see it, exactly as it would
-         miss the live notification. *)
-      let severed =
-        match (src, t.filter) with
-        | Some src, Some f -> f ~publisher:src ~owner:reader
-        | _ -> false
-      in
-      if severed then None else Some payload
-
-let publish ?src ?(retain = false) t topic payload =
+let publish ?src t topic payload =
   Obs.Counter.inc t.c_published;
   t.pub_count <- t.pub_count + 1;
   if Obs.tracing t.obs then Obs.event t.obs "broker.publish" ~labels:[ ("topic", topic) ];
-  if retain then Hashtbl.replace t.retained topic (src, payload);
   match Hashtbl.find_opt t.subs topic with
   | None -> ()
   | Some b ->
       (* The audience is the bucket prefix [0, blen) as of now; a subscriber
-         added after this publish must not see it (unless it opts into
-         retained replay), and rebuilds never touch a snapshotted array. *)
+         added after this publish must not see it, and rebuilds never touch
+         a snapshotted array. *)
       let arr = b.arr and n = b.blen in
       if n > 0 then
         if t.jitter > 0.0 then
@@ -258,7 +206,8 @@ let publish ?src ?(retain = false) t topic payload =
              interleavings are unchanged. *)
           for i = 0 to n - 1 do
             let sub = arr.(i) in
-            if sub.active then schedule_delivery t ~retained:retain src sub payload
+            if sub.active then
+              ignore (Engine.schedule t.engine ~after:(delay t) (fun () -> deliver t src sub payload))
           done
         else begin
           (* Zero jitter: all deliveries land at the same instant anyway, so
@@ -268,7 +217,7 @@ let publish ?src ?(retain = false) t topic payload =
             (Engine.schedule t.engine ~after:t.latency (fun () ->
                  for i = 0 to n - 1 do
                    let sub = arr.(i) in
-                   if sub.active then deliver t ~retained:retain src sub payload
+                   if sub.active then deliver t src sub payload
                    else if sub.unsub_pub >= pub_id then
                      (* Active when published, gone now: suppressed in
                         flight. (If it left before this publish, it was

@@ -38,9 +38,9 @@ type monitor = {
    accounting) collide between unrelated watches. *)
 let monitor_idents = Oasis_util.Ident.generator "hb-monitor"
 
-let watch ?(accept = fun _ -> true) ?(on_beat = ignore) ?owner broker engine ~topic ~deadline
-    ~on_miss =
-  if deadline <= 0.0 then invalid_arg "Heartbeat.watch: deadline must be positive";
+let watch ?(on_beat = ignore) ?owner ?deadline broker engine ~topic ~on_miss =
+  if Option.fold ~none:false ~some:(fun d -> d <= 0.0) deadline then
+    invalid_arg "Heartbeat.watch: deadline must be positive";
   let owner =
     match owner with Some o -> o | None -> Oasis_util.Ident.fresh monitor_idents
   in
@@ -54,7 +54,7 @@ let watch ?(accept = fun _ -> true) ?(on_beat = ignore) ?owner broker engine ~to
   in
   let subscription =
     Broker.subscribe broker topic ~owner (fun _topic beat ->
-        if m.alive && accept beat then begin
+        if m.alive then begin
           m.last_beat <- Engine.now engine;
           on_beat beat
         end)
@@ -64,7 +64,7 @@ let watch ?(accept = fun _ -> true) ?(on_beat = ignore) ?owner broker engine ~to
      miss test compares last_beat against the snapshot taken when arming —
      never a float subtraction against the deadline, which can disagree with
      the scheduled instant by an ulp and loop at a fixed virtual time. *)
-  let rec arm () =
+  let rec arm deadline =
     let snapshot = m.last_beat in
     let fire_at = Float.max (snapshot +. deadline) (Engine.now engine) in
     let handle =
@@ -80,11 +80,11 @@ let watch ?(accept = fun _ -> true) ?(on_beat = ignore) ?owner broker engine ~to
               if Obs.tracing obs then Obs.event obs "hb.miss" ~labels:[ ("topic", topic) ];
               on_miss ()
             end
-            else arm ())
+            else arm deadline)
     in
     m.cancel_pending <- (fun () -> Engine.cancel engine handle)
   in
-  arm ();
+  Option.iter arm deadline;
   m
 
 let cancel_watch m =

@@ -6,7 +6,8 @@
     treats a missed beat as the loss of everything it watches there. This
     module provides both halves, so the E5 ablation can compare the two
     monitoring disciplines (DESIGN.md §6). What a beat says beyond liveness
-    is the caller's payload. *)
+    is the caller's payload; a monitor without a deadline follows the same
+    feed when its beats are change events rather than periodic. *)
 
 type emitter
 
@@ -33,23 +34,24 @@ val stop_emitter : emitter -> unit
 type monitor
 
 val watch :
-  ?accept:('a -> bool) ->
   ?on_beat:('a -> unit) ->
   ?owner:Oasis_util.Ident.t ->
+  ?deadline:float ->
   'a Broker.t ->
   Oasis_sim.Engine.t ->
   topic:Broker.topic ->
-  deadline:float ->
   on_miss:(unit -> unit) ->
   monitor
 (** Calls [on_miss] once if no beat arrives on [topic] for [deadline]
     virtual seconds (measured from the start of the watch, then from each
-    beat). After a miss the monitor stops. [accept] filters which payloads
-    count as beats (default: all) — channels may carry other event kinds.
-    [on_beat] runs on each beat that counts, after the deadline clock has
-    restarted (default: nothing). [owner] identifies the watching node for
-    owner-scoped broker operations (partition filtering); each monitor
-    defaults to its own fresh ident, so concurrent monitors never collide. *)
+    beat). After a miss the monitor stops. Without a [deadline] the monitor
+    never misses: it follows a feed with no period, whose beats come only
+    when there is news (change events). [on_beat] runs on each beat, after
+    the deadline clock has restarted (default: nothing). [owner] identifies
+    the watching node for owner-scoped broker operations (partition
+    filtering); each monitor defaults to its own fresh ident, so concurrent
+    monitors never collide. Raises [Invalid_argument] if [deadline] is not
+    positive. *)
 
 val cancel_watch : monitor -> unit
 (** Stops the monitor without firing [on_miss]. Idempotent. *)

@@ -19,8 +19,6 @@ type t = {
   mutable listeners : (string -> Value.t list -> [ `Asserted | `Retracted ] -> unit) list;
 }
 
-let clock t = t.clock
-
 let seconds_per_hour = 3600.0
 let seconds_per_day = 86400.0
 

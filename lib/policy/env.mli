@@ -28,8 +28,6 @@ val create : Oasis_util.Clock.t -> t
     threshold; fail-closed [false] until a world bridges in its assessor
     via {!register}). *)
 
-val clock : t -> Oasis_util.Clock.t
-
 val builtin_predicates : (string * int * [ `Pure | `Timed | `Live ]) list
 (** The computed predicates {!create} registers, as [(name, arity, kind)].
     [`Pure] predicates depend only on their arguments — their truth value

@@ -35,9 +35,10 @@ val heal : 'msg t -> string -> unit
 
 val on_heal : 'msg t -> (unit -> unit) -> unit
 (** Registers the hook {!heal} runs once a partition is gone (replacing
-    any earlier one). The world wires it to the event broker, which
-    re-sends the retained events the partition kept from live
-    subscribers. *)
+    any earlier one). The world wires it to its issuers: each one with no
+    beat period re-sends its latest beat, so a dependant the partition kept
+    it from reads its tombstones. A {!restart} does not run it; a restarted
+    issuer re-sends from its own restart hook. *)
 
 val heal_all : 'msg t -> unit
 

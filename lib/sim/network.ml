@@ -70,7 +70,6 @@ let create engine rng ~default_latency ?(default_jitter = 0.0) ?(size_of = fun _
       };
   }
 
-let engine t = t.engine
 let obs t = t.obs
 
 let add_node t id handler =

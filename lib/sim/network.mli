@@ -41,8 +41,6 @@ val create :
     instance; defaults to a private one so standalone networks behave as
     before. *)
 
-val engine : 'msg t -> Engine.t
-
 val obs : 'msg t -> Oasis_obs.Obs.t
 (** The registry this network reports into. *)
 

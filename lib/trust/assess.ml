@@ -31,9 +31,6 @@ let create ?(threshold = 0.5) ?(discounting = true) ?(decay_rate = 0.0) () =
     aggregates = Ident.Tbl.create 16;
   }
 
-let threshold t = t.thr
-let decay_rate t = t.decay_rate
-
 (* Drops every running aggregate: registrar weights or decay parameters
    changed. *)
 let invalidate t = Ident.Tbl.reset t.aggregates

@@ -28,10 +28,6 @@ val create :
     every certificate keeps full weight forever, the pre-decay
     behaviour). *)
 
-val threshold : t -> float
-
-val decay_rate : t -> float
-
 val set_decay_rate : t -> float -> unit
 (** Changes lambda and drops every cached aggregate (they were folded under
     the old rate). Raises [Invalid_argument] on a negative rate. *)

@@ -4,8 +4,6 @@ type t = { owner : Ident.t; mutable certs : Audit.t list; seen : unit Ident.Tbl.
 
 let create owner = { owner; certs = []; seen = Ident.Tbl.create 16 }
 
-let owner t = t.owner
-
 let add t cert =
   (* Dedup by certificate id: re-presenting the same certificate must not
      inflate the wallet (and hence the beta estimate downstream). *)

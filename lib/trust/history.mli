@@ -10,7 +10,6 @@
 type t
 
 val create : Oasis_util.Ident.t -> t
-val owner : t -> Oasis_util.Ident.t
 
 val add : t -> Audit.t -> bool
 (** Only certificates involving the owner are kept; others are ignored, as

@@ -27,8 +27,6 @@ let float t bound =
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let bernoulli t p = float t 1.0 < p
 
 let pick t = function

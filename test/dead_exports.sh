@@ -7,9 +7,13 @@
 # does [X.v] where [X] is a module alias the same file declares
 # ([module X = Oasis_lib.M], resolved transitively), but not [Y.v] for any
 # other module [Y] — [Queue.pop] is no caller of [Heap.pop]. An
-# unqualified word counts for every module exporting it (it may be in
-# scope through an [open] or a functor argument), except the name a
-# [let]/[val]/[and] line defines. It reports two kinds:
+# unqualified word counts only for a module the same file opens
+# ([open M], [open! M], [let open M in], [M.( ... )]), includes, or passes
+# as a functor argument ([F (M)]), resolved through the same aliases. A
+# word in a binding or field position is never a mention: a name after
+# [let], [and], [fun] or [mutable], a [~label] or [?label], a field after
+# [.], and a record field before [=] or [:] at the start of a line or
+# after [{], [;] or [with]. It reports two kinds:
 #
 #   - exports mentioned nowhere outside their own module;
 #   - exports that only test/ mentions: lib/ holds what the system runs.
@@ -25,8 +29,8 @@
 root=${1:-.}
 allow=${2:-}
 cd "$root" || exit 2
-files=$(find lib bin bench perf examples test -type f \( -name '*.ml' -o -name '*.mli' \) \
-  -not -path '*/.*' | sort)
+dirs=$(for d in lib bin bench perf examples test; do [ -d "$d" ] && echo "$d"; done)
+files=$(find $dirs -type f \( -name '*.ml' -o -name '*.mli' \) -not -path '*/.*' | sort)
 report=$(awk -v allow="$allow" '
 function stem(f) { sub(/\.mli?$/, "", f); return f }
 function modname(s) { sub(/.*\//, "", s); return toupper(substr(s, 1, 1)) substr(s, 2) }
@@ -111,6 +115,11 @@ FNR == 1 {
   s = stem(FILENAME)
   istest = FILENAME ~ /^test\//
 }
+# Records that this file brings lib module [m] into scope unqualified.
+function opens(path,   m) {
+  m = resolve(path)
+  if (m != "" && known[m] != s) opened[FILENAME, m] = 1
+}
 {
   $0 = strip($0)
   if (FILENAME ~ /^lib\/.*\.mli$/ && match($0, /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_'\'']*/)) {
@@ -126,6 +135,28 @@ FNR == 1 {
     alias[name] = trim(target)
     next
   }
+  # What the file opens, includes or passes to a functor.
+  rest = $0
+  while (match(rest, /(^|[^A-Za-z0-9_'\''.])(open!?|include|let[ \t]+open!?)[ \t]+[A-Z][A-Za-z0-9_'\''.]*/)) {
+    path = substr(rest, RSTART, RLENGTH)
+    rest = substr(rest, RSTART + RLENGTH)
+    sub(/.*[ \t]/, "", path)
+    opens(path)
+  }
+  rest = $0
+  while (match(rest, /[A-Z][A-Za-z0-9_'\'']*(\.[A-Z][A-Za-z0-9_'\'']*)*\.\(/)) {
+    path = substr(rest, RSTART, RLENGTH - 2)
+    rest = substr(rest, RSTART + RLENGTH)
+    opens(path)
+  }
+  rest = $0
+  while (match(rest, /[A-Z][A-Za-z0-9_'\''.]*[ \t]*\([ \t]*[A-Z][A-Za-z0-9_'\''.]*[ \t]*\)/)) {
+    path = substr(rest, RSTART, RLENGTH)
+    rest = substr(rest, RSTART + RLENGTH)
+    sub(/^[^(]*\([ \t]*/, "", path)
+    sub(/[ \t]*\)$/, "", path)
+    opens(path)
+  }
   # Each qualified path mentions the one module it resolves to.
   rest = $0
   while (match(rest, /[A-Z][A-Za-z0-9_'\'']*(\.[A-Z][A-Za-z0-9_'\'']*)*\.[a-z_][A-Za-z0-9_'\'']*/)) {
@@ -138,31 +169,34 @@ FNR == 1 {
     if (istest) intest[m "." v] = 1
     else qualified[m "." v] = 1
   }
-  # The unqualified words: the name a [let]/[val]/[and] line defines is
-  # not a mention of it, so a same-named value in another module does not
-  # count as a caller. For each other word, the first non-test stem
-  # mentioning it, whether a second non-test stem does, and whether a
-  # test mentions it.
-  defined = ""
-  if (match(rest, /^[ \t]*(let|val|and)[ \t]+(rec[ \t]+)?[a-z_][A-Za-z0-9_'\'']*/)) {
-    defined = substr(rest, RSTART, RLENGTH)
-    sub(/.*[ \t]/, "", defined)
-  }
+  # The unqualified words, less those in binding and field positions.
+  if (match(rest, /^[ \t]*(mutable[ \t]+)?[a-z_][A-Za-z0-9_'\'']*[ \t]*[=:]/))
+    rest = substr(rest, RSTART + RLENGTH)
+  while (match(rest, /(^|[^A-Za-z0-9_'\''])(let|and|val|fun|mutable)[ \t]+(rec[ \t]+)?[a-z_][A-Za-z0-9_'\'']*/))
+    rest = substr(rest, 1, RSTART) " " substr(rest, RSTART + RLENGTH)
+  while (match(rest, /([{;]|(^|[^A-Za-z0-9_'\''])with)[ \t]*[a-z_][A-Za-z0-9_'\'']*[ \t]*[=:]/))
+    rest = substr(rest, 1, RSTART) " " substr(rest, RSTART + RLENGTH)
+  gsub(/[~?.][a-z_][A-Za-z0-9_'\'']*/, " ", rest)
   n = split(rest, w, /[^A-Za-z0-9_'\'']+/)
   for (i = 1; i <= n; i++) {
     k = w[i]
     if (k == "") continue
-    if (k == defined) { defined = ""; continue }
     if (istest) intest[k] = 1
-    else if (!(k in first)) first[k] = s
-    else if (first[k] != s) elsewhere[k] = 1
+    else words[FILENAME, k] = 1
   }
 }
 END {
+  for (key in opened) {
+    split(key, p, SUBSEP)
+    for (name in exported) {
+      split(name, q, ".")
+      if (q[1] == p[2] && ((p[1], q[2]) in words)) qualified[name] = 1
+    }
+  }
   for (name in exported) {
     split(name, p, ".")
     v = p[2]
-    used = (name in qualified) || (v in elsewhere) || ((v in first) && first[v] != known[p[1]])
+    used = name in qualified
     if (used && (name in allowed))
       print "allowlisted " name " now has a caller outside test/: drop its line"
     else if (!used && !(name in allowed))

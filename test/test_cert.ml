@@ -160,13 +160,6 @@ let test_cr_counts () =
   Cr.iter store (fun r -> if Cr.is_valid r then incr valid);
   Alcotest.(check int) "valid" 1 !valid
 
-let test_cr_topic () =
-  let store = Cr.create_store () in
-  let record = add_record store 7 in
-  Alcotest.(check string) "topic" "cr:service#1/cert#7" (Cr.topic record);
-  Alcotest.(check string) "topic_of agrees" (Cr.topic record)
-    (Cr.topic_of ~issuer ~cert_id:(Ident.make "cert" 7))
-
 (* ---------------- Validation cache ---------------- *)
 
 let verdict_testable =
@@ -273,7 +266,6 @@ let suite =
       Alcotest.test_case "cr lifecycle" `Quick test_cr_lifecycle;
       Alcotest.test_case "cr duplicate" `Quick test_cr_duplicate_raises;
       Alcotest.test_case "cr counts" `Quick test_cr_counts;
-      Alcotest.test_case "cr topic" `Quick test_cr_topic;
       Alcotest.test_case "validation cache" `Quick test_cache;
       Alcotest.test_case "cache keyed by presentation" `Quick test_cache_keyed_by_presentation;
       Alcotest.test_case "cache clear/reset" `Quick test_cache_clear_and_reset;

@@ -12,7 +12,16 @@
 
    A vacuity guard checks that some schedule reaches the transition S1
    guards: a revoked credential whose invalidation cannot be delivered, so
-   only fail-closed degradation deactivates the dependent role. *)
+   only fail-closed degradation deactivates the dependent role.
+
+   The same schedules run under change events. Their feed has no period
+   and the relying service no deadline, so nothing bounds staleness while
+   the issuer is cut off from the relying service or crashed: there S1's
+   bound runs from the last repair of that channel (a heal, or the issuer
+   back up), when the issuer re-sends its latest beat, and it is checked
+   only while the channel is whole. S2 is checked as under heartbeats.
+   Their vacuity guard checks that some schedule revokes [base] while the
+   channel is down, so only a re-sent beat can tell it. *)
 
 module World = Oasis_core.World
 module Service = Oasis_core.Service
@@ -42,6 +51,7 @@ let chaos_config =
 
 type chaos = {
   world : World.t;
+  bounded : bool; (* a heartbeat deadline bounds staleness during faults *)
   issuer : Service.t;
   relying : Service.t;
   base_id : Ident.t;
@@ -49,16 +59,20 @@ type chaos = {
   mutable partitioned : bool;
   mutable revoked_at : float option;
   mutable relying_up_since : float;
+  mutable connected_since : float; (* the issuer -> relying channel's last repair *)
   mutable probes : int;
   mutable degraded_after_revoke : bool;
+  mutable revoked_behind_cut : bool;
 }
 
 let ok = function
   | Ok v -> v
   | Error d -> Alcotest.failf "chaos setup denied: %s" (Protocol.denial_to_string d)
 
-let build seed =
-  let world = World.create ~seed ~monitoring:(World.Heartbeats { period; deadline }) () in
+let heartbeats = World.Heartbeats { period; deadline }
+
+let build ?(monitoring = heartbeats) seed =
+  let world = World.create ~seed ~monitoring () in
   let issuer = Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" () in
   let relying =
     Service.create world ~name:"relying" ~config:chaos_config
@@ -74,6 +88,7 @@ let build seed =
   in
   {
     world;
+    bounded = monitoring <> World.Change_events;
     issuer;
     relying;
     base_id = base.Oasis_cert.Rmc.id;
@@ -81,15 +96,23 @@ let build seed =
     partitioned = false;
     revoked_at = None;
     relying_up_since = 0.0;
+    connected_since = 0.0;
     probes = 0;
     degraded_after_revoke = false;
+    revoked_behind_cut = false;
   }
 
-(* S1, checkable at any instant the relying service is up. *)
+let connected c = (not c.partitioned) && not (Service.is_crashed c.issuer)
+
+(* S1, checkable at any instant the relying service is up (and, under
+   change events, hears the issuer). *)
 let stale_grant c =
   match c.revoked_at with
-  | Some t_rev when not (Service.is_crashed c.relying) ->
+  | Some t_rev when (not (Service.is_crashed c.relying)) && (c.bounded || connected c) ->
       let stable_since = Float.max t_rev c.relying_up_since in
+      let stable_since =
+        if c.bounded then stable_since else Float.max stable_since c.connected_since
+      in
       World.now c.world -. stable_since > bound
       && Service.is_valid_certificate c.relying c.derived_id
   | _ -> false
@@ -135,7 +158,8 @@ let step c rng =
   | 2 | 3 ->
       if c.partitioned then begin
         Fault.heal (World.fault c.world) "wan";
-        c.partitioned <- false
+        c.partitioned <- false;
+        if connected c then c.connected_since <- World.now c.world
       end
   | 4 ->
       if not (Service.is_crashed c.relying) then Service.crash c.relying
@@ -145,9 +169,13 @@ let step c rng =
       end
   | 5 ->
       if not (Service.is_crashed c.issuer) then Service.crash c.issuer
-      else Service.restart c.issuer
+      else begin
+        Service.restart c.issuer;
+        if connected c then c.connected_since <- World.now c.world
+      end
   | 6 | 7 ->
       if c.revoked_at = None then begin
+        c.revoked_behind_cut <- not (connected c);
         ignore (Service.revoke_certificate c.issuer c.base_id ~reason:"chaos revoke");
         c.revoked_at <- Some (World.now c.world)
       end
@@ -159,6 +187,7 @@ let finish c =
   Fault.heal_all (World.fault c.world);
   c.partitioned <- false;
   if Service.is_crashed c.issuer then Service.restart c.issuer;
+  c.connected_since <- World.now c.world;
   if Service.is_crashed c.relying then begin
     Service.restart c.relying;
     c.relying_up_since <- World.now c.world
@@ -166,9 +195,9 @@ let finish c =
   World.run_until c.world (World.now c.world +. bound +. 1.0)
 
 (* Runs one seed; returns the final state and the violation (if any)
-   instead of asserting, so the vacuity guard can count across seeds. *)
-let run_schedule seed =
-  let c = build seed in
+   instead of asserting, so the vacuity guards can count across seeds. *)
+let run_schedule ?monitoring seed =
+  let c = build ?monitoring seed in
   let rng = Rng.create ((seed * 2654435761) lxor 0x9e3779b9) in
   let steps = 25 + Rng.int rng 15 in
   let violation = ref None in
@@ -195,14 +224,32 @@ let run_schedule seed =
 
 let n_seeds = 60
 
-let test_chaos_fail_closed () =
+let keep_safety ?monitoring name () =
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:n_seeds ~name:"chaos schedules keep S1+S2"
+    (QCheck.Test.make ~count:n_seeds ~name
        QCheck.(int_range 1 100_000)
        (fun seed ->
-         match snd (run_schedule seed) with
+         match snd (run_schedule ?monitoring seed) with
          | None -> true
          | Some v -> QCheck.Test.fail_reportf "seed %d: %s" seed v))
+
+let test_chaos_fail_closed = keep_safety "chaos schedules keep S1+S2"
+
+let test_change_events_keep_safety =
+  keep_safety ~monitoring:World.Change_events "change-event schedules keep S1+S2"
+
+let test_change_events_revoke_behind_cut () =
+  (* Vacuity guard: the re-sent beat is only tested if some schedule
+     revokes [base] where its beat cannot reach the relying service. *)
+  let hits =
+    List.init n_seeds (fun i -> i + 1)
+    |> List.filter (fun seed ->
+           (fst (run_schedule ~monitoring:World.Change_events seed)).revoked_behind_cut)
+    |> List.length
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "base revoked while the issuer is cut off or down (%d/%d seeds)" hits n_seeds)
+    true (hits > 0)
 
 let test_chaos_degradation_exercised () =
   (* Vacuity guard: S1 is only worth checking if some schedule revokes
@@ -259,4 +306,8 @@ let suite =
       Alcotest.test_case "fail-closed degradation is exercised" `Slow
         test_chaos_degradation_exercised;
       Alcotest.test_case "chaos runs are deterministic" `Quick test_chaos_deterministic;
+      Alcotest.test_case "change-event schedules keep safety (qcheck)" `Slow
+        test_change_events_keep_safety;
+      Alcotest.test_case "change-event schedules revoke behind a cut" `Slow
+        test_change_events_revoke_behind_cut;
     ] )

@@ -155,21 +155,6 @@ let test_monitor_cancel () =
   Engine.run engine;
   Alcotest.(check bool) "cancelled before deadline" false !missed
 
-let test_monitor_accept_filter () =
-  let engine, broker = make ~latency:0.01 () in
-  let missed = ref false in
-  ignore
-    (Heartbeat.watch broker engine ~topic:"hb" ~deadline:2.0
-       ~accept:(fun v -> v = 1)
-       ~on_miss:(fun () -> missed := true));
-  (* Publish only non-beat payloads: they must not count as beats. *)
-  ignore
-    (Engine.every engine ~period:0.5 (fun () ->
-         Broker.publish broker "hb" 0;
-         Engine.now engine < 5.0));
-  Engine.run engine;
-  Alcotest.(check bool) "filtered payloads miss" true !missed
-
 let suite =
   ( "event",
     [
@@ -185,5 +170,4 @@ let suite =
       Alcotest.test_case "monitor healthy" `Quick test_monitor_no_miss_while_beating;
       Alcotest.test_case "monitor miss" `Quick test_monitor_miss_after_stop;
       Alcotest.test_case "monitor cancel" `Quick test_monitor_cancel;
-      Alcotest.test_case "monitor accept filter" `Quick test_monitor_accept_filter;
     ] )

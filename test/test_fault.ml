@@ -93,9 +93,9 @@ let test_partition_suspect_reinstate () =
   Alcotest.(check bool) "role survives" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id)
 
-(* The partition swallows the invalidation; the stale role goes suspect
-   when a callback fails. The broker re-sends the swallowed notice at the
-   heal, so the role collapses within one delivery latency, before the
+(* The partition swallows the revocation's beat; the stale role goes
+   suspect when a callback fails. The issuer re-sends its latest beat at
+   the heal, so the role collapses within one delivery latency, before the
    reconciler's next poll (reconciliation still completes a revocation
    missed while crashed: "crash misses revocation"). *)
 let test_missed_revocation_resent () =
@@ -314,10 +314,10 @@ let test_late_watch_reads_tombstone () =
 
 (* The change-event counterpart: [a] revokes [base] behind a partition at
    t = 3, and [b] grants [derived] offline at t = 3.2, since the partition
-   hides the tombstone from the presentation check and swallows the replay
-   to the watch the grant starts. The broker keeps that replay and sends it
-   again when the partition heals, so the role collapses within one
-   delivery latency of the heal. *)
+   hides the tombstone from the presentation check and from the watch the
+   grant starts. [a] re-sends its latest beat when the partition heals,
+   and the beat has the new watch's tombstone read, so the role collapses
+   within one delivery latency of the heal. *)
 let test_heal_redelivers_tombstone () =
   let world = World.create ~seed:1 () in
   let civ = Civ.create world ~name:"civ" () in
@@ -389,6 +389,27 @@ let test_issuer_restart_epoch_gap () =
   Alcotest.(check bool) "for the revocation's reason" true
     (String.ends_with ~suffix:"invalid: struck off" (last_revoke_rule relying));
   Alcotest.(check (float 0.0)) "no missed beat" 0.0 (count world "hb.misses")
+
+(* The change-event counterpart: the issuer crashes at t = 1, [base] is
+   revoked while it is down, so the revocation's beat reaches nobody, and
+   it is back at t = 1.5. With no period, nothing else would ever announce
+   the revocation: the restarted issuer re-sends its latest beat, and the
+   relying service collapses [derived] one delivery latency later. *)
+let test_issuer_restart_resends_beat () =
+  let world, issuer, relying = build () in
+  let _, _, base, derived = establish world issuer relying in
+  World.run_until world 1.0;
+  Service.crash issuer;
+  ignore (Service.revoke_certificate issuer base.Oasis_cert.Rmc.id ~reason:"struck off");
+  World.run_until world 1.5;
+  Alcotest.(check bool) "unannounced while the issuer is down" true
+    (still_active relying derived);
+  Service.restart issuer;
+  World.run_until world (1.5 +. notify_latency +. 1e-6);
+  Alcotest.(check bool) "collapsed one delivery latency after the restart" false
+    (still_active relying derived);
+  Alcotest.(check bool) "for the revocation's reason" true
+    (String.ends_with ~suffix:"invalid: struck off" (last_revoke_rule relying))
 
 (* Silence is the issuer's, not a credential's: one missed deadline makes
    every dependant on that issuer suspect at once, and with the issuer
@@ -484,6 +505,8 @@ let suite =
       Alcotest.test_case "heal re-delivers a swallowed tombstone" `Quick
         test_heal_redelivers_tombstone;
       Alcotest.test_case "issuer restart: epoch gap" `Quick test_issuer_restart_epoch_gap;
+      Alcotest.test_case "issuer restart re-sends its latest beat" `Quick
+        test_issuer_restart_resends_beat;
       Alcotest.test_case "issuer silence fails closed" `Quick test_issuer_silence_fails_closed;
       Alcotest.test_case "concurrent monitors independent" `Quick
         test_concurrent_monitors_independent;

@@ -1,5 +1,5 @@
 (* The issuer side of Fig. 5, shared by services and CIV clusters: credential
-   records, the issuer's heartbeat, retained tombstones and expiry. *)
+   records (which are the tombstones), the issuer's beats and expiry. *)
 
 module World = Oasis_core.World
 module Service = Oasis_core.Service
@@ -94,9 +94,8 @@ let check_expired name (role_held, badge_valid) =
   Alcotest.(check bool) (name ^ ": issuer disowns the expired badge") false badge_valid
 
 (* An appointment that expires while its issuer is down is announced when
-   the issuer is back, through the normal revoke path: under change events
-   the tombstone reaches the gate, under heartbeats a beat lists it or the
-   gate reads its tombstone. Without the crash the role collapses at the
+   the issuer is back, through the normal revoke path: a beat lists it (at
+   once under change events) or the gate reads its tombstone. Without the crash the role collapses at the
    deadline. *)
 let test_expiry_while_down () =
   List.iter
@@ -134,7 +133,7 @@ let heard world issuer =
     (Broker.subscribe (World.broker world) (Issuer_records.beat_topic issuer)
        ~owner:(World.fresh_service_id world) (fun _topic -> function
        | Protocol.Beat { epoch; revoked; _ } -> beats := (epoch, revoked) :: !beats
-       | Protocol.Invalidated _ | Protocol.Replicated _ -> ()));
+       | Protocol.Replicated _ -> ()));
   fun () -> List.rev !beats
 
 let beat = Alcotest.(pair int (list (testable Ident.pp Ident.equal)))
@@ -263,9 +262,9 @@ let test_expiry_deferred () =
   Alcotest.(check bool) "expired on resume" false (Issuer_records.is_valid records second);
   Alcotest.(check int) "each expiry revoked once" 2 (List.length !expired)
 
-(* The tombstone is published after the caller's bookkeeping, so a
-   service's [svc.revoke] event and its Revoke decision record precede the
-   [broker.publish] of the tombstone in the trace. *)
+(* Under change events the revocation's beat is published after the
+   caller's bookkeeping, so a service's [svc.revoke] event and its Revoke
+   decision record precede the [broker.publish] on its feed in the trace. *)
 let test_tombstone_published_last () =
   let world = World.create () in
   let sink, events = Obs.memory_sink () in
@@ -278,7 +277,7 @@ let test_tombstone_published_last () =
   in
   Alcotest.(check bool) "revoked" true
     (Service.revoke_certificate svc rmc.Oasis_cert.Rmc.id ~reason:"test");
-  let topic = Cr.topic_of ~issuer:(Service.id svc) ~cert_id:rmc.Oasis_cert.Rmc.id in
+  let topic = Issuer_records.beat_topic (Service.id svc) in
   let seq_of name label =
     match
       List.find_opt

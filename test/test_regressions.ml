@@ -96,9 +96,9 @@ let test_teardown_releases_cache_watches teardown () =
   World.run_proc world (fun () ->
       let s = Principal.start_session p in
       ignore (ok (Principal.activate p s svc ~role:"member" ())));
-  let topic = Cr.topic_of ~issuer:(Civ.id civ) ~cert_id:badge.Oasis_cert.Appointment.id in
-  (* Who still listens on the badge's topic: a probe event the watches
-     ignore reaches every live subscription, counted as notified or
+  let topic = Oasis_core.Issuer_records.beat_topic (Civ.id civ) in
+  (* Who still listens on the badge issuer's feed: a probe event the
+     watches ignore reaches every live subscription, counted as notified or
      suppressed, and no released one. *)
   let listeners () =
     let addressed () =
@@ -118,6 +118,16 @@ let test_teardown_releases_cache_watches teardown () =
     addressed () - before
   in
   Alcotest.(check bool) "badge topic watched while active" true (listeners () > 0);
+  (* A second member role on a second badge, each with its dependency and
+     cache watches: the club still has one subscription on the CIV's feed. *)
+  let q = Principal.create world ~name:"q" in
+  Principal.grant_appointment q
+    (Civ.issue civ ~kind:"badge"
+       ~args:[ Value.Id (Principal.id q) ]
+       ~holder:(Principal.id q) ~holder_key:(Principal.longterm_public q) ());
+  World.run_proc world (fun () ->
+      ignore (ok (Principal.activate q (Principal.start_session q) svc ~role:"member" ())));
+  Alcotest.(check int) "one subscription on the issuer's feed for every watch" 1 (listeners ());
   (* The cache's content shows in how a re-presentation of the badge is
      counted: a hit (positive entry), a negative hit, or a miss (none). *)
   let lookups () =

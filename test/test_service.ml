@@ -357,11 +357,12 @@ let test_cross_service_prereq () =
 
 let test_revocation_during_validation_reply () =
   (* An HMAC issuer revokes a certificate after answering its validation
-     callback but before the reply arrives. The Invalidated is published to
-     the subscribers of that moment, and the verifier's watches are not
-     among them yet; the watches it installs on the reply must replay the
-     retained tombstone, or the derived role outlives its prerequisite and
-     the cached positive verdict accepts the revoked certificate forever. *)
+     callback but before the reply arrives. The revocation's beat is
+     published to the subscribers of that moment, and the verifier's
+     watches are not among them yet; the watches it installs on the reply
+     must read the issuer's tombstone, or the derived role outlives its
+     prerequisite and the cached positive verdict accepts the revoked
+     certificate forever. *)
   let world = World.create ~seed:9 () in
   let config = { Service.default_config with offline_sign = false } in
   let a = Service.create world ~name:"a" ~config ~policy:"initial base <- env:eq(1, 1);" () in
