@@ -669,7 +669,9 @@ let e7 () =
   Printf.printf "  %-34s | %16s | %16s\n" "scenario" "callbacks (1st)" "callbacks (5th)";
   let visiting ~caching =
     let world = World.create ~seed:7 () in
-    let home = Domain.create world ~name:"home" () in
+    (* Both domains sign with the epoch HMAC: an offline-signed
+       appointment verifies with no callback, and E7 counts callbacks. *)
+    let home = Domain.create world ~name:"home" ~offline_sign:false () in
     let config = { Service.default_config with cache_remote_validation = caching } in
     let host =
       Service.create world ~name:"host" ~config
@@ -696,7 +698,7 @@ let e7 () =
   let c1, c5 = visiting ~caching:true in
   Printf.printf "  %-34s | %16d | %16d\n" "visiting doctor, cached" c1 c5;
   let world = World.create ~seed:8 () in
-  let insurer = Domain.create world ~name:"ins" () in
+  let insurer = Domain.create world ~name:"ins" ~offline_sign:false () in
   let clinic = Service.create world ~name:"clinic" ~policy:"initial noop <- env:eq(1,1);" () in
   Service.add_rule clinic
     (Oasis_policy.Parser.Activation

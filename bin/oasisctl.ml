@@ -672,7 +672,7 @@ let matches_filter svc_filter decision_filter principal_filter since name (r : D
      | Some p -> String.equal p (Oasis_util.Ident.to_string r.Dlog.principal))
   && match since with None -> true | Some t -> r.Dlog.at >= t
 
-let json_string = Lint.json_string
+let json_string = Oasis_obs.Obs.json_string
 
 let record_json name (r : Dlog.record) =
   Printf.sprintf

@@ -26,7 +26,7 @@ let next_beat t () =
   t.epoch <- t.epoch + 1;
   let revoked = List.rev t.revoked in
   t.revoked <- [];
-  Protocol.Beat { issuer = t.issuer; epoch = t.epoch; revoked }
+  { Protocol.epoch = t.epoch; revoked }
 
 let publish t beat =
   t.last_beat <- Some beat;
@@ -34,11 +34,11 @@ let publish t beat =
 
 (* A feed with no period has nothing to fill a lost beat's gap, so the
    issuer sends its latest beat again whenever a loss may have been
-   repaired: after a heal and when it is back from a crash. A dependant
-   that missed any beat then sees an epoch that is not the next one and
-   reads its tombstones; one that missed none sees a repeat and reads them
-   too. Under heartbeats there is no latest beat to re-send: the next
-   periodic one does the same. *)
+   repaired: after a partition that named it heals and when it is back
+   from a crash. A dependant that missed any beat then sees an epoch that
+   is not the next one and reads its tombstones; one that missed none sees
+   a repeat and reads them too. Under heartbeats there is no latest beat
+   to re-send: the next periodic one does the same. *)
 let resend t = if not (t.is_down ()) then Option.iter (publish t) t.last_beat
 
 let create ?is_down world ~issuer =
@@ -111,6 +111,10 @@ let revoke t cert_id ~reason ~bookkeeping =
 
 let find t cert_id = Cr.find t.store cert_id
 let is_valid t cert_id = match find t cert_id with Some record -> Cr.is_valid record | None -> false
+
+let verify_appointment t key (appt : Oasis_cert.Appointment.t) =
+  Oasis_cert.Issuer_key.verify_appointment key ~now:(World.now t.world) appt
+  && is_valid t appt.id
 
 let valid_appointments t =
   let ids = ref [] in

@@ -14,17 +14,16 @@
     How the beats go out follows {!World.monitoring}. Under change events
     the feed has no period: each revocation is a beat at once, the epoch
     counts every beat ever sent, and the latest beat is sent again after a
-    partition heals and when the issuer resumes, so a dependant that
-    missed one sees an epoch gap. Under heartbeats the issuer beats once
-    per period, the epoch counting beats since the emitter last started,
-    so a dependant learns of a revocation from the next beat and of the
-    issuer's death from the beats' silence.
+    partition that named the issuer heals and when the issuer resumes, so
+    a dependant that missed one sees an epoch gap. Under heartbeats the
+    issuer beats once per period, the epoch counting beats since the
+    emitter last started, so a dependant learns of a revocation from the
+    next beat and of the issuer's death from the beats' silence.
 
     Signing is {!Oasis_cert.Issuer_key}'s business; relying-side monitoring
     (dependency watches, suspects, reconciliation) is the relying service's.
     What a revocation costs its caller — counters, decision-log records,
-    tearing down the role's own watches, replication — the caller passes to
-    {!revoke}. *)
+    tearing down the role's own watches — the caller passes to {!revoke}. *)
 
 type t
 
@@ -70,6 +69,13 @@ val revoke :
 
 val is_valid : t -> Oasis_util.Ident.t -> bool
 (** Whether the record exists and is valid; [false] for an unknown id. *)
+
+val verify_appointment : t -> Oasis_cert.Issuer_key.t -> Oasis_cert.Appointment.t -> bool
+(** How an issuer answers for one of its own appointments, wherever it is
+    asked — a service, or any replica of a CIV cluster: the signature,
+    epoch and expiry check under its [key]
+    ({!Oasis_cert.Issuer_key.verify_appointment}), then its record, which
+    has the last word. *)
 
 val find : t -> Oasis_util.Ident.t -> Oasis_cert.Credential_record.t option
 

@@ -263,9 +263,7 @@ let issuer_beats t ~issuer =
       ib.monitor <-
         Some
           (Heartbeat.watch
-             ~on_beat:(function
-               | Protocol.Beat { epoch; revoked; _ } -> on_beat t ib ~epoch ~revoked
-               | Protocol.Replicated _ -> ())
+             ~on_beat:(fun { Protocol.epoch; revoked } -> on_beat t ib ~epoch ~revoked)
              ~owner:t.sid ?deadline (World.broker t.world) (World.engine t.world)
              ~topic:(Issuer_records.beat_topic issuer)
              ~on_miss:(fun () -> on_silence t ib));

@@ -66,9 +66,7 @@ type msg =
   | Cr_status of { valid : bool }
   | Denied of denial
 
-type event =
-  | Beat of { issuer : Ident.t; epoch : int; revoked : Ident.t list }
-  | Replicated of { issuer : Ident.t; cert_id : Ident.t; valid : bool }
+type event = { epoch : int; revoked : Ident.t list }
 
 let header_bytes = 24 (* addressing, kind tag, request id *)
 

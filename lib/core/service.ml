@@ -177,16 +177,12 @@ let register_operation t privilege handler = Hashtbl.replace t.operations privil
 (* An own RMC is authentic exactly when it is the certificate this service
    granted under that id, bound to the same session key: the monitor's
    grant record answers that with a comparison, no signature check. Own
-   appointments verify under this service's issuer key. Either way the
-   credential record store has the last word — a genuine but revoked
-   certificate is dead. *)
+   appointments verify under this service's issuer key
+   ({!Issuer_records.verify_appointment}). Either way the credential record
+   store has the last word — a genuine but revoked certificate is dead. *)
 let verify_own_rmc t ~principal_key (rmc : Rmc.t) =
   Monitor.granted t.monitor rmc ~session_key:principal_key
   && Issuer_records.is_valid t.records rmc.id
-
-let verify_own_appt t (appt : Appointment.t) =
-  Issuer_key.verify_appointment t.key ~now:(World.now t.world) appt
-  && Issuer_records.is_valid t.records appt.id
 
 (* How a presented certificate is verified follows from what its issuer
    publishes: offline against the issuer's chain with the domain root when
@@ -320,7 +316,7 @@ let validate_presented t ~src ~session_key ~rules (creds : Protocol.credentials)
       | None -> validate_remote t ~issuer:rmc.issuer (Vcache.Rmc (rmc, session_key))
   in
   let appt_ok (appt : Appointment.t) =
-    (if Ident.equal appt.issuer t.sid then verify_own_appt t appt
+    (if Ident.equal appt.issuer t.sid then Issuer_records.verify_appointment t.records t.key appt
      else
        match issuer_chain t appt.issuer with
        | Some chain ->
@@ -585,7 +581,7 @@ let handle_validate_rmc t ~rmc ~principal_key =
 
 let handle_validate_appt t ~appt =
   Obs.Counter.inc t.st.callbacks_in;
-  Protocol.Validate_result (verify_own_appt t appt)
+  Protocol.Validate_result (Issuer_records.verify_appointment t.records t.key appt)
 
 let handle_rpc t ~src msg =
   match msg with

@@ -71,11 +71,12 @@ let create ?(seed = 1) ?(net_latency = 0.001) ?(net_jitter = 0.0) ?(notify_laten
      publishes that name their source are filtered against the fault map. *)
   Broker.set_filter broker
     (Some (fun ~publisher ~owner -> Oasis_sim.Fault.is_cut fault publisher owner));
-  (* After a heal every issuer repairs what the partition swallowed, in
-     creation order. *)
+  (* After a heal every issuer the partition named repairs what it
+     swallowed, in creation order; the others lost nothing to it. *)
   let issuers = Ident.Tbl.create 16 in
-  Oasis_sim.Fault.on_heal fault (fun () ->
-      Ident.Tbl.fold (fun id issuer acc -> (id, issuer) :: acc) issuers []
+  Oasis_sim.Fault.on_heal fault (fun pairs ->
+      let named id = List.exists (fun (a, b) -> Ident.equal a id || Ident.equal b id) pairs in
+      Ident.Tbl.fold (fun id issuer acc -> if named id then (id, issuer) :: acc else acc) issuers []
       |> List.sort (fun (a, _) (b, _) -> Ident.compare a b)
       |> List.iter (fun (_, issuer) -> issuer.on_heal ()));
   {

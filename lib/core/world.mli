@@ -11,8 +11,8 @@
     monitor per issuer on it:
     - [Change_events]: the feed has no period and no deadline. The issuer
       beats the moment it revokes, naming that revocation, and re-sends its
-      latest beat after a partition heals and when it resumes after a
-      crash; dependents react on delivery.
+      latest beat after a partition that named it heals and when it resumes
+      after a crash; dependents react on delivery.
     - [Heartbeats]: each issuer beats once every [period], naming the
       records it revoked since its last beat; dependents treat [deadline]
       without a beat from an issuer as silence of everything they watch
@@ -50,7 +50,8 @@ val fault : t -> Protocol.msg Oasis_sim.Fault.t
 (** The world's fault controller. Named partitions installed here cut both
     the network and (via the broker's delivery filter) event channels;
     services register crash/restart hooks with it at creation, and its heal
-    hook runs every issuer's [on_heal] ({!register_issuer}). *)
+    hook runs the [on_heal] of every issuer the healed partition names
+    ({!register_issuer}). *)
 
 val monitoring : t -> monitoring
 
@@ -92,9 +93,9 @@ type issuer = {
       (** the epoch of the issuer's latest beat, as a new subscriber to its
           feed learns it; [None] when that would tell it nothing *)
   on_heal : unit -> unit;
-      (** runs after every partition heal ({!Oasis_sim.Fault.heal}),
-          issuers in creation order: an issuer with no beat period
-          re-sends its latest beat there *)
+      (** runs after each partition heal ({!Oasis_sim.Fault.heal}) that
+          names the issuer on either side, issuers in creation order: an
+          issuer with no beat period re-sends its latest beat there *)
 }
 
 val register_issuer : t -> Oasis_util.Ident.t -> issuer -> unit

@@ -1,7 +1,6 @@
 module Ident = Oasis_util.Ident
 module Network = Oasis_sim.Network
 module Fault = Oasis_sim.Fault
-module Broker = Oasis_event.Broker
 module Appointment = Oasis_cert.Appointment
 module Cr = Oasis_cert.Credential_record
 module Issuer_key = Oasis_cert.Issuer_key
@@ -12,21 +11,11 @@ module Obs = Oasis_obs.Obs
 
 exception Primary_unavailable
 
-type replication = Async | Sync
-
-type replica = {
-  node : Ident.t;
-  index : int;
-  (* Replica 0 (the primary) reads the authoritative store; others read
-     this replicated validity table. *)
-  validity : bool Ident.Tbl.t;
-  mutable served : int;
-}
+type replica = { node : Ident.t; mutable served : int }
 
 type t = {
   world : World.t;
   router : Ident.t;
-  mode : replication;
   audit : Oasis_trust.Registrar.t;
   key : Issuer_key.t;
   records : Issuer_records.t;
@@ -37,7 +26,6 @@ type t = {
      anti-entropy drains it (re-delivery is idempotent wallet-side). *)
   mutable pending_filings : Oasis_trust.Audit.t list;
   (* Counters in the world's registry, labelled [civ=<name>]. *)
-  c_forwarded : Obs.Counter.t;
   c_issues : Obs.Counter.t;
   c_revocations : Obs.Counter.t;
   c_failovers : Obs.Counter.t;
@@ -49,44 +37,28 @@ let id t = t.router
 
 let current_epoch t = Issuer_key.epoch t.key
 
-let repl_topic t = Printf.sprintf "civ-repl:%s" (Ident.to_string t.router)
-
-let primary t = t.replicas.(0)
-
-(* Writes need the primary up and the router not crashed. *)
+(* Writes need the primary (replica 0) up and the router not crashed. *)
 let primary_down_at world ~router ~primary =
   Network.is_down (World.network world) primary || Fault.is_crashed (World.fault world) router
 
-let primary_down t = primary_down_at t.world ~router:t.router ~primary:(primary t).node
+let primary_down t = primary_down_at t.world ~router:t.router ~primary:t.replicas.(0).node
 let is_valid t cert_id = Issuer_records.is_valid t.records cert_id
 
 (* ------------------------------------------------------------------ *)
 (* Validation, replica side                                           *)
 (* ------------------------------------------------------------------ *)
 
-let replica_validate t replica (appt : Appointment.t) =
+(* A replica answers as any issuer answers for its own appointment, from
+   the cluster's one record store: a revocation or an issue is seen by
+   every replica the moment the primary writes it. *)
+let replica_validate t replica appt =
   replica.served <- replica.served + 1;
-  Issuer_key.verify_appointment t.key ~now:(World.now t.world) appt
-  &&
-  if replica.index = 0 then is_valid t appt.id
-  else
-    match Ident.Tbl.find_opt replica.validity appt.id with
-    | Some valid -> valid
-    | None -> (
-        (* Not replicated yet: ask the primary rather than deny a freshly
-           issued certificate. *)
-        Obs.Counter.inc t.c_forwarded;
-        match
-          Network.rpc (World.network t.world) ~src:replica.node ~dst:(primary t).node
-            (Protocol.Validate_appt { appt })
-        with
-        | Protocol.Validate_result ok -> ok
-        | _ -> false
-        | exception Network.Rpc_dropped -> false)
+  Issuer_records.verify_appointment t.records t.key appt
 
 let replica_handler t replica ~src:_ = function
   | Protocol.Validate_appt { appt } ->
-      Protocol.Validate_result (Ident.equal appt.issuer t.router && replica_validate t replica appt)
+      Protocol.Validate_result
+        (Ident.equal appt.Appointment.issuer t.router && replica_validate t replica appt)
   | Protocol.Validate_rmc _ ->
       (* A CIV issues appointment certificates only. *)
       Protocol.Validate_result false
@@ -147,19 +119,17 @@ let pending_filings t = List.length t.pending_filings
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = true) () =
+let create world ~name ?(replicas = 3) ?(offline_sign = true) () =
   if replicas < 1 then invalid_arg "Civ.create: need at least one replica";
   let router = World.fresh_service_id world in
   let counter cname = Obs.counter (World.obs world) cname ~labels:[ ("civ", name) ] in
   let replicas =
-    Array.init replicas (fun index ->
-        { node = World.fresh_service_id world; index; validity = Ident.Tbl.create 64; served = 0 })
+    Array.init replicas (fun _ -> { node = World.fresh_service_id world; served = 0 })
   in
   let t =
     {
       world;
       router;
-      mode = replication;
       audit = Oasis_trust.Registrar.create (Oasis_util.Rng.split (World.rng world)) ~name ();
       key =
         Issuer_key.create (World.authority world) ~rng:(World.rng world) ~subject:router
@@ -170,7 +140,6 @@ let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = t
       replicas;
       rr = 0;
       pending_filings = [];
-      c_forwarded = counter "civ.forwarded";
       c_issues = counter "civ.issues";
       c_revocations = counter "civ.revocations";
       c_failovers = counter "civ.failovers";
@@ -196,16 +165,7 @@ let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = t
       Issuer_records.resume t.records;
       reconcile_filings t);
   Array.iter
-    (fun replica ->
-      Network.add_node (World.network world) replica.node (replica_handler t replica);
-      if replica.index > 0 then
-        ignore
-          (Broker.subscribe (World.broker world) (repl_topic t) ~owner:replica.node
-             (fun _topic event ->
-               match event with
-               | Protocol.Replicated { cert_id; valid; _ } ->
-                   Ident.Tbl.replace replica.validity cert_id valid
-               | Protocol.Beat _ -> ())))
+    (fun replica -> Network.add_node (World.network world) replica.node (replica_handler t replica))
     t.replicas;
   t
 
@@ -213,27 +173,10 @@ let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = t
 (* Issuing and revocation (primary)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let replicate t cert_id valid =
-  match t.mode with
-  | Async ->
-      Broker.publish (World.broker t.world) (repl_topic t)
-        (Protocol.Replicated { issuer = t.router; cert_id; valid })
-  | Sync ->
-      (* The primary blocks until every replica holds the update; modelled
-         as immediate installation. *)
-      Array.iter
-        (fun replica ->
-          if replica.index > 0 then Ident.Tbl.replace replica.validity cert_id valid)
-        t.replicas
-
 let revoke t cert_id ~reason =
-  let revoked =
-    (not (primary_down t))
-    && Issuer_records.revoke t.records cert_id ~reason ~bookkeeping:(fun _record ->
-           Obs.Counter.inc t.c_revocations)
-  in
-  if revoked then replicate t cert_id false;
-  revoked
+  (not (primary_down t))
+  && Issuer_records.revoke t.records cert_id ~reason ~bookkeeping:(fun _record ->
+         Obs.Counter.inc t.c_revocations)
 
 let issue t ~kind ~args ~holder ~holder_key ?expires_at () =
   if primary_down t then raise Primary_unavailable;
@@ -250,7 +193,6 @@ let issue t ~kind ~args ~holder ~holder_key ?expires_at () =
        ?expiry:(Option.map (fun at -> (at, expire)) expires_at)
        ());
   Obs.Counter.inc t.c_issues;
-  replicate t cert_id true;
   appt
 
 let reissue t (old : Appointment.t) =
@@ -313,7 +255,6 @@ let set_replica_down t i down =
 
 type stats = {
   validations_served : int array;
-  forwarded_to_primary : int;
   issues : int;
   revocations : int;
   failovers : int;
@@ -323,7 +264,6 @@ type stats = {
 let stats t =
   {
     validations_served = Array.map (fun r -> r.served) t.replicas;
-    forwarded_to_primary = Obs.Counter.value t.c_forwarded;
     issues = Obs.Counter.value t.c_issues;
     revocations = Obs.Counter.value t.c_revocations;
     failovers = Obs.Counter.value t.c_failovers;

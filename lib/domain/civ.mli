@@ -2,41 +2,28 @@
 
     "It is likely that certificates will not be issued and validated by each
     individual service ... Rather, a domain will contain one highly available
-    service to carry out the functions of certificate issuing and validation
-    [with] replication for availability together with consistency
-    management" (Sect. 4, citing ref [10]; Sect. 6 extends CIV services to
-    audit certificates).
+    service to carry out the functions of certificate issuing and validation"
+    (Sect. 4, which cites ref [10] for making such a service available with
+    consistency management; Sect. 6 extends CIV services to audit
+    certificates).
 
     The cluster is a router plus [replicas] replica nodes. The router is the
     stable identifier bound into certificates as issuer (an anycast /
     load-balancer address); it forwards validation callbacks round-robin to
     live replicas and fails over when one is down. Replica 0 is the primary:
-    issuance and revocation execute there and reach the other replicas
-    through replication events on the event middleware, so replicas serve
-    validations from (boundedly stale) local state — real primary–backup
-    semantics, measurable replication lag included. *)
+    issuance and revocation execute there, so writes need it up. The
+    cluster keeps one copy of its records, the issuer's store
+    ({!Oasis_core.Issuer_records}), and every replica answers a validation
+    from it: an issue or a revocation is seen by every replica at once,
+    and reads survive the primary going down. *)
 
 type t
 
-(** Consistency management for the replicas (ref [10]):
-    - [Async]: writes return immediately; replicas learn through replication
-      events on the middleware (bounded staleness, reads may need a primary
-      fallback);
-    - [Sync]: the primary installs the update at every replica before the
-      write returns (no staleness; writes bear the replication cost). *)
-type replication = Async | Sync
-
 val create :
-  Oasis_core.World.t ->
-  name:string ->
-  ?replicas:int ->
-  ?replication:replication ->
-  ?offline_sign:bool ->
-  unit ->
-  t
-(** Default 3 replicas, [Async] replication. The cluster registers its
-    router under [name] in the world's service registry, so policy rules can
-    say [appt:kind(…)@name]. [offline_sign] picks the cluster's
+  Oasis_core.World.t -> name:string -> ?replicas:int -> ?offline_sign:bool -> unit -> t
+(** Default 3 replicas. The cluster registers its router under [name] in
+    the world's service registry, so policy rules can say
+    [appt:kind(…)@name]. [offline_sign] picks the cluster's
     {!Oasis_cert.Issuer_key} scheme, as [Service.config.offline_sign] does
     for a service: on (the default), a Schnorr issuing key enrolled with the
     world's domain root, so every relying service validates the cluster's
@@ -77,9 +64,10 @@ val reissue : t -> Oasis_cert.Appointment.t -> (Oasis_cert.Appointment.t, string
     issued. Raises {!Primary_unavailable} when the primary is down. *)
 
 val revoke : t -> Oasis_util.Ident.t -> reason:string -> bool
-(** Revokes at the primary ({!Oasis_core.Issuer_records.revoke}); the
-    invalidation reaches dependent roles via the certificate's event channel
-    and the replicas via replication events. [false] if the primary is
+(** Revokes at the primary ({!Oasis_core.Issuer_records.revoke}): every
+    replica refuses the certificate from then on, and the invalidation
+    reaches dependent roles as a beat on the cluster's feed
+    ({!Oasis_core.Issuer_records.beat_topic}). [false] if the primary is
     down, or the certificate unknown or already revoked. *)
 
 val rotate_secret : t -> unit
@@ -138,7 +126,6 @@ val set_replica_down : t -> int -> bool -> unit
 
 type stats = {
   validations_served : int array;  (** per replica *)
-  forwarded_to_primary : int;  (** replica-miss fallbacks *)
   issues : int;
   revocations : int;
   failovers : int;  (** router retries past a dead replica *)

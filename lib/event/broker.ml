@@ -41,9 +41,9 @@ type 'a t = {
   subs : (topic, 'a bucket) Hashtbl.t;
   mutable next_id : int;
   mutable pub_count : int;
-  (* Delivery filter consulted when a publish carries a source ident; the
-     world wires this to [Fault.is_cut] so named partitions sever event
-     channels exactly as they sever the network. *)
+  (* Delivery filter consulted for every publish's source; the world wires
+     this to [Fault.is_cut] so named partitions sever event channels
+     exactly as they sever the network. *)
   mutable filter : (publisher:Ident.t -> owner:Ident.t -> bool) option;
   c_published : Obs.Counter.t;
   c_notified : Obs.Counter.t;
@@ -133,12 +133,9 @@ let delay t = t.latency +. (if t.jitter > 0.0 then Rng.float t.rng t.jitter else
 
 let set_filter t filter = t.filter <- filter
 
-(* Whether delivery from [src] to [sub] is cut right now. Publishes
-   without a source ident predate fault injection and are never filtered. *)
+(* Whether delivery from [src] to [sub] is cut right now. *)
 let cut t src sub =
-  match (src, t.filter) with
-  | Some src, Some f -> f ~publisher:src ~owner:sub.owner
-  | _ -> false
+  match t.filter with Some f -> f ~publisher:src ~owner:sub.owner | None -> false
 
 (* The at-delivery-time body shared by the batched and per-subscriber
    paths: partition filtering, accounting, callback. The caller has already
@@ -188,7 +185,7 @@ let subscribe t topic ~owner callback =
         end);
   }
 
-let publish ?src t topic payload =
+let publish ~src t topic payload =
   Obs.Counter.inc t.c_published;
   t.pub_count <- t.pub_count + 1;
   if Obs.tracing t.obs then Obs.event t.obs "broker.publish" ~labels:[ ("topic", topic) ];

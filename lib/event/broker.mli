@@ -53,13 +53,12 @@ val unsubscribe : 'a t -> subscription -> unit
     is accounted for: for each publish, subscribers-at-publish-time =
     [broker.notified] + the [broker.suppressed{cause=...}] sum. *)
 
-val publish : ?src:Oasis_util.Ident.t -> 'a t -> topic -> 'a -> unit
+val publish : src:Oasis_util.Ident.t -> 'a t -> topic -> 'a -> unit
 (** Callable from any context. Delivery order to distinct subscribers of one
     publish follows subscription order; distinct publishes to one subscriber
     arrive in publish order (FIFO per link latency). [src] names the
-    publishing node; when given, deliveries are subject to the partition
-    filter ({!set_filter}) — publishes without a source are never
-    filtered. The broker keeps nothing once a publish is delivered: a
+    publishing node; every delivery is subject to the partition filter
+    ({!set_filter}). The broker keeps nothing once a publish is delivered: a
     notification the filter suppresses is lost, and the publisher repairs
     the loss (an issuer re-sends its latest beat after a heal).
 
@@ -68,8 +67,8 @@ val publish : ?src:Oasis_util.Ident.t -> 'a t -> topic -> 'a -> unit
     rides a single engine event instead of one per subscriber. *)
 
 val set_filter : 'a t -> (publisher:Oasis_util.Ident.t -> owner:Oasis_util.Ident.t -> bool) option -> unit
-(** Installs a delivery filter, consulted at delivery time for publishes
-    that carry a [src]: [true] means the channel from publisher to
+(** Installs a delivery filter, consulted at delivery time with each
+    publish's [src]: [true] means the channel from publisher to
     subscriber owner is cut and the notification is suppressed (counted
     under [broker.suppressed{cause=partitioned}]). The world wires this to
     [Fault.is_cut] so partitions cut event channels alongside the

@@ -3,14 +3,14 @@ module Obs = Oasis_obs.Obs
 
 type emitter = { mutable running : bool; mutable stop_timer : unit -> unit }
 
-let start_emitter ?src broker engine ~topic ~period ~beat =
+let start_emitter ~src broker engine ~topic ~period ~beat =
   let emitter = { running = true; stop_timer = (fun () -> ()) } in
   let c_beats = Obs.counter (Broker.obs broker) "hb.beats" in
   let timer =
     Engine.every engine ~period (fun () ->
         if emitter.running then begin
           Obs.Counter.inc c_beats;
-          Broker.publish ?src broker topic (beat ())
+          Broker.publish ~src broker topic (beat ())
         end;
         emitter.running)
   in
@@ -33,17 +33,9 @@ type monitor = {
   mutable cancel_pending : unit -> unit;
 }
 
-(* Fresh default owner per monitor: sharing one ident across monitors made
-   every owner-scoped broker operation (partition filtering, per-owner
-   accounting) collide between unrelated watches. *)
-let monitor_idents = Oasis_util.Ident.generator "hb-monitor"
-
-let watch ?(on_beat = ignore) ?owner ?deadline broker engine ~topic ~on_miss =
+let watch ~on_beat ~owner ?deadline broker engine ~topic ~on_miss =
   if Option.fold ~none:false ~some:(fun d -> d <= 0.0) deadline then
     invalid_arg "Heartbeat.watch: deadline must be positive";
-  let owner =
-    match owner with Some o -> o | None -> Oasis_util.Ident.fresh monitor_idents
-  in
   let m =
     {
       alive = true;

@@ -12,7 +12,7 @@
 type emitter
 
 val start_emitter :
-  ?src:Oasis_util.Ident.t ->
+  src:Oasis_util.Ident.t ->
   'a Broker.t ->
   Oasis_sim.Engine.t ->
   topic:Broker.topic ->
@@ -21,10 +21,9 @@ val start_emitter :
   emitter
 (** Publishes [beat ()] on [topic] every [period] until {!stop_emitter}: the
     payload is built at each tick. The first beat fires one period after
-    the start. [src] names the emitting node so beats are subject to the
-    broker's partition filter; without it beats pass through partitions
-    (legacy behaviour). Every beat counts under [hb.beats] in the broker's
-    registry. *)
+    the start. [src] names the emitting node, whose beats are subject to
+    the broker's partition filter. Every beat counts under [hb.beats] in
+    the broker's registry. *)
 
 val stop_emitter : emitter -> unit
 (** Stopping models the issuer falling silent: beats cease and monitors
@@ -34,8 +33,8 @@ val stop_emitter : emitter -> unit
 type monitor
 
 val watch :
-  ?on_beat:('a -> unit) ->
-  ?owner:Oasis_util.Ident.t ->
+  on_beat:('a -> unit) ->
+  owner:Oasis_util.Ident.t ->
   ?deadline:float ->
   'a Broker.t ->
   Oasis_sim.Engine.t ->
@@ -47,11 +46,9 @@ val watch :
     beat). After a miss the monitor stops. Without a [deadline] the monitor
     never misses: it follows a feed with no period, whose beats come only
     when there is news (change events). [on_beat] runs on each beat, after
-    the deadline clock has restarted (default: nothing). [owner] identifies
-    the watching node for owner-scoped broker operations (partition
-    filtering); each monitor defaults to its own fresh ident, so concurrent
-    monitors never collide. Raises [Invalid_argument] if [deadline] is not
-    positive. *)
+    the deadline clock has restarted. [owner] identifies the watching node
+    for owner-scoped broker operations (partition filtering). Raises
+    [Invalid_argument] if [deadline] is not positive. *)
 
 val cancel_watch : monitor -> unit
 (** Stops the monitor without firing [on_miss]. Idempotent. *)

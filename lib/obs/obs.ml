@@ -182,8 +182,9 @@ let memory_sink () =
 
 let phase_to_string = function Begin -> "B" | End -> "E" | Instant -> "I"
 
-let escape_json s =
+let json_string s =
   let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -195,15 +196,16 @@ let escape_json s =
       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
+  Buffer.add_char buf '"';
   Buffer.contents buf
 
 let event_to_jsonl e =
   let labels =
     String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (escape_json k) (escape_json v)) e.labels)
+      (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (json_string k) (json_string v)) e.labels)
   in
-  Printf.sprintf "{\"seq\":%d,\"ts\":%.9g,\"ph\":\"%s\",\"span\":%d,\"name\":\"%s\",\"labels\":{%s}}"
-    e.seq e.at (phase_to_string e.phase) e.span (escape_json e.name) labels
+  Printf.sprintf "{\"seq\":%d,\"ts\":%.9g,\"ph\":\"%s\",\"span\":%d,\"name\":%s,\"labels\":{%s}}"
+    e.seq e.at (phase_to_string e.phase) e.span (json_string e.name) labels
 
 (* A minimal JSON parser covering exactly the subset the exporter writes:
    objects, strings, numbers. Enough for round-tripping and for the schema

@@ -138,6 +138,10 @@ val memory_sink : unit -> sink * (unit -> event list)
     One event per line:
     [{"seq":12,"ts":0.004,"ph":"I","span":0,"name":"net.drop","labels":{"cause":"link_loss"}}] *)
 
+val json_string : string -> string
+(** A JSON string literal, quotes included: the one escaper every JSON
+    writer in the library and the CLI uses. *)
+
 val event_to_jsonl : event -> string
 (** Without the trailing newline. *)
 

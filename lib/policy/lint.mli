@@ -128,9 +128,6 @@ val apply_waivers : waivers:(int * string list) list -> finding list -> finding 
 (** Drops findings whose code or check name is waived on the finding's
     line. *)
 
-val json_string : string -> string
-(** A JSON string literal, quotes included. *)
-
 val finding_json : finding -> string
 (** [{"code","check","severity","service","line","col","message"}]. *)
 

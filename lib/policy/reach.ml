@@ -535,7 +535,7 @@ let pp_result ppf r =
 
 (* ---------------- JSON ---------------- *)
 
-let json_string = Lint.json_string
+let json_string = Oasis_obs.Obs.json_string
 
 let rec witness_json = function
   | Held { service; role } ->

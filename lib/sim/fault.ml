@@ -8,7 +8,7 @@ type 'msg t = {
   partitions : (string, (Ident.t * Ident.t) list) Hashtbl.t;
   hooks : hooks Ident.Tbl.t;
   crashed : bool Ident.Tbl.t;
-  mutable on_heal : unit -> unit;
+  mutable on_heal : (Ident.t * Ident.t) list -> unit;
   c_partitions : Obs.Counter.t;
 }
 
@@ -54,7 +54,7 @@ let heal t name =
         pairs;
       let obs = Network.obs t.net in
       if Obs.tracing obs then Obs.event obs "fault.heal" ~labels:[ ("name", name) ];
-      t.on_heal ()
+      t.on_heal pairs
 
 let on_heal t hook = t.on_heal <- hook
 

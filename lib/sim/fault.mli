@@ -29,16 +29,19 @@ val partition :
     appearing on both sides are not cut from themselves. *)
 
 val heal : 'msg t -> string -> unit
-(** Removes the named partition, then runs the {!on_heal} hook. Raises
-    [Invalid_argument] on an unknown name — a typo in a scenario must
-    surface loudly. *)
+(** Removes the named partition, then runs the {!on_heal} hook with its
+    pairs. Raises [Invalid_argument] on an unknown name — a typo in a
+    scenario must surface loudly. *)
 
-val on_heal : 'msg t -> (unit -> unit) -> unit
+val on_heal : 'msg t -> ((Oasis_util.Ident.t * Oasis_util.Ident.t) list -> unit) -> unit
 (** Registers the hook {!heal} runs once a partition is gone (replacing
-    any earlier one). The world wires it to its issuers: each one with no
-    beat period re-sends its latest beat, so a dependant the partition kept
-    it from reads its tombstones. A {!restart} does not run it; a restarted
-    issuer re-sends from its own restart hook. *)
+    any earlier one). It receives the healed partition's (left, right)
+    pairs, each of which was cut in both directions. The world wires it to
+    its issuers: each one that appears in a pair and has no beat period
+    re-sends its latest beat, so a dependant the partition kept it from
+    reads its tombstones; an issuer the partition did not name sends
+    nothing. A {!restart} does not run it; a restarted issuer re-sends from
+    its own restart hook. *)
 
 val heal_all : 'msg t -> unit
 

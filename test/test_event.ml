@@ -8,6 +8,7 @@ module Rng = Oasis_util.Rng
 module Obs = Oasis_obs.Obs
 
 let owner = Ident.make "svc" 0
+let src = Ident.make "issuer" 0
 
 let make ?(latency = 1.0) () =
   let engine = Engine.create () in
@@ -20,8 +21,9 @@ let count broker key = Fixtures.metric (Broker.obs broker) key
 let test_pub_sub () =
   let engine, broker = make () in
   let got = ref [] in
-  ignore (Broker.subscribe broker "t" ~owner (fun topic v -> got := (topic, v, Engine.now engine) :: !got));
-  Broker.publish broker "t" 42;
+  ignore
+    (Broker.subscribe broker "t" ~owner (fun topic v -> got := (topic, v, Engine.now engine) :: !got));
+  Broker.publish ~src broker "t" 42;
   Alcotest.(check (list (triple string int (float 1e-9)))) "async" [] !got;
   Engine.run engine;
   Alcotest.(check (list (triple string int (float 1e-9)))) "delivered after latency"
@@ -31,7 +33,7 @@ let test_topic_isolation () =
   let engine, broker = make () in
   let got = ref 0 in
   ignore (Broker.subscribe broker "a" ~owner (fun _ _ -> incr got));
-  Broker.publish broker "b" 1;
+  Broker.publish ~src broker "b" 1;
   Engine.run engine;
   Alcotest.(check int) "no cross-topic delivery" 0 !got
 
@@ -41,7 +43,7 @@ let test_multiple_subscribers_order () =
   for i = 1 to 3 do
     ignore (Broker.subscribe broker "t" ~owner (fun _ _ -> log := i :: !log))
   done;
-  Broker.publish broker "t" 0;
+  Broker.publish ~src broker "t" 0;
   Engine.run engine;
   Alcotest.(check (list int)) "subscription order" [ 1; 2; 3 ] (List.rev !log)
 
@@ -49,10 +51,10 @@ let test_unsubscribe () =
   let engine, broker = make () in
   let got = ref 0 in
   let sub = Broker.subscribe broker "t" ~owner (fun _ _ -> incr got) in
-  Broker.publish broker "t" 1;
+  Broker.publish ~src broker "t" 1;
   Engine.run engine;
   Broker.unsubscribe broker sub;
-  Broker.publish broker "t" 2;
+  Broker.publish ~src broker "t" 2;
   Engine.run engine;
   Alcotest.(check int) "one delivery" 1 !got
 
@@ -65,7 +67,7 @@ let test_unsubscribe_cancels_in_flight () =
   let engine, broker = make () in
   let got = ref 0 in
   let sub = Broker.subscribe broker "t" ~owner (fun _ _ -> incr got) in
-  Broker.publish broker "t" 1;
+  Broker.publish ~src broker "t" 1;
   Broker.unsubscribe broker sub;
   Engine.run engine;
   Alcotest.(check int) "suppressed at delivery" 0 !got
@@ -73,7 +75,7 @@ let test_unsubscribe_cancels_in_flight () =
 let test_late_subscriber_misses_publish () =
   let engine, broker = make () in
   let got = ref 0 in
-  Broker.publish broker "t" 1;
+  Broker.publish ~src broker "t" 1;
   ignore (Broker.subscribe broker "t" ~owner (fun _ _ -> incr got));
   Engine.run engine;
   Alcotest.(check int) "no retroactive delivery" 0 !got
@@ -82,8 +84,8 @@ let test_stats () =
   let engine, broker = make () in
   ignore (Broker.subscribe broker "t" ~owner (fun _ _ -> ()));
   ignore (Broker.subscribe broker "t" ~owner (fun _ _ -> ()));
-  Broker.publish broker "t" 1;
-  Broker.publish broker "u" 2;
+  Broker.publish ~src broker "t" 1;
+  Broker.publish ~src broker "u" 2;
   Engine.run engine;
   Alcotest.(check int) "published" 2 (count broker "broker.published");
   Alcotest.(check int) "notified" 2 (count broker "broker.notified");
@@ -96,7 +98,7 @@ let test_fifo_per_subscriber () =
   let log = ref [] in
   ignore (Broker.subscribe broker "t" ~owner (fun _ v -> log := v :: !log));
   for i = 1 to 5 do
-    Broker.publish broker "t" i
+    Broker.publish ~src broker "t" i
   done;
   Engine.run engine;
   Alcotest.(check (list int)) "publish order" [ 1; 2; 3; 4; 5 ] (List.rev !log)
@@ -107,7 +109,9 @@ let test_emitter_beats () =
   let engine, broker = make ~latency:0.01 () in
   let beats = ref 0 in
   ignore (Broker.subscribe broker "hb" ~owner (fun _ _ -> incr beats));
-  let emitter = Heartbeat.start_emitter broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ()) in
+  let emitter =
+    Heartbeat.start_emitter ~src broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ())
+  in
   Engine.run_until engine 5.5;
   Heartbeat.stop_emitter emitter;
   Engine.run engine;
@@ -116,10 +120,13 @@ let test_emitter_beats () =
 
 let test_monitor_no_miss_while_beating () =
   let engine, broker = make ~latency:0.01 () in
-  let emitter = Heartbeat.start_emitter broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ()) in
+  let emitter =
+    Heartbeat.start_emitter ~src broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ())
+  in
   let missed = ref false in
   let monitor =
-    Heartbeat.watch broker engine ~topic:"hb" ~deadline:2.5 ~on_miss:(fun () -> missed := true)
+    Heartbeat.watch ~on_beat:ignore ~owner broker engine ~topic:"hb" ~deadline:2.5
+      ~on_miss:(fun () -> missed := true)
   in
   Engine.run_until engine 10.0;
   Alcotest.(check bool) "no miss" false !missed;
@@ -129,11 +136,13 @@ let test_monitor_no_miss_while_beating () =
 
 let test_monitor_miss_after_stop () =
   let engine, broker = make ~latency:0.01 () in
-  let emitter = Heartbeat.start_emitter broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ()) in
+  let emitter =
+    Heartbeat.start_emitter ~src broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ())
+  in
   let miss_at = ref nan in
   let _monitor =
-    Heartbeat.watch broker engine ~topic:"hb" ~deadline:2.5 ~on_miss:(fun () ->
-        miss_at := Engine.now engine)
+    Heartbeat.watch ~on_beat:ignore ~owner broker engine ~topic:"hb" ~deadline:2.5
+      ~on_miss:(fun () -> miss_at := Engine.now engine)
   in
   ignore (Engine.schedule engine ~after:4.0 (fun () -> Heartbeat.stop_emitter emitter));
   Engine.run engine;
@@ -149,7 +158,8 @@ let test_monitor_cancel () =
   let engine, broker = make ~latency:0.01 () in
   let missed = ref false in
   let monitor =
-    Heartbeat.watch broker engine ~topic:"hb" ~deadline:1.0 ~on_miss:(fun () -> missed := true)
+    Heartbeat.watch ~on_beat:ignore ~owner broker engine ~topic:"hb" ~deadline:1.0
+      ~on_miss:(fun () -> missed := true)
   in
   Heartbeat.cancel_watch monitor;
   Engine.run engine;

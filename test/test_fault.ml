@@ -189,24 +189,26 @@ let test_heartbeat_silence_suspect () =
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id)
 
 let test_concurrent_monitors_independent () =
-  (* Regression: every Heartbeat.watch gets its own owner ident. Two
-     monitors on one topic must count beats and fire misses independently;
-     cancelling one must not disturb the other. *)
+  (* Regression: two monitors on one topic, each with its own owner, must
+     count beats and fire misses independently; cancelling one must not
+     disturb the other. *)
   let world = World.create ~seed:3 () in
   let broker = World.broker world and engine = World.engine world in
-  let beat = Protocol.Beat { issuer = World.fresh_service_id world; epoch = 1; revoked = [] } in
+  let beat = { Protocol.epoch = 1; revoked = [] } in
   let emitter =
-    Heartbeat.start_emitter broker engine ~topic:"shared" ~period:0.5 ~beat:(fun () -> beat)
+    Heartbeat.start_emitter ~src:(World.fresh_service_id world) broker engine ~topic:"shared"
+      ~period:0.5 ~beat:(fun () -> beat)
   in
   let misses = ref 0 in
-  let watch missed =
-    Heartbeat.watch broker engine ~topic:"shared" ~deadline:1.2 ~on_miss:(fun () ->
+  let watch owner missed =
+    Heartbeat.watch ~on_beat:ignore ~owner broker engine ~topic:"shared" ~deadline:1.2
+      ~on_miss:(fun () ->
         missed := true;
         incr misses)
   in
   let m1_missed = ref false and m2_missed = ref false in
-  let m1 = watch m1_missed in
-  let _m2 = watch m2_missed in
+  let m1 = watch (World.fresh_service_id world) m1_missed in
+  let _m2 = watch (World.fresh_service_id world) m2_missed in
   World.run_until world 3.0;
   Alcotest.(check int) "beats keep both monitors quiet" 0 !misses;
   Heartbeat.cancel_watch m1;

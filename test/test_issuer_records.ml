@@ -131,9 +131,8 @@ let heard world issuer =
   let beats = ref [] in
   ignore
     (Broker.subscribe (World.broker world) (Issuer_records.beat_topic issuer)
-       ~owner:(World.fresh_service_id world) (fun _topic -> function
-       | Protocol.Beat { epoch; revoked; _ } -> beats := (epoch, revoked) :: !beats
-       | Protocol.Replicated _ -> ()));
+       ~owner:(World.fresh_service_id world) (fun _topic { Protocol.epoch; revoked } ->
+         beats := (epoch, revoked) :: !beats));
   fun () -> List.rev !beats
 
 let beat = Alcotest.(pair int (list (testable Ident.pp Ident.equal)))
@@ -295,6 +294,32 @@ let test_tombstone_published_last () =
   Alcotest.(check bool) "decision record correlates before the publish" true
     (record.Dlog.trace_seq < publish)
 
+(* Under change events a heal re-sends the latest beat of each issuer its
+   partition named, and of no other: issuers A and B have both revoked a
+   record, a partition cuts only A from a reader, and its heal publishes
+   A's latest beat once and nothing of B's. *)
+let test_heal_resends_named_issuers () =
+  let world = World.create () in
+  let a = World.fresh_service_id world and b = World.fresh_service_id world in
+  let reader = World.fresh_service_id world in
+  let heard_a = heard world a and heard_b = heard world b in
+  List.iter
+    (fun issuer ->
+      let records = Issuer_records.create world ~issuer in
+      ignore (Issuer_records.revoke records (add records world) ~reason:"test" ~bookkeeping:ignore))
+    [ a; b ];
+  World.settle world;
+  let fault = World.fault world in
+  Fault.partition fault ~name:"a-cut" [ a ] [ reader ];
+  let published () = Fixtures.metric (World.obs world) "broker.published" in
+  let before = published () in
+  Fault.heal fault "a-cut";
+  Alcotest.(check int) "one beat published at the heal" 1 (published () - before);
+  World.settle world;
+  Alcotest.(check (list beat)) "A's latest beat, re-sent" [ (1, []); (1, []) ]
+    (List.map (fun (epoch, _) -> (epoch, [])) (heard_a ()));
+  Alcotest.(check int) "nothing from B" 1 (List.length (heard_b ()))
+
 let suite =
   ( "issuer-records",
     [
@@ -305,4 +330,5 @@ let suite =
       Alcotest.test_case "expiry deferred while down" `Quick test_expiry_deferred;
       Alcotest.test_case "tombstone published last" `Quick test_tombstone_published_last;
       Alcotest.test_case "expiry while the issuer is down" `Quick test_expiry_while_down;
+      Alcotest.test_case "heal re-sends only named issuers" `Quick test_heal_resends_named_issuers;
     ] )

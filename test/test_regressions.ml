@@ -64,7 +64,8 @@ let test_heartbeat_cancel_releases_timer () =
   in
   let missed = ref false in
   let monitor =
-    Heartbeat.watch broker engine ~topic:"hb" ~deadline:2.5 ~on_miss:(fun () -> missed := true)
+    Heartbeat.watch ~on_beat:ignore ~owner:(Ident.make "svc" 1) broker engine ~topic:"hb"
+      ~deadline:2.5 ~on_miss:(fun () -> missed := true)
   in
   Alcotest.(check bool) "timer armed" true (Engine.pending engine > 0);
   Heartbeat.cancel_watch monitor;
@@ -97,8 +98,9 @@ let test_teardown_releases_cache_watches teardown () =
       let s = Principal.start_session p in
       ignore (ok (Principal.activate p s svc ~role:"member" ())));
   let topic = Oasis_core.Issuer_records.beat_topic (Civ.id civ) in
-  (* Who still listens on the badge issuer's feed: a probe event the
-     watches ignore reaches every live subscription, counted as notified or
+  (* Who still listens on the badge issuer's feed: a repeat of the CIV's
+     current beat, which the watches meet by reading tombstones that are not
+     there, reaches every live subscription, counted as notified or
      suppressed, and no released one. *)
   let listeners () =
     let addressed () =
@@ -111,9 +113,10 @@ let test_teardown_releases_cache_watches teardown () =
         ]
     in
     let before = addressed () in
-    Broker.publish (World.broker world) topic
-      (Protocol.Replicated
-         { issuer = Civ.id civ; cert_id = badge.Oasis_cert.Appointment.id; valid = true });
+    let epoch =
+      Option.get (World.feed_epoch world ~issuer:(Civ.id civ) ~reader:(Civ.id civ))
+    in
+    Broker.publish ~src:(Civ.id civ) (World.broker world) topic { Protocol.epoch; revoked = [] };
     World.settle world;
     addressed () - before
   in
@@ -587,7 +590,7 @@ let test_broker_inflight_unsubscribe_accounted () =
   let owner = Ident.make "svc" 1 in
   let s1 = Broker.subscribe broker "t" ~owner (fun _ _ -> incr got) in
   let _s2 = Broker.subscribe broker "t" ~owner (fun _ _ -> incr got) in
-  Broker.publish broker "t" ();
+  Broker.publish ~src:(Ident.make "issuer" 1) broker "t" ();
   Broker.unsubscribe broker s1;
   Engine.run engine;
   Alcotest.(check int) "one callback ran" 1 !got;

@@ -278,7 +278,6 @@ let test_stats_views_read_registry () =
   check "svc.reconciled{outcome=revoked,service=club}" st.Service.reconciled_revoked;
   check (svc "trust.flaps_suppressed") st.Service.flaps_suppressed;
   let cv = Oasis_domain.Civ.stats civ in
-  check "civ.forwarded{civ=authority}" cv.Oasis_domain.Civ.forwarded_to_primary;
   check "civ.issues{civ=authority}" cv.Oasis_domain.Civ.issues;
   check "civ.revocations{civ=authority}" cv.Oasis_domain.Civ.revocations;
   check "civ.failovers{civ=authority}" cv.Oasis_domain.Civ.failovers;
