@@ -106,7 +106,7 @@ val verify_rmc :
 
     [signature_seen] (default [false]) skips the Schnorr step and only it:
     the caller vouches that this exact certificate, under this principal
-    key, already passed it under [chain.cert]. {!Validation_cache.verify_rmc}
+    key, already passed it under [chain.cert]. {!Validation_cache.verify}
     is the caller that can; the chain and subject checks still run. *)
 
 val issue_appointment :
@@ -128,5 +128,5 @@ val verify_appointment :
 (** Chain + signature + expiry + epoch currency (the chain's [key_epoch]
     plays the role the HMAC scheme's [current_epoch] does).
     [signature_seen] skips the signature step alone, as for {!verify_rmc}
-    ({!Validation_cache.verify_appointment}); expiry and epoch are checked
+    ({!Validation_cache.verify}); expiry and epoch are checked
     on every call. *)

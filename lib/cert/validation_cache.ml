@@ -15,15 +15,13 @@ let same a b =
 
 (* One table per service, keyed by certificate id: a negative verdict; a
    positive callback verdict with the presentation it answered; or the
-   record of an offline signature check that succeeded — the exact
-   certificate, an RMC's principal key, and the key certificate it
-   verified under. A negative verdict replaces the others, and {!clear}
-   drops everything. *)
+   record of an offline signature check that succeeded — the presentation
+   and the key certificate it verified under. A negative verdict replaces
+   the others, and {!clear} drops everything. *)
 type entry =
   | Revoked
   | Confirmed of presented
-  | Rmc_signed of { rmc : Rmc.t; principal_key : string; under : Signed.key_cert }
-  | Appt_signed of { appt : Appointment.t; under : Signed.key_cert }
+  | Signature_seen of { presented : presented; under : Signed.key_cert }
 
 type t = {
   table : entry Ident.Tbl.t;
@@ -55,7 +53,7 @@ let lookup t presented =
   | Some (Confirmed answered) when same answered presented ->
       Obs.Counter.inc t.c_hits;
       Some Valid
-  | Some (Confirmed _ | Rmc_signed _ | Appt_signed _) | None ->
+  | Some (Confirmed _ | Signature_seen _) | None ->
       Obs.Counter.inc t.c_misses;
       None
 
@@ -64,49 +62,36 @@ let is_poisoned t cert_id =
   | Some Revoked ->
       Obs.Counter.inc t.c_negative_hits;
       true
-  | Some (Confirmed _ | Rmc_signed _ | Appt_signed _) | None -> false
+  | Some (Confirmed _ | Signature_seen _) | None -> false
 
-(* Only a success is remembered, so a failure costs the full check every
-   time and can never be served from the table; and a negative verdict
-   stays, since a signature says nothing about revocation. *)
-let remember t cert_id entry found =
-  match found with
+let verify t ~address ~chain ~now presented =
+  let under = chain.Signed.cert and id = presented_id presented in
+  let found = Ident.Tbl.find_opt t.table id in
+  let signature_seen =
+    match found with
+    | Some (Signature_seen seen) -> seen.under == under && same seen.presented presented
+    | Some (Revoked | Confirmed _) | None -> false
+  in
+  let ok =
+    match presented with
+    | Rmc (rmc, principal_key) ->
+        Signed.verify_rmc ~signature_seen ~address ~chain ~principal_key rmc
+    | Appointment appt -> Signed.verify_appointment ~signature_seen ~address ~chain ~now appt
+  in
+  (* Only a success is remembered, so a failure costs the full check every
+     time and can never be served from the table; and a negative verdict
+     stays, since a signature says nothing about revocation. *)
+  (match found with
   | Some Revoked -> ()
-  | Some (Confirmed _ | Rmc_signed _ | Appt_signed _) | None ->
-      Ident.Tbl.replace t.table cert_id entry
-
-let verify_rmc t ~address ~chain ~principal_key (rmc : Rmc.t) =
-  let under = chain.Signed.cert in
-  let found = Ident.Tbl.find_opt t.table rmc.id in
-  let signature_seen =
-    match found with
-    | Some (Rmc_signed seen) ->
-        seen.under == under
-        && String.equal seen.principal_key principal_key
-        && Rmc.identical seen.rmc rmc
-    | Some (Revoked | Confirmed _ | Appt_signed _) | None -> false
-  in
-  let ok = Signed.verify_rmc ~signature_seen ~address ~chain ~principal_key rmc in
-  if ok && not signature_seen then
-    remember t rmc.id (Rmc_signed { rmc; principal_key; under }) found;
-  ok
-
-let verify_appointment t ~address ~chain ~now (appt : Appointment.t) =
-  let under = chain.Signed.cert in
-  let found = Ident.Tbl.find_opt t.table appt.id in
-  let signature_seen =
-    match found with
-    | Some (Appt_signed seen) -> seen.under == under && Appointment.identical seen.appt appt
-    | Some (Revoked | Confirmed _ | Rmc_signed _) | None -> false
-  in
-  let ok = Signed.verify_appointment ~signature_seen ~address ~chain ~now appt in
-  if ok && not signature_seen then remember t appt.id (Appt_signed { appt; under }) found;
+  | Some (Confirmed _ | Signature_seen _) | None ->
+      if ok && not signature_seen then
+        Ident.Tbl.replace t.table id (Signature_seen { presented; under }));
   ok
 
 let invalidate t cert_id =
   match Ident.Tbl.find_opt t.table cert_id with
   | Some Revoked -> ()
-  | Some (Confirmed _ | Rmc_signed _ | Appt_signed _) | None ->
+  | Some (Confirmed _ | Signature_seen _) | None ->
       (* Revocation is permanent (the issuer never resurrects a certificate
          id), so the invalidation event is itself a cachable negative
          verdict: later presentations of the dead certificate answer [false]
@@ -117,6 +102,6 @@ let invalidate t cert_id =
 let drop t cert_id =
   match Ident.Tbl.find_opt t.table cert_id with
   | Some (Confirmed _) -> Ident.Tbl.remove t.table cert_id
-  | Some (Revoked | Rmc_signed _ | Appt_signed _) | None -> ()
+  | Some (Revoked | Signature_seen _) | None -> ()
 
 let clear t = Ident.Tbl.reset t.table

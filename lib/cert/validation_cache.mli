@@ -28,15 +28,15 @@
     Experiment E3 measures the round trips this cache saves.
 
     The same table remembers the result of offline validation (DESIGN.md
-    §12): a certificate whose signature a service checked against its
-    issuer's key chain and found good ({!verify_rmc},
-    {!verify_appointment}). A later presentation of that exact certificate
-    — every field equal, floats by bit pattern — under the same principal
-    key and the same key certificate (the value, compared with [==]) skips
-    the signature check. It skips nothing else: the chain, issuer,
-    epoch and expiry checks, and the caller's revocation checks, run on
-    every presentation. Failures are not remembered; {!invalidate} and
-    {!clear} drop these records with the verdicts, and they count under no
+    §12): a presentation whose signature a service checked against its
+    issuer's key chain and found good ({!verify}, one entry for either
+    kind). A later presentation of that exact certificate — every field
+    equal, floats by bit pattern — under the same principal key and the
+    same key certificate (the value, compared with [==]) skips the
+    signature check. It skips nothing else: the chain, issuer, epoch and
+    expiry checks, and the caller's revocation checks, run on every
+    presentation. Failures are not remembered; {!invalidate} and {!clear}
+    drop these records with the verdicts, and they count under no
     [vcache.*] counter. *)
 
 type t
@@ -73,22 +73,12 @@ val is_poisoned : t -> Oasis_util.Ident.t -> bool
     caller that verifies the certificate itself and never fills the cache,
     so an absent entry is not a miss and counts nothing. *)
 
-val verify_rmc :
-  t ->
-  address:string ->
-  chain:Signed.chain ->
-  principal_key:string ->
-  Rmc.t ->
-  bool
-(** {!Signed.verify_rmc}, with the signature step answered from the table
-    when this exact certificate and [principal_key] verified before under
+val verify : t -> address:string -> chain:Signed.chain -> now:float -> presented -> bool
+(** {!Signed.verify_rmc} under the RMC's principal key, or
+    {!Signed.verify_appointment} at [now], with the signature step answered
+    from the table when this same presentation verified before under
     [chain.cert]. A success is remembered under the certificate id, unless
     the id carries a negative verdict, which stays. *)
-
-val verify_appointment :
-  t -> address:string -> chain:Signed.chain -> now:float -> Appointment.t -> bool
-(** {!Signed.verify_appointment}, with the signature step answered from
-    the table as for {!verify_rmc}. *)
 
 val invalidate : t -> Oasis_util.Ident.t -> unit
 (** Called on an invalidation event from the issuer's channel. Converts the

@@ -102,8 +102,8 @@ let activate_with t session service ~role ?(args = []) ?alias ~creds () =
   | Protocol.Denied denial -> Error denial
   | _ -> Error (Protocol.Bad_request "unexpected reply")
 
-let activate t session service ~role ?(args = []) ?alias () =
-  activate_with t session service ~role ~args ?alias ~creds:(credentials t session) ()
+let activate t session service ~role ?(args = []) () =
+  activate_with t session service ~role ~args ~creds:(credentials t session) ()
 
 let invoke_with t session service ~privilege ~args ?alias ~creds () =
   let principal = match alias with Some a -> a | None -> t.pid in
@@ -122,7 +122,7 @@ let invoke t session service ~privilege ~args =
 let invoke_as t session service ~privilege ~args ~alias =
   invoke_with t session service ~privilege ~args ~alias ~creds:(credentials t session) ()
 
-let appoint t session service ~kind ~args ~holder ?holder_key ?expires_at () =
+let appoint t session service ~kind ~args ~holder ?expires_at () =
   match
     call t service
       (Protocol.Appoint
@@ -132,7 +132,7 @@ let appoint t session service ~kind ~args ~holder ?holder_key ?expires_at () =
            kind;
            args;
            holder = holder.pid;
-           holder_key = (match holder_key with Some k -> k | None -> longterm_public holder);
+           holder_key = longterm_public holder;
            expires_at;
            creds = credentials t session;
          })

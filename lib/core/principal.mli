@@ -60,7 +60,6 @@ val activate :
   Service.t ->
   role:string ->
   ?args:Oasis_util.Value.t option list ->
-  ?alias:Oasis_util.Ident.t ->
   unit ->
   (Oasis_cert.Rmc.t, Protocol.denial) result
 (** Role entry (paths 1–2 of Fig. 2). Presents the session's RMCs plus the
@@ -94,7 +93,6 @@ val appoint :
   kind:string ->
   args:Oasis_util.Value.t list ->
   holder:t ->
-  ?holder_key:string ->
   ?expires_at:float ->
   unit ->
   (Oasis_cert.Appointment.t, Protocol.denial) result

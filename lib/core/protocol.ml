@@ -55,8 +55,7 @@ type msg =
   | Appoint_ok of Oasis_cert.Appointment.t
   | Deactivate of { cert_id : Ident.t; session_key : string }
   | Deactivate_ok
-  | Validate_rmc of { rmc : Oasis_cert.Rmc.t; principal_key : string }
-  | Validate_appt of { appt : Oasis_cert.Appointment.t }
+  | Validate of Oasis_cert.Validation_cache.presented
   | Validate_result of bool
   | Challenge_msg of { challenge : Oasis_crypto.Challenge.challenge; key_hint : string }
   | Challenge_response of string
@@ -95,9 +94,9 @@ let size_of msg =
   | Appoint_ok appt -> Oasis_cert.Appointment.size_bytes appt
   | Deactivate { session_key; _ } -> 16 + String.length session_key
   | Deactivate_ok -> 0
-  | Validate_rmc { rmc; principal_key } ->
+  | Validate (Rmc (rmc, principal_key)) ->
       Oasis_cert.Rmc.size_bytes rmc + String.length principal_key
-  | Validate_appt { appt } -> Oasis_cert.Appointment.size_bytes appt
+  | Validate (Appointment appt) -> Oasis_cert.Appointment.size_bytes appt
   | Validate_result _ -> 1
   | Challenge_msg { key_hint; _ } -> 16 + 16 + String.length key_hint
   | Challenge_response r -> String.length r

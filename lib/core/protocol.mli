@@ -66,10 +66,11 @@ type msg =
   (* Voluntary role deactivation / logout; must prove the session binding. *)
   | Deactivate of { cert_id : Oasis_util.Ident.t; session_key : string }
   | Deactivate_ok
-  (* Validation callbacks to the issuer (Sect. 4): the full certificate is
-     presented; only the issuer can check the signature (it holds SECRET). *)
-  | Validate_rmc of { rmc : Oasis_cert.Rmc.t; principal_key : string }
-  | Validate_appt of { appt : Oasis_cert.Appointment.t }
+  (* Validation callback to the issuer (Sect. 4): the full presentation —
+     an RMC with the session key it was presented under, or an
+     appointment — as the relying service was shown it; only the issuer can
+     check the signature (it holds SECRET). *)
+  | Validate of Oasis_cert.Validation_cache.presented
   | Validate_result of bool
   (* Challenge–response against a claimed public key; [key_hint] tells the
      responder which of its keys is being challenged. *)
@@ -83,7 +84,8 @@ type msg =
      restarts, a dependent service asks the issuer point-blank whether a
      credential record is still valid. Cheaper than a full validation
      callback — the dependent already holds the certificate; only the
-     issuer's current record state is in question. *)
+     issuer's current record state is in question. A CIV router sends it
+     to a replica as it does a validation. *)
   | Check_cr of { cert_id : Oasis_util.Ident.t }
   | Cr_status of { valid : bool }
   | Denied of denial

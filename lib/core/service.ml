@@ -180,13 +180,11 @@ let register_operation t privilege handler = Hashtbl.replace t.operations privil
    appointments verify under this service's issuer key
    ({!Issuer_records.verify_appointment}). Either way the credential record
    store has the last word — a genuine but revoked certificate is dead. *)
-let verify_own_rmc t ~principal_key (rmc : Rmc.t) =
-  Monitor.granted t.monitor rmc ~session_key:principal_key
-  && Issuer_records.is_valid t.records rmc.id
+let verify_own t = function
+  | Vcache.Rmc (rmc, session_key) ->
+      Monitor.granted t.monitor rmc ~session_key && Issuer_records.is_valid t.records rmc.id
+  | Vcache.Appointment appt -> Issuer_records.verify_appointment t.records t.key appt
 
-(* How a presented certificate is verified follows from what its issuer
-   publishes: offline against the issuer's chain with the domain root when
-   there is one, by callback otherwise. *)
 let issuer_chain t issuer = Signed.chain_for (World.authority t.world) issuer
 
 (* Every credential check, remote or offline, reports its verdict the same
@@ -224,12 +222,9 @@ let validate_remote t ~issuer (presented : Vcache.presented) =
          retried — a 'false' answer is authoritative). *)
       let attempt () =
         Obs.Counter.inc t.st.callbacks_out;
-        let request =
-          match presented with
-          | Vcache.Rmc (rmc, principal_key) -> Protocol.Validate_rmc { rmc; principal_key }
-          | Vcache.Appointment appt -> Protocol.Validate_appt { appt }
-        in
-        match Network.rpc (World.network t.world) ~src:t.sid ~dst:issuer request with
+        match
+          Network.rpc (World.network t.world) ~src:t.sid ~dst:issuer (Protocol.Validate presented)
+        with
         | reply -> Ok reply
         | exception Network.Rpc_dropped -> Error ()
       in
@@ -261,6 +256,41 @@ let challenge_key t ~dst ~key =
       | _ -> false
       | exception Network.Rpc_dropped -> false)
 
+let issuer_of = function
+  | Vcache.Rmc (rmc, _) -> rmc.Rmc.issuer
+  | Vcache.Appointment appt -> appt.Appointment.issuer
+
+(* Checks one presented certificate, of either kind (Sect. 4). The
+   verifier follows from its issuer: this service answers from its own
+   records; an issuer with an enrolled key chain is checked offline
+   (DESIGN.md §12) — no cached invalidation, no tombstone at the issuer,
+   and the signature under the chain, answered from the validation cache's
+   memo when this same presentation passed before; any other issuer (HMAC
+   signers, decommissioned issuers) by callback. A chain in hand is
+   authoritative for authenticity; freshness still comes from the
+   dependency watches installed after the grant. An appointment's holder
+   then proves possession of its long-lived key when the service demands
+   it: that defeats stolen appointment certificates (Sect. 4.1). *)
+let check t ~src presented =
+  let issuer = issuer_of presented in
+  (if Ident.equal issuer t.sid then verify_own t presented
+   else
+     match issuer_chain t issuer with
+     | Some chain ->
+         let cert_id = Vcache.presented_id presented in
+         Obs.Counter.inc t.st.offline_validations;
+         trace_verdict t ~cert_id "offline"
+           ((not (Vcache.is_poisoned t.cache cert_id))
+           && Option.is_none (World.revocation t.world ~issuer ~cert_id ~reader:t.sid)
+           && Vcache.verify t.cache ~address:t.root_address ~chain ~now:(World.now t.world)
+                presented)
+     | None -> validate_remote t ~issuer presented)
+  &&
+  match presented with
+  | Vcache.Appointment appt when t.config.challenge_appointment_holders ->
+      challenge_key t ~dst:src ~key:appt.holder
+  | Vcache.Rmc _ | Vcache.Appointment _ -> true
+
 (* Presented credentials and the references in rule bodies meet on one
    key: the issuer's identifier and the role or appointment name. A rule's
    symbolic service resolves to this service when absent, through the
@@ -278,57 +308,39 @@ let resolve_issuer t = function
   | None -> Some t.sid
   | Some symbolic -> World.resolve t.world symbolic
 
-(* Validates the presented credentials, returning solver candidates.
-   Invalid credentials are dropped (and counted): a wallet may legitimately
-   contain certificates that have expired or been revoked.
+let key_of : Vcache.presented -> Key.t = function
+  | Vcache.Rmc (rmc, _) -> (rmc.issuer, rmc.role)
+  | Vcache.Appointment appt -> (appt.issuer, appt.kind)
+
+let cred_of = function
+  | Vcache.Rmc (rmc, _) ->
+      { Solve.cred_id = rmc.id; issuer = rmc.issuer; cred_name = rmc.role; cred_args = rmc.args }
+  | Vcache.Appointment appt ->
+      {
+        Solve.cred_id = appt.id;
+        issuer = appt.issuer;
+        cred_name = appt.kind;
+        cred_args = appt.args;
+      }
+
+(* The solver's view of a request's wallet, built in one pass: RMCs first,
+   then appointments, each in presentation order. A checked, valid
+   credential goes straight into its kind's index by key, so each rule
+   condition looks up exactly its matching candidates instead of filtering
+   the whole wallet (a rule with many conditions over a fat wallet was
+   quadratic); a bucket keeps presentation order, so proof search tries
+   credentials in the order presented. An invalid credential is dropped
+   and counted: a wallet may legitimately hold certificates that have
+   expired or been revoked.
 
    [rules] are the request's candidate rules. A credential none of them
    names can never support a proof — the solver only looks credentials up
    by the rules' own references — so it is dropped unchecked when its
-   check would be local: its issuer is this service or has a chain. A check that goes over the
-   network runs for every presented credential, named or not, in
-   presentation order: a callback warms the cache, installs a cache watch
-   and can mark its issuer unreachable, and a holder challenge is an RPC to
-   the presenter. *)
-let validate_presented t ~src ~session_key ~rules (creds : Protocol.credentials) =
-  (* Zero-RPC verification (DESIGN.md §12): when the presenting issuer has
-     an enrolled key chain, the signature is checked locally against the
-     domain root and no callback is made. A chain in hand is authoritative
-     for *authenticity*; freshness still comes from the dep watches
-     installed after the grant (and from the poisoned cache for revocations
-     this service has already witnessed). Issuers without a chain — HMAC
-     signers, decommissioned issuers — are validated by callback. *)
-  let offline_verdict ~issuer cert_id verify =
-    Obs.Counter.inc t.st.offline_validations;
-    trace_verdict t ~cert_id "offline"
-      ((not (Vcache.is_poisoned t.cache cert_id))
-      && Option.is_none (World.revocation t.world ~issuer ~cert_id ~reader:t.sid)
-      && verify ())
-  in
-  let rmc_ok (rmc : Rmc.t) =
-    if Ident.equal rmc.issuer t.sid then verify_own_rmc t ~principal_key:session_key rmc
-    else
-      match issuer_chain t rmc.issuer with
-      | Some chain ->
-          offline_verdict ~issuer:rmc.issuer rmc.id (fun () ->
-              Vcache.verify_rmc t.cache ~address:t.root_address ~chain ~principal_key:session_key
-                rmc)
-      | None -> validate_remote t ~issuer:rmc.issuer (Vcache.Rmc (rmc, session_key))
-  in
-  let appt_ok (appt : Appointment.t) =
-    (if Ident.equal appt.issuer t.sid then Issuer_records.verify_appointment t.records t.key appt
-     else
-       match issuer_chain t appt.issuer with
-       | Some chain ->
-           offline_verdict ~issuer:appt.issuer appt.id (fun () ->
-               Vcache.verify_appointment t.cache ~address:t.root_address ~chain
-                 ~now:(World.now t.world) appt)
-       | None -> validate_remote t ~issuer:appt.issuer (Vcache.Appointment appt))
-    && ((not t.config.challenge_appointment_holders)
-       (* Prove possession of the long-lived holder key: defeats stolen
-          appointment certificates (Sect. 4.1). *)
-       || challenge_key t ~dst:src ~key:appt.holder)
-  in
+   check would be local: its issuer is this service or has a chain. A check
+   that goes over the network runs for every presented credential, named or
+   not: a callback warms the cache, installs a cache watch and can mark its
+   issuer unreachable, and a holder challenge is an RPC to the presenter. *)
+let solver_context t ~src ~session_key ~rules (creds : Protocol.credentials) =
   let named_keys refs acc =
     List.fold_left
       (fun acc (r : Rule.cred_ref) ->
@@ -342,76 +354,37 @@ let validate_presented t ~src ~session_key ~rules (creds : Protocol.credentials)
       ([], []) rules
   in
   let named keys key = List.exists (Key.equal key) keys in
-  let checked ~named issuer =
-    named || not (Ident.equal issuer t.sid || Option.is_some (issuer_chain t issuer))
+  let keep index ~named presented =
+    let ((issuer, _) as key) = key_of presented in
+    if named key || not (Ident.equal issuer t.sid || Option.is_some (issuer_chain t issuer)) then
+      if check t ~src presented then
+        let cred = cred_of presented in
+        match Key_tbl.find_opt index key with
+        | Some bucket -> bucket := cred :: !bucket
+        | None -> Key_tbl.replace index key (ref [ cred ])
+      else Obs.Counter.inc t.st.validation_failures
   in
-  let keep valid =
-    List.filter (fun c ->
-        let ok = valid c in
-        if not ok then Obs.Counter.inc t.st.validation_failures;
-        ok)
-  in
-  let keep_rmcs =
-    keep rmc_ok
-      (List.filter
-         (fun (rmc : Rmc.t) -> checked rmc.issuer ~named:(named named_rmcs (rmc.issuer, rmc.role)))
-         creds.rmcs)
-  in
-  let keep_appts =
-    keep appt_ok
-      (List.filter
-         (fun (appt : Appointment.t) ->
-           checked appt.issuer
-             ~named:
-               (t.config.challenge_appointment_holders
-               || named named_appts (appt.issuer, appt.kind)))
-         creds.appointments)
-  in
-  let rmc_creds =
-    List.map
-      (fun (rmc : Rmc.t) ->
-        { Solve.cred_id = rmc.id; issuer = rmc.issuer; cred_name = rmc.role; cred_args = rmc.args })
-      keep_rmcs
-  in
-  let appt_creds =
-    List.map
-      (fun (appt : Appointment.t) ->
-        {
-          Solve.cred_id = appt.id;
-          issuer = appt.issuer;
-          cred_name = appt.kind;
-          cred_args = appt.args;
-        })
-      keep_appts
-  in
-  (rmc_creds, appt_creds)
-
-(* Candidate credentials indexed by key: built once per request, then each
-   rule condition looks up exactly its matching candidates instead of
-   filtering the whole presented wallet (a rule with many conditions over
-   a fat wallet was quadratic). Presentation order is preserved within a
-   bucket, so proof search tries credentials in the order presented. *)
-let index_creds creds =
-  let tbl = Key_tbl.create 16 in
+  let rmcs = Key_tbl.create 16 and appts = Key_tbl.create 16 in
   List.iter
-    (fun (c : Solve.cred) ->
-      let k = (c.issuer, c.cred_name) in
-      match Key_tbl.find_opt tbl k with
-      | Some bucket -> bucket := c :: !bucket
-      | None -> Key_tbl.replace tbl k (ref [ c ]))
-    creds;
-  Key_tbl.iter (fun _ bucket -> bucket := List.rev !bucket) tbl;
-  fun k -> match Key_tbl.find_opt tbl k with Some bucket -> !bucket | None -> []
-
-let solver_context t ~rmc_creds ~appt_creds =
-  let find_rmc = index_creds rmc_creds in
-  let find_appt = index_creds appt_creds in
-  let by_issuer find service name =
-    match resolve_issuer t service with None -> [] | Some issuer -> find (issuer, name)
+    (fun rmc -> keep rmcs ~named:(named named_rmcs) (Vcache.Rmc (rmc, session_key)))
+    creds.rmcs;
+  List.iter
+    (fun appt ->
+      keep appts
+        ~named:(fun key -> t.config.challenge_appointment_holders || named named_appts key)
+        (Vcache.Appointment appt))
+    creds.appointments;
+  let find index service name =
+    match resolve_issuer t service with
+    | None -> []
+    | Some issuer -> (
+        match Key_tbl.find_opt index (issuer, name) with Some bucket -> !bucket | None -> [])
   in
+  Key_tbl.iter (fun _ bucket -> bucket := List.rev !bucket) rmcs;
+  Key_tbl.iter (fun _ bucket -> bucket := List.rev !bucket) appts;
   {
-    Solve.find_rmcs = (fun ~service ~name -> by_issuer find_rmc service name);
-    find_appointments = (fun ~issuer ~name -> by_issuer find_appt issuer name);
+    Solve.find_rmcs = (fun ~service ~name -> find rmcs service name);
+    find_appointments = (fun ~issuer ~name -> find appts issuer name);
     env_check = Env.check t.env;
     env_enumerate = Env.enumerate t.env;
   }
@@ -459,8 +432,7 @@ let decide t ~src ~principal ~session_key ~creds ~action ~denied ~challenge ~unk
       let reason, denial = unknown in
       deny reason denial
   | Some rules -> (
-      let rmc_creds, appt_creds = validate_presented t ~src ~session_key ~rules creds in
-      let ctx = solver_context t ~rmc_creds ~appt_creds in
+      let ctx = solver_context t ~src ~session_key ~rules creds in
       if challenge && not (challenge_key t ~dst:src ~key:session_key) then
         deny "challenge failed" Protocol.Challenge_failed
       else
@@ -575,14 +547,6 @@ let handle_deactivate t ~cert_id ~session_key =
   if Monitor.release t.monitor cert_id ~session_key then Protocol.Deactivate_ok
   else Protocol.Denied (Protocol.Bad_credential cert_id)
 
-let handle_validate_rmc t ~rmc ~principal_key =
-  Obs.Counter.inc t.st.callbacks_in;
-  Protocol.Validate_result (verify_own_rmc t ~principal_key rmc)
-
-let handle_validate_appt t ~appt =
-  Obs.Counter.inc t.st.callbacks_in;
-  Protocol.Validate_result (Issuer_records.verify_appointment t.records t.key appt)
-
 let handle_rpc t ~src msg =
   match msg with
   | Protocol.Activate { principal; session_key; role; requested; creds } ->
@@ -594,8 +558,9 @@ let handle_rpc t ~src msg =
       handle_appoint t ~src ~principal ~session_key ~kind ~args ~holder ~holder_key ~expires_at
         ~creds
   | Protocol.Deactivate { cert_id; session_key } -> handle_deactivate t ~cert_id ~session_key
-  | Protocol.Validate_rmc { rmc; principal_key } -> handle_validate_rmc t ~rmc ~principal_key
-  | Protocol.Validate_appt { appt } -> handle_validate_appt t ~appt
+  | Protocol.Validate presented ->
+      Obs.Counter.inc t.st.callbacks_in;
+      Protocol.Validate_result (verify_own t presented)
   | Protocol.Env_check { pred; args } ->
       (* Answer remote environmental lookups against our database (Sect. 2:
          "database lookup at some service"). Unknown predicates answer

@@ -18,15 +18,24 @@
     other services, and its registered operations may invoke further
     services — the cross-domain chains of Fig. 3.
 
-    A presented certificate costs a signature check at most once per
-    service and issuer key certificate (DESIGN.md §12). The service's own
-    RMCs — presented to it, or in a validation callback it answers — are
-    compared with the certificate its monitor recorded at the grant
-    ({!Monitor.granted}), with no signature check at all. A foreign
-    certificate checked offline is compared with the one its validation
-    cache remembers from an earlier successful check under the same key
-    certificate; the chain, expiry, epoch and revocation checks run on
-    every presentation. *)
+    Every presented certificate, RMC or appointment, goes through one
+    check ({!Oasis_cert.Validation_cache.presented}: an RMC with the
+    session key it came under, or an appointment), in one pass over the
+    wallet — RMCs first, then appointments, each in presentation order —
+    that files each valid credential straight into the solver's index. The
+    issuer picks the verifier. The service's own certificates are checked
+    against its records: an own RMC, presented to it or in a validation
+    callback it answers, is compared with the certificate its monitor
+    recorded at the grant ({!Monitor.granted}), with no signature check at
+    all. A foreign certificate whose issuer has an enrolled key chain is
+    checked offline (DESIGN.md §12), at most one signature check per
+    service and issuer key certificate: the validation cache remembers the
+    presentation that passed ({!Oasis_cert.Validation_cache.verify}), and
+    the chain, expiry, epoch and revocation checks run on every
+    presentation. Any other is validated by callback to its issuer, with
+    one request ({!Protocol.Validate}) for either kind. An appointment's
+    holder is then challenged when [challenge_appointment_holders] is
+    set. *)
 
 type t
 

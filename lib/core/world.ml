@@ -61,7 +61,10 @@ let create ?(seed = 1) ?(net_latency = 0.001) ?(net_jitter = 0.0) ?(notify_laten
     Network.create engine (Rng.split rng) ~default_latency:net_latency ~default_jitter:net_jitter
       ~size_of:Protocol.size_of ~obs ()
   in
-  let broker = Broker.create engine (Rng.split rng) ~notify_latency ~obs () in
+  (* The broker draws nothing, but the split it used to take stays, so the
+     streams split after it, and every seed's draws, do not move. *)
+  ignore (Rng.split rng : Rng.t);
+  let broker = Broker.create engine ~notify_latency ~obs () in
   let fault = Oasis_sim.Fault.create network in
   (* The domain root authority draws from its own stream derived from the
      seed — not from [rng] — so adding signatures perturbs none of the
@@ -154,7 +157,7 @@ let run t = Engine.run t.engine
 
 let run_until t horizon = Engine.run_until t.engine horizon
 
-let settle ?(horizon = 1.0) t = Engine.run_until t.engine (Engine.now t.engine +. horizon)
+let settle t = Engine.run_until t.engine (Engine.now t.engine +. 1.0)
 
 (* ------------------------------------------------------------------ *)
 (* Trust (Sect. 6): wallets, assessor, change propagation              *)

@@ -125,8 +125,8 @@ val run : t -> unit
 
 val run_until : t -> float -> unit
 
-val settle : ?horizon:float -> t -> unit
-(** [settle t] runs one virtual second (by default) past the current time —
+val settle : t -> unit
+(** [settle t] runs one virtual second past the current time —
     long enough for in-flight messages, notifications and cascades to
     complete at millisecond latencies, without executing far-future timers
     such as certificate expiries. Use {!run} only when draining the whole

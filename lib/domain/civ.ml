@@ -2,6 +2,7 @@ module Ident = Oasis_util.Ident
 module Network = Oasis_sim.Network
 module Fault = Oasis_sim.Fault
 module Appointment = Oasis_cert.Appointment
+module Vcache = Oasis_cert.Validation_cache
 module Cr = Oasis_cert.Credential_record
 module Issuer_key = Oasis_cert.Issuer_key
 module World = Oasis_core.World
@@ -50,32 +51,28 @@ let is_valid t cert_id = Issuer_records.is_valid t.records cert_id
 
 (* A replica answers as any issuer answers for its own appointment, from
    the cluster's one record store: a revocation or an issue is seen by
-   every replica the moment the primary writes it. *)
-let replica_validate t replica appt =
-  replica.served <- replica.served + 1;
-  Issuer_records.verify_appointment t.records t.key appt
-
+   every replica the moment the primary writes it. A CIV issues
+   appointment certificates only. *)
 let replica_handler t replica ~src:_ = function
-  | Protocol.Validate_appt { appt } ->
-      Protocol.Validate_result
-        (Ident.equal appt.Appointment.issuer t.router && replica_validate t replica appt)
-  | Protocol.Validate_rmc _ ->
-      (* A CIV issues appointment certificates only. *)
-      Protocol.Validate_result false
+  | Protocol.Validate (Vcache.Appointment appt) when Ident.equal appt.issuer t.router ->
+      replica.served <- replica.served + 1;
+      Protocol.Validate_result (Issuer_records.verify_appointment t.records t.key appt)
+  | Protocol.Validate _ -> Protocol.Validate_result false
+  | Protocol.Check_cr { cert_id } -> Protocol.Cr_status { valid = is_valid t cert_id }
   | _ -> Protocol.Denied (Protocol.Bad_request "CIV replicas only validate")
 
 (* ------------------------------------------------------------------ *)
 (* Router: round-robin with failover                                  *)
 (* ------------------------------------------------------------------ *)
 
-let route t msg =
+let route t msg ~exhausted =
   let n = Array.length t.replicas in
   let start = t.rr in
   t.rr <- (t.rr + 1) mod n;
   let rec try_from attempt =
     if attempt >= n then begin
       Obs.Counter.inc t.c_exhausted;
-      Protocol.Validate_result false
+      exhausted
     end
     else
       let replica = t.replicas.((start + attempt) mod n) in
@@ -87,16 +84,14 @@ let route t msg =
   in
   try_from 0
 
+(* Reads go to any replica, so they survive the primary's failure. With
+   no replica reachable a validation is refused, and a status check gets
+   no status: "could not determine" must never read as "revoked". *)
 let router_handler t ~src:_ msg =
   match msg with
-  | Protocol.Validate_appt _ | Protocol.Validate_rmc _ -> route t msg
-  | Protocol.Check_cr { cert_id } ->
-      (* Anti-entropy status check: answered from the authoritative store.
-         With the primary down the truth is unreachable, so the handler
-         fails the RPC — "could not determine" must never read as
-         "revoked". *)
-      if primary_down t then raise Primary_unavailable
-      else Protocol.Cr_status { valid = is_valid t cert_id }
+  | Protocol.Validate _ -> route t msg ~exhausted:(Protocol.Validate_result false)
+  | Protocol.Check_cr _ ->
+      route t msg ~exhausted:(Protocol.Denied (Protocol.Bad_request "no CIV replica reachable"))
   | _ -> Protocol.Denied (Protocol.Bad_request "CIV router only validates")
 
 (* Anti-entropy after a registrar crash: any certificate that did not
@@ -119,12 +114,11 @@ let pending_filings t = List.length t.pending_filings
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let create world ~name ?(replicas = 3) ?(offline_sign = true) () =
-  if replicas < 1 then invalid_arg "Civ.create: need at least one replica";
+let create world ~name ?(offline_sign = true) () =
   let router = World.fresh_service_id world in
   let counter cname = Obs.counter (World.obs world) cname ~labels:[ ("civ", name) ] in
   let replicas =
-    Array.init replicas (fun _ -> { node = World.fresh_service_id world; served = 0 })
+    Array.init 3 (fun _ -> { node = World.fresh_service_id world; served = 0 })
   in
   let t =
     {

@@ -20,8 +20,8 @@
 type t
 
 val create :
-  Oasis_core.World.t -> name:string -> ?replicas:int -> ?offline_sign:bool -> unit -> t
-(** Default 3 replicas. The cluster registers its router under [name] in
+  Oasis_core.World.t -> name:string -> ?offline_sign:bool -> unit -> t
+(** A cluster of 3 replicas. It registers its router under [name] in
     the world's service registry, so policy rules can say
     [appt:kind(…)@name]. [offline_sign] picks the cluster's
     {!Oasis_cert.Issuer_key} scheme, as [Service.config.offline_sign] does

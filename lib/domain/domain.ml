@@ -13,10 +13,8 @@ type t = {
 
 let qualified_name dname n = dname ^ "." ^ n
 
-let create world ~name ?civ_replicas ?offline_sign () =
-  let civ =
-    Civ.create world ~name:(qualified_name name "civ") ?replicas:civ_replicas ?offline_sign ()
-  in
+let create world ~name ?offline_sign () =
+  let civ = Civ.create world ~name:(qualified_name name "civ") ?offline_sign () in
   {
     dname = name;
     world;

@@ -13,7 +13,7 @@
 type t
 
 val create :
-  Oasis_core.World.t -> name:string -> ?civ_replicas:int -> ?offline_sign:bool -> unit -> t
+  Oasis_core.World.t -> name:string -> ?offline_sign:bool -> unit -> t
 (** Creates the domain with its CIV cluster registered as ["<name>.civ"];
     [offline_sign] picks the cluster's signing scheme ({!Civ.create}). *)
 

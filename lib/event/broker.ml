@@ -1,5 +1,4 @@
 module Engine = Oasis_sim.Engine
-module Rng = Oasis_util.Rng
 module Ident = Oasis_util.Ident
 module Obs = Oasis_obs.Obs
 
@@ -34,10 +33,8 @@ type subscription = { unsub : unit -> unit }
 
 type 'a t = {
   engine : Engine.t;
-  rng : Rng.t;
   obs : Obs.t;
   latency : float;
-  jitter : float;
   subs : (topic, 'a bucket) Hashtbl.t;
   mutable next_id : int;
   mutable pub_count : int;
@@ -51,7 +48,7 @@ type 'a t = {
   c_suppressed_part : Obs.Counter.t;
 }
 
-let create engine rng ~notify_latency ?(jitter = 0.0) ?obs () =
+let create engine ~notify_latency ?obs () =
   let obs =
     match obs with
     | Some obs -> obs
@@ -59,10 +56,8 @@ let create engine rng ~notify_latency ?(jitter = 0.0) ?obs () =
   in
   {
     engine;
-    rng;
     obs;
     latency = notify_latency;
-    jitter;
     subs = Hashtbl.create 64;
     next_id = 0;
     pub_count = 0;
@@ -129,17 +124,15 @@ let compact_bucket t topic b =
 
 let unsubscribe _t subscription = subscription.unsub ()
 
-let delay t = t.latency +. (if t.jitter > 0.0 then Rng.float t.rng t.jitter else 0.0)
-
 let set_filter t filter = t.filter <- filter
 
 (* Whether delivery from [src] to [sub] is cut right now. *)
 let cut t src sub =
   match t.filter with Some f -> f ~publisher:src ~owner:sub.owner | None -> false
 
-(* The at-delivery-time body shared by the batched and per-subscriber
-   paths: partition filtering, accounting, callback. The caller has already
-   established that the subscriber was active when the publish was issued. *)
+(* The at-delivery-time body for one subscriber: partition filtering,
+   accounting, callback. The caller has already established that the
+   subscriber was active when the publish was issued. *)
 let deliver t src sub payload =
   if not sub.active then
     (* The subscriber unsubscribed while this notification was in flight.
@@ -196,30 +189,19 @@ let publish ~src t topic payload =
          added after this publish must not see it, and rebuilds never touch
          a snapshotted array. *)
       let arr = b.arr and n = b.blen in
-      if n > 0 then
-        if t.jitter > 0.0 then
-          (* Jittered brokers draw an independent delay per delivery; keep
-             the per-subscriber events so the rng stream and the delivery
-             interleavings are unchanged. *)
-          for i = 0 to n - 1 do
-            let sub = arr.(i) in
-            if sub.active then
-              ignore (Engine.schedule t.engine ~after:(delay t) (fun () -> deliver t src sub payload))
-          done
-        else begin
-          (* Zero jitter: all deliveries land at the same instant anyway, so
-             fan out under one engine event instead of one per subscriber. *)
-          let pub_id = t.pub_count in
-          ignore
-            (Engine.schedule t.engine ~after:t.latency (fun () ->
-                 for i = 0 to n - 1 do
-                   let sub = arr.(i) in
-                   if sub.active then deliver t src sub payload
-                   else if sub.unsub_pub >= pub_id then
-                     (* Active when published, gone now: suppressed in
-                        flight. (If it left before this publish, it was
-                        never addressed.) *)
-                     Obs.Counter.inc t.c_suppressed
-                 done))
-        end
-
+      if n > 0 then begin
+        (* All deliveries land at the same instant, so the fan-out rides
+           one engine event instead of one per subscriber. *)
+        let pub_id = t.pub_count in
+        ignore
+          (Engine.schedule t.engine ~after:t.latency (fun () ->
+               for i = 0 to n - 1 do
+                 let sub = arr.(i) in
+                 if sub.active then deliver t src sub payload
+                 else if sub.unsub_pub >= pub_id then
+                   (* Active when published, gone now: suppressed in
+                      flight. (If it left before this publish, it was
+                      never addressed.) *)
+                   Obs.Counter.inc t.c_suppressed
+               done))
+      end

@@ -23,14 +23,7 @@ type topic = string
 
 type subscription
 
-val create :
-  Oasis_sim.Engine.t ->
-  Oasis_util.Rng.t ->
-  notify_latency:float ->
-  ?jitter:float ->
-  ?obs:Oasis_obs.Obs.t ->
-  unit ->
-  'a t
+val create : Oasis_sim.Engine.t -> notify_latency:float -> ?obs:Oasis_obs.Obs.t -> unit -> 'a t
 (** [obs] is the registry publish/notify counters and trace events report
     into — normally the world's shared instance; defaults to a private one
     so standalone brokers behave as before. *)
@@ -63,8 +56,8 @@ val publish : src:Oasis_util.Ident.t -> 'a t -> topic -> 'a -> unit
     the loss (an issuer re-sends its latest beat after a heal).
 
     A publish allocates O(1): the audience is snapshotted by (array, length)
-    rather than a list copy, and on jitter-free brokers the whole fan-out
-    rides a single engine event instead of one per subscriber. *)
+    rather than a list copy, and the whole fan-out rides a single engine
+    event instead of one per subscriber. *)
 
 val set_filter : 'a t -> (publisher:Oasis_util.Ident.t -> owner:Oasis_util.Ident.t -> bool) option -> unit
 (** Installs a delivery filter, consulted at delivery time with each

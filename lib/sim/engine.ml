@@ -30,9 +30,9 @@ type t = {
 (* Compaction below this heap size is churn, not reclamation. *)
 let compact_min = 64
 
-let create ?(start = 0.0) () =
+let create () =
   {
-    clock = Clock.manual ~start ();
+    clock = Clock.manual ();
     queue = Heap.create ~dummy:(fired_event ()) ();
     seq = 0;
     executed = 0;

@@ -16,7 +16,7 @@ type t
 type cancel
 (** Handle to a scheduled event; see {!cancel}. *)
 
-val create : ?start:float -> unit -> t
+val create : unit -> t
 
 val clock : t -> Oasis_util.Clock.t
 val now : t -> float

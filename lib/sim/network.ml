@@ -77,8 +77,8 @@ let add_node t id handler =
     invalid_arg (Printf.sprintf "Network.add_node: %s already registered" (Ident.to_string id));
   Ident.Tbl.replace t.nodes id { handler; down = false }
 
-let set_link t src dst ~latency ?(jitter = 0.0) ?(loss = 0.0) () =
-  Hashtbl.replace t.links (src, dst) { latency; jitter; loss }
+let set_link t src dst ~latency ?(loss = 0.0) () =
+  Hashtbl.replace t.links (src, dst) { latency; jitter = 0.0; loss }
 
 let is_down t id =
   match Ident.Tbl.find_opt t.nodes id with Some node -> node.down | None -> true
@@ -141,42 +141,29 @@ let transmit t ~src ~dst ~msg ~k ~lost =
                  (* Destination vanished or went down in flight. *)
                  drop "in_flight_down" t.drops.in_flight_down))
 
-type 'msg rpc_outcome = Ok_reply of 'msg | Lost | Handler_failed of string
-
-let rpc ?timeout t ~src ~dst msg =
-  let iv : 'msg rpc_outcome Proc.ivar = Proc.ivar () in
-  let lost () =
-    (* With a timeout the caller waits it out (models a lost datagram);
-       without one we fail fast — see the interface comment. *)
-    match timeout with
-    | Some _ -> ()
-    | None -> if Proc.poll iv = None then Proc.fill iv Lost
-  in
+let rpc t ~src ~dst msg =
+  (* [None] once the round trip has failed. *)
+  let iv : 'msg option Proc.ivar = Proc.ivar () in
+  (* A loss fails the round trip at once — see the interface comment. *)
+  let lost () = if Proc.poll iv = None then Proc.fill iv None in
   transmit t ~src ~dst ~msg ~lost ~k:(fun node ->
       Proc.spawn t.engine (fun () ->
           match node.handler ~src msg with
           | reply ->
               transmit t ~src:dst ~dst:src ~msg:reply ~lost ~k:(fun _src_node ->
-                  if Proc.poll iv = None then Proc.fill iv (Ok_reply reply))
+                  if Proc.poll iv = None then Proc.fill iv (Some reply))
           | exception exn ->
               (* A raising handler must not strand the caller on an ivar
                  that is never filled (it used to block forever at a fixed
                  virtual time). Contain the exception, record it, and fail
-                 the round trip — even under a timeout: the simulator knows
-                 the server died, the caller need not wait it out. *)
-              let what = Printexc.to_string exn in
+                 the round trip. *)
               Obs.Counter.inc t.drops.handler_error;
               if Obs.tracing t.obs then
                 Obs.event t.obs "net.rpc_handler_error"
-                  ~labels:(("exn", what) :: endpoint_labels src dst);
-              if Proc.poll iv = None then Proc.fill iv (Handler_failed what)));
-  let outcome =
-    match timeout with
-    | None -> Proc.read iv
-    | Some timeout -> Proc.read_timeout t.engine iv ~timeout
-  in
-  match outcome with
-  | Ok_reply reply ->
+                  ~labels:(("exn", Printexc.to_string exn) :: endpoint_labels src dst);
+              if Proc.poll iv = None then Proc.fill iv None));
+  match Proc.read iv with
+  | Some reply ->
       Obs.Counter.inc t.c_rpcs;
       reply
-  | Lost | Handler_failed _ -> raise Rpc_dropped
+  | None -> raise Rpc_dropped

@@ -48,8 +48,9 @@ val add_node : 'msg t -> Oasis_util.Ident.t -> 'msg handler -> unit
 (** Registering the same node twice raises [Invalid_argument]. *)
 
 val set_link :
-  'msg t -> Oasis_util.Ident.t -> Oasis_util.Ident.t -> latency:float -> ?jitter:float -> ?loss:float -> unit -> unit
-(** Directed link override; unset pairs use the network defaults. *)
+  'msg t -> Oasis_util.Ident.t -> Oasis_util.Ident.t -> latency:float -> ?loss:float -> unit -> unit
+(** Directed link override, with no jitter; unset pairs use the network
+    defaults. *)
 
 val set_down : 'msg t -> Oasis_util.Ident.t -> bool -> unit
 (** A down node neither sends nor receives; messages to/from it are dropped
@@ -72,14 +73,11 @@ val pair_blocked : 'msg t -> Oasis_util.Ident.t -> Oasis_util.Ident.t -> bool
 
 exception Rpc_dropped
 
-val rpc :
-  ?timeout:float -> 'msg t -> src:Oasis_util.Ident.t -> dst:Oasis_util.Ident.t -> 'msg -> 'msg
+val rpc : 'msg t -> src:Oasis_util.Ident.t -> dst:Oasis_util.Ident.t -> 'msg -> 'msg
 (** Request/response round trip; must be called inside a {!Proc} process.
-    If the request or the response is lost and [timeout] is given, raises
-    {!Proc.Timeout} after that much virtual time; without a timeout, a loss
-    raises {!Rpc_dropped} immediately at the point of loss detection
-    (simulator privilege: we know the packet died — this keeps lossless
-    experiments free of timeout tuning). A handler that raises fails the
-    round trip with {!Rpc_dropped} in both modes (counted under the
-    [handler_error] drop cause and recorded as a trace event) — the caller
-    is never stranded on an unfilled ivar. *)
+    If the request or the response is lost, raises {!Rpc_dropped}
+    immediately at the point of loss detection (simulator privilege: we
+    know the packet died — this keeps lossy experiments free of timeout
+    tuning). A handler that raises fails the round trip with {!Rpc_dropped}
+    too (counted under the [handler_error] drop cause and recorded as a
+    trace event) — the caller is never stranded on an unfilled ivar. *)

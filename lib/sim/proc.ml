@@ -8,8 +8,6 @@ type 'a ivar = { mutable state : 'a ivar_state }
 type _ Effect.t += Sleep : float -> unit Effect.t
 type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
-exception Timeout
-
 let spawn engine body =
   let handler =
     {
@@ -53,25 +51,3 @@ let read iv =
              match iv.state with
              | Full v -> resume v
              | Empty waiters -> iv.state <- Empty (resume :: waiters)))
-
-let read_timeout engine iv ~timeout =
-  match iv.state with
-  | Full v -> v
-  | Empty _ ->
-      let result =
-        perform
-          (Suspend
-             (fun resume ->
-               let resolved = ref false in
-               let once outcome =
-                 if not !resolved then begin
-                   resolved := true;
-                   resume outcome
-                 end
-               in
-               ignore (Engine.schedule engine ~after:timeout (fun () -> once None));
-               match iv.state with
-               | Full v -> once (Some v)
-               | Empty waiters -> iv.state <- Empty ((fun v -> once (Some v)) :: waiters)))
-      in
-      (match result with Some v -> v | None -> raise Timeout)

@@ -31,9 +31,3 @@ val read : 'a ivar -> 'a
 
 val poll : 'a ivar -> 'a option
 (** Non-blocking read, usable from any context. *)
-
-exception Timeout
-
-val read_timeout : Engine.t -> 'a ivar -> timeout:float -> 'a
-(** Like {!read} but raises {!Timeout} in the calling process if the cell is
-    still empty after [timeout] virtual seconds. *)

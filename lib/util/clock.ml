@@ -1,6 +1,6 @@
 type t = { mutable current : float }
 
-let manual ?(start = 0.0) () = { current = start }
+let manual () = { current = 0.0 }
 
 let now t = t.current
 

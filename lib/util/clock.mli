@@ -6,8 +6,9 @@
 
 type t
 
-val manual : ?start:float -> unit -> t
-(** A clock advanced explicitly (by the simulation engine or by tests). *)
+val manual : unit -> t
+(** A clock at time 0, advanced explicitly (by the simulation engine or by
+    tests). *)
 
 val now : t -> float
 

@@ -13,15 +13,23 @@
 # word in a binding or field position is never a mention: a name after
 # [let], [and], [fun] or [mutable], a [~label] or [?label], a field after
 # [.], and a record field before [=] or [:] at the start of a line or
-# after [{], [;] or [with]. It reports two kinds:
+# after [{], [;] or [with]. It reports three kinds:
 #
 #   - exports mentioned nowhere outside their own module;
-#   - exports that only test/ mentions: lib/ holds what the system runs.
+#   - exports that only test/ mentions: lib/ holds what the system runs;
+#   - optional parameters ([?label:] in the [val]) of a called export that
+#     no .ml file outside test/ passes: a knob nothing sets selects a code
+#     path nothing runs. A label passes to a call when it follows a
+#     mention of the value ([M.v], or an unqualified [v] in [M]'s own .ml
+#     or in a file that opens [M]) as [~label] or [?label] at the same
+#     bracket depth, before the application ends at an operator, a [;], a
+#     keyword such as [in] or [then], or the bracket that encloses it.
 #
 #   sh test/dead_exports.sh [ROOT] [ALLOWLIST]
 #
 # ROOT defaults to the current directory. ALLOWLIST names exports kept on
-# purpose, one [Module.value # reason] a line; lines holding only a
+# purpose, one [Module.value # reason] a line, and optional parameters
+# kept on purpose as [Module.value?label # reason]; lines holding only a
 # '#' comment are skipped. The allowlist itself fails the check when a
 # line has no reason, names a value that is no longer exported, or names
 # one that now has a caller outside test/. The runtest rule in test/dune
@@ -95,9 +103,74 @@ function resolve(path,   hops, head, n, parts, i) {
   for (i = n; i >= 1; i--) if (parts[i] in known) return parts[i]
   return ""
 }
+# The application frames open at bracket depth [d] and deeper end.
+function end_calls(d) {
+  while (ncall > 0 && cdepth[ncall] >= d) ncall--
+}
+# Walks one stripped line of a .ml file outside test/ as tokens, recording
+# in [passed] each label that passes to an open application: a frame
+# holds the values a mention may name ([own] for the module of this file, and
+# every module it opens, for an unqualified word).
+function calls(line,   w, path, m, k, n, c, i, cands) {
+  while (line != "") {
+    if (match(line, /^[ \t]+/)) { line = substr(line, RLENGTH + 1); continue }
+    if (match(line, /^[~?][a-z_][A-Za-z0-9_'\'']*/)) {
+      w = substr(line, 2, RLENGTH - 1)
+      for (k = ncall; k > 0 && cdepth[k] == bd; k--) {
+        n = split(cname[k], c, " ")
+        for (i = 1; i <= n; i++) passed[c[i] "?" w] = 1
+      }
+      line = substr(line, RLENGTH + 1)
+      if (substr(line, 1, 1) == ":") line = substr(line, 2)
+      continue
+    }
+    if (match(line, /^[A-Z][A-Za-z0-9_'\'']*(\.[A-Z][A-Za-z0-9_'\'']*)*\.[a-z_][A-Za-z0-9_'\'']*/)) {
+      path = substr(line, 1, RLENGTH)
+      line = substr(line, RLENGTH + 1)
+      w = path; sub(/.*\./, "", w)
+      sub(/\.[^.]*$/, "", path)
+      m = resolve(path)
+      if (m != "") { ncall++; cname[ncall] = m "." w; cdepth[ncall] = bd }
+      binder = 0
+      continue
+    }
+    if (match(line, /^([A-Z][A-Za-z0-9_'\'']*\.?)+|^[0-9][0-9A-Za-z_.]*|^(\.[A-Z][A-Za-z0-9_'\'']*)*\.[a-z_][A-Za-z0-9_'\'']*|^'\''(\\[0-9]+|\\.|[^\\'\''])'\''|^[!'\''~?]/)) {
+      line = substr(line, RLENGTH + 1)
+      continue
+    }
+    if (match(line, /^[a-z_][A-Za-z0-9_'\'']*/)) {
+      w = substr(line, 1, RLENGTH)
+      line = substr(line, RLENGTH + 1)
+      if (w in opener) { end_calls(bd); bd++; binder = 0 }
+      else if (w in closer) { bd--; end_calls(bd) }
+      else if (w in keyword) { end_calls(bd); binder = (w == "let" || w == "and" || w == "rec") }
+      else if (binder) binder = 0
+      else {
+        cands = ""
+        n = split(fileopens, c, " ")
+        for (i = 1; i <= n; i++) cands = cands " " c[i] "." w
+        if (own != "") cands = own "." w cands
+        sub(/^ +/, "", cands)
+        if (cands != "") { ncall++; cname[ncall] = cands; cdepth[ncall] = bd }
+      }
+      continue
+    }
+    if (match(line, /^\.?[([{]/)) { bd++; line = substr(line, RLENGTH + 1); continue }
+    if (match(line, /^[])}]/)) { end_calls(bd); bd--; line = substr(line, 2); continue }
+    end_calls(bd)
+    line = substr(line, 2)
+  }
+}
 BEGIN {
   for (i = 1; i < ARGC; i++)
     if (ARGV[i] ~ /^lib\/.*\.mli$/) known[modname(stem(ARGV[i]))] = stem(ARGV[i])
+  split("begin struct sig object do", w, " ")
+  for (i in w) opener[w[i]] = 1
+  split("end done", w, " ")
+  for (i in w) closer[w[i]] = 1
+  split("let and rec in then else if match with function fun try when of type module open " \
+    "include val external exception mutable as assert lazy while for to downto not", w, " ")
+  for (i in w) keyword[w[i]] = 1
   if (allow != "")
     while ((getline line < allow) > 0) {
       lineno++
@@ -114,19 +187,38 @@ FNR == 1 {
   split("", alias)
   s = stem(FILENAME)
   istest = FILENAME ~ /^test\//
+  bd = 0; ncall = 0; binder = 0; fileopens = ""; val = ""
+  own = (FILENAME ~ /^lib\/.*\.ml$/ && known[modname(s)] == s) ? modname(s) : ""
 }
 # Records that this file brings lib module [m] into scope unqualified.
 function opens(path,   m) {
   m = resolve(path)
-  if (m != "" && known[m] != s) opened[FILENAME, m] = 1
+  if (m != "" && known[m] != s && !((FILENAME, m) in opened)) {
+    opened[FILENAME, m] = 1
+    fileopens = fileopens " " m
+  }
 }
 {
   $0 = strip($0)
-  if (FILENAME ~ /^lib\/.*\.mli$/ && match($0, /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_'\'']*/)) {
-    v = substr($0, RSTART, RLENGTH)
-    sub(/^[ \t]*val[ \t]+/, "", v)
-    exported[modname(s) "." v] = 1
+  if (FILENAME ~ /^lib\/.*\.mli$/) {
+    # The optional labels of the [val] this line declares or continues.
+    if (match($0, /^[ \t]*(val|type|module|exception|external|include|open|end)([^A-Za-z0-9_'\'']|$)/))
+      val = ""
+    if (match($0, /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_'\'']*/)) {
+      v = substr($0, RSTART, RLENGTH)
+      sub(/^[ \t]*val[ \t]+/, "", v)
+      val = modname(s) "." v
+      exported[val] = 1
+    }
+    rest = $0
+    while (val != "" && match(rest, /\?[a-z_][A-Za-z0-9_'\'']*[ \t]*:/)) {
+      v = substr(rest, RSTART + 1, RLENGTH - 2)
+      sub(/[ \t]+$/, "", v)
+      optional[val "?" v] = 1
+      rest = substr(rest, RSTART + RLENGTH)
+    }
   }
+  if (FILENAME ~ /\.ml$/ && !istest) calls($0)
   if (match($0, /^[ \t]*module[ \t]+[A-Z][A-Za-z0-9_'\'']*[ \t]*=[ \t]*[A-Z][A-Za-z0-9_'\''.]*[ \t]*$/)) {
     target = $0
     sub(/^[ \t]*module[ \t]+/, "", target)
@@ -203,12 +295,21 @@ END {
       print ((name in intest) || (v in intest) ? "only test/ mentions " : \
         "nothing outside its module mentions ") name
   }
+  for (key in optional) {
+    split(key, p, "?")
+    if (!(p[1] in qualified)) continue
+    if ((key in passed) && (key in allowed))
+      print "allowlisted " key " is now passed outside test/: drop its line"
+    else if (!(key in passed) && !(key in allowed))
+      print "no file outside test/ passes ?" p[2] " of " p[1]
+  }
   for (name in allowed)
-    if (!(name in exported)) print "allowlisted " name " is no longer exported: drop its line"
+    if (!(name in exported) && !(name in optional))
+      print "allowlisted " name " is no longer exported: drop its line"
 }' $files | sort)
 if [ -n "$report" ]; then
   echo "$report"
-  echo "delete such a value, drop it from its .mli, move its test to the public path,"
-  echo "or list it in the allowlist with a # reason"
+  echo "delete such a value or parameter, drop it from its .mli, move its test to the"
+  echo "public path, or list it in the allowlist with a # reason"
   exit 1
 fi

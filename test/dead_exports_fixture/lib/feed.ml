@@ -1,3 +1,4 @@
 let last = ref None
-let publish topic = last := Some topic
+let publish ?(retain = true) ?src topic =
+  if retain then last := Some (Option.value src ~default:topic)
 let retained topic = match !last with Some t when t = topic -> Some t | _ -> None

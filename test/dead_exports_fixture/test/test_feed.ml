@@ -1,1 +1,3 @@
-let () = assert (Feed.retained "t" = None)
+let () =
+  Feed.publish ~retain:false "t";
+  assert (Feed.retained "t" = None)

@@ -8,9 +8,9 @@ module Civ = Oasis_domain.Civ
 module Value = Oasis_util.Value
 module Network = Oasis_sim.Network
 
-let make_civ ?(replicas = 3) ?monitoring ?notify_latency ?offline_sign () =
+let make_civ ?monitoring ?notify_latency ?offline_sign () =
   let world = World.create ~seed:21 ?monitoring ?notify_latency () in
-  let civ = Civ.create world ~name:"civ" ~replicas ?offline_sign () in
+  let civ = Civ.create world ~name:"civ" ?offline_sign () in
   (world, civ)
 
 (* Rotation and re-issue are checked under both signing schemes. *)
@@ -31,7 +31,7 @@ let validate_via_router world civ appt =
   World.run_proc world (fun () ->
       match
         Network.rpc (World.network world) ~src:(Principal.id probe) ~dst:(Civ.id civ)
-          (Protocol.Validate_appt { appt })
+          (Protocol.Validate (Oasis_cert.Validation_cache.Appointment appt))
       with
       | Protocol.Validate_result ok -> ok
       | _ -> false)
@@ -218,6 +218,63 @@ let test_expiring_civ_certificate () =
   Alcotest.(check bool) "auto-revoked at expiry" false
     (Civ.is_valid civ appt.Oasis_cert.Appointment.id)
 
+(* Anti-entropy reads the one store as a validation does: a suspect role
+   backed by a CIV appointment reconciles through any replica the router
+   reaches. [replicas_down] are down from the heal on. The service
+   reconciles well inside its grace, so the role ends reinstated, revoked
+   or, when nothing answered, degraded fail-closed at the grace. *)
+let reconcile_with_replicas_down replicas_down =
+  let world, civ = make_civ ~offline_sign:false () in
+  let config =
+    {
+      Service.default_config with
+      suspect_grace = 5.0;
+      retry = { Oasis_util.Backoff.default with base = 0.01; cap = 0.2; max_attempts = 3 };
+    }
+  in
+  let clinic =
+    Service.create world ~name:"clinic" ~config
+      ~policy:"initial patient(u) <- *appt:member(u)@civ;" ()
+  in
+  let activate p =
+    World.run_proc world (fun () ->
+        Principal.activate p (Principal.start_session p) clinic ~role:"patient" ())
+  in
+  let p = Principal.create world ~name:"p" and q = Principal.create world ~name:"q" in
+  ignore (issue_for world civ p);
+  ignore (issue_for world civ q);
+  let rmc =
+    match activate p with
+    | Ok rmc -> rmc
+    | Error d -> Alcotest.failf "denied: %s" (Protocol.denial_to_string d)
+  in
+  (* q's activation needs a callback the partition cuts: the CIV is
+     unreachable, and p's role goes suspect. *)
+  let fault = World.fault world in
+  Oasis_sim.Fault.partition fault ~name:"wan" [ Service.id clinic ] [ Civ.id civ ];
+  Alcotest.(check bool) "denied across the partition" true (Result.is_error (activate q));
+  Alcotest.(check int) "role suspect" 1 (List.length (Service.suspect_roles clinic));
+  List.iter (fun i -> Civ.set_replica_down civ i true) replicas_down;
+  Oasis_sim.Fault.heal fault "wan";
+  World.run_until world (World.now world +. 6.0);
+  let outcome o =
+    Fixtures.metric (World.obs world) (Printf.sprintf "svc.reconciled{outcome=%s,service=clinic}" o)
+  in
+  ( outcome "reinstated",
+    outcome "revoked",
+    Service.is_valid_certificate clinic rmc.Oasis_cert.Rmc.id )
+
+let test_reconcile_survives_primary_down () =
+  let reinstated, revoked, active = reconcile_with_replicas_down [ 0 ] in
+  Alcotest.(check int) "reinstated through a replica" 1 reinstated;
+  Alcotest.(check int) "not revoked" 0 revoked;
+  Alcotest.(check bool) "role still active" true active
+
+let test_reconcile_without_replicas_unresolved () =
+  let reinstated, revoked, active = reconcile_with_replicas_down [ 0; 1; 2 ] in
+  Alcotest.(check (pair int int)) "no status, no outcome" (0, 0) (reinstated, revoked);
+  Alcotest.(check bool) "degraded fail-closed at the grace" false active
+
 let suite =
   ( "civ",
     [
@@ -234,4 +291,8 @@ let suite =
       Alcotest.test_case "backs service policy" `Quick test_civ_backs_service_policy;
       Alcotest.test_case "reissue after rotation" `Quick test_reissue_after_rotation;
       Alcotest.test_case "expiring certificate" `Quick test_expiring_civ_certificate;
+      Alcotest.test_case "reconcile survives primary down" `Quick
+        test_reconcile_survives_primary_down;
+      Alcotest.test_case "reconcile without replicas unresolved" `Quick
+        test_reconcile_without_replicas_unresolved;
     ] )

@@ -13,7 +13,7 @@ let src = Ident.make "issuer" 0
 let make ?(latency = 1.0) () =
   let engine = Engine.create () in
   let obs = Obs.create ~now:(fun () -> Engine.now engine) () in
-  let broker = Broker.create engine (Rng.create 1) ~notify_latency:latency ~obs () in
+  let broker = Broker.create engine ~notify_latency:latency ~obs () in
   (engine, broker)
 
 let count broker key = Fixtures.metric (Broker.obs broker) key

@@ -127,18 +127,6 @@ let test_rpc_to_dead_node_raises () =
   Engine.run engine;
   Alcotest.(check bool) "Rpc_dropped" true !raised
 
-let test_rpc_timeout () =
-  let engine, net = make () in
-  Network.add_node net (node_id 0) silent_handler;
-  let timed_out = ref false in
-  Proc.spawn engine (fun () ->
-      match Network.rpc ~timeout:3.0 net ~src:(node_id 0) ~dst:(node_id 9) Ping with
-      | _ -> ()
-      | exception Proc.Timeout -> timed_out := true);
-  Engine.run engine;
-  Alcotest.(check bool) "timeout" true !timed_out;
-  Alcotest.(check (float 1e-9)) "after timeout" 3.0 (Engine.now engine)
-
 let test_lossy_link () =
   let engine, net = make () in
   let received = ref 0 in
@@ -198,7 +186,6 @@ let suite =
       Alcotest.test_case "down node" `Quick test_down_node;
       Alcotest.test_case "down in flight" `Quick test_down_in_flight;
       Alcotest.test_case "rpc to dead node" `Quick test_rpc_to_dead_node_raises;
-      Alcotest.test_case "rpc timeout" `Quick test_rpc_timeout;
       Alcotest.test_case "lossy link" `Quick test_lossy_link;
       Alcotest.test_case "link override" `Quick test_link_override_latency;
       Alcotest.test_case "duplicate node" `Quick test_duplicate_node_raises;

@@ -50,7 +50,8 @@ let test_vars_order_dedup () =
 (* ---------------- Env ---------------- *)
 
 let make_env ?(start = 0.0) () =
-  let clock = Clock.manual ~start () in
+  let clock = Clock.manual () in
+  Clock.advance_to clock start;
   (clock, Env.create clock)
 
 let test_facts () =

@@ -59,9 +59,7 @@ let test_nonground_negation_denied () =
    cancel handle was dropped and dead monitors kept a timer in the heap. *)
 let test_heartbeat_cancel_releases_timer () =
   let engine = Engine.create () in
-  let broker =
-    Broker.create engine (Rng.create 1) ~notify_latency:0.01 ~obs:(Obs.create ()) ()
-  in
+  let broker = Broker.create engine ~notify_latency:0.01 ~obs:(Obs.create ()) () in
   let missed = ref false in
   let monitor =
     Heartbeat.watch ~on_beat:ignore ~owner:(Ident.make "svc" 1) broker engine ~topic:"hb"
@@ -517,8 +515,8 @@ let counting_handler received =
 
 (* A handler that raises used to strand the caller on a never-filled ivar
    (the rpc blocked forever at a fixed virtual time). The round trip must
-   fail fast with Rpc_dropped — even under a timeout, since the simulator
-   knows the server died — and be accounted under the handler_error cause. *)
+   fail fast with Rpc_dropped and be accounted under the handler_error
+   cause. *)
 let test_rpc_handler_error_fails_fast () =
   let engine = Engine.create () in
   let obs = Obs.create () in
@@ -537,20 +535,9 @@ let test_rpc_handler_error_fails_fast () =
   | `Dropped -> ()
   | `Replied -> Alcotest.fail "handler exception produced a reply"
   | `Pending -> Alcotest.fail "caller stranded: rpc never completed");
-  (* Under a timeout the failure still surfaces when the handler dies, not
-     when the timer expires. *)
-  let t0 = Engine.now engine in
-  let failed_at = ref nan in
-  Proc.spawn engine (fun () ->
-      match Network.rpc ~timeout:50.0 net ~src:a ~dst:b () with
-      | _ -> Alcotest.fail "handler exception produced a reply (timeout mode)"
-      | exception Network.Rpc_dropped -> failed_at := Engine.now engine
-      | exception Proc.Timeout -> Alcotest.fail "waited for the timeout instead of failing fast");
-  Engine.run engine;
-  Alcotest.(check bool) "failed as soon as the handler died" true (!failed_at -. t0 < 50.0);
-  Alcotest.(check int) "counted as handler_error" 2
+  Alcotest.(check int) "counted as handler_error" 1
     (Fixtures.metric obs "net.dropped{cause=handler_error}");
-  Alcotest.(check int) "under no other cause" 2 (Fixtures.net_dropped obs)
+  Alcotest.(check int) "under no other cause" 1 (Fixtures.net_dropped obs)
 
 (* Every drop carries exactly one cause, and conservation holds: sent =
    delivered + the drops summed over their causes. *)
@@ -585,7 +572,7 @@ let test_drop_causes_conserve_messages () =
 let test_broker_inflight_unsubscribe_accounted () =
   let engine = Engine.create () in
   let obs = Obs.create () in
-  let broker = Broker.create engine (Rng.create 1) ~notify_latency:1.0 ~obs () in
+  let broker = Broker.create engine ~notify_latency:1.0 ~obs () in
   let got = ref 0 in
   let owner = Ident.make "svc" 1 in
   let s1 = Broker.subscribe broker "t" ~owner (fun _ _ -> incr got) in
@@ -657,21 +644,38 @@ let test_kernel_allocation_budgets () =
   check_budget "Signed.verify_chain (warm)" ~budget:2. (fun () ->
       assert (Signed.verify_chain ~address chain));
   (* A certificate checked once answers the signature step from the
-     validation cache: an appointment presented again under the same key
-     certificate is compared with the remembered one, where its signing
-     bytes and the Schnorr verify cost about 1,700 words. *)
+     validation cache: a certificate of either kind presented again under
+     the same key certificate is compared with the remembered presentation,
+     where its signing bytes and the Schnorr verify cost about 1,700
+     words. *)
   let module Vcache = Oasis_cert.Validation_cache in
   let holder = Ident.make "principal" 7 in
-  let presented () =
-    Signed.issue_appointment ~keypair:kp ~rng:(Rng.create 7) ~epoch:0 ~id:(Ident.make "cert" 8)
-      ~issuer:(Ident.make "service" 1) ~kind:"qualified" ~args:[ Value.Id holder; Value.Time 2.5 ]
-      ~holder:(String.make 40 'k') ~issued_at:1.0 ~expires_at:1e6 ()
+  let appointment () =
+    Vcache.Appointment
+      (Signed.issue_appointment ~keypair:kp ~rng:(Rng.create 7) ~epoch:0 ~id:(Ident.make "cert" 8)
+         ~issuer:(Ident.make "service" 1) ~kind:"qualified"
+         ~args:[ Value.Id holder; Value.Time 2.5 ]
+         ~holder:(String.make 40 'k') ~issued_at:1.0 ~expires_at:1e6 ())
+  in
+  let foreign_rmc () =
+    let principal_key = String.make 40 'p' in
+    Vcache.Rmc
+      ( Signed.issue_rmc ~keypair:kp ~rng:(Rng.create 8) ~principal_key ~id:(Ident.make "cert" 10)
+          ~issuer:(Ident.make "service" 1) ~role:"doctor" ~args:[ Value.Id holder; Value.Time 2.5 ]
+          ~issued_at:1.0,
+        principal_key )
   in
   let cache = Vcache.create () in
-  assert (Vcache.verify_appointment cache ~address ~chain ~now:5.0 (presented ()));
-  let again = presented () in
-  check_budget "Validation_cache.verify_appointment (re-presented)" ~budget:7. (fun () ->
-      assert (Vcache.verify_appointment cache ~address ~chain ~now:5.0 again));
+  List.iter
+    (fun (name, presented) ->
+      assert (Vcache.verify cache ~address ~chain ~now:5.0 (presented ()));
+      let again = presented () in
+      check_budget name ~budget:7. (fun () ->
+          assert (Vcache.verify cache ~address ~chain ~now:5.0 again)))
+    [
+      ("Validation_cache.verify (re-presented appointment)", appointment);
+      ("Validation_cache.verify (re-presented foreign RMC)", foreign_rmc);
+    ];
   (* A service's own RMC is the certificate its monitor recorded at the
      grant: a lookup and a field comparison with no signature check. *)
   let own = World.create () in

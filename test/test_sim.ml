@@ -214,27 +214,6 @@ let test_proc_poll () =
   Proc.fill iv 3;
   Alcotest.(check (option int)) "full" (Some 3) (Proc.poll iv)
 
-let test_proc_read_timeout_fires () =
-  let engine = Engine.create () in
-  let iv : int Proc.ivar = Proc.ivar () in
-  let timed_out = ref false in
-  Proc.spawn engine (fun () ->
-      match Proc.read_timeout engine iv ~timeout:5.0 with
-      | _ -> ()
-      | exception Proc.Timeout -> timed_out := true);
-  Engine.run engine;
-  Alcotest.(check bool) "timeout raised" true !timed_out;
-  Alcotest.(check (float 1e-9)) "at deadline" 5.0 (Engine.now engine)
-
-let test_proc_read_timeout_beaten_by_fill () =
-  let engine = Engine.create () in
-  let iv = Proc.ivar () in
-  let got = ref 0 in
-  Proc.spawn engine (fun () -> got := Proc.read_timeout engine iv ~timeout:5.0);
-  ignore (Engine.schedule engine ~after:1.0 (fun () -> Proc.fill iv 9));
-  Engine.run engine;
-  Alcotest.(check int) "value before timeout" 9 !got
-
 let test_proc_nested_spawn () =
   let engine = Engine.create () in
   let log = ref [] in
@@ -270,7 +249,5 @@ let suite =
       Alcotest.test_case "ivar multiple readers" `Quick test_proc_ivar_multiple_readers;
       Alcotest.test_case "ivar double fill" `Quick test_proc_double_fill_raises;
       Alcotest.test_case "ivar poll" `Quick test_proc_poll;
-      Alcotest.test_case "read_timeout fires" `Quick test_proc_read_timeout_fires;
-      Alcotest.test_case "read_timeout beaten" `Quick test_proc_read_timeout_beaten_by_fill;
       Alcotest.test_case "nested spawn" `Quick test_proc_nested_spawn;
     ] )
