@@ -48,11 +48,10 @@ let of_parts ~id ~issuer ~kind ~args ~holder ~issued_at ~expires_at ~epoch ~sign
 
 let expired ~now t = match t.expires_at with Some e -> now >= e | None -> false
 
-let verify_ignoring_epoch ~master_secret ~now t =
-  (not (expired ~now t)) && Sha256.equal t.signature (sign ~master_secret t)
-
 let verify ~master_secret ~current_epoch ~now t =
-  t.epoch = current_epoch && verify_ignoring_epoch ~master_secret ~now t
+  t.epoch = current_epoch
+  && (not (expired ~now t))
+  && Sha256.equal t.signature (sign ~master_secret t)
 
 let identical a b =
   a == b

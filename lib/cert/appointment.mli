@@ -43,9 +43,6 @@ val verify : master_secret:Oasis_crypto.Secret.t -> current_epoch:int -> now:flo
     epoch is still current (an older epoch means the issuer has rotated its
     secret: the certificate must be re-issued), and expiry. *)
 
-val verify_ignoring_epoch : master_secret:Oasis_crypto.Secret.t -> now:float -> t -> bool
-(** Signature and expiry only; lets tests separate the failure causes. *)
-
 val of_parts :
   id:Oasis_util.Ident.t ->
   issuer:Oasis_util.Ident.t ->

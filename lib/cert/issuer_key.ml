@@ -25,6 +25,7 @@ let create authority ~rng ~subject ~offline_sign ~now =
   enrol t ~now;
   t
 
+let subject t = t.subject
 let epoch t = t.epoch
 
 let issue_rmc t ~principal_key ~id ~role ~args ~issued_at =
@@ -42,21 +43,6 @@ let issue_appointment t ~id ~kind ~args ~holder ~issued_at ?expires_at () =
   | None ->
       Appointment.issue ~master_secret:t.secret ~epoch:t.epoch ~id ~issuer:t.subject ~kind ~args
         ~holder ~issued_at ?expires_at ()
-
-let schnorr_ok kp digest bytes =
-  match Schnorr.of_digest digest with
-  | Some sg -> Schnorr.verify ~public:kp.Schnorr.public bytes sg
-  | None -> false
-
-let verify_appointment ?(any_epoch = false) t ~now (appt : Appointment.t) =
-  match t.keypair with
-  | Some kp ->
-      (any_epoch || appt.epoch = t.epoch)
-      && (not (Appointment.expired ~now appt))
-      && schnorr_ok kp appt.signature (Appointment.signing_bytes appt)
-  | None ->
-      if any_epoch then Appointment.verify_ignoring_epoch ~master_secret:t.secret ~now appt
-      else Appointment.verify ~master_secret:t.secret ~current_epoch:t.epoch ~now appt
 
 let rotate t ~now =
   t.epoch <- t.epoch + 1;

@@ -10,10 +10,10 @@
 
     Relying services never ask which: a presented certificate is checked
     offline exactly when {!Signed.chain_for} has a chain for its issuer.
-    Verification here covers an appointment's signature, expiry and epoch
-    only; the issuer's credential record has the last word. An issuer
-    needs no signature check for its own RMCs: it compares them with the
-    certificate it granted (Oasis_core.Monitor.granted). *)
+    The issuer itself never verifies a signature of its own: it keeps every
+    certificate it issued and compares what it is shown with that
+    (Oasis_core.Issuer_records), so the key here only signs, and its epoch
+    says which appointments are current. *)
 
 type t
 
@@ -28,6 +28,9 @@ val create :
     [rng] under either scheme, so the caller's stream advances the same way
     whichever is chosen. With [offline_sign] a Schnorr keypair is drawn from
     the authority's own stream and enrolled with the root. *)
+
+val subject : t -> Oasis_util.Ident.t
+(** The issuer the key signs for. *)
 
 val epoch : t -> int
 
@@ -53,15 +56,10 @@ val issue_appointment :
   Appointment.t
 (** Issued by [subject] under the current epoch. *)
 
-val verify_appointment : ?any_epoch:bool -> t -> now:float -> Appointment.t -> bool
-(** Signature, expiry and epoch currency of one of this issuer's
-    appointments. [any_epoch] (default off) accepts a genuine signature of
-    an earlier epoch — what re-issue after a rotation needs. *)
-
 val rotate : t -> now:float -> unit
-(** Advances the epoch: appointments of earlier epochs stop verifying and
-    must be re-issued (Sect. 4.1). A Schnorr key is re-enrolled under the
-    new epoch, so offline verifiers strand them too. *)
+(** Advances the epoch: appointments of earlier epochs are no longer
+    current and must be re-issued (Sect. 4.1). A Schnorr key is re-enrolled
+    under the new epoch, so offline verifiers strand them too. *)
 
 val withdraw : t -> unit
 (** Withdraws the issuer's chain from the root (decommission): its

@@ -50,6 +50,10 @@ type presented = Rmc of Rmc.t * string | Appointment of Appointment.t
 
 val presented_id : presented -> Oasis_util.Ident.t
 
+val same : presented -> presented -> bool
+(** Every certificate field equal (floats by bit pattern, the signature
+    included) and, for RMCs, the same session key. *)
+
 val create : ?obs:Oasis_obs.Obs.t -> ?labels:Oasis_obs.Obs.label list -> unit -> t
 (** The counters register into [obs] (default: a private registry) with
     the given [labels] — callers owning several caches distinguish them

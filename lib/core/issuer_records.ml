@@ -3,12 +3,20 @@ module Engine = Oasis_sim.Engine
 module Broker = Oasis_event.Broker
 module Heartbeat = Oasis_event.Heartbeat
 module Cr = Oasis_cert.Credential_record
+module Issuer_key = Oasis_cert.Issuer_key
+module Appointment = Oasis_cert.Appointment
+module Vcache = Oasis_cert.Validation_cache
+
+(* A certificate this issuer issued, as it issued it, beside its record. *)
+type issued = { record : Cr.t; cert : Vcache.presented }
 
 type t = {
   world : World.t;
   issuer : Ident.t;
+  key : Issuer_key.t;
   is_down : unit -> bool;
   store : Cr.store;
+  issued : issued Ident.Tbl.t;
   mutable emitter : Heartbeat.emitter option; (* under heartbeats, from the first record on *)
   mutable epoch : int;
       (* beats since the emitter last started; with no period, beats ever *)
@@ -41,7 +49,8 @@ let publish t beat =
    to re-send: the next periodic one does the same. *)
 let resend t = if not (t.is_down ()) then Option.iter (publish t) t.last_beat
 
-let create ?is_down world ~issuer =
+let create ?is_down world key =
+  let issuer = Issuer_key.subject key in
   let is_down =
     match is_down with
     | Some is_down -> is_down
@@ -51,8 +60,10 @@ let create ?is_down world ~issuer =
     {
       world;
       issuer;
+      key;
       is_down;
       store = Cr.create_store ();
+      issued = Ident.Tbl.create 64;
       emitter = None;
       epoch = 0;
       revoked = [];
@@ -80,20 +91,44 @@ let start_beats t =
              ~topic:(beat_topic t.issuer) ~period ~beat:(next_beat t))
   | Heartbeats _, Some _ | Change_events, _ -> ()
 
-let add t ~cert_id ~kind ~principal ~name ~args ?expiry () =
+type _ order =
+  | Rmc : { session_key : string } -> Oasis_cert.Rmc.t order
+  | Appointment : { holder_key : string; expires_at : float option; expire : Ident.t -> unit }
+      -> Appointment.t order
+
+let issue (type cert) t ~principal ~name ~args (order : cert order) : cert * Cr.t =
+  let cert_id = World.fresh_cert_id t.world in
   let now = World.now t.world in
+  let (cert : cert), presented, kind, expiry =
+    match order with
+    | Rmc { session_key } ->
+        let rmc =
+          Issuer_key.issue_rmc t.key ~principal_key:session_key ~id:cert_id ~role:name ~args
+            ~issued_at:now
+        in
+        (rmc, Vcache.Rmc (rmc, session_key), Cr.Kind_rmc, None)
+    | Appointment { holder_key; expires_at; expire } ->
+        let appt =
+          Issuer_key.issue_appointment t.key ~id:cert_id ~kind:name ~args ~holder:holder_key
+            ~issued_at:now ?expires_at ()
+        in
+        let expiry = Option.map (fun at -> (at, expire)) expires_at in
+        (appt, Vcache.Appointment appt, Cr.Kind_appointment, expiry)
+  in
   let record =
     Cr.add t.store ~cert_id ~issuer:t.issuer ~kind ~principal ~name ~args ~issued_at:now
   in
+  Ident.Tbl.replace t.issued cert_id { record; cert = presented };
   start_beats t;
   (match expiry with
-  | Some ((at, expire) as due) when at > now ->
-      Ident.Tbl.replace t.expiries cert_id due;
+  | Some (at, expire) when at > now ->
+      let expire () = expire cert_id in
+      Ident.Tbl.replace t.expiries cert_id (at, expire);
       ignore
         (Engine.schedule_at (World.engine t.world) ~at (fun () ->
              if not (t.is_down ()) then expire ()))
   | Some _ | None -> ());
-  record
+  (cert, record)
 
 let revoke t cert_id ~reason ~bookkeeping =
   match Cr.revoke t.store cert_id ~at:(World.now t.world) ~reason with
@@ -109,12 +144,27 @@ let revoke t cert_id ~reason ~bookkeeping =
       | Heartbeats _ -> ());
       true
 
-let find t cert_id = Cr.find t.store cert_id
-let is_valid t cert_id = match find t cert_id with Some record -> Cr.is_valid record | None -> false
+let is_valid t cert_id =
+  match Cr.find t.store cert_id with Some record -> Cr.is_valid record | None -> false
 
-let verify_appointment t key (appt : Oasis_cert.Appointment.t) =
-  Oasis_cert.Issuer_key.verify_appointment key ~now:(World.now t.world) appt
-  && is_valid t appt.id
+let certificate t cert_id = Option.map (fun i -> i.cert) (Ident.Tbl.find_opt t.issued cert_id)
+
+(* No signature is checked. The expiry test stays: an expiry that falls
+   due while the issuer is down is revoked only when it is back. *)
+let issued t presented =
+  match Ident.Tbl.find_opt t.issued (Vcache.presented_id presented) with
+  | Some { record; cert } when Cr.is_valid record && Vcache.same cert presented -> (
+      match presented with
+      | Vcache.Appointment appt when Appointment.expired ~now:(World.now t.world) appt -> None
+      | Vcache.Rmc _ | Vcache.Appointment _ -> Some record)
+  | Some _ | None -> None
+
+let check t presented =
+  Option.is_some (issued t presented)
+  &&
+  match presented with
+  | Vcache.Appointment appt -> appt.epoch = Issuer_key.epoch t.key
+  | Vcache.Rmc _ -> true
 
 let valid_appointments t =
   let ids = ref [] in
@@ -150,3 +200,6 @@ let resume t =
     if Cr.count t.store > 0 then start_beats t;
     resend t
   end
+
+let rotate_key t = Issuer_key.rotate t.key ~now:(World.now t.world)
+let withdraw_key t = Issuer_key.withdraw t.key

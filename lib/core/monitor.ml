@@ -8,7 +8,6 @@ module Fault = Oasis_sim.Fault
 module Heartbeat = Oasis_event.Heartbeat
 module Env = Oasis_policy.Env
 module Solve = Oasis_policy.Solve
-module Rmc = Oasis_cert.Rmc
 module Cr = Oasis_cert.Credential_record
 module Vcache = Oasis_cert.Validation_cache
 module Obs = Oasis_obs.Obs
@@ -50,12 +49,10 @@ type dep = {
   mutable watch : cert_watch option; (* None while silent or crashed *)
 }
 
-(* An RMC this service granted, with its monitoring state. *)
+(* An RMC this service granted, by its record (id, role, args, principal),
+   with its monitoring state. *)
 type role = {
-  rmc : Rmc.t;
   record : Cr.t;
-  session_key : string;
-  principal : Ident.t;
   mutable deps : dep list;
   mutable env_watch : (string * Value.t list) list;
       (* ground membership env constraints; a name may carry '!' *)
@@ -83,10 +80,11 @@ end)
    it from the table. *)
 module Index (H : Hashtbl.S) = struct
   let find tbl key = Option.value (H.find_opt tbl key) ~default:Ident.Map.empty
-  let add tbl key role = H.replace tbl key (Ident.Map.add role.rmc.Rmc.id role (find tbl key))
+  let add tbl key role =
+    H.replace tbl key (Ident.Map.add role.record.Cr.cert_id role (find tbl key))
 
   let remove tbl key role =
-    let bucket = Ident.Map.remove role.rmc.Rmc.id (find tbl key) in
+    let bucket = Ident.Map.remove role.record.Cr.cert_id (find tbl key) in
     if Ident.Map.is_empty bucket then H.remove tbl key else H.replace tbl key bucket
 end
 
@@ -152,8 +150,8 @@ let trace_role t what role extra =
       ~labels:
         ([
            ("service", t.sname);
-           ("cert", Ident.to_string role.rmc.Rmc.id);
-           ("role", role.rmc.Rmc.role);
+           ("cert", Ident.to_string role.record.Cr.cert_id);
+           ("role", role.record.Cr.name);
          ]
         @ extra)
 
@@ -372,11 +370,12 @@ let deactivate t role ~reason ~cascade =
       trace_role t "svc.revoke" role
         [ ("cascade", if cascade then "true" else "false"); ("reason", reason) ];
     Log.debug (fun m ->
-        m "%s deactivates %s (%s): %s" t.sname (Ident.to_string role.rmc.Rmc.id) role.rmc.Rmc.role
-          reason);
-    Audit_trail.log t.audit ~decision:Dlog.Revoke ~principal:role.principal
-      ~action:("revoke:" ^ role.rmc.Rmc.role) ~args:role.rmc.Rmc.args ~rule:reason
-      ~creds:[ role.rmc.Rmc.id ]
+        m "%s deactivates %s (%s): %s" t.sname
+          (Ident.to_string role.record.Cr.cert_id)
+          role.record.Cr.name reason);
+    Audit_trail.log t.audit ~decision:Dlog.Revoke ~principal:role.record.Cr.principal
+      ~action:("revoke:" ^ role.record.Cr.name) ~args:role.record.Cr.args ~rule:reason
+      ~creds:[ role.record.Cr.cert_id ]
       ~env_facts:(List.map Audit_trail.render_env_fact role.env_watch)
       ();
     stop_monitoring t role;
@@ -384,7 +383,7 @@ let deactivate t role ~reason ~cascade =
     role.env_watch <- [];
     List.iter (fun dep -> By_issuer.remove t.by_issuer dep.issuer role) role.deps
   in
-  ignore (Issuer_records.revoke t.records role.rmc.Rmc.id ~reason ~bookkeeping)
+  ignore (Issuer_records.revoke t.records role.record.Cr.cert_id ~reason ~bookkeeping)
 
 (* ------------------------------------------------------------------ *)
 (* Env constraints                                                    *)
@@ -470,7 +469,7 @@ let on_env_change t changed args =
               ~labels:
                 [
                   ("service", t.sname);
-                  ("cert", Ident.to_string role.rmc.Rmc.id);
+                  ("cert", Ident.to_string role.record.Cr.cert_id);
                   ("pred", changed);
                 ];
           ignore
@@ -524,9 +523,9 @@ and enter_suspect t role ~why =
   if (not (is_down t)) && Option.is_none role.suspect && Cr.is_valid role.record then begin
     Obs.Counter.inc t.st.suspects;
     trace_role t "svc.suspect" role [ ("why", why) ];
-    Audit_trail.log t.audit ~decision:Dlog.Suspect ~principal:role.principal
-      ~action:("suspect:" ^ role.rmc.Rmc.role) ~args:role.rmc.Rmc.args ~rule:why
-      ~creds:[ role.rmc.Rmc.id ] ();
+    Audit_trail.log t.audit ~decision:Dlog.Suspect ~principal:role.record.Cr.principal
+      ~action:("suspect:" ^ role.record.Cr.name) ~args:role.record.Cr.args ~rule:why
+      ~creds:[ role.record.Cr.cert_id ] ();
     (* Resolved by reconciliation (reinstate or revoke), which cancels the
        timer, or by the timer: fail-closed degradation. *)
     let at = World.now t.world +. Float.max 0.0 t.suspect_grace in
@@ -584,9 +583,9 @@ and reconcile_worker t role =
   let reconciled outcome =
     cancel_suspect t role;
     trace_role t "svc.reconcile" role [ ("outcome", outcome) ];
-    Audit_trail.log t.audit ~decision:Dlog.Reconcile ~principal:role.principal
-      ~action:("reconcile:" ^ role.rmc.Rmc.role) ~args:role.rmc.Rmc.args ~rule:outcome
-      ~creds:[ role.rmc.Rmc.id ] ()
+    Audit_trail.log t.audit ~decision:Dlog.Reconcile ~principal:role.record.Cr.principal
+      ~action:("reconcile:" ^ role.record.Cr.name) ~args:role.record.Cr.args ~rule:outcome
+      ~creds:[ role.record.Cr.cert_id ] ()
   in
   let rec loop () =
     if live () then begin
@@ -640,13 +639,10 @@ let note_unreachable t issuer =
 (* Granting, revoking                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let grant t ~rmc ~record ~session_key ~principal (proof : Solve.proof) =
+let grant t record (proof : Solve.proof) =
   let role =
     {
-      rmc;
       record;
-      session_key;
-      principal;
       deps = [];
       env_watch = [];
       timers = [];
@@ -654,7 +650,7 @@ let grant t ~rmc ~record ~session_key ~principal (proof : Solve.proof) =
       reconciling = false;
     }
   in
-  Ident.Tbl.replace t.roles rmc.Rmc.id role;
+  Ident.Tbl.replace t.roles record.Cr.cert_id role;
   let watch_cred (cred : Solve.cred) =
     let dep = { issuer = cred.issuer; cert = cred.cred_id; watch = None } in
     role.deps <- dep :: role.deps;
@@ -681,11 +677,6 @@ let grant t ~rmc ~record ~session_key ~principal (proof : Solve.proof) =
           arm_env_timer t role c)
     proof.support
 
-let granted t (rmc : Rmc.t) ~session_key =
-  match Ident.Tbl.find_opt t.roles rmc.id with
-  | Some role -> String.equal role.session_key session_key && Rmc.identical role.rmc rmc
-  | None -> false
-
 let revoke t cert_id ~reason =
   match Ident.Tbl.find_opt t.roles cert_id with
   | Some role ->
@@ -699,11 +690,11 @@ let revoke t cert_id ~reason =
           Obs.Counter.inc t.st.revocations)
 
 let release t cert_id ~session_key =
-  match Ident.Tbl.find_opt t.roles cert_id with
-  | Some role when String.equal role.session_key session_key ->
+  match (Ident.Tbl.find_opt t.roles cert_id, Issuer_records.certificate t.records cert_id) with
+  | Some role, Some (Vcache.Rmc (_, issued_to)) when String.equal issued_to session_key ->
       deactivate t role ~reason:"deactivated by principal" ~cascade:false;
       true
-  | Some _ | None -> false
+  | _ -> false
 
 let revoke_all t ~reason =
   let count = ref 0 in
@@ -822,7 +813,7 @@ let active_roles t =
   Ident.Tbl.fold
     (fun cert_id role acc ->
       if Cr.is_valid role.record then
-        (cert_id, role.rmc.Rmc.role, role.rmc.Rmc.args, role.principal) :: acc
+        (cert_id, role.record.Cr.name, role.record.Cr.args, role.record.Cr.principal) :: acc
       else acc)
     t.roles []
 
@@ -830,7 +821,7 @@ let suspect_roles t =
   Ident.Tbl.fold
     (fun cert_id role acc ->
       if Option.is_some role.suspect && Cr.is_valid role.record then
-        (cert_id, role.rmc.Rmc.role) :: acc
+        (cert_id, role.record.Cr.name) :: acc
       else acc)
     t.roles []
 

@@ -26,7 +26,10 @@
     role's dependency list, which restart rebuilds from.
 
     Every deactivation, suspicion and reconciliation is an audited
-    decision ({!Audit_trail}). *)
+    decision ({!Audit_trail}).
+
+    A role is its credential record: the certificate itself is kept only
+    by the service's {!Issuer_records}, which answers for it. *)
 
 type t
 
@@ -55,25 +58,12 @@ val start : t -> unit
 
 (** {1 Granting and revoking} *)
 
-val grant :
-  t ->
-  rmc:Oasis_cert.Rmc.t ->
-  record:Oasis_cert.Credential_record.t ->
-  session_key:string ->
-  principal:Oasis_util.Ident.t ->
-  Oasis_policy.Solve.proof ->
-  unit
-(** Starts monitoring a freshly granted role: a watch per prerequisite RMC
-    (always) and per membership-marked appointment, and every
-    membership-marked env constraint. *)
-
-val granted : t -> Oasis_cert.Rmc.t -> session_key:string -> bool
-(** Whether [rmc] is exactly the certificate {!grant} recorded under its
-    id — every field equal, floats by bit pattern — bound to
-    [session_key]. The grant record outlives revocation and crashes, so
-    this is the whole authenticity check for the service's own RMCs, with
-    no signature to verify; whether the role is still held is
-    {!Issuer_records.is_valid}'s answer. *)
+val grant : t -> Oasis_cert.Credential_record.t -> Oasis_policy.Solve.proof -> unit
+(** Starts monitoring a freshly granted role, named by the record its RMC
+    was issued with ({!Issuer_records.issue_rmc}): a watch per prerequisite
+    RMC (always) and per membership-marked appointment, and every
+    membership-marked env constraint. The record's id, role, arguments and
+    principal are all the monitor keeps of the RMC. *)
 
 val revoke : t -> Oasis_util.Ident.t -> reason:string -> bool
 (** Revokes a certificate this service issued: a role is deactivated —
@@ -82,7 +72,8 @@ val revoke : t -> Oasis_util.Ident.t -> reason:string -> bool
 
 val release : t -> Oasis_util.Ident.t -> session_key:string -> bool
 (** The principal's own deactivation of a role, proven by its session key.
-    [false] if the key does not match the role's. *)
+    [false] if the key is not the one the RMC was issued to
+    ({!Issuer_records.certificate}). *)
 
 val revoke_all : t -> reason:string -> int
 (** Revokes every valid certificate this service issued, then drops every

@@ -13,7 +13,6 @@ module Parser = Oasis_policy.Parser
 module Lint = Oasis_policy.Lint
 module Rmc = Oasis_cert.Rmc
 module Appointment = Oasis_cert.Appointment
-module Cr = Oasis_cert.Credential_record
 module Vcache = Oasis_cert.Validation_cache
 module Elgamal = Oasis_crypto.Elgamal
 module Signed = Oasis_cert.Signed
@@ -107,7 +106,6 @@ type t = {
   solver : Solve.observer;
   config : config;
   env : Env.t;
-  key : Issuer_key.t;
   root_address : string;
   activations : (string, Rule.activation installed Queue.t) Hashtbl.t;
   authorizations : (string, Rule.authorization installed Queue.t) Hashtbl.t;
@@ -123,7 +121,6 @@ type t = {
 let id t = t.sid
 let service_name t = t.sname
 let env t = t.env
-let current_epoch t = Issuer_key.epoch t.key
 
 (* ------------------------------------------------------------------ *)
 (* Policy installation                                                *)
@@ -173,17 +170,6 @@ let register_operation t privilege handler = Hashtbl.replace t.operations privil
 (* ------------------------------------------------------------------ *)
 (* Credential validation                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* An own RMC is authentic exactly when it is the certificate this service
-   granted under that id, bound to the same session key: the monitor's
-   grant record answers that with a comparison, no signature check. Own
-   appointments verify under this service's issuer key
-   ({!Issuer_records.verify_appointment}). Either way the credential record
-   store has the last word — a genuine but revoked certificate is dead. *)
-let verify_own t = function
-  | Vcache.Rmc (rmc, session_key) ->
-      Monitor.granted t.monitor rmc ~session_key && Issuer_records.is_valid t.records rmc.id
-  | Vcache.Appointment appt -> Issuer_records.verify_appointment t.records t.key appt
 
 let issuer_chain t issuer = Signed.chain_for (World.authority t.world) issuer
 
@@ -261,19 +247,20 @@ let issuer_of = function
   | Vcache.Appointment appt -> appt.Appointment.issuer
 
 (* Checks one presented certificate, of either kind (Sect. 4). The
-   verifier follows from its issuer: this service answers from its own
-   records; an issuer with an enrolled key chain is checked offline
-   (DESIGN.md §12) — no cached invalidation, no tombstone at the issuer,
-   and the signature under the chain, answered from the validation cache's
-   memo when this same presentation passed before; any other issuer (HMAC
-   signers, decommissioned issuers) by callback. A chain in hand is
+   verifier follows from its issuer: this service compares its own
+   certificates with what it issued ({!Issuer_records.check}); an issuer
+   with an enrolled key chain is checked offline (DESIGN.md §12) — no
+   cached invalidation, no tombstone at the issuer, and the signature
+   under the chain, answered from the validation cache's memo when this
+   same presentation passed before; any other issuer (HMAC signers,
+   decommissioned issuers) by callback. A chain in hand is
    authoritative for authenticity; freshness still comes from the
    dependency watches installed after the grant. An appointment's holder
    then proves possession of its long-lived key when the service demands
    it: that defeats stolen appointment certificates (Sect. 4.1). *)
 let check t ~src presented =
   let issuer = issuer_of presented in
-  (if Ident.equal issuer t.sid then verify_own t presented
+  (if Ident.equal issuer t.sid then Issuer_records.check t.records presented
    else
      match issuer_chain t issuer with
      | Some chain ->
@@ -394,7 +381,7 @@ let solver_context t ~src ~session_key ~rules (creds : Protocol.credentials) =
 (* ------------------------------------------------------------------ *)
 
 let revoke_certificate t cert_id ~reason = Monitor.revoke t.monitor cert_id ~reason
-let rotate_secret t = Issuer_key.rotate t.key ~now:(World.now t.world)
+let rotate_secret t = Issuer_records.rotate_key t.records
 
 (* Withdraws every credential this service ever issued, so dependents
    everywhere collapse through the usual channels, and the state it holds
@@ -403,7 +390,7 @@ let rotate_secret t = Issuer_key.rotate t.key ~now:(World.now t.world)
    just stop answering callbacks. *)
 let decommission t ~reason =
   let count = Monitor.revoke_all t.monitor ~reason in
-  Issuer_key.withdraw t.key;
+  Issuer_records.withdraw_key t.records;
   count
 
 (* ------------------------------------------------------------------ *)
@@ -477,17 +464,12 @@ let handle_activate t ~src ~principal ~session_key ~role ~requested ~creds =
       Option.bind (seed_from_requested rule requested) (fun seed ->
           Solve.activation ~obs:t.solver ctx rule ~seed ()))
     ~grant:(fun ~rule (proof : Solve.proof) ->
-      let cert_id = World.fresh_cert_id t.world in
-      let rmc =
-        Issuer_key.issue_rmc t.key ~principal_key:session_key ~id:cert_id ~role
-          ~args:proof.role_args ~issued_at:(World.now t.world)
+      let rmc, record =
+        Issuer_records.issue t.records ~principal ~name:role ~args:proof.role_args
+          (Issuer_records.Rmc { session_key })
       in
-      let record =
-        Issuer_records.add t.records ~cert_id ~kind:Cr.Kind_rmc ~principal ~name:role
-          ~args:proof.role_args ()
-      in
-      Monitor.grant t.monitor ~rmc ~record ~session_key ~principal proof;
-      Audit_trail.record_grant t.audit ~issued:cert_id ~principal ~action ~args:proof.role_args
+      Monitor.grant t.monitor record proof;
+      Audit_trail.record_grant t.audit ~issued:rmc.id ~principal ~action ~args:proof.role_args
         ~support:proof.support ~rule ();
       Obs.Counter.inc t.st.activations_granted;
       Log.debug (fun m ->
@@ -528,18 +510,12 @@ let handle_appoint t ~src ~principal ~session_key ~kind ~args ~holder ~holder_ke
     ~rules:(Hashtbl.find_opt t.appointers kind)
     ~solve:(solve_privilege t args)
     ~grant:(fun ~rule support ->
-      let cert_id = World.fresh_cert_id t.world in
-      let appt =
-        Issuer_key.issue_appointment t.key ~id:cert_id ~kind ~args ~holder:holder_key
-          ~issued_at:(World.now t.world) ?expires_at ()
+      let expire cert_id = ignore (Monitor.revoke t.monitor cert_id ~reason:"expired") in
+      let appt, _record =
+        Issuer_records.issue t.records ~principal:holder ~name:kind ~args
+          (Issuer_records.Appointment { holder_key; expires_at; expire })
       in
-      let expire () = ignore (Monitor.revoke t.monitor cert_id ~reason:"expired") in
-      ignore
-        (Issuer_records.add t.records ~cert_id ~kind:Cr.Kind_appointment ~principal:holder
-           ~name:kind ~args
-           ?expiry:(Option.map (fun at -> (at, expire)) expires_at)
-           ());
-      Audit_trail.record_grant t.audit ~issued:cert_id ~principal ~action ~args ~support ~rule ();
+      Audit_trail.record_grant t.audit ~issued:appt.id ~principal ~action ~args ~support ~rule ();
       Obs.Counter.inc t.st.appointments_granted;
       Protocol.Appoint_ok appt)
 
@@ -560,7 +536,7 @@ let handle_rpc t ~src msg =
   | Protocol.Deactivate { cert_id; session_key } -> handle_deactivate t ~cert_id ~session_key
   | Protocol.Validate presented ->
       Obs.Counter.inc t.st.callbacks_in;
-      Protocol.Validate_result (verify_own t presented)
+      Protocol.Validate_result (Issuer_records.check t.records presented)
   | Protocol.Env_check { pred; args } ->
       (* Answer remote environmental lookups against our database (Sect. 2:
          "database lookup at some service"). Unknown predicates answer
@@ -603,7 +579,11 @@ let create world ~name ?(config = default_config) ?env ~policy () =
   let labels = [ ("service", name) ] in
   let counter cname = Obs.counter obs cname ~labels in
   let authority = World.authority world in
-  let records = Issuer_records.create world ~issuer:sid in
+  let records =
+    Issuer_records.create world
+      (Issuer_key.create authority ~rng:(World.rng world) ~subject:sid
+         ~offline_sign:config.offline_sign ~now:(World.now world))
+  in
   let audit = Audit_trail.create world ~service:sid ~name in
   let cache = Vcache.create ~obs ~labels () in
   let t =
@@ -615,9 +595,6 @@ let create world ~name ?(config = default_config) ?env ~policy () =
       solver = Solve.observer obs;
       config;
       env;
-      key =
-        Issuer_key.create authority ~rng:(World.rng world) ~subject:sid
-          ~offline_sign:config.offline_sign ~now:(World.now world);
       root_address = Signed.address authority;
       activations = Hashtbl.create 16;
       authorizations = Hashtbl.create 16;

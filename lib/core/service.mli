@@ -23,11 +23,12 @@
     session key it came under, or an appointment), in one pass over the
     wallet — RMCs first, then appointments, each in presentation order —
     that files each valid credential straight into the solver's index. The
-    issuer picks the verifier. The service's own certificates are checked
-    against its records: an own RMC, presented to it or in a validation
-    callback it answers, is compared with the certificate its monitor
-    recorded at the grant ({!Monitor.granted}), with no signature check at
-    all. A foreign certificate whose issuer has an enrolled key chain is
+    issuer picks the verifier. The service's own certificates, RMCs and
+    appointments alike, presented to it or in a validation callback it
+    answers, are compared with the certificate as it issued it
+    ({!Issuer_records.check}: every field, the signature and an RMC's
+    session key, a valid record, unexpired and, for an appointment, the
+    current epoch), with no signature check at all. A foreign certificate whose issuer has an enrolled key chain is
     checked offline (DESIGN.md §12), at most one signature check per
     service and issuer key certificate: the validation cache remembers the
     presentation that passed ({!Oasis_cert.Validation_cache.verify}), and
@@ -164,11 +165,10 @@ val decommission : t -> reason:string -> int
     through the event infrastructure. *)
 
 val rotate_secret : t -> unit
-(** Advances the appointment-signing epoch: all previously issued
-    appointment certificates stop validating and must be re-issued
-    (Sect. 4.1). RMCs are unaffected — they are session-scoped. *)
-
-val current_epoch : t -> int
+(** Advances the appointment-signing epoch ({!Issuer_records.rotate_key}):
+    all previously issued appointment certificates stop validating and must
+    be re-issued (Sect. 4.1); appointments issued afterwards carry the new
+    epoch. RMCs are unaffected — they are session-scoped. *)
 
 (** {1 Faults} *)
 

@@ -18,7 +18,6 @@ type t = {
   world : World.t;
   router : Ident.t;
   audit : Oasis_trust.Registrar.t;
-  key : Issuer_key.t;
   records : Issuer_records.t;
   replicas : replica array;
   mutable rr : int;
@@ -36,8 +35,6 @@ type t = {
 
 let id t = t.router
 
-let current_epoch t = Issuer_key.epoch t.key
-
 (* Writes need the primary (replica 0) up and the router not crashed. *)
 let primary_down_at world ~router ~primary =
   Network.is_down (World.network world) primary || Fault.is_crashed (World.fault world) router
@@ -49,15 +46,13 @@ let is_valid t cert_id = Issuer_records.is_valid t.records cert_id
 (* Validation, replica side                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A replica answers as any issuer answers for its own appointment, from
+(* A replica answers as any issuer answers for its own certificates, from
    the cluster's one record store: a revocation or an issue is seen by
-   every replica the moment the primary writes it. A CIV issues
-   appointment certificates only. *)
+   every replica the moment the primary writes it. *)
 let replica_handler t replica ~src:_ = function
-  | Protocol.Validate (Vcache.Appointment appt) when Ident.equal appt.issuer t.router ->
+  | Protocol.Validate presented ->
       replica.served <- replica.served + 1;
-      Protocol.Validate_result (Issuer_records.verify_appointment t.records t.key appt)
-  | Protocol.Validate _ -> Protocol.Validate_result false
+      Protocol.Validate_result (Issuer_records.check t.records presented)
   | Protocol.Check_cr { cert_id } -> Protocol.Cr_status { valid = is_valid t cert_id }
   | _ -> Protocol.Denied (Protocol.Bad_request "CIV replicas only validate")
 
@@ -120,17 +115,19 @@ let create world ~name ?(offline_sign = true) () =
   let replicas =
     Array.init 3 (fun _ -> { node = World.fresh_service_id world; served = 0 })
   in
+  (* The key draws from the world's stream before the registrar splits it. *)
+  let records =
+    Issuer_records.create world
+      ~is_down:(fun () -> primary_down_at world ~router ~primary:replicas.(0).node)
+      (Issuer_key.create (World.authority world) ~rng:(World.rng world) ~subject:router
+         ~offline_sign ~now:(World.now world))
+  in
   let t =
     {
       world;
       router;
       audit = Oasis_trust.Registrar.create (Oasis_util.Rng.split (World.rng world)) ~name ();
-      key =
-        Issuer_key.create (World.authority world) ~rng:(World.rng world) ~subject:router
-          ~offline_sign ~now:(World.now world);
-      records =
-        Issuer_records.create world ~issuer:router ~is_down:(fun () ->
-            primary_down_at world ~router ~primary:replicas.(0).node);
+      records;
       replicas;
       rr = 0;
       pending_filings = [];
@@ -174,40 +171,27 @@ let revoke t cert_id ~reason =
 
 let issue t ~kind ~args ~holder ~holder_key ?expires_at () =
   if primary_down t then raise Primary_unavailable;
-  let cert_id = World.fresh_cert_id t.world in
-  let now = World.now t.world in
-  let appt =
-    Issuer_key.issue_appointment t.key ~id:cert_id ~kind ~args ~holder:holder_key ~issued_at:now
-      ?expires_at ()
+  let expire cert_id = ignore (revoke t cert_id ~reason:"expired") in
+  let appt, _record =
+    Issuer_records.issue t.records ~principal:holder ~name:kind ~args
+      (Issuer_records.Appointment { holder_key; expires_at; expire })
   in
-  let expire () = ignore (revoke t cert_id ~reason:"expired") in
-  ignore
-    (Issuer_records.add t.records ~cert_id ~kind:Cr.Kind_appointment ~principal:holder ~name:kind
-       ~args
-       ?expiry:(Option.map (fun at -> (at, expire)) expires_at)
-       ());
   Obs.Counter.inc t.c_issues;
   appt
 
+(* Re-issue accepts a certificate of any epoch (that is its purpose), but
+   only one this cluster issued exactly so, unexpired, with a valid record. *)
 let reissue t (old : Appointment.t) =
   if primary_down t then raise Primary_unavailable;
-  if not (Ident.equal old.issuer t.router) then Error "not our certificate"
-  else if
-    (* Re-issue accepts any epoch (that is its purpose) but never a bad
-       signature or an expired certificate. *)
-    not (Issuer_key.verify_appointment ~any_epoch:true t.key ~now:(World.now t.world) old)
-  then Error "signature or expiry check failed"
-  else
-    match Issuer_records.find t.records old.Appointment.id with
-    | Some record when Cr.is_valid record ->
-        ignore (revoke t old.Appointment.id ~reason:"superseded");
-        Ok
-          (issue t ~kind:old.Appointment.kind ~args:old.Appointment.args
-             ~holder:record.Cr.principal ~holder_key:old.Appointment.holder
-             ?expires_at:old.Appointment.expires_at ())
-    | Some _ | None -> Error "credential record revoked"
+  match Issuer_records.issued t.records (Vcache.Appointment old) with
+  | None -> Error "not a valid certificate of this cluster"
+  | Some record ->
+      ignore (revoke t old.id ~reason:"superseded");
+      Ok
+        (issue t ~kind:old.kind ~args:old.args ~holder:record.Cr.principal ~holder_key:old.holder
+           ?expires_at:old.expires_at ())
 
-let rotate_secret t = Issuer_key.rotate t.key ~now:(World.now t.world)
+let rotate_secret t = Issuer_records.rotate_key t.records
 
 let registrar t = t.audit
 

@@ -12,10 +12,11 @@
     load-balancer address); it forwards validation callbacks round-robin to
     live replicas and fails over when one is down. Replica 0 is the primary:
     issuance and revocation execute there, so writes need it up. The
-    cluster keeps one copy of its records, the issuer's store
-    ({!Oasis_core.Issuer_records}), and every replica answers a validation
-    from it: an issue or a revocation is seen by every replica at once,
-    and reads survive the primary going down. *)
+    cluster is one issuer ({!Oasis_core.Issuer_records}), as a service is,
+    and every replica answers a validation with its one check: a
+    comparison with the certificate as issued, never a signature check. An
+    issue or a revocation is seen by every replica at once, and reads
+    survive the primary going down. *)
 
 type t
 
@@ -58,8 +59,9 @@ val reissue : t -> Oasis_cert.Appointment.t -> (Oasis_cert.Appointment.t, string
 (** Re-issues a certificate under the current epoch secret — Sect. 4.1:
     "it is likely that appointment certificates would be re-issued,
     encrypted with a new server secret, from time to time". The old
-    certificate must carry a genuine signature from some epoch and a
-    still-valid credential record; its record is revoked (reason
+    certificate must be exactly one this cluster issued, of any epoch,
+    unexpired, with a still-valid credential record
+    ({!Oasis_core.Issuer_records.issued}); its record is revoked (reason
     ["superseded"]) and a fresh certificate with the same content is
     issued. Raises {!Primary_unavailable} when the primary is down. *)
 
@@ -71,7 +73,9 @@ val revoke : t -> Oasis_util.Ident.t -> reason:string -> bool
     down, or the certificate unknown or already revoked. *)
 
 val rotate_secret : t -> unit
-val current_epoch : t -> int
+(** Advances the cluster's appointment-signing epoch
+    ({!Oasis_core.Issuer_records.rotate_key}): its earlier appointments
+    stop validating at every replica until re-issued ({!reissue}). *)
 
 val is_valid : t -> Oasis_util.Ident.t -> bool
 (** Primary's authoritative view. *)

@@ -5,7 +5,6 @@ module Obs = Oasis_obs.Obs
 type topic = string
 
 type 'a sub = {
-  id : int;
   sub_topic : topic;
   owner : Ident.t;
   callback : topic -> 'a -> unit;
@@ -36,7 +35,6 @@ type 'a t = {
   obs : Obs.t;
   latency : float;
   subs : (topic, 'a bucket) Hashtbl.t;
-  mutable next_id : int;
   mutable pub_count : int;
   (* Delivery filter consulted for every publish's source; the world wires
      this to [Fault.is_cut] so named partitions sever event channels
@@ -59,7 +57,6 @@ let create engine ~notify_latency ?obs () =
     obs;
     latency = notify_latency;
     subs = Hashtbl.create 64;
-    next_id = 0;
     pub_count = 0;
     filter = None;
     c_published = Obs.counter obs "broker.published";
@@ -75,7 +72,6 @@ let dummy_owner = Ident.make "sub" (-1)
 let dummy_sub : unit -> 'a sub =
  fun () ->
   {
-    id = -1;
     sub_topic = "";
     owner = dummy_owner;
     callback = (fun _ _ -> ());
@@ -161,10 +157,7 @@ let deliver t src sub payload =
   end
 
 let subscribe t topic ~owner callback =
-  let sub =
-    { id = t.next_id; sub_topic = topic; owner; callback; active = true; unsub_pub = 0 }
-  in
-  t.next_id <- t.next_id + 1;
+  let sub = { sub_topic = topic; owner; callback; active = true; unsub_pub = 0 } in
   let b = bucket t topic in
   bucket_push b sub;
   {

@@ -142,16 +142,15 @@ let transmit t ~src ~dst ~msg ~k ~lost =
                  drop "in_flight_down" t.drops.in_flight_down))
 
 let rpc t ~src ~dst msg =
-  (* [None] once the round trip has failed. *)
+  (* Filled once: with the reply, or with [None] once the round trip failed. *)
   let iv : 'msg option Proc.ivar = Proc.ivar () in
   (* A loss fails the round trip at once — see the interface comment. *)
-  let lost () = if Proc.poll iv = None then Proc.fill iv None in
+  let lost () = Proc.fill iv None in
   transmit t ~src ~dst ~msg ~lost ~k:(fun node ->
       Proc.spawn t.engine (fun () ->
           match node.handler ~src msg with
           | reply ->
-              transmit t ~src:dst ~dst:src ~msg:reply ~lost ~k:(fun _src_node ->
-                  if Proc.poll iv = None then Proc.fill iv (Some reply))
+              transmit t ~src:dst ~dst:src ~msg:reply ~lost ~k:(fun _ -> Proc.fill iv (Some reply))
           | exception exn ->
               (* A raising handler must not strand the caller on an ivar
                  that is never filled (it used to block forever at a fixed
@@ -161,7 +160,7 @@ let rpc t ~src ~dst msg =
               if Obs.tracing t.obs then
                 Obs.event t.obs "net.rpc_handler_error"
                   ~labels:(("exn", Printexc.to_string exn) :: endpoint_labels src dst);
-              if Proc.poll iv = None then Proc.fill iv None));
+              Proc.fill iv None));
   match Proc.read iv with
   | Some reply ->
       Obs.Counter.inc t.c_rpcs;

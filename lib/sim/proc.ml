@@ -39,8 +39,6 @@ let fill iv v =
       (* Wake in registration order. *)
       List.iter (fun waiter -> waiter v) (List.rev waiters)
 
-let poll iv = match iv.state with Full v -> Some v | Empty _ -> None
-
 let read iv =
   match iv.state with
   | Full v -> v

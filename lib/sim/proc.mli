@@ -28,6 +28,3 @@ val fill : 'a ivar -> 'a -> unit
 
 val read : 'a ivar -> 'a
 (** Returns the value, suspending the calling process until filled. *)
-
-val poll : 'a ivar -> 'a option
-(** Non-blocking read, usable from any context. *)

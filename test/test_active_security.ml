@@ -233,13 +233,22 @@ let test_revoke_unknown_certificate () =
 let test_secret_rotation_invalidates_appointments () =
   let t = make () in
   Service.rotate_secret t.hospital;
-  Alcotest.(check int) "epoch bumped" 1 (Service.current_epoch t.hospital);
   World.run_proc t.world (fun () ->
       let s = Principal.start_session t.alice in
       (* employee appointment is now from a stale epoch: login fails. *)
-      match Principal.activate t.alice s t.hospital ~role:"logged_in" () with
+      (match Principal.activate t.alice s t.hospital ~role:"logged_in" () with
       | Error Protocol.No_proof -> ()
-      | _ -> Alcotest.fail "stale-epoch appointment accepted")
+      | _ -> Alcotest.fail "stale-epoch appointment accepted");
+      (* Re-appointed after the rotation, under the bumped epoch, alice logs
+         in again. *)
+      let employee =
+        ok
+          (Principal.appoint t.admin t.admin_session t.hospital ~kind:"employee"
+             ~args:[ Value.Id (Principal.id t.alice) ]
+             ~holder:t.alice ())
+      in
+      Alcotest.(check int) "epoch bumped" 1 employee.Oasis_cert.Appointment.epoch;
+      ignore (ok (Principal.activate t.alice s t.hospital ~role:"logged_in" ())))
 
 (* ---------------- Heartbeat monitoring mode (Fig. 5 caption) -------- *)
 

@@ -102,7 +102,7 @@ let test_appt_epoch_rotation () =
   Alcotest.(check bool) "old epoch rejected" false
     (Appointment.verify ~master_secret:secret ~current_epoch:1 ~now:10.0 appt);
   Alcotest.(check bool) "signature itself still checks" true
-    (Appointment.verify_ignoring_epoch ~master_secret:secret ~now:10.0 appt);
+    (Appointment.verify ~master_secret:secret ~current_epoch:0 ~now:10.0 appt);
   let reissued = sample_appt ~epoch:1 () in
   Alcotest.(check bool) "re-issued verifies" true
     (Appointment.verify ~master_secret:secret ~current_epoch:1 ~now:10.0 reissued)

@@ -148,8 +148,11 @@ let test_epoch_rotation () =
   let appt = issue_for world civ p in
   World.settle world;
   Civ.rotate_secret civ;
-  Alcotest.(check int) "epoch" 1 (Civ.current_epoch civ);
-  Alcotest.(check bool) "stale epoch rejected" false (validate_via_router world civ appt)
+  Alcotest.(check bool) "stale epoch rejected" false (validate_via_router world civ appt);
+  let fresh = issue_for world civ p in
+  World.settle world;
+  Alcotest.(check int) "issued under the bumped epoch" 1 fresh.Oasis_cert.Appointment.epoch;
+  Alcotest.(check bool) "current epoch accepted" true (validate_via_router world civ fresh)
 
 let test_civ_backs_service_policy () =
   (* A service whose role is gated on a CIV-issued appointment. *)

@@ -8,7 +8,7 @@ module Civ = Oasis_domain.Civ
 module Issuer_records = Oasis_core.Issuer_records
 module Fault = Oasis_sim.Fault
 module Value = Oasis_util.Value
-module Cr = Oasis_cert.Credential_record
+module Issuer_key = Oasis_cert.Issuer_key
 module Obs = Oasis_obs.Obs
 module Dlog = Oasis_trust.Decision_log
 module Engine = Oasis_sim.Engine
@@ -114,16 +114,20 @@ let test_expiry_while_down () =
 
 let beats world = Obs.Counter.value (Obs.counter (World.obs world) "hb.beats")
 
-let store ?(is_down = fun () -> false) world =
-  Issuer_records.create world ~issuer:(World.fresh_service_id world) ~is_down
+(* An issuer's records under an HMAC key, for [issuer] or a fresh one. *)
+let store ?is_down ?issuer world =
+  let subject = match issuer with Some id -> id | None -> World.fresh_service_id world in
+  Issuer_records.create ?is_down world
+    (Issuer_key.create (World.authority world) ~rng:(World.rng world) ~subject
+       ~offline_sign:false ~now:(World.now world))
 
 let add ?expires_at ?(on_expire = ignore) records world =
-  let cert_id = World.fresh_cert_id world in
-  let expiry = Option.map (fun at -> (at, fun () -> on_expire cert_id)) expires_at in
-  ignore
-    (Issuer_records.add records ~cert_id ~kind:Cr.Kind_appointment
-       ~principal:(World.fresh_principal_id world) ~name:"badge" ~args:[] ?expiry ());
-  cert_id
+  let appt, _record =
+    Issuer_records.issue records ~principal:(World.fresh_principal_id world) ~name:"badge"
+      ~args:[]
+      (Issuer_records.Appointment { holder_key = "holder"; expires_at; expire = on_expire })
+  in
+  appt.Oasis_cert.Appointment.id
 
 (* Every beat heard on [issuer]'s channel, as (epoch, revoked), oldest
    first. *)
@@ -144,7 +148,7 @@ let beat = Alcotest.(pair int (list (testable Ident.pp Ident.equal)))
 let test_next_beat_lists_revocation () =
   let world = World.create ~monitoring:heartbeats () in
   let issuer = World.fresh_service_id world in
-  let records = Issuer_records.create world ~issuer in
+  let records = store ~issuer world in
   let heard = heard world issuer in
   let id = add records world and other = add records world in
   World.run_until world 12.0;
@@ -171,7 +175,7 @@ let test_next_beat_lists_revocation () =
 let test_crash_and_resume () =
   let world = World.create ~monitoring:heartbeats () in
   let issuer = World.fresh_service_id world in
-  let records = Issuer_records.create world ~issuer in
+  let records = store ~issuer world in
   let heard = heard world issuer in
   let live = add records world and dead = add records world in
   World.run_until world 7.0;
@@ -305,7 +309,7 @@ let test_heal_resends_named_issuers () =
   let heard_a = heard world a and heard_b = heard world b in
   List.iter
     (fun issuer ->
-      let records = Issuer_records.create world ~issuer in
+      let records = store ~issuer world in
       ignore (Issuer_records.revoke records (add records world) ~reason:"test" ~bookkeeping:ignore))
     [ a; b ];
   World.settle world;
@@ -320,6 +324,220 @@ let test_heal_resends_named_issuers () =
     (List.map (fun (epoch, _) -> (epoch, [])) (heard_a ()));
   Alcotest.(check int) "nothing from B" 1 (List.length (heard_b ()))
 
+(* ------------------------------------------------------------------ *)
+(* An issuer accepts exactly what it issued                            *)
+(* ------------------------------------------------------------------ *)
+
+module Rmc = Oasis_cert.Rmc
+module Appointment = Oasis_cert.Appointment
+module Vcache = Oasis_cert.Validation_cache
+module Sha256 = Oasis_crypto.Sha256
+module Network = Oasis_sim.Network
+
+type issued_by = Service_rmc | Service_appointment | Civ_appointment
+
+(* What happens to the original after it is issued: nothing; revocation;
+   a key rotation; its expiry at t=50; or that expiry passing while the
+   issuer is down (a service crashed, a CIV's primary down) from t=40 to
+   t=60. *)
+type fate = Kept | Revoked | Rotated | Expired | Expired_while_down
+
+let flip_signature digest =
+  let raw = Bytes.of_string (Sha256.to_raw_string digest) in
+  Bytes.set raw 0 (Char.chr (Char.code (Bytes.get raw 0) lxor 1));
+  Option.get (Sha256.of_raw_string (Bytes.to_string raw))
+
+let elsewhere = Ident.make "service" 4242 and unissued = Ident.make "cert" 4242
+
+(* Every copy of [r] that differs from it in one field, and in the session
+   key it is presented under. *)
+let rmc_copies (r : Rmc.t) ~key ~other_key =
+  let copy ?(id = r.id) ?(issuer = r.issuer) ?(role = r.role) ?(args = r.args)
+      ?(issued_at = r.issued_at) ?(signature = r.signature) ?(key = key) () =
+    Vcache.Rmc (Rmc.of_parts ~id ~issuer ~role ~args ~issued_at ~signature, key)
+  in
+  [
+    copy ~id:unissued ();
+    copy ~issuer:elsewhere ();
+    copy ~role:"admin" ();
+    copy ~args:[ Value.Int 666 ] ();
+    copy ~issued_at:(r.issued_at +. 1.0) ();
+    copy ~signature:(flip_signature r.signature) ();
+    copy ~key:other_key ();
+  ]
+
+let appointment_copies (a : Appointment.t) =
+  let copy ?(id = a.id) ?(issuer = a.issuer) ?(kind = a.kind) ?(args = a.args)
+      ?(holder = a.holder) ?(issued_at = a.issued_at) ?(expires_at = a.expires_at)
+      ?(epoch = a.epoch) ?(signature = a.signature) () =
+    Vcache.Appointment
+      (Appointment.of_parts ~id ~issuer ~kind ~args ~holder ~issued_at ~expires_at ~epoch
+         ~signature)
+  in
+  [
+    copy ~id:unissued ();
+    copy ~issuer:elsewhere ();
+    copy ~kind:"admin" ();
+    copy ~args:(Value.Int 666 :: a.args) ();
+    copy ~holder:(a.holder ^ "x") ();
+    copy ~issued_at:(a.issued_at +. 1.0) ();
+    copy ~expires_at:None ();
+    copy ~epoch:(a.epoch + 1) ();
+    copy ~signature:(flip_signature a.signature) ();
+  ]
+
+(* An issuer with one certificate issued at t≈0 (an appointment expiring at
+   t=50), and the ways to put a presentation to it: shown to the issuer and
+   as a [Validate] callback, each [true] when accepted. For a CIV both go to
+   the router, three times over, so every replica answers. *)
+type issuer = {
+  original : Vcache.presented;
+  copies : Vcache.presented list;
+  shown : Vcache.presented -> bool;
+  validate : Vcache.presented -> bool;
+  revoke : unit -> unit;
+  rotate : unit -> unit;
+  down : unit -> unit;
+  up : unit -> unit;
+}
+
+let validate_at world ~src ~dst presented =
+  World.run_proc world (fun () ->
+      match Network.rpc (World.network world) ~src ~dst (Protocol.Validate presented) with
+      | Protocol.Validate_result ok -> ok
+      | _ -> false)
+
+let service_issuer world ~offline_sign ~kind =
+  let svc =
+    Service.create world ~name:"issuer"
+      ~config:{ Service.default_config with offline_sign }
+      ~policy:
+        "initial boot <- env:eq(1, 1); user <- boot; appoint badge(u) <- boot; initial \
+         member(u) <- appt:badge(u);"
+      ()
+  in
+  let p = Principal.create world ~name:"p" in
+  let session, other, rmc, appt =
+    World.run_proc world (fun () ->
+        let s = Principal.start_session p in
+        let rmc = ok (Principal.activate p s svc ~role:"boot" ()) in
+        let appt =
+          ok
+            (Principal.appoint p s svc ~kind:"badge"
+               ~args:[ Value.Id (Principal.id p) ]
+               ~holder:p ~expires_at:50.0 ())
+        in
+        (s, Principal.start_session p, rmc, appt))
+  in
+  let key = Principal.session_key session in
+  let shown presented =
+    let activate s ~role creds =
+      Result.is_ok
+        (World.run_proc world (fun () -> Principal.activate_with p s svc ~role ~creds ()))
+    in
+    match presented with
+    | Vcache.Rmc (rmc, k) ->
+        activate (if String.equal k key then session else other) ~role:"user"
+          { Protocol.no_credentials with rmcs = [ rmc ] }
+    | Vcache.Appointment appt ->
+        activate session ~role:"member" { Protocol.no_credentials with appointments = [ appt ] }
+  in
+  let original, copies =
+    match kind with
+    | Service_rmc ->
+        (Vcache.Rmc (rmc, key), rmc_copies rmc ~key ~other_key:(Principal.session_key other))
+    | Service_appointment | Civ_appointment ->
+        (Vcache.Appointment appt, appointment_copies appt)
+  in
+  {
+    original;
+    copies;
+    shown;
+    validate = validate_at world ~src:(Principal.id p) ~dst:(Service.id svc);
+    revoke =
+      (fun () ->
+        assert (Service.revoke_certificate svc (Vcache.presented_id original) ~reason:"test"));
+    rotate = (fun () -> Service.rotate_secret svc);
+    down = (fun () -> Service.crash svc);
+    up = (fun () -> Service.restart svc);
+  }
+
+let civ_issuer world ~offline_sign =
+  let civ = Civ.create world ~name:"civ" ~offline_sign () in
+  let p = Principal.create world ~name:"p" in
+  let appt =
+    Civ.issue civ ~kind:"badge"
+      ~args:[ Value.Id (Principal.id p) ]
+      ~holder:(Principal.id p) ~holder_key:(Principal.longterm_public p) ~expires_at:50.0 ()
+  in
+  let validate presented =
+    List.for_all Fun.id
+      (List.init 3 (fun _ -> validate_at world ~src:(Principal.id p) ~dst:(Civ.id civ) presented))
+  in
+  {
+    original = Vcache.Appointment appt;
+    copies = appointment_copies appt;
+    shown = validate;
+    validate;
+    revoke = (fun () -> assert (Civ.revoke civ appt.id ~reason:"test"));
+    rotate = (fun () -> Civ.rotate_secret civ);
+    down = (fun () -> Civ.set_replica_down civ 0 true);
+    up = (fun () -> Civ.set_replica_down civ 0 false);
+  }
+
+let accepts_exactly_what_it_issued (kind, offline_sign, copy, fate, seed) =
+  let world = World.create ~seed () in
+  let issuer =
+    match kind with
+    | Service_rmc | Service_appointment -> service_issuer world ~offline_sign ~kind
+    | Civ_appointment -> civ_issuer world ~offline_sign
+  in
+  let presented =
+    match copy with
+    | None -> issuer.original
+    | Some i -> List.nth issuer.copies (i mod List.length issuer.copies)
+  in
+  let accepted () = (issuer.shown presented, issuer.validate presented) in
+  let before = accepted () in
+  (match fate with
+  | Kept -> ()
+  | Revoked -> issuer.revoke ()
+  | Rotated -> issuer.rotate ()
+  | Expired -> World.run_until world 60.0
+  | Expired_while_down ->
+      World.run_until world 40.0;
+      issuer.down ();
+      World.run_until world 60.0;
+      (* A CIV's replicas still answer while the primary is down and the
+         record is still valid: the expiry test alone refuses. *)
+      if kind = Civ_appointment then
+        assert (not (issuer.validate issuer.original));
+      issuer.up ());
+  let after = accepted () in
+  let original = Option.is_none copy in
+  let survives =
+    match (fate, kind) with
+    | Kept, _ | (Rotated | Expired | Expired_while_down), Service_rmc -> true
+    | Revoked, _ | (Rotated | Expired | Expired_while_down), (Service_appointment | Civ_appointment)
+      ->
+        false
+  in
+  before = (original, original) && after = (original && survives, original && survives)
+
+let test_accepts_exactly_what_it_issued () =
+  let gen =
+    QCheck.Gen.(
+      tup5
+        (oneofl [ Service_rmc; Service_appointment; Civ_appointment ])
+        bool
+        (opt (int_bound 8))
+        (oneofl [ Kept; Revoked; Rotated; Expired; Expired_while_down ])
+        (int_bound 1000))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:150 ~name:"an issuer accepts exactly what it issued"
+       (QCheck.make gen) accepts_exactly_what_it_issued)
+
 let suite =
   ( "issuer-records",
     [
@@ -331,4 +549,6 @@ let suite =
       Alcotest.test_case "tombstone published last" `Quick test_tombstone_published_last;
       Alcotest.test_case "expiry while the issuer is down" `Quick test_expiry_while_down;
       Alcotest.test_case "heal re-sends only named issuers" `Quick test_heal_resends_named_issuers;
+      Alcotest.test_case "an issuer accepts exactly what it issued" `Quick
+        test_accepts_exactly_what_it_issued;
     ] )

@@ -676,41 +676,27 @@ let test_kernel_allocation_budgets () =
       ("Validation_cache.verify (re-presented appointment)", appointment);
       ("Validation_cache.verify (re-presented foreign RMC)", foreign_rmc);
     ];
-  (* A service's own RMC is the certificate its monitor recorded at the
-     grant: a lookup and a field comparison with no signature check. *)
+  (* A service's own RMC is checked against the certificate as it issued
+     it: a lookup and a field comparison with no signature check. *)
   let own = World.create () in
-  let sid = World.fresh_service_id own in
-  let records = Oasis_core.Issuer_records.create own ~issuer:sid in
-  let monitor =
-    Oasis_core.Monitor.create own ~service:sid ~name:"own"
-      ~env:(Env.create (Engine.clock (World.engine own)))
-      ~records ~audit:(Oasis_core.Audit_trail.create own ~service:sid ~name:"own")
-      ~cache:(Vcache.create ()) ~suspect_grace:0.0 ~reconcile_batch:8
-      ~retry:(Oasis_util.Backoff.fixed 3)
+  let records =
+    Oasis_core.Issuer_records.create own
+      (Oasis_cert.Issuer_key.create (World.authority own) ~rng:(World.rng own)
+         ~subject:(World.fresh_service_id own) ~offline_sign:false ~now:0.0)
   in
-  let session_key = String.make 40 's' and own_id = Ident.make "cert" 9 in
-  let own_rmc () =
-    Oasis_cert.Rmc.of_parts ~id:own_id ~issuer:sid ~role:"doctor"
-      ~args:[ Value.Id holder; Value.Time 2.5 ]
-      ~issued_at:1.0 ~signature:(Sha256.digest_string "signature")
+  let session_key = String.make 40 's' and args = [ Value.Id holder; Value.Time 2.5 ] in
+  let rmc, _record =
+    Oasis_core.Issuer_records.issue records ~principal:holder ~name:"doctor" ~args
+      (Oasis_core.Issuer_records.Rmc { session_key })
   in
-  let record =
-    Oasis_core.Issuer_records.add records ~cert_id:own_id ~kind:Cr.Kind_rmc ~principal:holder
-      ~name:"doctor" ~args:[ Value.Id holder; Value.Time 2.5 ] ()
+  let copy =
+    Vcache.Rmc
+      ( Oasis_cert.Rmc.of_parts ~id:rmc.id ~issuer:rmc.issuer ~role:rmc.role ~args
+          ~issued_at:rmc.issued_at ~signature:rmc.signature,
+        String.make 40 's' )
   in
-  Oasis_core.Monitor.grant monitor ~rmc:(own_rmc ()) ~record ~session_key ~principal:holder
-    {
-      Oasis_policy.Solve.rule =
-        Oasis_policy.Rule.activation ~initial:true ~role:"doctor" ~params:[] [];
-      subst = Oasis_policy.Term.Subst.empty;
-      role_args = [];
-      support = [];
-    };
-  let copy = own_rmc () in
-  check_budget "own-RMC check (grant record)" ~budget:10. (fun () ->
-      assert (
-        Oasis_core.Monitor.granted monitor copy ~session_key
-        && Oasis_core.Issuer_records.is_valid records own_id));
+  check_budget "own-RMC check (issued certificate)" ~budget:10. (fun () ->
+      assert (Oasis_core.Issuer_records.check records copy));
   (* An invocation presenting five credentials, sized as the network counts
      it: from field lengths, where encoding every certificate to measure it
      cost about 1,700 words. *)

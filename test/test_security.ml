@@ -209,9 +209,9 @@ let clinic_policy = "consultant(u) <- *doctor(u)@hospital;"
 let hmac_issuer = { Service.default_config with offline_sign = false }
 
 (* An issuer without a key chain answers a validation callback for one of
-   its RMCs from its grant record: authentic means the certificate it
-   granted under that id, bound to the presenting session key, and a
-   restart keeps the record. The clinic caches nothing, so every
+   its RMCs from the certificate it issued: authentic means the
+   certificate it issued under that id, bound to the presenting session
+   key, and a restart keeps it. The clinic caches nothing, so every
    presentation is a callback to the hospital. *)
 let test_callback_answered_from_grant_record () =
   let t = make ~config:hmac_issuer () in

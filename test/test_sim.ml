@@ -208,12 +208,6 @@ let test_proc_double_fill_raises () =
   Alcotest.check_raises "double fill" (Invalid_argument "Proc.fill: ivar already filled")
     (fun () -> Proc.fill iv 2)
 
-let test_proc_poll () =
-  let iv = Proc.ivar () in
-  Alcotest.(check (option int)) "empty" None (Proc.poll iv);
-  Proc.fill iv 3;
-  Alcotest.(check (option int)) "full" (Some 3) (Proc.poll iv)
-
 let test_proc_nested_spawn () =
   let engine = Engine.create () in
   let log = ref [] in
@@ -248,6 +242,5 @@ let suite =
       Alcotest.test_case "ivar read then fill" `Quick test_proc_ivar_read_then_fill;
       Alcotest.test_case "ivar multiple readers" `Quick test_proc_ivar_multiple_readers;
       Alcotest.test_case "ivar double fill" `Quick test_proc_double_fill_raises;
-      Alcotest.test_case "ivar poll" `Quick test_proc_poll;
       Alcotest.test_case "nested spawn" `Quick test_proc_nested_spawn;
     ] )
