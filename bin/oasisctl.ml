@@ -307,7 +307,13 @@ let cascade depth fanout heartbeats period deadline seed =
   let monitoring =
     if heartbeats then World.Heartbeats { period; deadline } else World.Change_events
   in
-  let world = World.create ~seed ~net_latency:0.001 ~notify_latency:0.001 ~monitoring () in
+  let world =
+    match World.create ~seed ~net_latency:0.001 ~notify_latency:0.001 ~monitoring () with
+    | world -> world
+    | exception Invalid_argument why ->
+        Printf.eprintf "oasisctl cascade: %s\n" why;
+        exit 1
+  in
   (* Root service plus a [fanout]-ary dependency tree of depth [depth]. *)
   let counter = ref 0 in
   let nodes = ref [] in

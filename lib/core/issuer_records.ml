@@ -1,7 +1,7 @@
 module Ident = Oasis_util.Ident
 module Engine = Oasis_sim.Engine
 module Broker = Oasis_event.Broker
-module Heartbeat = Oasis_event.Heartbeat
+module Obs = Oasis_obs.Obs
 module Cr = Oasis_cert.Credential_record
 module Issuer_key = Oasis_cert.Issuer_key
 module Appointment = Oasis_cert.Appointment
@@ -17,7 +17,8 @@ type t = {
   is_down : unit -> bool;
   store : Cr.store;
   issued : issued Ident.Tbl.t;
-  mutable emitter : Heartbeat.emitter option; (* under heartbeats, from the first record on *)
+  mutable emitter : Engine.cancel option;
+      (* under heartbeats, from the first record on: the beat timer *)
   mutable epoch : int;
       (* beats since the emitter last started; with no period, beats ever *)
   mutable revoked : Ident.t list; (* revoked since the last beat, newest first *)
@@ -82,13 +83,20 @@ let create ?is_down world key =
     };
   t
 
+(* Under heartbeats the issuer beats once per period, the first beat one
+   period after the start, until [stop_emitters]. A periodic beat is not
+   kept for [resend]: the next one repairs a loss. *)
 let start_beats t =
   match (World.monitoring t.world, t.emitter) with
   | Heartbeats { period; _ }, None ->
+      let beats = Obs.counter (World.obs t.world) "hb.beats" in
       t.emitter <-
         Some
-          (Heartbeat.start_emitter ~src:t.issuer (World.broker t.world) (World.engine t.world)
-             ~topic:(beat_topic t.issuer) ~period ~beat:(next_beat t))
+          (Engine.every (World.engine t.world) ~period (fun () ->
+               Obs.Counter.inc beats;
+               Broker.publish ~src:t.issuer (World.broker t.world) (beat_topic t.issuer)
+                 (next_beat t ());
+               true))
   | Heartbeats _, Some _ | Change_events, _ -> ()
 
 type _ order =
@@ -182,8 +190,8 @@ let valid_appointments t =
 let stop_emitters t =
   match t.emitter with
   | None -> ()
-  | Some emitter ->
-      Heartbeat.stop_emitter emitter;
+  | Some timer ->
+      Engine.cancel (World.engine t.world) timer;
       t.emitter <- None;
       t.epoch <- 0;
       t.revoked <- []

@@ -20,9 +20,11 @@
     counts every beat ever sent, and the latest beat is sent again after a
     partition that named the issuer heals and when the issuer resumes, so
     a dependant that missed one sees an epoch gap. Under heartbeats the
-    issuer beats once per period, the epoch counting beats since the
-    emitter last started, so a dependant learns of a revocation from the
-    next beat and of the issuer's death from the beats' silence.
+    issuer beats once per period on its own recurring engine timer (its
+    emitter), the epoch counting beats since the emitter last started, so
+    a dependant learns of a revocation from the next beat and of the
+    issuer's death from the beats' silence ({!Monitor} keeps that
+    deadline).
 
     Relying-side monitoring (dependency watches, suspects, reconciliation)
     is the relying service's. What a revocation costs its caller —
@@ -63,7 +65,8 @@ val issue :
 (** Mints a certificate and its record in one order for either kind: a
     fresh id, the signature, the record with the certificate as issued,
     then the expiry. The issuer's first record starts its emitter under
-    heartbeats (first beat one period on). *)
+    heartbeats (first beat one period on; each beat counts under
+    [hb.beats]). *)
 
 val revoke :
   t ->
@@ -97,8 +100,8 @@ val valid_appointments : t -> Oasis_util.Ident.t list
 (** The ids of every currently valid appointment record. *)
 
 val stop_emitters : t -> unit
-(** The issuer crashed: its emitter falls silent, and its epoch and the
-    revocations not yet beaten are lost with it. Records, and so
+(** The issuer crashed: its emitter's timer is cancelled, and its epoch
+    and the revocations not yet beaten are lost with it. Records, and so
     tombstones, are durable and stay as they are. With no emitter (change
     events) nothing changes: the epoch goes on from where it was. *)
 

@@ -5,7 +5,7 @@ module Proc = Oasis_sim.Proc
 module Engine = Oasis_sim.Engine
 module Network = Oasis_sim.Network
 module Fault = Oasis_sim.Fault
-module Heartbeat = Oasis_event.Heartbeat
+module Broker = Oasis_event.Broker
 module Env = Oasis_policy.Env
 module Solve = Oasis_policy.Solve
 module Cr = Oasis_cert.Credential_record
@@ -20,10 +20,13 @@ module Log = (val Logs.src_log log)
 type death = [ `Revoked of string | `Silence ]
 
 (* A service keeps one monitor per issuer it watches anything of, on the
-   issuer's feed, and registers each watched certificate under it. *)
+   issuer's feed, and registers each watched certificate under it. The
+   monitor is live while [beat_monitors] holds it. *)
 type issuer_beats = {
   beat_issuer : Ident.t;
-  mutable monitor : Heartbeat.monitor option; (* set right after creation *)
+  subscription : Broker.subscription; (* to the issuer's feed *)
+  mutable heard : float; (* when the last beat arrived, or the monitor started *)
+  mutable deadline_check : Engine.cancel option; (* under heartbeats: the pending miss test *)
   certs : cert_watch list Ident.Tbl.t;
       (* watched cert -> its registrations; the monitor goes with the last *)
   mutable epoch : int option; (* of the last beat heard *)
@@ -114,7 +117,7 @@ type t = {
   suspect_grace : float;
   reconcile_batch : int;
   retry : Backoff.policy;
-  roles : role Ident.Tbl.t;
+  roles : role Ident.Tbl.t; (* active roles only: deactivation drops its role *)
   env_index : role Ident.Map.t Fact_tbl.t;
       (* [env_key] of a ground constraint (predicate base name, fact tuple
          or trust subject) -> roles whose membership rule watches it *)
@@ -165,9 +168,12 @@ let trace_role t what role extra =
    issuer's re-sent beat and the suspect machinery bound that staleness. *)
 let tombstone t ~issuer ~cert_id = World.revocation t.world ~issuer ~cert_id ~reader:t.sid
 
-(* Stops an issuer's monitor; a later watch on that issuer starts anew. *)
+(* Stops an issuer's monitor; a later watch on that issuer starts anew.
+   Idempotent. *)
 let retire t ib =
-  Option.iter Heartbeat.cancel_watch ib.monitor;
+  Broker.unsubscribe (World.broker t.world) ib.subscription;
+  Option.iter (Engine.cancel (World.engine t.world)) ib.deadline_check;
+  ib.deadline_check <- None;
   match Ident.Tbl.find_opt t.beat_monitors ib.beat_issuer with
   | Some current when current == ib -> Ident.Tbl.remove t.beat_monitors ib.beat_issuer
   | Some _ | None -> ()
@@ -185,7 +191,8 @@ let detach t cw =
   end
 
 (* Every registration of [cert_id] learns how it died, in the order they
-   were made. Each is detached first: a dead credential stays dead. *)
+   were made. All are detached before any learns it: a dead credential
+   stays dead, and an [on_dead] need not detach its own. *)
 let kill t ib cert_id death =
   match Ident.Tbl.find_opt ib.certs cert_id with
   | None -> ()
@@ -228,23 +235,52 @@ let on_beat t ib ~epoch ~revoked =
     List.iter (fun cw -> if cw.registered then check_tombstone t ib cw.cert_id) (List.rev fresh)
   end
 
-(* The issuer fell silent for a deadline: the monitor has stopped, and
-   every certificate watched there hears [`Silence]. *)
+(* The issuer fell silent for a deadline: the monitor stops, and every
+   certificate watched there hears [`Silence]. *)
 let on_silence t ib =
   retire t ib;
+  Obs.Counter.inc (Obs.counter t.obs "hb.misses");
+  if Obs.tracing t.obs then
+    Obs.event t.obs "hb.miss" ~labels:[ ("topic", Issuer_records.beat_topic ib.beat_issuer) ];
   List.iter (fun cert_id -> kill t ib cert_id `Silence) (watched_certs ib)
+
+(* Arms the miss test for the earliest instant a miss could be declared,
+   and re-arms it while beats keep coming. The test compares [heard]
+   against the snapshot taken when arming — never a float subtraction
+   against the deadline, which can disagree with the scheduled instant by
+   an ulp and loop at a fixed virtual time. *)
+let rec arm_deadline t ib deadline =
+  let snapshot = ib.heard in
+  let at = Float.max (snapshot +. deadline) (World.now t.world) in
+  ib.deadline_check <-
+    Some
+      (Engine.schedule_at (World.engine t.world) ~at (fun () ->
+           ib.deadline_check <- None;
+           if ib.heard = snapshot then on_silence t ib else arm_deadline t ib deadline))
 
 (* Under heartbeats the monitor fails everything watched there after a
    deadline of silence; under change events the feed has no period, so
-   silence means nothing. *)
+   silence means nothing. A beat reaches the issuer's current monitor: a
+   retired one has unsubscribed. *)
 let issuer_beats t ~issuer =
   match Ident.Tbl.find_opt t.beat_monitors issuer with
   | Some ib -> ib
   | None ->
+      let subscription =
+        Broker.subscribe (World.broker t.world) (Issuer_records.beat_topic issuer) ~owner:t.sid
+          (fun _topic { Protocol.epoch; revoked } ->
+            Option.iter
+              (fun ib ->
+                ib.heard <- World.now t.world;
+                on_beat t ib ~epoch ~revoked)
+              (Ident.Tbl.find_opt t.beat_monitors issuer))
+      in
       let ib =
         {
           beat_issuer = issuer;
-          monitor = None;
+          subscription;
+          heard = World.now t.world;
+          deadline_check = None;
           certs = Ident.Tbl.create 16;
           (* Joining the feed, learn where it stands: every later beat
              shows whether one was missed. *)
@@ -253,18 +289,9 @@ let issuer_beats t ~issuer =
         }
       in
       Ident.Tbl.replace t.beat_monitors issuer ib;
-      let deadline =
-        match World.monitoring t.world with
-        | Heartbeats { deadline; _ } -> Some deadline
-        | Change_events -> None
-      in
-      ib.monitor <-
-        Some
-          (Heartbeat.watch
-             ~on_beat:(fun { Protocol.epoch; revoked } -> on_beat t ib ~epoch ~revoked)
-             ~owner:t.sid ?deadline (World.broker t.world) (World.engine t.world)
-             ~topic:(Issuer_records.beat_topic issuer)
-             ~on_miss:(fun () -> on_silence t ib));
+      (match World.monitoring t.world with
+      | Heartbeats { deadline; _ } -> arm_deadline t ib deadline
+      | Change_events -> ());
       ib
 
 (* Starts an invalidation watch on a certificate, for a role dependency or
@@ -307,11 +334,7 @@ let cache_valid t ~issuer presented =
            (match cause with
            | `Silence when not (silence_revokes t issuer) -> Vcache.drop t.cache cert_id
            | `Revoked _ | `Silence -> Vcache.invalidate t.cache cert_id);
-           match Ident.Tbl.find_opt t.cache_watches cert_id with
-           | Some w ->
-               Ident.Tbl.remove t.cache_watches cert_id;
-               detach t w
-           | None -> ()))
+           Ident.Tbl.remove t.cache_watches cert_id))
 
 (* Releases every cache watch and the cache with them: a decommissioned or
    crashed service keeps no subscription or heartbeat monitor on foreign
@@ -360,8 +383,8 @@ let stop_monitoring t role =
 
 (* Deactivation revokes the RMC's credential record. Between the flip and
    the announcement on its channel, the role's own state goes: counters,
-   the svc.revoke event, the Revoke decision record, its monitoring and
-   its index entries. *)
+   the svc.revoke event, the Revoke decision record, its monitoring, its
+   index entries and the role itself. *)
 let deactivate t role ~reason ~cascade =
   let bookkeeping _record =
     Obs.Counter.inc t.st.revocations;
@@ -381,7 +404,8 @@ let deactivate t role ~reason ~cascade =
     stop_monitoring t role;
     List.iter (fun c -> By_fact.remove t.env_index (env_key c) role) role.env_watch;
     role.env_watch <- [];
-    List.iter (fun dep -> By_issuer.remove t.by_issuer dep.issuer role) role.deps
+    List.iter (fun dep -> By_issuer.remove t.by_issuer dep.issuer role) role.deps;
+    Ident.Tbl.remove t.roles role.record.Cr.cert_id
   in
   ignore (Issuer_records.revoke t.records role.record.Cr.cert_id ~reason ~bookkeeping)
 
@@ -680,36 +704,43 @@ let grant t record (proof : Solve.proof) =
 let revoke t cert_id ~reason =
   match Ident.Tbl.find_opt t.roles cert_id with
   | Some role ->
-      let was_valid = Cr.is_valid role.record in
       deactivate t role ~reason ~cascade:false;
-      was_valid
+      true
   | None ->
       (* An appointment holds no monitoring state: revoking one costs the
-         counter alone. *)
+         counter alone. A dead role's RMC is refused like a revoked
+         appointment. *)
       Issuer_records.revoke t.records cert_id ~reason ~bookkeeping:(fun _ ->
           Obs.Counter.inc t.st.revocations)
 
+(* A role a cascade already collapsed is gone from [roles], but its RMC
+   stays issued: the principal releasing it is told it is released, and
+   drops it from the session. *)
 let release t cert_id ~session_key =
-  match (Ident.Tbl.find_opt t.roles cert_id, Issuer_records.certificate t.records cert_id) with
-  | Some role, Some (Vcache.Rmc (_, issued_to)) when String.equal issued_to session_key ->
-      deactivate t role ~reason:"deactivated by principal" ~cascade:false;
+  match Issuer_records.certificate t.records cert_id with
+  | Some (Vcache.Rmc (_, issued_to)) when String.equal issued_to session_key ->
+      Option.iter
+        (fun role -> deactivate t role ~reason:"deactivated by principal" ~cascade:false)
+        (Ident.Tbl.find_opt t.roles cert_id);
       true
-  | _ -> false
+  | Some _ | None -> false
+
+(* The active roles in certificate-id order, so a walk is reproducible and
+   undisturbed by the deactivations it triggers. *)
+let roles_by_id t =
+  Ident.Tbl.fold (fun _ role acc -> role :: acc) t.roles []
+  |> List.sort (fun a b -> Ident.compare a.record.Cr.cert_id b.record.Cr.cert_id)
 
 let revoke_all t ~reason =
-  let count = ref 0 in
-  Ident.Tbl.iter
-    (fun _ role ->
-      if Cr.is_valid role.record then begin
-        deactivate t role ~reason ~cascade:false;
-        incr count
-      end)
-    t.roles;
-  List.iter
-    (fun cert_id -> if revoke t cert_id ~reason then incr count)
-    (Issuer_records.valid_appointments t.records);
+  let roles = roles_by_id t in
+  List.iter (fun role -> deactivate t role ~reason ~cascade:false) roles;
+  let appointments =
+    List.filter
+      (fun cert_id -> revoke t cert_id ~reason)
+      (Issuer_records.valid_appointments t.records)
+  in
   drop_cache t;
-  !count
+  List.length roles + List.length appointments
 
 (* ------------------------------------------------------------------ *)
 (* Crash and restart (DESIGN.md §11)                                  *)
@@ -727,18 +758,13 @@ let crash t =
 let restart t =
   Audit_trail.resume t.audit;
   Issuer_records.resume t.records;
-  (* Snapshot: the rebuild may deactivate records, mutating the table. *)
-  let live =
-    Ident.Tbl.fold (fun _ r acc -> if Cr.is_valid r.record then r :: acc else acc) t.roles []
-  in
   List.iter
     (fun role ->
       if
-        Cr.is_valid role.record
-        && not
-             (recheck_env t role
-                ~why:(fun _ -> "restart: membership constraint no longer holds")
-                (fun _ -> true))
+        not
+          (recheck_env t role
+             ~why:(fun _ -> "restart: membership constraint no longer holds")
+             (fun _ -> true))
       then
         if
           List.exists
@@ -754,7 +780,7 @@ let restart t =
           if List.exists (fun dep -> remote t dep.issuer) role.deps then
             enter_suspect t role ~why:"restart: remote credentials unverified"
         end)
-    live
+    (roles_by_id t)
 
 (* ------------------------------------------------------------------ *)
 (* Construction and introspection                                     *)
@@ -810,20 +836,16 @@ let start t =
     ~on_restart:(fun () -> restart t)
 
 let active_roles t =
-  Ident.Tbl.fold
-    (fun cert_id role acc ->
-      if Cr.is_valid role.record then
-        (cert_id, role.record.Cr.name, role.record.Cr.args, role.record.Cr.principal) :: acc
-      else acc)
-    t.roles []
+  List.map
+    (fun { record; _ } -> (record.Cr.cert_id, record.Cr.name, record.Cr.args, record.Cr.principal))
+    (roles_by_id t)
 
 let suspect_roles t =
-  Ident.Tbl.fold
-    (fun cert_id role acc ->
-      if Option.is_some role.suspect && Cr.is_valid role.record then
-        (cert_id, role.record.Cr.name) :: acc
-      else acc)
-    t.roles []
+  List.filter_map
+    (fun role ->
+      if Option.is_some role.suspect then Some (role.record.Cr.cert_id, role.record.Cr.name)
+      else None)
+    (roles_by_id t)
 
 let env_watcher_count t predicate =
   let base = Env.base_name predicate in

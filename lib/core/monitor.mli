@@ -29,7 +29,12 @@
     decision ({!Audit_trail}).
 
     A role is its credential record: the certificate itself is kept only
-    by the service's {!Issuer_records}, which answers for it. *)
+    by the service's {!Issuer_records}, which answers for it. The monitor
+    keeps active roles only: a deactivated role leaves it. Its per-issuer
+    monitor holds its own subscription to the issuer's feed, the time of
+    the last beat heard and, under heartbeats, the pending deadline
+    check; it is retired, all three at once, at a missed deadline or when
+    its last registration goes. *)
 
 type t
 
@@ -73,7 +78,9 @@ val revoke : t -> Oasis_util.Ident.t -> reason:string -> bool
 val release : t -> Oasis_util.Ident.t -> session_key:string -> bool
 (** The principal's own deactivation of a role, proven by its session key.
     [false] if the key is not the one the RMC was issued to
-    ({!Issuer_records.certificate}). *)
+    ({!Issuer_records.certificate}). A role a cascade already collapsed
+    is released too ([true], nothing logged): the principal may drop its
+    RMC. *)
 
 val revoke_all : t -> reason:string -> int
 (** Revokes every valid certificate this service issued, then drops every
@@ -100,8 +107,11 @@ val is_down : t -> bool
 
 val active_roles :
   t -> (Oasis_util.Ident.t * string * Oasis_util.Value.t list * Oasis_util.Ident.t) list
+(** Id, role, arguments and principal of each active role, in id order. *)
 
 val suspect_roles : t -> (Oasis_util.Ident.t * string) list
+(** The active roles that are suspect, in id order. *)
+
 val env_watcher_count : t -> string -> int
 val env_watcher_count_tuple : t -> string -> Oasis_util.Value.t list -> int
 

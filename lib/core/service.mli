@@ -211,7 +211,7 @@ val is_crashed : t -> bool
 val suspect_roles : t -> (Oasis_util.Ident.t * string) list
 (** [(cert_id, role)] for every active role currently in suspect state:
     its failure detector fired but revocation is unconfirmed, and either
-    reconciliation or the grace timer will resolve it. *)
+    reconciliation or the grace timer will resolve it. In id order. *)
 
 (** {1 Introspection} *)
 
@@ -219,7 +219,8 @@ val is_valid_certificate : t -> Oasis_util.Ident.t -> bool
 (** Whether this issuer's credential record for the certificate is valid. *)
 
 val active_roles : t -> (Oasis_util.Ident.t * string * Oasis_util.Value.t list * Oasis_util.Ident.t) list
-(** [(cert_id, role, args, principal)] for every currently valid RMC. *)
+(** [(cert_id, role, args, principal)] for every currently valid RMC, in id
+    order. *)
 
 val env_watcher_count : t -> string -> int
 (** How many distinct currently active RMCs watch the given environmental

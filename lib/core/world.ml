@@ -52,6 +52,10 @@ type t = {
 
 let create ?(seed = 1) ?(net_latency = 0.001) ?(net_jitter = 0.0) ?(notify_latency = 0.001)
     ?(monitoring = Change_events) () =
+  (match monitoring with
+  | Heartbeats { period; deadline } when not (period > 0.0 && deadline > 0.0) ->
+      invalid_arg "World.create: heartbeat period and deadline must be positive"
+  | Heartbeats _ | Change_events -> ());
   let engine = Engine.create () in
   let rng = Rng.create seed in
   (* One registry per world, on the engine's virtual clock; the network,
@@ -64,7 +68,7 @@ let create ?(seed = 1) ?(net_latency = 0.001) ?(net_jitter = 0.0) ?(notify_laten
   (* The broker draws nothing, but the split it used to take stays, so the
      streams split after it, and every seed's draws, do not move. *)
   ignore (Rng.split rng : Rng.t);
-  let broker = Broker.create engine ~notify_latency ~obs () in
+  let broker = Broker.create engine ~notify_latency ~obs in
   let fault = Oasis_sim.Fault.create network in
   (* The domain root authority draws from its own stream derived from the
      seed — not from [rng] — so adding signatures perturbs none of the

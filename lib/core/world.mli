@@ -16,7 +16,10 @@
     - [Heartbeats]: each issuer beats once every [period], naming the
       records it revoked since its last beat; dependents treat [deadline]
       without a beat from an issuer as silence of everything they watch
-      there. *)
+      there.
+
+    The issuer's side of the feed is {!Issuer_records}, the dependent's
+    {!Monitor}. *)
 type heartbeat_config = { period : float; deadline : float }
 
 type monitoring =
@@ -34,7 +37,9 @@ val create :
   unit ->
   t
 (** Defaults: seed 1, 1 ms network latency, no jitter, 1 ms notification
-    latency, change-event monitoring. Latencies are in (virtual) seconds. *)
+    latency, change-event monitoring. Latencies are in (virtual) seconds.
+    Raises [Invalid_argument] on a heartbeat [period] or [deadline] that is
+    not positive. *)
 
 val engine : t -> Oasis_sim.Engine.t
 val rng : t -> Oasis_util.Rng.t

@@ -46,12 +46,7 @@ type 'a t = {
   c_suppressed_part : Obs.Counter.t;
 }
 
-let create engine ~notify_latency ?obs () =
-  let obs =
-    match obs with
-    | Some obs -> obs
-    | None -> Obs.create ~now:(fun () -> Engine.now engine) ()
-  in
+let create engine ~notify_latency ~obs =
   {
     engine;
     obs;
@@ -64,8 +59,6 @@ let create engine ~notify_latency ?obs () =
     c_suppressed = Obs.counter obs "broker.suppressed" ~labels:[ ("cause", "unsubscribed") ];
     c_suppressed_part = Obs.counter obs "broker.suppressed" ~labels:[ ("cause", "partitioned") ];
   }
-
-let obs t = t.obs
 
 let dummy_owner = Ident.make "sub" (-1)
 

@@ -4,8 +4,11 @@
     infrastructure ... one service can be notified of a change of state at
     another without any requirement for periodic polling" (Sect. 1, 4;
     ref [2] is the Cambridge Event Architecture). This broker supplies the
-    two primitives OASIS needs: asynchronous change notification on named
-    event channels, and (via {!Heartbeat}) liveness beats.
+    primitive OASIS needs: asynchronous notification on named event
+    channels. Fig. 5's "heartbeats or change events" are two ways of
+    running one channel per issuer on it: [Oasis_core.Issuer_records]
+    sends the issuer's beats, and the relying [Oasis_core.Monitor] keeps
+    the deadline on them.
 
     Notifications are delivered after a configurable latency through the
     simulation engine, and counted in the broker's registry
@@ -23,13 +26,9 @@ type topic = string
 
 type subscription
 
-val create : Oasis_sim.Engine.t -> notify_latency:float -> ?obs:Oasis_obs.Obs.t -> unit -> 'a t
+val create : Oasis_sim.Engine.t -> notify_latency:float -> obs:Oasis_obs.Obs.t -> 'a t
 (** [obs] is the registry publish/notify counters and trace events report
-    into — normally the world's shared instance; defaults to a private one
-    so standalone brokers behave as before. *)
-
-val obs : 'a t -> Oasis_obs.Obs.t
-(** The registry this broker reports into. *)
+    into: the world's shared instance, or a test's own. *)
 
 val subscribe :
   'a t -> topic -> owner:Oasis_util.Ident.t -> (topic -> 'a -> unit) -> subscription

@@ -4,9 +4,9 @@ module Clock = Oasis_util.Clock
    pending event becomes a tombstone: its closure is released immediately
    (the thunk slot is the only strong reference) and the heap entry is
    reclaimed either when its fire time arrives or by compaction, whichever
-   comes first. Heartbeat monitors re-arm and cancel timers constantly; at
-   10^6 RMCs, letting tombstones ride to their fire time grows the heap
-   without bound. *)
+   comes first. Deadline checks, env timers and suspect timers are armed
+   and cancelled constantly; at 10^6 RMCs, letting tombstones ride to
+   their fire time grows the heap without bound. *)
 type event = {
   mutable state : int;  (* 0 = pending, 1 = fired, 2 = tombstone *)
   mutable thunk : unit -> unit;

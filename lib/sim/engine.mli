@@ -35,7 +35,7 @@ val cancel : t -> cancel -> unit
 
 val every : t -> period:float -> (unit -> bool) -> cancel
 (** [every t ~period f] runs [f] each [period]; stops when [f] returns
-    [false] or when the returned handle is cancelled. Used for heartbeat
+    [false] or when the returned handle is cancelled. Used for an issuer's heartbeat
     emitters and pollers — decommissioning must be able to stop them, so the
     handle is not optional. *)
 

@@ -131,6 +131,32 @@ let test_voluntary_deactivate_single_role () =
   Alcotest.(check bool) "dependent treating gone" false (role_active t session "treating_doctor");
   Alcotest.(check bool) "logged_in remains" true (role_active t session "logged_in")
 
+(* A role a cascade already collapsed is no longer monitored, but its RMC
+   stays issued: the principal releasing it is told it is released and
+   drops it from the session, and another session's key is still
+   refused. *)
+let test_release_collapsed_role () =
+  let t = make () in
+  let session = alice_treating t ~patient:7 in
+  let doctor_rmc =
+    List.find (fun (r : Rmc.t) -> r.role = "doctor") (Principal.session_rmcs session)
+  in
+  ignore
+    (Service.revoke_certificate t.hospital t.alice_qualification.Oasis_cert.Appointment.id
+       ~reason:"struck off");
+  World.settle t.world;
+  Alcotest.(check bool) "doctor collapsed" false (role_active t session "doctor");
+  let mallory = Principal.create t.world ~name:"mallory" in
+  Alcotest.(check bool) "another key refused" false
+    (World.run_proc t.world (fun () ->
+         Principal.deactivate mallory (Principal.start_session mallory) doctor_rmc));
+  Alcotest.(check bool) "released" true
+    (World.run_proc t.world (fun () -> Principal.deactivate t.alice session doctor_rmc));
+  Alcotest.(check bool) "gone from the session wallet" false
+    (List.exists (fun (r : Rmc.t) -> r.role = "doctor") (Principal.session_rmcs session));
+  Alcotest.(check int) "no second revocation" 2
+    (Service.stats t.hospital).Service.cascade_deactivations
+
 let test_deactivate_wrong_session_key_denied () =
   let t = make () in
   let session = alice_treating t ~patient:7 in
@@ -294,6 +320,7 @@ let suite =
       Alcotest.test_case "logout collapses session" `Quick test_logout_collapses_session;
       Alcotest.test_case "voluntary deactivation" `Quick test_voluntary_deactivate_single_role;
       Alcotest.test_case "deactivate wrong key" `Quick test_deactivate_wrong_session_key_denied;
+      Alcotest.test_case "release a collapsed role" `Quick test_release_collapsed_role;
       Alcotest.test_case "expiring appointment" `Quick test_expiring_appointment_collapses_roles;
       Alcotest.test_case "time-constrained membership" `Quick test_time_constrained_membership;
       Alcotest.test_case "stale RMC rejected" `Quick test_stale_rmc_rejected_after_revocation;

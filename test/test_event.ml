@@ -1,8 +1,13 @@
-(* Event middleware: broker and heartbeats. *)
+(* Event middleware: the broker, and the heartbeats an issuer sends on it
+   and a relying service keeps a deadline on. *)
 
 module Engine = Oasis_sim.Engine
 module Broker = Oasis_event.Broker
-module Heartbeat = Oasis_event.Heartbeat
+module World = Oasis_core.World
+module Service = Oasis_core.Service
+module Principal = Oasis_core.Principal
+module Issuer_records = Oasis_core.Issuer_records
+module Issuer_key = Oasis_cert.Issuer_key
 module Ident = Oasis_util.Ident
 module Rng = Oasis_util.Rng
 module Obs = Oasis_obs.Obs
@@ -10,13 +15,10 @@ module Obs = Oasis_obs.Obs
 let owner = Ident.make "svc" 0
 let src = Ident.make "issuer" 0
 
-let make ?(latency = 1.0) () =
+(* A broker reporting into [obs]. *)
+let make ?(obs = Obs.create ()) () =
   let engine = Engine.create () in
-  let obs = Obs.create ~now:(fun () -> Engine.now engine) () in
-  let broker = Broker.create engine ~notify_latency:latency ~obs () in
-  (engine, broker)
-
-let count broker key = Fixtures.metric (Broker.obs broker) key
+  (engine, Broker.create engine ~notify_latency:1.0 ~obs)
 
 let test_pub_sub () =
   let engine, broker = make () in
@@ -81,17 +83,18 @@ let test_late_subscriber_misses_publish () =
   Alcotest.(check int) "no retroactive delivery" 0 !got
 
 let test_stats () =
-  let engine, broker = make () in
+  let obs = Obs.create () in
+  let engine, broker = make ~obs () in
   ignore (Broker.subscribe broker "t" ~owner (fun _ _ -> ()));
   ignore (Broker.subscribe broker "t" ~owner (fun _ _ -> ()));
   Broker.publish ~src broker "t" 1;
   Broker.publish ~src broker "u" 2;
   Engine.run engine;
-  Alcotest.(check int) "published" 2 (count broker "broker.published");
-  Alcotest.(check int) "notified" 2 (count broker "broker.notified");
+  let count = Fixtures.metric obs in
+  Alcotest.(check int) "published" 2 (count "broker.published");
+  Alcotest.(check int) "notified" 2 (count "broker.notified");
   Alcotest.(check int) "nothing suppressed" 0
-    (count broker "broker.suppressed{cause=unsubscribed}"
-    + count broker "broker.suppressed{cause=partitioned}")
+    (count "broker.suppressed{cause=unsubscribed}" + count "broker.suppressed{cause=partitioned}")
 
 let test_fifo_per_subscriber () =
   let engine, broker = make () in
@@ -105,65 +108,86 @@ let test_fifo_per_subscriber () =
 
 (* ---------------- Heartbeats ---------------- *)
 
-let test_emitter_beats () =
-  let engine, broker = make ~latency:0.01 () in
-  let beats = ref 0 in
-  ignore (Broker.subscribe broker "hb" ~owner (fun _ _ -> incr beats));
-  let emitter =
-    Heartbeat.start_emitter ~src broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ())
+let heartbeats = World.Heartbeats { period = 1.0; deadline = 2.5 }
+
+(* A counter a test may read before anything bumped it. *)
+let count world key = Option.value (Obs.value (World.obs world) key) ~default:0.0
+
+(* [issuer] grants [base] at t = 0.001, so it beats at 1.001, 2.001, ...;
+   [relying] grants [derived] on it and keeps one monitor on its feed. *)
+let watched () =
+  let world = World.create ~monitoring:heartbeats () in
+  let issuer = Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" () in
+  let relying = Service.create world ~name:"relying" ~policy:"derived <- *base@issuer;" () in
+  let p = Principal.create world ~name:"p" in
+  let s = Principal.start_session p in
+  let derived =
+    World.run_proc world (fun () ->
+        ignore (Fixtures.ok (Principal.activate p s issuer ~role:"base" ()));
+        Fixtures.ok (Principal.activate p s relying ~role:"derived" ()))
   in
-  Engine.run_until engine 5.5;
-  Heartbeat.stop_emitter emitter;
-  Engine.run engine;
+  (world, issuer, relying, (p, s, derived))
+
+let active relying (derived : Oasis_cert.Rmc.t) =
+  Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id
+
+(* An issuer beats once per period from its first record on, the first
+   beat one period after it, until it stops; a stopped issuer holds no
+   timer. *)
+let test_emitter_beats () =
+  let world = World.create ~monitoring:heartbeats () in
+  let key =
+    Issuer_key.create (World.authority world) ~rng:(World.rng world) ~subject:src
+      ~offline_sign:false ~now:0.0
+  in
+  let records = Issuer_records.create world key in
+  let beats = ref 0 in
+  ignore
+    (Broker.subscribe (World.broker world) (Issuer_records.beat_topic src) ~owner (fun _ _ ->
+         incr beats));
+  ignore
+    (Issuer_records.issue records ~principal:owner ~name:"badge" ~args:[]
+       (Issuer_records.Appointment { holder_key = "holder"; expires_at = None; expire = ignore }));
+  World.run_until world 5.5;
+  Issuer_records.stop_emitters records;
+  Alcotest.(check int) "a stopped issuer holds no timer" 0 (Engine.pending (World.engine world));
+  World.run world;
   Alcotest.(check int) "five beats" 5 !beats;
-  Alcotest.(check int) "emitted counter" 5 (count broker "hb.beats")
+  Alcotest.(check (float 0.0)) "emitted counter" 5.0 (count world "hb.beats")
 
 let test_monitor_no_miss_while_beating () =
-  let engine, broker = make ~latency:0.01 () in
-  let emitter =
-    Heartbeat.start_emitter ~src broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ())
-  in
-  let missed = ref false in
-  let monitor =
-    Heartbeat.watch ~on_beat:ignore ~owner broker engine ~topic:"hb" ~deadline:2.5
-      ~on_miss:(fun () -> missed := true)
-  in
-  Engine.run_until engine 10.0;
-  Alcotest.(check bool) "no miss" false !missed;
-  Heartbeat.stop_emitter emitter;
-  Heartbeat.cancel_watch monitor;
-  Engine.run engine
+  let world, _, relying, (_, _, derived) = watched () in
+  World.run_until world 10.0;
+  Alcotest.(check (float 0.0)) "no miss" 0.0 (count world "hb.misses");
+  Alcotest.(check bool) "role held" true (active relying derived)
 
+(* The issuer crashes at t = 4, just before its 4.001 beat: the last beat
+   reached the relying service at 3.002, so it declares the miss one
+   deadline later, at 5.502, and the silence revokes the role. *)
 let test_monitor_miss_after_stop () =
-  let engine, broker = make ~latency:0.01 () in
-  let emitter =
-    Heartbeat.start_emitter ~src broker engine ~topic:"hb" ~period:1.0 ~beat:(fun () -> ())
-  in
-  let miss_at = ref nan in
-  let _monitor =
-    Heartbeat.watch ~on_beat:ignore ~owner broker engine ~topic:"hb" ~deadline:2.5
-      ~on_miss:(fun () -> miss_at := Engine.now engine)
-  in
-  ignore (Engine.schedule engine ~after:4.0 (fun () -> Heartbeat.stop_emitter emitter));
-  Engine.run engine;
-  Alcotest.(check bool) "missed" true (not (Float.is_nan !miss_at));
-  (* Last beat delivered at ~3.01 (the 4.0 beat loses the race with the
-     stop event); the monitor declares the miss one deadline later. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "miss at %f" !miss_at)
-    true
-    (!miss_at > 5.4 && !miss_at < 5.7)
+  let world, issuer, relying, (_, _, derived) = watched () in
+  World.run_until world 4.0;
+  Service.crash issuer;
+  World.run_until world 5.5;
+  Alcotest.(check (float 0.0)) "no miss inside the deadline" 0.0 (count world "hb.misses");
+  Alcotest.(check bool) "role held inside the deadline" true (active relying derived);
+  World.run_until world 5.51;
+  Alcotest.(check (float 0.0)) "missed once" 1.0 (count world "hb.misses");
+  Alcotest.(check bool) "the silence revoked the role" false (active relying derived);
+  World.run_until world 20.0;
+  Alcotest.(check (float 0.0)) "a missed monitor stops" 1.0 (count world "hb.misses")
 
+(* Releasing the last role watched on the issuer retires the relying
+   service's monitor there: the issuer's silence is then no miss. *)
 let test_monitor_cancel () =
-  let engine, broker = make ~latency:0.01 () in
-  let missed = ref false in
-  let monitor =
-    Heartbeat.watch ~on_beat:ignore ~owner broker engine ~topic:"hb" ~deadline:1.0
-      ~on_miss:(fun () -> missed := true)
-  in
-  Heartbeat.cancel_watch monitor;
-  Engine.run engine;
-  Alcotest.(check bool) "cancelled before deadline" false !missed
+  let world, issuer, relying, (p, s, derived) = watched () in
+  Alcotest.(check bool) "released" true
+    (World.run_proc world (fun () -> Principal.deactivate p s derived));
+  Service.crash issuer;
+  World.run_until world 20.0;
+  Alcotest.(check (float 0.0)) "no miss after the monitor retired" 0.0
+    (count world "hb.misses");
+  Alcotest.(check bool) "role released" false (active relying derived)
 
 let suite =
   ( "event",

@@ -6,7 +6,6 @@ module Service = Oasis_core.Service
 module Principal = Oasis_core.Principal
 module Protocol = Oasis_core.Protocol
 module Fault = Oasis_sim.Fault
-module Heartbeat = Oasis_event.Heartbeat
 module Backoff = Oasis_util.Backoff
 module Rng = Oasis_util.Rng
 module Value = Oasis_util.Value
@@ -188,36 +187,6 @@ let test_heartbeat_silence_suspect () =
   Alcotest.(check bool) "role reinstated" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id)
 
-let test_concurrent_monitors_independent () =
-  (* Regression: two monitors on one topic, each with its own owner, must
-     count beats and fire misses independently; cancelling one must not
-     disturb the other. *)
-  let world = World.create ~seed:3 () in
-  let broker = World.broker world and engine = World.engine world in
-  let beat = { Protocol.epoch = 1; revoked = [] } in
-  let emitter =
-    Heartbeat.start_emitter ~src:(World.fresh_service_id world) broker engine ~topic:"shared"
-      ~period:0.5 ~beat:(fun () -> beat)
-  in
-  let misses = ref 0 in
-  let watch owner missed =
-    Heartbeat.watch ~on_beat:ignore ~owner broker engine ~topic:"shared" ~deadline:1.2
-      ~on_miss:(fun () ->
-        missed := true;
-        incr misses)
-  in
-  let m1_missed = ref false and m2_missed = ref false in
-  let m1 = watch (World.fresh_service_id world) m1_missed in
-  let _m2 = watch (World.fresh_service_id world) m2_missed in
-  World.run_until world 3.0;
-  Alcotest.(check int) "beats keep both monitors quiet" 0 !misses;
-  Heartbeat.cancel_watch m1;
-  Heartbeat.stop_emitter emitter;
-  World.run_until world 6.0;
-  Alcotest.(check int) "only the live monitor fires" 1 !misses;
-  Alcotest.(check bool) "m2 missed, m1 cancelled" true
-    (!m2_missed && not !m1_missed)
-
 (* ---------------- The issuer's beat (Fig. 5, heartbeat mode) -------- *)
 
 let beat_period = 0.5
@@ -239,6 +208,35 @@ let last_revoke_rule relying =
   with
   | Some r -> r.rule
   | None -> Alcotest.fail "no Revoke decision"
+
+(* Two relying services keep one monitor each on one issuer's feed. The
+   beats keep both quiet; one retires its monitor when its last watched
+   role is released, and the issuer's silence then fails only the other. *)
+let test_concurrent_monitors_independent () =
+  let world = World.create ~seed:3 ~monitoring:beats () in
+  let issuer = Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" () in
+  let relying name = Service.create world ~name ~policy:"derived <- *base@issuer;" () in
+  let r1 = relying "r1" and r2 = relying "r2" in
+  let p = Principal.create world ~name:"p" in
+  let s = Principal.start_session p in
+  let d1, d2 =
+    World.run_proc world (fun () ->
+        ignore (ok (Principal.activate p s issuer ~role:"base" ()));
+        ( ok (Principal.activate p s r1 ~role:"derived" ()),
+          ok (Principal.activate p s r2 ~role:"derived" ()) ))
+  in
+  World.run_until world 3.0;
+  Alcotest.(check (float 0.0)) "beats keep both monitors quiet" 0.0 (count world "hb.misses");
+  Alcotest.(check bool) "r1 releases its role" true
+    (World.run_proc world (fun () -> Principal.deactivate p s d1));
+  Service.crash issuer;
+  World.run_until world 6.0;
+  Alcotest.(check (float 0.0)) "only the live monitor fires" 1.0 (count world "hb.misses");
+  Alcotest.(check bool) "r2's role failed by the silence" false (still_active r2 d2);
+  Alcotest.(check bool) "for the missed beat" true
+    (String.ends_with ~suffix:"heartbeat missed" (last_revoke_rule r2));
+  Alcotest.(check bool) "r1's role released by its principal" true
+    (String.equal "deactivated by principal" (last_revoke_rule r1))
 
 (* The issuer's beats fall one period apart from its first issue (t ~ 0);
    t = 2.2 sits between two of them. The next beat names the revocation,

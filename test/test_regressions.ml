@@ -1,6 +1,6 @@
 (* Regression tests for the active-security fixes:
    - non-ground negation is a refused request, not a silent "proved"
-   - cancelled heartbeat watches release their engine timer
+   - a retired heartbeat monitor releases its engine timer
    - decommission releases cache-invalidation subscriptions and the cache
    - rule installation keeps insertion order (first-installed rule wins)
    - fact-change cost follows the tuple index, not the RMC population or
@@ -23,7 +23,6 @@ module Audit = Oasis_trust.Audit
 module Env = Oasis_policy.Env
 module Engine = Oasis_sim.Engine
 module Broker = Oasis_event.Broker
-module Heartbeat = Oasis_event.Heartbeat
 module Cr = Oasis_cert.Credential_record
 module Network = Oasis_sim.Network
 module Proc = Oasis_sim.Proc
@@ -55,22 +54,31 @@ let test_nonground_negation_denied () =
         (ok (Principal.activate p s svc ~role:"risky" ~args:[ Some (Value.Int 1) ] ())));
   Alcotest.(check int) "refusal recorded" 1 (Service.stats svc).Service.activations_denied
 
-(* A cancelled watch must cancel its pending engine timer; previously the
-   cancel handle was dropped and dead monitors kept a timer in the heap. *)
+(* A retired heartbeat monitor must cancel its pending deadline check;
+   previously the cancel handle was dropped and dead monitors kept a timer
+   in the heap. Releasing the last role a service watches on an issuer
+   retires its monitor there: one timer fewer, and the issuer's silence is
+   no miss. *)
 let test_heartbeat_cancel_releases_timer () =
-  let engine = Engine.create () in
-  let broker = Broker.create engine ~notify_latency:0.01 ~obs:(Obs.create ()) () in
-  let missed = ref false in
-  let monitor =
-    Heartbeat.watch ~on_beat:ignore ~owner:(Ident.make "svc" 1) broker engine ~topic:"hb"
-      ~deadline:2.5 ~on_miss:(fun () -> missed := true)
+  let world = World.create ~monitoring:(World.Heartbeats { period = 1.0; deadline = 2.5 }) () in
+  let issuer = Service.create world ~name:"issuer" ~policy:"initial base <- env:eq(1, 1);" () in
+  let relying = Service.create world ~name:"relying" ~policy:"derived <- *base@issuer;" () in
+  let p = Principal.create world ~name:"p" in
+  let s = Principal.start_session p in
+  let derived =
+    World.run_proc world (fun () ->
+        ignore (ok (Principal.activate p s issuer ~role:"base" ()));
+        ok (Principal.activate p s relying ~role:"derived" ()))
   in
-  Alcotest.(check bool) "timer armed" true (Engine.pending engine > 0);
-  Heartbeat.cancel_watch monitor;
-  Engine.run engine;
-  Alcotest.(check int) "no timer executed after cancel" 0 (Engine.events_executed engine);
-  Alcotest.(check bool) "no miss after cancel" false !missed;
-  Alcotest.(check bool) "monitor not missed" false !missed
+  let engine = World.engine world in
+  let before = Engine.pending engine in
+  Alcotest.(check bool) "released" true
+    (World.run_proc world (fun () -> Principal.deactivate p s derived));
+  Alcotest.(check int) "the deadline check is cancelled" (before - 1) (Engine.pending engine);
+  Service.crash issuer;
+  World.run_until world 10.0;
+  Alcotest.(check bool) "no miss after the monitor retired" true
+    (Obs.value (World.obs world) "hb.misses" = None)
 
 (* Decommissioning or crashing a service must drop its validation cache
    and unsubscribe its cache-invalidation watches on other issuers' event
@@ -572,7 +580,7 @@ let test_drop_causes_conserve_messages () =
 let test_broker_inflight_unsubscribe_accounted () =
   let engine = Engine.create () in
   let obs = Obs.create () in
-  let broker = Broker.create engine ~notify_latency:1.0 ~obs () in
+  let broker = Broker.create engine ~notify_latency:1.0 ~obs in
   let got = ref 0 in
   let owner = Ident.make "svc" 1 in
   let s1 = Broker.subscribe broker "t" ~owner (fun _ _ -> incr got) in

@@ -25,6 +25,20 @@ let test_registry () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* A heartbeat period or deadline that is not positive is refused when the
+   world is made, not at the first issue or watch mid-run. *)
+let test_bad_heartbeat_settings () =
+  let refused period deadline =
+    match World.create ~monitoring:(World.Heartbeats { period; deadline }) () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "zero deadline" true (refused 1.0 0.0);
+  Alcotest.(check bool) "negative deadline" true (refused 1.0 (-2.5));
+  Alcotest.(check bool) "zero period" true (refused 0.0 2.5);
+  Alcotest.(check bool) "nan period" true (refused Float.nan 2.5);
+  Alcotest.(check bool) "positive settings" false (refused 1.0 2.5)
+
 let test_run_proc_detects_deadlock () =
   let world = World.create () in
   Alcotest.(check bool) "deadlock reported" true
@@ -528,6 +542,7 @@ let suite =
     [
       Alcotest.test_case "registry" `Quick test_registry;
       Alcotest.test_case "run_proc deadlock" `Quick test_run_proc_detects_deadlock;
+      Alcotest.test_case "bad heartbeat settings refused" `Quick test_bad_heartbeat_settings;
       Alcotest.test_case "settle semantics" `Quick test_settle_leaves_future_timers;
       Alcotest.test_case "fresh ids" `Quick test_fresh_ids_distinct;
       Alcotest.test_case "multiple sessions" `Quick test_multiple_sessions_per_principal;
