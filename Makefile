@@ -94,36 +94,78 @@ bench-trust:
 # A/B run of the repository benchmark (perf/README.md), e.g.
 #   make perf-ab BASE=HEAD~1 W=revoke N=10
 #   make perf-ab BASE=HEAD~1 W=all N=3
+#   make perf-ab BASE=HEAD~1 W=all N=10 A_A=1
 # Builds perf.exe for revision BASE from a `git archive` export under
 # _build/perf-ab/base and for the working tree here, runs N seed pairs
 # (seeds 1..N, at BENCHMARK.json's 10-second run length) of workload W, or
 # of all four workloads with W=all, with -o, alternating which side runs
 # first, then compares the two result directories against BENCHMARK.json's
 # bounds with one compare.exe call (exit 1 on a regression).
+#
+# A_A=1 also measures what code layout alone does: it exports BASE a
+# second time under _build/perf-ab/aa, appends inert code (compiled, never
+# run) to one lib/ file there, and runs that build as a third side of
+# every seed (the order rotates). Each A/B line then ends with the A/A
+# comparison of BASE with its inert copy (wins, median delta, verdict): a
+# metric whose A/B delta is not well outside its A/A delta shows nothing.
+# The exit status is the A/B comparison's.
 BASE ?= HEAD~1
 W ?= revoke
 N ?= 10
+A_A ?= 0
 AB := _build/perf-ab
 AB_WORKLOADS := $(if $(filter all,$(W)),grant revoke metropolis scale,$(W))
+AB_SIDES := base head $(if $(filter 1,$(A_A)),aa)
+# Appended to the A/A copy's lib/util/ident.ml: guarded by an opaque false,
+# so it is compiled and linked before every later module but never runs.
+AA_INERT := \
+  'let () =' \
+  '  if Stdlib.Sys.opaque_identity false then' \
+  '    for i = 0 to Stdlib.Sys.opaque_identity 64 do' \
+  '      let l = Stdlib.List.init i (fun j -> (j * 7919) lxor i) in' \
+  '      let l = Stdlib.List.sort Stdlib.compare l in' \
+  '      let s = Stdlib.String.concat "," (Stdlib.List.map Stdlib.string_of_int l) in' \
+  '      Stdlib.Printf.printf "%d %s %f\n" (Stdlib.Hashtbl.hash s)' \
+  '        (Stdlib.String.uppercase_ascii s) (Stdlib.sqrt (Stdlib.float i))' \
+  '    done'
 
 perf-ab:
 	rm -rf $(AB)
-	mkdir -p $(AB)/base $(AB)/runs/base $(AB)/runs/head
+	mkdir -p $(AB)/base $(addprefix $(AB)/runs/,$(AB_SIDES))
 	git archive --format=tar $(BASE) | tar -x -C $(AB)/base
 	cd $(AB)/base && DUNE_CACHE=disabled dune build --root . --display quiet ./perf/perf.exe
+ifeq ($(A_A),1)
+	mkdir -p $(AB)/aa
+	git archive --format=tar $(BASE) | tar -x -C $(AB)/aa
+	printf '\n%s' $(AA_INERT) >> $(AB)/aa/lib/util/ident.ml
+	printf '\n' >> $(AB)/aa/lib/util/ident.ml
+	cd $(AB)/aa && DUNE_CACHE=disabled dune build --root . --display quiet ./perf/perf.exe
+endif
 	DUNE_CACHE=disabled dune build --display quiet ./perf/perf.exe ./perf/compare.exe
 	for i in $$(seq 1 $(N)); do \
-	  if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+	  if [ $(A_A) = 1 ]; then \
+	    case $$((i % 3)) in 1) order="base head aa";; 2) order="head aa base";; *) order="aa base head";; esac; \
+	  elif [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
 	  for w in $(AB_WORKLOADS); do \
 	    for side in $$order; do \
-	      if [ $$side = base ]; then exe=$(AB)/base/_build/default/perf/perf.exe; \
-	      else exe=_build/default/perf/perf.exe; fi; \
+	      if [ $$side = head ]; then exe=_build/default/perf/perf.exe; \
+	      else exe=$(AB)/$$side/_build/default/perf/perf.exe; fi; \
 	      $$exe --workload $$w --seed $$i --seconds 10 --trace 0 \
 	        -o $(AB)/runs/$$side/$$w-$$i.json > /dev/null || exit 1; \
 	    done; \
 	  done; \
 	done
+ifeq ($(A_A),1)
+	_build/default/perf/compare.exe $(AB)/runs/base $(AB)/runs/aa > $(AB)/aa.txt || true
+	_build/default/perf/compare.exe $(AB)/runs/base $(AB)/runs/head > $(AB)/ab.txt; status=$$?; \
+	awk 'NR == FNR { if (NF >= 12) aa[$$1 " " $$2] = sprintf("%7s %8s  %s", $$9, $$10, $$12); next } \
+	  FNR == 1 { print $$0 "  | A/A:  wins    delta  verdict"; next } \
+	  ($$1 " " $$2) in aa { print $$0 "  | " aa[$$1 " " $$2]; next } { print }' \
+	  $(AB)/aa.txt $(AB)/ab.txt; \
+	exit $$status
+else
 	_build/default/perf/compare.exe $(AB)/runs/base $(AB)/runs/head
+endif
 
 # A subset, e.g. `make bench-E3 bench-E5`.
 bench-%:

@@ -419,6 +419,8 @@ let e4 () =
   let base = Modp.random rng and exponent = Modp.random rng in
   let log = ref (Dlog.create ~service:issuer) in
   let doctor = Ident.make "principal" 1 in
+  Printf.printf "  SHA-256 kernel chosen by the CPU probe: %s\n\n"
+    (if Sha256.sha_ni then "SHA instructions" else "portable OCaml");
   let open Bechamel in
   bechamel_table
     [
@@ -444,6 +446,11 @@ let e4 () =
         (Staged.stage (fun () -> ignore (Hmac.mac ~key:"k" payload)));
       Test.make ~name:"SHA-256 (1 KiB)"
         (Staged.stage (fun () -> ignore (Sha256.digest_string payload)));
+      Test.make ~name:"SHA-256 (1 KiB, portable kernel)"
+        (Staged.stage (fun () ->
+             let ctx = Sha256.init_portable () in
+             Sha256.feed_string ctx payload;
+             ignore (Sha256.finalize ctx)));
       Test.make ~name:"Modp.pow (61-bit exponent)"
         (Staged.stage (fun () -> ignore (Modp.pow base exponent)));
       Test.make ~name:"Schnorr sign"

@@ -32,16 +32,14 @@ let protected_fields t =
 
 let signing_bytes t = Wire.encode tag (protected_fields t)
 
-let sign ~master_secret t =
-  let epoch_secret = Secret.rotate master_secret ~epoch:t.epoch in
-  Hmac.mac ~key:(Secret.to_key epoch_secret) (signing_bytes t)
+(* The tag is keyed with the secret of the certificate's epoch. *)
+let key ~master_secret t = Secret.to_key (Secret.rotate master_secret ~epoch:t.epoch)
 
 let issue ~master_secret ~epoch ~id ~issuer ~kind ~args ~holder ~issued_at ?expires_at () =
   let unsigned =
-    { id; issuer; kind; args; holder; issued_at; expires_at; epoch;
-      signature = Sha256.digest_string "" }
+    { id; issuer; kind; args; holder; issued_at; expires_at; epoch; signature = Sha256.zero }
   in
-  { unsigned with signature = sign ~master_secret unsigned }
+  { unsigned with signature = Hmac.mac ~key:(key ~master_secret unsigned) (signing_bytes unsigned) }
 
 let of_parts ~id ~issuer ~kind ~args ~holder ~issued_at ~expires_at ~epoch ~signature =
   { id; issuer; kind; args; holder; issued_at; expires_at; epoch; signature }
@@ -51,7 +49,7 @@ let expired ~now t = match t.expires_at with Some e -> now >= e | None -> false
 let verify ~master_secret ~current_epoch ~now t =
   t.epoch = current_epoch
   && (not (expired ~now t))
-  && Sha256.equal t.signature (sign ~master_secret t)
+  && Hmac.verify ~key:(key ~master_secret t) (signing_bytes t) t.signature
 
 let identical a b =
   a == b

@@ -27,17 +27,13 @@ let protected_fields ~principal_key t =
 
 let signing_bytes ~principal_key t = Wire.encode tag (protected_fields ~principal_key t)
 
-let sign ~secret ~principal_key t =
-  Hmac.mac ~key:(Secret.to_key secret) (signing_bytes ~principal_key t)
-
 let issue ~secret ~principal_key ~id ~issuer ~role ~args ~issued_at =
-  let unsigned =
-    { id; issuer; role; args; issued_at; signature = Sha256.digest_string "" }
-  in
-  { unsigned with signature = sign ~secret ~principal_key unsigned }
+  let unsigned = { id; issuer; role; args; issued_at; signature = Sha256.zero } in
+  let signature = Hmac.mac ~key:(Secret.to_key secret) (signing_bytes ~principal_key unsigned) in
+  { unsigned with signature }
 
 let verify ~secret ~principal_key t =
-  Sha256.equal t.signature (sign ~secret ~principal_key t)
+  Hmac.verify ~key:(Secret.to_key secret) (signing_bytes ~principal_key t) t.signature
 
 let of_parts ~id ~issuer ~role ~args ~issued_at ~signature =
   { id; issuer; role; args; issued_at; signature }

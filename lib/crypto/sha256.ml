@@ -22,15 +22,26 @@ let k =
      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
+(* The SHA-instruction kernel (sha256_stubs.c): it reads the 64 bytes at
+   the offset and writes back the eight chaining words, bounds-checked by
+   [compress] before the call. *)
+external sha_ni_available : unit -> bool = "oasis_sha256_hw_available" [@@noalloc]
+
+external compress_sha_ni : int array -> Bytes.t -> (int[@untagged]) -> unit
+  = "oasis_sha256_compress_byte" "oasis_sha256_compress"
+[@@noalloc]
+
+let sha_ni = sha_ni_available ()
+
 type ctx = {
   h : int array; (* 8 chaining words *)
   block : Bytes.t; (* 64-byte buffer being filled *)
-  mutable fill : int; (* bytes currently in [block] *)
+  mutable fill : int; (* bytes currently in [block]; -1 once finalized *)
   mutable length : int; (* total message bytes fed *)
-  mutable finished : bool;
+  sha_ni : bool; (* which kernel compresses this context's blocks *)
 }
 
-let init () =
+let make sha_ni =
   {
     h =
       [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
@@ -38,8 +49,11 @@ let init () =
     block = Bytes.create 64;
     fill = 0;
     length = 0;
-    finished = false;
+    sha_ni;
   }
+
+let init () = make sha_ni
+let init_portable () = make false
 
 let w = Array.make 64 0
 
@@ -86,16 +100,14 @@ let[@inline] maj a b c = (a land b) lor (c land (a lor b))
 let[@inline] t1 e f g h i =
   h + Array.unsafe_get k i + Array.unsafe_get w i + ch e f g + big_sigma1 e
 
-(* Compresses the 64-byte block starting at [off] in [buf] into [h].
-   Eight rounds per iteration: instead of shifting all eight working
-   variables along each round, round j of an iteration names them from
-   offset j, so a round writes only its new [d] and [h]. The block and the
-   state are bounds-checked once, here; the loads below are unchecked.
+(* The portable kernel: compresses the 64-byte block starting at [off] in
+   [buf] into [h]. Eight rounds per iteration: instead of shifting all
+   eight working variables along each round, round j of an iteration names
+   them from offset j, so a round writes only its new [d] and [h]. The
+   loads are unchecked: [compress] has checked the block and the state.
    Shared schedule array [w] makes this module non-reentrant across
    domains; the reproduction is single-domain. *)
-let compress h buf off =
-  if off < 0 || off > Bytes.length buf - 64 || Array.length h < 8 then
-    invalid_arg "Sha256.compress";
+let compress_portable h buf off =
   for i = 0 to 15 do
     Array.unsafe_set w i (load buf (off + (4 * i)))
   done;
@@ -149,10 +161,16 @@ let compress h buf off =
   Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land mask);
   Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land mask)
 
+(* One bounds check per block, for either kernel. *)
+let compress ctx buf off =
+  if off < 0 || off > Bytes.length buf - 64 || Array.length ctx.h < 8 then
+    invalid_arg "Sha256.compress";
+  if ctx.sha_ni then compress_sha_ni ctx.h buf off else compress_portable ctx.h buf off
+
 (* Tops up a partly filled block, then compresses whole blocks straight
    out of [src]; only a trailing partial block is copied. *)
 let feed_sub ctx src pos len =
-  if ctx.finished then invalid_arg "Sha256: context already finalized";
+  if ctx.fill < 0 then invalid_arg "Sha256: context already finalized";
   if pos < 0 || len < 0 || pos + len > Bytes.length src then invalid_arg "Sha256.feed_sub";
   ctx.length <- ctx.length + len;
   let pos = ref pos and len = ref len in
@@ -163,12 +181,12 @@ let feed_sub ctx src pos len =
     pos := !pos + take;
     len := !len - take;
     if ctx.fill = 64 then begin
-      compress ctx.h ctx.block 0;
+      compress ctx ctx.block 0;
       ctx.fill <- 0
     end
   end;
   while !len >= 64 do
-    compress ctx.h src !pos;
+    compress ctx src !pos;
     pos := !pos + 64;
     len := !len - 64
   done;
@@ -185,19 +203,18 @@ let feed_bytes ctx b = feed_sub ctx b 0 (Bytes.length b)
    extra block when fewer than 9 bytes are left), then the 8-byte
    big-endian bit length. *)
 let finalize ctx =
-  if ctx.finished then invalid_arg "Sha256: context already finalized";
-  ctx.finished <- true;
+  if ctx.fill < 0 then invalid_arg "Sha256: context already finalized";
   let block = ctx.block and fill = ctx.fill in
   Bytes.set block fill '\x80';
   if fill >= 56 then begin
     Bytes.fill block (fill + 1) (63 - fill) '\x00';
-    compress ctx.h block 0;
+    compress ctx block 0;
     Bytes.fill block 0 56 '\x00'
   end
   else Bytes.fill block (fill + 1) (55 - fill) '\x00';
   Bytes.set_int64_be block 56 (Int64.shift_left (Int64.of_int ctx.length) 3);
-  compress ctx.h block 0;
-  ctx.fill <- 0;
+  compress ctx block 0;
+  ctx.fill <- -1;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
@@ -214,6 +231,8 @@ let to_raw_string d = d
 let to_hex = Oasis_util.Hex.encode
 
 let of_raw_string s = if String.length s = 32 then Some s else None
+
+let zero = String.make 32 '\x00'
 
 let equal_ct a b =
   (* Constant time over the full 32 bytes: the accumulator folds every byte

@@ -30,7 +30,7 @@ let fields t =
     Wire.Fint (outcome_tag t.server_outcome);
   ]
 
-let sign ~secret t = Hmac.mac ~key:(Secret.to_key secret) (Wire.encode "audit" (fields t))
+let signing_bytes t = Wire.encode "audit" (fields t)
 
 let issue ~secret ~id ~registrar ~client ~server ~at ~client_outcome ~server_outcome =
   let unsigned =
@@ -42,12 +42,12 @@ let issue ~secret ~id ~registrar ~client ~server ~at ~client_outcome ~server_out
       at;
       client_outcome;
       server_outcome;
-      signature = Sha256.digest_string "";
+      signature = Sha256.zero;
     }
   in
-  { unsigned with signature = sign ~secret unsigned }
+  { unsigned with signature = Hmac.mac ~key:(Secret.to_key secret) (signing_bytes unsigned) }
 
-let verify ~secret t = Sha256.equal t.signature (sign ~secret t)
+let verify ~secret t = Hmac.verify ~key:(Secret.to_key secret) (signing_bytes t) t.signature
 
 let outcome_for t party =
   if Ident.equal t.client party then Some t.client_outcome

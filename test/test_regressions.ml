@@ -626,9 +626,22 @@ let test_kernel_allocation_budgets () =
      block costs nothing, however many are fed. A separate padding buffer,
      a string per HMAC pad or an [int64_be] string for the Schnorr [r]
      shows here. *)
-  check_budget "Sha256.digest_string (1 KiB)" ~budget:31. (fun () -> Sha256.digest_string kib);
-  let big = Bytes.make 65536 'x' and ctx = Sha256.init () in
-  check_budget "Sha256.feed_sub (64 KiB)" ~budget:0. (fun () -> Sha256.feed_sub ctx big 0 65536);
+  let big = Bytes.make 65536 'x' in
+  List.iter
+    (fun (kernel, init) ->
+      check_budget
+        (Printf.sprintf "Sha256 digest (1 KiB, %s kernel)" kernel)
+        ~budget:31.
+        (fun () ->
+          let ctx = init () in
+          Sha256.feed_string ctx kib;
+          Sha256.finalize ctx);
+      let ctx = init () in
+      check_budget
+        (Printf.sprintf "Sha256.feed_sub (64 KiB, %s kernel)" kernel)
+        ~budget:0.
+        (fun () -> Sha256.feed_sub ctx big 0 65536))
+    [ ("probed", Sha256.init); ("portable", Sha256.init_portable) ];
   let rng = Rng.create 5 in
   let base = Modp.random rng and e = Modp.random rng in
   check_budget "Modp.pow" ~budget:6. (fun () -> Modp.pow base e);

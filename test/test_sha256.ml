@@ -2,7 +2,19 @@
 
 module Sha256 = Oasis_crypto.Sha256
 
-let hex s = Sha256.to_hex (Sha256.digest_string s)
+(* Both kernels on every run: [Sha256.init] reaches the one the probe
+   chose (the SHA instructions where the CPU has them), [init_portable]
+   the OCaml kernel. Tests that feed a context run once per kernel. *)
+let kernels = [ ("probed", Sha256.init); ("portable", Sha256.init_portable) ]
+
+let for_each_kernel f = List.iter (fun (name, init) -> f name init) kernels
+
+let digest init s =
+  let ctx = init () in
+  Sha256.feed_string ctx s;
+  Sha256.finalize ctx
+
+let hex init s = Sha256.to_hex (digest init s)
 
 (* The compression loop as it stood before the 8-round unrolled kernel:
    one round per iteration, every working variable shifted along, each
@@ -78,16 +90,16 @@ end
 
 
 let test_fips_vectors () =
-  Alcotest.(check string) "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    (hex "");
-  Alcotest.(check string) "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (hex "abc");
-  Alcotest.(check string) "two blocks"
-    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (hex "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-  Alcotest.(check string) "448-bit boundary"
-    "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-    (hex "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")
+  for_each_kernel (fun kernel init ->
+      let check name expected msg =
+        Alcotest.(check string) (kernel ^ ": " ^ name) expected (hex init msg)
+      in
+      check "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" "";
+      check "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad" "abc";
+      check "two blocks" "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+      check "448-bit boundary" "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")
 
 let test_million_a () =
   let ctx = Sha256.init () in
@@ -122,18 +134,20 @@ let test_million_a_chunked () =
    two blocks plus padding; the tail is fed whole, or as a range of a
    larger buffer (odd cuts). *)
 let test_every_split () =
-  for len = 0 to 130 do
-    let s = String.init len (fun i -> Char.chr (((i * 31) + len) land 255)) in
-    let whole = Sha256.digest_string s in
-    for cut = 0 to len do
-      let ctx = Sha256.init () in
-      Sha256.feed_string ctx (String.sub s 0 cut);
-      if cut land 1 = 0 then Sha256.feed_bytes ctx (Bytes.of_string (String.sub s cut (len - cut)))
-      else Sha256.feed_sub ctx (Bytes.of_string (s ^ "trailing")) cut (len - cut);
-      if not (Sha256.equal (Sha256.finalize ctx) whole) then
-        Alcotest.failf "length %d split at %d differs from one-shot" len cut
-    done
-  done
+  for_each_kernel (fun kernel init ->
+      for len = 0 to 130 do
+        let s = String.init len (fun i -> Char.chr (((i * 31) + len) land 255)) in
+        let whole = Sha256.digest_string s in
+        for cut = 0 to len do
+          let ctx = init () in
+          Sha256.feed_string ctx (String.sub s 0 cut);
+          if cut land 1 = 0 then
+            Sha256.feed_bytes ctx (Bytes.of_string (String.sub s cut (len - cut)))
+          else Sha256.feed_sub ctx (Bytes.of_string (s ^ "trailing")) cut (len - cut);
+          if not (Sha256.equal (Sha256.finalize ctx) whole) then
+            Alcotest.failf "%s kernel: length %d split at %d differs from one-shot" kernel len cut
+        done
+      done)
 
 let test_incremental_equals_oneshot () =
   let property (chunks : string list) =
@@ -145,40 +159,62 @@ let test_incremental_equals_oneshot () =
   let gen = QCheck.(list_of_size Gen.(int_bound 8) (string_of_size Gen.(int_bound 200))) in
   QCheck.Test.check_exn (QCheck.Test.make ~count:200 ~name:"incremental = oneshot" gen property)
 
-(* The kernel agrees with the reference on random messages of 0-2,000
-   bytes fed in random pieces, each piece either a whole string or a range
-   of a larger buffer. *)
+(* A random message of 0-2,000 bytes with up to six cut points, and for
+   each piece whether it is fed as a whole string or as a range of a larger
+   buffer. *)
+let pieces_gen =
+  QCheck.Gen.(
+    let* msg = string_size ~gen:char (int_bound 2000) in
+    let* cuts = list_size (int_bound 6) (int_bound (String.length msg)) in
+    let* ranged = list_repeat (List.length cuts + 1) bool in
+    return (msg, List.sort_uniq compare cuts, ranged))
+
+let print_pieces (msg, cuts, _) =
+  Printf.sprintf "%d bytes cut at [%s]" (String.length msg)
+    (String.concat "; " (List.map string_of_int cuts))
+
+let digest_in_pieces init (msg, cuts, ranged) =
+  let ctx = init () in
+  let bounds = (0 :: cuts) @ [ String.length msg ] in
+  let rec feed bounds ranged =
+    match (bounds, ranged) with
+    | lo :: (hi :: _ as rest), as_range :: ranged ->
+        let piece = String.sub msg lo (hi - lo) in
+        if as_range then Sha256.feed_sub ctx (Bytes.of_string ("<" ^ piece ^ ">")) 1 (hi - lo)
+        else Sha256.feed_string ctx piece;
+        feed rest ranged
+    | _ -> ()
+  in
+  feed bounds ranged;
+  Sha256.to_raw_string (Sha256.finalize ctx)
+
+(* Each kernel agrees with the reference on random messages fed in random
+   pieces. *)
 let test_agrees_with_reference () =
+  for_each_kernel (fun kernel init ->
+      let property ((msg, _, _) as pieces) =
+        String.equal (digest_in_pieces init pieces) (Reference_sha256.digest_string msg)
+      in
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~count:300 ~name:(kernel ^ " kernel = reference")
+           (QCheck.make ~print:print_pieces pieces_gen)
+           property))
+
+(* The two kernels agree with each other, each fed its own random cut of
+   the same message. *)
+let test_kernels_agree () =
   let gen =
     QCheck.Gen.(
-      let* msg = string_size ~gen:char (int_bound 2000) in
+      let* ((msg, _, _) as a) = pieces_gen in
       let* cuts = list_size (int_bound 6) (int_bound (String.length msg)) in
       let* ranged = list_repeat (List.length cuts + 1) bool in
-      return (msg, List.sort_uniq compare cuts, ranged))
+      return (a, (msg, List.sort_uniq compare cuts, ranged)))
   in
-  let property (msg, cuts, ranged) =
-    let ctx = Sha256.init () in
-    let bounds = (0 :: cuts) @ [ String.length msg ] in
-    let rec feed bounds ranged =
-      match (bounds, ranged) with
-      | lo :: (hi :: _ as rest), as_range :: ranged ->
-          let piece = String.sub msg lo (hi - lo) in
-          if as_range then Sha256.feed_sub ctx (Bytes.of_string ("<" ^ piece ^ ">")) 1 (hi - lo)
-          else Sha256.feed_string ctx piece;
-          feed rest ranged
-      | _ -> ()
-    in
-    feed bounds ranged;
-    String.equal
-      (Sha256.to_raw_string (Sha256.finalize ctx))
-      (Reference_sha256.digest_string msg)
-  in
-  let print (msg, cuts, _) =
-    Printf.sprintf "%d bytes cut at [%s]" (String.length msg)
-      (String.concat "; " (List.map string_of_int cuts))
-  in
+  let print (a, b) = print_pieces a ^ " / " ^ print_pieces b in
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:300 ~name:"kernel = reference" (QCheck.make ~print gen) property)
+    (QCheck.Test.make ~count:300 ~name:"probed kernel = portable kernel" (QCheck.make ~print gen)
+       (fun (a, b) ->
+         String.equal (digest_in_pieces Sha256.init a) (digest_in_pieces Sha256.init_portable b)))
 
 let test_padding_boundaries () =
   (* Lengths straddling the 55/56/64-byte padding edges. *)
@@ -255,6 +291,7 @@ let suite =
       Alcotest.test_case "every split point" `Quick test_every_split;
       Alcotest.test_case "incremental = oneshot (qcheck)" `Quick test_incremental_equals_oneshot;
       Alcotest.test_case "kernel = reference (qcheck)" `Quick test_agrees_with_reference;
+      Alcotest.test_case "probed kernel = portable kernel (qcheck)" `Quick test_kernels_agree;
       Alcotest.test_case "padding boundaries" `Quick test_padding_boundaries;
       Alcotest.test_case "finalize twice" `Quick test_finalize_twice_raises;
       Alcotest.test_case "feed after finalize" `Quick test_feed_after_finalize_raises;
