@@ -17,8 +17,6 @@ let log = Logs.Src.create "oasis.monitor" ~doc:"OASIS active-security monitoring
 
 module Log = (val Logs.src_log log)
 
-type death = [ `Revoked of string | `Silence ]
-
 (* A service keeps one monitor per issuer it watches anything of, on the
    issuer's feed, and registers each watched certificate under it. The
    monitor is live while [beat_monitors] holds it. *)
@@ -27,36 +25,35 @@ type issuer_beats = {
   subscription : Broker.subscription; (* to the issuer's feed *)
   mutable heard : float; (* when the last beat arrived, or the monitor started *)
   mutable deadline_check : Engine.cancel option; (* under heartbeats: the pending miss test *)
-  certs : cert_watch list Ident.Tbl.t;
-      (* watched cert -> its registrations; the monitor goes with the last *)
+  certs : watch list Ident.Tbl.t;
+      (* watched cert -> its registrations, newest first; the monitor goes
+         with the last *)
   mutable epoch : int option; (* of the last beat heard *)
-  mutable fresh : cert_watch list;
+  mutable fresh : watch list;
       (* registered while cut off from the issuer since the last beat heard *)
 }
 
-(* One certificate's registration under its issuer's monitor: a live
-   invalidation watch. *)
-and cert_watch = {
+(* One certificate's registration under its issuer's monitor, and the one
+   record of what rests on it. A role's dependency is its registration: it
+   survives a crash or a silence detached, so restart and reinstatement
+   know what to re-validate and re-register, each time as a new record, so
+   that a check deferred for the old one stays dead. *)
+and watch = {
   beats : issuer_beats;
   cert_id : Ident.t;
-  on_dead : death -> unit;
+  rests : rests;
   mutable registered : bool;
 }
 
-(* A credential supporting an active role. Durable: it survives a crash
-   (unlike its live watch), so restart can rebuild the watch and
-   reconciliation knows what to re-validate. *)
-type dep = {
-  issuer : Ident.t;
-  cert : Ident.t;
-  mutable watch : cert_watch option; (* None while silent or crashed *)
-}
+(* What rests on a watched certificate: an active role it supports, or
+   this service's cached callback verdict on it. *)
+and rests = Supports of role | Cached_verdict
 
 (* An RMC this service granted, by its record (id, role, args, principal),
    with its monitoring state. *)
-type role = {
+and role = {
   record : Cr.t;
-  mutable deps : dep list;
+  mutable deps : watch list;
   mutable env_watch : (string * Value.t list) list;
       (* ground membership env constraints; a name may carry '!' *)
   mutable timers : Engine.cancel option ref list;
@@ -77,22 +74,19 @@ module Fact_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* A reverse index from a key to the roles holding it. A bucket is an
+(* The env index: from a key to the roles watching it. A bucket is an
    immutable map, so a traversal of one is never disturbed by the
    deactivations it triggers, and the removal that empties a bucket drops
    it from the table. *)
-module Index (H : Hashtbl.S) = struct
-  let find tbl key = Option.value (H.find_opt tbl key) ~default:Ident.Map.empty
+module By_fact = struct
+  let find tbl key = Option.value (Fact_tbl.find_opt tbl key) ~default:Ident.Map.empty
   let add tbl key role =
-    H.replace tbl key (Ident.Map.add role.record.Cr.cert_id role (find tbl key))
+    Fact_tbl.replace tbl key (Ident.Map.add role.record.Cr.cert_id role (find tbl key))
 
   let remove tbl key role =
     let bucket = Ident.Map.remove role.record.Cr.cert_id (find tbl key) in
-    if Ident.Map.is_empty bucket then H.remove tbl key else H.replace tbl key bucket
+    if Ident.Map.is_empty bucket then Fact_tbl.remove tbl key else Fact_tbl.replace tbl key bucket
 end
-
-module By_fact = Index (Fact_tbl)
-module By_issuer = Index (Ident.Tbl)
 
 type counters = {
   revocations : Obs.Counter.t;
@@ -121,10 +115,6 @@ type t = {
   env_index : role Ident.Map.t Fact_tbl.t;
       (* [env_key] of a ground constraint (predicate base name, fact tuple
          or trust subject) -> roles whose membership rule watches it *)
-  by_issuer : role Ident.Map.t Ident.Tbl.t;
-      (* remote issuer -> roles holding a dependency on it: an
-         unreachable-issuer sweep touches only those *)
-  cache_watches : cert_watch Ident.Tbl.t; (* remote cert id -> invalidation watch *)
   beat_monitors : issuer_beats Ident.Tbl.t; (* issuer -> its monitor *)
   st : counters;
   mutable reconcilers : int;
@@ -137,15 +127,17 @@ let counters t = t.st
 let is_down t = Fault.is_crashed (World.fault t.world) t.sid
 
 (* The one own-vs-remote test. Local state is always reachable: an own
-   dependency is never indexed by issuer, never suspect, and is checked
-   against the credential records directly. *)
+   dependency is never suspect, and is checked against the credential
+   records directly. *)
 let remote t issuer = not (Ident.equal issuer t.sid)
 
-(* What silence means, decided once for dependency watches, cache watches
-   and unreachable issuers alike: under the legacy zero grace, and on a
+(* What silence means, decided once for dependencies, cached verdicts and
+   unreachable issuers alike: under the legacy zero grace, and on a
    local channel, silence is revocation; otherwise it only makes the
    credential's status unknown until reconciliation asks its issuer. *)
 let silence_revokes t issuer = t.suspect_grace <= 0.0 || not (remote t issuer)
+
+let by_id a b = Ident.compare a.record.Cr.cert_id b.record.Cr.cert_id
 
 let trace_role t what role extra =
   if Obs.tracing t.obs then
@@ -179,170 +171,20 @@ let retire t ib =
   | Some _ | None -> ()
 
 (* Takes one registration off its issuer's monitor, and the monitor down
-   with its last one. *)
-let detach t cw =
-  if cw.registered then begin
-    cw.registered <- false;
-    let ib = cw.beats in
-    (match List.filter (fun r -> r != cw) (Ident.Tbl.find ib.certs cw.cert_id) with
-    | [] -> Ident.Tbl.remove ib.certs cw.cert_id
-    | rest -> Ident.Tbl.replace ib.certs cw.cert_id rest);
+   with its last one. Idempotent. *)
+let detach t w =
+  if w.registered then begin
+    w.registered <- false;
+    let ib = w.beats in
+    (match List.filter (fun r -> r != w) (Ident.Tbl.find ib.certs w.cert_id) with
+    | [] -> Ident.Tbl.remove ib.certs w.cert_id
+    | rest -> Ident.Tbl.replace ib.certs w.cert_id rest);
     if Ident.Tbl.length ib.certs = 0 then retire t ib
   end
-
-(* Every registration of [cert_id] learns how it died, in the order they
-   were made. All are detached before any learns it: a dead credential
-   stays dead, and an [on_dead] need not detach its own. *)
-let kill t ib cert_id death =
-  match Ident.Tbl.find_opt ib.certs cert_id with
-  | None -> ()
-  | Some regs ->
-      let regs = List.rev regs in
-      List.iter (detach t) regs;
-      List.iter (fun cw -> cw.on_dead death) regs
 
 (* Watched certificates in id order, so a sweep is reproducible. *)
 let watched_certs ib =
   Ident.Tbl.fold (fun cert_id _ acc -> cert_id :: acc) ib.certs [] |> List.sort Ident.compare
-
-let check_tombstone t ib cert_id =
-  match tombstone t ~issuer:ib.beat_issuer ~cert_id with
-  | Some reason -> kill t ib cert_id (`Revoked reason)
-  | None -> ()
-
-(* The next epoch lists what was revoked since the last. Any other epoch —
-   a beat lost to a partition, a beat the issuer re-sent, an issuer that
-   restarted and counts from 1 again, or the first beat of a monitor that
-   joined the feed not knowing where it stood — means revocations may have
-   gone unheard: every watched certificate's tombstone is read, locally. A certificate registered while a partition
-   hid its tombstone has it read again now: the beat just reached the
-   reader, so the partition is gone. *)
-let on_beat t ib ~epoch ~revoked =
-  let gap = match ib.epoch with Some last -> epoch <> last + 1 | None -> true in
-  let fresh = ib.fresh in
-  ib.epoch <- Some epoch;
-  ib.fresh <- [];
-  if gap then List.iter (check_tombstone t ib) (watched_certs ib)
-  else begin
-    List.iter
-      (fun cert_id ->
-        if Ident.Tbl.mem ib.certs cert_id then
-          let reason =
-            Option.value (tombstone t ~issuer:ib.beat_issuer ~cert_id) ~default:"revoked"
-          in
-          kill t ib cert_id (`Revoked reason))
-      revoked;
-    List.iter (fun cw -> if cw.registered then check_tombstone t ib cw.cert_id) (List.rev fresh)
-  end
-
-(* The issuer fell silent for a deadline: the monitor stops, and every
-   certificate watched there hears [`Silence]. *)
-let on_silence t ib =
-  retire t ib;
-  Obs.Counter.inc (Obs.counter t.obs "hb.misses");
-  if Obs.tracing t.obs then
-    Obs.event t.obs "hb.miss" ~labels:[ ("topic", Issuer_records.beat_topic ib.beat_issuer) ];
-  List.iter (fun cert_id -> kill t ib cert_id `Silence) (watched_certs ib)
-
-(* Arms the miss test for the earliest instant a miss could be declared,
-   and re-arms it while beats keep coming. The test compares [heard]
-   against the snapshot taken when arming — never a float subtraction
-   against the deadline, which can disagree with the scheduled instant by
-   an ulp and loop at a fixed virtual time. *)
-let rec arm_deadline t ib deadline =
-  let snapshot = ib.heard in
-  let at = Float.max (snapshot +. deadline) (World.now t.world) in
-  ib.deadline_check <-
-    Some
-      (Engine.schedule_at (World.engine t.world) ~at (fun () ->
-           ib.deadline_check <- None;
-           if ib.heard = snapshot then on_silence t ib else arm_deadline t ib deadline))
-
-(* Under heartbeats the monitor fails everything watched there after a
-   deadline of silence; under change events the feed has no period, so
-   silence means nothing. A beat reaches the issuer's current monitor: a
-   retired one has unsubscribed. *)
-let issuer_beats t ~issuer =
-  match Ident.Tbl.find_opt t.beat_monitors issuer with
-  | Some ib -> ib
-  | None ->
-      let subscription =
-        Broker.subscribe (World.broker t.world) (Issuer_records.beat_topic issuer) ~owner:t.sid
-          (fun _topic { Protocol.epoch; revoked } ->
-            Option.iter
-              (fun ib ->
-                ib.heard <- World.now t.world;
-                on_beat t ib ~epoch ~revoked)
-              (Ident.Tbl.find_opt t.beat_monitors issuer))
-      in
-      let ib =
-        {
-          beat_issuer = issuer;
-          subscription;
-          heard = World.now t.world;
-          deadline_check = None;
-          certs = Ident.Tbl.create 16;
-          (* Joining the feed, learn where it stands: every later beat
-             shows whether one was missed. *)
-          epoch = World.feed_epoch t.world ~issuer ~reader:t.sid;
-          fresh = [];
-        }
-      in
-      Ident.Tbl.replace t.beat_monitors issuer ib;
-      (match World.monitoring t.world with
-      | Heartbeats { deadline; _ } -> arm_deadline t ib deadline
-      | Change_events -> ());
-      ib
-
-(* Starts an invalidation watch on a certificate, for a role dependency or
-   a cached verdict: a registration under the issuer's one monitor.
-   [on_dead] learns how the credential died: [`Revoked reason] is
-   definitive (the issuer said so); [`Silence] is a failure-detector
-   verdict (heartbeats stopped), which [silence_revokes] interprets.
-
-   A fresh watch picks up a revocation made before it started: a
-   certificate verified offline was never shown to its issuer, and a
-   callback verdict can be overtaken by a revocation published while the
-   reply was in flight. The tombstone is read on the next engine step, so
-   the caller holds the watch before it fires; if a partition hides it, the
-   next beat to reach this service reads it again. Only the restart rebuild
-   opts out ([replay = false]): its roles go suspect and reconciliation
-   asks the issuer instead. *)
-let watch ?(replay = true) t ~issuer ~cert_id ~on_dead =
-  let ib = issuer_beats t ~issuer in
-  let cw = { beats = ib; cert_id; on_dead; registered = true } in
-  Ident.Tbl.replace ib.certs cert_id
-    (cw :: Option.value (Ident.Tbl.find_opt ib.certs cert_id) ~default:[]);
-  if replay then
-    if Fault.is_cut (World.fault t.world) issuer t.sid then ib.fresh <- cw :: ib.fresh
-    else if Option.is_some (tombstone t ~issuer ~cert_id) then
-      ignore
-        (Engine.schedule (World.engine t.world) ~after:0.0 (fun () ->
-             if cw.registered then check_tombstone t ib cert_id));
-  cw
-
-(* A positive callback verdict is cached with an invalidation watch on the
-   issuer's channel. Definitive revocation poisons the entry (a permanent
-   negative); silence that does not revoke only retires it — the verdict
-   became unknown, not false. *)
-let cache_valid t ~issuer presented =
-  let cert_id = Vcache.presented_id presented in
-  Vcache.cache_valid t.cache presented;
-  if not (Ident.Tbl.mem t.cache_watches cert_id) then
-    Ident.Tbl.replace t.cache_watches cert_id
-      (watch t ~issuer ~cert_id ~on_dead:(fun cause ->
-           (match cause with
-           | `Silence when not (silence_revokes t issuer) -> Vcache.drop t.cache cert_id
-           | `Revoked _ | `Silence -> Vcache.invalidate t.cache cert_id);
-           Ident.Tbl.remove t.cache_watches cert_id))
-
-(* Releases every cache watch and the cache with them: a decommissioned or
-   crashed service keeps no subscription or heartbeat monitor on foreign
-   channels and serves no cached verdict. *)
-let drop_cache t =
-  Ident.Tbl.iter (fun _ w -> detach t w) t.cache_watches;
-  Ident.Tbl.reset t.cache_watches;
-  Vcache.clear t.cache
 
 (* ------------------------------------------------------------------ *)
 (* Deactivation teardown (Fig. 5)                                     *)
@@ -358,13 +200,6 @@ let env_key (name, args) =
   | "trust_score", subject :: _ -> ("trust_score", [ subject ])
   | base, _ -> (base, args)
 
-let drop_dep_watch t dep =
-  match dep.watch with
-  | Some w ->
-      dep.watch <- None;
-      detach t w
-  | None -> ()
-
 let cancel_suspect t role =
   match role.suspect with
   | Some timer ->
@@ -377,7 +212,7 @@ let cancel_suspect t role =
    the issuer records' to stop. *)
 let stop_monitoring t role =
   cancel_suspect t role;
-  List.iter (drop_dep_watch t) role.deps;
+  List.iter (detach t) role.deps;
   List.iter (fun slot -> Option.iter (Engine.cancel (World.engine t.world)) !slot) role.timers;
   role.timers <- []
 
@@ -404,7 +239,6 @@ let deactivate t role ~reason ~cascade =
     stop_monitoring t role;
     List.iter (fun c -> By_fact.remove t.env_index (env_key c) role) role.env_watch;
     role.env_watch <- [];
-    List.iter (fun dep -> By_issuer.remove t.by_issuer dep.issuer role) role.deps;
     Ident.Tbl.remove t.roles role.record.Cr.cert_id
   in
   ignore (Issuer_records.revoke t.records role.record.Cr.cert_id ~reason ~bookkeeping)
@@ -504,7 +338,7 @@ let on_env_change t changed args =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Suspect state and anti-entropy reconciliation (DESIGN.md §11)      *)
+(* Deaths, suspect state and reconciliation (DESIGN.md §11)           *)
 (* ------------------------------------------------------------------ *)
 
 (* How long a reconciler waits between rounds while the issuer stays
@@ -516,32 +350,170 @@ let poll_interval t =
   if cap > 0.0 then cap else 0.05
 
 let dead_support dep why =
-  Printf.sprintf "supporting credential %s invalid: %s" (Ident.to_string dep.cert) why
+  Printf.sprintf "supporting credential %s invalid: %s" (Ident.to_string dep.cert_id) why
 
-(* The mutually recursive core: a watch going silent enters suspect state,
-   suspect roles enqueue for reconciliation, reconciliation re-creates
-   watches on reinstatement. *)
-let rec watch_dep ?replay t role dep =
-  dep.watch <-
+let issuer_of w = w.beats.beat_issuer
+
+(* The mutually recursive core: a watched certificate's death reaches what
+   rests on it, a role whose issuer went silent enters suspect state,
+   suspect roles enqueue for reconciliation, and reconciliation re-creates
+   the registrations of the roles it reinstates.
+
+   Every registration of [cert_id] learns how it died, in the order they
+   were made. All are detached before any reacts: a dead credential stays
+   dead. [`Revoked reason] is definitive (the issuer said so); [`Silence]
+   is a failure-detector verdict (heartbeats stopped), which
+   [silence_revokes] interprets. *)
+let rec kill t ib cert_id death =
+  match Ident.Tbl.find_opt ib.certs cert_id with
+  | None -> ()
+  | Some regs ->
+      let regs = List.rev regs in
+      List.iter (detach t) regs;
+      List.iter
+        (fun w ->
+          match (w.rests, death) with
+          | Cached_verdict, `Silence when not (silence_revokes t ib.beat_issuer) ->
+              Vcache.drop t.cache cert_id
+          | Cached_verdict, (`Revoked _ | `Silence) -> Vcache.invalidate t.cache cert_id
+          | Supports role, `Revoked why ->
+              (* Offline verification has no issuer round trip at
+                 presentation time, so a definitive revocation learnt here
+                 must be remembered locally: the poisoned cache entry makes
+                 a re-presented revoked certificate fail the offline check. *)
+              Vcache.invalidate t.cache cert_id;
+              deactivate t role ~cascade:true ~reason:(dead_support w why)
+          | Supports role, `Silence ->
+              if is_down t then ()
+              else if silence_revokes t ib.beat_issuer then
+                deactivate t role ~cascade:true ~reason:(dead_support w "heartbeat missed")
+              else
+                enter_suspect t role
+                  ~why:(Printf.sprintf "heartbeat missed for %s" (Ident.to_string cert_id)))
+        regs
+
+and check_tombstone t ib cert_id =
+  match tombstone t ~issuer:ib.beat_issuer ~cert_id with
+  | Some reason -> kill t ib cert_id (`Revoked reason)
+  | None -> ()
+
+(* The next epoch lists what was revoked since the last. Any other epoch —
+   a beat lost to a partition, a beat the issuer re-sent, an issuer that
+   restarted and counts from 1 again, or the first beat of a monitor that
+   joined the feed not knowing where it stood — means revocations may have
+   gone unheard: every watched certificate's tombstone is read, locally. A
+   certificate registered while a partition hid its tombstone has it read
+   again now: the beat just reached the reader, so the partition is gone. *)
+and on_beat t ib ~epoch ~revoked =
+  let gap = match ib.epoch with Some last -> epoch <> last + 1 | None -> true in
+  let fresh = ib.fresh in
+  ib.epoch <- Some epoch;
+  ib.fresh <- [];
+  if gap then List.iter (check_tombstone t ib) (watched_certs ib)
+  else begin
+    List.iter
+      (fun cert_id ->
+        if Ident.Tbl.mem ib.certs cert_id then
+          let reason =
+            Option.value (tombstone t ~issuer:ib.beat_issuer ~cert_id) ~default:"revoked"
+          in
+          kill t ib cert_id (`Revoked reason))
+      revoked;
+    List.iter (fun w -> if w.registered then check_tombstone t ib w.cert_id) (List.rev fresh)
+  end
+
+(* The issuer fell silent for a deadline: the monitor stops, and every
+   certificate watched there hears [`Silence]. *)
+and on_silence t ib =
+  retire t ib;
+  Obs.Counter.inc (Obs.counter t.obs "hb.misses");
+  if Obs.tracing t.obs then
+    Obs.event t.obs "hb.miss" ~labels:[ ("topic", Issuer_records.beat_topic ib.beat_issuer) ];
+  List.iter (fun cert_id -> kill t ib cert_id `Silence) (watched_certs ib)
+
+(* Arms the miss test for the earliest instant a miss could be declared,
+   and re-arms it while beats keep coming. The test compares [heard]
+   against the snapshot taken when arming — never a float subtraction
+   against the deadline, which can disagree with the scheduled instant by
+   an ulp and loop at a fixed virtual time. *)
+and arm_deadline t ib deadline =
+  let snapshot = ib.heard in
+  let at = Float.max (snapshot +. deadline) (World.now t.world) in
+  ib.deadline_check <-
     Some
-      (watch ?replay t ~issuer:dep.issuer ~cert_id:dep.cert ~on_dead:(function
-        | `Revoked why ->
-            (* Offline verification has no issuer round trip at presentation
-               time, so a definitive revocation learnt here must be
-               remembered locally: the poisoned cache entry makes a
-               re-presented revoked certificate fail the offline check. *)
-            Vcache.invalidate t.cache dep.cert;
-            deactivate t role ~cascade:true ~reason:(dead_support dep why)
-        | `Silence ->
-            (* The monitor is dead after a miss; retire the handle so
-               reinstatement knows to rebuild it. *)
-            drop_dep_watch t dep;
-            if is_down t then ()
-            else if silence_revokes t dep.issuer then
-              deactivate t role ~cascade:true ~reason:(dead_support dep "heartbeat missed")
-            else
-              enter_suspect t role
-                ~why:(Printf.sprintf "heartbeat missed for %s" (Ident.to_string dep.cert))))
+      (Engine.schedule_at (World.engine t.world) ~at (fun () ->
+           ib.deadline_check <- None;
+           if ib.heard = snapshot then on_silence t ib else arm_deadline t ib deadline))
+
+(* Under heartbeats the monitor fails everything watched there after a
+   deadline of silence; under change events the feed has no period, so
+   silence means nothing. A beat reaches the issuer's current monitor: a
+   retired one has unsubscribed. *)
+and issuer_beats t ~issuer =
+  match Ident.Tbl.find_opt t.beat_monitors issuer with
+  | Some ib -> ib
+  | None ->
+      let subscription =
+        Broker.subscribe (World.broker t.world) (Issuer_records.beat_topic issuer) ~owner:t.sid
+          (fun _topic { Protocol.epoch; revoked } ->
+            Option.iter
+              (fun ib ->
+                ib.heard <- World.now t.world;
+                on_beat t ib ~epoch ~revoked)
+              (Ident.Tbl.find_opt t.beat_monitors issuer))
+      in
+      let ib =
+        {
+          beat_issuer = issuer;
+          subscription;
+          heard = World.now t.world;
+          deadline_check = None;
+          certs = Ident.Tbl.create 16;
+          (* Joining the feed, learn where it stands: every later beat
+             shows whether one was missed. *)
+          epoch = World.feed_epoch t.world ~issuer ~reader:t.sid;
+          fresh = [];
+        }
+      in
+      Ident.Tbl.replace t.beat_monitors issuer ib;
+      (match World.monitoring t.world with
+      | Heartbeats { deadline; _ } -> arm_deadline t ib deadline
+      | Change_events -> ());
+      ib
+
+(* Registers a certificate under the issuer's one monitor, with what rests
+   on it: a role's dependency or this service's cached verdict.
+
+   A fresh watch picks up a revocation made before it started: a
+   certificate verified offline was never shown to its issuer, and a
+   callback verdict can be overtaken by a revocation published while the
+   reply was in flight. The tombstone is read on the next engine step, so
+   the caller holds the watch before it fires; if a partition hides it, the
+   next beat to reach this service reads it again. Only the restart rebuild
+   opts out ([replay = false]): its roles go suspect and reconciliation
+   asks the issuer instead. *)
+and watch ?(replay = true) t ~issuer ~cert_id rests =
+  let ib = issuer_beats t ~issuer in
+  let w = { beats = ib; cert_id; rests; registered = true } in
+  Ident.Tbl.replace ib.certs cert_id
+    (w :: Option.value (Ident.Tbl.find_opt ib.certs cert_id) ~default:[]);
+  if replay then
+    if Fault.is_cut (World.fault t.world) issuer t.sid then ib.fresh <- w :: ib.fresh
+    else if Option.is_some (tombstone t ~issuer ~cert_id) then
+      ignore
+        (Engine.schedule (World.engine t.world) ~after:0.0 (fun () ->
+             if w.registered then check_tombstone t ib cert_id));
+  w
+
+(* Re-registers the dependencies a silence or a crash detached, each as a
+   new registration; monitoring resumes from now. *)
+and rewatch ?replay t role =
+  role.deps <-
+    List.map
+      (fun w ->
+        if w.registered then w
+        else watch ?replay t ~issuer:(issuer_of w) ~cert_id:w.cert_id w.rests)
+      role.deps
 
 and enter_suspect t role ~why =
   if (not (is_down t)) && Option.is_none role.suspect && Cr.is_valid role.record then begin
@@ -585,15 +557,15 @@ and pump_reconcile t =
    [Some valid] is authoritative; [None] means the issuer stayed
    unreachable (or does not speak Check_cr) — keep polling, never guess. *)
 and check_dep t dep =
-  if not (remote t dep.issuer) then Some (Issuer_records.is_valid t.records dep.cert)
+  if not (remote t (issuer_of dep)) then Some (Issuer_records.is_valid t.records dep.cert_id)
   else
     match
       Backoff.retry t.retry (World.rng t.world) ~sleep:Proc.sleep
         ~on_retry:(fun ~attempt:_ ~delay:_ -> Obs.Counter.inc t.st.retries_reconcile)
         (fun () ->
           match
-            Network.rpc (World.network t.world) ~src:t.sid ~dst:dep.issuer
-              (Protocol.Check_cr { cert_id = dep.cert })
+            Network.rpc (World.network t.world) ~src:t.sid ~dst:(issuer_of dep)
+              (Protocol.Check_cr { cert_id = dep.cert_id })
           with
           | Protocol.Cr_status { valid } -> Ok (Some valid)
           | _ -> Ok None
@@ -634,10 +606,9 @@ and reconcile_worker t role =
         loop ()
       end
       else begin
-        (* Every dependency vouched for: reinstate. Rebuild the watches the
-           silence (or crash) tore down; monitoring resumes from now. *)
+        (* Every dependency vouched for: reinstate. *)
         cancel_suspect t role;
-        List.iter (fun dep -> if Option.is_none dep.watch then watch_dep t role dep) role.deps;
+        rewatch t role;
         Obs.Counter.inc t.st.reconciled_reinstated;
         reconciled "reinstated"
       end
@@ -648,16 +619,48 @@ and reconcile_worker t role =
   t.reconcilers <- t.reconcilers - 1;
   pump_reconcile t
 
+(* A positive callback verdict is cached with a registration on the
+   issuer's channel, once per certificate. Definitive revocation poisons
+   the entry (a permanent negative); silence that does not revoke only
+   retires it — the verdict became unknown, not false. *)
+let cache_valid t ~issuer presented =
+  let cert_id = Vcache.presented_id presented in
+  Vcache.cache_valid t.cache presented;
+  let regs =
+    match Ident.Tbl.find_opt t.beat_monitors issuer with
+    | Some ib -> Option.value (Ident.Tbl.find_opt ib.certs cert_id) ~default:[]
+    | None -> []
+  in
+  if not (List.exists (fun w -> w.rests == Cached_verdict) regs) then
+    ignore (watch t ~issuer ~cert_id Cached_verdict)
+
+(* A monitor's registrations, added to [acc]: a copy, so a sweep may
+   detach them. *)
+let registrations ib acc = Ident.Tbl.fold (fun _ regs acc -> List.rev_append regs acc) ib.certs acc
+
+(* Releases every cached verdict's registration and the cache with them: a
+   decommissioned or crashed service keeps no subscription or heartbeat
+   monitor on foreign channels and serves no cached verdict. *)
+let drop_cache t =
+  Ident.Tbl.fold (fun _ ib acc -> registrations ib acc) t.beat_monitors []
+  |> List.iter (fun w -> if w.rests == Cached_verdict then detach t w);
+  Vcache.clear t.cache
+
 (* Validation-RPC unreachability is a failure-detector signal too: every
-   active role depending on that issuer becomes suspect (Change_events
-   worlds have no heartbeat to miss). Where silence revokes, an
-   unreachable issuer only fails the one request. *)
+   role registered under that issuer's monitor becomes suspect, in id
+   order (Change_events worlds have no heartbeat to miss). A role whose
+   registration there a silence dropped is suspect already. Where silence
+   revokes, an unreachable issuer only fails the one request. *)
 let note_unreachable t issuer =
-  if (not (is_down t)) && not (silence_revokes t issuer) then
-    Ident.Map.iter
-      (fun _ role ->
-        enter_suspect t role ~why:(Printf.sprintf "issuer %s unreachable" (Ident.to_string issuer)))
-      (By_issuer.find t.by_issuer issuer)
+  match Ident.Tbl.find_opt t.beat_monitors issuer with
+  | Some ib when (not (is_down t)) && not (silence_revokes t issuer) ->
+      registrations ib []
+      |> List.filter_map (fun w -> match w.rests with Supports r -> Some r | Cached_verdict -> None)
+      |> List.sort_uniq by_id
+      |> List.iter (fun role ->
+             enter_suspect t role
+               ~why:(Printf.sprintf "issuer %s unreachable" (Ident.to_string issuer)))
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Granting, revoking                                                 *)
@@ -675,11 +678,9 @@ let grant t record (proof : Solve.proof) =
     }
   in
   Ident.Tbl.replace t.roles record.Cr.cert_id role;
+  let supports = Supports role in
   let watch_cred (cred : Solve.cred) =
-    let dep = { issuer = cred.issuer; cert = cred.cred_id; watch = None } in
-    role.deps <- dep :: role.deps;
-    if remote t dep.issuer then By_issuer.add t.by_issuer dep.issuer role;
-    watch_dep t role dep
+    role.deps <- watch t ~issuer:cred.issuer ~cert_id:cred.cred_id supports :: role.deps
   in
   let membership = proof.rule.membership in
   List.iteri
@@ -727,9 +728,7 @@ let release t cert_id ~session_key =
 
 (* The active roles in certificate-id order, so a walk is reproducible and
    undisturbed by the deactivations it triggers. *)
-let roles_by_id t =
-  Ident.Tbl.fold (fun _ role acc -> role :: acc) t.roles []
-  |> List.sort (fun a b -> Ident.compare a.record.Cr.cert_id b.record.Cr.cert_id)
+let roles_by_id t = Ident.Tbl.fold (fun _ role acc -> role :: acc) t.roles [] |> List.sort by_id
 
 let revoke_all t ~reason =
   let roles = roles_by_id t in
@@ -769,15 +768,14 @@ let restart t =
         if
           List.exists
             (fun dep ->
-              (not (remote t dep.issuer)) && not (Issuer_records.is_valid t.records dep.cert))
+              (not (remote t (issuer_of dep)))
+              && not (Issuer_records.is_valid t.records dep.cert_id))
             role.deps
         then deactivate t role ~cascade:true ~reason:"restart: supporting credential revoked"
         else begin
           List.iter (arm_env_timer t role) role.env_watch;
-          List.iter
-            (fun dep -> if Option.is_none dep.watch then watch_dep ~replay:false t role dep)
-            role.deps;
-          if List.exists (fun dep -> remote t dep.issuer) role.deps then
+          rewatch ~replay:false t role;
+          if List.exists (fun dep -> remote t (issuer_of dep)) role.deps then
             enter_suspect t role ~why:"restart: remote credentials unverified"
         end)
     (roles_by_id t)
@@ -805,8 +803,6 @@ let create world ~service ~name ~env ~records ~audit ~cache ~suspect_grace ~reco
     retry;
     roles = Ident.Tbl.create 64;
     env_index = Fact_tbl.create 16;
-    by_issuer = Ident.Tbl.create 8;
-    cache_watches = Ident.Tbl.create 64;
     beat_monitors = Ident.Tbl.create 8;
     st =
       {

@@ -3,15 +3,15 @@
     Beside the decision path, a service watches every condition a role it
     granted rests on and collapses the role the moment one fails:
 
-    - each supporting credential through an invalidation watch: a
-      registration under the one monitor this service keeps per issuer on
-      the issuer's feed ({!Issuer_records.beat_topic}), whose beats name
-      the revocations, and an epoch gap — counted from the epoch the
-      monitor learnt when it joined ({!World.feed_epoch}) — has the
-      watched certificates' tombstones read ({!World.revocation}); under
-      heartbeats
-      ({!World.monitoring}) the feed's silence fails everything watched
-      there — and each cached positive validation verdict the same way;
+    - each supporting credential, and each cached positive validation
+      verdict, through a registration under the one monitor this service
+      keeps per issuer on the issuer's feed ({!Issuer_records.beat_topic}),
+      whose beats name the revocations, and an epoch gap — counted from
+      the epoch the monitor learnt when it joined ({!World.feed_epoch}) —
+      has the watched certificates' tombstones read ({!World.revocation});
+      under heartbeats ({!World.monitoring}) the feed's silence fails
+      everything watched there. The registration is the one record of
+      what rests on the certificate, and a death reaches each in order;
     - each ground membership env constraint through the env listener
       (indexed by fact tuple, so a change costs the roles watching exactly
       that tuple), a re-check timer for time-dependent constraints, and a
@@ -30,11 +30,11 @@
 
     A role is its credential record: the certificate itself is kept only
     by the service's {!Issuer_records}, which answers for it. The monitor
-    keeps active roles only: a deactivated role leaves it. Its per-issuer
-    monitor holds its own subscription to the issuer's feed, the time of
-    the last beat heard and, under heartbeats, the pending deadline
-    check; it is retired, all three at once, at a missed deadline or when
-    its last registration goes. *)
+    keeps active roles only: a deactivated role leaves it, and its
+    dependencies are its registrations. Each per-issuer monitor holds its
+    registrations, its own subscription to the issuer's feed, the time of
+    the last beat heard and, under heartbeats, the pending deadline check;
+    it is retired at a missed deadline or when its last registration goes. *)
 
 type t
 
@@ -84,21 +84,21 @@ val release : t -> Oasis_util.Ident.t -> session_key:string -> bool
 
 val revoke_all : t -> reason:string -> int
 (** Revokes every valid certificate this service issued, then drops every
-    cache watch and the cache. Returns how many were revoked. *)
+    cached verdict with its registration. Returns how many were revoked. *)
 
 (** {1 Validation-side hooks} *)
 
 val cache_valid :
   t -> issuer:Oasis_util.Ident.t -> Oasis_cert.Validation_cache.presented -> unit
-(** Caches a positive callback verdict for this presentation and watches
-    the certificate on its issuer's feed: a revocation turns the entry into
+(** Caches a positive callback verdict for this presentation and registers
+    it once under its issuer's monitor: a revocation turns the entry into
     a cached negative, silence only retires it (or poisons it too, where
     silence revokes). *)
 
 val note_unreachable : t -> Oasis_util.Ident.t -> unit
 (** A validation RPC to the issuer was lost: under a positive suspect
-    grace every active role depending on it becomes suspect (change-event
-    worlds have no heartbeat to miss). *)
+    grace every role registered under that issuer's monitor becomes
+    suspect, in id order (change-event worlds have no heartbeat to miss). *)
 
 (** {1 Introspection} *)
 

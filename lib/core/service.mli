@@ -176,11 +176,11 @@ val crash : t -> unit
 (** Crashes this node through the world's fault controller
     ({!Oasis_sim.Fault}), which runs the monitor's crash hook: the network
     node goes down, its heartbeat emitter falls silent, and all in-memory active-security
-    state — dependency and cache watches, env timers, suspect timers, the
-    validation cache, the reconciliation queue — is dropped. Durable state
-    — credential records, issued certificates, policy, per-role dependency
-    lists, the decision-log chain's store — survives for {!restart} to rebuild
-    from. *)
+    state — the registrations of dependencies and cached verdicts, env
+    timers, suspect timers, the validation cache, the reconciliation queue
+    — is dropped. Durable state — credential records, issued certificates,
+    policy, per-role dependency lists, the decision-log chain's store —
+    survives for {!restart} to rebuild from. *)
 
 exception Chain_tampered of { service : string; seq : int; why : string }
 (** Raised by {!restart} when the durable

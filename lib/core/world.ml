@@ -250,8 +250,8 @@ let file_audit_certificate t cert ~party =
   end
 
 (* Decay makes scores time-varying even with no new evidence, so the world
-   re-assesses every walleted party each [tick] and notifies only the
-   subjects whose score actually moved (the change detection above). *)
+   re-assesses every walleted party in id order each [tick] and notifies
+   only the subjects whose score moved (the change detection above). *)
 let set_trust_decay t ~rate ~tick =
   Oasis_trust.Assess.set_decay_rate t.trust.assessor rate;
   (match t.trust.decay_tick with
@@ -263,8 +263,8 @@ let set_trust_decay t ~rate ~tick =
     t.trust.decay_tick <-
       Some
         (Engine.every t.engine ~period:tick (fun () ->
-             let subjects = Ident.Tbl.fold (fun s _ acc -> s :: acc) t.trust.wallets [] in
-             List.iter (fun subject -> notify_trust_change t subject) subjects;
+             List.sort Ident.compare (Ident.Tbl.fold (fun s _ acc -> s :: acc) t.trust.wallets [])
+             |> List.iter (fun subject -> notify_trust_change t subject);
              true))
 
 let run_proc t f =

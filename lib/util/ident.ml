@@ -6,7 +6,8 @@ let compare a b =
 
 let equal a b = a.n = b.n && String.equal a.tag b.tag
 
-let hash a = Hashtbl.hash (a.tag, a.n)
+(* Hashes as the pair [(tag, n)] would (same layout), building none. *)
+let hash a = Hashtbl.hash a
 
 let string_length a = String.length a.tag + 1 + Printed_length.int a.n
 

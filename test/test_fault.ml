@@ -438,6 +438,60 @@ let test_issuer_silence_fails_closed () =
   Alcotest.(check bool) "by degradation" true
     (String.starts_with ~prefix:"fail-closed degradation" (last_revoke_rule relying))
 
+(* A lost validation callback makes suspect exactly the active roles
+   registered under the unreachable issuer's monitor, in id order: a role
+   whose registration a silence dropped and reinstatement re-made is among
+   them, a released role and a role resting on another issuer are not. *)
+let test_unreachable_suspects_registered_roles () =
+  let world = World.create ~seed:3 ~monitoring:beats () in
+  let issuer =
+    Service.create world ~name:"issuer" ~config:hmac_issuer
+      ~policy:"initial base <- env:eq(1, 1);" ()
+  in
+  let other =
+    Service.create world ~name:"other" ~config:hmac_issuer
+      ~policy:"initial base <- env:eq(1, 1);" ()
+  in
+  let relying =
+    Service.create world ~name:"relying" ~config:fault_config
+      ~policy:"derived <- *base@issuer; elsewhere <- *base@other;" ()
+  in
+  let activate_via via role =
+    let p = Principal.create world ~name:"p" in
+    World.run_proc world (fun () ->
+        let s = Principal.start_session p in
+        ignore (ok (Principal.activate p s via ~role:"base" ()));
+        (p, s, ok (Principal.activate p s relying ~role ())))
+  in
+  let id (_, _, (rmc : Oasis_cert.Rmc.t)) = rmc.Oasis_cert.Rmc.id in
+  let reinstated = activate_via issuer "derived" in
+  cut world issuer relying;
+  World.run_until world (World.now world +. beat_deadline +. 0.5);
+  heal world;
+  World.run_until world (World.now world +. 1.0);
+  Alcotest.(check int) "silence, then reinstatement" 1
+    (Service.stats relying).Service.reconciled_reinstated;
+  Alcotest.(check int) "no suspect left" 0 (List.length (Service.suspect_roles relying));
+  let later = List.init 4 (fun _ -> activate_via issuer "derived") in
+  let ((p, s, released) as gone) = activate_via issuer "derived" in
+  World.run_proc world (fun () -> ignore (Principal.deactivate p s released));
+  let elsewhere = activate_via other "elsewhere" in
+  let records () = Oasis_trust.Decision_log.records (Service.decision_log relying) in
+  let before = List.length (records ()) in
+  cut world issuer relying;
+  provoke world issuer relying;
+  let suspected =
+    List.filteri (fun i _ -> i >= before) (records ())
+    |> List.filter_map (fun (r : Oasis_trust.Decision_log.record) ->
+           if r.decision = Oasis_trust.Decision_log.Suspect then Some (List.hd r.creds) else None)
+  in
+  let expected = List.map id (reinstated :: later) in
+  let ident = Alcotest.testable Oasis_util.Ident.pp Oasis_util.Ident.equal in
+  Alcotest.(check (list ident)) "the issuer's active roles, in id order" expected suspected;
+  Alcotest.(check bool) "released role not among them" false (List.mem (id gone) suspected);
+  Alcotest.(check bool) "other issuer's role not among them" false
+    (List.mem (id elsewhere) suspected)
+
 let test_backoff_deterministic () =
   let p = Backoff.default in
   let delays rng = List.init 6 (fun i -> Backoff.delay p rng ~attempt:(i + 1)) in
@@ -510,6 +564,8 @@ let suite =
       Alcotest.test_case "issuer silence fails closed" `Quick test_issuer_silence_fails_closed;
       Alcotest.test_case "concurrent monitors independent" `Quick
         test_concurrent_monitors_independent;
+      Alcotest.test_case "unreachable issuer: registered roles suspect" `Quick
+        test_unreachable_suspects_registered_roles;
       Alcotest.test_case "backoff deterministic" `Quick test_backoff_deterministic;
       Alcotest.test_case "backoff retry semantics" `Quick test_backoff_retry_semantics;
     ] )

@@ -54,6 +54,19 @@ let test_hash_consistent () =
   let a = Ident.make "h" 5 and b = Ident.make "h" 5 in
   Alcotest.(check int) "equal values hash equally" (Ident.hash a) (Ident.hash b)
 
+(* The hash is the pair's: every [Ident.Tbl] fold that is not sorted
+   visits in the order this pins. *)
+let test_hash_is_pair_hash () =
+  let gen =
+    QCheck.(
+      pair (oneofl [ "cert"; "service"; "principal"; "civ"; "session"; "sub" ]) (int_bound 2_000_000))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:2000 ~name:"Ident.hash = Hashtbl.hash (tag, number)" gen
+       (fun (tag, n) ->
+         let a = Ident.make tag n in
+         Ident.hash a = Hashtbl.hash (Ident.tag a, Ident.number a)))
+
 let suite =
   ( "ident",
     [
@@ -65,4 +78,5 @@ let suite =
       Alcotest.test_case "generators independent" `Quick test_generators_independent;
       Alcotest.test_case "containers" `Quick test_containers;
       Alcotest.test_case "hash consistent" `Quick test_hash_consistent;
+      Alcotest.test_case "hash is the pair's" `Quick test_hash_is_pair_hash;
     ] )

@@ -653,6 +653,10 @@ let test_kernel_allocation_budgets () =
   check_budget "Schnorr.verify" ~budget:37. (fun () ->
       assert (Schnorr.verify ~public:kp.Schnorr.public msg sg));
   check_budget "Hmac.mac" ~budget:72. (fun () -> Oasis_crypto.Hmac.mac ~key:"k" msg);
+  (* Every [Ident.Tbl] lookup hashes its key: the record is hashed as it
+     is, where a pair built per call cost 3 words. *)
+  let id = Ident.make "cert" 4711 in
+  check_budget "Ident.hash" ~budget:0. (fun () -> Ident.hash id);
   (* A key chain checked once answers from its memo: a memo that never hits
      costs the full check again, about 280 words. *)
   let auth = Signed.create_authority (Rng.create 6) in
@@ -691,7 +695,7 @@ let test_kernel_allocation_budgets () =
     (fun (name, presented) ->
       assert (Vcache.verify cache ~address ~chain ~now:5.0 (presented ()));
       let again = presented () in
-      check_budget name ~budget:7. (fun () ->
+      check_budget name ~budget:4. (fun () ->
           assert (Vcache.verify cache ~address ~chain ~now:5.0 again)))
     [
       ("Validation_cache.verify (re-presented appointment)", appointment);
@@ -716,7 +720,7 @@ let test_kernel_allocation_budgets () =
           ~issued_at:rmc.issued_at ~signature:rmc.signature,
         String.make 40 's' )
   in
-  check_budget "own-RMC check (issued certificate)" ~budget:10. (fun () ->
+  check_budget "own-RMC check (issued certificate)" ~budget:4. (fun () ->
       assert (Oasis_core.Issuer_records.check records copy));
   (* An invocation presenting five credentials, sized as the network counts
      it: from field lengths, where encoding every certificate to measure it

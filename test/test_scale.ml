@@ -88,10 +88,95 @@ let test_net_send_events () =
   ignore (alice_treating t ~patient:8);
   Alcotest.(check int) "nothing recorded after detach" before (List.length (captured ()))
 
+(* A world shaped like the perf scale workload: [n] principals, each
+   holding a CIV badge and a session with an active [member] role at the
+   gate that rests on it, verified offline. Returns the world, the gate,
+   a maker of further badged principals, and everything the principals
+   hold, to keep it alive. *)
+let badge_world ?monitoring n =
+  let world = World.create ~seed:5 ?monitoring () in
+  let civ = Civ.create world ~name:"civ" () in
+  let gate =
+    Service.create world ~name:"gate" ~policy:"initial member(u) <- *appt:badge(u)@civ;" ()
+  in
+  let badged name =
+    let p = Principal.create world ~name in
+    Principal.grant_appointment p
+      (Civ.issue civ ~kind:"badge"
+         ~args:[ Value.Id (Principal.id p) ]
+         ~holder:(Principal.id p) ~holder_key:(Principal.longterm_public p) ());
+    p
+  in
+  let held =
+    List.init n (fun i ->
+        let p = badged (Printf.sprintf "p%d" i) in
+        World.run_proc world (fun () ->
+            let s = Principal.start_session p in
+            (p, s, ok (Principal.activate p s gate ~role:"member" ()))))
+  in
+  World.settle world;
+  (world, gate, badged, held)
+
+(* Granting and releasing a role costs the relying service the same however
+   many roles already rest on the issuer: no per-issuer structure is
+   rebuilt per grant. With a persistent map of the issuer's roles,
+   path-copied on every grant and release, a cycle read 1,576.1 words at
+   100 roles and 1,640.0 at 5,000; with none, 1,346.3 and 1,342.0. *)
+let test_grant_release_cost_flat () =
+  let words_per_cycle n =
+    let world, gate, badged, held = badge_world n in
+    let p = badged "cycler" in
+    let s = Principal.start_session p in
+    let cycle () =
+      World.run_proc world (fun () ->
+          let member = ok (Principal.activate p s gate ~role:"member" ()) in
+          if not (Principal.deactivate p s member) then Alcotest.fail "release refused");
+      World.settle world
+    in
+    cycle ();
+    let cycles = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to cycles do
+      cycle ()
+    done;
+    let words = (Gc.minor_words () -. before) /. float cycles in
+    Alcotest.(check int) "roles resting on the issuer" n (List.length (Service.active_roles gate));
+    ignore (Sys.opaque_identity held);
+    words
+  in
+  let few = words_per_cycle 100 and many = words_per_cycle 5_000 in
+  if Float.abs (many -. few) > 20.0 then
+    Alcotest.failf "a grant-and-release cycle costs %.1f words beside 100 roles, %.1f beside 5,000"
+      few many
+
+(* What a session costs to keep, as live heap words per session of a
+   2,000-session badge world under heartbeats, the perf scale workload's
+   shape: the world, the gate's role and registration, the CIV's badge and
+   the principal's wallet, read after compaction. The bound is the 238.8
+   words measured when it was set, by the change that made the relying
+   service keep one record per watched certificate (parent 79f6ab2; the
+   parent read 255.8). Lower it when a change saves memory; never raise it. *)
+let test_live_words_per_session () =
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let n = 2_000 in
+  let before = live () in
+  let built = badge_world ~monitoring:(World.Heartbeats { period = 30.0; deadline = 90.0 }) n in
+  let after = live () in
+  ignore (Sys.opaque_identity built);
+  let per_session = float (after - before) /. float n in
+  if per_session > 239.0 then
+    Alcotest.failf "a session keeps %.1f live words (bound 239)" per_session
+
 let suite =
   ( "scale",
     [
       Alcotest.test_case "activation storm" `Slow test_activation_storm;
       Alcotest.test_case "decommission" `Quick test_decommission;
       Alcotest.test_case "net.send events" `Quick test_net_send_events;
+      Alcotest.test_case "grant-and-release cost flat in roles" `Quick
+        test_grant_release_cost_flat;
+      Alcotest.test_case "live words per session" `Quick test_live_words_per_session;
     ] )
