@@ -416,6 +416,7 @@ let e4 () =
   in
   let signing_bytes = Rmc.signing_bytes ~principal_key:"key" signed_rmc in
   let sg = Schnorr.sign ~secret:keypair.Schnorr.secret rng signing_bytes in
+  let issuer_key = Schnorr.key keypair.Schnorr.public in
   let base = Modp.random rng and exponent = Modp.random rng in
   let log = ref (Dlog.create ~service:issuer) in
   let doctor = Ident.make "principal" 1 in
@@ -453,12 +454,15 @@ let e4 () =
              ignore (Sha256.finalize ctx)));
       Test.make ~name:"Modp.pow (61-bit exponent)"
         (Staged.stage (fun () -> ignore (Modp.pow base exponent)));
+      Test.make ~name:"g^x (table)" (Staged.stage (fun () -> ignore (Modp.pow_generator exponent)));
       Test.make ~name:"Schnorr sign"
         (Staged.stage (fun () ->
              ignore (Schnorr.sign ~secret:keypair.Schnorr.secret rng signing_bytes)));
       Test.make ~name:"Schnorr verify"
         (Staged.stage (fun () ->
              ignore (Schnorr.verify ~public:keypair.Schnorr.public signing_bytes sg)));
+      Test.make ~name:"Schnorr verify (key table)"
+        (Staged.stage (fun () -> ignore (Schnorr.verify_key issuer_key signing_bytes sg)));
       Test.make ~name:"Signed.verify_rmc (chain + signature)"
         (Staged.stage (fun () ->
              ignore (Signed.verify_rmc ~address ~chain ~principal_key:"key" signed_rmc)));

@@ -28,8 +28,15 @@ let key_cert_bytes kc =
 (* What one successful [verify_chain] vouched for. The chain value is
    immutable apart from this cell, and a record copy shares the cell, so
    the memo names the exact root key, key certificate and address it
-   checked: a copy with another [cert] or [root_pk] misses it. *)
-type vouched = { v_address : string; v_root_pk : Elgamal.public; v_cert : key_cert }
+   checked: a copy with another [cert] or [root_pk] misses it. [v_key] is
+   [v_cert]'s issuer key with its table, built at the first certificate
+   signature checked under this vouching, so it serves no other key. *)
+type vouched = {
+  v_address : string;
+  v_root_pk : Elgamal.public;
+  v_cert : key_cert;
+  v_key : Schnorr.key Lazy.t;
+}
 
 type memo = { mutable vouched : vouched option }
 
@@ -68,22 +75,34 @@ let chain_for a subject = Ident.Tbl.find_opt a.chains subject
 let revoke_chain a subject = Ident.Tbl.remove a.chains subject
 
 (* Only a success is remembered, so a failure costs the full check every
-   time and can never be served from the memo. *)
-let verify_chain ~address:addr chain =
+   time and can never be served from the memo. The root key is checked by
+   square-and-multiply: that runs once per chain value. *)
+let vouched ~address:addr chain =
   match chain.memo.vouched with
-  | Some v
+  | Some v as hit
     when v.v_cert == chain.cert
          && Int64.equal v.v_root_pk chain.root_pk
          && String.equal v.v_address addr ->
-      true
+      hit
   | Some _ | None ->
-      let ok =
+      if
         String.equal (address_of_public chain.root_pk) addr
         && Schnorr.verify ~public:chain.root_pk (key_cert_bytes chain.cert) chain.cert.ksig
-      in
-      if ok then
-        chain.memo.vouched <- Some { v_address = addr; v_root_pk = chain.root_pk; v_cert = chain.cert };
-      ok
+      then begin
+        let subject_pk = chain.cert.subject_pk in
+        chain.memo.vouched <-
+          Some
+            {
+              v_address = addr;
+              v_root_pk = chain.root_pk;
+              v_cert = chain.cert;
+              v_key = lazy (Schnorr.key subject_pk);
+            };
+        chain.memo.vouched
+      end
+      else None
+
+let verify_chain ~address chain = Option.is_some (vouched ~address chain)
 
 (* ------------------------------------------------------------------ *)
 (* Offline-verifiable certificates                                    *)
@@ -98,17 +117,19 @@ let issue_rmc ~keypair ~rng ~principal_key ~id ~issuer ~role ~args ~issued_at =
   in
   Rmc.of_parts ~id ~issuer ~role ~args ~issued_at ~signature:(Schnorr.to_digest sg)
 
-let verify_rmc ?(signature_seen = false) ~address:addr ~chain ~principal_key (rmc : Rmc.t) =
-  verify_chain ~address:addr chain
-  && Ident.equal rmc.issuer chain.cert.subject
-  (* [signature_seen]: the caller vouches that this exact certificate
-     already passed this step under [chain.cert] (Validation_cache). *)
-  && (signature_seen
-     ||
-     match Schnorr.of_digest rmc.signature with
-     | Some sg ->
-         Schnorr.verify ~public:chain.cert.subject_pk (Rmc.signing_bytes ~principal_key rmc) sg
-     | None -> false)
+let verify_rmc ?(signature_seen = false) ~address ~chain ~principal_key (rmc : Rmc.t) =
+  match vouched ~address chain with
+  | None -> false
+  | Some v ->
+      Ident.equal rmc.issuer chain.cert.subject
+      (* [signature_seen]: the caller vouches that this exact certificate
+         already passed this step under [chain.cert] (Validation_cache). *)
+      && (signature_seen
+         ||
+         match Schnorr.of_digest rmc.signature with
+         | Some sg ->
+             Schnorr.verify_key (Lazy.force v.v_key) (Rmc.signing_bytes ~principal_key rmc) sg
+         | None -> false)
 
 let issue_appointment ~keypair ~rng ~epoch ~id ~issuer ~kind ~args ~holder ~issued_at ?expires_at
     () =
@@ -119,18 +140,20 @@ let issue_appointment ~keypair ~rng ~epoch ~id ~issuer ~kind ~args ~holder ~issu
   let sg = Schnorr.sign ~secret:keypair.Schnorr.secret rng (Appointment.signing_bytes unsigned) in
   parts (Schnorr.to_digest sg)
 
-let verify_appointment ?(signature_seen = false) ~address:addr ~chain ~now (appt : Appointment.t)
-    =
-  verify_chain ~address:addr chain
-  && Ident.equal appt.issuer chain.cert.subject
-  (* The key certificate pins the issuer's current epoch: after a secret
-     rotation the root re-certifies the key under the new epoch, and
-     certificates of older epochs must be re-issued — the same semantics
-     the epoch-HMAC scheme enforces with [current_epoch]. *)
-  && appt.epoch = chain.cert.key_epoch
-  && (not (Appointment.expired ~now appt))
-  && (signature_seen
-     ||
-     match Schnorr.of_digest appt.signature with
-     | Some sg -> Schnorr.verify ~public:chain.cert.subject_pk (Appointment.signing_bytes appt) sg
-     | None -> false)
+let verify_appointment ?(signature_seen = false) ~address ~chain ~now (appt : Appointment.t) =
+  match vouched ~address chain with
+  | None -> false
+  | Some v ->
+      Ident.equal appt.issuer chain.cert.subject
+      (* The key certificate pins the issuer's current epoch: after a
+         secret rotation the root re-certifies the key under the new
+         epoch, and certificates of older epochs must be re-issued — the
+         same semantics the epoch-HMAC scheme enforces with
+         [current_epoch]. *)
+      && appt.epoch = chain.cert.key_epoch
+      && (not (Appointment.expired ~now appt))
+      && (signature_seen
+         ||
+         match Schnorr.of_digest appt.signature with
+         | Some sg -> Schnorr.verify_key (Lazy.force v.v_key) (Appointment.signing_bytes appt) sg
+         | None -> false)

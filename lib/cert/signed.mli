@@ -33,8 +33,14 @@ type chain = { root_pk : Oasis_crypto.Elgamal.public; cert : key_cert; memo : me
     another [cert] or [root_pk] misses it and is checked in full. Failures
     are never recorded.
 
+    The memo also keeps the issuer key's table ({!Oasis_crypto.Schnorr.key}),
+    built at the first certificate signature {!verify_rmc} or
+    {!verify_appointment} checks under it; every later one reads y^e from
+    it. It belongs to the [cert] the memo names, so it never serves another
+    key.
+
     Rotation and withdrawal need no hook. {!enrol} after a rotation makes a
-    new chain value, whose memo is empty. {!revoke_chain} removes the value
+    new chain value, whose memo (and table) is empty. {!revoke_chain} removes the value
     from {!chain_for}, which is where relying services look up a chain on
     every presentation, so a withdrawn chain is never checked again. *)
 

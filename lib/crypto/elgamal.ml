@@ -12,7 +12,7 @@ let valid_public v = v >= 2L && v <= Int64.sub Modp.p 2L
 
 let rec generate rng =
   let x = Modp.random rng in
-  let public = Modp.pow Modp.generator x in
+  let public = Modp.pow_generator x in
   (* x = p − 1 maps to the identity; re-draw rather than hand out a key
      every holder of the group order could forge against. *)
   if valid_public public then { public; private_key = x } else generate rng
@@ -21,7 +21,7 @@ type ciphertext = { c1 : int64; c2 : int64 }
 
 let encrypt rng pub m =
   let k = Modp.random rng in
-  { c1 = Modp.pow Modp.generator k; c2 = Modp.mul (Modp.of_int64 m) (Modp.pow pub k) }
+  { c1 = Modp.pow_generator k; c2 = Modp.mul (Modp.of_int64 m) (Modp.pow pub k) }
 
 let decrypt x { c1; c2 } = Modp.mul c2 (Modp.inv (Modp.pow c1 x))
 
@@ -35,4 +35,4 @@ let public_of_string s =
   | Some v when String.equal (Int64.to_string v) s && valid_public v -> Some v
   | _ -> None
 
-let proves x pub = Modp.pow Modp.generator x = pub
+let proves x pub = Modp.pow_generator x = pub

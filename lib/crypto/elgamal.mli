@@ -7,11 +7,16 @@
     protocol. Toy field size; genuine algorithm (see DESIGN.md §3). *)
 
 type public = int64
-type private_key
+type private_key = private int64
+(** The exponent [x] of [public = g^x]; readable (as {!Schnorr.generate}
+    reads it for a signing key), never forged from an [int64]. *)
 
 type keypair = { public : public; private_key : private_key }
 
 val generate : Oasis_util.Rng.t -> keypair
+(** The one keypair generator ({!Schnorr.generate} returns its keypair):
+    draws [x], computes [g^x] with {!Modp.pow_generator}, and draws again
+    while the public key fails {!valid_public}. *)
 
 type ciphertext = { c1 : int64; c2 : int64 }
 

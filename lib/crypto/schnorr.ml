@@ -3,7 +3,8 @@
    Exponent arithmetic is modulo the group exponent n = p - 1 (Fermat:
    g^(k mod (p-1)) = g^k for any g in the field, whatever ord(g)), so the
    scheme is sound even though full <g>-membership of keys is not checked.
-   Products x*e overflow the 63-bit int, hence the double-and-add [mulmod]. *)
+   g^k and g^s come from the generator's comb; y^e from the key's own comb
+   when the verifier keeps one, by square-and-multiply otherwise. *)
 
 type signature = { e : int64; s : int64 }
 
@@ -18,22 +19,34 @@ let addm a b =
   let sum = a + b in
   if sum >= n then sum - n else sum
 
+(* Reduces x in [0, 2^62) modulo n using 2^61 ≡ 2 (mod n): the result
+   is below 2^61 + 2, so one subtraction brings it under n. *)
+let[@inline] reduce_n x =
+  let r = (x land 0x1FFFFFFFFFFFFFFF) + ((x lsr 61) lsl 1) in
+  if r >= n then r - n else r
+
+(* a*b mod n for a, b in [0, 2^61), split into 31-bit halves as
+   [Modp.mul_int] splits them for p:
+     a*b = a1*b1*2^62 + (a1*b0 + a0*b1)*2^31 + a0*b0
+   with 2^62 ≡ 4 and mid*2^31 = m1*2^61 + m0*2^31 ≡ 2*m1 + m0*2^31. *)
 let mulmod a b =
-  let acc = ref 0 and a = ref (a mod n) and b = ref (b mod n) in
-  while !b > 0 do
-    if !b land 1 = 1 then acc := addm !acc !a;
-    a := addm !a !a;
-    b := !b lsr 1
-  done;
-  !acc
+  let a1 = a lsr 31 and a0 = a land 0x7FFFFFFF in
+  let b1 = b lsr 31 and b0 = b land 0x7FFFFFFF in
+  (* a1*b1 < 2^60 *)
+  let hi = reduce_n ((a1 * b1) lsl 2) in
+  (* < 2^62 *)
+  let mid = (a1 * b0) + (a0 * b1) in
+  let m1 = mid lsr 30 and m0 = mid land 0x3FFFFFFF in
+  let mid = reduce_n ((m1 lsl 1) + (m0 lsl 31)) in
+  (* a0*b0 < 2^62 *)
+  addm (addm hi mid) (reduce_n (a0 * b0))
 
 (* k - x*e mod n, with k <= n and xe < n. *)
 let subm a b = if a >= b then a - b else a + n - b
 
-let rec generate rng =
-  let x = Modp.random rng in
-  let public = Modp.pow Modp.generator x in
-  if Elgamal.valid_public public then { public; secret = x } else generate rng
+let generate rng =
+  let { Elgamal.public; private_key } = Elgamal.generate rng in
+  { public; secret = (private_key :> int64) }
 
 (* "oasis-schnorr\x00" followed by the 8 bytes of r: one scratch buffer
    reused by every challenge (single-domain, as Sha256's schedule is). *)
@@ -52,20 +65,30 @@ let challenge r msg =
 
 let sign ~secret rng msg =
   let k = Modp.random rng in
-  let r = Modp.pow Modp.generator k in
+  let r = Modp.pow_generator k in
   let e = challenge r msg in
   let s = subm (Int64.to_int k mod n) (mulmod (Int64.to_int secret) (Int64.to_int e)) in
   { e; s = Int64.of_int s }
 
-(* e and s are public once the signature is on the wire, so the int64
-   comparison needs no masking; the verifier recomputes only from public
-   data. *)
-let verify ~public msg { e; s } =
+(* The table is kept as the option [check] takes, so passing it
+   allocates nothing. *)
+type key = { public : int64; table : Modp.table option }
+
+let key public = { public; table = Some (Modp.table public) }
+
+(* The one verification routine: [table], when given, is [public]'s comb
+   and yields y^e; without it y^e is square-and-multiply. e and s are
+   public once the signature is on the wire, so the int64 comparison
+   needs no masking; the verifier recomputes only from public data. *)
+let check ~public table msg { e; s } =
   e >= 0L && e < n64 && s >= 0L && s < n64
   && Elgamal.valid_public public
   &&
-  let r' = Modp.pow2 Modp.generator s public e in
-  Int64.equal (challenge r' msg) e
+  Int64.equal (challenge (Modp.pow_generator_mul_pow s ?table public e) msg) e
+
+let verify ~public msg sg = check ~public None msg sg
+
+let verify_key { public; table } msg sg = check ~public table msg sg
 
 (* ------------------------------------------------------------------ *)
 (* Packing into the 32-byte certificate signature field               *)

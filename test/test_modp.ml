@@ -8,21 +8,14 @@ let elements n =
   List.init n (fun _ -> Modp.random rng)
   @ [ 1L; 2L; Int64.sub Modp.p 1L; Int64.sub Modp.p 2L ]
 
+(* Field addition in the int64 model: canonical elements are below 2^61,
+   so their sum fits. *)
+let ref_add a b = Int64.rem (Int64.add a b) Modp.p
+
 let test_reduce_canonical () =
   Alcotest.(check int64) "p reduces to 0" 0L (Modp.of_int64 Modp.p);
   Alcotest.(check int64) "p+1 reduces to 1" 1L (Modp.of_int64 (Int64.add Modp.p 1L));
   Alcotest.(check int64) "negative wraps" (Int64.sub Modp.p 1L) (Modp.of_int64 (-1L))
-
-let test_add_sub_inverse () =
-  let xs = elements 30 in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          let s = Modp.add a b in
-          Alcotest.(check int64) "sub undoes add" a (Modp.sub s b))
-        xs)
-    xs
 
 let test_mul_commutative () =
   let xs = elements 30 in
@@ -54,8 +47,8 @@ let test_distributive () =
           List.iter
             (fun c ->
               Alcotest.(check int64) "a(b+c)=ab+ac"
-                (Modp.mul a (Modp.add b c))
-                (Modp.add (Modp.mul a b) (Modp.mul a c)))
+                (Modp.mul a (ref_add b c))
+                (ref_add (Modp.mul a b) (Modp.mul a c)))
             xs)
         xs)
     xs
@@ -157,38 +150,76 @@ let test_pow_matches_model () =
     (QCheck.Test.make ~count:200 ~name:"pow = model" (QCheck.pair element exponent)
        (fun (b, e) -> Int64.equal (Modp.pow b e) (ref_pow b e)))
 
-let test_pow2_matches_model () =
-  let model b1 e1 b2 e2 = ref_mul (ref_pow b1 e1) (ref_pow b2 e2) in
-  let exponents = Int64.max_int :: Int64.shift_left 1L 62 :: edge_values in
+(* The base [Modp.pow_generator] exponentiates. *)
+let generator = 3L
+
+(* Exponents at every digit boundary of any window (2^i − 1 and 2^i),
+   the group order's neighbours, and the top of the int64 range, which
+   the table covers bit for bit rather than reducing by Fermat. *)
+let table_exponents =
+  List.concat_map (fun i -> [ Int64.pred (Int64.shift_left 1L i); Int64.shift_left 1L i ])
+    (List.init 62 (fun i -> i + 1))
+  @ [ 0L; 1L; Int64.sub Modp.p 2L; Int64.sub Modp.p 1L; Modp.p; Int64.pred Int64.max_int;
+      Int64.max_int ]
+
+(* A table power is read through [pow_generator] (the generator's table)
+   and [pow_generator_mul_pow] (a base's own table); the latter is checked
+   against the model with and without the table, and with g^0 = 1 for the
+   base's power alone. *)
+let test_pow_table_matches_model () =
   List.iter
-    (fun e1 ->
+    (fun e ->
+      Alcotest.(check int64) (Printf.sprintf "g^%Ld" e) (ref_pow generator e)
+        (Modp.pow_generator e))
+    table_exponents;
+  List.iter
+    (fun b ->
+      let table = Modp.table b in
       List.iter
-        (fun e2 ->
-          Alcotest.(check int64) (Printf.sprintf "3^%Ld 5^%Ld" e1 e2) (model 3L e1 5L e2)
-            (Modp.pow2 3L e1 5L e2))
-        exponents)
-    exponents;
-  Alcotest.(check int64) "0^0 0^0 = 1" 1L (Modp.pow2 0L 0L 0L 0L);
-  Alcotest.check_raises "negative exponent" (Invalid_argument "Modp.pow2: negative exponent")
-    (fun () -> ignore (Modp.pow2 2L 1L 3L (-1L)));
+        (fun e ->
+          Alcotest.(check int64) (Printf.sprintf "%Ld^%Ld" b e) (ref_pow b e)
+            (Modp.pow_generator_mul_pow 0L ~table b e))
+        table_exponents)
+    edge_values;
+  Alcotest.check_raises "negative exponent" (Invalid_argument "Modp.pow_generator: negative exponent")
+    (fun () -> ignore (Modp.pow_generator (-1L)));
+  Alcotest.check_raises "negative exponent"
+    (Invalid_argument "Modp.pow_generator_mul_pow: negative exponent") (fun () ->
+      ignore (Modp.pow_generator_mul_pow 1L 2L (-1L)));
   let exponent =
-    QCheck.make ~print:Int64.to_string (QCheck.Gen.map (Int64.logand Int64.max_int) QCheck.Gen.ui64)
+    QCheck.make ~print:Int64.to_string
+      (QCheck.Gen.frequency
+         [
+           (4, QCheck.Gen.map (Int64.logand Int64.max_int) QCheck.Gen.ui64);
+           (1, QCheck.Gen.oneofl table_exponents);
+         ])
   in
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:200 ~name:"pow2 = model"
-       (QCheck.quad element exponent element exponent)
-       (fun (b1, e1, b2, e2) -> Int64.equal (Modp.pow2 b1 e1 b2 e2) (model b1 e1 b2 e2)))
+    (QCheck.Test.make ~count:300 ~name:"g^e from the generator's table = model" exponent (fun e ->
+         Int64.equal (Modp.pow_generator e) (ref_pow generator e)));
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:50 ~name:"g^s y^e, with and without y's table = model"
+       (QCheck.pair element (QCheck.list_of_size (QCheck.Gen.return 8) (QCheck.pair exponent exponent)))
+       (fun (y, ses) ->
+         let table = Modp.table y in
+         List.for_all
+           (fun (s, e) ->
+             let model = ref_mul (ref_pow generator s) (ref_pow y e) in
+             Int64.equal (Modp.pow_generator_mul_pow s ~table y e) model
+             && Int64.equal (Modp.pow_generator_mul_pow s y e) model)
+           ses))
 
 (* Out-of-range operands are canonicalised before the native-int path. *)
 let test_noncanonical_operands () =
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:500 ~name:"mul/add/sub canonicalise"
+    (QCheck.Test.make ~count:500 ~name:"mul and table bases canonicalise"
        QCheck.(pair int64 int64)
        (fun (a, b) ->
          let a' = Modp.of_int64 a and b' = Modp.of_int64 b in
          Int64.equal (Modp.mul a b) (ref_mul a' b')
-         && Int64.equal (Modp.add a b) (Int64.rem (Int64.add a' b') Modp.p)
-         && Int64.equal (Modp.sub a b) (Int64.rem (Int64.add a' (Int64.sub Modp.p b')) Modp.p)))
+         && Int64.equal
+              (Modp.pow_generator_mul_pow 0L ~table:(Modp.table a) a 12345L)
+              (ref_pow a' 12345L)))
 
 let test_random_in_range () =
   let rng = Rng.create 77 in
@@ -201,7 +232,6 @@ let suite =
   ( "modp",
     [
       Alcotest.test_case "canonical reduction" `Quick test_reduce_canonical;
-      Alcotest.test_case "add/sub inverse" `Quick test_add_sub_inverse;
       Alcotest.test_case "mul commutative" `Quick test_mul_commutative;
       Alcotest.test_case "mul associative" `Quick test_mul_associative;
       Alcotest.test_case "distributive" `Quick test_distributive;
@@ -213,7 +243,7 @@ let suite =
       Alcotest.test_case "pow edge cases" `Quick test_pow_edge;
       Alcotest.test_case "mul = int64 model" `Quick test_mul_matches_model;
       Alcotest.test_case "pow = int64 model" `Quick test_pow_matches_model;
-      Alcotest.test_case "pow2 = int64 model" `Quick test_pow2_matches_model;
+      Alcotest.test_case "pow_table = int64 model" `Quick test_pow_table_matches_model;
       Alcotest.test_case "non-canonical operands" `Quick test_noncanonical_operands;
       Alcotest.test_case "random range" `Quick test_random_in_range;
     ] )

@@ -645,13 +645,18 @@ let test_kernel_allocation_budgets () =
   let rng = Rng.create 5 in
   let base = Modp.random rng and e = Modp.random rng in
   check_budget "Modp.pow" ~budget:6. (fun () -> Modp.pow base e);
-  let base2 = Modp.random rng and e2 = Modp.random rng in
-  check_budget "Modp.pow2" ~budget:6. (fun () -> Modp.pow2 base e base2 e2);
+  (* A table read allocates nothing: g^x boxes only its result, and
+     signing and key-table verification allocate what they did by
+     square-and-multiply (56 and 37 words). *)
+  check_budget "Modp.pow_generator" ~budget:3. (fun () -> Modp.pow_generator e);
   let kp = Schnorr.generate rng in
   let msg = String.make 136 'c' in
   let sg = Schnorr.sign ~secret:kp.Schnorr.secret rng msg in
+  check_budget "Schnorr.sign" ~budget:56. (fun () -> Schnorr.sign ~secret:kp.Schnorr.secret rng msg);
   check_budget "Schnorr.verify" ~budget:37. (fun () ->
       assert (Schnorr.verify ~public:kp.Schnorr.public msg sg));
+  let key = Schnorr.key kp.Schnorr.public in
+  check_budget "Schnorr.verify_key" ~budget:37. (fun () -> assert (Schnorr.verify_key key msg sg));
   check_budget "Hmac.mac" ~budget:72. (fun () -> Oasis_crypto.Hmac.mac ~key:"k" msg);
   (* Every [Ident.Tbl] lookup hashes its key: the record is hashed as it
      is, where a pair built per call cost 3 words. *)

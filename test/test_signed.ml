@@ -102,6 +102,81 @@ let test_golden_signatures () =
   Alcotest.(check int64) "pow" 1049267445988448792L (Modp.pow 3L 1234567890123456789L);
   Alcotest.(check int64) "pow, top exponent bit" 78125L (Modp.pow 5L Int64.max_int)
 
+(* The double-and-add scalar product [Schnorr.mulmod] replaced: slow and
+   obviously correct, every partial sum below 2n < 2^62. *)
+let ref_mulmod a b =
+  let n = Int64.to_int Modp.p - 1 in
+  let addm x y = if x + y >= n then x + y - n else x + y in
+  let acc = ref 0 and a = ref (a mod n) and b = ref (b mod n) in
+  while !b > 0 do
+    if !b land 1 = 1 then acc := addm !acc !a;
+    a := addm !a !a;
+    b := !b lsr 1
+  done;
+  !acc
+
+let test_mulmod_matches_reference () =
+  let n = Int64.to_int Modp.p - 1 in
+  let edges = [ 0; 1; 2; 0x7FFFFFFF; 0x80000000; n - 1; n; n + 1; (1 lsl 61) - 1 ] in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check int) (Printf.sprintf "%d * %d" a b) (ref_mulmod a b) (Schnorr.mulmod a b))
+        edges)
+    edges;
+  let scalar =
+    QCheck.make ~print:string_of_int
+      QCheck.Gen.(frequency [ (4, map (fun x -> x land ((1 lsl 61) - 1)) int); (1, oneofl edges) ])
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:2000 ~name:"mulmod = double-and-add" (QCheck.pair scalar scalar)
+       (fun (a, b) -> Schnorr.mulmod a b = ref_mulmod a b))
+
+(* Verification written out from the primitives: the range and key
+   checks, r' = g^s y^e by square-and-multiply, and the challenge
+   H("oasis-schnorr\x00" || r' || msg) read as Schnorr defines it. *)
+let reference_verify ~public msg { Schnorr.e; s } =
+  let n = Int64.sub Modp.p 1L in
+  e >= 0L && e < n && s >= 0L && s < n
+  && Elgamal.valid_public public
+  &&
+  let r' = Modp.mul (Modp.pow 3L s) (Modp.pow public e) in
+  let r_bytes = Bytes.create 8 in
+  Bytes.set_int64_be r_bytes 0 r';
+  let d =
+    Sha256.to_raw_string
+      (Sha256.digest_string ("oasis-schnorr\x00" ^ Bytes.to_string r_bytes ^ msg))
+  in
+  Int64.equal e (Int64.rem (Int64.logand (String.get_int64_be d 0) Int64.max_int) n)
+
+(* Valid, tampered (a bit of e or s, a byte of the message) and wrong-key
+   signatures: the key-table verifier, the square-and-multiply verifier
+   and the reference agree on every one. *)
+let test_key_table_matches_reference () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:200 ~name:"verify_key = verify = reference"
+       QCheck.(triple small_nat (string_of_size Gen.(int_range 1 120)) (int_bound 62))
+       (fun (seed, msg, bit) ->
+         let rng = Rng.create (seed + 1) in
+         let kp = Schnorr.generate rng and other = Schnorr.generate rng in
+         let sg = Schnorr.sign ~secret:kp.Schnorr.secret rng msg in
+         let flip x = Int64.logxor x (Int64.shift_left 1L bit) in
+         let tampered_msg =
+           String.mapi (fun i c -> if i = bit mod String.length msg then Char.chr (Char.code c lxor 1) else c) msg
+         in
+         let agree public msg sg =
+           let expected = reference_verify ~public msg sg in
+           Bool.equal (Schnorr.verify_key (Schnorr.key public) msg sg) expected
+           && Bool.equal (Schnorr.verify ~public msg sg) expected
+         in
+         reference_verify ~public:kp.Schnorr.public msg sg
+         && agree kp.Schnorr.public msg sg
+         && agree kp.Schnorr.public msg { sg with Schnorr.e = flip sg.Schnorr.e }
+         && agree kp.Schnorr.public msg { sg with Schnorr.s = flip sg.Schnorr.s }
+         && agree kp.Schnorr.public tampered_msg sg
+         && agree other.Schnorr.public msg sg))
+
 (* ---------------- Public-key parsing (satellite 4) ---------------- *)
 
 let test_public_of_string_strict () =
@@ -430,6 +505,43 @@ let test_tampered_chain_copies_refused () =
   Alcotest.(check bool) "and still refuses the forgery" false
     (Signed.verify_appointment ~address ~chain ~now forged);
   Alcotest.(check int) "no callbacks" 0 (Service.stats club).Service.callbacks_out
+
+(* A key rotated without an epoch change: only the key tells the chains
+   apart. Each chain's table is built for its own key, so a certificate
+   signed under the other key fails, also on a copy of the warm old chain
+   carrying the new key certificate, which shares the old chain's memo. *)
+let test_rotated_key_gets_own_table () =
+  let auth = Signed.create_authority (Rng.create 17) in
+  let address = Signed.address auth and subject = Ident.make "service" 3 in
+  let issue keypair id =
+    Signed.issue_appointment ~keypair ~rng:(Signed.rng auth) ~epoch:1 ~id:(Ident.make "cert" id)
+      ~issuer:subject ~kind:"badge" ~args:[] ~holder:"pk-holder" ~issued_at:0.0 ()
+  in
+  let old_kp = Signed.generate_keypair auth in
+  let old_chain =
+    Signed.enrol auth ~subject ~subject_pk:old_kp.Schnorr.public ~key_epoch:1 ~now:0.0
+  in
+  let old_cert = issue old_kp 1 in
+  let accepts chain appt = Signed.verify_appointment ~address ~chain ~now:1.0 appt in
+  Alcotest.(check bool) "old key's certificate, old chain (table built)" true
+    (accepts old_chain old_cert);
+  let new_kp = Signed.generate_keypair auth in
+  let new_chain =
+    Signed.enrol auth ~subject ~subject_pk:new_kp.Schnorr.public ~key_epoch:1 ~now:1.0
+  in
+  let new_cert = issue new_kp 2 in
+  let copy = { old_chain with Signed.cert = new_chain.Signed.cert } in
+  List.iter
+    (fun (name, chain, appt, expected) ->
+      Alcotest.(check bool) name expected (accepts chain appt))
+    [
+      ("new chain accepts the new key's certificate", new_chain, new_cert, true);
+      ("new chain refuses the old key's certificate", new_chain, old_cert, false);
+      ("old memo's copy accepts the new key's certificate", copy, new_cert, true);
+      ("old memo's copy refuses the old key's certificate", copy, old_cert, false);
+      ("old chain again: its own key only", old_chain, old_cert, true);
+      ("old chain refuses the new key's certificate", old_chain, new_cert, false);
+    ]
 
 (* Random schedules over two authorities and two subjects: every chain
    value ever handed out stays in the pool, and copies sharing a memo cell
@@ -1019,6 +1131,9 @@ let suite =
       Alcotest.test_case "tampered signature" `Quick test_tampered_signature_rejected;
       Alcotest.test_case "signature packing" `Quick test_signature_packing;
       Alcotest.test_case "golden signatures" `Quick test_golden_signatures;
+      Alcotest.test_case "mulmod = double-and-add (qcheck)" `Quick test_mulmod_matches_reference;
+      Alcotest.test_case "key table verify = reference (qcheck)" `Quick
+        test_key_table_matches_reference;
       Alcotest.test_case "strict public-key parse" `Quick test_public_of_string_strict;
       Alcotest.test_case "key chain" `Quick test_chain_verifies;
       Alcotest.test_case "signed rmc roundtrip" `Quick test_signed_rmc_roundtrip;
@@ -1032,6 +1147,7 @@ let suite =
       Alcotest.test_case "rotation refuses old epoch next" `Quick
         test_rotation_refuses_old_epoch_next;
       Alcotest.test_case "tampered chain copies refused" `Quick test_tampered_chain_copies_refused;
+      Alcotest.test_case "rotated key gets its own table" `Quick test_rotated_key_gets_own_table;
       Alcotest.test_case "chain memo = definition (qcheck)" `Quick test_memo_matches_definition;
       Alcotest.test_case "signature memo = checking every signature (qcheck)" `Quick
         test_signature_memo_matches_checking_everything;
